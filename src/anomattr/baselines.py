@@ -17,13 +17,8 @@ from math import comb
 
 import numpy as np
 
-from .gpa import proximal_minimize
-from .models import (
-    GradientEstimatorConfig,
-    ModelHandle,
-    _step_draws,
-    estimate_gradient,
-)
+from .gpa import counterfactual_objective, gaussian_loss, proximal_minimize
+from .models import GradientEstimatorConfig, ModelHandle, estimate_gradient
 
 __all__ = [
     "ReferenceSet",
@@ -218,28 +213,6 @@ def baylime_distributions(
     return BaylimeResult(means, variance)
 
 
-def _gradients_along(model: ModelHandle, points: np.ndarray,
-                     grad_cfg: GradientEstimatorConfig) -> np.ndarray:
-    """Smoothed-slope gradients at several points in one model batch.
-
-    Uses the same per-(seed, coordinate, draw) step sizes as
-    :func:`anomattr.models.estimate_gradient`, so results match a pointwise
-    loop bit for bit.
-    """
-    m = model.dimension
-    mc = grad_cfg.mc_samples
-    h, _ = _step_draws(grad_cfg.seed, grad_cfg.perturbation_std, mc, m)
-    n_points = points.shape[0]
-    base = model.evaluate_batch(points)
-    rep = np.repeat(points, m * mc, axis=0)
-    coord = np.tile(np.repeat(np.arange(m), mc), n_points)
-    steps = np.tile(h.ravel(), n_points)
-    rep[np.arange(rep.shape[0]), coord] += steps
-    fvals = model.evaluate_batch(rep)
-    slopes = (fvals - np.repeat(base, m * mc)) / steps
-    return slopes.reshape(n_points, m, mc).mean(axis=2)
-
-
 def integrated_gradient(
     model: ModelHandle,
     x_t,
@@ -257,7 +230,7 @@ def integrated_gradient(
     d = x_t - x0
     alphas = np.linspace(0.0, 1.0, cfg.n_intervals + 1)
     path = x0[None, :] + alphas[:, None] * d[None, :]
-    grads = _gradients_along(model, path, grad_cfg)
+    grads = estimate_gradient(model, path, grad_cfg)
     weights = np.full(cfg.n_intervals + 1, 1.0 / cfg.n_intervals)
     weights[0] = weights[-1] = 0.5 / cfg.n_intervals
     return d * (weights @ grads)
@@ -391,24 +364,17 @@ def lc(
     """Counterfactual shift under a plain Gaussian loss.
 
     Minimizes ``(eta/2)||delta||^2 + (lam/2)[y_t - f(x_t + delta)]^2`` plus
-    the l1 term handled by the proximal step -- the same solver structure as
-    :func:`anomattr.gpa.map_estimate` but without the heavy-tailed
-    marginalization, which makes this the point-estimate-only sibling.
+    the l1 term handled by the proximal step -- the objective of
+    :func:`anomattr.gpa.map_estimate` with the Gaussian loss in place of the
+    heavy-tailed marginalization, which makes this the point-estimate-only
+    sibling.
     """
     if eta <= 0 or nu <= 0 or lam <= 0 or kappa <= 0:
         raise ValueError("eta, nu, lam and kappa must be positive")
     x_t = np.asarray(x_t, dtype=float)
-
-    def grad_fn(delta):
-        x_shift = x_t + delta
-        fv = model.evaluate(x_shift)
-        r = y_t - fv
-        gf = estimate_gradient(model, x_shift, grad_cfg, f0=fv)
-        return eta * delta - lam * r * gf
-
-    def value_fn(delta):
-        r = y_t - model.evaluate(x_t + delta)
-        return 0.5 * eta * float(delta @ delta) + 0.5 * lam * r * r
+    grad_fn, value_fn = counterfactual_objective(
+        model, x_t[None, :], [y_t], eta, gaussian_loss(lam), grad_cfg
+    )
 
     state = proximal_minimize(
         grad_fn, value_fn, model.dimension, eta, nu, kappa, max_iter, tol,

@@ -5,7 +5,8 @@ Subcommands: ``detect`` (rank outliers by anomaly score), ``explain``
 distributions), ``compare`` (consistency metrics between methods), and
 ``oracle`` (closed-form values on the builtin sinusoidal model).
 
-Exit codes: 0 success, 2 usage/configuration error, 3 model transport error.
+Exit codes: 0 success, 2 usage/configuration error, 3 model transport error
+or non-finite model output.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, dataio, gpa, metrics, oracle
 from .dataio import RunConfig, TestSet
-from .gpa import DivergenceError, GpaHyperParams
+from .gpa import DivergenceError, GpaHyperParams, NonFiniteModelOutput
 from .models import (
     BuiltinModelSpec,
     GradientEstimatorConfig,
@@ -102,9 +104,7 @@ def _noise_variance(args, ts: TestSet, model: ModelHandle) -> float:
         if args.noise_var <= 0:
             raise UsageError("--noise-var must be positive")
         return args.noise_var
-    resid = ts.y - model.evaluate_batch(ts.x)
-    sigma2 = float(np.mean(resid**2))
-    return sigma2 if sigma2 > 0 else 1e-6
+    return gpa.residual_variance(ts, model)
 
 
 def _selected_indices(args, n_test: int) -> list[int]:
@@ -121,6 +121,15 @@ def _selected_indices(args, n_test: int) -> list[int]:
             "with --point-index"
         )
     return idx
+
+
+def _check_collective(args, methods: list[str]) -> None:
+    unsupported = [m for m in methods if m not in _COLLECTIVE_METHODS]
+    if args.collective and unsupported:
+        raise UsageError(
+            f"--collective supports only {', '.join(_COLLECTIVE_METHODS)}; "
+            f"got {', '.join(unsupported)}"
+        )
 
 
 def _hyperparams(args, n_selected: int) -> GpaHyperParams:
@@ -288,13 +297,7 @@ def cmd_explain(args) -> int:
         raise UsageError("dataset has no samples")
     model = resolve_model(args.model, ts.dimension)
     indices = _selected_indices(args, ts.n_test)
-    if args.collective:
-        unsupported = [m for m in methods if m not in _COLLECTIVE_METHODS]
-        if unsupported:
-            raise UsageError(
-                f"--collective supports only {', '.join(_COLLECTIVE_METHODS)}; "
-                f"got {', '.join(unsupported)}"
-            )
+    _check_collective(args, methods)
     selection = ts.select(indices)
     hp = _hyperparams(args, selection.n_test)
     grad_cfg = _grad_cfg(args)
@@ -330,7 +333,7 @@ def cmd_explain(args) -> int:
     result_path = out / "result.json"
     dataio.emit_result_json(
         {
-            "config": config.to_dict(),
+            "config": asdict(config),
             "anomaly_scores": anomaly,
             "methods": methods_doc,
             "diagnostics": diagnostics,
@@ -370,7 +373,7 @@ def cmd_dist(args) -> int:
          "c_b": hp.c_b, "grid_points": hp.grid_points},
     )
     doc = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "methods": {
             "gpa": {
                 "scores": result.delta_star,
@@ -409,6 +412,7 @@ def cmd_compare(args) -> int:
         raise UsageError("dataset has no samples")
     model = resolve_model(args.model, ts.dimension)
     indices = _selected_indices(args, ts.n_test)
+    _check_collective(args, methods)
     selection = ts.select(indices)
     hp = _hyperparams(args, selection.n_test)
     grad_cfg = _grad_cfg(args)
@@ -446,7 +450,7 @@ def cmd_compare(args) -> int:
     if args.out:
         out = _out_dir(args)
         doc = {
-            "config": _run_config(args, methods, indices, {}).to_dict(),
+            "config": asdict(_run_config(args, methods, indices, {})),
             "reference": args.reference,
             "scores": {k: np.asarray(v).tolist() for k, v in scores.items()},
             "reports": reports,
@@ -588,6 +592,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
+        return 3
+    except NonFiniteModelOutput as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, DivergenceError, dataio.CsvFormatError,
             oracle.OracleDomainError, ValueError) as exc:

@@ -107,18 +107,6 @@ class RunConfig:
     hyperparams: dict = field(default_factory=dict)
     output_dir: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "methods": list(self.methods),
-            "seed": self.seed,
-            "data": self.data,
-            "indices": list(self.indices),
-            "collective": self.collective,
-            "hyperparams": dict(self.hyperparams),
-            "output_dir": self.output_dir,
-        }
-
 
 def load_csv(path) -> TestSet:
     """Parse a dataset CSV: header row, feature columns, last column target."""

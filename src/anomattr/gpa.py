@@ -18,7 +18,8 @@ normalizing on a symmetric grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +34,13 @@ __all__ = [
     "ScoreDistribution",
     "soft_threshold",
     "select_gamma_shape",
+    "residual_variance",
     "init_gamma_rate",
     "refine_gamma_rate",
     "objective",
+    "student_t_loss",
+    "gaussian_loss",
+    "counterfactual_objective",
     "map_estimate",
     "score_distributions",
     "proximal_minimize",
@@ -46,6 +51,7 @@ _DIVERGENCE_STREAK = 10
 _INIT_SCALE = 1e-3
 _INIT_STREAM = 0x1A17
 _RATE_FLOOR = 1e-6
+_VARIANCE_FLOOR = 1e-6
 
 
 class DivergenceError(RuntimeError):
@@ -167,20 +173,21 @@ def _residuals(testset: TestSet, model: ModelHandle) -> np.ndarray:
     return testset.y - fvals
 
 
-def init_gamma_rate(testset: TestSet, model: ModelHandle, a0: float, c_b: float) -> float:
-    """Constant gamma rate b0 = a0 * var(y - f(x)) / c_b.
+def residual_variance(testset: TestSet, model: ModelHandle) -> float:
+    """Mean squared residual ``mean((y - f(x))^2)``; a perfectly fit test set
+    falls back to a 1e-6 floor so the variance stays positive."""
+    sigma2 = float(np.mean(_residuals(testset, model) ** 2))
+    return sigma2 if sigma2 != 0.0 else _VARIANCE_FLOOR
 
-    A perfectly fit test set (zero residual variance) falls back to a 1e-6
-    variance floor so the rate stays positive.
-    """
+
+def init_gamma_rate(testset: TestSet, model: ModelHandle, a0: float, c_b: float) -> float:
+    """Constant gamma rate b0 = a0 * sigma^2 / c_b, with sigma^2 the
+    :func:`residual_variance`."""
     if testset.n_test == 0:
         raise ValueError("testset must be nonempty")
     if c_b <= 0:
         raise ValueError("c_b must be positive")
-    sigma2 = float(np.mean(_residuals(testset, model) ** 2))
-    if sigma2 == 0.0:
-        sigma2 = 1e-6
-    return a0 * sigma2 / c_b
+    return a0 * residual_variance(testset, model) / c_b
 
 
 def refine_gamma_rate(
@@ -241,17 +248,57 @@ def _resolve_rates(testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> 
     )
 
 
-def _smooth_value(delta, testset, model, hp, rates) -> float:
-    """J(delta): l2 prior plus the marginalized (heavy-tailed) data loss.
-    The l1 term is deliberately left out; the proximal step owns it."""
-    value = 0.5 * hp.eta * float(delta @ delta)
-    fvals = model.evaluate_batch(testset.x + delta)
-    for t, fv in enumerate(fvals):
-        if not np.isfinite(fv):
-            raise NonFiniteModelOutput(t, fv)
-    resid = testset.y - fvals
-    value += float(np.sum((2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates))))
-    return value
+def student_t_loss(a0: float, rates):
+    """Gamma-marginalized loss ``((2 a0 + 1) / 2) ln(1 + r_t^2 / (2 b_t))``
+    as a (value, slope) pair: the sum over the samples' residuals r, and the
+    derivative in each r_t."""
+    shape = 2 * a0 + 1
+    return (lambda r: float(np.sum(shape / 2.0 * np.log1p(r**2 / (2 * rates)))),
+            lambda r: shape * r / (2 * rates + r * r))
+
+
+def gaussian_loss(lam: float):
+    """Gaussian loss ``(lam / 2) r_t^2`` as a (value, slope) pair."""
+    return (lambda r: 0.5 * lam * float(r @ r)), (lambda r: lam * r)
+
+
+def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
+                             grad_cfg=GradientEstimatorConfig()):
+    """``(grad_fn, value_fn)`` of ``J(delta) = (eta/2) ||delta||^2 +
+    sum_t loss(y_t - f(x_t + delta))`` over the rows of ``x``.
+
+    ``loss`` is a (value, slope) pair such as :func:`student_t_loss`; the l1
+    term is left to the proximal step.  The gradient ``eta delta - sum_t
+    loss'(r_t) grad f(x_t + delta)`` takes the model gradients from one
+    batched estimator call and, at the delta of the last value evaluation
+    (where :func:`proximal_minimize` always asks), reuses its model values.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    loss_value, loss_slope = loss
+    m = model.dimension
+    points = np.empty((len(x), m * grad_cfg.mc_samples, m))
+    last_key = shifted = fvals = resid = None
+
+    def value_fn(delta):
+        nonlocal last_key, shifted, fvals, resid
+        shifted = x + delta
+        fvals = model.evaluate_batch(shifted)
+        resid = y - fvals
+        value = 0.5 * eta * float(delta @ delta) + loss_value(resid)
+        if not math.isfinite(value):
+            bad = np.flatnonzero(~np.isfinite(fvals))
+            if bad.size:
+                raise NonFiniteModelOutput(int(bad[0]), float(fvals[bad[0]]))
+        last_key = delta.tobytes()
+        return value
+
+    def grad_fn(delta):
+        if delta.tobytes() != last_key:
+            value_fn(delta)
+        grads = estimate_gradient(model, shifted, grad_cfg, f0=fvals, points=points)
+        return eta * delta - loss_slope(resid) @ grads
+
+    return grad_fn, value_fn
 
 
 def objective(delta, testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> float:
@@ -262,7 +309,9 @@ def objective(delta, testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -
     """
     delta = np.asarray(delta, dtype=float)
     rates = _resolve_rates(testset, model, hp)
-    return _smooth_value(delta, testset, model, hp, rates)
+    loss = student_t_loss(hp.a0, rates)
+    _, value_fn = counterfactual_objective(model, testset.x, testset.y, hp.eta, loss)
+    return value_fn(delta)
 
 
 @dataclass
@@ -351,12 +400,9 @@ def map_estimate(
     hp: GpaHyperParams,
     grad_cfg: GradientEstimatorConfig,
 ) -> AttributionResult:
-    """MAP perturbation shared by all samples of ``testset``.
-
-    The data-term gradient accumulates, over test samples,
-    ``grad f(x_t + delta) * r_t * (2 a0 + 1) / (2 b_t + r_t^2)`` with the
-    model gradient taken from the smoothed finite-difference estimator.
-    """
+    """MAP perturbation shared by all samples of ``testset``: the
+    :func:`counterfactual_objective` under the :func:`student_t_loss`,
+    minimized by :func:`proximal_minimize`."""
     if testset.n_test == 0:
         raise ValueError("testset must be nonempty")
     if testset.dimension != model.dimension:
@@ -366,22 +412,9 @@ def map_estimate(
         )
     rates = _resolve_rates(testset, model, hp)
     queries_before = model.query_count
-
-    def grad_fn(delta):
-        g = hp.eta * delta
-        for t in range(testset.n_test):
-            x_shift = testset.x[t] + delta
-            fv = model.evaluate(x_shift)
-            if not np.isfinite(fv):
-                raise NonFiniteModelOutput(t, fv)
-            r = testset.y[t] - fv
-            gf = estimate_gradient(model, x_shift, grad_cfg, f0=fv)
-            g -= (2 * hp.a0 + 1) * r / (2 * rates[t] + r * r) * gf
-        return g
-
-    def value_fn(delta):
-        return _smooth_value(delta, testset, model, hp, rates)
-
+    grad_fn, value_fn = counterfactual_objective(
+        model, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
+    )
     state = proximal_minimize(
         grad_fn,
         value_fn,

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
-from scipy import stats
 
 from .dataio import TestSet
 from .models import ModelHandle
@@ -82,6 +81,8 @@ def _abs_pair(a, b):
 
 def kendall_tau(a, b) -> float:
     """Tie-corrected (tau-b) rank correlation of the absolute values."""
+    from scipy import stats  # imported on use: it dominates the CLI start-up
+
     a, b = _abs_pair(a, b)
     return float(stats.kendalltau(a, b, variant="b").statistic)
 
@@ -89,6 +90,8 @@ def kendall_tau(a, b) -> float:
 def spearman_rho(a, b) -> float:
     """Spearman rank correlation of the absolute values (average ranks for
     ties)."""
+    from scipy import stats
+
     a, b = _abs_pair(a, b)
     return float(stats.spearmanr(a, b).statistic)
 

@@ -14,7 +14,7 @@ import subprocess
 import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -59,14 +59,11 @@ class ModelHandle:
     adapters enforce this with a response cache.
     """
 
-    def __init__(self, dimension: int, thread_safe: bool = True):
+    def __init__(self, dimension: int):
         if dimension < 1:
             raise ValueError("dimension must be a positive integer")
         self.dimension = int(dimension)
         self.query_count = 0
-        #: adapters that cannot serve concurrent queries set this False and
-        #: guard themselves with a lock
-        self.thread_safe = thread_safe
 
     def evaluate(self, x) -> float:
         x = _as_vector(x, self.dimension)
@@ -175,7 +172,7 @@ class SubprocessModel(ModelHandle):
     """
 
     def __init__(self, command, dimension: int):
-        super().__init__(dimension, thread_safe=False)
+        super().__init__(dimension)
         if isinstance(command, str):
             command = shlex.split(command)
         self._command = list(command)
@@ -353,17 +350,17 @@ _REDRAW_FACTOR = 1e-8
 
 @lru_cache(maxsize=64)
 def _step_draws(seed: int, std: float, mc_samples: int, dimension: int):
-    """Gaussian step sizes h[i, j] for coordinate i, draw j.
+    """Gaussian step sizes h[i, j] for coordinate i, draw j, and the
+    displacement matrix D whose row ``i * mc_samples + j`` is ``h[i, j] e_i``.
 
     Each fresh draw comes from its own substream keyed by (seed, coordinate,
     draw), so serial and per-coordinate-parallel execution agree bit for bit.
     Draws are sign-paired (h, -h): the pairing leaves the marginal N(0, std^2)
     untouched but cancels the odd-order smoothing bias, which makes the slope
     estimator exact on linear and pure-quadratic models.  Near-zero draws are
-    redrawn from the same substream and counted.
+    redrawn from the same substream.
     """
     h = np.empty((dimension, mc_samples))
-    redraws = 0
     for i in range(dimension):
         for j in range(mc_samples):
             if j % 2 == 1:
@@ -374,43 +371,40 @@ def _step_draws(seed: int, std: float, mc_samples: int, dimension: int):
             )
             val = rng.normal(0.0, std)
             while abs(val) < _REDRAW_FACTOR * std:
-                redraws += 1
                 val = rng.normal(0.0, std)
             h[i, j] = val
+    rows = np.arange(dimension * mc_samples)
+    disp = np.zeros((rows.size, dimension))
+    disp[rows, rows // mc_samples] = h.ravel()
     h.flags.writeable = False
-    return h, redraws
+    disp.flags.writeable = False
+    return h, disp
 
 
-def estimate_gradient(
-    model: ModelHandle,
-    x,
-    cfg: GradientEstimatorConfig,
-    f0: float | None = None,
-    return_redraws: bool = False,
-):
-    """Estimate the gradient of the model at ``x`` from slope samples.
+def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
+                      f0=None, points: np.ndarray | None = None):
+    """Estimate the model gradient at one point ``(m,)`` or at each row of a
+    batch ``(k, m)``; the result has the shape of ``x``.
 
     For each coordinate i the estimate is the average of
     ``[f(x + h e_i) - f(x)] / h`` over ``mc_samples`` Gaussian step sizes h.
-    The baseline value ``f(x)`` is evaluated once and shared across all
-    coordinates and draws (pass ``f0`` to reuse an already-known value).
-    Deterministic given (model, x, cfg).
+    ``f(x)`` is evaluated once per point unless ``f0`` (one value per point)
+    is given.  All perturbed points go to the model in one batch, built in
+    ``points`` when the caller passes a ``(k, m * mc_samples, m)`` buffer to
+    reuse.  Deterministic given (model, x, cfg); a batch equals the per-point
+    results bit for bit.
     """
-    x = _as_vector(x, model.dimension)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    x = np.asarray(x, dtype=float)
     m = model.dimension
-    h, redraws = _step_draws(cfg.seed, cfg.perturbation_std, cfg.mc_samples, m)
-    if f0 is None:
-        f0 = model.evaluate(x)
-
-    # one batch of all m * mc_samples perturbed points
-    points = np.repeat(x[None, :], m * cfg.mc_samples, axis=0)
-    idx = np.repeat(np.arange(m), cfg.mc_samples)
-    points[np.arange(len(idx)), idx] += h.ravel()
-    fvals = model.evaluate_batch(points)
-    slopes = (fvals - f0) / h.ravel()
-    grad = slopes.reshape(m, cfg.mc_samples).mean(axis=1)
-    if return_redraws:
-        return grad, redraws
-    return grad
+    if x.ndim not in (1, 2) or x.shape[-1] != m:
+        raise ValueError(f"expected shape ({m},) or (k, {m}), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
+    batch = x.reshape(-1, m)
+    h, disp = _step_draws(cfg.seed, cfg.perturbation_std, cfg.mc_samples, m)
+    f0 = model.evaluate_batch(batch) if f0 is None else np.asarray(f0, dtype=float)
+    points = np.add(batch[:, None, :], disp, out=points)
+    fvals = model.evaluate_batch(points.reshape(-1, m)).reshape(len(batch), -1)
+    slopes = (fvals - f0.reshape(-1, 1)) / h.ravel()
+    grad = slopes.reshape(len(batch), m, cfg.mc_samples).sum(axis=2) / cfg.mc_samples
+    return grad.reshape(x.shape)

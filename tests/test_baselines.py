@@ -159,13 +159,12 @@ class TestIntegratedGradient:
             integrated_gradient(sin_model, [0.5, 0.0], IgConfig(None), FINE_GRAD)
 
     def test_matches_pointwise_estimator(self, sin_model):
-        # the batched path gradients must agree with looping the public
-        # estimator over the path points bit for bit
-        from anomattr.baselines import _gradients_along
+        # the estimator on a batch of path points must agree with looping
+        # it over the points bit for bit
         from anomattr.models import estimate_gradient
 
         pts = np.array([[0.0, 0.0], [0.25, 0.1], [0.5, 0.2]])
-        batched = _gradients_along(sin_model, pts, FINE_GRAD)
+        batched = estimate_gradient(sin_model, pts, FINE_GRAD)
         loop = np.array([estimate_gradient(sin_model, p, FINE_GRAD) for p in pts])
         np.testing.assert_array_equal(batched, loop)
 
@@ -299,6 +298,27 @@ class TestLc:
         delta = lc(m, [x_t], y_t, eta=1e-6, nu=1e-6, lam=1.0, kappa=0.1,
                    grad_cfg=FINE_GRAD, tol=1e-10)
         assert delta[0] == pytest.approx((y_t - c * x_t) / c, abs=1e-5)
+
+    def test_is_shared_objective_with_gaussian_loss(self, sin_model):
+        from anomattr.gpa import (
+            counterfactual_objective,
+            gaussian_loss,
+            proximal_minimize,
+        )
+
+        x_t, y_t, eta, lam = np.array([0.5, 0.0]), 1.0, 1e-3, 2.0
+        grad_fn, value_fn = counterfactual_objective(
+            sinusoidal2d(), x_t[None, :], [y_t], eta, gaussian_loss(lam), FINE_GRAD
+        )
+        d = np.array([-0.1, 0.05])
+        r = y_t - sin_model.evaluate(x_t + d)
+        assert value_fn(d) == pytest.approx(0.5 * eta * d @ d + 0.5 * lam * r * r,
+                                            rel=1e-12)
+        state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 0.01, 10_000,
+                                  1e-8, FINE_GRAD.seed)
+        delta = lc(sin_model, x_t, y_t, eta=eta, nu=1e-3, lam=lam, kappa=0.01,
+                   grad_cfg=FINE_GRAD, tol=1e-8)
+        np.testing.assert_array_equal(delta, state.delta)
 
     def test_invalid_params(self, sin_model):
         with pytest.raises(ValueError):

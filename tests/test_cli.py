@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anomattr
 from anomattr.cli import main
 
 ORACLE_FLAGS = [
@@ -166,6 +171,20 @@ class TestExplain:
         ])
         assert code == 3
 
+    def test_nonfinite_model_output_exit_3(self, tmp_path, capsys):
+        # 1e200 squared overflows, so the model itself returns inf
+        data = tmp_path / "big.csv"
+        data.write_text("x1,x2,y\n1e200,1e200,0\n")
+        with np.errstate(all="ignore"):
+            code = main([
+                "explain", "--data", str(data), "--model", "quadratic:1,1",
+                "--methods", "gpa", "--out", str(tmp_path / "o"),
+            ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and "non-finite" in err
+
     def test_env_var_model_default(self, sinus_data, tmp_path, monkeypatch):
         monkeypatch.setenv("ANOMATTR_MODEL", "sinusoidal2d")
         code = main([
@@ -263,6 +282,15 @@ class TestCompare:
         assert rep["spearman_rho"] is None
         assert rep["smr"] == 1.0
 
+    def test_collective_rejects_single_point_methods(self, tmp_path):
+        data = tmp_path / "three.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1.0\n0.4,0.1,0.5\n0.6,0.0,-0.3\n")
+        code = main([
+            "compare", "--data", str(data), "--model", "sinusoidal2d",
+            "--methods", "gpa,lc", "--indices", "0,1,2", "--collective",
+        ])
+        assert code == 2
+
     def test_needs_two_methods(self, sinus_data, tmp_path):
         code = main([
             "compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
@@ -296,3 +324,12 @@ class TestOracleCmd:
         assert main(["oracle", "sv", "--x", "0,0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(doc["scores"], [1.0, 1.0])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats dominates start-up time; only the rank metrics need it
+    env = dict(os.environ, PYTHONPATH=str(Path(anomattr.__file__).parents[1]))
+    probe = "import sys, anomattr.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

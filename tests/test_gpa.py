@@ -29,6 +29,20 @@ from anomattr.gpa import (
 from conftest import FINE_GRAD, ORACLE_HP, single_point
 
 
+class _CallCounter(CallableModel):
+    """Counts model calls, single and batch alike."""
+
+    calls = 0
+
+    def evaluate(self, x):
+        self.calls += 1
+        return super().evaluate(x)
+
+    def evaluate_batch(self, xs):
+        self.calls += 1
+        return super().evaluate_batch(xs)
+
+
 class TestSoftThreshold:
     def test_examples(self):
         np.testing.assert_allclose(
@@ -221,6 +235,55 @@ class TestMapEstimate:
         before = sin_model.query_count
         res = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)
         assert res.query_count == sin_model.query_count - before > 0
+
+    def test_gradient_model_calls_independent_of_n_test(self, monkeypatch):
+        # the solver asks for the gradient where it last evaluated the
+        # objective, so all samples' slopes come from one model batch
+        import anomattr.gpa as gpa_mod
+
+        real_solver = gpa_mod.proximal_minimize
+        calls_per_grad = []
+
+        def counting_solver(grad_fn, value_fn, *args):
+            def counted_grad(delta):
+                before = model.calls
+                grad = grad_fn(delta)
+                calls_per_grad.append(model.calls - before)
+                return grad
+
+            return real_solver(counted_grad, value_fn, *args)
+
+        monkeypatch.setattr(gpa_mod, "proximal_minimize", counting_solver)
+        coef = np.array([2.0, -1.0, 0.5])
+        xs = np.random.default_rng(0).uniform(-1, 1, (5, 3))
+        seen = {}
+        for n_test in (1, 5):
+            model = _CallCounter(lambda x: float(coef @ x), 3)
+            ts = TestSet(xs[:n_test], xs[:n_test] @ coef + 1.0, ["a", "b", "c"])
+            calls_per_grad.clear()
+            map_estimate(ts, model, GpaHyperParams.for_testset(n_test, max_iter=5),
+                         FINE_GRAD)
+            seen[n_test] = set(calls_per_grad)
+        assert seen[1] == seen[5] == {1}
+
+    def test_collective_gradient_matches_per_sample_loop(self, sin_model):
+        # one batch for all samples sums in another order than the loop
+        from anomattr.gpa import counterfactual_objective, student_t_loss
+        from anomattr.models import estimate_gradient
+
+        xs = np.array([[0.5, 0.0], [0.3, 0.2], [-0.4, 0.7]])
+        ys = np.array([1.0, -0.5, 0.2])
+        rates = np.array([10.0, 2.0, 0.5])
+        delta = np.array([0.05, -0.1])
+        grad_fn, _ = counterfactual_objective(
+            sin_model, xs, ys, 0.3, student_t_loss(1.0, rates), FINE_GRAD
+        )
+        expect = 0.3 * delta
+        for x, y, b in zip(xs, ys, rates):
+            r = y - sin_model.evaluate(x + delta)
+            expect -= 3.0 * r / (2 * b + r * r) * estimate_gradient(
+                sin_model, x + delta, FINE_GRAD)
+        np.testing.assert_allclose(grad_fn(delta), expect, rtol=1e-10)
 
     def test_deterministic(self, sin_model):
         a = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)

@@ -33,7 +33,9 @@ def brute_force_tau_b(a, b):
             ties_a += 1
         elif db == 0:
             ties_b += 1
-        elif da * db > 0:
+        # compare signs, not the product: da * db underflows to 0 for
+        # subnormal differences
+        elif np.sign(da) * np.sign(db) > 0:
             concordant += 1
         else:
             discordant += 1
