@@ -6,12 +6,15 @@ distributions), ``compare`` (consistency metrics between methods), and
 ``oracle`` (closed-form values on the builtin sinusoidal model).
 
 Exit codes: 0 success, 2 usage/configuration error, 3 model transport error
-or non-finite model output.
+(including a subprocess model that does not answer within its timeout) or
+non-finite model output.  Every model handle a command resolves is closed
+before ``main`` returns, whatever the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -62,7 +65,9 @@ def resolve_model(spec: str | None, dimension: int | None = None) -> ModelHandle
     Accepted forms: ``sinusoidal2d``, ``linear:c1,c2,...``,
     ``quadratic:c1,...``, ``subprocess:<command>``, ``http://...`` /
     ``https://...``.  Falls back to the ``ANOMATTR_MODEL`` environment
-    variable when omitted.
+    variable when omitted.  A ``subprocess:`` child speaks the line protocol
+    of :class:`~anomattr.models.SubprocessModel` and must answer each request
+    within 10 s, or the command exits 3.  The caller closes the handle.
     """
     if spec is None:
         spec = os.environ.get(MODEL_ENV_VAR)
@@ -89,6 +94,13 @@ def resolve_model(spec: str | None, dimension: int | None = None) -> ModelHandle
             f"model dimension {model.dimension} does not match dataset "
             f"dimension {dimension}"
         )
+    return model
+
+
+def _open_model(args, dimension: int) -> ModelHandle:
+    """Resolve ``--model``; ``main`` closes the handle when the command ends."""
+    model = resolve_model(args.model, dimension)
+    args.cleanup.callback(model.close)
     return model
 
 
@@ -264,7 +276,7 @@ def cmd_detect(args) -> int:
     ts = _load_testset(args)
     if ts.n_test == 0:
         raise UsageError("dataset has no samples")
-    model = resolve_model(args.model, ts.dimension)
+    model = _open_model(args, ts.dimension)
     noise_var = _noise_variance(args, ts, model)
     scores = [
         metrics.anomaly_score(model, ts.x[t], ts.y[t], noise_var, t)
@@ -295,7 +307,7 @@ def cmd_explain(args) -> int:
     ts = _load_testset(args)
     if ts.n_test == 0:
         raise UsageError("dataset has no samples")
-    model = resolve_model(args.model, ts.dimension)
+    model = _open_model(args, ts.dimension)
     indices = _selected_indices(args, ts.n_test)
     _check_collective(args, methods)
     selection = ts.select(indices)
@@ -351,7 +363,7 @@ def cmd_dist(args) -> int:
     ts = _load_testset(args)
     if ts.n_test == 0:
         raise UsageError("dataset has no samples")
-    model = resolve_model(args.model, ts.dimension)
+    model = _open_model(args, ts.dimension)
     indices = _selected_indices(args, ts.n_test)
     selection = ts.select(indices)
     hp = _hyperparams(args, selection.n_test)
@@ -410,7 +422,7 @@ def cmd_compare(args) -> int:
     ts = _load_testset(args)
     if ts.n_test == 0:
         raise UsageError("dataset has no samples")
-    model = resolve_model(args.model, ts.dimension)
+    model = _open_model(args, ts.dimension)
     indices = _selected_indices(args, ts.n_test)
     _check_collective(args, methods)
     selection = ts.select(indices)
@@ -588,18 +600,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except TransportError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return 3
-    except NonFiniteModelOutput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (UsageError, DivergenceError, dataio.CsvFormatError,
-            oracle.OracleDomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # numpy's overflow and invalid-value warnings would precede the one-line
+    # messages below; non-finite model output is reported by the residual
+    # and objective checks (NonFiniteModelOutput) and the remote adapters.
+    with (contextlib.ExitStack() as args.cleanup,
+          np.errstate(over="ignore", invalid="ignore")):
+        try:
+            return args.func(args)
+        except TransportError as exc:
+            print(f"transport error: {exc}", file=sys.stderr)
+            return 3
+        except NonFiniteModelOutput as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except (UsageError, DivergenceError, dataio.CsvFormatError,
+                oracle.OracleDomainError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -168,9 +168,18 @@ def select_gamma_shape(n_virtual: int) -> float:
     return (n_virtual + 1) / 2.0
 
 
+def _check_finite(fvals: np.ndarray) -> np.ndarray:
+    """Raise :class:`NonFiniteModelOutput` naming the first sample whose model
+    output is not finite."""
+    bad = np.flatnonzero(~np.isfinite(fvals))
+    if bad.size:
+        raise NonFiniteModelOutput(int(bad[0]), float(fvals[bad[0]]))
+    return fvals
+
+
 def _residuals(testset: TestSet, model: ModelHandle) -> np.ndarray:
-    fvals = model.evaluate_batch(testset.x)
-    return testset.y - fvals
+    # checked before any arithmetic, which would warn on inf or nan
+    return testset.y - _check_finite(model.evaluate_batch(testset.x))
 
 
 def residual_variance(testset: TestSet, model: ModelHandle) -> float:
@@ -286,9 +295,7 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
         resid = y - fvals
         value = 0.5 * eta * float(delta @ delta) + loss_value(resid)
         if not math.isfinite(value):
-            bad = np.flatnonzero(~np.isfinite(fvals))
-            if bad.size:
-                raise NonFiniteModelOutput(int(bad[0]), float(fvals[bad[0]]))
+            _check_finite(fvals)
         last_key = delta.tobytes()
         return value
 

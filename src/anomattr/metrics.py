@@ -43,8 +43,8 @@ def anomaly_score(
 ) -> AnomalyScore:
     """Gaussian plug-in negative log-likelihood:
     0.5 ln(2 pi v) + (y - f(x))^2 / (2 v)."""
-    if noise_variance <= 0:
-        raise ValueError("noise_variance must be positive")
+    if not 0 < noise_variance < np.inf:
+        raise ValueError("noise_variance must be positive and finite")
     resid = y_t - model.evaluate(x_t)
     value = 0.5 * np.log(2.0 * np.pi * noise_variance) + resid**2 / (2.0 * noise_variance)
     return AnomalyScore(float(value), sample_index)

@@ -4,15 +4,29 @@ the smoothed Monte Carlo gradient estimator.
 Every model is queried through :class:`ModelHandle`, which only exposes
 ``evaluate`` / ``evaluate_batch`` on real vectors of a fixed dimension and a
 monotone query counter.  Nothing downstream ever sees model internals.
+
+The remote adapters, :class:`SubprocessModel` (one JSON line each way over a
+child's stdin/stdout) and :class:`HttpModel` (``POST /predict``), share one
+protocol and one response cache.  ``{"x": [...]}`` is answered by ``{"y":
+<number>}``; a batch ``{"xs": [[...], ...]}`` by ``{"ys": [<number>, ...]}``.
+A model that does not batch gets one ``x`` request per point instead: an
+HTTP model says so at ``GET /capabilities``, a subprocess child by how it
+answers the first batch, which is why a child should answer a line it does
+not understand with a one-line JSON object such as ``{"error": "..."}``
+rather than crash.  A non-finite answer, a batch answer of the wrong length
+and a subprocess child silent for longer than ``timeout`` (10 s by default;
+it is killed) all raise :class:`TransportError`.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import select
 import shlex
 import subprocess
 import threading
-import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,6 +94,9 @@ class ModelHandle:
         ys = np.asarray(self._evaluate_batch(xs), dtype=float)
         self.query_count += xs.shape[0]
         return ys
+
+    def close(self) -> None:
+        """Release what the handle holds; a no-op unless overridden."""
 
     def _evaluate(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -162,162 +179,245 @@ class CallableModel(ModelHandle):
         return self._fn(x)
 
 
-class SubprocessModel(ModelHandle):
-    """Adapter speaking newline-delimited JSON over a child process.
+def _decode(reply: bytes) -> dict:
+    try:
+        return json.loads(reply)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise TransportError(f"malformed model response: {reply[:200]!r}") from exc
 
-    Protocol: one request ``{"x": [...]}`` per line on stdin, one response
-    ``{"y": <number>}`` per line on stdout.  The process is restarted once on
-    EOF; a second failure raises :class:`TransportError`.  Responses are
-    cached so repeated queries stay deterministic even if the child is not.
+
+def _answers(doc, key: str, shape: tuple) -> np.ndarray:
+    """The finite numbers a reply holds under ``key``, checked against the
+    shape of the request: ``()`` for ``"y"``, ``(n,)`` for ``"ys"``."""
+    try:
+        ys = np.asarray(doc[key], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise TransportError(f"malformed model response: {str(doc)[:200]}") from exc
+    if ys.shape != shape:
+        raise TransportError(
+            f"model response {key!r} has shape {ys.shape}, expected {shape}"
+        )
+    if not np.isfinite(ys).all():
+        raise TransportError(f"non-finite model response: {str(doc[key])[:200]}")
+    return ys
+
+
+class _RemoteModel(ModelHandle):
+    """Response cache and ``x``/``xs`` request logic shared by the remote
+    adapters; the protocol is in the module docstring.
+
+    Subclasses supply the transport: ``_request(payload)`` sends one request
+    and returns the decoded reply, and ``_probe_batch(payload)``, called with
+    the first batch, returns the reply to that ``xs`` request, or ``None`` if
+    the model does not batch.
     """
 
-    def __init__(self, command, dimension: int):
+    def __init__(self, dimension: int):
+        super().__init__(dimension)
+        self._cache: dict[bytes, float] = {}
+        self._batches: bool | None = None  # unknown until the first batch
+
+    def _request(self, payload: dict) -> dict:
+        raise NotImplementedError
+
+    def _probe_batch(self, payload: dict) -> dict | None:
+        raise NotImplementedError
+
+    def _evaluate(self, x):
+        key = x.tobytes()
+        if key not in self._cache:
+            doc = self._request({"x": x.tolist()})
+            self._cache[key] = float(_answers(doc, "y", ()))
+        return self._cache[key]
+
+    def _evaluate_batch(self, xs):
+        if self._batches is False:
+            return super()._evaluate_batch(xs)
+        keys = [x.tobytes() for x in xs]
+        todo = {k: i for i, k in enumerate(keys) if k not in self._cache}
+        if todo:
+            payload = {"xs": xs[list(todo.values())].tolist()}
+            if self._batches:
+                doc = self._request(payload)
+            else:
+                doc = self._probe_batch(payload)
+                self._batches = doc is not None
+                if doc is None:
+                    return super()._evaluate_batch(xs)
+            ys = _answers(doc, "ys", (len(todo),))
+            self._cache.update(zip(todo, ys.tolist()))
+        return np.array([self._cache[k] for k in keys])
+
+
+class SubprocessModel(_RemoteModel):
+    """Adapter speaking newline-delimited JSON over a child process.
+
+    Protocol: one JSON object per line on the child's stdin, answered by one
+    JSON object per line on its stdout.
+
+    - ``{"x": [...]}`` is answered by ``{"y": <number>}``.  Every child
+      must speak it; single evaluations always use it.
+    - ``{"xs": [[...], ...]}`` is answered by ``{"ys": [<number>, ...]}``,
+      one value per row.  This line is optional.  The first batch is sent
+      this way and serves as the probe: a ``ys`` reply means the child
+      batches for the rest of the handle's life.  A reply without ``ys``,
+      or the child exiting on that line, means it does not: the child is
+      restarted if it died, and this batch and every later one go one
+      ``x`` line per point.  A child should answer a line it does not
+      understand with a one-line JSON object such as ``{"error": "..."}``
+      rather than crash.
+
+    Each request waits at most ``timeout`` seconds for the pipe to take the
+    request or to deliver more of the answer; a child that does not answer
+    in time is killed and :class:`TransportError` is raised.  A child that
+    exits mid-request is restarted once, then :class:`TransportError` is
+    raised.  :meth:`close` ends the child.
+    """
+
+    def __init__(self, command, dimension: int, timeout: float = 10.0):
         super().__init__(dimension)
         if isinstance(command, str):
             command = shlex.split(command)
         self._command = list(command)
+        self._timeout = timeout
         self._proc: subprocess.Popen | None = None
+        self._pending = bytearray()  # bytes read past the last answer line
         self._lock = threading.Lock()
-        self._cache: dict[bytes, float] = {}
 
-    def _ensure_proc(self):
+    def _ensure_proc(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
+            self._stop(wait=0.0)
             try:
                 self._proc = subprocess.Popen(
-                    self._command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
+                    self._command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                    bufsize=0,
                 )
             except OSError as exc:
                 raise TransportError(f"cannot start model process: {exc}") from exc
+            os.set_blocking(self._proc.stdin.fileno(), False)
+            self._pending = bytearray()
+        return self._proc
 
-    def _roundtrip(self, request: str) -> str:
-        self._ensure_proc()
-        assert self._proc is not None
+    def _wait(self, fd: int, event: int) -> None:
+        poller = select.poll()
+        poller.register(fd, event)
+        if not poller.poll(self._timeout * 1000.0):
+            self._stop(wait=0.0)
+            raise TransportError(
+                f"model process gave no answer within {self._timeout:g} s"
+            )
+
+    def _exchange(self, payload: dict) -> bytes:
+        """Send one request line and return the answer line; EOFError if the
+        child has gone."""
+        proc = self._ensure_proc()
+        out, view = proc.stdout.fileno(), memoryview(json.dumps(payload).encode() + b"\n")
         try:
-            self._proc.stdin.write(request)
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
+            while view:
+                try:
+                    view = view[os.write(proc.stdin.fileno(), view):]
+                except BlockingIOError:
+                    self._wait(proc.stdin.fileno(), select.POLLOUT)
+        except OSError as exc:  # BrokenPipeError: the child is gone
             raise EOFError(str(exc)) from exc
-        if line == "":
-            raise EOFError("model process closed stdout")
-        return line
+        scanned = 0
+        while (end := self._pending.find(b"\n", scanned)) < 0:
+            scanned = len(self._pending)
+            self._wait(out, select.POLLIN)
+            chunk = os.read(out, 1 << 16)
+            if not chunk:
+                raise EOFError("model process closed stdout")
+            self._pending += chunk
+        reply = bytes(self._pending[:end])
+        del self._pending[: end + 1]
+        return reply
 
-    def _evaluate(self, x):
-        key = x.tobytes()
-        if key in self._cache:
-            return self._cache[key]
-        request = json.dumps({"x": x.tolist()}) + "\n"
+    def _request(self, payload):
+        with self._lock:
+            for _ in range(2):  # one restart per request, then give up
+                try:
+                    return _decode(self._exchange(payload))
+                except EOFError as exc:
+                    self._stop(wait=0.0)
+                    error = exc
+        raise TransportError(
+            f"model process died twice on {str(payload)[:200]}"
+        ) from error
+
+    def _probe_batch(self, payload):
+        # a child that dies on the "xs" line, or answers it without "ys",
+        # does not batch
         with self._lock:
             try:
-                line = self._roundtrip(request)
+                reply = self._exchange(payload)
             except EOFError:
-                # one restart per request, then give up
-                self._proc = None
-                try:
-                    line = self._roundtrip(request)
-                except EOFError as exc:
-                    raise TransportError(
-                        f"model process died twice on {request.strip()}"
-                    ) from exc
+                self._stop(wait=0.0)
+                return None
         try:
-            y = float(json.loads(line)["y"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise TransportError(f"malformed model response: {line.strip()!r}") from exc
-        if not np.isfinite(y):
-            raise TransportError(f"non-finite model response: {y!r}")
-        self._cache[key] = y
-        return y
+            doc = json.loads(reply)
+        except ValueError:
+            return None
+        return doc if isinstance(doc, dict) and "ys" in doc else None
+
+    def _stop(self, wait: float) -> None:
+        """End the child: close its stdin, give it ``wait`` seconds to exit,
+        then kill it."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        proc.stdin.close()
+        try:
+            proc.wait(timeout=wait)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
-        self._proc = None
+        """End the child, waiting up to ``timeout`` seconds for it to exit on
+        end of input.  Safe to call more than once."""
+        self._stop(wait=self._timeout)
 
 
-class HttpModel(ModelHandle):
+class HttpModel(_RemoteModel):
     """Adapter for an HTTP prediction endpoint.
 
     ``POST <base>/predict`` with ``{"x": [...]}`` returns ``{"y": <number>}``.
     If ``GET <base>/capabilities`` reports ``{"batch": true}``, batch queries
-    go through ``{"xs": [[...], ...]}`` -> ``{"ys": [...]}``.  Responses are
-    cached for determinism.
+    go through ``{"xs": [[...], ...]}`` -> ``{"ys": [...]}``; if that request
+    fails or does not return JSON, they go one point per request.  A
+    capabilities reply that is JSON but not an object raises
+    :class:`TransportError`.  ``timeout`` bounds each socket operation.
     """
 
     def __init__(self, base_url: str, dimension: int, timeout: float = 10.0):
         super().__init__(dimension)
         self._base = base_url.rstrip("/")
         self._timeout = timeout
-        self._batch_capable: bool | None = None
-        self._cache: dict[bytes, float] = {}
 
-    def _post(self, path: str, payload: dict) -> dict:
-        data = json.dumps(payload).encode()
+    def _request(self, payload):
         req = urllib.request.Request(
-            self._base + path, data=data, headers={"Content-Type": "application/json"}
+            self._base + "/predict", data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
         )
         try:
             with urllib.request.urlopen(req, timeout=self._timeout) as resp:
                 body = resp.read()
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"model endpoint failed: {exc}") from exc
+        return _decode(body)
+
+    def _probe_batch(self, payload):
         try:
-            return json.loads(body)
-        except json.JSONDecodeError as exc:
-            raise TransportError(f"malformed model response: {body[:200]!r}") from exc
-
-    def _probe_batch(self) -> bool:
-        if self._batch_capable is None:
-            try:
-                with urllib.request.urlopen(
-                    self._base + "/capabilities", timeout=self._timeout
-                ) as resp:
-                    caps = json.loads(resp.read())
-                self._batch_capable = bool(caps.get("batch", False))
-            except Exception:
-                self._batch_capable = False
-        return self._batch_capable
-
-    @staticmethod
-    def _check_finite(y) -> float:
-        y = float(y)
-        if not np.isfinite(y):
-            raise TransportError(f"non-finite model response: {y!r}")
-        return y
-
-    def _evaluate(self, x):
-        key = x.tobytes()
-        if key in self._cache:
-            return self._cache[key]
-        doc = self._post("/predict", {"x": x.tolist()})
-        try:
-            y = self._check_finite(doc["y"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TransportError(f"malformed model response: {doc!r}") from exc
-        self._cache[key] = y
-        return y
-
-    def _evaluate_batch(self, xs):
-        if not self._probe_batch():
-            return super()._evaluate_batch(xs)
-        keys = [x.tobytes() for x in xs]
-        missing = [i for i, k in enumerate(keys) if k not in self._cache]
-        if missing:
-            doc = self._post("/predict", {"xs": xs[missing].tolist()})
-            try:
-                ys = [self._check_finite(v) for v in doc["ys"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TransportError(f"malformed batch response: {doc!r}") from exc
-            if len(ys) != len(missing):
-                raise TransportError(
-                    f"batch response length {len(ys)} != request length {len(missing)}"
-                )
-            for i, y in zip(missing, ys):
-                self._cache[keys[i]] = y
-        return np.array([self._cache[k] for k in keys])
+            with urllib.request.urlopen(
+                self._base + "/capabilities", timeout=self._timeout
+            ) as resp:
+                caps = json.loads(resp.read())
+        except (OSError, http.client.HTTPException, ValueError):
+            return None  # unreachable, an HTTP error status, or not JSON
+        if not isinstance(caps, dict):
+            raise TransportError(f"malformed capabilities response: {str(caps)[:200]}")
+        return self._request(payload) if caps.get("batch", False) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,42 @@ def sinus_data(tmp_path):
     p = tmp_path / "data.csv"
     p.write_text("x1,x2,y\n0.5,0.0,1.0\n0.5,0.0,0.0\n0.5,0.0,-1.0\n")
     return p
+
+
+# The sinusoidal surface behind "subprocess:".  In "batch" mode it also
+# answers the "xs" line; in "point" mode it answers that line with an error
+# object.  A second argument names a file that receives the child's pid.
+SINE_CHILD = textwrap.dedent(
+    """
+    import json, math, os, sys
+    mode = sys.argv[1]
+    if len(sys.argv) > 2:
+        with open(sys.argv[2], "w") as fh:
+            fh.write(str(os.getpid()))
+    def f(x):
+        return 2.0 * math.cos(math.pi * x[0]) * math.cos(math.pi * x[1])
+    for line in sys.stdin:
+        doc = json.loads(line)
+        if "x" in doc:
+            reply = {"y": f(doc["x"])}
+        elif mode == "batch":
+            reply = {"ys": [f(x) for x in doc["xs"]]}
+        else:
+            reply = {"error": "one point per line"}
+        print(json.dumps(reply), flush=True)
+    """
+)
+
+
+@pytest.fixture
+def sine_child(tmp_path):
+    script = tmp_path / "sine_child.py"
+    script.write_text(SINE_CHILD)
+
+    def spec(*args):
+        return "subprocess:" + shlex.join([sys.executable, str(script), *args])
+
+    return spec
 
 
 @pytest.fixture
@@ -175,15 +213,28 @@ class TestExplain:
         # 1e200 squared overflows, so the model itself returns inf
         data = tmp_path / "big.csv"
         data.write_text("x1,x2,y\n1e200,1e200,0\n")
-        with np.errstate(all="ignore"):
-            code = main([
-                "explain", "--data", str(data), "--model", "quadratic:1,1",
-                "--methods", "gpa", "--out", str(tmp_path / "o"),
-            ])
+        code = main([
+            "explain", "--data", str(data), "--model", "quadratic:1,1",
+            "--methods", "gpa", "--out", str(tmp_path / "o"),
+        ])
         assert code == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.count("\n") == 1 and "non-finite" in err
+
+    def test_nonfinite_model_output_one_stderr_line(self, tmp_path):
+        # a fresh interpreter with the default warning filters
+        data = tmp_path / "big.csv"
+        data.write_text("x1,x2,y\n1e200,1e200,0\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(anomattr.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "anomattr.cli", "explain", "--data", str(data),
+             "--model", "quadratic:1,1", "--methods", "gpa", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 3
+        assert run.stderr.count("\n") == 1 and "non-finite" in run.stderr
 
     def test_env_var_model_default(self, sinus_data, tmp_path, monkeypatch):
         monkeypatch.setenv("ANOMATTR_MODEL", "sinusoidal2d")
@@ -192,6 +243,36 @@ class TestExplain:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 0
+
+
+class TestSubprocessModel:
+    def test_batching_and_single_point_children_agree(self, sinus_data, tmp_path,
+                                                      sine_child):
+        docs = []
+        for mode in ("batch", "point"):
+            out = tmp_path / mode
+            code = main([
+                "explain", "--data", str(sinus_data), "--model", sine_child(mode),
+                "--methods", "gpa", "--out", str(out), *ORACLE_FLAGS,
+            ])
+            assert code == 0
+            docs.append(json.loads((out / "result.json").read_text()))
+        batch, point = docs
+        assert batch["methods"]["gpa"]["scores"] == point["methods"]["gpa"]["scores"]
+        assert batch["diagnostics"]["model_queries"] == point["diagnostics"]["model_queries"]
+
+    @pytest.mark.parametrize("methods, expected", [("gpa", 0), ("lime0,ig", 2)])
+    def test_child_is_gone_when_main_returns(self, sinus_data, tmp_path, sine_child,
+                                             methods, expected):
+        # "ig" without --baseline exits 2 after lime0 has queried the child
+        pid_file = tmp_path / "pid"
+        code = main([
+            "explain", "--data", str(sinus_data), "--methods", methods,
+            "--model", sine_child("batch", str(pid_file)), "--out", str(tmp_path / "o"),
+        ])
+        assert code == expected
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
 
 
 class TestDist:

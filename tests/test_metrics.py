@@ -91,6 +91,11 @@ class TestAnomalyScore:
         with pytest.raises(ValueError):
             anomaly_score(linear_model([1.0]), [0.0], 0.0, 0.0)
 
+    @pytest.mark.parametrize("variance", [np.inf, np.nan])
+    def test_finite_variance_required(self, variance):
+        with pytest.raises(ValueError):
+            anomaly_score(linear_model([1.0]), [0.0], 0.0, variance)
+
 
 class TestKendallTau:
     def test_identical_order(self):
@@ -210,7 +215,9 @@ class TestHitRatio25:
     def test_rescale_invariant(self, r, data):
         u = data.draw(st.lists(st.floats(0.1, 100), min_size=len(r), max_size=len(r)))
         r, u = np.asarray(r), np.asarray(u)
-        assert hit_ratio_25(r, u) == hit_ratio_25(3.7 * r, 0.2 * u)
+        # exact powers of two: 0.2 * [0.1, 0.10000000000000002] rounds to a
+        # tie, which hands the top slot to the lower index
+        assert hit_ratio_25(r, u) == hit_ratio_25(4.0 * r, 0.25 * u)
 
 
 class TestSymmetryAndScaling:
@@ -224,8 +231,17 @@ class TestSymmetryAndScaling:
             return
         assert kendall_tau(a, b) == pytest.approx(kendall_tau(b, a), abs=1e-12)
         assert spearman_rho(a, b) == pytest.approx(spearman_rho(b, a), abs=1e-12)
-        assert kendall_tau(2.5 * a, b) == pytest.approx(kendall_tau(a, b), abs=1e-12)
-        assert spearman_rho(a, 0.3 * b) == pytest.approx(spearman_rho(a, b), abs=1e-12)
+        # exact powers of two: a scale such as 0.3 rounds a subnormal to 0
+        # and so changes the ties the metrics see
+        assert kendall_tau(4.0 * a, b) == pytest.approx(kendall_tau(a, b), abs=1e-12)
+        assert spearman_rho(a, 8.0 * b) == pytest.approx(spearman_rho(a, b), abs=1e-12)
+
+    def test_subnormal_entries_keep_their_ranks_under_scaling(self):
+        a, b = np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 5e-324])
+        assert kendall_tau(a, b) == pytest.approx(kendall_tau(b, a), abs=1e-12)
+        assert spearman_rho(a, b) == pytest.approx(spearman_rho(b, a), abs=1e-12)
+        assert kendall_tau(4.0 * a, b) == pytest.approx(kendall_tau(a, b), abs=1e-12)
+        assert spearman_rho(a, 8.0 * b) == pytest.approx(spearman_rho(a, b), abs=1e-12)
 
 
 class TestConsistencyReport:

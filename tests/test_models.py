@@ -1,7 +1,9 @@
 import json
+import os
 import sys
 import textwrap
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -136,6 +138,59 @@ ECHO_MODEL = textwrap.dedent(
     """
 )
 
+# The same surface, also answering the "xs" batch line.  With "--short" every
+# batch after the first comes back one value short.
+BATCH_MODEL = textwrap.dedent(
+    """
+    import json, sys
+    batches = 0
+    for line in sys.stdin:
+        doc = json.loads(line)
+        if "xs" in doc:
+            batches += 1
+            ys = [3.0 * x[0] - 1.0 * x[1] for x in doc["xs"]]
+            if "--short" in sys.argv and batches > 1:
+                ys = ys[:-1]
+            reply = {"ys": ys}
+        else:
+            reply = {"y": 3.0 * doc["x"][0] - 1.0 * doc["x"][1]}
+        print(json.dumps(reply))
+        sys.stdout.flush()
+    """
+)
+
+# Prepended to a child: appends every request line to the file named by the
+# child's first argument, so a test can count what crossed the pipe.
+LOG_REQUESTS = textwrap.dedent(
+    """
+    import sys
+    _log = open(sys.argv[1], "a")
+    def _logged(lines):
+        for line in lines:
+            _log.write(line)
+            _log.flush()
+            yield line
+    sys.stdin = _logged(sys.stdin)
+    """
+)
+
+
+def _child(directory, source, *args):
+    """A SubprocessModel of dimension 2 running ``source`` with its requests
+    logged; returns the model and a function reading the logged requests."""
+    script = directory / "child.py"
+    script.write_text(LOG_REQUESTS + source)
+    log = directory / "requests.jsonl"
+    m = SubprocessModel([sys.executable, str(script), str(log), *args], dimension=2)
+
+    def requests():
+        return [json.loads(line) for line in log.read_text().splitlines()]
+
+    return m, requests
+
+
+POINTS = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.0], [-3.0, 1.5]])
+
 
 class TestSubprocessAdapter:
     def test_roundtrip_and_restart(self, tmp_path):
@@ -169,9 +224,112 @@ class TestSubprocessAdapter:
         with pytest.raises(TransportError):
             m.evaluate([1.0])
 
+    def test_batch_is_one_line_and_cached_rows_are_not_resent(self, tmp_path):
+        m, requests = _child(tmp_path, BATCH_MODEL)
+        try:
+            first = m.evaluate(POINTS[0])
+            ys = m.evaluate_batch(POINTS)
+            again = m.evaluate_batch(POINTS[::-1])
+        finally:
+            m.close()
+        np.testing.assert_array_equal(ys, 3.0 * POINTS[:, 0] - POINTS[:, 1])
+        np.testing.assert_array_equal(again, ys[::-1])
+        assert ys[0] == first
+        assert m.query_count == 9
+        assert requests() == [{"x": [1.0, 2.0]}, {"xs": POINTS[1:].tolist()}]
+
+    def test_single_point_child_falls_back_after_one_probe(self, tmp_path):
+        (tmp_path / "batch").mkdir()
+        batching, _ = _child(tmp_path / "batch", BATCH_MODEL)
+        echo, requests = _child(tmp_path, ECHO_MODEL)
+        try:
+            want = [batching.evaluate_batch(POINTS), batching.evaluate_batch(POINTS + 1.0)]
+            got = [echo.evaluate_batch(POINTS), echo.evaluate_batch(POINTS + 1.0)]
+        finally:
+            batching.close()
+            echo.close()
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert echo.query_count == batching.query_count == 8
+        sent = requests()
+        # the probe line killed the child; each point then went on its own
+        assert [list(r) for r in sent] == [["xs"]] + [["x"]] * 8
+
+    def test_short_batch_after_batching_raises(self, tmp_path):
+        m, _ = _child(tmp_path, BATCH_MODEL, "--short")
+        try:
+            m.evaluate_batch(POINTS[:2])
+            with pytest.raises(TransportError, match="shape"):
+                m.evaluate_batch(POINTS[2:])
+        finally:
+            m.close()
+
+    def test_nonfinite_batch_answer_raises(self, tmp_path):
+        script = tmp_path / "inf.py"
+        script.write_text(
+            "import sys\nfor line in sys.stdin:\n"
+            "    print('{\"ys\": [1.0, Infinity]}'); sys.stdout.flush()\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=2)
+        try:
+            with pytest.raises(TransportError, match="non-finite"):
+                m.evaluate_batch(POINTS[:2])
+        finally:
+            m.close()
+
+    def test_hung_child_times_out_and_is_killed(self, tmp_path):
+        pid_file = tmp_path / "pid"
+        script = tmp_path / "hang.py"
+        script.write_text(
+            "import os, sys, time\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "sys.stdin.readline()\ntime.sleep(60)\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=1, timeout=0.9)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="no answer within"):
+            m.evaluate([1.0])
+        assert time.monotonic() - start < 5.0
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+
+    def test_child_ignoring_batch_line_times_out(self, tmp_path):
+        script = tmp_path / "mute.py"
+        script.write_text(
+            "import json, sys\nfor line in sys.stdin:\n"
+            "    doc = json.loads(line)\n"
+            "    if 'x' in doc:\n"
+            "        print(json.dumps({'y': doc['x'][0]})); sys.stdout.flush()\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=2, timeout=0.9)
+        try:
+            assert m.evaluate([4.0, 0.0]) == 4.0
+            with pytest.raises(TransportError, match="no answer within"):
+                m.evaluate_batch(POINTS)
+        finally:
+            m.close()
+
+    def test_close_is_idempotent_and_kills_a_child_ignoring_eof(self, tmp_path):
+        script = tmp_path / "stubborn.py"
+        script.write_text(
+            "import json, sys, time\n"
+            "sys.stdin.readline()\n"
+            "print(json.dumps({'y': 1.0})); sys.stdout.flush()\n"
+            "time.sleep(60)\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=1, timeout=0.9)
+        assert m.evaluate([0.0]) == 1.0
+        proc = m._proc
+        start = time.monotonic()
+        m.close()
+        m.close()
+        assert time.monotonic() - start < 5.0
+        assert proc.returncode is not None
+
 
 class _Handler(BaseHTTPRequestHandler):
-    batch_enabled = True
+    capabilities = ({"batch": True}, 200)  # reply document and status
+    posts: list = []
 
     def log_message(self, *args):
         pass
@@ -186,13 +344,14 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         if self.path == "/capabilities":
-            self._send({"batch": self.batch_enabled})
+            self._send(*self.capabilities)
         else:
             self._send({}, 404)
 
     def do_POST(self):
         n = int(self.headers["Content-Length"])
         req = json.loads(self.rfile.read(n))
+        self.posts.append(req)
         if "xs" in req:
             self._send({"ys": [2.0 * x[0] + x[1] for x in req["xs"]]})
         else:
@@ -200,13 +359,26 @@ class _Handler(BaseHTTPRequestHandler):
             self._send({"y": 2.0 * x[0] + x[1]})
 
 
+class _NoCapabilities(_Handler):
+    capabilities = ({}, 404)
+    posts: list = []
+
+
+class _ListCapabilities(_Handler):
+    capabilities = ([1], 200)
+    posts: list = []
+
+
 @pytest.fixture
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+def http_server(request):
+    handler = getattr(request, "param", _Handler)
+    handler.posts.clear()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpAdapter:
@@ -216,6 +388,27 @@ class TestHttpAdapter:
         ys = m.evaluate_batch(np.array([[1.0, 0.0], [0.0, 3.0]]))
         np.testing.assert_allclose(ys, [2.0, 3.0])
         assert m.query_count == 3
+
+    @pytest.mark.parametrize("http_server", [_NoCapabilities], indirect=True)
+    def test_missing_capabilities_fall_back_to_single_points(self, http_server):
+        m = HttpModel(http_server, dimension=2)
+        ys = m.evaluate_batch(POINTS)
+        np.testing.assert_array_equal(ys, 2.0 * POINTS[:, 0] + POINTS[:, 1])
+        assert m.query_count == len(POINTS)
+        assert _NoCapabilities.posts == [{"x": x} for x in POINTS.tolist()]
+
+    @pytest.mark.parametrize("http_server", [_ListCapabilities], indirect=True)
+    def test_capabilities_not_an_object_raise(self, http_server):
+        m = HttpModel(http_server, dimension=2)
+        with pytest.raises(TransportError, match="capabilities"):
+            m.evaluate_batch(POINTS)
+
+    def test_batch_is_one_post(self, http_server):
+        m = HttpModel(http_server, dimension=2)
+        m.evaluate(POINTS[0])
+        ys = m.evaluate_batch(POINTS)
+        np.testing.assert_array_equal(ys, 2.0 * POINTS[:, 0] + POINTS[:, 1])
+        assert _Handler.posts == [{"x": POINTS[0].tolist()}, {"xs": POINTS[1:].tolist()}]
 
     def test_unreachable_endpoint(self):
         m = HttpModel("http://127.0.0.1:1", dimension=1, timeout=0.3)
