@@ -7,8 +7,10 @@ distributions), ``compare`` (consistency metrics between methods), and
 
 Exit codes: 0 success, 2 usage/configuration error, 3 model transport error
 (including a subprocess model that does not answer within its timeout) or
-non-finite model output.  Every model handle a command resolves is closed
-before ``main`` returns, whatever the exit code.
+non-finite model output, in the MAP solve or in ``dist``'s posterior slices.
+Every model handle a command resolves is closed before ``main`` returns,
+whatever the exit code.  ``dist`` warns on stderr when more than 1% of a
+variable's posterior mass sits on the two edge points of its grid.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from .models import (
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa",)
+# ``dist`` warns when this much posterior mass sits on a grid's two edge points
+_EDGE_MASS_WARNING = 1e-2
 
 
 class UsageError(Exception):
@@ -376,7 +380,15 @@ def cmd_dist(args) -> int:
             "distributions use the last iterate",
             file=sys.stderr,
         )
-    dists = gpa.score_distributions(result.delta_star, selection, model, hp)
+    dists = gpa.score_distributions(result.delta_star, selection, model, hp, result.rates)
+    edge_mass = [float(d.probs[0] + d.probs[-1]) for d in dists]
+    worst = int(np.argmax(edge_mass))
+    if edge_mass[worst] > _EDGE_MASS_WARNING:
+        print(
+            f"warning: {edge_mass[worst]:.3g} of variable {worst}'s posterior mass "
+            "sits on the grid's edge points; the grid may cut off probability mass",
+            file=sys.stderr,
+        )
 
     out = _out_dir(args)
     config = _run_config(
@@ -401,6 +413,7 @@ def cmd_dist(args) -> int:
                 "iterations": result.iterations,
                 "converged": result.converged,
                 "query_count": result.query_count,
+                "edge_mass": edge_mass,
             }
         },
     }
@@ -601,8 +614,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # numpy's overflow and invalid-value warnings would precede the one-line
-    # messages below; non-finite model output is reported by the residual
-    # and objective checks (NonFiniteModelOutput) and the remote adapters.
+    # messages below; non-finite model output is reported by the residual,
+    # objective and posterior-slice checks (NonFiniteModelOutput) and the
+    # remote adapters.
     with (contextlib.ExitStack() as args.cleanup,
           np.errstate(over="ignore", invalid="ignore")):
         try:

@@ -14,6 +14,10 @@ with residual r_t = y_t - f(x_t + delta), found by proximal gradient descent
 with soft-thresholding.  Per-variable uncertainty comes from slicing the
 unnormalized posterior along one coordinate through the MAP point and
 normalizing on a symmetric grid.
+
+One run queries the model in one plan: the gamma rates from one residual
+batch, then the solver, then one batch per variable for the slices, which
+reuse the run's rates.  Any non-finite output raises NonFiniteModelOutput.
 """
 
 from __future__ import annotations
@@ -120,11 +124,15 @@ class GpaHyperParams:
 
 @dataclass
 class AttributionResult:
+    """``query_count`` includes the rate queries; pass ``rates`` on to
+    :func:`score_distributions`."""
+
     delta_star: np.ndarray
     iterations: int
     converged: bool
     objective_trace: np.ndarray
     query_count: int
+    rates: np.ndarray
 
 
 @dataclass
@@ -144,7 +152,7 @@ class ScoreDistribution:
             raise ValueError("grid must be strictly increasing")
         if np.max(np.abs(self.grid + self.grid[::-1])) > 1e-12:
             raise ValueError("grid must be symmetric about 0")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-10:
+        if np.any(self.probs < 0) or not abs(self.probs.sum() - 1.0) <= 1e-10:
             raise ValueError("probs must be nonnegative and sum to 1")
 
     @property
@@ -170,10 +178,10 @@ def select_gamma_shape(n_virtual: int) -> float:
 
 def _check_finite(fvals: np.ndarray) -> np.ndarray:
     """Raise :class:`NonFiniteModelOutput` naming the first sample whose model
-    output is not finite."""
-    bad = np.flatnonzero(~np.isfinite(fvals))
+    output is not finite; row t of a 2-d ``fvals`` holds sample t's outputs."""
+    bad = np.argwhere(~np.isfinite(fvals))
     if bad.size:
-        raise NonFiniteModelOutput(int(bad[0]), float(fvals[bad[0]]))
+        raise NonFiniteModelOutput(int(bad[0, 0]), float(fvals[tuple(bad[0])]))
     return fvals
 
 
@@ -183,25 +191,26 @@ def _residuals(testset: TestSet, model: ModelHandle) -> np.ndarray:
 
 
 def residual_variance(testset: TestSet, model: ModelHandle) -> float:
-    """Mean squared residual ``mean((y - f(x))^2)``; a perfectly fit test set
-    falls back to a 1e-6 floor so the variance stays positive."""
-    sigma2 = float(np.mean(_residuals(testset, model) ** 2))
-    return sigma2 if sigma2 != 0.0 else _VARIANCE_FLOOR
+    """Mean squared residual ``mean((y - f(x))^2)``, floored at 1e-6 so a
+    perfectly fit test set keeps a positive variance (the
+    :func:`init_gamma_rate` of a0 = c_b = 1)."""
+    return init_gamma_rate(_residuals(testset, model), 1.0, 1.0)
 
 
-def init_gamma_rate(testset: TestSet, model: ModelHandle, a0: float, c_b: float) -> float:
-    """Constant gamma rate b0 = a0 * sigma^2 / c_b, with sigma^2 the
-    :func:`residual_variance`."""
-    if testset.n_test == 0:
-        raise ValueError("testset must be nonempty")
+def init_gamma_rate(resid, a0: float, c_b: float) -> float:
+    """Constant gamma rate b0 = a0 * sigma^2 / c_b from the residuals
+    ``resid`` (no model query), sigma^2 their mean square floored at 1e-6."""
+    if np.size(resid) == 0:
+        raise ValueError("residuals must be nonempty")
     if c_b <= 0:
         raise ValueError("c_b must be positive")
-    return a0 * residual_variance(testset, model) / c_b
+    sigma2 = float(np.mean(np.square(resid)))
+    return a0 * (sigma2 if sigma2 != 0.0 else _VARIANCE_FLOOR) / c_b
 
 
 def refine_gamma_rate(
-    testset: TestSet,
-    model: ModelHandle,
+    x,
+    resid,
     a0: float,
     b_init: float,
     anchor: int,
@@ -209,7 +218,7 @@ def refine_gamma_rate(
     iters: int = 100,
     rel_tol: float = 1e-6,
 ) -> float:
-    """Anchor-local gamma rate from the other samples' residuals.
+    """Anchor-local gamma rate from the other rows' residuals (no query).
 
     Iterates ``1/b <- ((2 a0 + 1) / a0) * sum_{n != anchor} w_n / (2 b +
     r_n^2)`` with kernel weights ``w0 + exp(-||x_n - x_anchor||^2 /
@@ -218,15 +227,15 @@ def refine_gamma_rate(
     contraction, so tightening ``rel_tol`` buys precision.  The result is
     floored at ``1e-6 * b_init`` (all-zero residuals drive b to 0).
     """
-    if testset.n_test < 2:
+    x, resid = np.asarray(x, dtype=float), np.asarray(resid, dtype=float)
+    if len(resid) < 2:
         raise ValueError(
             "refine_gamma_rate needs at least two samples; use init_gamma_rate"
         )
     w0, eta0 = kernel
-    others = [n for n in range(testset.n_test) if n != anchor]
-    x_anchor = testset.x[anchor]
-    resid = _residuals(testset.select(others), model)
-    dist2 = np.sum((testset.x[others] - x_anchor) ** 2, axis=1)
+    others = np.arange(len(resid)) != anchor
+    resid = resid[others]
+    dist2 = np.sum((x[others] - x[anchor]) ** 2, axis=1)
     weights = w0 + np.exp(-dist2 / (2.0 * eta0**2))
     weights = weights / weights.sum()
 
@@ -243,18 +252,17 @@ def refine_gamma_rate(
 
 
 def _resolve_rates(testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> np.ndarray:
-    """Per-sample gamma rates b(x^t) according to the configured mode."""
+    """Per-sample gamma rates b(x^t) according to the configured mode, all
+    from one residual batch (no query for an explicit ``b0``)."""
+    if hp.b_mode == "constant" and hp.b0 is not None:
+        return np.full(testset.n_test, float(hp.b0))
+    resid = _residuals(testset, model)
+    b_init = init_gamma_rate(resid, hp.a0, hp.c_b)
     if hp.b_mode == "constant":
-        b = hp.b0 if hp.b0 is not None else init_gamma_rate(testset, model, hp.a0, hp.c_b)
-        return np.full(testset.n_test, float(b))
-    b_init = init_gamma_rate(testset, model, hp.a0, hp.c_b)
+        return np.full(testset.n_test, b_init)
     kernel = (hp.kernel_w0, hp.kernel_eta0)
-    return np.array(
-        [
-            refine_gamma_rate(testset, model, hp.a0, b_init, t, kernel)
-            for t in range(testset.n_test)
-        ]
-    )
+    return np.array([refine_gamma_rate(testset.x, resid, hp.a0, b_init, t, kernel)
+                     for t in range(testset.n_test)])
 
 
 def student_t_loss(a0: float, rates):
@@ -315,8 +323,7 @@ def objective(delta, testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -
     per sample unless an explicit ``b0`` is set.
     """
     delta = np.asarray(delta, dtype=float)
-    rates = _resolve_rates(testset, model, hp)
-    loss = student_t_loss(hp.a0, rates)
+    loss = student_t_loss(hp.a0, _resolve_rates(testset, model, hp))
     _, value_fn = counterfactual_objective(model, testset.x, testset.y, hp.eta, loss)
     return value_fn(delta)
 
@@ -359,9 +366,8 @@ def proximal_minimize(
     delta = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=dim)
     l1_weight = eta * nu
 
-    def penalized(d, smooth=None):
-        smooth = value_fn(d) if smooth is None else smooth
-        return smooth + l1_weight * float(np.abs(d).sum())
+    def penalized(d):
+        return value_fn(d) + l1_weight * float(np.abs(d).sum())
 
     f_cur = penalized(delta)
     trace = [f_cur]
@@ -417,8 +423,8 @@ def map_estimate(
             f"testset dimension {testset.dimension} != model dimension "
             f"{model.dimension}"
         )
-    rates = _resolve_rates(testset, model, hp)
     queries_before = model.query_count
+    rates = _resolve_rates(testset, model, hp)
     grad_fn, value_fn = counterfactual_objective(
         model, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
     )
@@ -439,12 +445,8 @@ def map_estimate(
         converged=state.converged,
         objective_trace=state.trace,
         query_count=model.query_count - queries_before,
+        rates=rates,
     )
-
-
-def _make_grid(delta_max: float, n_points: int) -> np.ndarray:
-    grid = np.linspace(-delta_max, delta_max, n_points)
-    return 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 
 
 def score_distributions(
@@ -452,24 +454,27 @@ def score_distributions(
     testset: TestSet,
     model: ModelHandle,
     hp: GpaHyperParams,
+    rates,
 ) -> list[ScoreDistribution]:
-    """Per-variable posterior slices through the MAP point.
+    """Per-variable posterior slices through the MAP point, under the gamma
+    ``rates`` of the MAP run (:attr:`AttributionResult.rates`).
 
     For each variable k the log posterior (including the l1-augmented prior)
     is evaluated along a symmetric grid while the other coordinates stay at
-    their MAP values, stabilized by subtracting the maximum before
-    exponentiating, and normalized to sum to one.  The grid spans
-    ``delta_max_factor * max_k |delta*_k|``; a fully normal sample
-    (``delta* ~ 0``) falls back to one standardized unit so the slices stay
-    informative.
+    their MAP values: one model batch of ``n_test x grid_points`` rows, where
+    non-finite output raises :class:`NonFiniteModelOutput` naming the sample.
+    It is stabilized by subtracting its maximum, exponentiated and
+    normalized to sum to one.  The grid spans ``delta_max_factor * max_k
+    |delta*_k|``; a fully normal sample (``delta* ~ 0``) falls back to one
+    standardized unit so the slices stay informative.
     """
     delta_star = np.asarray(delta_star, dtype=float)
     if not np.all(np.isfinite(delta_star)):
         raise ValueError("delta_star must be finite")
-    rates = _resolve_rates(testset, model, hp)
     peak = float(np.max(np.abs(delta_star)))
     delta_max = hp.delta_max_factor * peak if peak >= 1e-9 else 1.0
-    grid = _make_grid(delta_max, hp.grid_points)
+    grid = np.linspace(-delta_max, delta_max, hp.grid_points)
+    grid = 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 
     dists = []
     for k in range(testset.dimension):
@@ -477,18 +482,12 @@ def score_distributions(
         candidates[:, k] = grid
         log_q = -0.5 * hp.eta * np.sum(candidates**2, axis=1)
         log_q -= hp.eta * hp.nu * np.sum(np.abs(candidates), axis=1)
-        for t in range(testset.n_test):
-            fvals = model.evaluate_batch(testset.x[t] + candidates)
-            resid = testset.y[t] - fvals
-            with np.errstate(invalid="ignore"):
-                log_q -= (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[t]))
-        finite = np.isfinite(log_q)
-        if not finite.any():
-            raise ValueError(
-                f"posterior slice for variable {k} is non-finite everywhere"
-            )
-        log_q = np.where(finite, log_q, -np.inf)
-        probs = np.exp(log_q - np.max(log_q[finite]))
+        rows = (testset.x[:, None, :] + candidates).reshape(-1, testset.dimension)
+        fvals = model.evaluate_batch(rows).reshape(testset.n_test, hp.grid_points)
+        resid = testset.y[:, None] - _check_finite(fvals)
+        for loss in (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[:, None])):
+            log_q -= loss
+        probs = np.exp(log_q - np.max(log_q))
         probs /= probs.sum()
         dists.append(ScoreDistribution(k, grid, probs))
     return dists

@@ -27,6 +27,7 @@ import select
 import shlex
 import subprocess
 import threading
+import time
 import urllib.request
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +49,9 @@ __all__ = [
     "GradientEstimatorConfig",
     "estimate_gradient",
 ]
+
+
+_STDERR_TAIL = 4096  # bytes of a subprocess child's stderr kept for errors
 
 
 class TransportError(RuntimeError):
@@ -272,6 +276,11 @@ class SubprocessModel(_RemoteModel):
     in time is killed and :class:`TransportError` is raised.  A child that
     exits mid-request is restarted once, then :class:`TransportError` is
     raised.  :meth:`close` ends the child.
+
+    The child's stderr is read through a pipe while a request waits, so it
+    never reaches the caller's terminal and can never fill up and block the
+    child.  Its last 4 KiB are kept and end the message of a timeout or of a
+    child that died twice; a crash on the batch probe line is forgotten.
     """
 
     def __init__(self, command, dimension: int, timeout: float = 10.0):
@@ -282,6 +291,7 @@ class SubprocessModel(_RemoteModel):
         self._timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._pending = bytearray()  # bytes read past the last answer line
+        self._stderr_tail = b""
         self._lock = threading.Lock()
 
     def _ensure_proc(self) -> subprocess.Popen:
@@ -290,22 +300,56 @@ class SubprocessModel(_RemoteModel):
             try:
                 self._proc = subprocess.Popen(
                     self._command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    bufsize=0,
+                    stderr=subprocess.PIPE, bufsize=0,
                 )
             except OSError as exc:
                 raise TransportError(f"cannot start model process: {exc}") from exc
             os.set_blocking(self._proc.stdin.fileno(), False)
+            os.set_blocking(self._proc.stderr.fileno(), False)
             self._pending = bytearray()
         return self._proc
 
+    def _read_stderr(self, proc: subprocess.Popen) -> bool:
+        """Move one chunk of the child's stderr into the kept tail; False when
+        nothing is waiting, or at end of file, where the pipe is closed."""
+        try:
+            chunk = os.read(proc.stderr.fileno(), 1 << 16)
+        except BlockingIOError:
+            return False
+        if not chunk:
+            proc.stderr.close()
+            return False
+        self._stderr_tail = (self._stderr_tail + chunk)[-_STDERR_TAIL:]
+        return True
+
+    def _stderr_note(self) -> str:
+        text = self._stderr_tail.decode(errors="replace").strip()
+        return f"; its stderr ended with:\n{text}" if text else ""
+
     def _wait(self, fd: int, event: int) -> None:
+        """Wait until ``fd`` is ready for ``event``, draining the child's
+        stderr meanwhile; kill the child after ``timeout`` seconds."""
+        proc = self._proc
         poller = select.poll()
         poller.register(fd, event)
-        if not poller.poll(self._timeout * 1000.0):
-            self._stop(wait=0.0)
-            raise TransportError(
-                f"model process gave no answer within {self._timeout:g} s"
-            )
+        if not proc.stderr.closed:  # the child may close its stderr early
+            err = proc.stderr.fileno()
+            poller.register(err, select.POLLIN)
+        deadline = time.monotonic() + self._timeout
+        while True:
+            left_ms = max(deadline - time.monotonic(), 0.0) * 1000.0
+            ready = [f for f, _ in poller.poll(left_ms)]
+            if fd in ready:
+                return
+            if not ready:
+                self._stop(wait=0.0)
+                raise TransportError(
+                    f"model process gave no answer within {self._timeout:g} s"
+                    + self._stderr_note()
+                )
+            self._read_stderr(proc)
+            if proc.stderr.closed:
+                poller.unregister(err)
 
     def _exchange(self, payload: dict) -> bytes:
         """Send one request line and return the answer line; EOFError if the
@@ -341,7 +385,7 @@ class SubprocessModel(_RemoteModel):
                     self._stop(wait=0.0)
                     error = exc
         raise TransportError(
-            f"model process died twice on {str(payload)[:200]}"
+            f"model process died twice on {str(payload)[:200]}{self._stderr_note()}"
         ) from error
 
     def _probe_batch(self, payload):
@@ -352,6 +396,7 @@ class SubprocessModel(_RemoteModel):
                 reply = self._exchange(payload)
             except EOFError:
                 self._stop(wait=0.0)
+                self._stderr_tail = b""  # the expected crash of a one-point child
                 return None
         try:
             doc = json.loads(reply)
@@ -372,6 +417,9 @@ class SubprocessModel(_RemoteModel):
             proc.kill()
             proc.wait()
         proc.stdout.close()
+        while not proc.stderr.closed and self._read_stderr(proc):
+            pass
+        proc.stderr.close()
 
     def close(self):
         """End the child, waiting up to ``timeout`` seconds for it to exit on

@@ -225,7 +225,7 @@ def test_criterion_09_distribution_properties():
     model = sinusoidal2d()
     ts = single_point(X_T, POINT_A)
     res = map_estimate(ts, model, ORACLE_HP, FINE_GRAD)
-    dists = score_distributions(res.delta_star, ts, model, ORACLE_HP)
+    dists = score_distributions(res.delta_star, ts, model, ORACLE_HP, res.rates)
     sums_ok = all(abs(d.probs.sum() - 1.0) <= 1e-10 for d in dists)
     step = dists[0].grid[1] - dists[0].grid[0]
     mode = dists[0].grid[np.argmax(dists[0].probs)]
@@ -236,7 +236,7 @@ def test_criterion_09_distribution_properties():
     ts2 = single_point([0.3, -0.2], 2.0, ("a", "b"))
     hp = GpaHyperParams(eta=0.1, nu=0.5, kappa=0.1, a0=1.0, c_b=10.0, tol=1e-8)
     res2 = map_estimate(ts2, lin, hp, FINE_GRAD)
-    dists2 = score_distributions(res2.delta_star, ts2, lin, hp)
+    dists2 = score_distributions(res2.delta_star, ts2, lin, hp, res2.rates)
     grid = dists2[1].grid
     prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
     prior /= prior.sum()

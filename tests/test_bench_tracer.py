@@ -1,0 +1,59 @@
+"""The benchmark's tracer (``bench/tracer.py``) wraps library functions by
+name.  Installing it here makes a rename fail this suite instead of a traced
+benchmark run, and a traced ``dist`` run shows the query plan of one GPA run.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from anomattr import cli, gpa
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+WRAPPED = ("init_gamma_rate", "refine_gamma_rate", "map_estimate",
+           "score_distributions", "proximal_minimize", "estimate_gradient")
+
+
+@pytest.fixture
+def tracer_cls(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer
+
+    return Tracer
+
+
+def test_install_wraps_and_uninstall_restores(tracer_cls):
+    originals = {name: getattr(gpa, name) for name in WRAPPED}
+    tracer = tracer_cls()
+    tracer.install()
+    try:
+        assert all(getattr(gpa, n) is not f for n, f in originals.items())
+    finally:
+        tracer.uninstall()
+    assert all(getattr(gpa, n) is f for n, f in originals.items())
+
+
+def test_traced_collective_dist_resolves_rates_once(tracer_cls, tmp_path):
+    # 4 rows of a quadratic model in 3 variables, c_b rates (no --b0)
+    data = tmp_path / "rows.csv"
+    data.write_text("a,b,c,y\n0.1,0.2,0.3,1.0\n-0.2,0.1,0.0,0.9\n"
+                    "0.3,-0.1,0.2,1.2\n0.0,0.0,-0.3,0.8\n")
+    argv = ["dist", "--data", str(data), "--model", "quadratic:1,2,0.5",
+            "--indices", "0,1,2,3", "--collective", "--grid-points", "11",
+            "--max-iter", "20", "--out", str(tmp_path / "out")]
+    tracer = tracer_cls()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    calls, _, _, points, model_calls = tracer.totals["gpa.score_distributions"]
+    assert tracer.totals["gpa.rates"][0] == 1
+    assert (calls, model_calls, points) == (1, 3, 3 * 4 * 11)
+    doc = json.loads((tmp_path / "out" / "distributions.json").read_text())
+    assert len(doc["diagnostics"]["gpa"]["edge_mass"]) == 3

@@ -318,6 +318,60 @@ class TestDist:
         assert doc["config"]["hyperparams"]["c_b"] == 1.0
         assert doc["config"]["hyperparams"]["eta"] == 1.0
 
+    @pytest.mark.parametrize("b0, warned", [("10", True), ("0.01", False)])
+    def test_edge_mass_reported_and_warned(self, sinus_data, tmp_path, capsys, b0,
+                                           warned):
+        # with b0 = 10 the likelihood barely curves along x2, so its slice is
+        # nearly flat and puts about 2/100 of its mass on the two edge points
+        out = tmp_path / "out"
+        flags = [*ORACLE_FLAGS]
+        flags[flags.index("--b0") + 1] = b0
+        code = main([
+            "dist", "--data", str(sinus_data), "--model", "sinusoidal2d",
+            "--point-index", "0", "--out", str(out), *flags,
+        ])
+        assert code == 0
+        doc = json.loads((out / "distributions.json").read_text())
+        probs = doc["methods"]["gpa"]["distribution"]["probs"]
+        edge_mass = doc["diagnostics"]["gpa"]["edge_mass"]
+        assert edge_mass == [p[0] + p[-1] for p in probs]
+        assert (max(edge_mass) > 1e-2) == warned
+        err = capsys.readouterr().err
+        assert err.count("\n") == warned
+        if warned:
+            assert "variable 1" in err and "edge" in err
+
+    def test_partly_nonfinite_slice_exit_3(self, sinus_data, tmp_path, capsys,
+                                           monkeypatch):
+        # NaN only where x1 > 0.6: the MAP path from x1 = 0.5 toward 1/3 never
+        # gets there, the slice grid of variable 0 (to 0.5 - 1/6 + 0.18) does
+        def sine_or_nan(x):
+            return np.nan if x[0] > 0.6 else 2 * np.cos(np.pi * x[0]) * np.cos(np.pi * x[1])
+
+        monkeypatch.setattr(anomattr.cli, "resolve_model",
+                            lambda spec, dim: anomattr.CallableModel(sine_or_nan, 2))
+        code = main([
+            "dist", "--data", str(sinus_data), "--model", "sinusoidal2d",
+            "--point-index", "0", "--out", str(tmp_path / "out"), *ORACLE_FLAGS,
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err and "sample 0" in err
+
+    def test_overflowing_residual_exit_2(self, tmp_path, capsys):
+        # r = 1e200 is finite, but r^2 overflows: every slice point has an
+        # infinite loss, so there is no distribution to write
+        data = tmp_path / "big.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1e200\n")
+        out = tmp_path / "out"
+        code = main([
+            "dist", "--data", str(data), "--model", "linear:1,1",
+            "--point-index", "0", "--b0", "1", "--max-iter", "50", "--out", str(out),
+        ])
+        assert code == 2
+        assert "sum to 1" in capsys.readouterr().err
+        assert not (out / "distributions.json").exists()
+
     def test_nonconvergence_exit_0_flagged(self, sinus_data, tmp_path, capsys):
         out = tmp_path / "out"
         code = main([

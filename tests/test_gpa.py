@@ -8,11 +8,13 @@ from anomattr import (
     CallableModel,
     GpaHyperParams,
     GradientEstimatorConfig,
+    ModelHandle,
     TestSet,
     linear_model,
     map_estimate,
     objective,
     oracle_gpa,
+    quadratic_model,
     score_distributions,
     sinusoidal2d,
 )
@@ -20,6 +22,7 @@ from anomattr.gpa import (
     DivergenceError,
     NonFiniteModelOutput,
     ScoreDistribution,
+    _resolve_rates,
     init_gamma_rate,
     proximal_minimize,
     refine_gamma_rate,
@@ -29,18 +32,22 @@ from anomattr.gpa import (
 from conftest import FINE_GRAD, ORACLE_HP, single_point
 
 
-class _CallCounter(CallableModel):
-    """Counts model calls, single and batch alike."""
+class _BatchRecorder(ModelHandle):
+    """Wraps a model and records the number of points of every call, single
+    and batch alike."""
 
-    calls = 0
+    def __init__(self, inner):
+        super().__init__(inner.dimension)
+        self.inner = inner
+        self.sizes = []
 
-    def evaluate(self, x):
-        self.calls += 1
-        return super().evaluate(x)
+    def _evaluate(self, x):
+        self.sizes.append(1)
+        return self.inner.evaluate(x)
 
-    def evaluate_batch(self, xs):
-        self.calls += 1
-        return super().evaluate_batch(xs)
+    def _evaluate_batch(self, xs):
+        self.sizes.append(len(xs))
+        return self.inner.evaluate_batch(xs)
 
 
 class TestSoftThreshold:
@@ -80,26 +87,25 @@ class TestGammaHyperparameters:
             select_gamma_shape(0)
 
     def test_init_rate_examples(self):
-        m = linear_model([1.0])
         # residuals all equal 2 -> variance 4
-        ts = TestSet(np.array([[0.0], [1.0]]), np.array([2.0, 3.0]), ["a"])
-        assert init_gamma_rate(ts, m, a0=1.0, c_b=1.0) == pytest.approx(4.0)
-        assert init_gamma_rate(ts, m, a0=5.5, c_b=10.0) == pytest.approx(5.5 * 4 / 10)
+        resid = np.array([2.0, 2.0])
+        assert init_gamma_rate(resid, a0=1.0, c_b=1.0) == pytest.approx(4.0)
+        assert init_gamma_rate(resid, a0=5.5, c_b=10.0) == pytest.approx(5.5 * 4 / 10)
         # degenerate perfectly-fit case hits the 1e-6 variance floor
-        fit = TestSet(np.array([[2.0]]), np.array([2.0]), ["a"])
-        assert init_gamma_rate(fit, m, a0=1.0, c_b=1.0) == pytest.approx(1e-6)
-        assert init_gamma_rate(fit, m, a0=2.0, c_b=4.0) == pytest.approx(2e-6 / 4)
+        fit = np.zeros(1)
+        assert init_gamma_rate(fit, a0=1.0, c_b=1.0) == pytest.approx(1e-6)
+        assert init_gamma_rate(fit, a0=2.0, c_b=4.0) == pytest.approx(2e-6 / 4)
+        with pytest.raises(ValueError, match="nonempty"):
+            init_gamma_rate(np.zeros(0), a0=1.0, c_b=1.0)
 
     def test_refine_two_equal_residuals(self):
         # with one included sample of residual r the update's fixed point
         # solves 1/b = ((2 a0 + 1)/a0) / (2 b + r^2), i.e. b = a0 r^2;
         # cross-checked against an independent root find
-        m = linear_model([1.0])
         r = 2.0
-        ts = TestSet(np.array([[0.0], [0.0]]), np.array([r, r]), ["a"])
         for a0 in (1.0, 5.5):
-            b = refine_gamma_rate(ts, m, a0, b_init=1.0, anchor=0, iters=10_000,
-                                  rel_tol=1e-15)
+            b = refine_gamma_rate(np.zeros((2, 1)), np.array([r, r]), a0, b_init=1.0,
+                                  anchor=0, iters=10_000, rel_tol=1e-15)
             root = brentq(
                 lambda bb: 1.0 / bb - ((2 * a0 + 1) / a0) / (2 * bb + r**2),
                 1e-9, 1e9,
@@ -108,20 +114,15 @@ class TestGammaHyperparameters:
             assert b == pytest.approx(root, abs=1e-8)
 
     def test_refine_zero_residuals_floored(self):
-        m = linear_model([1.0])
-        ts = TestSet(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), ["a"])
-        b = refine_gamma_rate(ts, m, a0=1.0, b_init=0.5, anchor=0, iters=10_000,
-                              rel_tol=0.0)
+        b = refine_gamma_rate(np.array([[1.0], [2.0]]), np.zeros(2), a0=1.0,
+                              b_init=0.5, anchor=0, iters=10_000, rel_tol=0.0)
         assert b == pytest.approx(1e-6 * 0.5)
 
     def test_refine_huge_w0_matches_uniform_fixed_point(self):
-        m = linear_model([1.0])
         xs = np.array([[0.0], [5.0], [9.0]])
-        ys = np.array([1.0, 5.5, 11.0])
-        ts = TestSet(xs, ys, ["a"])
-        resid = ys - xs[:, 0]
+        resid = np.array([1.0, 5.5, 11.0]) - xs[:, 0]
         a0 = 1.0
-        b = refine_gamma_rate(ts, m, a0, b_init=1.0, anchor=0,
+        b = refine_gamma_rate(xs, resid, a0, b_init=1.0, anchor=0,
                               kernel=(1e12, 1.0), iters=10_000, rel_tol=1e-15)
 
         def uniform_fixed_point(bb):
@@ -130,10 +131,43 @@ class TestGammaHyperparameters:
         assert b == pytest.approx(brentq(uniform_fixed_point, 1e-9, 1e9), abs=1e-8)
 
     def test_refine_needs_two_samples(self):
-        m = linear_model([1.0])
-        ts = TestSet(np.array([[0.0]]), np.array([1.0]), ["a"])
         with pytest.raises(ValueError, match="init_gamma_rate"):
-            refine_gamma_rate(ts, m, 1.0, 1.0, anchor=0)
+            refine_gamma_rate(np.zeros((1, 1)), np.ones(1), 1.0, 1.0, anchor=0)
+
+    def test_local_kernel_rates_from_one_residual_batch(self):
+        # the per-anchor reference queries the other samples' residuals once
+        # per anchor, n (n - 1) + n points; a batch of n - 1 rows may round
+        # differently from a batch of n, hence the relative tolerance
+        rng = np.random.default_rng(3)
+        coef = rng.uniform(0.5, 2.0, 6)
+        xs = rng.normal(size=(8, 6))
+        ts = TestSet(xs, (xs * xs) @ coef + rng.normal(size=8), list("abcdef"))
+        hp = GpaHyperParams.for_testset(8, b_mode="local_kernel", kernel_w0=0.1,
+                                        kernel_eta0=2.0)
+        model = _BatchRecorder(quadratic_model(coef))
+        rates = _resolve_rates(ts, model, hp)
+        assert model.sizes == [8]
+
+        reference = quadratic_model(coef)
+        b_init = init_gamma_rate(ts.y - reference.evaluate_batch(xs), hp.a0, hp.c_b)
+        expect = []
+        for t in range(8):
+            others = [n for n in range(8) if n != t]
+            resid = ts.y[others] - reference.evaluate_batch(xs[others])
+            weights = hp.kernel_w0 + np.exp(
+                -np.sum((xs[others] - xs[t]) ** 2, axis=1) / (2.0 * hp.kernel_eta0**2))
+            weights = weights / weights.sum()
+            b = b_init
+            for _ in range(100):
+                b_new = max(1.0 / (((2 * hp.a0 + 1) / hp.a0)
+                                   * np.sum(weights / (2 * b + resid**2))), 1e-6 * b_init)
+                done = abs(b_new - b) <= 1e-6 * abs(b) or b_new == 1e-6 * b_init
+                b = b_new
+                if done:
+                    break
+            expect.append(b)
+        assert reference.query_count == 8 + 8 * 7
+        np.testing.assert_allclose(rates, expect, rtol=1e-12, atol=0)
 
 
 class TestObjective:
@@ -236,6 +270,15 @@ class TestMapEstimate:
         res = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)
         assert res.query_count == sin_model.query_count - before > 0
 
+    def test_query_count_includes_rate_queries(self):
+        # c_b rates (no b0) cost one residual query per sample, counted too
+        model = _BatchRecorder(linear_model([2.0, 1.0]))
+        xs = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1]])
+        ts = TestSet(xs, xs @ [2.0, 1.0] + 1.0, ["a", "b"])
+        res = map_estimate(ts, model, GpaHyperParams.for_testset(3, max_iter=5), FINE_GRAD)
+        assert model.sizes[0] == 3
+        assert res.query_count == model.query_count == sum(model.sizes)
+
     def test_gradient_model_calls_independent_of_n_test(self, monkeypatch):
         # the solver asks for the gradient where it last evaluated the
         # objective, so all samples' slopes come from one model batch
@@ -246,9 +289,9 @@ class TestMapEstimate:
 
         def counting_solver(grad_fn, value_fn, *args):
             def counted_grad(delta):
-                before = model.calls
+                before = len(model.sizes)
                 grad = grad_fn(delta)
-                calls_per_grad.append(model.calls - before)
+                calls_per_grad.append(len(model.sizes) - before)
                 return grad
 
             return real_solver(counted_grad, value_fn, *args)
@@ -258,7 +301,7 @@ class TestMapEstimate:
         xs = np.random.default_rng(0).uniform(-1, 1, (5, 3))
         seen = {}
         for n_test in (1, 5):
-            model = _CallCounter(lambda x: float(coef @ x), 3)
+            model = _BatchRecorder(CallableModel(lambda x: float(coef @ x), 3))
             ts = TestSet(xs[:n_test], xs[:n_test] @ coef + 1.0, ["a", "b", "c"])
             calls_per_grad.clear()
             map_estimate(ts, model, GpaHyperParams.for_testset(n_test, max_iter=5),
@@ -334,11 +377,74 @@ class TestDivergenceGuard:
                               kappa=0.1, max_iter=100, tol=1e-12, seed=0)
 
 
+def _reference_slices(delta_star, ts, model, hp, rates, grid):
+    """The per-(variable, sample) loop: one model call per pair."""
+    probs = []
+    for k in range(ts.dimension):
+        candidates = np.repeat(delta_star[None, :], len(grid), axis=0)
+        candidates[:, k] = grid
+        log_q = -0.5 * hp.eta * np.sum(candidates**2, axis=1)
+        log_q -= hp.eta * hp.nu * np.sum(np.abs(candidates), axis=1)
+        for t in range(ts.n_test):
+            resid = ts.y[t] - model.evaluate_batch(ts.x[t] + candidates)
+            log_q -= (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[t]))
+        q = np.exp(log_q - np.max(log_q))
+        probs.append(q / q.sum())
+    return probs
+
+
+def _collective_problem(seed=1, n=6, m=5):
+    """Rows of a quadratic model with a shared shift in the first two
+    variables, like the benchmark's collective problems."""
+    rng = np.random.default_rng(seed)
+    coef = rng.uniform(0.5, 2.0, m)
+    xs = rng.normal(size=(n, m))
+    shift = np.zeros(m)
+    shift[:2] = [0.8, -0.5]
+    ys = ((xs + shift) ** 2) @ coef + 0.05 * rng.normal(size=n)
+    return coef, TestSet(xs, ys, [f"x{i}" for i in range(m)])
+
+
 class TestScoreDistributions:
+    def test_collective_plan_one_rate_call_one_batch_per_variable(self):
+        coef, ts = _collective_problem()
+        n, m = ts.n_test, ts.dimension
+        hp = GpaHyperParams.for_testset(n, max_iter=50)
+        model = _BatchRecorder(quadratic_model(coef))
+        res = map_estimate(ts, model, hp, FINE_GRAD)
+        assert model.sizes[0] == n
+        solver = model.sizes[1:]
+        assert all(size in (n, n * m * FINE_GRAD.mc_samples) for size in solver)
+        model.sizes.clear()
+        score_distributions(res.delta_star, ts, model, hp, res.rates)
+        assert model.sizes == [n * hp.grid_points] * m
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_slices_bit_identical_to_per_sample_loop(self, seed):
+        coef, ts = _collective_problem(seed)
+        model = quadratic_model(coef)
+        hp = GpaHyperParams.for_testset(ts.n_test, max_iter=200)
+        res = map_estimate(ts, model, hp, FINE_GRAD)
+        dists = score_distributions(res.delta_star, ts, model, hp, res.rates)
+        expect = _reference_slices(res.delta_star, ts, model, hp, res.rates,
+                                   dists[0].grid)
+        for d, probs in zip(dists, expect):
+            np.testing.assert_array_equal(d.probs, probs)
+
+    def test_partly_nonfinite_slice_names_sample(self):
+        # only sample 1's slice along variable 0 reaches x0 < 0
+        m = CallableModel(lambda x: np.nan if x[0] < 0 else x[0] + x[1], 2)
+        ts = TestSet(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.5]),
+                     ["a", "b"])
+        hp = GpaHyperParams(b0=1.0, a0=1.0)
+        with pytest.raises(NonFiniteModelOutput) as exc:
+            score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0))
+        assert exc.value.sample_index == 1
+
     def test_normalization_and_mode(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         res = map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
-        dists = score_distributions(res.delta_star, ts, sin_model, ORACLE_HP)
+        dists = score_distributions(res.delta_star, ts, sin_model, ORACLE_HP, res.rates)
         assert len(dists) == 2
         for d in dists:
             assert d.probs.sum() == pytest.approx(1.0, abs=1e-10)
@@ -353,7 +459,7 @@ class TestScoreDistributions:
         hp = GpaHyperParams(eta=0.1, nu=0.5, kappa=0.1, a0=1.0, c_b=10.0, tol=1e-8)
         res = map_estimate(ts, m, hp, FINE_GRAD)
         assert res.converged
-        dists = score_distributions(res.delta_star, ts, m, hp)
+        dists = score_distributions(res.delta_star, ts, m, hp, res.rates)
         grid = dists[1].grid
         prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
         prior /= prior.sum()
@@ -366,26 +472,29 @@ class TestScoreDistributions:
     def test_delta_max_scaling_and_fallback(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         hp = ORACLE_HP
-        dists = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp)
+        dists = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
+                                    np.full(1, hp.b0))
         assert dists[0].delta_max == pytest.approx(hp.delta_max_factor / 6)
         # fully normal sample: fall back to one standardized unit
         flat = score_distributions(np.zeros(2), single_point([0.5, 0.0], 0.0),
-                                   sin_model, hp)
+                                   sin_model, hp, np.full(1, hp.b0))
         assert flat[0].delta_max == pytest.approx(1.0)
 
     def test_grid_points_setting(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         hp = GpaHyperParams(eta=1e-3, nu=1e-3, kappa=0.1, a0=1.0, b0=10.0,
                             grid_points=200)
-        dists = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp)
+        dists = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
+                                    np.full(1, hp.b0))
         assert len(dists[0].grid) == 200
 
     def test_all_nonfinite_slice_names_variable(self):
+        # the one non-finite policy: the sample is named, as in map_estimate
         m = CallableModel(lambda x: np.nan, 2)
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
-        with pytest.raises(ValueError, match="variable 0"):
-            score_distributions(np.array([0.1, 0.0]), ts, m, hp)
+        with pytest.raises(NonFiniteModelOutput, match="test sample 0"):
+            score_distributions(np.array([0.1, 0.0]), ts, m, hp, np.full(1, hp.b0))
 
     def test_distribution_validation(self):
         grid = np.linspace(-1, 1, 11)
@@ -393,6 +502,8 @@ class TestScoreDistributions:
         ScoreDistribution(0, grid, good)
         with pytest.raises(ValueError):
             ScoreDistribution(0, grid, good * 2)  # does not sum to 1
+        with pytest.raises(ValueError):
+            ScoreDistribution(0, grid, np.full(11, np.nan))  # overflowed slice
         with pytest.raises(ValueError):
             ScoreDistribution(0, grid + 0.5, good)  # asymmetric grid
 

@@ -255,6 +255,43 @@ class TestSubprocessAdapter:
         # the probe line killed the child; each point then went on its own
         assert [list(r) for r in sent] == [["xs"]] + [["x"]] * 8
 
+    def test_probe_crash_leaves_stderr_quiet(self, tmp_path, capfd):
+        # ECHO_MODEL dies with a KeyError traceback on the "xs" probe line
+        echo, _ = _child(tmp_path, ECHO_MODEL)
+        try:
+            ys = echo.evaluate_batch(POINTS)
+        finally:
+            echo.close()
+        np.testing.assert_array_equal(ys, 3.0 * POINTS[:, 0] - POINTS[:, 1])
+        assert capfd.readouterr().err == ""
+
+    def test_child_dying_twice_shows_its_stderr(self, tmp_path):
+        script = tmp_path / "dies.py"
+        script.write_text(
+            "import sys\nsys.stdin.readline()\n"
+            "print('loading weights', file=sys.stderr)\n"
+            "sys.exit('weights file missing')\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=1)
+        with pytest.raises(TransportError, match="died twice") as exc:
+            m.evaluate([1.0])
+        assert str(exc.value).endswith("weights file missing")
+
+    def test_stderr_flood_does_not_block_the_child(self, tmp_path):
+        # 200 KiB is far more than a pipe buffer holds
+        script = tmp_path / "chatty.py"
+        script.write_text(
+            "import json, sys\nfor line in sys.stdin:\n"
+            "    sys.stderr.write('x' * 200 * 1024); sys.stderr.flush()\n"
+            "    print(json.dumps({'y': json.loads(line)['x'][0]}), flush=True)\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=1, timeout=5.0)
+        try:
+            assert [m.evaluate([1.0]), m.evaluate([2.0])] == [1.0, 2.0]
+        finally:
+            m.close()
+        assert m._stderr_tail == b"x" * 4096
+
     def test_short_batch_after_batching_raises(self, tmp_path):
         m, _ = _child(tmp_path, BATCH_MODEL, "--short")
         try:
@@ -283,11 +320,13 @@ class TestSubprocessAdapter:
         script.write_text(
             "import os, sys, time\n"
             f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
-            "sys.stdin.readline()\ntime.sleep(60)\n"
+            "sys.stdin.readline()\n"
+            "print('waiting for a license server', file=sys.stderr, flush=True)\n"
+            "time.sleep(60)\n"
         )
         m = SubprocessModel([sys.executable, str(script)], dimension=1, timeout=0.9)
         start = time.monotonic()
-        with pytest.raises(TransportError, match="no answer within"):
+        with pytest.raises(TransportError, match="(?s)no answer within.*license server"):
             m.evaluate([1.0])
         assert time.monotonic() - start < 5.0
         with pytest.raises(ProcessLookupError):
