@@ -367,7 +367,10 @@ def lc(
     the l1 term handled by the proximal step -- the objective of
     :func:`anomattr.gpa.map_estimate` with the Gaussian loss in place of the
     heavy-tailed marginalization, which makes this the point-estimate-only
-    sibling.
+    sibling.  It is minimized by the same solver,
+    :func:`anomattr.gpa.proximal_minimize`, with ``kappa`` as its starting
+    step; an objective that overflows raises
+    :class:`anomattr.gpa.DivergenceError`.
     """
     if eta <= 0 or nu <= 0 or lam <= 0 or kappa <= 0:
         raise ValueError("eta, nu, lam and kappa must be positive")

@@ -5,7 +5,8 @@ Subcommands: ``detect`` (rank outliers by anomaly score), ``explain``
 distributions), ``compare`` (consistency metrics between methods), and
 ``oracle`` (closed-form values on the builtin sinusoidal model).
 
-Exit codes: 0 success, 2 usage/configuration error, 3 model transport error
+Exit codes: 0 success, 2 usage/configuration error or a solver that cannot
+proceed (its objective overflows, or keeps rising), 3 model transport error
 (including a subprocess model that does not answer within its timeout) or
 non-finite model output, in the MAP solve or in ``dist``'s posterior slices.
 Every model handle a command resolves is closed before ``main`` returns,
@@ -616,7 +617,7 @@ def main(argv=None) -> int:
     # numpy's overflow and invalid-value warnings would precede the one-line
     # messages below; non-finite model output is reported by the residual,
     # objective and posterior-slice checks (NonFiniteModelOutput) and the
-    # remote adapters.
+    # remote adapters, an overflowing objective by the solver.
     with (contextlib.ExitStack() as args.cleanup,
           np.errstate(over="ignore", invalid="ignore")):
         try:

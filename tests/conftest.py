@@ -11,7 +11,8 @@ from anomattr import (
 
 # Hyperparameters for the closed-form sinusoidal regime: weak priors so the
 # data term dominates, a0 = 1 (single sample), and a flat enough noise rate
-# that kappa = 0.1 steps stay inside the basin around the nearest root.
+# that the solver, starting at step kappa = 0.1 and never letting the
+# objective rise, stays inside the basin around the nearest root.
 ORACLE_HP = GpaHyperParams(
     eta=1e-3, nu=1e-3, kappa=0.1, a0=1.0, b0=10.0, tol=1e-8
 )

@@ -324,6 +324,32 @@ class TestLc:
         with pytest.raises(ValueError):
             lc(sin_model, [0.0, 0.0], 0.0, eta=0.0, nu=0.5)
 
+    def test_oracle_row_few_iterations(self, sin_model, monkeypatch):
+        # unaccelerated proximal descent asks for 2,940 gradients here
+        import anomattr.baselines as baselines_mod
+
+        real_solver = baselines_mod.proximal_minimize
+        grads = []
+
+        def counting_solver(grad_fn, value_fn, *args):
+            def counted_grad(delta):
+                grads.append(1)
+                return grad_fn(delta)
+
+            return real_solver(counted_grad, value_fn, *args)
+
+        monkeypatch.setattr(baselines_mod, "proximal_minimize", counting_solver)
+        delta = lc(sin_model, [0.5, 0.0], 1.0, eta=1e-3, nu=1e-3, lam=1.0,
+                   kappa=0.01, grad_cfg=FINE_GRAD, tol=1e-8)
+        np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], 1.0), atol=1e-3)
+        assert 0 < len(grads) <= 600
+
+    def test_overflowing_residual_raises(self):
+        from anomattr.gpa import DivergenceError
+
+        with pytest.raises(DivergenceError, match="square overflows"):
+            lc(linear_model([1.0, 1.0]), [0.1, 0.2], 1e200, eta=0.1, nu=0.5)
+
 
 class TestReferenceSet:
     def test_weight_validation(self):

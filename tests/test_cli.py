@@ -134,6 +134,23 @@ class TestExplain:
         for name in ("gpa", "lc", "lime", "ig", "eig", "sv"):
             assert f">{name}</text>" in text
 
+    def test_overflowing_residual_exit_2(self, tmp_path, capsys):
+        # r = 1e200 is finite, but r^2 overflows: gpa and lc both refuse
+        # the infinite objective instead of converging on it
+        data = tmp_path / "big.csv"
+        data.write_text("x1,x2,y\n0.1,0.2,1e200\n0.3,0.1,1.0\n")
+        out = tmp_path / "out"
+        for methods in ("gpa,lc", "lc"):
+            code = main([
+                "explain", "--data", str(data), "--model", "linear:1,1",
+                "--methods", methods, "--b0", "1", "--noise-var", "1",
+                "--out", str(out),
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "square overflows" in err
+            assert not (out / "result.json").exists()
+
     def test_missing_baseline_exit_2(self, sinus_data, tmp_path, capsys):
         code = main([
             "explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
@@ -359,8 +376,8 @@ class TestDist:
         assert err.count("\n") == 1 and "non-finite" in err and "sample 0" in err
 
     def test_overflowing_residual_exit_2(self, tmp_path, capsys):
-        # r = 1e200 is finite, but r^2 overflows: every slice point has an
-        # infinite loss, so there is no distribution to write
+        # r = 1e200 is finite, but r^2 overflows: the objective is infinite
+        # at the solver's start, so there is no MAP point to write
         data = tmp_path / "big.csv"
         data.write_text("x1,x2,y\n0.5,0.0,1e200\n")
         out = tmp_path / "out"
@@ -369,7 +386,7 @@ class TestDist:
             "--point-index", "0", "--b0", "1", "--max-iter", "50", "--out", str(out),
         ])
         assert code == 2
-        assert "sum to 1" in capsys.readouterr().err
+        assert "square overflows" in capsys.readouterr().err
         assert not (out / "distributions.json").exists()
 
     def test_nonconvergence_exit_0_flagged(self, sinus_data, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -360,6 +362,93 @@ class TestMapEstimate:
         res = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, hp, FINE_GRAD)
         assert not res.converged
         assert res.iterations == 2
+
+
+def _benchmark_sized_problem():
+    """m = 30, n = 20 quadratic rows sharing a shift in 8 variables, drawn
+    the way the benchmark draws its first collective problem."""
+    rng = np.random.default_rng(0)
+    m, n, shifted = 30, 20, 8
+    coef = rng.uniform(0.5, 1.5, m)
+    xs = rng.normal(0.0, 1.0, (n, m))
+    shift = np.zeros(m)
+    support = rng.choice(m, shifted, replace=False)
+    shift[support] = rng.choice([-1.0, 1.0], shifted) * rng.uniform(0.5, 1.0, shifted)
+    ys = ((xs + shift) ** 2) @ coef + rng.normal(0.0, 0.1, n)
+    return coef, TestSet(xs, ys, [f"x{i}" for i in range(m)])
+
+
+def _kkt_residual(delta, coef, ts, hp, rates):
+    """Per-coordinate violation of the optimality conditions of the MAP
+    objective, with the quadratic model's analytic gradient."""
+    z = ts.x + delta
+    resid = ts.y - (z * z) @ coef
+    weight = (2 * hp.a0 + 1) * resid / (2 * rates + resid**2)
+    grad = hp.eta * delta - (weight[:, None] * 2.0 * coef * z).sum(axis=0)
+    lam = hp.eta * hp.nu
+    return np.where(delta != 0.0, np.abs(grad + lam * np.sign(delta)),
+                    np.maximum(np.abs(grad) - lam, 0.0))
+
+
+class TestAcceleratedSolver:
+    def test_collective_problem_few_iterations_and_stationary(self):
+        # unaccelerated proximal descent needs 1,770 iterations here
+        coef, ts = _benchmark_sized_problem()
+        hp = GpaHyperParams.for_testset(ts.n_test)
+        res = map_estimate(ts, quadratic_model(coef), hp, GradientEstimatorConfig())
+        assert res.converged
+        assert res.iterations <= 300
+        assert np.max(_kkt_residual(res.delta_star, coef, ts, hp, res.rates)) <= 2e-4
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+    @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
+    def test_oracle_rows_trace_non_increasing(self, sin_model, y_t):
+        # ORACLE_HP's starting step is ten times test_monotone_descent_trace's
+        res = map_estimate(single_point([0.5, 0.0], y_t), sin_model, ORACLE_HP, FINE_GRAD)
+        assert res.converged
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+    def test_result_is_best_accepted_iterate(self):
+        # the trace records F at the returned point, and ends there
+        def value(d):
+            return float(np.sum((d - [1.0, -2.0]) ** 2))
+
+        def grad(d):
+            return 2.0 * (d - [1.0, -2.0])
+
+        state = proximal_minimize(grad, value, dim=2, eta=1.0, nu=0.01,
+                                  kappa=0.3, max_iter=500, tol=1e-10, seed=0)
+        assert state.converged
+        penalized = value(state.delta) + 0.01 * np.abs(state.delta).sum()
+        assert state.trace[-1] == penalized
+        np.testing.assert_allclose(state.delta, [0.995, -1.995], atol=1e-8)
+
+
+class TestNonFiniteObjective:
+    def test_overflowing_residual_raises(self):
+        # y = 1e200 is finite, but its square is not
+        ts = TestSet(np.array([[0.1, 0.2], [0.3, 0.1]]), np.array([1e200, 1.0]),
+                     ["a", "b"])
+        hp = GpaHyperParams(b0=1.0)
+        with pytest.raises(DivergenceError, match="square overflows"):
+            map_estimate(ts, linear_model([1.0, 1.0]), hp, FINE_GRAD)
+
+    def test_infinite_start_raises(self):
+        with pytest.raises(DivergenceError, match="inf"):
+            proximal_minimize(lambda d: d, lambda d: math.inf, dim=2, eta=1.0,
+                              nu=0.5, kappa=0.1, max_iter=10, tol=1e-8, seed=0)
+
+    def test_infinite_candidate_is_a_too_long_step(self):
+        # the first step from kappa = 4 lands where the objective is
+        # infinite; halving brings it back and the solve goes on
+        def value(d):
+            return math.inf if d[0] > 1.5 else float((d[0] - 1.0) ** 2)
+
+        state = proximal_minimize(lambda d: 2.0 * (d - 1.0), value, dim=1, eta=1.0,
+                                  nu=1e-6, kappa=4.0, max_iter=500, tol=1e-10, seed=0)
+        assert state.converged
+        assert np.all(np.isfinite(state.trace))
+        assert state.delta[0] == pytest.approx(1.0, abs=1e-5)
 
 
 class TestDivergenceGuard:
