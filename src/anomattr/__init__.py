@@ -22,7 +22,6 @@ from .baselines import (
     z_score,
 )
 from .dataio import (
-    RunConfig,
     Standardization,
     TestSet,
     delta_to_raw_units,

@@ -352,7 +352,7 @@ def z_score(x_t, ref: ReferenceSet) -> np.ndarray:
 def lc(
     model: ModelHandle,
     x_t,
-    y_t: float,
+    y_t,
     eta: float,
     nu: float,
     lam: float = 1.0,
@@ -363,8 +363,10 @@ def lc(
 ) -> np.ndarray:
     """Counterfactual shift under a plain Gaussian loss.
 
-    Minimizes ``(eta/2)||delta||^2 + (lam/2)[y_t - f(x_t + delta)]^2`` plus
-    the l1 term handled by the proximal step -- the objective of
+    Minimizes ``(eta/2)||delta||^2 + sum_t (lam/2)[y_t - f(x_t + delta)]^2``
+    plus the l1 term handled by the proximal step.  ``x_t`` is one row, or
+    an (n, m) array of rows with one target each in ``y_t`` that share one
+    shift (the collective form).  This is the objective of
     :func:`anomattr.gpa.map_estimate` with the Gaussian loss in place of the
     heavy-tailed marginalization, which makes this the point-estimate-only
     sibling.  It is minimized by the same solver,
@@ -374,9 +376,8 @@ def lc(
     """
     if eta <= 0 or nu <= 0 or lam <= 0 or kappa <= 0:
         raise ValueError("eta, nu, lam and kappa must be positive")
-    x_t = np.asarray(x_t, dtype=float)
     grad_fn, value_fn = counterfactual_objective(
-        model, x_t[None, :], [y_t], eta, gaussian_loss(lam), grad_cfg
+        model, np.atleast_2d(x_t), np.atleast_1d(y_t), eta, gaussian_loss(lam), grad_cfg
     )
 
     state = proximal_minimize(

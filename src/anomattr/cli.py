@@ -5,13 +5,23 @@ Subcommands: ``detect`` (rank outliers by anomaly score), ``explain``
 distributions), ``compare`` (consistency metrics between methods), and
 ``oracle`` (closed-form values on the builtin sinusoidal model).
 
-Exit codes: 0 success, 2 usage/configuration error or a solver that cannot
-proceed (its objective overflows, or keeps rising), 3 model transport error
-(including a subprocess model that does not answer within its timeout) or
-non-finite model output, in the MAP solve or in ``dist``'s posterior slices.
-Every model handle a command resolves is closed before ``main`` returns,
-whatever the exit code.  ``dist`` warns on stderr when more than 1% of a
-variable's posterior mass sits on the two edge points of its grid.
+``explain``, ``dist`` and ``compare`` share one set-up (data, model,
+selection, hyperparameters) and ``explain`` and ``compare`` one method loop.
+``--collective`` fits one shared perturbation to all ``--indices`` rows; it
+runs ``gpa`` and ``lc`` (the Gaussian-loss baseline over the same rows).
+Every JSON document a command writes carries ``config``: each flag under its
+argparse dest, the model spec in use (``--model`` or ``ANOMATTR_MODEL``), the
+resolved ``indices`` and ``hyperparams``, and for ``explain`` the
+``noise_variance`` used, so the flags in ``config`` repeat the run.
+
+Exit codes: 0 success, 2 usage/configuration error (including a dataset cell
+that is not a finite number) or a solver that cannot proceed (its objective
+overflows, or keeps rising), 3 model transport error (including a subprocess
+model that does not answer within its timeout) or non-finite model output, in
+the MAP solve or in ``dist``'s posterior slices.  Every model handle a
+command resolves is closed before ``main`` returns, whatever the exit code.
+``dist`` warns on stderr when more than 1% of a variable's posterior mass
+sits on the two edge points of its grid.
 """
 
 from __future__ import annotations
@@ -21,13 +31,13 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, dataio, gpa, metrics, oracle
-from .dataio import RunConfig, TestSet
+from .dataio import TestSet
 from .gpa import DivergenceError, GpaHyperParams, NonFiniteModelOutput
 from .models import (
     BuiltinModelSpec,
@@ -41,7 +51,8 @@ from .models import (
 
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
-_COLLECTIVE_METHODS = ("gpa",)
+_COLLECTIVE_METHODS = ("gpa", "lc")
+_GPA_DIAGNOSTICS = ("iterations", "converged", "query_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
 _EDGE_MASS_WARNING = 1e-2
 
@@ -111,13 +122,15 @@ def _open_model(args, dimension: int) -> ModelHandle:
 
 def _load_testset(args) -> TestSet:
     ts = dataio.load_csv(args.data)
-    if getattr(args, "standardize", False):
+    if ts.n_test == 0:
+        raise UsageError("dataset has no samples")
+    if args.standardize:
         ts = dataio.standardize(ts)
     return ts
 
 
 def _noise_variance(args, ts: TestSet, model: ModelHandle) -> float:
-    if getattr(args, "noise_var", None) is not None:
+    if args.noise_var is not None:
         if args.noise_var <= 0:
             raise UsageError("--noise-var must be positive")
         return args.noise_var
@@ -125,14 +138,14 @@ def _noise_variance(args, ts: TestSet, model: ModelHandle) -> float:
 
 
 def _selected_indices(args, n_test: int) -> list[int]:
-    if getattr(args, "indices", None):
+    if args.indices:
         idx = _ints(args.indices)
     else:
         idx = [args.point_index]
     for i in idx:
         if not 0 <= i < n_test:
             raise UsageError(f"sample index {i} out of range (0..{n_test - 1})")
-    if len(idx) > 1 and not getattr(args, "collective", False):
+    if len(idx) > 1 and not args.collective:
         raise UsageError(
             "multiple --indices require --collective; run single points "
             "with --point-index"
@@ -140,39 +153,39 @@ def _selected_indices(args, n_test: int) -> list[int]:
     return idx
 
 
-def _check_collective(args, methods: list[str]) -> None:
-    unsupported = [m for m in methods if m not in _COLLECTIVE_METHODS]
-    if args.collective and unsupported:
-        raise UsageError(
-            f"--collective supports only {', '.join(_COLLECTIVE_METHODS)}; "
-            f"got {', '.join(unsupported)}"
-        )
-
-
 def _hyperparams(args, n_selected: int) -> GpaHyperParams:
-    overrides = {}
-    for flag, name in (
-        ("eta", "eta"), ("nu", "nu"), ("kappa", "kappa"), ("a0", "a0"),
-        ("cb", "c_b"), ("b0", "b0"), ("b_mode", "b_mode"),
-        ("grid_points", "grid_points"), ("max_iter", "max_iter"), ("tol", "tol"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[name] = value
+    # a flag shares its field's name; fields without a flag keep their default
+    overrides = {f.name: getattr(args, f.name) for f in fields(GpaHyperParams)
+                 if getattr(args, f.name, None) is not None}
     try:
         return GpaHyperParams.for_testset(n_selected, **overrides)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _grad_cfg(args) -> GradientEstimatorConfig:
-    return GradientEstimatorConfig(
+def _setup(args, methods):
+    """Set-up shared by explain, dist and compare: the test set, the open
+    model, the selected indices, the selection, the hyperparameters and the
+    gradient settings."""
+    ts = _load_testset(args)
+    model = _open_model(args, ts.dimension)
+    indices = _selected_indices(args, ts.n_test)
+    unsupported = [m for m in methods if m not in _COLLECTIVE_METHODS]
+    if args.collective and unsupported:
+        raise UsageError(
+            f"--collective supports only {', '.join(_COLLECTIVE_METHODS)}; "
+            f"got {', '.join(unsupported)}"
+        )
+    selection = ts.select(indices)
+    hp = _hyperparams(args, selection.n_test)
+    grad_cfg = GradientEstimatorConfig(
         perturbation_std=args.grad_std, mc_samples=args.grad_samples, seed=args.seed
     )
+    return ts, model, indices, selection, hp, grad_cfg
 
 
 def _reference_set(args, dimension: int) -> baselines.ReferenceSet | None:
-    if getattr(args, "ref", None) is None:
+    if args.ref is None:
         return None
     ref_ts = dataio.load_csv(args.ref)
     if ref_ts.dimension != dimension:
@@ -200,14 +213,10 @@ def _run_method(
     x_t, y_t = selection.x[0], float(selection.y[0])
     if name == "gpa":
         result = gpa.map_estimate(selection, model, hp, grad_cfg)
-        return result.delta_star, {
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "query_count": result.query_count,
-        }
+        return result.delta_star, {k: getattr(result, k) for k in _GPA_DIAGNOSTICS}
     if name == "lc":
         scores = baselines.lc(
-            model, x_t, y_t, eta=hp.eta, nu=hp.nu, lam=args.lc_lambda,
+            model, selection.x, selection.y, eta=hp.eta, nu=hp.nu, lam=args.lc_lambda,
             kappa=args.lc_kappa, grad_cfg=grad_cfg,
             max_iter=hp.max_iter, tol=hp.tol,
         )
@@ -242,6 +251,20 @@ def _run_method(
     raise UsageError(f"unknown method {name!r}")
 
 
+def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
+                 hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig):
+    """The method loop of explain and compare: each method's scores by name,
+    and the diagnostics section of the document."""
+    ref = _reference_set(args, selection.dimension)
+    scores, diagnostics = {}, {}
+    for name in methods:
+        scores[name], extras = _run_method(name, model, selection, args, hp, grad_cfg, ref)
+        if extras:
+            diagnostics[name] = extras
+    diagnostics["model_queries"] = model.query_count
+    return scores, diagnostics
+
+
 def _parse_methods(text: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
@@ -254,17 +277,12 @@ def _parse_methods(text: str) -> list[str]:
     return methods
 
 
-def _run_config(args, methods: list[str], indices: list[int], hyper: dict) -> RunConfig:
-    return RunConfig(
-        model=args.model or os.environ.get(MODEL_ENV_VAR, ""),
-        methods=methods,
-        seed=args.seed,
-        data=getattr(args, "data", "") or "",
-        indices=indices,
-        collective=getattr(args, "collective", False),
-        hyperparams=hyper,
-        output_dir=str(getattr(args, "out", "")),
-    )
+def _config(args, **resolved) -> dict:
+    """The ``config`` section of a document: every flag under its dest, the
+    model spec in use, and the ``resolved`` values."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "cleanup")}
+    config["model"] = args.model or os.environ.get(MODEL_ENV_VAR, "")
+    return {**config, **resolved}
 
 
 def _out_dir(args) -> Path:
@@ -278,79 +296,54 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_detect(args) -> int:
+    if args.top < 1:
+        raise UsageError("--top must be at least 1")
     ts = _load_testset(args)
-    if ts.n_test == 0:
-        raise UsageError("dataset has no samples")
     model = _open_model(args, ts.dimension)
     noise_var = _noise_variance(args, ts, model)
     scores = [
-        metrics.anomaly_score(model, ts.x[t], ts.y[t], noise_var, t)
+        metrics.anomaly_score(model, ts.x[t], ts.y[t], noise_var, t).value
         for t in range(ts.n_test)
     ]
-    order = sorted(range(ts.n_test), key=lambda t: (-scores[t].value, t))
+    order = sorted(range(ts.n_test), key=lambda t: (-scores[t], t))
     top = order[: args.top]
     for t in order:
         marker = "*" if t in top else " "
-        print(f"{marker} sample {t:4d}  anomaly_score {scores[t].value:.6f}")
+        print(f"{marker} sample {t:4d}  anomaly_score {scores[t]:.6f}")
     print(f"top-{args.top} indices: {','.join(str(t) for t in top)}")
     if args.out:
-        out = _out_dir(args)
-        doc = {
-            "noise_variance": noise_var,
-            "scores": [s.value for s in scores],
-            "order": order,
-            "indices": top,
-        }
-        path = out / "detect.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        path = _out_dir(args) / "detect.json"
+        dataio.emit_result_json(
+            {"config": _config(args), "noise_variance": noise_var,
+             "scores": scores, "order": order, "indices": top},
+            path,
+        )
         print(f"wrote {path}")
     return 0
 
 
 def cmd_explain(args) -> int:
     methods = _parse_methods(args.methods)
-    ts = _load_testset(args)
-    if ts.n_test == 0:
-        raise UsageError("dataset has no samples")
-    model = _open_model(args, ts.dimension)
-    indices = _selected_indices(args, ts.n_test)
-    _check_collective(args, methods)
-    selection = ts.select(indices)
-    hp = _hyperparams(args, selection.n_test)
-    grad_cfg = _grad_cfg(args)
-    ref = _reference_set(args, ts.dimension)
-
+    ts, model, indices, selection, hp, grad_cfg = _setup(args, methods)
     noise_var = _noise_variance(args, ts, model)
     anomaly = [
         {"sample_index": i,
          "value": metrics.anomaly_score(model, ts.x[i], ts.y[i], noise_var, i).value}
         for i in indices
     ]
-
-    methods_doc = {}
-    diagnostics = {}
-    litmus_scores = {}
-    for name in methods:
-        scores, extras = _run_method(name, model, selection, args, hp, grad_cfg, ref)
-        entry = {"scores": np.asarray(scores)}
-        if ts.standardization is not None and name in ("gpa", "lc"):
-            entry["scores_raw_units"] = dataio.delta_to_raw_units(scores, ts)
-        methods_doc[name] = entry
-        litmus_scores[name] = np.asarray(scores)
-        if extras:
-            diagnostics[name] = extras
-    diagnostics["model_queries"] = model.query_count
+    scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg)
+    methods_doc = {name: {"scores": s} for name, s in scores.items()}
+    if ts.standardization is not None:
+        for name in {"gpa", "lc"} & scores.keys():
+            methods_doc[name]["scores_raw_units"] = dataio.delta_to_raw_units(
+                scores[name], ts)
 
     out = _out_dir(args)
-    config = _run_config(
-        args, methods, indices,
-        {"eta": hp.eta, "nu": hp.nu, "kappa": hp.kappa, "a0": hp.a0,
-         "c_b": hp.c_b, "noise_variance": noise_var},
-    )
     result_path = out / "result.json"
     dataio.emit_result_json(
         {
-            "config": asdict(config),
+            "config": _config(args, indices=indices, hyperparams=asdict(hp),
+                              noise_variance=noise_var),
             "anomaly_scores": anomaly,
             "methods": methods_doc,
             "diagnostics": diagnostics,
@@ -358,22 +351,14 @@ def cmd_explain(args) -> int:
         result_path,
     )
     litmus_path = out / "litmus.svg"
-    dataio.emit_litmus_svg(litmus_scores, litmus_path, ts.variable_names)
+    dataio.emit_litmus_svg(scores, litmus_path, ts.variable_names)
     print(f"wrote {result_path}")
     print(f"wrote {litmus_path}")
     return 0
 
 
 def cmd_dist(args) -> int:
-    ts = _load_testset(args)
-    if ts.n_test == 0:
-        raise UsageError("dataset has no samples")
-    model = _open_model(args, ts.dimension)
-    indices = _selected_indices(args, ts.n_test)
-    selection = ts.select(indices)
-    hp = _hyperparams(args, selection.n_test)
-    grad_cfg = _grad_cfg(args)
-
+    ts, model, indices, selection, hp, grad_cfg = _setup(args, ["gpa"])
     result = gpa.map_estimate(selection, model, hp, grad_cfg)
     if not result.converged:
         print(
@@ -392,13 +377,8 @@ def cmd_dist(args) -> int:
         )
 
     out = _out_dir(args)
-    config = _run_config(
-        args, ["gpa"], indices,
-        {"eta": hp.eta, "nu": hp.nu, "kappa": hp.kappa, "a0": hp.a0,
-         "c_b": hp.c_b, "grid_points": hp.grid_points},
-    )
     doc = {
-        "config": asdict(config),
+        "config": _config(args, indices=indices, hyperparams=asdict(hp)),
         "methods": {
             "gpa": {
                 "scores": result.delta_star,
@@ -410,12 +390,8 @@ def cmd_dist(args) -> int:
             }
         },
         "diagnostics": {
-            "gpa": {
-                "iterations": result.iterations,
-                "converged": result.converged,
-                "query_count": result.query_count,
-                "edge_mass": edge_mass,
-            }
+            "gpa": {**{k: getattr(result, k) for k in _GPA_DIAGNOSTICS},
+                    "edge_mass": edge_mass}
         },
     }
     json_path = out / "distributions.json"
@@ -433,34 +409,12 @@ def cmd_compare(args) -> int:
         methods = [args.reference] + methods
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
-    ts = _load_testset(args)
-    if ts.n_test == 0:
-        raise UsageError("dataset has no samples")
-    model = _open_model(args, ts.dimension)
-    indices = _selected_indices(args, ts.n_test)
-    _check_collective(args, methods)
-    selection = ts.select(indices)
-    hp = _hyperparams(args, selection.n_test)
-    grad_cfg = _grad_cfg(args)
-    ref = _reference_set(args, ts.dimension)
-
-    scores = {}
-    for name in methods:
-        scores[name], _ = _run_method(name, model, selection, args, hp, grad_cfg, ref)
-
-    reference_scores = scores[args.reference]
-    reports = {}
-    for name in methods:
-        if name == args.reference:
-            continue
-        report = metrics.consistency_report(reference_scores, scores[name])
-        reports[name] = {
-            "kendall_tau": report.kendall_tau,
-            "spearman_rho": report.spearman_rho,
-            "smr": report.smr,
-            "hit25": report.hit25,
-            "notes": report.notes,
-        }
+    _, model, indices, selection, hp, grad_cfg = _setup(args, methods)
+    scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg)
+    reports = {
+        name: asdict(metrics.consistency_report(scores[args.reference], s))
+        for name, s in scores.items() if name != args.reference
+    }
 
     def _cell(v):
         return "   null" if v is None else f"{v:7.4f}"
@@ -474,15 +428,17 @@ def cmd_compare(args) -> int:
         )
 
     if args.out:
-        out = _out_dir(args)
-        doc = {
-            "config": asdict(_run_config(args, methods, indices, {})),
-            "reference": args.reference,
-            "scores": {k: np.asarray(v).tolist() for k, v in scores.items()},
-            "reports": reports,
-        }
-        path = out / "compare.json"
-        path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        path = _out_dir(args) / "compare.json"
+        dataio.emit_result_json(
+            {
+                "config": _config(args, indices=indices, hyperparams=asdict(hp)),
+                "reference": args.reference,
+                "scores": scores,
+                "reports": reports,
+                "diagnostics": diagnostics,
+            },
+            path,
+        )
         print(f"wrote {path}")
     return 0
 
@@ -509,11 +465,10 @@ def cmd_oracle(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, with_data=True):
-    if with_data:
-        p.add_argument("--data", required=True, help="dataset CSV (last column is the target)")
-        p.add_argument("--standardize", action="store_true",
-                       help="standardize x columns (test-set statistics)")
+def _add_common(p):
+    p.add_argument("--data", required=True, help="dataset CSV (last column is the target)")
+    p.add_argument("--standardize", action="store_true",
+                   help="standardize x columns (test-set statistics)")
     p.add_argument("--model", default=None,
                    help="sinusoidal2d | linear:c1,c2 | quadratic:c1,.. | "
                         f"subprocess:CMD | http(s)://URL (default ${MODEL_ENV_VAR})")
@@ -536,7 +491,7 @@ def _add_gpa_flags(p):
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--cb", type=float, default=None)
+    p.add_argument("--cb", dest="c_b", type=float, default=None)
     p.add_argument("--b0", type=float, default=None)
     p.add_argument("--b-mode", dest="b_mode", choices=("constant", "local_kernel"),
                    default=None)

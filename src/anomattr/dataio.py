@@ -3,10 +3,18 @@
 File formats:
 
 * CSV: UTF-8, comma separated, one header row naming the columns, last column
-  is the target.  No thousands separators.
-* Result JSON: ``{schema_version, config, anomaly_scores, methods: {name:
-  {scores, distribution?}}, diagnostics}``; emitted bytes are deterministic
-  for identical inputs (sorted keys, shortest round-trip float formatting).
+  is the target.  No thousands separators.  Every cell is a finite number: a
+  ``nan`` or ``inf`` cell is refused with its row and column.
+* JSON documents, format version 2 (``schema_version``), one per command:
+  ``result.json`` (explain: ``config, anomaly_scores, methods: {name:
+  {scores, scores_raw_units?}}, diagnostics``), ``distributions.json``
+  (dist: ``config, methods: {gpa: {scores, distribution}}, diagnostics``),
+  ``compare.json`` (``config, reference, scores, reports, diagnostics``) and
+  ``detect.json`` (``config, noise_variance, scores, order, indices``).
+  ``config`` echoes the command's flags (see :mod:`anomattr.cli`).  Bytes
+  are deterministic for identical inputs (sorted keys, shortest round-trip
+  float formatting), and the documents are strict JSON: a NaN or infinity
+  anywhere is refused and nothing is written.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +31,6 @@ __all__ = [
     "CsvFormatError",
     "Standardization",
     "TestSet",
-    "RunConfig",
     "load_csv",
     "standardize",
     "delta_to_raw_units",
@@ -33,7 +40,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class CsvFormatError(ValueError):
@@ -94,22 +101,9 @@ class TestSet:
         )
 
 
-@dataclass
-class RunConfig:
-    """Echo of everything needed to reproduce a CLI run."""
-
-    model: str
-    methods: list[str]
-    seed: int
-    data: str = ""
-    indices: list[int] = field(default_factory=list)
-    collective: bool = False
-    hyperparams: dict = field(default_factory=dict)
-    output_dir: str = ""
-
-
 def load_csv(path) -> TestSet:
-    """Parse a dataset CSV: header row, feature columns, last column target."""
+    """Parse a dataset CSV: header row, feature columns, last column target.
+    A cell that is not a finite number raises :class:`CsvFormatError`."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
@@ -145,6 +139,13 @@ def load_csv(path) -> TestSet:
                     f"{path}: non-numeric value {cell!r} at row {i}, column "
                     f"{header[j]!r}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        i, j = bad[0]
+        raise CsvFormatError(
+            f"{path}: non-finite value {rows[i + 1][j]!r} at row {i + 2}, column "
+            f"{header[j]!r}"
+        )
     return TestSet(data[:, :-1], data[:, -1], header[:-1])
 
 
@@ -205,21 +206,16 @@ def _jsonify(obj):
     return obj
 
 
-def emit_result_json(results: dict, path) -> None:
-    """Write a versioned result document with deterministic bytes.
+def emit_result_json(doc: dict, path) -> None:
+    """Write ``doc`` with ``schema_version`` added, in deterministic bytes.
 
-    ``results`` supplies ``config``, ``anomaly_scores``, ``methods`` and
-    ``diagnostics``; missing sections default to empty.  Floats are written in
+    numpy arrays and scalars become lists and numbers.  Floats are written in
     shortest round-trip form, so a reload reproduces the scores bit-exactly.
+    A NaN or infinity anywhere in ``doc`` raises ValueError before anything
+    is written.
     """
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _jsonify(results.get("config", {})),
-        "anomaly_scores": _jsonify(results.get("anomaly_scores", [])),
-        "methods": _jsonify(results.get("methods", {})),
-        "diagnostics": _jsonify(results.get("diagnostics", {})),
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **_jsonify(doc)},
+                      sort_keys=True, indent=2, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

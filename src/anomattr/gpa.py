@@ -128,7 +128,7 @@ class GpaHyperParams:
 @dataclass
 class AttributionResult:
     """``query_count`` includes the rate queries; pass ``rates`` on to
-    :func:`score_distributions`."""
+    :func:`score_distributions` and :func:`objective`."""
 
     delta_star: np.ndarray
     iterations: int
@@ -319,14 +319,13 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
     return grad_fn, value_fn
 
 
-def objective(delta, testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> float:
-    """Smooth part of the MAP objective at ``delta`` (no l1 term).
-
-    Resolves the gamma rates from ``hp`` first, which costs one model query
-    per sample unless an explicit ``b0`` is set.
-    """
+def objective(delta, testset: TestSet, model: ModelHandle, hp: GpaHyperParams,
+              rates) -> float:
+    """Smooth part of the MAP objective at ``delta`` (no l1 term), under the
+    per-sample gamma ``rates`` of a run (:attr:`AttributionResult.rates`), as
+    in :func:`score_distributions`."""
     delta = np.asarray(delta, dtype=float)
-    loss = student_t_loss(hp.a0, _resolve_rates(testset, model, hp))
+    loss = student_t_loss(hp.a0, np.asarray(rates, dtype=float))
     _, value_fn = counterfactual_objective(model, testset.x, testset.y, hp.eta, loss)
     return value_fn(delta)
 

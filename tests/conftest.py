@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,15 @@ ORACLE_HP = GpaHyperParams(
 # Small perturbation scale: the builtin surfaces are smooth, so a tight
 # smoothing radius recovers the analytic gradient closely.
 FINE_GRAD = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=10, seed=0)
+
+
+def strict_json(text: str):
+    """Parse a document the CLI wrote as strict JSON: a NaN or Infinity
+    token fails the test."""
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def single_point(x, y, names=("x1", "x2")) -> TestSet:

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line.  Tolerances are fixed here and nowhere else."""
 
-import json
 import time
 
 import numpy as np
@@ -37,7 +36,7 @@ from anomattr import (
 from anomattr.cli import main as cli_main
 from anomattr.metrics import MetricUndefinedError
 from anomattr.oracle import surface
-from conftest import FINE_GRAD, ORACLE_HP, periodic_lattice, single_point
+from conftest import FINE_GRAD, ORACLE_HP, periodic_lattice, single_point, strict_json
 
 X_T = np.array([0.5, 0.0])
 POINT_A, POINT_C, POINT_B = 1.0, 0.0, -1.0
@@ -302,7 +301,7 @@ def test_criterion_12_desk_scale_substitute(tmp_path):
             "--methods", "gpa,lc,lime", "--point-index", str(index),
             "--out", str(out), *flags,
         ])
-        doc = json.loads((out / "compare.json").read_text())
+        doc = strict_json((out / "compare.json").read_text())
         rep = doc["reports"]["lc"]
         lc_ok = (code == 0
                  and abs(rep["kendall_tau"] - 1.0) <= 1e-12

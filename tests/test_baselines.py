@@ -320,6 +320,35 @@ class TestLc:
                    grad_cfg=FINE_GRAD, tol=1e-8)
         np.testing.assert_array_equal(delta, state.delta)
 
+    def test_one_row_array_is_the_point_call(self, sin_model):
+        kwargs = dict(eta=1e-3, nu=1e-3, grad_cfg=FINE_GRAD, tol=1e-8)
+        point = lc(sin_model, [0.5, 0.0], 1.0, **kwargs)
+        row = lc(sin_model, np.array([[0.5, 0.0]]), np.array([1.0]), **kwargs)
+        np.testing.assert_array_equal(row, point)
+
+    def test_collective_rows_share_the_gaussian_objective(self, sin_model):
+        from anomattr.gpa import (
+            counterfactual_objective,
+            gaussian_loss,
+            proximal_minimize,
+        )
+
+        x = np.array([[0.5, 0.0], [0.45, 0.05], [0.55, -0.05]])
+        y, eta, lam = np.array([1.0, 0.9, 1.1]), 1e-3, 2.0
+        grad_fn, value_fn = counterfactual_objective(
+            sinusoidal2d(), x, y, eta, gaussian_loss(lam), FINE_GRAD
+        )
+        d = np.array([-0.1, 0.05])
+        r = y - sin_model.evaluate_batch(x + d)
+        assert value_fn(d) == pytest.approx(0.5 * eta * d @ d + 0.5 * lam * r @ r,
+                                            rel=1e-12)
+        state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 0.01, 10_000,
+                                  1e-8, FINE_GRAD.seed)
+        assert state.converged
+        delta = lc(sin_model, x, y, eta=eta, nu=1e-3, lam=lam, kappa=0.01,
+                   grad_cfg=FINE_GRAD, tol=1e-8)
+        np.testing.assert_array_equal(delta, state.delta)
+
     def test_invalid_params(self, sin_model):
         with pytest.raises(ValueError):
             lc(sin_model, [0.0, 0.0], 0.0, eta=0.0, nu=0.5)

@@ -5,12 +5,12 @@ benchmark run, and a traced ``dist`` run shows the query plan of one GPA run.
 
 import contextlib
 import io
-import json
 from pathlib import Path
 
 import pytest
 
 from anomattr import cli, gpa
+from conftest import strict_json
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 WRAPPED = ("init_gamma_rate", "refine_gamma_rate", "map_estimate",
@@ -55,5 +55,5 @@ def test_traced_collective_dist_resolves_rates_once(tracer_cls, tmp_path):
     calls, _, _, points, model_calls = tracer.totals["gpa.score_distributions"]
     assert tracer.totals["gpa.rates"][0] == 1
     assert (calls, model_calls, points) == (1, 3, 3 * 4 * 11)
-    doc = json.loads((tmp_path / "out" / "distributions.json").read_text())
+    doc = strict_json((tmp_path / "out" / "distributions.json").read_text())
     assert len(doc["diagnostics"]["gpa"]["edge_mass"]) == 3

@@ -1,16 +1,20 @@
+import argparse
 import json
 import os
 import shlex
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import anomattr
-from anomattr.cli import main
+from anomattr.cli import build_parser, main
+from anomattr.gpa import GpaHyperParams
+from conftest import strict_json
 
 ORACLE_FLAGS = [
     "--eta", "0.001", "--nu", "0.001", "--kappa", "0.1", "--a0", "1",
@@ -71,6 +75,27 @@ def lattice_ref(tmp_path):
     return p
 
 
+def _subparser(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices[command]
+
+
+def _argv_from_config(config):
+    """The command line that repeats a run, rebuilt from its config echo."""
+    argv = [config["command"]]
+    for action in _subparser(config["command"])._actions:
+        value = config.get(action.dest)
+        if not action.option_strings or value is None or value is False:
+            continue
+        argv.append(action.option_strings[0])
+        if isinstance(value, list):
+            argv.append(",".join(str(v) for v in value))
+        elif value is not True:
+            argv.append(str(value))
+    return argv
+
+
 class TestDetect:
     def test_top_one(self, sinus_data, tmp_path, capsys):
         out = tmp_path / "out"
@@ -79,7 +104,7 @@ class TestDetect:
             "--noise-var", "1", "--top", "1", "--out", str(out),
         ])
         assert code == 0
-        doc = json.loads((out / "detect.json").read_text())
+        doc = strict_json((out / "detect.json").read_text())
         assert len(doc["indices"]) == 1
         assert doc["indices"][0] in (0, 2)  # the |residual|=1 rows
 
@@ -90,7 +115,7 @@ class TestDetect:
             "--noise-var", "1", "--top", "3", "--out", str(out),
         ])
         assert code == 0
-        doc = json.loads((out / "detect.json").read_text())
+        doc = strict_json((out / "detect.json").read_text())
         assert len(doc["indices"]) == 3
 
     def test_empty_dataset_exit_2(self, tmp_path):
@@ -98,11 +123,21 @@ class TestDetect:
         p.write_text("x1,x2,y\n")
         assert main(["detect", "--data", str(p), "--model", "sinusoidal2d"]) == 2
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exit_2(self, sinus_data, tmp_path, capsys, top):
+        code = main([
+            "detect", "--data", str(sinus_data), "--model", "sinusoidal2d",
+            "--noise-var", "1", "--top", top, "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "--top" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_descending_order(self, sinus_data, tmp_path):
         out = tmp_path / "out"
         main(["detect", "--data", str(sinus_data), "--model", "sinusoidal2d",
               "--noise-var", "1", "--out", str(out)])
-        doc = json.loads((out / "detect.json").read_text())
+        doc = strict_json((out / "detect.json").read_text())
         ordered = [doc["scores"][i] for i in doc["order"]]
         assert ordered == sorted(ordered, reverse=True)
 
@@ -116,7 +151,7 @@ class TestExplain:
             *ORACLE_FLAGS,
         ])
         assert code == 0
-        doc = json.loads((out / "result.json").read_text())
+        doc = strict_json((out / "result.json").read_text())
         delta = doc["methods"]["gpa"]["scores"]
         assert delta[0] == pytest.approx(-1 / 6, abs=1e-3)
         assert (out / "litmus.svg").exists()
@@ -179,7 +214,7 @@ class TestExplain:
             "--a0", "1", "--grad-std", "0.001", "--out", str(out),
         ])
         assert code == 0
-        doc = json.loads((out / "result.json").read_text())
+        doc = strict_json((out / "result.json").read_text())
         assert len(doc["methods"]["gpa"]["scores"]) == 2
         assert doc["config"]["indices"] == [0, 1, 2]
 
@@ -273,7 +308,7 @@ class TestSubprocessModel:
                 "--methods", "gpa", "--out", str(out), *ORACLE_FLAGS,
             ])
             assert code == 0
-            docs.append(json.loads((out / "result.json").read_text()))
+            docs.append(strict_json((out / "result.json").read_text()))
         batch, point = docs
         assert batch["methods"]["gpa"]["scores"] == point["methods"]["gpa"]["scores"]
         assert batch["diagnostics"]["model_queries"] == point["diagnostics"]["model_queries"]
@@ -300,7 +335,7 @@ class TestDist:
             "--point-index", "0", "--out", str(out), *ORACLE_FLAGS,
         ])
         assert code == 0
-        doc = json.loads((out / "distributions.json").read_text())
+        doc = strict_json((out / "distributions.json").read_text())
         dist = doc["methods"]["gpa"]["distribution"]
         grid = np.asarray(dist["grid"])
         q1 = np.asarray(dist["probs"][0])
@@ -317,7 +352,7 @@ class TestDist:
             *ORACLE_FLAGS,
         ])
         assert code == 0
-        doc = json.loads((out / "distributions.json").read_text())
+        doc = strict_json((out / "distributions.json").read_text())
         assert len(doc["methods"]["gpa"]["distribution"]["grid"]) == 200
 
     def test_rate_escalation_flags(self, sinus_data, tmp_path):
@@ -331,7 +366,7 @@ class TestDist:
             "--out", str(out),
         ])
         assert code == 0
-        doc = json.loads((out / "distributions.json").read_text())
+        doc = strict_json((out / "distributions.json").read_text())
         assert doc["config"]["hyperparams"]["c_b"] == 1.0
         assert doc["config"]["hyperparams"]["eta"] == 1.0
 
@@ -348,7 +383,7 @@ class TestDist:
             "--point-index", "0", "--out", str(out), *flags,
         ])
         assert code == 0
-        doc = json.loads((out / "distributions.json").read_text())
+        doc = strict_json((out / "distributions.json").read_text())
         probs = doc["methods"]["gpa"]["distribution"]["probs"]
         edge_mass = doc["diagnostics"]["gpa"]["edge_mass"]
         assert edge_mass == [p[0] + p[-1] for p in probs]
@@ -398,7 +433,7 @@ class TestDist:
             "--kappa", "0.1", "--a0", "1", "--b0", "10", "--grad-std", "0.001",
         ])
         assert code == 0
-        doc = json.loads((out / "distributions.json").read_text())
+        doc = strict_json((out / "distributions.json").read_text())
         assert doc["diagnostics"]["gpa"]["converged"] is False
         assert "distributions" in capsys.readouterr().err
 
@@ -412,7 +447,7 @@ class TestCompare:
             *ORACLE_FLAGS,
         ])
         assert code == 0
-        doc = json.loads((out / "compare.json").read_text())
+        doc = strict_json((out / "compare.json").read_text())
         rep = doc["reports"]["lc"]
         assert rep["kendall_tau"] == pytest.approx(1.0)
         assert rep["spearman_rho"] == pytest.approx(1.0)
@@ -428,7 +463,7 @@ class TestCompare:
             *ORACLE_FLAGS,
         ])
         assert code == 0
-        doc = json.loads((out / "compare.json").read_text())
+        doc = strict_json((out / "compare.json").read_text())
         rep = doc["reports"]["lime"]
         assert rep["kendall_tau"] is None
         assert rep["spearman_rho"] is None
@@ -439,7 +474,7 @@ class TestCompare:
         data.write_text("x1,x2,y\n0.5,0.0,1.0\n0.4,0.1,0.5\n0.6,0.0,-0.3\n")
         code = main([
             "compare", "--data", str(data), "--model", "sinusoidal2d",
-            "--methods", "gpa,lc", "--indices", "0,1,2", "--collective",
+            "--methods", "gpa,lime", "--indices", "0,1,2", "--collective",
         ])
         assert code == 2
 
@@ -451,16 +486,98 @@ class TestCompare:
         assert code == 2
 
 
+class TestCollectiveLc:
+    def test_compare_gpa_and_lc(self, tmp_path):
+        # three samples of a linear model, all shifted by about +1
+        p = tmp_path / "col.csv"
+        p.write_text("a,b,y\n0.0,0.0,1.0\n0.1,0.0,1.2\n-0.1,0.1,0.9\n")
+        out = tmp_path / "out"
+        code = main([
+            "compare", "--data", str(p), "--model", "linear:2,1",
+            "--methods", "gpa,lc", "--indices", "0,1,2", "--collective",
+            "--a0", "1", "--grad-std", "0.001", "--out", str(out),
+        ])
+        assert code == 0
+        doc = strict_json((out / "compare.json").read_text())
+        assert len(doc["scores"]["lc"]) == 2
+        assert doc["reports"]["lc"]["smr"] == 1.0
+        assert doc["diagnostics"]["gpa"]["converged"] is True
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv, cell", [
+        (["explain", "--methods", "lime", "--noise-var", "1"], "inf"),
+        (["explain", "--methods", "gpa"], "nan"),
+        (["dist", "--b0", "1"], "nan"),
+        (["detect"], "nan"),
+    ])
+    def test_cell_named_exit_2(self, tmp_path, capsys, argv, cell):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"x1,x2,y\n0.5,0.0,1.0\n0.5,{cell},0.0\n")
+        out = tmp_path / "out"
+        code = main([*argv, "--data", str(data), "--model", "sinusoidal2d",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"non-finite value '{cell}' at row 3, column 'x2'" in err
+        assert not out.exists()
+
+
+class TestConfigEcho:
+    RUNS = {
+        "detect": (["--noise-var", "1"], "detect.json"),
+        "explain": (["--methods", "lime0"], "result.json"),
+        "dist": (ORACLE_FLAGS, "distributions.json"),
+        "compare": (["--methods", "gpa,lime0", *ORACLE_FLAGS], "compare.json"),
+    }
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_config_holds_every_flag(self, sinus_data, tmp_path, command):
+        flags, name = self.RUNS[command]
+        out = tmp_path / "out"
+        code = main([command, "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     *flags, "--out", str(out)])
+        assert code == 0
+        doc = strict_json((out / name).read_text())
+        assert doc["schema_version"] == 2
+        dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
+        assert dests <= doc["config"].keys()
+        if command != "detect":
+            assert doc["config"]["hyperparams"].keys() == {
+                f.name for f in fields(GpaHyperParams)}
+
+    def test_explain_repeats_from_its_config(self, sinus_data, lattice_ref, tmp_path,
+                                             monkeypatch):
+        # the model comes from the environment and many flags are off their
+        # defaults: only a complete echo repeats the run
+        monkeypatch.setenv("ANOMATTR_MODEL", "sinusoidal2d")
+        first = tmp_path / "first"
+        assert main([
+            "explain", "--data", str(sinus_data), "--methods", "gpa,lc,lime,sv",
+            "--point-index", "2", "--ref", str(lattice_ref), "--seed", "3",
+            "--grad-samples", "4", "--lime-samples", "200", "--lc-kappa", "0.02",
+            "--out", str(first), *ORACLE_FLAGS,
+        ]) == 0
+        doc = strict_json((first / "result.json").read_text())
+        monkeypatch.delenv("ANOMATTR_MODEL")
+        config = dict(doc["config"], out=str(tmp_path / "again"))
+        assert main(_argv_from_config(config)) == 0
+        again = strict_json((tmp_path / "again" / "result.json").read_text())
+        for section in ("methods", "anomaly_scores"):
+            assert json.dumps(again[section]) == json.dumps(doc[section])
+
+
 class TestOracleCmd:
     def test_gpa_point(self, capsys):
         assert main(["oracle", "gpa", "--x", "0.5,0", "--y", "1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["scores"][0] == pytest.approx(-1 / 6)
         assert doc["scores"][1] == 0.0
 
     def test_ig_point(self, capsys):
         assert main(["oracle", "ig", "--x", "0.5,0", "--x0", "0,1"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         np.testing.assert_allclose(doc["scores"], [-2 / 3, 8 / 3], atol=1e-12)
 
     def test_singular_ig_exit_2(self):
@@ -471,10 +588,10 @@ class TestOracleCmd:
 
     def test_lime0_and_sv(self, capsys):
         assert main(["oracle", "lime0", "--x", "0.5,0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         assert doc["scores"][0] == pytest.approx(-2 * np.pi)
         assert main(["oracle", "sv", "--x", "0,0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = strict_json(capsys.readouterr().out)
         np.testing.assert_allclose(doc["scores"], [1.0, 1.0])
 
 

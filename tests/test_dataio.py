@@ -46,6 +46,14 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="row 3.*'a'"):
             load_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_located(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,b,y\n1,2,3\n4,5,6\n7,8,{cell}\n")
+        message = f"non-finite value '{cell}' at row 4, column 'y'"
+        with pytest.raises(CsvFormatError, match=message):
+            load_csv(p)
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1,2,3\n4,5\n")
@@ -127,7 +135,7 @@ class TestResultJson:
         emit_result_json({"methods": {"gpa": {"scores": scores}}}, p)
         back = json.loads(p.read_text())
         assert back["methods"]["gpa"]["scores"] == scores.tolist()
-        assert back["schema_version"] == 1
+        assert back["schema_version"] == 2
 
     def test_deterministic_bytes(self, tmp_path):
         doc = {
@@ -140,11 +148,17 @@ class TestResultJson:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_empty_results_valid(self, tmp_path):
+        # no section is added: a document holds what the command gave it
         p = tmp_path / "e.json"
         emit_result_json({}, p)
-        back = json.loads(p.read_text())
-        assert back["methods"] == {}
-        assert "schema_version" in back
+        assert json.loads(p.read_text()) == {"schema_version": 2}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_nothing_written(self, tmp_path, bad):
+        p = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            emit_result_json({"methods": {"gpa": {"scores": np.array([0.5, bad])}}}, p)
+        assert not p.exists()
 
 
 class TestLitmusSvg:

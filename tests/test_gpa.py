@@ -177,7 +177,8 @@ class TestObjective:
         m = linear_model([2.0])
         ts = TestSet(np.array([[1.0]]), np.array([2.0]), ["a"])
         hp = GpaHyperParams(eta=0.5, a0=1.0, b0=1.0)
-        assert objective(np.zeros(1), ts, m, hp) == pytest.approx(0.0, abs=1e-15)
+        assert objective(np.zeros(1), ts, m, hp, np.full(1, hp.b0)) == pytest.approx(
+            0.0, abs=1e-15)
 
     def test_unit_ratio_gives_log_two(self):
         # residual s with rate b = s^2/2 makes the ratio exactly 1
@@ -187,15 +188,17 @@ class TestObjective:
         for a0 in (1.0, 5.5):
             hp = GpaHyperParams(eta=1.0, a0=a0, b0=s**2 / 2)
             expect = (2 * a0 + 1) / 2 * np.log(2.0)
-            assert objective(np.zeros(1), ts, m, hp) == pytest.approx(expect)
+            assert objective(np.zeros(1), ts, m, hp, np.full(1, hp.b0)) == pytest.approx(
+                expect)
 
     def test_residual_killing_shift_is_near_minimal(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         best = np.array([-1.0 / 6.0, 0.0])
-        value = objective(best, ts, sin_model, ORACLE_HP)
+        rates = np.full(1, ORACLE_HP.b0)
+        value = objective(best, ts, sin_model, ORACLE_HP, rates)
         assert value == pytest.approx(0.5 * ORACLE_HP.eta * (1 / 36), abs=1e-9)
         for other in (np.zeros(2), np.array([0.1, 0.0]), np.array([-0.3, 0.1])):
-            assert objective(other, ts, sin_model, ORACLE_HP) > value
+            assert objective(other, ts, sin_model, ORACLE_HP, rates) > value
 
     def test_collective_single_sample_reduction(self, sin_model):
         # the collective objective with one sample is the single-sample one
@@ -206,14 +209,29 @@ class TestObjective:
         direct = 0.5 * hp.eta * delta @ delta + (2 * hp.a0 + 1) / 2 * np.log1p(
             resid**2 / (2 * hp.b0)
         )
-        assert objective(delta, ts, sin_model, hp) == pytest.approx(direct, rel=1e-12)
+        assert objective(delta, ts, sin_model, hp, np.full(1, hp.b0)) == pytest.approx(
+            direct, rel=1e-12)
+
+    def test_run_rates_give_the_solver_trace(self):
+        # c_b rates from the residuals: objective() reuses the run's rates
+        # and costs one batch of the samples, with no second rate query
+        m = linear_model([1.0, -2.0])
+        ts = TestSet(np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]]),
+                     np.array([1.5, 1.1, 0.2]), ["a", "b"])
+        hp = GpaHyperParams(a0=1.0, tol=1e-8)
+        res = map_estimate(ts, m, hp, FINE_GRAD)
+        before = m.query_count
+        value = objective(res.delta_star, ts, m, hp, res.rates)
+        assert m.query_count - before == ts.n_test
+        l1 = hp.eta * hp.nu * np.abs(res.delta_star).sum()
+        assert value + l1 == res.objective_trace[-1]
 
     def test_nonfinite_output_names_sample(self):
         m = CallableModel(lambda x: np.inf if x[0] > 0.5 else 0.0, 1)
         ts = TestSet(np.array([[0.0], [1.0]]), np.array([0.0, 0.0]), ["a"])
         hp = GpaHyperParams(b0=1.0)
         with pytest.raises(NonFiniteModelOutput) as exc:
-            objective(np.zeros(1), ts, m, hp)
+            objective(np.zeros(1), ts, m, hp, np.full(2, hp.b0))
         assert exc.value.sample_index == 1
 
 
