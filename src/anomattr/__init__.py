@@ -61,6 +61,7 @@ from .models import (
     GradientEstimatorConfig,
     HttpModel,
     ModelHandle,
+    NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
     estimate_gradient,

@@ -41,30 +41,17 @@ _EXACT_SV_BUDGET = 50_000
 
 @dataclass
 class ReferenceSet:
-    """Samples standing in for the input distribution, optionally weighted."""
+    """Samples standing in for the input distribution, equally weighted."""
 
     samples: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
         if self.samples.size == 0:
             raise ValueError("reference set must be nonempty")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != (self.samples.shape[0],):
-                raise ValueError("one weight per reference sample required")
-            if np.any(self.weights < 0):
-                raise ValueError("weights must be nonnegative")
-            total = self.weights.sum()
-            if abs(total - 1.0) > 1e-8:
-                raise ValueError("weights must sum to 1")
-            self.weights = self.weights / total
 
     @property
     def effective_weights(self) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
         n = self.samples.shape[0]
         return np.full(n, 1.0 / n)
 

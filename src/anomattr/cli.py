@@ -17,9 +17,10 @@ resolved ``indices`` and ``hyperparams``, and for ``explain`` the
 Exit codes: 0 success, 2 usage/configuration error (including a dataset cell
 that is not a finite number) or a solver that cannot proceed (its objective
 overflows, or keeps rising), 3 model transport error (including a subprocess
-model that does not answer within its timeout) or non-finite model output, in
-the MAP solve or in ``dist``'s posterior slices.  Every model handle a
-command resolves is closed before ``main`` returns, whatever the exit code.
+model that does not answer within its timeout) or non-finite output of any
+query, in any command, named by its input; no document is written then.
+Every model handle a command resolves is closed before ``main`` returns,
+whatever the exit code.
 ``dist`` warns on stderr when more than 1% of a variable's posterior mass
 sits on the two edge points of its grid.
 """
@@ -38,12 +39,13 @@ import numpy as np
 
 from . import baselines, dataio, gpa, metrics, oracle
 from .dataio import TestSet
-from .gpa import DivergenceError, GpaHyperParams, NonFiniteModelOutput
+from .gpa import DivergenceError, GpaHyperParams
 from .models import (
     BuiltinModelSpec,
     GradientEstimatorConfig,
     HttpModel,
     ModelHandle,
+    NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
     make_builtin,
@@ -570,9 +572,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # numpy's overflow and invalid-value warnings would precede the one-line
-    # messages below; non-finite model output is reported by the residual,
-    # objective and posterior-slice checks (NonFiniteModelOutput) and the
-    # remote adapters, an overflowing objective by the solver.
+    # messages below; non-finite model output is refused by the model handle
+    # (NonFiniteModelOutput), an overflowing objective by the solver.
     with (contextlib.ExitStack() as args.cleanup,
           np.errstate(over="ignore", invalid="ignore")):
         try:

@@ -18,8 +18,9 @@ normalizing on a symmetric grid.
 
 One run queries the model in one plan: the gamma rates from one residual
 batch, then the solver, then one batch per variable for the slices, which
-reuse the run's rates.  Any non-finite output raises NonFiniteModelOutput;
-an objective that overflows on finite outputs raises DivergenceError.
+reuse the run's rates.  The model handle refuses non-finite output
+(:class:`~anomattr.models.NonFiniteModelOutput`), so an objective that is
+not finite has overflowed on finite outputs and raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .models import GradientEstimatorConfig, ModelHandle, estimate_gradient
 
 __all__ = [
     "DivergenceError",
-    "NonFiniteModelOutput",
     "GpaHyperParams",
     "AttributionResult",
     "ScoreDistribution",
@@ -62,15 +62,6 @@ _VARIANCE_FLOOR = 1e-6
 
 class DivergenceError(RuntimeError):
     """The proximal iteration failed to decrease the objective repeatedly."""
-
-
-class NonFiniteModelOutput(RuntimeError):
-    def __init__(self, sample_index: int, value: float):
-        super().__init__(
-            f"model returned non-finite output {value!r} for test sample "
-            f"{sample_index}"
-        )
-        self.sample_index = sample_index
 
 
 @dataclass(frozen=True)
@@ -179,25 +170,11 @@ def select_gamma_shape(n_virtual: int) -> float:
     return (n_virtual + 1) / 2.0
 
 
-def _check_finite(fvals: np.ndarray) -> np.ndarray:
-    """Raise :class:`NonFiniteModelOutput` naming the first sample whose model
-    output is not finite; row t of a 2-d ``fvals`` holds sample t's outputs."""
-    bad = np.argwhere(~np.isfinite(fvals))
-    if bad.size:
-        raise NonFiniteModelOutput(int(bad[0, 0]), float(fvals[tuple(bad[0])]))
-    return fvals
-
-
-def _residuals(testset: TestSet, model: ModelHandle) -> np.ndarray:
-    # checked before any arithmetic, which would warn on inf or nan
-    return testset.y - _check_finite(model.evaluate_batch(testset.x))
-
-
 def residual_variance(testset: TestSet, model: ModelHandle) -> float:
     """Mean squared residual ``mean((y - f(x))^2)``, floored at 1e-6 so a
     perfectly fit test set keeps a positive variance (the
     :func:`init_gamma_rate` of a0 = c_b = 1)."""
-    return init_gamma_rate(_residuals(testset, model), 1.0, 1.0)
+    return init_gamma_rate(testset.y - model.evaluate_batch(testset.x), 1.0, 1.0)
 
 
 def init_gamma_rate(resid, a0: float, c_b: float) -> float:
@@ -259,7 +236,7 @@ def _resolve_rates(testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> 
     from one residual batch (no query for an explicit ``b0``)."""
     if hp.b_mode == "constant" and hp.b0 is not None:
         return np.full(testset.n_test, float(hp.b0))
-    resid = _residuals(testset, model)
+    resid = testset.y - model.evaluate_batch(testset.x)
     b_init = init_gamma_rate(resid, hp.a0, hp.c_b)
     if hp.b_mode == "constant":
         return np.full(testset.n_test, b_init)
@@ -304,11 +281,8 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
         shifted = x + delta
         fvals = model.evaluate_batch(shifted)
         resid = y - fvals
-        value = 0.5 * eta * float(delta @ delta) + loss_value(resid)
-        if not math.isfinite(value):
-            _check_finite(fvals)
         last_key = delta.tobytes()
-        return value
+        return 0.5 * eta * float(delta @ delta) + loss_value(resid)
 
     def grad_fn(delta):
         if delta.tobytes() != last_key:
@@ -367,8 +341,8 @@ def proximal_minimize(
     which keeps the sign-selection behaviour of the l1 term intact.
     Convergence is ``max |z - y| < tol``, checked on every iteration; the
     result is x.  A non-finite F at the start or at y raises
-    :class:`DivergenceError` (model outputs are checked by ``value_fn``, so
-    the loss itself overflowed); a non-finite candidate only fails the
+    :class:`DivergenceError` (the model handle refuses non-finite outputs,
+    so the loss itself overflowed); a non-finite candidate only fails the
     comparison and is halved.
     """
     rng = np.random.default_rng(
@@ -491,10 +465,11 @@ def score_distributions(
 
     For each variable k the log posterior (including the l1-augmented prior)
     is evaluated along a symmetric grid while the other coordinates stay at
-    their MAP values: one model batch of ``n_test x grid_points`` rows, where
-    non-finite output raises :class:`NonFiniteModelOutput` naming the sample.
-    It is stabilized by subtracting its maximum, exponentiated and
-    normalized to sum to one.  The grid spans ``delta_max_factor * max_k
+    their MAP values: one model batch of ``n_test x grid_points`` rows, whose
+    non-finite output the model handle refuses with
+    :class:`~anomattr.models.NonFiniteModelOutput` naming the input.  It is
+    stabilized by subtracting its maximum, exponentiated and normalized to
+    sum to one.  The grid spans ``delta_max_factor * max_k
     |delta*_k|``; a fully normal sample (``delta* ~ 0``) falls back to one
     standardized unit so the slices stay informative.
     """
@@ -514,7 +489,7 @@ def score_distributions(
         log_q -= hp.eta * hp.nu * np.sum(np.abs(candidates), axis=1)
         rows = (testset.x[:, None, :] + candidates).reshape(-1, testset.dimension)
         fvals = model.evaluate_batch(rows).reshape(testset.n_test, hp.grid_points)
-        resid = testset.y[:, None] - _check_finite(fvals)
+        resid = testset.y[:, None] - fvals
         for loss in (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[:, None])):
             log_q -= loss
         probs = np.exp(log_q - np.max(log_q))

@@ -13,19 +13,26 @@ A model that does not batch gets one ``x`` request per point instead: an
 HTTP model says so at ``GET /capabilities``, a subprocess child by how it
 answers the first batch, which is why a child should answer a line it does
 not understand with a one-line JSON object such as ``{"error": "..."}``
-rather than crash.  A non-finite answer, a batch answer of the wrong length
-and a subprocess child silent for longer than ``timeout`` (10 s by default;
-it is killed) all raise :class:`TransportError`.
+rather than crash.  A batch answer of the wrong length and a subprocess
+child silent for longer than ``timeout`` (10 s by default; it is killed)
+raise :class:`TransportError`.
+
+:class:`ModelHandle` is the one place where model output is checked: a NaN
+or infinite answer of any model, to a single query or to one row of a batch,
+raises :class:`NonFiniteModelOutput` naming that input, so no caller sees it
+and no caller checks for it.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import select
 import shlex
 import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -36,6 +43,7 @@ import numpy as np
 
 __all__ = [
     "TransportError",
+    "NonFiniteModelOutput",
     "ModelHandle",
     "BuiltinModelSpec",
     "BuiltinModel",
@@ -56,7 +64,21 @@ _STDERR_TAIL = 4096  # bytes of a subprocess child's stderr kept for errors
 
 class TransportError(RuntimeError):
     """Raised when a remote adapter fails (timeout, malformed response, dead
-    process).  Adapters never return NaN silently."""
+    process)."""
+
+
+class NonFiniteModelOutput(RuntimeError):
+    """A model answered NaN or infinity: ``value`` at the model input ``x``,
+    which the message names so that the model's owner can replay it."""
+
+    def __init__(self, x, value: float):
+        self.x = np.array(x, dtype=float)
+        self.value = float(value)
+        shown = np.array2string(self.x, separator=", ", max_line_width=sys.maxsize,
+                                formatter={"float_kind": lambda v: repr(float(v))})
+        super().__init__(
+            f"model returned non-finite output {self.value!r} at input {shown}"
+        )
 
 
 def _as_vector(x, dimension: int) -> np.ndarray:
@@ -74,7 +96,10 @@ class ModelHandle:
     Subclasses implement ``_evaluate`` (and optionally ``_evaluate_batch``).
     ``query_count`` increases by one per evaluation, by the batch size for
     batch calls.  Queries must be deterministic for a fixed handle; remote
-    adapters enforce this with a response cache.
+    adapters enforce this with a response cache.  ``evaluate`` and
+    ``evaluate_batch`` are the one non-finite policy: once the queries are
+    counted, a NaN or infinite answer raises :class:`NonFiniteModelOutput`
+    at the first input that got one.
     """
 
     def __init__(self, dimension: int):
@@ -87,6 +112,8 @@ class ModelHandle:
         x = _as_vector(x, self.dimension)
         y = float(self._evaluate(x))
         self.query_count += 1
+        if not math.isfinite(y):
+            raise NonFiniteModelOutput(x, y)
         return y
 
     def evaluate_batch(self, xs) -> np.ndarray:
@@ -97,6 +124,10 @@ class ModelHandle:
             )
         ys = np.asarray(self._evaluate_batch(xs), dtype=float)
         self.query_count += xs.shape[0]
+        finite = np.isfinite(ys)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise NonFiniteModelOutput(xs[first], ys[first])
         return ys
 
     def close(self) -> None:
@@ -142,11 +173,7 @@ class BuiltinModel(ModelHandle):
         self._coef = np.asarray(spec.coefficients, dtype=float)
 
     def _evaluate(self, x):
-        if self.spec.kind == "sinusoidal2d":
-            return 2.0 * np.cos(np.pi * x[0]) * np.cos(np.pi * x[1])
-        if self.spec.kind == "linear":
-            return float(self._coef @ x)
-        return float(self._coef @ (x * x))
+        return self._evaluate_batch(x[None])[0]
 
     def _evaluate_batch(self, xs):
         if self.spec.kind == "sinusoidal2d":
@@ -191,8 +218,9 @@ def _decode(reply: bytes) -> dict:
 
 
 def _answers(doc, key: str, shape: tuple) -> np.ndarray:
-    """The finite numbers a reply holds under ``key``, checked against the
-    shape of the request: ``()`` for ``"y"``, ``(n,)`` for ``"ys"``."""
+    """The numbers a reply holds under ``key``, checked against the shape of
+    the request, ``()`` for ``"y"`` and ``(n,)`` for ``"ys"``, before they
+    enter the cache; :class:`ModelHandle` checks that they are finite."""
     try:
         ys = np.asarray(doc[key], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -201,8 +229,6 @@ def _answers(doc, key: str, shape: tuple) -> np.ndarray:
         raise TransportError(
             f"model response {key!r} has shape {ys.shape}, expected {shape}"
         )
-    if not np.isfinite(ys).all():
-        raise TransportError(f"non-finite model response: {str(doc[key])[:200]}")
     return ys
 
 

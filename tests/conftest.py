@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from anomattr import (
+    CallableModel,
     GpaHyperParams,
     GradientEstimatorConfig,
     ReferenceSet,
     TestSet,
+    cli,
     sinusoidal2d,
 )
 
@@ -49,3 +51,16 @@ def periodic_lattice(points_per_axis: int = 8, half_width: int = 1) -> Reference
 @pytest.fixture
 def sin_model():
     return sinusoidal2d()
+
+
+@pytest.fixture
+def nan_model(monkeypatch):
+    """Make the CLI resolve every ``--model`` to the builtin sinusoid, except
+    that it answers NaN wherever x1 > 0.6."""
+    sine = sinusoidal2d()
+
+    def sine_or_nan(x):
+        return np.nan if x[0] > 0.6 else sine.evaluate(x)
+
+    monkeypatch.setattr(cli, "resolve_model",
+                        lambda spec, dim: CallableModel(sine_or_nan, dim))

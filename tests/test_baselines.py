@@ -381,14 +381,6 @@ class TestLc:
 
 
 class TestReferenceSet:
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            ReferenceSet(np.zeros((2, 1)), np.array([0.5, 0.9]))
-        with pytest.raises(ValueError):
-            ReferenceSet(np.zeros((2, 1)), np.array([-0.5, 1.5]))
-        rs = ReferenceSet(np.zeros((2, 1)), np.array([0.25, 0.75]))
-        np.testing.assert_allclose(rs.effective_weights, [0.25, 0.75])
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ReferenceSet(np.empty((0, 2)))

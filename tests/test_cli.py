@@ -394,21 +394,16 @@ class TestDist:
             assert "variable 1" in err and "edge" in err
 
     def test_partly_nonfinite_slice_exit_3(self, sinus_data, tmp_path, capsys,
-                                           monkeypatch):
+                                           nan_model):
         # NaN only where x1 > 0.6: the MAP path from x1 = 0.5 toward 1/3 never
         # gets there, the slice grid of variable 0 (to 0.5 - 1/6 + 0.18) does
-        def sine_or_nan(x):
-            return np.nan if x[0] > 0.6 else 2 * np.cos(np.pi * x[0]) * np.cos(np.pi * x[1])
-
-        monkeypatch.setattr(anomattr.cli, "resolve_model",
-                            lambda spec, dim: anomattr.CallableModel(sine_or_nan, 2))
         code = main([
             "dist", "--data", str(sinus_data), "--model", "sinusoidal2d",
             "--point-index", "0", "--out", str(tmp_path / "out"), *ORACLE_FLAGS,
         ])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "non-finite" in err and "sample 0" in err
+        assert err.count("\n") == 1 and "non-finite" in err and "at input [0.60" in err
 
     def test_overflowing_residual_exit_2(self, tmp_path, capsys):
         # r = 1e200 is finite, but r^2 overflows: the objective is infinite
@@ -502,6 +497,40 @@ class TestCollectiveLc:
         assert len(doc["scores"]["lc"]) == 2
         assert doc["reports"]["lc"]["smr"] == 1.0
         assert doc["diagnostics"]["gpa"]["converged"] is True
+
+
+class TestNonFiniteModelOutput:
+    """NaN where x1 > 0.6, which every method but zscore reaches from the
+    rows at x1 = 0.5: one stderr line, exit 3 and no document."""
+
+    @pytest.mark.parametrize("method, flags", [
+        ("lime", []), ("lime0", []), ("baylime", []),
+        ("ig", ["--baseline", "0,0"]), ("eig", ["--ref", "{ref}"]),
+    ])
+    def test_explain_exit_3(self, sinus_data, lattice_ref, tmp_path, capsys,
+                            nan_model, method, flags):
+        flags = [f.format(ref=lattice_ref) for f in flags]
+        out = tmp_path / "out"
+        code = main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", method, *flags, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-finite" in err
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_detect_exit_3(self, tmp_path, capsys, nan_model, write):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1.0\n0.7,0.0,0.0\n")
+        out = tmp_path / "out"
+        code = main(["detect", "--data", str(data), "--model", "sinusoidal2d",
+                     "--noise-var", "1", *(["--out", str(out)] if write else [])])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "anomaly_score" not in captured.out
+        assert captured.err == (
+            "error: model returned non-finite output nan at input [0.7, 0.0]\n")
+        assert not out.exists()
 
 
 class TestNonFiniteInput:

@@ -11,7 +11,9 @@ from anomattr import (
     GpaHyperParams,
     GradientEstimatorConfig,
     ModelHandle,
+    NonFiniteModelOutput,
     TestSet,
+    lc,
     linear_model,
     map_estimate,
     objective,
@@ -22,7 +24,6 @@ from anomattr import (
 )
 from anomattr.gpa import (
     DivergenceError,
-    NonFiniteModelOutput,
     ScoreDistribution,
     _resolve_rates,
     init_gamma_rate,
@@ -232,7 +233,8 @@ class TestObjective:
         hp = GpaHyperParams(b0=1.0)
         with pytest.raises(NonFiniteModelOutput) as exc:
             objective(np.zeros(1), ts, m, hp, np.full(2, hp.b0))
-        assert exc.value.sample_index == 1
+        assert str(exc.value) == "model returned non-finite output inf at input [1.0]"
+        assert m.query_count == 2  # counted before it is refused
 
 
 class TestMapEstimate:
@@ -468,6 +470,26 @@ class TestNonFiniteObjective:
         assert np.all(np.isfinite(state.trace))
         assert state.delta[0] == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("solve", [
+        lambda m, ts: map_estimate(ts, m, GpaHyperParams(b0=1.0), GradientEstimatorConfig()),
+        lambda m, ts: lc(m, ts.x, ts.y, eta=0.1, nu=0.5),
+    ], ids=["gpa", "lc"])
+    def test_nonfinite_probe_output_stops_the_solve(self, solve):
+        # NaN only at gradient probes that step x2 past 0.5: the first
+        # gradient batch is refused, and no NaN input ever reaches the model
+        seen = []
+
+        def sine_or_nan(x):
+            seen.append(x.copy())
+            return np.nan if abs(x[1]) > 0.5 else 2 * np.cos(np.pi * x[0]) * np.cos(np.pi * x[1])
+
+        with pytest.raises(NonFiniteModelOutput) as exc:
+            solve(CallableModel(sine_or_nan, 2), single_point([0.5, 0.0], 1.0))
+        assert np.isfinite(seen).all()
+        probe = exc.value.x
+        assert abs(probe[1]) > 0.5 and probe[0] == pytest.approx(0.5, abs=1e-3)
+        assert any(np.array_equal(probe, x) for x in seen)
+
 
 class TestDivergenceGuard:
     def test_inconsistent_gradient_raises(self):
@@ -546,7 +568,8 @@ class TestScoreDistributions:
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput) as exc:
             score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0))
-        assert exc.value.sample_index == 1
+        # sample 1 at the grid's first point, -1.1 * 0.5
+        assert exc.value.x[0] == pytest.approx(-0.55) and exc.value.x[1] == 0.0
 
     def test_normalization_and_mode(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
@@ -596,11 +619,12 @@ class TestScoreDistributions:
         assert len(dists[0].grid) == 200
 
     def test_all_nonfinite_slice_names_variable(self):
-        # the one non-finite policy: the sample is named, as in map_estimate
+        # the one non-finite policy: the input is named, as in map_estimate;
+        # variable 0's slice comes first and starts at -1.1 * 0.1
         m = CallableModel(lambda x: np.nan, 2)
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
-        with pytest.raises(NonFiniteModelOutput, match="test sample 0"):
+        with pytest.raises(NonFiniteModelOutput, match=r"nan at input \[-0\.11\d*, 0\.0\]"):
             score_distributions(np.array([0.1, 0.0]), ts, m, hp, np.full(1, hp.b0))
 
     def test_distribution_validation(self):

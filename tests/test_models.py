@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ from anomattr.models import (
     CallableModel,
     GradientEstimatorConfig,
     HttpModel,
+    NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
     estimate_gradient,
@@ -41,12 +43,22 @@ class TestBuiltins:
         m = quadratic_model([1.0])
         assert m.evaluate([2.0]) == pytest.approx(4.0)
 
-    def test_batch_matches_scalar(self):
-        m = sinusoidal2d()
-        xs = np.array([[0.1, 0.2], [0.7, -0.3], [0.0, 0.0]])
+    @pytest.mark.parametrize("spec", [
+        BuiltinModelSpec("sinusoidal2d"),
+        BuiltinModelSpec("linear", (3.0, -1.0 / 3.0)),
+        BuiltinModelSpec("quadratic", (0.1, 7.0)),
+    ], ids=lambda spec: spec.kind)
+    def test_batch_matches_scalar(self, spec):
+        m = make_builtin(spec)
+        xs = np.array([[0.1, 0.2], [0.7, -0.3], [0.0, 0.0], [1 / 3, 2 / 7]])
         batch = m.evaluate_batch(xs)
         singles = [m.evaluate(x) for x in xs]
-        np.testing.assert_array_equal(batch, singles)
+        # one formula: a single query is the one-row batch, bit for bit
+        np.testing.assert_array_equal(singles, [m.evaluate_batch(x[None])[0] for x in xs])
+        if spec.kind == "sinusoidal2d":  # elementwise, so the batch size cannot matter
+            np.testing.assert_array_equal(batch, singles)
+        else:  # BLAS may sum a row in an order that depends on the batch size
+            np.testing.assert_allclose(batch, singles, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_query_count(self):
         m = sinusoidal2d()
@@ -301,19 +313,6 @@ class TestSubprocessAdapter:
         finally:
             m.close()
 
-    def test_nonfinite_batch_answer_raises(self, tmp_path):
-        script = tmp_path / "inf.py"
-        script.write_text(
-            "import sys\nfor line in sys.stdin:\n"
-            "    print('{\"ys\": [1.0, Infinity]}'); sys.stdout.flush()\n"
-        )
-        m = SubprocessModel([sys.executable, str(script)], dimension=2)
-        try:
-            with pytest.raises(TransportError, match="non-finite"):
-                m.evaluate_batch(POINTS[:2])
-        finally:
-            m.close()
-
     def test_hung_child_times_out_and_is_killed(self, tmp_path):
         pid_file = tmp_path / "pid"
         script = tmp_path / "hang.py"
@@ -408,16 +407,31 @@ class _ListCapabilities(_Handler):
     posts: list = []
 
 
-@pytest.fixture
-def http_server(request):
-    handler = getattr(request, "param", _Handler)
+class _NonFiniteBatch(_Handler):
+    posts: list = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self._send({"ys": [1.0, float("nan")]})  # json writes the token NaN
+
+
+@contextlib.contextmanager
+def _serving(handler):
     handler.posts.clear()
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def http_server(request):
+    with _serving(getattr(request, "param", _Handler)) as url:
+        yield url
 
 
 class TestHttpAdapter:
@@ -453,3 +467,25 @@ class TestHttpAdapter:
         m = HttpModel("http://127.0.0.1:1", dimension=1, timeout=0.3)
         with pytest.raises(TransportError):
             m.evaluate([0.0])
+
+
+@pytest.mark.parametrize("reply, bad", [
+    ('{"y": NaN}', 0),  # also the reply to the batch probe: a one-point child
+    ('{"ys": [1.0, Infinity]}', 1),
+    ("http", 1),
+], ids=["subprocess-y", "subprocess-ys", "http-ys"])
+def test_nonfinite_batch_answer_raises(tmp_path, reply, bad):
+    with contextlib.ExitStack() as stack:
+        if reply == "http":
+            m = HttpModel(stack.enter_context(_serving(_NonFiniteBatch)), dimension=2)
+        else:
+            script = tmp_path / "child.py"
+            script.write_text(
+                f"import sys\nfor line in sys.stdin:\n    print({reply!r}, flush=True)\n"
+            )
+            m = SubprocessModel([sys.executable, str(script)], dimension=2)
+            stack.callback(m.close)
+        with pytest.raises(NonFiniteModelOutput) as exc:
+            m.evaluate_batch(POINTS[:2])
+    np.testing.assert_array_equal(exc.value.x, POINTS[bad])
+    assert m.query_count == 2
