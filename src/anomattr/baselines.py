@@ -207,7 +207,8 @@ def integrated_gradient(
     grad_cfg: GradientEstimatorConfig,
 ) -> np.ndarray:
     """Trapezoidal path integral of the gradient from ``cfg.baseline`` to
-    x_t, scaled elementwise by the displacement."""
+    x_t, scaled elementwise by the displacement.  The path's points and
+    their displaced points go to the model as one batch."""
     if cfg.baseline is None:
         raise ValueError("integrated_gradient requires a baseline point")
     x_t = np.asarray(x_t, dtype=float)

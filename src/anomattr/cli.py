@@ -54,7 +54,7 @@ from .models import (
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa", "lc")
-_GPA_DIAGNOSTICS = ("iterations", "converged", "query_count")
+_GPA_DIAGNOSTICS = ("iterations", "converged", "query_count", "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
 _EDGE_MASS_WARNING = 1e-2
 
@@ -264,6 +264,7 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
         if extras:
             diagnostics[name] = extras
     diagnostics["model_queries"] = model.query_count
+    diagnostics["model_calls"] = model.call_count
     return scores, diagnostics
 
 

@@ -18,7 +18,9 @@ normalizing on a symmetric grid.
 
 One run queries the model in one plan: the gamma rates from one residual
 batch, then the solver, then one batch per variable for the slices, which
-reuse the run's rates.  The model handle refuses non-finite output
+reuse the run's rates.  The solver sends one batch at each new extrapolated
+point, which gives both the objective and its gradient there, and one per
+candidate step.  The model handle refuses non-finite output
 (:class:`~anomattr.models.NonFiniteModelOutput`), so an objective that is
 not finite has overflowed on finite outputs and raises DivergenceError.
 """
@@ -118,14 +120,16 @@ class GpaHyperParams:
 
 @dataclass
 class AttributionResult:
-    """``query_count`` includes the rate queries; pass ``rates`` on to
-    :func:`score_distributions` and :func:`objective`."""
+    """``query_count`` (points) and ``call_count`` (model calls) include the
+    rate queries; pass ``rates`` on to :func:`score_distributions` and
+    :func:`objective`."""
 
     delta_star: np.ndarray
     iterations: int
     converged: bool
     objective_trace: np.ndarray
     query_count: int
+    call_count: int
     rates: np.ndarray
 
 
@@ -267,27 +271,37 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
     ``loss`` is a (value, slope) pair such as :func:`student_t_loss`; the l1
     term is left to the proximal step.  The gradient ``eta delta - sum_t
     loss'(r_t) grad f(x_t + delta)`` takes the model gradients from one
-    batched estimator call and, at the delta of the last value evaluation
-    (where :func:`proximal_minimize` always asks), reuses its model values.
+    estimator call, which is one model batch.  The two functions share a
+    one-entry memo of the model values, residuals and J at the last delta
+    either of them evaluated: ``grad_fn`` at a new delta sends the rows
+    ``x_t + delta`` with their displaced points and remembers their values,
+    so ``value_fn`` there queries nothing; ``grad_fn`` at the delta of the
+    last ``value_fn`` sends the displaced points alone.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     loss_value, loss_slope = loss
     m = model.dimension
-    points = np.empty((len(x), m * grad_cfg.mc_samples, m))
-    last_key = shifted = fvals = resid = None
+    points = np.empty((len(x) * (1 + m * grad_cfg.mc_samples), m))
+    centre = np.empty(len(x))
+    key = fvals = resid = value = None
+
+    def remember(delta, model_values):
+        nonlocal key, fvals, resid, value
+        key, fvals, resid = delta.tobytes(), model_values, y - model_values
+        value = 0.5 * eta * float(delta @ delta) + loss_value(resid)
 
     def value_fn(delta):
-        nonlocal last_key, shifted, fvals, resid
-        shifted = x + delta
-        fvals = model.evaluate_batch(shifted)
-        resid = y - fvals
-        last_key = delta.tobytes()
-        return 0.5 * eta * float(delta @ delta) + loss_value(resid)
+        if delta.tobytes() != key:
+            remember(delta, model.evaluate_batch(x + delta))
+        return value
 
     def grad_fn(delta):
-        if delta.tobytes() != last_key:
-            value_fn(delta)
-        grads = estimate_gradient(model, shifted, grad_cfg, f0=fvals, points=points)
+        if delta.tobytes() == key:
+            grads = estimate_gradient(model, x + delta, grad_cfg, f0=fvals, points=points)
+        else:
+            grads = estimate_gradient(model, x + delta, grad_cfg, points=points,
+                                      values=centre)
+            remember(delta, centre)
         return eta * delta - loss_slope(resid) @ grads
 
     return grad_fn, value_fn
@@ -326,24 +340,27 @@ def proximal_minimize(
     """Monotone FISTA (Beck & Teboulle 2009) with backtracking and restart.
 
     Minimizes ``F = J + eta*nu*||delta||_1`` from the accepted iterate x and
-    an extrapolated point y (y = x at the start).  One iteration evaluates
-    ``F(y)`` (unless y is the candidate just accepted), asks ``grad_fn`` at
-    y, and forms the candidate ``z = sign(g) * max(0, |g| - s*eta*nu)`` with
-    ``g = y - s * grad J(y)`` -- the exact proximal map of the l1 term, so
-    fixed points are stationary points of F whatever the step.  The step s
-    starts at ``kappa`` and is halved, up to 20 times, while ``F(z) > F(y)``;
-    ten consecutive iterations that use up all halvings raise
-    :class:`DivergenceError`.  A candidate no worse than ``F(x)`` becomes
+    an extrapolated point y (y = x at the start).  One iteration asks
+    ``grad_fn`` at y, then evaluates ``F(y)`` unless y is the candidate just
+    accepted or x after a restart, and forms the candidate ``z = sign(g) *
+    max(0, |g| - s*eta*nu)`` with ``g = y - s * grad J(y)`` -- the exact
+    proximal map of the l1 term, so fixed points are stationary points of F
+    whatever the step.  The step s starts at ``kappa`` and is halved, up to
+    20 times, while ``F(z) > F(y)``; ten consecutive iterations that use up
+    all halvings raise :class:`DivergenceError`.  A candidate no worse than ``F(x)`` becomes
     the new x and y moves past it by the momentum ``(t - 1) / t_new``, with
     ``t_new = (1 + sqrt(1 + 4 t^2)) / 2``; otherwise x stays, y restarts at
     x and t at 1 (O'Donoghue & Candes 2015).  So ``F(x)``, the trace, never
     rises.  ``delta`` starts at small seeded uniform noise in [-1e-3, 1e-3],
     which keeps the sign-selection behaviour of the l1 term intact.
     Convergence is ``max |z - y| < tol``, checked on every iteration; the
-    result is x.  A non-finite F at the start or at y raises
-    :class:`DivergenceError` (the model handle refuses non-finite outputs,
-    so the loss itself overflowed); a non-finite candidate only fails the
-    comparison and is halved.
+    result is x.  The gradient comes first because with
+    :func:`counterfactual_objective` its model batch at a new y also holds
+    the model values that F(y) needs, so one batch serves both, the start
+    included; each candidate costs one more batch.  A non-finite F at the
+    start or at y raises :class:`DivergenceError` (the model handle refuses
+    non-finite outputs, so the loss itself overflowed); a non-finite
+    candidate only fails the comparison and is halved.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_INIT_STREAM,))
@@ -363,6 +380,7 @@ def proximal_minimize(
             )
         return value
 
+    grad = grad_fn(x)
     f_x = finite_penalized(x)
     y, f_y, t = x, f_x, 1.0
     trace = [f_x]
@@ -370,9 +388,10 @@ def proximal_minimize(
     bad_streak = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if f_y is None:
-            f_y = finite_penalized(y)
-        grad = grad_fn(y)
+        if iterations > 1:
+            grad = grad_fn(y)
+            if f_y is None:
+                f_y = finite_penalized(y)
         step = kappa
         for _ in range(_MAX_HALVINGS + 1):
             z = soft_threshold(y - step * grad, step * l1_weight)
@@ -401,9 +420,8 @@ def proximal_minimize(
             else:
                 y, f_y = x, f_x
         else:
-            # restart; F(x) is known, but evaluating it again gives the
-            # gradient at x the model values it reuses
-            y, f_y, t = x, None, 1.0
+            # restart at x, whose F is known
+            y, f_y, t = x, f_x, 1.0
         trace.append(f_x)
         if move < tol:
             converged = True
@@ -427,7 +445,7 @@ def map_estimate(
             f"testset dimension {testset.dimension} != model dimension "
             f"{model.dimension}"
         )
-    queries_before = model.query_count
+    queries_before, calls_before = model.query_count, model.call_count
     rates = _resolve_rates(testset, model, hp)
     grad_fn, value_fn = counterfactual_objective(
         model, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
@@ -449,6 +467,7 @@ def map_estimate(
         converged=state.converged,
         objective_trace=state.trace,
         query_count=model.query_count - queries_before,
+        call_count=model.call_count - calls_before,
         rates=rates,
     )
 

@@ -2,8 +2,8 @@
 the smoothed Monte Carlo gradient estimator.
 
 Every model is queried through :class:`ModelHandle`, which only exposes
-``evaluate`` / ``evaluate_batch`` on real vectors of a fixed dimension and a
-monotone query counter.  Nothing downstream ever sees model internals.
+``evaluate`` / ``evaluate_batch`` on real vectors of a fixed dimension and
+monotone query and call counters.  Nothing downstream ever sees model internals.
 
 The remote adapters, :class:`SubprocessModel` (one JSON line each way over a
 child's stdin/stdout) and :class:`HttpModel` (``POST /predict``), share one
@@ -95,11 +95,17 @@ class ModelHandle:
 
     Subclasses implement ``_evaluate`` (and optionally ``_evaluate_batch``).
     ``query_count`` increases by one per evaluation, by the batch size for
-    batch calls.  Queries must be deterministic for a fixed handle; remote
-    adapters enforce this with a response cache.  ``evaluate`` and
-    ``evaluate_batch`` are the one non-finite policy: once the queries are
-    counted, a NaN or infinite answer raises :class:`NonFiniteModelOutput`
-    at the first input that got one.
+    batch calls; ``call_count`` by one per ``evaluate`` or ``evaluate_batch``
+    call, cache hits of the remote adapters included.  A
+    model should answer an input the same way every time.  The remote
+    adapters answer a repeated input from their response cache.  The
+    builtin ``linear`` and ``quadratic`` models compute a batch as one
+    matrix product, and BLAS picks the summation order by batch size, so
+    one input can get answers that differ in the last bit from batch to
+    batch; the builtin sinusoid is elementwise and does not.  ``evaluate``
+    and ``evaluate_batch`` are the one non-finite policy: once the queries
+    are counted, a NaN or infinite answer raises
+    :class:`NonFiniteModelOutput` at the first input that got one.
     """
 
     def __init__(self, dimension: int):
@@ -107,11 +113,13 @@ class ModelHandle:
             raise ValueError("dimension must be a positive integer")
         self.dimension = int(dimension)
         self.query_count = 0
+        self.call_count = 0
 
     def evaluate(self, x) -> float:
         x = _as_vector(x, self.dimension)
         y = float(self._evaluate(x))
         self.query_count += 1
+        self.call_count += 1
         if not math.isfinite(y):
             raise NonFiniteModelOutput(x, y)
         return y
@@ -124,6 +132,7 @@ class ModelHandle:
             )
         ys = np.asarray(self._evaluate_batch(xs), dtype=float)
         self.query_count += xs.shape[0]
+        self.call_count += 1
         finite = np.isfinite(ys)
         if not finite.all():
             first = int(np.argmin(finite))
@@ -556,17 +565,26 @@ def _step_draws(seed: int, std: float, mc_samples: int, dimension: int):
 
 
 def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
-                      f0=None, points: np.ndarray | None = None):
+                      f0=None, points: np.ndarray | None = None,
+                      values: np.ndarray | None = None):
     """Estimate the model gradient at one point ``(m,)`` or at each row of a
     batch ``(k, m)``; the result has the shape of ``x``.
 
     For each coordinate i the estimate is the average of
     ``[f(x + h e_i) - f(x)] / h`` over ``mc_samples`` Gaussian step sizes h.
-    ``f(x)`` is evaluated once per point unless ``f0`` (one value per point)
-    is given.  All perturbed points go to the model in one batch, built in
-    ``points`` when the caller passes a ``(k, m * mc_samples, m)`` buffer to
-    reuse.  Deterministic given (model, x, cfg); a batch equals the per-point
-    results bit for bit.
+    Every call is one model batch: the ``k * m * mc_samples`` displaced
+    points, preceded by the k points themselves unless their values ``f0``
+    are given (first, so that a non-finite value there names that point).
+    Without ``f0``, the values at the points are written to ``values`` when
+    the caller passes a ``(k,)`` buffer.  The batch is built in ``points``
+    when the caller passes a C-contiguous ``(k * (1 + m * mc_samples), m)``
+    buffer to reuse: rows ``:k`` hold the points and row ``k + (p * m + i)
+    * mc_samples + j`` holds ``x_p + h[i, j] e_i``.
+
+    Deterministic given (model, x, cfg).  For a model that answers a row
+    whatever batch it comes in, such as the builtin sinusoid, a batch of
+    points gives the per-point results bit for bit; the BLAS-backed
+    ``linear`` and ``quadratic`` builtins can differ in the last bit.
     """
     x = np.asarray(x, dtype=float)
     m = model.dimension
@@ -575,10 +593,20 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     batch = x.reshape(-1, m)
+    k = len(batch)
     h, disp = _step_draws(cfg.seed, cfg.perturbation_std, cfg.mc_samples, m)
-    f0 = model.evaluate_batch(batch) if f0 is None else np.asarray(f0, dtype=float)
-    points = np.add(batch[:, None, :], disp, out=points)
-    fvals = model.evaluate_batch(points.reshape(-1, m)).reshape(len(batch), -1)
-    slopes = (fvals - f0.reshape(-1, 1)) / h.ravel()
-    grad = slopes.reshape(len(batch), m, cfg.mc_samples).sum(axis=2) / cfg.mc_samples
+    if points is None:
+        points = np.empty((k * (1 + len(disp)), m))
+    np.add(batch[:, None, :], disp, out=points[k:].reshape(k, len(disp), m))
+    if f0 is None:
+        points[:k] = batch
+        fvals = model.evaluate_batch(points)
+        f0, fvals = fvals[:k], fvals[k:]
+        if values is not None:
+            values[:] = f0
+    else:
+        f0 = np.asarray(f0, dtype=float)
+        fvals = model.evaluate_batch(points[k:])
+    slopes = (fvals.reshape(k, -1) - f0.reshape(-1, 1)) / h.ravel()
+    grad = slopes.reshape(k, m, cfg.mc_samples).sum(axis=2) / cfg.mc_samples
     return grad.reshape(x.shape)

@@ -7,6 +7,7 @@ from anomattr import (
     CallableModel,
     GpaHyperParams,
     GradientEstimatorConfig,
+    ModelHandle,
     ReferenceSet,
     TestSet,
     cli,
@@ -24,6 +25,26 @@ ORACLE_HP = GpaHyperParams(
 # Small perturbation scale: the builtin surfaces are smooth, so a tight
 # smoothing radius recovers the analytic gradient closely.
 FINE_GRAD = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=10, seed=0)
+
+
+class BatchRecorder(ModelHandle):
+    """Wraps a model and records the number of points of every call, single
+    and batch alike, and the rows of the last batch."""
+
+    def __init__(self, inner):
+        super().__init__(inner.dimension)
+        self.inner = inner
+        self.sizes = []
+        self.last = None
+
+    def _evaluate(self, x):
+        self.sizes.append(1)
+        return self.inner.evaluate(x)
+
+    def _evaluate_batch(self, xs):
+        self.sizes.append(len(xs))
+        self.last = xs.copy()
+        return self.inner.evaluate_batch(xs)
 
 
 def strict_json(text: str):

@@ -25,7 +25,7 @@ from anomattr import (
     sinusoidal2d,
     z_score,
 )
-from conftest import FINE_GRAD, periodic_lattice
+from conftest import FINE_GRAD, BatchRecorder, periodic_lattice
 
 TIGHT_LIME = LimeConfig(n_samples=1000, sampling_std=1e-3, l1_strength=0.0, seed=0)
 
@@ -167,6 +167,19 @@ class TestIntegratedGradient:
         batched = estimate_gradient(sin_model, pts, FINE_GRAD)
         loop = np.array([estimate_gradient(sin_model, p, FINE_GRAD) for p in pts])
         np.testing.assert_array_equal(batched, loop)
+
+    def test_one_model_call_per_path(self):
+        # the path's points and their displaced points, for ig and for each
+        # of eig's baselines
+        model = BatchRecorder(sinusoidal2d())
+        cfg = IgConfig((0.0, 0.0), n_intervals=8)
+        per_path = (8 + 1) * (1 + 2 * FINE_GRAD.mc_samples)
+        integrated_gradient(model, [0.5, 0.2], cfg, FINE_GRAD)
+        assert model.sizes == [per_path]
+        model.sizes.clear()
+        ref = ReferenceSet(np.array([[0.0, 0.0], [0.1, -0.3], [0.7, 0.2]]))
+        expected_integrated_gradient(model, [0.5, 0.2], ref, cfg, FINE_GRAD)
+        assert model.sizes == [per_path] * 3
 
 
 class TestExpectedIntegratedGradient:

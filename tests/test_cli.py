@@ -312,6 +312,12 @@ class TestSubprocessModel:
         batch, point = docs
         assert batch["methods"]["gpa"]["scores"] == point["methods"]["gpa"]["scores"]
         assert batch["diagnostics"]["model_queries"] == point["diagnostics"]["model_queries"]
+        # calls on the handle, one per batch and cache hits included; gpa's
+        # are a share of the run's
+        calls = batch["diagnostics"]["gpa"]["call_count"]
+        assert batch["diagnostics"]["model_calls"] == point["diagnostics"]["model_calls"]
+        assert 0 < calls <= batch["diagnostics"]["model_calls"]
+        assert calls <= 2 * batch["diagnostics"]["gpa"]["iterations"] + 1
 
     @pytest.mark.parametrize("methods, expected", [("gpa", 0), ("lime0,ig", 2)])
     def test_child_is_gone_when_main_returns(self, sinus_data, tmp_path, sine_child,

@@ -10,7 +10,6 @@ from anomattr import (
     CallableModel,
     GpaHyperParams,
     GradientEstimatorConfig,
-    ModelHandle,
     NonFiniteModelOutput,
     TestSet,
     lc,
@@ -26,31 +25,17 @@ from anomattr.gpa import (
     DivergenceError,
     ScoreDistribution,
     _resolve_rates,
+    counterfactual_objective,
+    gaussian_loss,
     init_gamma_rate,
     proximal_minimize,
     refine_gamma_rate,
     select_gamma_shape,
     soft_threshold,
+    student_t_loss,
 )
-from conftest import FINE_GRAD, ORACLE_HP, single_point
-
-
-class _BatchRecorder(ModelHandle):
-    """Wraps a model and records the number of points of every call, single
-    and batch alike."""
-
-    def __init__(self, inner):
-        super().__init__(inner.dimension)
-        self.inner = inner
-        self.sizes = []
-
-    def _evaluate(self, x):
-        self.sizes.append(1)
-        return self.inner.evaluate(x)
-
-    def _evaluate_batch(self, xs):
-        self.sizes.append(len(xs))
-        return self.inner.evaluate_batch(xs)
+from anomattr.models import estimate_gradient
+from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, single_point
 
 
 class TestSoftThreshold:
@@ -147,7 +132,7 @@ class TestGammaHyperparameters:
         ts = TestSet(xs, (xs * xs) @ coef + rng.normal(size=8), list("abcdef"))
         hp = GpaHyperParams.for_testset(8, b_mode="local_kernel", kernel_w0=0.1,
                                         kernel_eta0=2.0)
-        model = _BatchRecorder(quadratic_model(coef))
+        model = BatchRecorder(quadratic_model(coef))
         rates = _resolve_rates(ts, model, hp)
         assert model.sizes == [8]
 
@@ -261,8 +246,6 @@ class TestMapEstimate:
         hp = ORACLE_HP
         ts = single_point([0.5, 0.0], 1.0)
         res = map_estimate(ts, sin_model, hp, FINE_GRAD)
-        from anomattr.models import estimate_gradient
-
         x = ts.x[0] + res.delta_star
         fv = sin_model.evaluate(x)
         r = ts.y[0] - fv
@@ -294,7 +277,7 @@ class TestMapEstimate:
 
     def test_query_count_includes_rate_queries(self):
         # c_b rates (no b0) cost one residual query per sample, counted too
-        model = _BatchRecorder(linear_model([2.0, 1.0]))
+        model = BatchRecorder(linear_model([2.0, 1.0]))
         xs = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1]])
         ts = TestSet(xs, xs @ [2.0, 1.0] + 1.0, ["a", "b"])
         res = map_estimate(ts, model, GpaHyperParams.for_testset(3, max_iter=5), FINE_GRAD)
@@ -302,8 +285,8 @@ class TestMapEstimate:
         assert res.query_count == model.query_count == sum(model.sizes)
 
     def test_gradient_model_calls_independent_of_n_test(self, monkeypatch):
-        # the solver asks for the gradient where it last evaluated the
-        # objective, so all samples' slopes come from one model batch
+        # every gradient, at a new delta or at one whose values are known,
+        # takes all samples' slopes from one model batch
         import anomattr.gpa as gpa_mod
 
         real_solver = gpa_mod.proximal_minimize
@@ -323,7 +306,7 @@ class TestMapEstimate:
         xs = np.random.default_rng(0).uniform(-1, 1, (5, 3))
         seen = {}
         for n_test in (1, 5):
-            model = _BatchRecorder(CallableModel(lambda x: float(coef @ x), 3))
+            model = BatchRecorder(CallableModel(lambda x: float(coef @ x), 3))
             ts = TestSet(xs[:n_test], xs[:n_test] @ coef + 1.0, ["a", "b", "c"])
             calls_per_grad.clear()
             map_estimate(ts, model, GpaHyperParams.for_testset(n_test, max_iter=5),
@@ -333,9 +316,6 @@ class TestMapEstimate:
 
     def test_collective_gradient_matches_per_sample_loop(self, sin_model):
         # one batch for all samples sums in another order than the loop
-        from anomattr.gpa import counterfactual_objective, student_t_loss
-        from anomattr.models import estimate_gradient
-
         xs = np.array([[0.5, 0.0], [0.3, 0.2], [-0.4, 0.7]])
         ys = np.array([1.0, -0.5, 0.2])
         rates = np.array([10.0, 2.0, 0.5])
@@ -444,6 +424,122 @@ class TestAcceleratedSolver:
         np.testing.assert_allclose(state.delta, [0.995, -1.995], atol=1e-8)
 
 
+def _two_call_objective(model, x, y, eta, loss, grad_cfg):
+    """Reference objective that sends the values at ``x_t + delta`` and the
+    displaced points as two batches, the second with the first's values as
+    ``f0``; the value at the last delta is remembered."""
+    loss_value, loss_slope = loss
+    key = fvals = None
+
+    def value_fn(delta):
+        nonlocal key, fvals
+        if delta.tobytes() != key:
+            key, fvals = delta.tobytes(), model.evaluate_batch(x + delta)
+        return 0.5 * eta * float(delta @ delta) + loss_value(y - fvals)
+
+    def grad_fn(delta):
+        value_fn(delta)
+        grads = estimate_gradient(model, x + delta, grad_cfg, f0=fvals)
+        return eta * delta - loss_slope(y - fvals) @ grads
+
+    return grad_fn, value_fn
+
+
+def _solve_both_ways(make_model, ts, loss, eta, nu, kappa, grad_cfg,
+                     max_iter=10_000, tol=1e-8):
+    """(solver state, queries) with the fused objective, then with the
+    two-call reference, each on a fresh model."""
+    runs = []
+    for make_objective in (counterfactual_objective, _two_call_objective):
+        model = make_model()
+        grad_fn, value_fn = make_objective(model, ts.x, ts.y, eta, loss, grad_cfg)
+        state = proximal_minimize(grad_fn, value_fn, ts.dimension, eta, nu, kappa,
+                                  max_iter, tol, grad_cfg.seed)
+        runs.append((state, model.query_count))
+    return runs
+
+
+class TestSolverPlan:
+    """One model batch at each new extrapolated point gives both F(y) and
+    the gradient there; each candidate step is one more batch."""
+
+    def test_fresh_gradient_is_one_batch_with_the_centre_rows_first(self):
+        coef, ts = _collective_problem()
+        n, m, mc = ts.n_test, ts.dimension, FINE_GRAD.mc_samples
+        model = BatchRecorder(quadratic_model(coef))
+        loss = student_t_loss(1.0, np.full(n, 2.0))
+        grad_fn, value_fn = counterfactual_objective(model, ts.x, ts.y, 0.3, loss,
+                                                     FINE_GRAD)
+        delta = np.linspace(-0.2, 0.2, m)
+        grad_fn(delta)
+        assert model.sizes == [n * (1 + m * mc)]
+        np.testing.assert_array_equal(model.last[:n], ts.x + delta)
+        value = value_fn(delta)  # answered by the gradient's batch
+        assert model.sizes == [n * (1 + m * mc)]
+        _, reference = _two_call_objective(quadratic_model(coef), ts.x, ts.y, 0.3,
+                                           loss, FINE_GRAD)
+        assert value == pytest.approx(reference(delta), rel=1e-12)
+        # the reverse: the gradient where the value was just taken sends
+        # the displaced points alone
+        value_fn(delta / 2)
+        grad_fn(delta / 2)
+        assert model.sizes[1:] == [n, n * m * mc]
+
+    @pytest.mark.parametrize("problem", ["oracle-row", "collective"])
+    def test_solve_is_two_batches_per_iteration_plus_halvings(self, monkeypatch,
+                                                              problem):
+        import anomattr.gpa as gpa_mod
+
+        if problem == "oracle-row":
+            model, hp = BatchRecorder(sinusoidal2d()), ORACLE_HP
+            ts = single_point([0.5, 0.0], 1.0)
+        else:
+            coef, ts = _collective_problem()
+            model = BatchRecorder(quadratic_model(coef))
+            hp = GpaHyperParams.for_testset(ts.n_test, b0=1.0, max_iter=300)
+        # the solver forms one candidate per soft-threshold
+        candidates = []
+        real = gpa_mod.soft_threshold
+        monkeypatch.setattr(gpa_mod, "soft_threshold",
+                            lambda g, t: candidates.append(t) or real(g, t))
+        res = map_estimate(ts, model, hp, FINE_GRAD)
+        halvings = len(candidates) - res.iterations
+        assert res.converged and halvings >= 0
+        assert res.call_count == len(model.sizes)
+        assert len(model.sizes) <= 2 * res.iterations + 1 + halvings
+
+    @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
+    @pytest.mark.parametrize("method", ["gpa", "lc"])
+    def test_oracle_rows_bit_identical_to_two_call_plan(self, y_t, method):
+        hp = ORACLE_HP
+        if method == "gpa":
+            loss, kappa = student_t_loss(hp.a0, np.full(1, hp.b0)), hp.kappa
+        else:
+            loss, kappa = gaussian_loss(1.0), 0.01
+        (fused, fused_queries), (reference, reference_queries) = _solve_both_ways(
+            sinusoidal2d, single_point([0.5, 0.0], y_t), loss, hp.eta, hp.nu, kappa,
+            FINE_GRAD)
+        assert fused.converged
+        assert fused.iterations == reference.iterations
+        assert fused_queries == reference_queries
+        np.testing.assert_array_equal(fused.delta, reference.delta)
+        np.testing.assert_array_equal(fused.trace, reference.trace)
+
+    def test_collective_quadratic_matches_two_call_plan(self):
+        # a BLAS matrix product may round a row differently in a batch of
+        # another size, hence the tolerance
+        coef, ts = _benchmark_sized_problem()
+        hp = GpaHyperParams.for_testset(ts.n_test)
+        rates = _resolve_rates(ts, quadratic_model(coef), hp)
+        (fused, fused_queries), (reference, reference_queries) = _solve_both_ways(
+            lambda: quadratic_model(coef), ts, student_t_loss(hp.a0, rates), hp.eta,
+            hp.nu, hp.kappa, GradientEstimatorConfig(), hp.max_iter, hp.tol)
+        assert fused.converged
+        assert fused.iterations == reference.iterations
+        assert fused_queries == reference_queries
+        np.testing.assert_allclose(fused.delta, reference.delta, rtol=1e-12, atol=0)
+
+
 class TestNonFiniteObjective:
     def test_overflowing_residual_raises(self):
         # y = 1e200 is finite, but its square is not
@@ -539,11 +635,12 @@ class TestScoreDistributions:
         coef, ts = _collective_problem()
         n, m = ts.n_test, ts.dimension
         hp = GpaHyperParams.for_testset(n, max_iter=50)
-        model = _BatchRecorder(quadratic_model(coef))
+        model = BatchRecorder(quadratic_model(coef))
         res = map_estimate(ts, model, hp, FINE_GRAD)
         assert model.sizes[0] == n
         solver = model.sizes[1:]
-        assert all(size in (n, n * m * FINE_GRAD.mc_samples) for size in solver)
+        displaced = n * m * FINE_GRAD.mc_samples
+        assert all(size in (n, displaced, n + displaced) for size in solver)
         model.sizes.clear()
         score_distributions(res.delta_star, ts, model, hp, res.rates)
         assert model.sizes == [n * hp.grid_points] * m

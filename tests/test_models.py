@@ -26,7 +26,8 @@ from anomattr.models import (
     quadratic_model,
     sinusoidal2d,
 )
-from conftest import FINE_GRAD
+from anomattr.gpa import map_estimate
+from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, single_point
 
 
 class TestBuiltins:
@@ -129,6 +130,29 @@ class TestGradientEstimator:
         estimate_gradient(m, [0.0, 0.0], FINE_GRAD, f0=f0)
         assert m.query_count - before == 2 * FINE_GRAD.mc_samples
 
+    def test_one_batch_centre_rows_first(self):
+        # without f0 the points ride first in the displacement batch; with
+        # f0 only the displaced points go
+        x = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.0]])
+        k, rows = len(x), len(x) * 2 * FINE_GRAD.mc_samples
+        m = BatchRecorder(sinusoidal2d())
+        values = np.empty(k)
+        grad = estimate_gradient(m, x, FINE_GRAD, values=values)
+        assert m.sizes == [k + rows]
+        np.testing.assert_array_equal(m.last[:k], x)
+        np.testing.assert_array_equal(values, sinusoidal2d().evaluate_batch(x))
+        again = estimate_gradient(m, x, FINE_GRAD, f0=values, points=np.empty((k + rows, 2)))
+        assert m.sizes == [k + rows, rows]
+        np.testing.assert_array_equal(again, grad)
+
+    def test_nonfinite_value_at_the_point_names_it(self):
+        x = np.array([0.25, -0.5])
+        m = CallableModel(lambda p: np.nan if np.array_equal(p, x) else 0.0, 2)
+        with pytest.raises(NonFiniteModelOutput) as exc:
+            estimate_gradient(m, x, FINE_GRAD)
+        np.testing.assert_array_equal(exc.value.x, x)
+        assert m.query_count == 1 + 2 * FINE_GRAD.mc_samples and m.call_count == 1
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GradientEstimatorConfig(perturbation_std=0.0)
@@ -202,6 +226,21 @@ def _child(directory, source, *args):
 
 
 POINTS = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.0], [-3.0, 1.5]])
+
+
+# The sinusoidal surface of the builtin model, answering both lines.
+SINE_BATCH_MODEL = textwrap.dedent(
+    """
+    import json, math, sys
+    def f(x):
+        return 2.0 * math.cos(math.pi * x[0]) * math.cos(math.pi * x[1])
+    for line in sys.stdin:
+        doc = json.loads(line)
+        reply = {"ys": [f(x) for x in doc["xs"]]} if "xs" in doc else {"y": f(doc["x"])}
+        print(json.dumps(reply))
+        sys.stdout.flush()
+    """
+)
 
 
 class TestSubprocessAdapter:
@@ -303,6 +342,17 @@ class TestSubprocessAdapter:
         finally:
             m.close()
         assert m._stderr_tail == b"x" * 4096
+
+    def test_map_estimate_makes_two_requests_per_iteration(self, tmp_path):
+        # one request at each new extrapolated point, for the objective and
+        # its gradient, and one per candidate step
+        m, requests = _child(tmp_path, SINE_BATCH_MODEL)
+        try:
+            res = map_estimate(single_point([0.5, 0.0], 1.0), m, ORACLE_HP, FINE_GRAD)
+        finally:
+            m.close()
+        assert res.converged
+        assert len(requests()) <= min(res.call_count, 2 * res.iterations + 1)
 
     def test_short_batch_after_batching_raises(self, tmp_path):
         m, _ = _child(tmp_path, BATCH_MODEL, "--short")
