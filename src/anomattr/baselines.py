@@ -344,32 +344,30 @@ def lc(
     eta: float,
     nu: float,
     lam: float = 1.0,
-    kappa: float = 0.01,
     grad_cfg: GradientEstimatorConfig = GradientEstimatorConfig(),
     max_iter: int = 10_000,
     tol: float = 1e-6,
 ) -> np.ndarray:
     """Counterfactual shift under a plain Gaussian loss.
 
-    Minimizes ``(eta/2)||delta||^2 + sum_t (lam/2)[y_t - f(x_t + delta)]^2``
-    plus the l1 term handled by the proximal step.  ``x_t`` is one row, or
-    an (n, m) array of rows with one target each in ``y_t`` that share one
-    shift (the collective form).  This is the objective of
-    :func:`anomattr.gpa.map_estimate` with the Gaussian loss in place of the
-    heavy-tailed marginalization, which makes this the point-estimate-only
-    sibling.  It is minimized by the same solver,
-    :func:`anomattr.gpa.proximal_minimize`, with ``kappa`` as its starting
-    step; an objective that overflows raises
-    :class:`anomattr.gpa.DivergenceError`.
+    Minimizes ``(eta/2)||delta||^2 + sum_t (lam/2)[y_t - f(x_t + delta)]^2
+    + eta nu ||delta||_1``.  ``x_t`` is one row, or an (n, m) array of rows
+    with one target each in ``y_t`` that share one shift (the collective
+    form).  This is the objective of :func:`anomattr.gpa.map_estimate` with
+    the Gaussian loss in place of the heavy-tailed marginalization, which
+    makes this the point-estimate-only sibling.  It is minimized by the same
+    solver, :func:`anomattr.gpa.proximal_minimize`, whose curvature is then
+    ``eta I + lam G^T G`` (plain Gauss-Newton); an objective that overflows
+    raises :class:`anomattr.gpa.DivergenceError`.
     """
-    if eta <= 0 or nu <= 0 or lam <= 0 or kappa <= 0:
-        raise ValueError("eta, nu, lam and kappa must be positive")
+    if eta <= 0 or nu <= 0 or lam <= 0:
+        raise ValueError("eta, nu and lam must be positive")
     grad_fn, value_fn = counterfactual_objective(
         model, np.atleast_2d(x_t), np.atleast_1d(y_t), eta, gaussian_loss(lam), grad_cfg
     )
 
     state = proximal_minimize(
-        grad_fn, value_fn, model.dimension, eta, nu, kappa, max_iter, tol,
+        grad_fn, value_fn, model.dimension, eta, nu, max_iter, tol,
         grad_cfg.seed,
     )
     return state.delta

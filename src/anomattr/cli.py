@@ -22,7 +22,14 @@ query, in any command, named by its input; no document is written then.
 Every model handle a command resolves is closed before ``main`` returns,
 whatever the exit code.
 ``dist`` warns on stderr when more than 1% of a variable's posterior mass
-sits on the two edge points of its grid.
+sits on the two edge points of its grid.  The gpa diagnostics report the
+solver's ``iterations``, its rejected candidate steps (``halvings``),
+``converged`` and the model's ``query_count`` and ``call_count``.
+
+``--kappa`` and ``--lc-kappa`` set the starting step of an earlier
+step-size solver.  The Gauss-Newton solver has no step size, so both are
+accepted and ignored, and hidden from ``--help``, so that old command lines
+still run; ``config`` echoes them like any flag.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from .models import (
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa", "lc")
-_GPA_DIAGNOSTICS = ("iterations", "converged", "query_count", "call_count")
+_GPA_DIAGNOSTICS = ("iterations", "halvings", "converged", "query_count", "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
 _EDGE_MASS_WARNING = 1e-2
 
@@ -219,8 +226,7 @@ def _run_method(
     if name == "lc":
         scores = baselines.lc(
             model, selection.x, selection.y, eta=hp.eta, nu=hp.nu, lam=args.lc_lambda,
-            kappa=args.lc_kappa, grad_cfg=grad_cfg,
-            max_iter=hp.max_iter, tol=hp.tol,
+            grad_cfg=grad_cfg, max_iter=hp.max_iter, tol=hp.tol,
         )
         return scores, None
     lime_cfg = baselines.LimeConfig(
@@ -492,7 +498,8 @@ def _add_selection(p):
 def _add_gpa_flags(p):
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
+    # ignored: see the module docstring
+    p.add_argument("--kappa", type=float, default=None, help=argparse.SUPPRESS)
     p.add_argument("--a0", type=float, default=None)
     p.add_argument("--cb", dest="c_b", type=float, default=None)
     p.add_argument("--b0", type=float, default=None)
@@ -514,7 +521,8 @@ def _add_method_flags(p):
     p.add_argument("--prior-eta", type=float, default=0.1)
     p.add_argument("--noise-lambda", type=float, default=1.0)
     p.add_argument("--lc-lambda", type=float, default=1.0)
-    p.add_argument("--lc-kappa", type=float, default=0.01)
+    # ignored: see the module docstring
+    p.add_argument("--lc-kappa", type=float, default=None, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:

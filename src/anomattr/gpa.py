@@ -6,23 +6,53 @@ treated as the parameter of a generative model whose observation noise is
 gamma-marginalized (a Student-t likelihood), with an l2 prior and an l1 term
 for sparsity.  The point score is the MAP solution of
 
-    J(delta) + eta * nu * ||delta||_1,
+    F(delta) = J(delta) + eta * nu * ||delta||_1,
     J(delta) = (eta/2) ||delta||_2^2
                + sum_t ((2 a0 + 1) / 2) ln(1 + r_t^2 / (2 b_t)),
 
-with residual r_t = y_t - f(x_t + delta), found by accelerated proximal
-gradient descent with soft-thresholding (monotone FISTA with backtracking
-and momentum restart).  Per-variable uncertainty comes from slicing the
-unnormalized posterior along one coordinate through the MAP point and
-normalizing on a symmetric grid.
+with residual r_t = y_t - f(x_t + delta), found by proximal Gauss-Newton:
+
+* The loss's slope in r_t is ``w_t r_t`` with the weight ``w_t = (2 a0 +
+  1) / (2 b_t + r_t^2)`` (``lam`` for the Gaussian loss of
+  :func:`~anomattr.baselines.lc`).  With ``G`` the n x m matrix of model
+  gradients at the rows, ``grad J = eta delta - G^T (w * r)``, and
+  linearizing r around delta gives the curvature ``H = eta I + G^T diag(w)
+  G``.  It is positive definite, and it costs no model query beyond the
+  batch that gave ``G``.
+* The step solves the l1-penalized quadratic model of F around the
+  iterate x, ``min_z grad J . (z - x) + (1/2)(z - x)^T H (z - x) + eta nu
+  ||z||_1``, by coordinate descent (each coordinate's exact minimizer is a
+  soft-threshold), with no model query.
+* A line search on F along ``x + s (z - x)``, s = 1, 1/2, 1/4, ...,
+  accepts the first candidate that does not raise F.  A reach limits the
+  steps: the first moves no coordinate by more than 0.5 input units, each
+  later one at most twice as far as the last accepted step, and the line
+  search starts below s = 1 where the full step would go further.
+* The solve stops when ``max |z - x| < tol``: x then satisfies the
+  optimality conditions of F to about ``H`` times tol.
+
+Near the solution the steps converge linearly, at a rate set by the
+curvature that ``H`` leaves out (the residuals times the model's second
+derivatives).  On a model that makes F nonconvex, a full Newton step from
+a start where the slope is small against the residual can cross the
+nearest root: on the sinusoid at x = (0.05, 0), y = -1.14 it jumps to
+delta = 3.1, and the solve ends at a stationary point with 8 times the F
+of the nearest root (0.64, 0).  The reach keeps such steps in the start's
+basin; converging steps shrink, so it does not bind near the solution.
+Even so, on a nonconvex F the solver can end at another stationary point
+than a short-step descent would, with lower or higher F.
+
+Per-variable uncertainty comes from slicing the unnormalized posterior along
+one coordinate through the MAP point and normalizing on a symmetric grid.
 
 One run queries the model in one plan: the gamma rates from one residual
 batch, then the solver, then one batch per variable for the slices, which
-reuse the run's rates.  The solver sends one batch at each new extrapolated
-point, which gives both the objective and its gradient there, and one per
-candidate step.  The model handle refuses non-finite output
-(:class:`~anomattr.models.NonFiniteModelOutput`), so an objective that is
-not finite has overflowed on finite outputs and raises DivergenceError.
+reuse the run's rates.  The solver sends one batch at its start, which gives
+both the objective and its gradient there, one per candidate step and one
+at each accepted point for its gradient.  The model handle refuses
+non-finite output (:class:`~anomattr.models.NonFiniteModelOutput`), so an
+objective that is not finite has overflowed on finite outputs and raises
+DivergenceError.
 """
 
 from __future__ import annotations
@@ -55,7 +85,10 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 20
-_DIVERGENCE_STREAK = 10
+# largest coordinate move of the first step; each later step may move up to
+# twice as far as the last accepted one
+_FIRST_REACH = 0.5
+_MAX_SWEEPS = 10_000
 _INIT_SCALE = 1e-3
 _INIT_STREAM = 0x1A17
 _RATE_FLOOR = 1e-6
@@ -63,7 +96,8 @@ _VARIANCE_FLOOR = 1e-6
 
 
 class DivergenceError(RuntimeError):
-    """The proximal iteration failed to decrease the objective repeatedly."""
+    """The solver cannot proceed: the objective overflows, or it rises along
+    a search direction however short the step."""
 
 
 @dataclass(frozen=True)
@@ -71,19 +105,20 @@ class GpaHyperParams:
     """Solver and prior settings.
 
     ``eta`` is the l2 prior strength, ``nu`` the relative l1 strength (the
-    soft-threshold width is ``eta * nu``), ``kappa`` the solver's starting
-    step (halved where it is too long, see :func:`proximal_minimize`) and
-    ``a0`` the gamma shape (``2 a0`` acts as the t-distribution's degrees of
-    freedom).  The gamma rate ``b`` is either the explicit ``b0``, estimated
-    from the test residual variance divided by the virtual-sample count
-    ``c_b`` (``b_mode="constant"``), or refined per sample with a local
-    kernel of parameters ``kernel_w0`` / ``kernel_eta0``
-    (``b_mode="local_kernel"``).
+    l1 weight is ``eta * nu``) and ``a0`` the gamma shape (``2 a0`` acts as
+    the t-distribution's degrees of freedom).  The gamma rate ``b`` is
+    either the explicit ``b0``, estimated from the test residual variance
+    divided by the virtual-sample count ``c_b`` (``b_mode="constant"``), or
+    refined per sample with a local kernel of parameters ``kernel_w0`` /
+    ``kernel_eta0`` (``b_mode="local_kernel"``).  The solver, proximal
+    Gauss-Newton (:func:`proximal_minimize`), takes Newton steps, halved
+    only where they raise the objective, so it needs no step size; it stops
+    after ``max_iter`` iterations or once a step moves no coordinate by
+    ``tol``.
     """
 
     eta: float = 0.1
     nu: float = 0.5
-    kappa: float = 0.1
     a0: float = 5.5
     b_mode: str = "constant"
     b0: float | None = None
@@ -98,8 +133,8 @@ class GpaHyperParams:
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
             raise ValueError("nu must be in (0, 1]")
-        if self.eta <= 0 or self.kappa <= 0 or self.a0 <= 0 or self.c_b <= 0:
-            raise ValueError("eta, kappa, a0 and c_b must be positive")
+        if self.eta <= 0 or self.a0 <= 0 or self.c_b <= 0:
+            raise ValueError("eta, a0 and c_b must be positive")
         if self.b_mode not in ("constant", "local_kernel"):
             raise ValueError(f"unknown b_mode {self.b_mode!r}")
         if self.b0 is not None and self.b0 <= 0:
@@ -111,9 +146,9 @@ class GpaHyperParams:
 
     @classmethod
     def for_testset(cls, n_test: int, **overrides) -> "GpaHyperParams":
-        """Defaults scaled by the collective size: kappa = 0.1 / n_test and
-        eta = 0.1 * n_test, with nu = 0.5, 2 a0 = 11, c_b = 10."""
-        base = dict(kappa=0.1 / n_test, eta=0.1 * n_test, nu=0.5, a0=5.5, c_b=10.0)
+        """Defaults scaled by the collective size: eta = 0.1 * n_test, with
+        nu = 0.5, 2 a0 = 11, c_b = 10."""
+        base = dict(eta=0.1 * n_test, nu=0.5, a0=5.5, c_b=10.0)
         base.update(overrides)
         return cls(**base)
 
@@ -121,13 +156,15 @@ class GpaHyperParams:
 @dataclass
 class AttributionResult:
     """``query_count`` (points) and ``call_count`` (model calls) include the
-    rate queries; pass ``rates`` on to :func:`score_distributions` and
+    rate queries; ``halvings`` counts the candidate steps the solver's line
+    search rejected.  Pass ``rates`` on to :func:`score_distributions` and
     :func:`objective`."""
 
     delta_star: np.ndarray
     iterations: int
     converged: bool
     objective_trace: np.ndarray
+    halvings: int
     query_count: int
     call_count: int
     rates: np.ndarray
@@ -251,16 +288,18 @@ def _resolve_rates(testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> 
 
 def student_t_loss(a0: float, rates):
     """Gamma-marginalized loss ``((2 a0 + 1) / 2) ln(1 + r_t^2 / (2 b_t))``
-    as a (value, slope) pair: the sum over the samples' residuals r, and the
-    derivative in each r_t."""
+    as a (value, weight) pair: the sum over the samples' residuals r, and
+    the weight ``w_t = (2 a0 + 1) / (2 b_t + r_t^2)`` whose product with r_t
+    is the loss's slope in r_t."""
     shape = 2 * a0 + 1
     return (lambda r: float(np.sum(shape / 2.0 * np.log1p(r**2 / (2 * rates)))),
-            lambda r: shape * r / (2 * rates + r * r))
+            lambda r: shape / (2 * rates + r * r))
 
 
 def gaussian_loss(lam: float):
-    """Gaussian loss ``(lam / 2) r_t^2`` as a (value, slope) pair."""
-    return (lambda r: 0.5 * lam * float(r @ r)), (lambda r: lam * r)
+    """Gaussian loss ``(lam / 2) r_t^2`` as a (value, weight) pair; the
+    weight is ``lam`` for every sample."""
+    return (lambda r: 0.5 * lam * float(r @ r)), (lambda r: np.full(len(r), lam))
 
 
 def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
@@ -268,18 +307,21 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
     """``(grad_fn, value_fn)`` of ``J(delta) = (eta/2) ||delta||^2 +
     sum_t loss(y_t - f(x_t + delta))`` over the rows of ``x``.
 
-    ``loss`` is a (value, slope) pair such as :func:`student_t_loss`; the l1
-    term is left to the proximal step.  The gradient ``eta delta - sum_t
-    loss'(r_t) grad f(x_t + delta)`` takes the model gradients from one
-    estimator call, which is one model batch.  The two functions share a
-    one-entry memo of the model values, residuals and J at the last delta
-    either of them evaluated: ``grad_fn`` at a new delta sends the rows
-    ``x_t + delta`` with their displaced points and remembers their values,
-    so ``value_fn`` there queries nothing; ``grad_fn`` at the delta of the
-    last ``value_fn`` sends the displaced points alone.
+    ``loss`` is a (value, weight) pair such as :func:`student_t_loss`; the
+    l1 term is left to the solver.  ``grad_fn`` returns the gradient ``g =
+    eta delta - G^T (w * r)`` and the Gauss-Newton curvature ``H = eta I +
+    G^T diag(w) G``, where row t of ``G`` is the estimated model gradient at
+    ``x_t + delta``, ``r`` the residuals and ``w`` the loss weights there;
+    ``G`` comes from one estimator call, which is one model batch, and ``H``
+    costs no further query.  The two functions share a one-entry memo of the
+    model values, residuals and J at the last delta either of them
+    evaluated: ``grad_fn`` at a new delta sends the rows ``x_t + delta``
+    with their displaced points and remembers their values, so
+    ``value_fn`` there queries nothing; ``grad_fn`` at the delta of the last
+    ``value_fn`` sends the displaced points alone.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    loss_value, loss_slope = loss
+    loss_value, loss_weight = loss
     m = model.dimension
     points = np.empty((len(x) * (1 + m * grad_cfg.mc_samples), m))
     centre = np.empty(len(x))
@@ -302,7 +344,10 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
             grads = estimate_gradient(model, x + delta, grad_cfg, points=points,
                                       values=centre)
             remember(delta, centre)
-        return eta * delta - loss_slope(resid) @ grads
+        weight = loss_weight(resid)
+        hess = grads.T @ (weight[:, None] * grads)
+        hess[np.diag_indices(m)] += eta
+        return eta * delta - (weight * resid) @ grads, hess
 
     return grad_fn, value_fn
 
@@ -324,6 +369,43 @@ class _SolveState:
     iterations: int
     converged: bool
     trace: np.ndarray
+    halvings: int
+
+
+def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start, tol: float) -> np.ndarray:
+    """The point ``v`` that minimizes the model ``q(v) = grad . (v - x) +
+    (1/2) (v - x)^T hess (v - x) + l1_weight ||v||_1``, by cyclic coordinate
+    descent: each coordinate in turn moves to its exact minimizer, a
+    soft-threshold, and the sweeps stop when none moves by ``tol`` or more,
+    or after ``_MAX_SWEEPS``.  ``hess`` must be symmetric positive definite.
+    The sweeps start at ``start`` or at x, whichever q rates lower, and
+    never raise q, so ``q(v) <= q(x)`` however loose ``tol`` is; then ``v -
+    x`` is a descent direction of ``F = J + l1_weight ||.||_1`` at x
+    wherever ``grad`` and ``hess`` are J's.  No model query.
+    """
+    step = start - x
+    if (grad @ step + 0.5 * step @ hess @ step + l1_weight * np.abs(start).sum()
+            > l1_weight * np.abs(x).sum()):
+        start = x
+    v = np.array(start, dtype=float)
+    slope = grad + hess @ (v - x)  # gradient of the smooth part at v
+    inv_diag = (1.0 / hess.diagonal()).tolist()
+    rows = list(hess)
+    for _ in range(_MAX_SWEEPS):
+        worst = 0.0
+        for j, row in enumerate(rows):
+            old = v.item(j)
+            width = l1_weight * inv_diag[j]
+            target = old - slope.item(j) * inv_diag[j]
+            new = target - width if target > width else (
+                target + width if target < -width else 0.0)
+            if new != old:
+                slope += (new - old) * row
+                v[j] = new
+                worst = max(worst, abs(new - old))
+        if worst < tol:
+            break
+    return v
 
 
 def proximal_minimize(
@@ -332,33 +414,39 @@ def proximal_minimize(
     dim: int,
     eta: float,
     nu: float,
-    kappa: float,
     max_iter: int,
     tol: float,
     seed: int,
 ) -> _SolveState:
-    """Monotone FISTA (Beck & Teboulle 2009) with backtracking and restart.
+    """Proximal Gauss-Newton (Lee, Sun & Saunders 2014) with a halving line
+    search.
 
-    Minimizes ``F = J + eta*nu*||delta||_1`` from the accepted iterate x and
-    an extrapolated point y (y = x at the start).  One iteration asks
-    ``grad_fn`` at y, then evaluates ``F(y)`` unless y is the candidate just
-    accepted or x after a restart, and forms the candidate ``z = sign(g) *
-    max(0, |g| - s*eta*nu)`` with ``g = y - s * grad J(y)`` -- the exact
-    proximal map of the l1 term, so fixed points are stationary points of F
-    whatever the step.  The step s starts at ``kappa`` and is halved, up to
-    20 times, while ``F(z) > F(y)``; ten consecutive iterations that use up
-    all halvings raise :class:`DivergenceError`.  A candidate no worse than ``F(x)`` becomes
-    the new x and y moves past it by the momentum ``(t - 1) / t_new``, with
-    ``t_new = (1 + sqrt(1 + 4 t^2)) / 2``; otherwise x stays, y restarts at
-    x and t at 1 (O'Donoghue & Candes 2015).  So ``F(x)``, the trace, never
-    rises.  ``delta`` starts at small seeded uniform noise in [-1e-3, 1e-3],
-    which keeps the sign-selection behaviour of the l1 term intact.
-    Convergence is ``max |z - y| < tol``, checked on every iteration; the
-    result is x.  The gradient comes first because with
-    :func:`counterfactual_objective` its model batch at a new y also holds
-    the model values that F(y) needs, so one batch serves both, the start
-    included; each candidate costs one more batch.  A non-finite F at the
-    start or at y raises :class:`DivergenceError` (the model handle refuses
+    Minimizes ``F = J + eta*nu*||delta||_1`` given ``grad_fn(delta) -> (g,
+    H)``, the gradient of J and a positive definite curvature, and
+    ``value_fn(delta) -> J``.  One iteration at the accepted point x asks
+    ``grad_fn`` there, then solves the l1-penalized quadratic model ``min_z
+    g.(z - x) + (1/2)(z - x)^T H (z - x) + eta*nu*||z||_1`` by coordinate
+    descent with no model query (from the last z, or from x if the model
+    rates it lower, to a tolerance of ``max(0.1 tol, min(1e-3, 0.01 * last
+    move))``), so that ``z - x`` is a descent direction of F.  When the
+    move ``max |z - x|`` is below ``tol`` the solve has converged and the
+    result is x.  Otherwise F is evaluated at ``x + s (z - x)`` for s = s0,
+    s0/2, s0/4, ..., where s0 <= 1 keeps the first step within 0.5 of the
+    start in every coordinate and each later one within twice the last
+    accepted step; the first candidate with ``F <= F(x)`` becomes the new
+    x, so ``F(x)``, the trace, never rises.  A step halved until it moves
+    less than ``tol`` ends the solve the same way, as converged at x; a
+    direction that F rejects at every s down to s0 / 2**20 raises
+    :class:`DivergenceError`, since then ``grad_fn`` disagrees with
+    ``value_fn``.  ``delta`` starts at small seeded uniform noise in
+    [-1e-3, 1e-3], which keeps the sign-selection behaviour of the l1 term
+    intact.
+
+    With :func:`counterfactual_objective` the model batch of ``grad_fn`` at
+    the start also holds the values F needs there, each candidate costs one
+    batch and each accepted point one more for its gradient: a converged
+    solve sends ``1 + 2 (iterations - 1) + halvings`` batches.  A non-finite
+    F at the start raises :class:`DivergenceError` (the model handle refuses
     non-finite outputs, so the loss itself overflowed); a non-finite
     candidate only fails the comparison and is halved.
     """
@@ -371,62 +459,49 @@ def proximal_minimize(
     def penalized(d):
         return value_fn(d) + l1_weight * float(np.abs(d).sum())
 
-    def finite_penalized(d):
-        value = penalized(d)
-        if not math.isfinite(value):
-            raise DivergenceError(
-                f"objective is {value!r}: a residual's square overflows the "
-                "float range; rescale the targets"
-            )
-        return value
-
-    grad = grad_fn(x)
-    f_x = finite_penalized(x)
-    y, f_y, t = x, f_x, 1.0
+    grad, hess = grad_fn(x)
+    f_x = penalized(x)
+    if not math.isfinite(f_x):
+        raise DivergenceError(
+            f"objective is {f_x!r}: a residual's square overflows the "
+            "float range; rescale the targets"
+        )
     trace = [f_x]
+    z, move, reach = x, math.inf, _FIRST_REACH
     converged = False
-    bad_streak = 0
+    halvings = 0
     iterations = 0
     for iterations in range(1, max_iter + 1):
         if iterations > 1:
-            grad = grad_fn(y)
-            if f_y is None:
-                f_y = finite_penalized(y)
-        step = kappa
-        for _ in range(_MAX_HALVINGS + 1):
-            z = soft_threshold(y - step * grad, step * l1_weight)
-            f_z = penalized(z)
-            if f_z <= f_y:
-                bad_streak = 0
+            grad, hess = grad_fn(x)
+        inner_tol = max(0.1 * tol, min(1e-3, 0.01 * move))
+        z = _solve_l1_quadratic(grad, hess, x, l1_weight, z, inner_tol)
+        direction = z - x
+        move = float(np.max(np.abs(direction)))
+        first = min(1.0, reach / move) if move else 1.0
+        for halved in range(_MAX_HALVINGS + 1):
+            step = first * 0.5**halved
+            if step * move < tol:
                 break
-            step *= 0.5
+            candidate = x + step * direction
+            f_c = penalized(candidate)
+            if f_c <= f_x:
+                break
+            halvings += 1
         else:
-            # persistent increases mean the gradient estimate is
-            # inconsistent with the objective
-            bad_streak += 1
-            if bad_streak >= _DIVERGENCE_STREAK:
-                raise DivergenceError(
-                    "objective increased for "
-                    f"{_DIVERGENCE_STREAK} consecutive iterations; "
-                    "try a smaller starting step kappa"
-                )
-        move = float(np.max(np.abs(z - y)))
-        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        if f_z <= f_x:
-            momentum = (t - 1.0) / t_new
-            x_prev, x, f_x, t = x, z, f_z, t_new
-            if momentum:
-                y, f_y = x + momentum * (x - x_prev), None
-            else:
-                y, f_y = x, f_x
-        else:
-            # restart at x, whose F is known
-            y, f_y, t = x, f_x, 1.0
-        trace.append(f_x)
-        if move < tol:
+            raise DivergenceError(
+                f"objective rose at each of {_MAX_HALVINGS + 1} ever shorter steps "
+                "along a search direction, so the gradient estimate disagrees "
+                "with the objective's values; try a smaller --grad-std or more "
+                "--grad-samples"
+            )
+        if step * move < tol:
             converged = True
             break
-    return _SolveState(x, iterations, converged, np.asarray(trace))
+        x, f_x = candidate, f_c
+        reach = 2.0 * step * move
+        trace.append(f_x)
+    return _SolveState(x, iterations, converged, np.asarray(trace), halvings)
 
 
 def map_estimate(
@@ -456,7 +531,6 @@ def map_estimate(
         testset.dimension,
         hp.eta,
         hp.nu,
-        hp.kappa,
         hp.max_iter,
         hp.tol,
         grad_cfg.seed,
@@ -466,6 +540,7 @@ def map_estimate(
         iterations=state.iterations,
         converged=state.converged,
         objective_trace=state.trace,
+        halvings=state.halvings,
         query_count=model.query_count - queries_before,
         call_count=model.call_count - calls_before,
         rates=rates,

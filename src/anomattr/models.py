@@ -33,7 +33,6 @@ import select
 import shlex
 import subprocess
 import sys
-import threading
 import time
 import urllib.request
 from dataclasses import dataclass
@@ -105,7 +104,9 @@ class ModelHandle:
     batch; the builtin sinusoid is elementwise and does not.  ``evaluate``
     and ``evaluate_batch`` are the one non-finite policy: once the queries
     are counted, a NaN or infinite answer raises
-    :class:`NonFiniteModelOutput` at the first input that got one.
+    :class:`NonFiniteModelOutput` at the first input that got one.  A
+    handle serves one thread: its counters, the remote adapters' response
+    cache and a subprocess child's pipe are not locked.
     """
 
     def __init__(self, dimension: int):
@@ -327,7 +328,6 @@ class SubprocessModel(_RemoteModel):
         self._proc: subprocess.Popen | None = None
         self._pending = bytearray()  # bytes read past the last answer line
         self._stderr_tail = b""
-        self._lock = threading.Lock()
 
     def _ensure_proc(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
@@ -412,13 +412,12 @@ class SubprocessModel(_RemoteModel):
         return reply
 
     def _request(self, payload):
-        with self._lock:
-            for _ in range(2):  # one restart per request, then give up
-                try:
-                    return _decode(self._exchange(payload))
-                except EOFError as exc:
-                    self._stop(wait=0.0)
-                    error = exc
+        for _ in range(2):  # one restart per request, then give up
+            try:
+                return _decode(self._exchange(payload))
+            except EOFError as exc:
+                self._stop(wait=0.0)
+                error = exc
         raise TransportError(
             f"model process died twice on {str(payload)[:200]}{self._stderr_note()}"
         ) from error
@@ -426,13 +425,12 @@ class SubprocessModel(_RemoteModel):
     def _probe_batch(self, payload):
         # a child that dies on the "xs" line, or answers it without "ys",
         # does not batch
-        with self._lock:
-            try:
-                reply = self._exchange(payload)
-            except EOFError:
-                self._stop(wait=0.0)
-                self._stderr_tail = b""  # the expected crash of a one-point child
-                return None
+        try:
+            reply = self._exchange(payload)
+        except EOFError:
+            self._stop(wait=0.0)
+            self._stderr_tail = b""  # the expected crash of a one-point child
+            return None
         try:
             doc = json.loads(reply)
         except ValueError:

@@ -54,7 +54,7 @@ def _gpa_delta(y_t: float) -> np.ndarray:
 
 
 def _lc_delta(y_t: float) -> np.ndarray:
-    return lc(sinusoidal2d(), X_T, y_t, eta=1e-3, nu=1e-3, lam=1.0, kappa=0.01,
+    return lc(sinusoidal2d(), X_T, y_t, eta=1e-3, nu=1e-3, lam=1.0,
               grad_cfg=FINE_GRAD, tol=1e-8)
 
 
@@ -233,7 +233,7 @@ def test_criterion_09_distribution_properties():
     # ignored variable on a linear model: exact prior slice
     lin = linear_model([1.5, 0.0])
     ts2 = single_point([0.3, -0.2], 2.0, ("a", "b"))
-    hp = GpaHyperParams(eta=0.1, nu=0.5, kappa=0.1, a0=1.0, c_b=10.0, tol=1e-8)
+    hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
     res2 = map_estimate(ts2, lin, hp, FINE_GRAD)
     dists2 = score_distributions(res2.delta_star, ts2, lin, hp, res2.rates)
     grid = dists2[1].grid

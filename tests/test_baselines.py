@@ -295,7 +295,7 @@ class TestLc:
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     def test_matches_counterfactual_closed_form(self, sin_model, y_t):
         delta = lc(sin_model, [0.5, 0.0], y_t, eta=1e-3, nu=1e-3, lam=1.0,
-                   kappa=0.01, grad_cfg=FINE_GRAD, tol=1e-8)
+                   grad_cfg=FINE_GRAD, tol=1e-8)
         np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], y_t), atol=1e-3)
 
     def test_zero_residual_stays_home(self, sin_model):
@@ -308,8 +308,8 @@ class TestLc:
         # eta -> 0: delta solves y = c (x + delta)
         c, x_t, y_t = 2.0, 1.0, 3.0
         m = linear_model([c])
-        delta = lc(m, [x_t], y_t, eta=1e-6, nu=1e-6, lam=1.0, kappa=0.1,
-                   grad_cfg=FINE_GRAD, tol=1e-10)
+        delta = lc(m, [x_t], y_t, eta=1e-6, nu=1e-6, lam=1.0, grad_cfg=FINE_GRAD,
+                   tol=1e-10)
         assert delta[0] == pytest.approx((y_t - c * x_t) / c, abs=1e-5)
 
     def test_is_shared_objective_with_gaussian_loss(self, sin_model):
@@ -327,10 +327,10 @@ class TestLc:
         r = y_t - sin_model.evaluate(x_t + d)
         assert value_fn(d) == pytest.approx(0.5 * eta * d @ d + 0.5 * lam * r * r,
                                             rel=1e-12)
-        state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 0.01, 10_000,
-                                  1e-8, FINE_GRAD.seed)
-        delta = lc(sin_model, x_t, y_t, eta=eta, nu=1e-3, lam=lam, kappa=0.01,
-                   grad_cfg=FINE_GRAD, tol=1e-8)
+        state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
+                                  FINE_GRAD.seed)
+        delta = lc(sin_model, x_t, y_t, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
+                   tol=1e-8)
         np.testing.assert_array_equal(delta, state.delta)
 
     def test_one_row_array_is_the_point_call(self, sin_model):
@@ -355,11 +355,11 @@ class TestLc:
         r = y - sin_model.evaluate_batch(x + d)
         assert value_fn(d) == pytest.approx(0.5 * eta * d @ d + 0.5 * lam * r @ r,
                                             rel=1e-12)
-        state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 0.01, 10_000,
-                                  1e-8, FINE_GRAD.seed)
+        state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
+                                  FINE_GRAD.seed)
         assert state.converged
-        delta = lc(sin_model, x, y, eta=eta, nu=1e-3, lam=lam, kappa=0.01,
-                   grad_cfg=FINE_GRAD, tol=1e-8)
+        delta = lc(sin_model, x, y, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
+                   tol=1e-8)
         np.testing.assert_array_equal(delta, state.delta)
 
     def test_invalid_params(self, sin_model):
@@ -382,7 +382,7 @@ class TestLc:
 
         monkeypatch.setattr(baselines_mod, "proximal_minimize", counting_solver)
         delta = lc(sin_model, [0.5, 0.0], 1.0, eta=1e-3, nu=1e-3, lam=1.0,
-                   kappa=0.01, grad_cfg=FINE_GRAD, tol=1e-8)
+                   grad_cfg=FINE_GRAD, tol=1e-8)
         np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], 1.0), atol=1e-3)
         assert 0 < len(grads) <= 600
 

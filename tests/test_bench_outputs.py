@@ -1,0 +1,43 @@
+"""The benchmark's output checks (``bench/checks.py``) on one round of two
+of its workloads, run through ``cli.main`` as ``bench/workloads.build``
+describes them at seed 1.  A change that makes the benchmark report
+``correct: false`` fails this suite first.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from anomattr import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import workloads
+
+    return workloads, checks
+
+
+@pytest.mark.parametrize("workload", ["collective-builtin", "baselines-compare"])
+def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
+    workloads, checks = bench
+    ops, _, _ = workloads.build(workload, 1, tmp_path)
+    docs = []
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(op.argv) == 0, op.name
+        doc = json.loads(op.output.read_text(encoding="utf-8"))
+        docs.append(doc)
+        if workload == "baselines-compare" and op.expect["row"] % 2 == 1:
+            problems = checks.CHECKS[workload](op.expect, doc, docs[op.expect["pair"]])
+        else:
+            problems = checks.CHECKS[workload](op.expect, doc)
+        assert problems == [], op.name

@@ -156,6 +156,21 @@ class TestExplain:
         assert delta[0] == pytest.approx(-1 / 6, abs=1e-3)
         assert (out / "litmus.svg").exists()
 
+    @pytest.mark.parametrize("index, delta", [(0, -1 / 6), (1, 0.0)])
+    def test_default_flags_converge(self, sinus_data, tmp_path, index, delta):
+        # the default smoothing radius 1 blurs the gradient, so near the root
+        # a search direction can find no descent; its step halves below tol
+        # and the solve ends there, converged
+        out = tmp_path / "out"
+        code = main([
+            "explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+            "--methods", "gpa", "--point-index", str(index), "--out", str(out),
+        ])
+        assert code == 0
+        doc = strict_json((out / "result.json").read_text())
+        assert doc["diagnostics"]["gpa"]["converged"] is True
+        assert doc["methods"]["gpa"]["scores"] == pytest.approx([delta, 0.0], abs=1e-3)
+
     def test_six_method_litmus(self, sinus_data, lattice_ref, tmp_path):
         out = tmp_path / "out"
         code = main([
@@ -376,11 +391,15 @@ class TestDist:
         assert doc["config"]["hyperparams"]["c_b"] == 1.0
         assert doc["config"]["hyperparams"]["eta"] == 1.0
 
-    @pytest.mark.parametrize("b0, warned", [("10", True), ("0.01", False)])
+    @pytest.mark.parametrize("b0, warned", [("10", True), ("0.01", True),
+                                            ("0.0001", False)])
     def test_edge_mass_reported_and_warned(self, sinus_data, tmp_path, capsys, b0,
                                            warned):
-        # with b0 = 10 the likelihood barely curves along x2, so its slice is
-        # nearly flat and puts about 2/100 of its mass on the two edge points
+        # the grid ends at 1.1 |delta*| = 0.183.  With b0 = 10 the likelihood
+        # barely curves along x2, so its slice is nearly flat and puts about
+        # 2/100 of its mass on the two edge points.  With b0 = 0.01 the slice
+        # along x1 peaks at delta* = -1/6, 0.017 inside the edge, and is wide
+        # enough to put 0.056 there; b0 = 1e-4 narrows it to 0.003
         out = tmp_path / "out"
         flags = [*ORACLE_FLAGS]
         flags[flags.index("--b0") + 1] = b0
@@ -397,7 +416,7 @@ class TestDist:
         err = capsys.readouterr().err
         assert err.count("\n") == warned
         if warned:
-            assert "variable 1" in err and "edge" in err
+            assert f"variable {int(np.argmax(edge_mass))}" in err and "edge" in err
 
     def test_partly_nonfinite_slice_exit_3(self, sinus_data, tmp_path, capsys,
                                            nan_model):
@@ -575,7 +594,7 @@ class TestConfigEcho:
                      *flags, "--out", str(out)])
         assert code == 0
         doc = strict_json((out / name).read_text())
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
         assert dests <= doc["config"].keys()
         if command != "detect":
@@ -601,6 +620,21 @@ class TestConfigEcho:
         again = strict_json((tmp_path / "again" / "result.json").read_text())
         for section in ("methods", "anomaly_scores"):
             assert json.dumps(again[section]) == json.dumps(doc[section])
+
+    def test_kappa_flags_are_hidden_no_ops(self, sinus_data, tmp_path):
+        # command lines written for the step-size solver still run, with the
+        # same scores, and the hyperparameters echo no kappa
+        i = ORACLE_FLAGS.index("--kappa")
+        flags = ORACLE_FLAGS[:i] + ORACLE_FLAGS[i + 2:]
+        docs = []
+        for extra in ([], ["--kappa", "0.5", "--lc-kappa", "0.3"]):
+            out = tmp_path / f"out{len(extra)}"
+            assert main(["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                         "--methods", "gpa,lc", *flags, *extra, "--out", str(out)]) == 0
+            docs.append(strict_json((out / "compare.json").read_text()))
+        assert docs[0]["scores"] == docs[1]["scores"]
+        assert "kappa" not in docs[1]["config"]["hyperparams"]
+        assert "kappa" not in _subparser("compare").format_help()
 
 
 class TestOracleCmd:

@@ -25,6 +25,7 @@ from anomattr.gpa import (
     DivergenceError,
     ScoreDistribution,
     _resolve_rates,
+    _solve_l1_quadratic,
     counterfactual_objective,
     gaussian_loss,
     init_gamma_rate,
@@ -241,8 +242,9 @@ class TestMapEstimate:
         assert len({round(s, 4) for s in sols}) == 3
 
     def test_sparsity_fixed_point(self, sin_model):
-        # each coordinate is exactly zero or sits exactly on the shrunken
-        # fixed point: delta_i = sign(g_i) (|g_i| - step * eta * nu)
+        # each coordinate is exactly zero with |grad_i| <= eta * nu, or
+        # nonzero with grad_i = -eta * nu * sign(delta_i): the optimality
+        # conditions of the l1 term, to 1e-6 under the estimated gradient
         hp = ORACLE_HP
         ts = single_point([0.5, 0.0], 1.0)
         res = map_estimate(ts, sin_model, hp, FINE_GRAD)
@@ -251,21 +253,20 @@ class TestMapEstimate:
         r = ts.y[0] - fv
         gf = estimate_gradient(sin_model, x, FINE_GRAD, f0=fv)
         grad = hp.eta * res.delta_star - (2 * hp.a0 + 1) * r / (2 * hp.b0 + r * r) * gf
-        g = res.delta_star - hp.kappa * grad
-        thr = hp.kappa * hp.eta * hp.nu
+        thr = hp.eta * hp.nu
         for i in range(2):
             if res.delta_star[i] == 0.0:
-                assert abs(g[i]) <= thr + 1e-9
+                assert abs(grad[i]) <= thr + 1e-9
             else:
-                shrunk = np.sign(g[i]) * (abs(g[i]) - thr)
-                assert res.delta_star[i] == pytest.approx(shrunk, abs=1e-7)
+                assert grad[i] == pytest.approx(-thr * np.sign(res.delta_star[i]),
+                                                abs=1e-6)
 
     def test_second_coordinate_exactly_zero(self, sin_model):
         res = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)
         assert res.delta_star[1] == 0.0
 
     def test_monotone_descent_trace(self, sin_model):
-        hp = GpaHyperParams(eta=1e-3, nu=1e-3, kappa=0.01, a0=1.0, b0=10.0, tol=1e-8)
+        hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, tol=1e-8)
         for y_t in (1.0, 0.0, -1.0):
             res = map_estimate(single_point([0.5, 0.0], y_t), sin_model, hp, FINE_GRAD)
             assert np.all(np.diff(res.objective_trace) <= 0.0)
@@ -315,7 +316,8 @@ class TestMapEstimate:
         assert seen[1] == seen[5] == {1}
 
     def test_collective_gradient_matches_per_sample_loop(self, sin_model):
-        # one batch for all samples sums in another order than the loop
+        # one batch for all samples sums in another order than the loop; the
+        # curvature adds w_t g_t g_t^T per sample to eta I
         xs = np.array([[0.5, 0.0], [0.3, 0.2], [-0.4, 0.7]])
         ys = np.array([1.0, -0.5, 0.2])
         rates = np.array([10.0, 2.0, 0.5])
@@ -323,12 +325,15 @@ class TestMapEstimate:
         grad_fn, _ = counterfactual_objective(
             sin_model, xs, ys, 0.3, student_t_loss(1.0, rates), FINE_GRAD
         )
-        expect = 0.3 * delta
+        expect, expect_hess = 0.3 * delta, 0.3 * np.eye(2)
         for x, y, b in zip(xs, ys, rates):
             r = y - sin_model.evaluate(x + delta)
-            expect -= 3.0 * r / (2 * b + r * r) * estimate_gradient(
-                sin_model, x + delta, FINE_GRAD)
-        np.testing.assert_allclose(grad_fn(delta), expect, rtol=1e-10)
+            g = estimate_gradient(sin_model, x + delta, FINE_GRAD)
+            expect -= 3.0 * r / (2 * b + r * r) * g
+            expect_hess += 3.0 / (2 * b + r * r) * np.outer(g, g)
+        grad, hess = grad_fn(delta)
+        np.testing.assert_allclose(grad, expect, rtol=1e-10)
+        np.testing.assert_allclose(hess, expect_hess, rtol=1e-10)
 
     def test_deterministic(self, sin_model):
         a = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)
@@ -357,8 +362,8 @@ class TestMapEstimate:
             map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
 
     def test_nonconvergence_flagged_not_raised(self, sin_model):
-        hp = GpaHyperParams(eta=1e-3, nu=1e-3, kappa=0.1, a0=1.0, b0=10.0,
-                            max_iter=2, tol=1e-12)
+        hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, max_iter=2,
+                            tol=1e-12)
         res = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, hp, FINE_GRAD)
         assert not res.converged
         assert res.iterations == 2
@@ -378,16 +383,20 @@ def _benchmark_sized_problem():
     return coef, TestSet(xs, ys, [f"x{i}" for i in range(m)])
 
 
-def _kkt_residual(delta, coef, ts, hp, rates):
-    """Per-coordinate violation of the optimality conditions of the MAP
-    objective, with the quadratic model's analytic gradient."""
+def _kkt_residual(delta, coef, ts, eta, nu, slope):
+    """Per-coordinate violation of the optimality conditions of ``(eta/2)
+    ||delta||^2 + sum_t loss(r_t) + eta nu ||delta||_1``, with the loss's
+    ``slope`` in r and the quadratic model's analytic gradient."""
     z = ts.x + delta
     resid = ts.y - (z * z) @ coef
-    weight = (2 * hp.a0 + 1) * resid / (2 * rates + resid**2)
-    grad = hp.eta * delta - (weight[:, None] * 2.0 * coef * z).sum(axis=0)
-    lam = hp.eta * hp.nu
+    grad = eta * delta - (slope(resid)[:, None] * 2.0 * coef * z).sum(axis=0)
+    lam = eta * nu
     return np.where(delta != 0.0, np.abs(grad + lam * np.sign(delta)),
                     np.maximum(np.abs(grad) - lam, 0.0))
+
+
+def _student_t_slope(hp, rates):
+    return lambda r: (2 * hp.a0 + 1) * r / (2 * rates + r**2)
 
 
 class TestAcceleratedSolver:
@@ -398,37 +407,134 @@ class TestAcceleratedSolver:
         res = map_estimate(ts, quadratic_model(coef), hp, GradientEstimatorConfig())
         assert res.converged
         assert res.iterations <= 300
-        assert np.max(_kkt_residual(res.delta_star, coef, ts, hp, res.rates)) <= 2e-4
+        kkt = _kkt_residual(res.delta_star, coef, ts, hp.eta, hp.nu,
+                            _student_t_slope(hp, res.rates))
+        assert np.max(kkt) <= 2e-4
         assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+    @pytest.mark.parametrize("method", ["gpa", "lc"])
+    def test_collective_problem_satisfies_kkt(self, method):
+        # the estimator is exact on a quadratic model, so the analytic
+        # gradient checks the solver alone
+        coef, ts = _collective_problem()
+        hp = GpaHyperParams.for_testset(ts.n_test, tol=1e-8)
+        model = quadratic_model(coef)
+        if method == "gpa":
+            res = map_estimate(ts, model, hp, FINE_GRAD)
+            assert res.converged
+            delta, slope = res.delta_star, _student_t_slope(hp, res.rates)
+        else:
+            delta = lc(model, ts.x, ts.y, eta=hp.eta, nu=hp.nu, lam=2.0,
+                       grad_cfg=FINE_GRAD, tol=hp.tol)
+            slope = lambda r: 2.0 * r  # noqa: E731
+        assert np.count_nonzero(delta) >= 2
+        assert np.max(_kkt_residual(delta, coef, ts, hp.eta, hp.nu, slope)) <= 1e-4
 
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     def test_oracle_rows_trace_non_increasing(self, sin_model, y_t):
-        # ORACLE_HP's starting step is ten times test_monotone_descent_trace's
         res = map_estimate(single_point([0.5, 0.0], y_t), sin_model, ORACLE_HP, FINE_GRAD)
         assert res.converged
         assert np.all(np.diff(res.objective_trace) <= 0.0)
 
+    @pytest.mark.parametrize("x1, y_t", [(0.05, -1.14), (0.1, -1.0), (0.95, 1.14)])
+    def test_small_slope_start_takes_the_nearest_root(self, sin_model, x1, y_t):
+        # the slope at x is small against the residual, so a full first
+        # Newton step would cross the nearest root (to 3.1 from x1 = 0.05);
+        # the first step's reach keeps the solve in its basin
+        res = map_estimate(single_point([x1, 0.0], y_t), sin_model, ORACLE_HP,
+                           FINE_GRAD)
+        assert res.converged
+        np.testing.assert_allclose(res.delta_star, oracle_gpa([x1, 0.0], y_t), atol=1e-3)
+
     def test_result_is_best_accepted_iterate(self):
-        # the trace records F at the returned point, and ends there
+        # the trace records F at the returned point, and ends there.  The
+        # curvature 0.8 is 0.4 times the true one, so full steps overshoot
+        # and raise F, and halving rescues them: one gradient per iteration,
+        # one value at the start and per candidate
+        calls = {"grad": 0, "value": 0}
+
         def value(d):
+            calls["value"] += 1
             return float(np.sum((d - [1.0, -2.0]) ** 2))
 
         def grad(d):
-            return 2.0 * (d - [1.0, -2.0])
+            calls["grad"] += 1
+            return 2.0 * (d - [1.0, -2.0]), 0.8 * np.eye(2)
 
         state = proximal_minimize(grad, value, dim=2, eta=1.0, nu=0.01,
-                                  kappa=0.3, max_iter=500, tol=1e-10, seed=0)
+                                  max_iter=500, tol=1e-10, seed=0)
         assert state.converged
+        assert state.halvings > 0
+        assert calls == {"grad": state.iterations,
+                         "value": 1 + state.iterations - 1 + state.halvings}
         penalized = value(state.delta) + 0.01 * np.abs(state.delta).sum()
         assert state.trace[-1] == penalized
+        assert len(state.trace) == state.iterations
         np.testing.assert_allclose(state.delta, [0.995, -1.995], atol=1e-8)
+
+
+def _l1_kkt_residual(v, grad, hess, x, l1_weight):
+    """Optimality violation of v for ``grad.(v - x) + (1/2)(v - x)^T hess
+    (v - x) + l1_weight ||v||_1``."""
+    slope = grad + hess @ (v - x)
+    return np.where(v != 0.0, np.abs(slope + l1_weight * np.sign(v)),
+                    np.maximum(np.abs(slope) - l1_weight, 0.0))
+
+
+class TestL1QuadraticSolve:
+    def test_diagonal_curvature_is_the_soft_threshold(self):
+        rng = np.random.default_rng(4)
+        grad, x = rng.normal(size=6), rng.normal(size=6)
+        diag = rng.uniform(0.5, 3.0, 6)
+        v = _solve_l1_quadratic(grad, np.diag(diag), x, 0.7, np.zeros(6), 1e-14)
+        target = x - grad / diag
+        expect = np.sign(target) * np.maximum(np.abs(target) - 0.7 / diag, 0.0)
+        assert 0 < np.count_nonzero(expect) < 6
+        np.testing.assert_allclose(v, expect, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_curvature_meets_kkt(self, seed):
+        rng = np.random.default_rng(seed)
+        gmat = rng.normal(size=(8, 12))
+        hess = 0.1 * np.eye(12) + gmat.T @ gmat
+        grad, x = rng.normal(size=12), rng.normal(size=12)
+        v = _solve_l1_quadratic(grad, hess, x, 1.0, x, 1e-13)
+        assert 0 < np.count_nonzero(v) < 12
+        assert np.max(_l1_kkt_residual(v, grad, hess, x, 1.0)) <= 1e-10
+
+    def test_loose_tolerance_never_rates_above_x(self):
+        # from a start far along H's flat direction, one sweep with tol = 1
+        # moves each coordinate by under 0.03 and stops, still rated above
+        # x = 0; starting at x instead ends at the minimizer 0
+        hess = np.array([[1.0, 0.999], [0.999, 1.0]])
+        v = _solve_l1_quadratic(np.zeros(2), hess, np.zeros(2), 0.0,
+                                np.array([10.0, -10.0]), 1.0)
+        np.testing.assert_array_equal(v, [0.0, 0.0])
+
+    def test_inner_solve_sends_no_query(self, monkeypatch):
+        import anomattr.gpa as gpa_mod
+
+        coef, ts = _collective_problem()
+        model = BatchRecorder(quadratic_model(coef))
+        real = gpa_mod._solve_l1_quadratic
+        sent = []
+
+        def watched(*args):
+            before = model.query_count
+            v = real(*args)
+            sent.append(model.query_count - before)
+            return v
+
+        monkeypatch.setattr(gpa_mod, "_solve_l1_quadratic", watched)
+        res = map_estimate(ts, model, GpaHyperParams.for_testset(ts.n_test), FINE_GRAD)
+        assert len(sent) == res.iterations and set(sent) == {0}
 
 
 def _two_call_objective(model, x, y, eta, loss, grad_cfg):
     """Reference objective that sends the values at ``x_t + delta`` and the
     displaced points as two batches, the second with the first's values as
     ``f0``; the value at the last delta is remembered."""
-    loss_value, loss_slope = loss
+    loss_value, loss_weight = loss
     key = fvals = None
 
     def value_fn(delta):
@@ -440,28 +546,32 @@ def _two_call_objective(model, x, y, eta, loss, grad_cfg):
     def grad_fn(delta):
         value_fn(delta)
         grads = estimate_gradient(model, x + delta, grad_cfg, f0=fvals)
-        return eta * delta - loss_slope(y - fvals) @ grads
+        resid = y - fvals
+        weight = loss_weight(resid)
+        hess = eta * np.eye(len(delta)) + grads.T @ (weight[:, None] * grads)
+        return eta * delta - (weight * resid) @ grads, hess
 
     return grad_fn, value_fn
 
 
-def _solve_both_ways(make_model, ts, loss, eta, nu, kappa, grad_cfg,
-                     max_iter=10_000, tol=1e-8):
+def _solve_both_ways(make_model, ts, loss, eta, nu, grad_cfg, max_iter=10_000,
+                     tol=1e-8):
     """(solver state, queries) with the fused objective, then with the
     two-call reference, each on a fresh model."""
     runs = []
     for make_objective in (counterfactual_objective, _two_call_objective):
         model = make_model()
         grad_fn, value_fn = make_objective(model, ts.x, ts.y, eta, loss, grad_cfg)
-        state = proximal_minimize(grad_fn, value_fn, ts.dimension, eta, nu, kappa,
+        state = proximal_minimize(grad_fn, value_fn, ts.dimension, eta, nu,
                                   max_iter, tol, grad_cfg.seed)
         runs.append((state, model.query_count))
     return runs
 
 
 class TestSolverPlan:
-    """One model batch at each new extrapolated point gives both F(y) and
-    the gradient there; each candidate step is one more batch."""
+    """The start sends one model batch, which gives both F and the gradient
+    there; each candidate step is one batch of the rows, and each accepted
+    point one batch of its displaced rows for the gradient."""
 
     def test_fresh_gradient_is_one_batch_with_the_centre_rows_first(self):
         coef, ts = _collective_problem()
@@ -486,38 +596,37 @@ class TestSolverPlan:
         assert model.sizes[1:] == [n, n * m * mc]
 
     @pytest.mark.parametrize("problem", ["oracle-row", "collective"])
-    def test_solve_is_two_batches_per_iteration_plus_halvings(self, monkeypatch,
-                                                              problem):
-        import anomattr.gpa as gpa_mod
-
+    def test_solve_is_two_batches_per_iteration_plus_halvings(self, problem):
+        # c_b rates (no b0), so the run starts with one residual batch
         if problem == "oracle-row":
-            model, hp = BatchRecorder(sinusoidal2d()), ORACLE_HP
+            model = BatchRecorder(sinusoidal2d())
+            hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, tol=1e-8)
             ts = single_point([0.5, 0.0], 1.0)
         else:
             coef, ts = _collective_problem()
             model = BatchRecorder(quadratic_model(coef))
-            hp = GpaHyperParams.for_testset(ts.n_test, b0=1.0, max_iter=300)
-        # the solver forms one candidate per soft-threshold
-        candidates = []
-        real = gpa_mod.soft_threshold
-        monkeypatch.setattr(gpa_mod, "soft_threshold",
-                            lambda g, t: candidates.append(t) or real(g, t))
+            hp = GpaHyperParams.for_testset(ts.n_test, max_iter=300)
         res = map_estimate(ts, model, hp, FINE_GRAD)
-        halvings = len(candidates) - res.iterations
-        assert res.converged and halvings >= 0
+        n = ts.n_test
+        displaced = n * ts.dimension * FINE_GRAD.mc_samples
+        assert res.converged and res.iterations > 1
         assert res.call_count == len(model.sizes)
-        assert len(model.sizes) <= 2 * res.iterations + 1 + halvings
+        assert res.call_count == 2 + 2 * (res.iterations - 1) + res.halvings
+        rates, start, solver = model.sizes[0], model.sizes[1], model.sizes[2:]
+        assert (rates, start) == (n, n + displaced)
+        assert solver.count(displaced) == res.iterations - 1
+        assert solver.count(n) == res.iterations - 1 + res.halvings
 
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     @pytest.mark.parametrize("method", ["gpa", "lc"])
     def test_oracle_rows_bit_identical_to_two_call_plan(self, y_t, method):
         hp = ORACLE_HP
         if method == "gpa":
-            loss, kappa = student_t_loss(hp.a0, np.full(1, hp.b0)), hp.kappa
+            loss = student_t_loss(hp.a0, np.full(1, hp.b0))
         else:
-            loss, kappa = gaussian_loss(1.0), 0.01
+            loss = gaussian_loss(1.0)
         (fused, fused_queries), (reference, reference_queries) = _solve_both_ways(
-            sinusoidal2d, single_point([0.5, 0.0], y_t), loss, hp.eta, hp.nu, kappa,
+            sinusoidal2d, single_point([0.5, 0.0], y_t), loss, hp.eta, hp.nu,
             FINE_GRAD)
         assert fused.converged
         assert fused.iterations == reference.iterations
@@ -533,7 +642,7 @@ class TestSolverPlan:
         rates = _resolve_rates(ts, quadratic_model(coef), hp)
         (fused, fused_queries), (reference, reference_queries) = _solve_both_ways(
             lambda: quadratic_model(coef), ts, student_t_loss(hp.a0, rates), hp.eta,
-            hp.nu, hp.kappa, GradientEstimatorConfig(), hp.max_iter, hp.tol)
+            hp.nu, GradientEstimatorConfig(), hp.max_iter, hp.tol)
         assert fused.converged
         assert fused.iterations == reference.iterations
         assert fused_queries == reference_queries
@@ -551,20 +660,23 @@ class TestNonFiniteObjective:
 
     def test_infinite_start_raises(self):
         with pytest.raises(DivergenceError, match="inf"):
-            proximal_minimize(lambda d: d, lambda d: math.inf, dim=2, eta=1.0,
-                              nu=0.5, kappa=0.1, max_iter=10, tol=1e-8, seed=0)
+            proximal_minimize(lambda d: (d, np.eye(2)), lambda d: math.inf, dim=2,
+                              eta=1.0, nu=0.5, max_iter=10, tol=1e-8, seed=0)
 
     def test_infinite_candidate_is_a_too_long_step(self):
-        # the first step from kappa = 4 lands where the objective is
-        # infinite; halving brings it back and the solve goes on
+        # the curvature 1.2 is below the true 2, so the first Newton step
+        # lands near 0.42, past 0.3, where the objective is infinite;
+        # halving brings it back and the solve goes on
         def value(d):
-            return math.inf if d[0] > 1.5 else float((d[0] - 1.0) ** 2)
+            return math.inf if d[0] > 0.3 else float((d[0] - 0.25) ** 2)
 
-        state = proximal_minimize(lambda d: 2.0 * (d - 1.0), value, dim=1, eta=1.0,
-                                  nu=1e-6, kappa=4.0, max_iter=500, tol=1e-10, seed=0)
+        state = proximal_minimize(lambda d: (2.0 * (d - 0.25), np.full((1, 1), 1.2)),
+                                  value, dim=1, eta=1.0, nu=1e-6, max_iter=500,
+                                  tol=1e-10, seed=0)
         assert state.converged
+        assert state.halvings >= 1
         assert np.all(np.isfinite(state.trace))
-        assert state.delta[0] == pytest.approx(1.0, abs=1e-5)
+        assert state.delta[0] == pytest.approx(0.25, abs=1e-5)
 
     @pytest.mark.parametrize("solve", [
         lambda m, ts: map_estimate(ts, m, GpaHyperParams(b0=1.0), GradientEstimatorConfig()),
@@ -588,18 +700,32 @@ class TestNonFiniteObjective:
 
 
 class TestDivergenceGuard:
-    def test_inconsistent_gradient_raises(self):
+    @staticmethod
+    def _bad_grad(d):
         # a gradient pointing away from the objective's descent direction
-        # cannot be rescued by halving; ten such iterations must raise
-        def bad_grad(d):
-            return -np.sign(d) - 1.0
+        return -np.sign(d) - 1.0, np.eye(2)
 
-        def value(d):
-            return float(np.abs(d).sum())
+    @staticmethod
+    def _value(d):
+        return float(np.abs(d).sum())
 
-        with pytest.raises(DivergenceError, match="kappa"):
-            proximal_minimize(bad_grad, value, dim=2, eta=1.0, nu=0.5,
-                              kappa=0.1, max_iter=100, tol=1e-12, seed=0)
+    def test_inconsistent_gradient_raises(self):
+        # no halving rescues the direction while the step stays above tol
+        with pytest.raises(DivergenceError, match="--grad-std"):
+            proximal_minimize(self._bad_grad, self._value, dim=2, eta=1.0, nu=0.5,
+                              max_iter=100, tol=1e-12, seed=0)
+
+    def test_step_halved_below_tol_converges(self):
+        # the same direction, but halving takes the step under tol first:
+        # the solve ends at its start, as converged
+        calls = []
+        state = proximal_minimize(self._bad_grad,
+                                  lambda d: calls.append(d) or self._value(d),
+                                  dim=2, eta=1.0, nu=0.5, max_iter=100, tol=1e-2,
+                                  seed=0)
+        assert state.converged and state.iterations == 1
+        assert state.halvings == len(calls) - 1 > 0
+        np.testing.assert_array_equal(state.delta, calls[0])
 
 
 def _reference_slices(delta_star, ts, model, hp, rates, grid):
@@ -683,7 +809,7 @@ class TestScoreDistributions:
     def test_ignored_variable_matches_prior_slice(self):
         m = linear_model([1.5, 0.0])
         ts = TestSet(np.array([[0.3, -0.2]]), np.array([2.0]), ["a", "b"])
-        hp = GpaHyperParams(eta=0.1, nu=0.5, kappa=0.1, a0=1.0, c_b=10.0, tol=1e-8)
+        hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
         res = map_estimate(ts, m, hp, FINE_GRAD)
         assert res.converged
         dists = score_distributions(res.delta_star, ts, m, hp, res.rates)
@@ -709,8 +835,7 @@ class TestScoreDistributions:
 
     def test_grid_points_setting(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
-        hp = GpaHyperParams(eta=1e-3, nu=1e-3, kappa=0.1, a0=1.0, b0=10.0,
-                            grid_points=200)
+        hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, grid_points=200)
         dists = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
                                     np.full(1, hp.b0))
         assert len(dists[0].grid) == 200
@@ -743,7 +868,7 @@ class TestHyperParamsValidation:
             dict(nu=0.0),
             dict(nu=1.5),
             dict(eta=0.0),
-            dict(kappa=-1.0),
+            dict(tol=0.0),
             dict(a0=0.0),
             dict(grid_points=2),
             dict(b_mode="nope"),
@@ -757,6 +882,5 @@ class TestHyperParamsValidation:
 
     def test_for_testset_scaling(self):
         hp = GpaHyperParams.for_testset(4)
-        assert hp.kappa == pytest.approx(0.1 / 4)
         assert hp.eta == pytest.approx(0.4)
         assert hp.nu == 0.5 and hp.a0 == 5.5 and hp.c_b == 10.0

@@ -344,15 +344,15 @@ class TestSubprocessAdapter:
         assert m._stderr_tail == b"x" * 4096
 
     def test_map_estimate_makes_two_requests_per_iteration(self, tmp_path):
-        # one request at each new extrapolated point, for the objective and
-        # its gradient, and one per candidate step
+        # one request at the start, for the objective and its gradient, then
+        # one per candidate step and one per accepted point for its gradient
         m, requests = _child(tmp_path, SINE_BATCH_MODEL)
         try:
             res = map_estimate(single_point([0.5, 0.0], 1.0), m, ORACLE_HP, FINE_GRAD)
         finally:
             m.close()
         assert res.converged
-        assert len(requests()) <= min(res.call_count, 2 * res.iterations + 1)
+        assert len(requests()) <= res.call_count == 1 + 2 * (res.iterations - 1) + res.halvings
 
     def test_short_batch_after_batching_raises(self, tmp_path):
         m, _ = _child(tmp_path, BATCH_MODEL, "--short")
