@@ -24,7 +24,11 @@ whatever the exit code.
 ``dist`` warns on stderr when more than 1% of a variable's posterior mass
 sits on the two edge points of its grid.  The gpa diagnostics report the
 solver's ``iterations``, its rejected candidate steps (``halvings``),
-``converged`` and the model's ``query_count`` and ``call_count``.
+``converged`` and the model's ``query_count`` and ``call_count``.  A
+converged solve whose line searches take their first step makes one model
+call per iteration, after one for the gamma rates unless ``--b0`` is given;
+each halving adds a call, and so does the gradient at a point accepted by
+a line search that halved or that follows one that halved.
 
 ``--kappa`` and ``--lc-kappa`` set the starting step of an earlier
 step-size solver.  The Gauss-Newton solver has no step size, so both are

@@ -322,9 +322,8 @@ def emit_distribution_svg(dists, map_point, path, variable_names=None) -> None:
     ]
     for k, d in enumerate(dists):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(
-            f"{sx(g):.2f},{sy(p):.2f}" for g, p in zip(d.grid, d.probs)
-        )
+        xs, ys = sx(d.grid).tolist(), sy(d.probs).tolist()
+        pts = " ".join(f"{g:.2f},{p:.2f}" for g, p in zip(xs, ys))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

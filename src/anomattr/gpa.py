@@ -21,8 +21,9 @@ with residual r_t = y_t - f(x_t + delta), found by proximal Gauss-Newton:
   batch that gave ``G``.
 * The step solves the l1-penalized quadratic model of F around the
   iterate x, ``min_z grad J . (z - x) + (1/2)(z - x)^T H (z - x) + eta nu
-  ||z||_1``, by coordinate descent (each coordinate's exact minimizer is a
-  soft-threshold), with no model query.
+  ||z||_1``, with no model query: by one linear solve on the support and
+  signs of the last step's z when they hold, else by coordinate descent
+  (each coordinate's exact minimizer is a soft-threshold).
 * A line search on F along ``x + s (z - x)``, s = 1, 1/2, 1/4, ...,
   accepts the first candidate that does not raise F.  A reach limits the
   steps: the first moves no coordinate by more than 0.5 input units, each
@@ -48,11 +49,15 @@ one coordinate through the MAP point and normalizing on a symmetric grid.
 One run queries the model in one plan: the gamma rates from one residual
 batch, then the solver, then one batch per variable for the slices, which
 reuse the run's rates.  The solver sends one batch at its start, which gives
-both the objective and its gradient there, one per candidate step and one
-at each accepted point for its gradient.  The model handle refuses
-non-finite output (:class:`~anomattr.models.NonFiniteModelOutput`), so an
-objective that is not finite has overflowed on finite outputs and raises
-DivergenceError.
+both the objective and its gradient there, and one per candidate step.  The
+first candidate of a line search also carries the displaced points of its
+gradient, so that an accepted step needs no further batch, unless the
+previous line search rejected its first candidate or no iteration follows;
+a point accepted without its gradient sends one batch of displaced points
+for it.  A converged solve whose line searches take their first step sends
+one batch per iteration.  The model handle refuses non-finite output
+(:class:`~anomattr.models.NonFiniteModelOutput`), so an objective that is
+not finite has overflowed on finite outputs and raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -157,8 +162,11 @@ class GpaHyperParams:
 class AttributionResult:
     """``query_count`` (points) and ``call_count`` (model calls) include the
     rate queries; ``halvings`` counts the candidate steps the solver's line
-    search rejected.  Pass ``rates`` on to :func:`score_distributions` and
-    :func:`objective`."""
+    search rejected.  A converged solve makes ``iterations + halvings``
+    calls plus one per point it accepted without the gradient there (see
+    :func:`proximal_minimize`); each rejected first candidate whose batch
+    carried its gradient's displaced points costs those points and no call.
+    Pass ``rates`` on to :func:`score_distributions` and :func:`objective`."""
 
     delta_star: np.ndarray
     iterations: int
@@ -317,8 +325,10 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
     model values, residuals and J at the last delta either of them
     evaluated: ``grad_fn`` at a new delta sends the rows ``x_t + delta``
     with their displaced points and remembers their values, so
-    ``value_fn`` there queries nothing; ``grad_fn`` at the delta of the last
-    ``value_fn`` sends the displaced points alone.
+    ``value_fn`` there queries nothing (the solver asks ``grad_fn`` first
+    at the candidate steps whose gradient it expects to need); ``grad_fn``
+    at the delta of the last ``value_fn`` sends the displaced points alone.
+    A loss that overflows gives an infinite J without a numpy warning.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     loss_value, loss_weight = loss
@@ -329,8 +339,10 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
 
     def remember(delta, model_values):
         nonlocal key, fvals, resid, value
-        key, fvals, resid = delta.tobytes(), model_values, y - model_values
-        value = 0.5 * eta * float(delta @ delta) + loss_value(resid)
+        key, fvals = delta.tobytes(), model_values
+        with np.errstate(over="ignore"):
+            resid = y - model_values
+            value = 0.5 * eta * float(delta @ delta) + loss_value(resid)
 
     def value_fn(delta):
         if delta.tobytes() != key:
@@ -344,10 +356,12 @@ def counterfactual_objective(model: ModelHandle, x, y, eta: float, loss,
             grads = estimate_gradient(model, x + delta, grad_cfg, points=points,
                                       values=centre)
             remember(delta, centre)
-        weight = loss_weight(resid)
-        hess = grads.T @ (weight[:, None] * grads)
-        hess[np.diag_indices(m)] += eta
-        return eta * delta - (weight * resid) @ grads, hess
+        # a delta whose J is not finite never uses its gradient
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = loss_weight(resid)
+            hess = grads.T @ (weight[:, None] * grads)
+            hess[np.diag_indices(m)] += eta
+            return eta * delta - (weight * resid) @ grads, hess
 
     return grad_fn, value_fn
 
@@ -374,15 +388,31 @@ class _SolveState:
 
 def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start, tol: float) -> np.ndarray:
     """The point ``v`` that minimizes the model ``q(v) = grad . (v - x) +
-    (1/2) (v - x)^T hess (v - x) + l1_weight ||v||_1``, by cyclic coordinate
-    descent: each coordinate in turn moves to its exact minimizer, a
-    soft-threshold, and the sweeps stop when none moves by ``tol`` or more,
-    or after ``_MAX_SWEEPS``.  ``hess`` must be symmetric positive definite.
-    The sweeps start at ``start`` or at x, whichever q rates lower, and
-    never raise q, so ``q(v) <= q(x)`` however loose ``tol`` is; then ``v -
-    x`` is a descent direction of ``F = J + l1_weight ||.||_1`` at x
-    wherever ``grad`` and ``hess`` are J's.  No model query.
+    (1/2) (v - x)^T hess (v - x) + l1_weight ||v||_1``.  ``hess`` must be
+    symmetric positive definite.  No model query.
+
+    First, one dense solve tries the sign pattern s of ``start`` on its
+    support S: ``hess_SS v_S = (hess x)_S - grad_S - l1_weight s_S``.  When
+    the signs of ``v_S`` are s and every zero coordinate's slope is at most
+    ``l1_weight`` in size, that v meets q's optimality conditions and is
+    returned as the exact minimizer.
+
+    Otherwise cyclic coordinate descent moves each coordinate in turn to its
+    exact minimizer, a soft-threshold, until none moves by ``tol`` or more,
+    or for ``_MAX_SWEEPS`` sweeps.  The sweeps start at ``start`` or at x,
+    whichever q rates lower, and never raise q, so ``q(v) <= q(x)`` however
+    loose ``tol`` is; then ``v - x`` is a descent direction of ``F = J +
+    l1_weight ||.||_1`` at x wherever ``grad`` and ``hess`` are J's.
     """
+    signs = np.sign(start)
+    support = signs != 0
+    v = np.zeros_like(x)
+    v[support] = np.linalg.solve(hess[np.ix_(support, support)],
+                                 (hess @ x - grad - l1_weight * signs)[support])
+    slope = grad + hess @ (v - x)
+    if (np.array_equal(np.sign(v), signs)
+            and np.all(np.abs(slope[~support]) <= l1_weight)):
+        return v
     step = start - x
     if (grad @ step + 0.5 * step @ hess @ step + l1_weight * np.abs(start).sum()
             > l1_weight * np.abs(x).sum()):
@@ -423,32 +453,43 @@ def proximal_minimize(
 
     Minimizes ``F = J + eta*nu*||delta||_1`` given ``grad_fn(delta) -> (g,
     H)``, the gradient of J and a positive definite curvature, and
-    ``value_fn(delta) -> J``.  One iteration at the accepted point x asks
+    ``value_fn(delta) -> J``.  One iteration at the accepted point x takes
     ``grad_fn`` there, then solves the l1-penalized quadratic model ``min_z
-    g.(z - x) + (1/2)(z - x)^T H (z - x) + eta*nu*||z||_1`` by coordinate
-    descent with no model query (from the last z, or from x if the model
-    rates it lower, to a tolerance of ``max(0.1 tol, min(1e-3, 0.01 * last
-    move))``), so that ``z - x`` is a descent direction of F.  When the
-    move ``max |z - x|`` is below ``tol`` the solve has converged and the
-    result is x.  Otherwise F is evaluated at ``x + s (z - x)`` for s = s0,
-    s0/2, s0/4, ..., where s0 <= 1 keeps the first step within 0.5 of the
-    start in every coordinate and each later one within twice the last
-    accepted step; the first candidate with ``F <= F(x)`` becomes the new
-    x, so ``F(x)``, the trace, never rises.  A step halved until it moves
-    less than ``tol`` ends the solve the same way, as converged at x; a
-    direction that F rejects at every s down to s0 / 2**20 raises
-    :class:`DivergenceError`, since then ``grad_fn`` disagrees with
-    ``value_fn``.  ``delta`` starts at small seeded uniform noise in
-    [-1e-3, 1e-3], which keeps the sign-selection behaviour of the l1 term
-    intact.
+    g.(z - x) + (1/2)(z - x)^T H (z - x) + eta*nu*||z||_1`` with no model
+    query (:func:`_solve_l1_quadratic`: exactly on the last z's support and
+    signs when they hold, else by coordinate descent from the last z, or
+    from x if the model rates it lower, to a tolerance of ``max(0.1 tol,
+    min(1e-3, 0.01 * last move))``), so that ``z - x`` is a descent
+    direction of F.  When the move ``max |z - x|`` is below ``tol`` the
+    solve has converged and the result is x.  Otherwise F is evaluated at
+    ``x + s (z - x)`` for s = s0, s0/2, s0/4, ..., where s0 <= 1 keeps the
+    first step within 0.5 of the start in every coordinate and each later
+    one within twice the last accepted step; the first candidate with ``F
+    <= F(x)`` becomes the new x, so ``F(x)``, the trace, never rises.  A
+    step halved until it moves less than ``tol`` ends the solve the same
+    way, as converged at x; a direction that F rejects at every s down to
+    s0 / 2**20 raises :class:`DivergenceError`, since then ``grad_fn``
+    disagrees with ``value_fn``.  ``delta`` starts at small seeded uniform
+    noise in [-1e-3, 1e-3], which keeps the sign-selection behaviour of the
+    l1 term intact.
 
-    With :func:`counterfactual_objective` the model batch of ``grad_fn`` at
-    the start also holds the values F needs there, each candidate costs one
-    batch and each accepted point one more for its gradient: a converged
-    solve sends ``1 + 2 (iterations - 1) + halvings`` batches.  A non-finite
-    F at the start raises :class:`DivergenceError` (the model handle refuses
-    non-finite outputs, so the loss itself overflowed); a non-finite
-    candidate only fails the comparison and is halved.
+    ``grad_fn`` is asked at the start, and at the first candidate of a line
+    search before ``value_fn`` there when the previous line search accepted
+    its first candidate (the first line search counts as trusted) and the
+    iteration is not the ``max_iter``-th: if that candidate is accepted, its
+    ``(g, H)`` serve the next iteration.  Other accepted points get their
+    ``grad_fn`` call at the next iteration.  With
+    :func:`counterfactual_objective` the batch of ``grad_fn`` at a new point
+    also holds the values F needs there, so the start and each candidate
+    cost one batch, and each point accepted without its gradient one more:
+    a converged solve sends ``iterations + halvings`` batches plus one after
+    each acceptance that was halved or not trusted, and a rejected first
+    candidate that carried its gradient costs its displaced points and no
+    extra batch.  The gate bounds the batches by the ``1 + 2 (iterations -
+    1) + halvings`` of asking ``grad_fn`` at each accepted point.  A
+    non-finite F at the start raises :class:`DivergenceError` (the model
+    handle refuses non-finite outputs, so the loss itself overflowed); a
+    non-finite candidate only fails the comparison and is halved.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_INIT_STREAM,))
@@ -463,7 +504,7 @@ def proximal_minimize(
     f_x = penalized(x)
     if not math.isfinite(f_x):
         raise DivergenceError(
-            f"objective is {f_x!r}: a residual's square overflows the "
+            f"objective is {f_x!r}: a residual or its square overflows the "
             "float range; rescale the targets"
         )
     trace = [f_x]
@@ -471,19 +512,24 @@ def proximal_minimize(
     converged = False
     halvings = 0
     iterations = 0
+    # grad, hess are at x; trusted: the last line search took its first step
+    fresh = trusted = True
     for iterations in range(1, max_iter + 1):
-        if iterations > 1:
+        if not fresh:
             grad, hess = grad_fn(x)
         inner_tol = max(0.1 * tol, min(1e-3, 0.01 * move))
         z = _solve_l1_quadratic(grad, hess, x, l1_weight, z, inner_tol)
         direction = z - x
         move = float(np.max(np.abs(direction)))
         first = min(1.0, reach / move) if move else 1.0
+        speculate = trusted and iterations < max_iter
         for halved in range(_MAX_HALVINGS + 1):
             step = first * 0.5**halved
             if step * move < tol:
                 break
             candidate = x + step * direction
+            if speculate and halved == 0:
+                ahead = grad_fn(candidate)
             f_c = penalized(candidate)
             if f_c <= f_x:
                 break
@@ -498,6 +544,10 @@ def proximal_minimize(
         if step * move < tol:
             converged = True
             break
+        trusted = halved == 0
+        fresh = speculate and trusted
+        if fresh:
+            grad, hess = ahead
         x, f_x = candidate, f_c
         reach = 2.0 * step * move
         trace.append(f_x)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -389,7 +390,10 @@ class TestLc:
     def test_overflowing_residual_raises(self):
         from anomattr.gpa import DivergenceError
 
-        with pytest.raises(DivergenceError, match="square overflows"):
+        # and numpy prints no overflow warning on the way
+        with warnings.catch_warnings(), pytest.raises(DivergenceError,
+                                                      match="square overflows"):
+            warnings.simplefilter("error")
             lc(linear_model([1.0, 1.0]), [0.1, 0.2], 1e200, eta=0.1, nu=0.5)
 
 

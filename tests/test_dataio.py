@@ -229,3 +229,35 @@ class TestDistributionSvg:
         other = ScoreDistribution(1, grid, np.full(21, 1 / 21))
         with pytest.raises(ValueError, match="grid"):
             emit_distribution_svg([_flat_dist(0), other], np.zeros(2), tmp_path / "x.svg")
+
+    def test_fixed_set_renders_known_bytes(self, tmp_path):
+        # the whole document, pinned: the coordinates are computed over the
+        # grid at once and must format exactly as the point-by-point version
+        grid = np.linspace(-0.7, 0.7, 7)
+        grid = 0.5 * (grid - grid[::-1])
+        p1 = np.array([1.0, 3.0, 7.0, 11.0, 5.0, 2.0, 0.5])
+        p2 = np.array([0.2, 0.9, 2.0, 1.3, 3.1, 1.7, 0.8])
+        dists = [ScoreDistribution(0, grid, p1 / p1.sum()),
+                 ScoreDistribution(2, grid, p2 / p2.sum())]
+        p = tmp_path / "d.svg"
+        emit_distribution_svg(dists, [0.25, 9.0, -0.7], p, ["a", "c"])
+        assert p.read_bytes() == _FIXED_SVG.encode()
+
+
+_FIXED_SVG = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="560" height="320" font-family="sans-serif" font-size="11">
+<rect width="560" height="320" fill="white"/>
+<rect x="56" y="20" width="364" height="260" fill="none" stroke="#444"/>
+<text x="56" y="310">-0.7</text>
+<text x="420" y="310" text-anchor="end">0.7</text>
+<text x="238.0" y="310" text-anchor="middle">perturbation</text>
+<polyline points="56.00,256.36 116.67,209.09 177.33,114.55 238.00,20.00 298.67,161.82 359.33,232.73 420.00,268.18" fill="none" stroke="#1b6ca8" stroke-width="1.5"/>
+<circle cx="298.67" cy="161.82" r="3.5" fill="#1b6ca8"/>
+<rect x="430" y="25" width="12" height="12" fill="#1b6ca8"/>
+<text x="447" y="34" class="legend">a</text>
+<polyline points="56.00,266.05 116.67,217.25 177.33,140.55 238.00,189.35 298.67,63.85 359.33,161.46 420.00,224.22" fill="none" stroke="#c0392b" stroke-width="1.5"/>
+<circle cx="56.00" cy="266.05" r="3.5" fill="#c0392b"/>
+<rect x="430" y="41" width="12" height="12" fill="#c0392b"/>
+<text x="447" y="50" class="legend">c</text>
+</svg>
+"""

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -449,8 +450,10 @@ class TestAcceleratedSolver:
     def test_result_is_best_accepted_iterate(self):
         # the trace records F at the returned point, and ends there.  The
         # curvature 0.8 is 0.4 times the true one, so full steps overshoot
-        # and raise F, and halving rescues them: one gradient per iteration,
-        # one value at the start and per candidate
+        # and raise F, and halving rescues them.  One value at the start and
+        # per candidate; one gradient per iteration, plus one at the first
+        # candidate, whose gradient was asked with its value and which F
+        # then rejected: later line searches ask values alone
         calls = {"grad": 0, "value": 0}
 
         def value(d):
@@ -465,7 +468,7 @@ class TestAcceleratedSolver:
                                   max_iter=500, tol=1e-10, seed=0)
         assert state.converged
         assert state.halvings > 0
-        assert calls == {"grad": state.iterations,
+        assert calls == {"grad": state.iterations + 1,
                          "value": 1 + state.iterations - 1 + state.halvings}
         penalized = value(state.delta) + 0.01 * np.abs(state.delta).sum()
         assert state.trace[-1] == penalized
@@ -510,6 +513,48 @@ class TestL1QuadraticSolve:
         v = _solve_l1_quadratic(np.zeros(2), hess, np.zeros(2), 0.0,
                                 np.array([10.0, -10.0]), 1.0)
         np.testing.assert_array_equal(v, [0.0, 0.0])
+
+    @staticmethod
+    def _problem(seed, m=12):
+        rng = np.random.default_rng(seed)
+        gmat = rng.normal(size=(m, m))
+        hess = 0.1 * np.eye(m) + gmat.T @ gmat / m
+        grad, x = rng.normal(size=m), rng.normal(size=m)
+        return rng, grad, hess, x
+
+    @staticmethod
+    def _q(v, grad, hess, x, l1_weight):
+        step = v - x
+        return grad @ step + 0.5 * step @ hess @ step + l1_weight * np.abs(v).sum()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_start_with_the_right_signs_gives_the_exact_minimizer(self, seed):
+        # tol = 1 stops coordinate descent after a sweep or two, so only
+        # the direct solve on the start's support meets the conditions to
+        # rounding
+        rng, grad, hess, x = self._problem(seed)
+        exact = _solve_l1_quadratic(grad, hess, x, 0.5, x, 1e-14)
+        assert 0 < np.count_nonzero(exact) < len(x)
+        start = exact * rng.uniform(0.9, 1.1, len(x))
+        v = _solve_l1_quadratic(grad, hess, x, 0.5, start, 1.0)
+        scale = np.max(np.abs(hess @ x - grad))
+        assert np.max(_l1_kkt_residual(v, grad, hess, x, 0.5)) <= 1e-12 * scale
+        np.testing.assert_array_equal(np.sign(v), np.sign(exact))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_start_with_wrong_signs_falls_back_to_sweeps(self, seed):
+        # the minimizer is unique, so the flipped sign pattern of x cannot
+        # meet the conditions, and the sweeps run from x
+        rng, grad, hess, _ = self._problem(seed)
+        exact = _solve_l1_quadratic(grad, hess, np.zeros(len(grad)), 0.5,
+                                    np.zeros(len(grad)), 1e-14)
+        x = -exact * rng.uniform(0.5, 2.0, len(grad))
+        grad = grad + hess @ x  # the same q, now around x
+        loose = _solve_l1_quadratic(grad, hess, x, 0.5, x, 1.0)
+        assert self._q(loose, grad, hess, x, 0.5) <= self._q(x, grad, hess, x, 0.5)
+        tight = _solve_l1_quadratic(grad, hess, x, 0.5, x, 1e-13)
+        assert np.max(_l1_kkt_residual(tight, grad, hess, x, 0.5)) <= 1e-10
+        np.testing.assert_allclose(tight, exact, rtol=0, atol=1e-9)
 
     def test_inner_solve_sends_no_query(self, monkeypatch):
         import anomattr.gpa as gpa_mod
@@ -570,8 +615,11 @@ def _solve_both_ways(make_model, ts, loss, eta, nu, grad_cfg, max_iter=10_000,
 
 class TestSolverPlan:
     """The start sends one model batch, which gives both F and the gradient
-    there; each candidate step is one batch of the rows, and each accepted
-    point one batch of its displaced rows for the gradient."""
+    there.  Each candidate step is one batch: the first of a line search
+    carries its displaced rows, so that the gradient at the point it
+    becomes is already there, unless the previous line search rejected its
+    first candidate; the others carry the rows alone, and a point accepted
+    without its gradient sends one batch of its displaced rows."""
 
     def test_fresh_gradient_is_one_batch_with_the_centre_rows_first(self):
         coef, ts = _collective_problem()
@@ -596,8 +644,10 @@ class TestSolverPlan:
         assert model.sizes[1:] == [n, n * m * mc]
 
     @pytest.mark.parametrize("problem", ["oracle-row", "collective"])
-    def test_solve_is_two_batches_per_iteration_plus_halvings(self, problem):
-        # c_b rates (no b0), so the run starts with one residual batch
+    def test_solve_is_one_batch_per_iteration(self, problem):
+        # c_b rates (no b0), so the run starts with one residual batch; no
+        # line search here rejects a step, so every batch after it carries
+        # the rows and their displaced points
         if problem == "oracle-row":
             model = BatchRecorder(sinusoidal2d())
             hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, tol=1e-8)
@@ -609,13 +659,45 @@ class TestSolverPlan:
         res = map_estimate(ts, model, hp, FINE_GRAD)
         n = ts.n_test
         displaced = n * ts.dimension * FINE_GRAD.mc_samples
-        assert res.converged and res.iterations > 1
-        assert res.call_count == len(model.sizes)
-        assert res.call_count == 2 + 2 * (res.iterations - 1) + res.halvings
-        rates, start, solver = model.sizes[0], model.sizes[1], model.sizes[2:]
-        assert (rates, start) == (n, n + displaced)
-        assert solver.count(displaced) == res.iterations - 1
-        assert solver.count(n) == res.iterations - 1 + res.halvings
+        assert res.converged and res.iterations > 1 and res.halvings == 0
+        assert res.call_count == len(model.sizes) == 1 + res.iterations
+        assert model.sizes == [n] + [n + displaced] * res.iterations
+        assert res.query_count == n + (n + displaced) * res.iterations
+
+    def test_rejected_first_candidate_costs_its_displaced_rows(self):
+        # the default grad-std 1 shrinks the sinusoid's estimated slope, so
+        # near the root a line search rejects its first candidate.  That
+        # candidate is one batch of n + displaced rows where a value alone
+        # would be n; the next candidates and the next line search send the
+        # rows alone, and the point accepted after halving sends its
+        # displaced rows for its gradient
+        model = BatchRecorder(sinusoidal2d())
+        res = map_estimate(single_point([0.5, 0.0], 1.0), model, ORACLE_HP,
+                           GradientEstimatorConfig())
+        n, displaced = 1, 2 * GradientEstimatorConfig().mc_samples
+        assert res.converged and res.halvings > 1
+        rejected = model.sizes.index(n) - 1
+        assert model.sizes == ([n + displaced] * (rejected + 1) + [n, displaced]
+                               + [n] * (res.halvings - 1))
+        # against the plan that sends the gradient at each accepted point
+        # after its value: exactly the displaced rows more, and one call
+        # fewer per candidate accepted with its gradient
+        two_batch_queries = (n + displaced) * res.iterations + n * res.halvings
+        assert res.query_count == two_batch_queries + displaced
+        two_batch_calls = 1 + 2 * (res.iterations - 1) + res.halvings
+        assert res.call_count == two_batch_calls - (rejected - 1)
+
+    def test_last_iteration_sends_its_candidate_alone(self):
+        # no iteration follows the max_iter-th, so its candidate carries no
+        # displaced rows
+        coef, ts = _collective_problem()
+        model = BatchRecorder(quadratic_model(coef))
+        hp = GpaHyperParams.for_testset(ts.n_test, max_iter=3)
+        res = map_estimate(ts, model, hp, FINE_GRAD)
+        n = ts.n_test
+        displaced = n * ts.dimension * FINE_GRAD.mc_samples
+        assert not res.converged and res.iterations == 3 and res.halvings == 0
+        assert model.sizes == [n] + [n + displaced] * 3 + [n]
 
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     @pytest.mark.parametrize("method", ["gpa", "lc"])
@@ -651,12 +733,28 @@ class TestSolverPlan:
 
 class TestNonFiniteObjective:
     def test_overflowing_residual_raises(self):
-        # y = 1e200 is finite, but its square is not
+        # y = 1e200 is finite, but its square is not; numpy prints no
+        # overflow warning on the way
         ts = TestSet(np.array([[0.1, 0.2], [0.3, 0.1]]), np.array([1e200, 1.0]),
                      ["a", "b"])
         hp = GpaHyperParams(b0=1.0)
-        with pytest.raises(DivergenceError, match="square overflows"):
+        with warnings.catch_warnings(), pytest.raises(DivergenceError,
+                                                      match="square overflows"):
+            warnings.simplefilter("error")
             map_estimate(ts, linear_model([1.0, 1.0]), hp, FINE_GRAD)
+
+    @pytest.mark.parametrize("method", ["gpa", "lc"])
+    def test_overflowing_residual_difference_raises(self, method):
+        # y and f(x) are finite, but y - f(x) is not
+        ts = TestSet(np.array([[-1e308, 0.2]]), np.array([1.7e308]), ["a", "b"])
+        model = linear_model([1.0, 1.0])
+        with warnings.catch_warnings(), pytest.raises(DivergenceError,
+                                                      match="square overflows"):
+            warnings.simplefilter("error")
+            if method == "gpa":
+                map_estimate(ts, model, GpaHyperParams(b0=1.0), FINE_GRAD)
+            else:
+                lc(model, ts.x[0], ts.y[0], eta=0.1, nu=0.5)
 
     def test_infinite_start_raises(self):
         with pytest.raises(DivergenceError, match="inf"):

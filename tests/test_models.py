@@ -343,16 +343,17 @@ class TestSubprocessAdapter:
             m.close()
         assert m._stderr_tail == b"x" * 4096
 
-    def test_map_estimate_makes_two_requests_per_iteration(self, tmp_path):
+    def test_map_estimate_makes_one_request_per_iteration(self, tmp_path):
         # one request at the start, for the objective and its gradient, then
-        # one per candidate step and one per accepted point for its gradient
+        # one per candidate step, which carries the gradient's displaced
+        # points too while line searches take their first step
         m, requests = _child(tmp_path, SINE_BATCH_MODEL)
         try:
             res = map_estimate(single_point([0.5, 0.0], 1.0), m, ORACLE_HP, FINE_GRAD)
         finally:
             m.close()
-        assert res.converged
-        assert len(requests()) <= res.call_count == 1 + 2 * (res.iterations - 1) + res.halvings
+        assert res.converged and res.halvings == 0
+        assert len(requests()) == res.call_count == res.iterations
 
     def test_short_batch_after_batching_raises(self, tmp_path):
         m, _ = _child(tmp_path, BATCH_MODEL, "--short")
