@@ -17,7 +17,12 @@ from math import comb
 
 import numpy as np
 
-from .gpa import counterfactual_objective, gaussian_loss, proximal_minimize
+from .gpa import (
+    _solve_l1_quadratic,
+    counterfactual_objective,
+    gaussian_loss,
+    proximal_minimize,
+)
 from .models import GradientEstimatorConfig, ModelHandle, estimate_gradient
 
 __all__ = [
@@ -98,47 +103,32 @@ def _local_cloud(model: ModelHandle, x_t, cfg: LimeConfig):
     return offsets, fvals
 
 
-def _lasso_cd(design: np.ndarray, target: np.ndarray, l1: float,
-              max_sweeps: int = 10_000, tol: float = 1e-13) -> np.ndarray:
-    """Coordinate descent for (1/n)||target - design @ beta||^2 + l1 ||beta||_1
-    on centered data (no intercept column)."""
-    n, m = design.shape
-    col_sq = 2.0 / n * np.einsum("ij,ij->j", design, design)
-    if np.all(col_sq == 0):
-        raise ValueError("degenerate local design: all samples identical")
-    beta = np.zeros(m)
-    resid = target.copy()
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for j in range(m):
-            if col_sq[j] == 0.0:
-                continue
-            rho = 2.0 / n * (design[:, j] @ resid) + col_sq[j] * beta[j]
-            new = np.sign(rho) * max(abs(rho) - l1, 0.0) / col_sq[j]
-            if new != beta[j]:
-                resid += design[:, j] * (beta[j] - new)
-                worst = max(worst, abs(new - beta[j]))
-                beta[j] = new
-        if worst <= tol * max(1.0, float(np.max(np.abs(beta)))):
-            break
-    return beta
-
-
 def lime(model: ModelHandle, x_t, y_t: float, cfg: LimeConfig) -> np.ndarray:
     """l1-regularized local surrogate slopes at (x_t, y_t).
 
     Samples a Gaussian cloud around x_t, fits the deviation f(x) - y_t with a
-    lasso via coordinate descent and returns the slope vector.  The target
-    value only shifts the surrogate intercept (the lasso objective is convex,
-    so the slopes are unique); the fit therefore runs on mean-centered model
-    values, which keeps the returned scores exactly independent of y_t.
+    lasso and returns the slope vector.  The target value only shifts the
+    surrogate intercept (the lasso objective is convex, so the slopes are
+    unique); the fit therefore runs on mean-centered model values, which
+    keeps the returned scores exactly independent of y_t.  For the centered
+    design D and values t of the n samples, the lasso ``(1/n) ||t - D
+    beta||^2 + l1 ||beta||_1`` has curvature ``(2/n) D^T D`` and slope
+    ``-(2/n) D^T t`` at 0; the solver's exact l1-penalized quadratic solve
+    (:func:`anomattr.gpa._solve_l1_quadratic`) minimizes it, and a column
+    without variance keeps a zero slope.
     """
     del y_t  # absorbed by the intercept; see docstring
     offsets, fvals = _local_cloud(model, x_t, cfg)
     design = cfg.sampling_std * offsets
     design = design - design.mean(axis=0)
     centered = fvals - fvals.mean()
-    return _lasso_cd(design, centered, cfg.l1_strength)
+    scale = 2.0 / len(design)
+    gram = scale * design.T @ design
+    if not np.any(gram.diagonal()):
+        raise ValueError("degenerate local design: all samples identical")
+    zero = np.zeros(model.dimension)
+    return _solve_l1_quadratic(-scale * design.T @ centered, gram, zero,
+                               cfg.l1_strength, zero)
 
 
 def lime0(model: ModelHandle, x_t, cfg: LimeConfig) -> np.ndarray:

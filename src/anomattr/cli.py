@@ -155,9 +155,13 @@ def _selected_indices(args, n_test: int) -> list[int]:
         idx = _ints(args.indices)
     else:
         idx = [args.point_index]
+    seen = set()
     for i in idx:
         if not 0 <= i < n_test:
             raise UsageError(f"sample index {i} out of range (0..{n_test - 1})")
+        if i in seen:
+            raise UsageError(f"sample index {i} repeated in --indices")
+        seen.add(i)
     if len(idx) > 1 and not args.collective:
         raise UsageError(
             "multiple --indices require --collective; run single points "

@@ -154,9 +154,9 @@ def standardize(ts: TestSet, stats: tuple | None = None) -> TestSet:
 
     ``stats`` is an optional (mean, std) pair of per-variable arrays.  When
     omitted the statistics are estimated from the test set itself (population
-    std), which is the only option without training data; a warning flags the
-    provenance.  The inverse transform for perturbations is
-    :func:`delta_to_raw_units`.
+    std), which is the only option without training data; once the statistics
+    pass their checks, a warning flags the provenance.  The inverse transform
+    for perturbations is :func:`delta_to_raw_units`.
     """
     if stats is not None:
         mean = np.asarray(stats[0], dtype=float)
@@ -166,17 +166,18 @@ def standardize(ts: TestSet, stats: tuple | None = None) -> TestSet:
         mean = ts.x.mean(axis=0)
         std = ts.x.std(axis=0)
         provenance = "test_set_estimated"
-        warnings.warn(
-            "standardization statistics estimated from the test set itself; "
-            "supply external statistics if available",
-            stacklevel=2,
-        )
     if mean.shape != (ts.dimension,) or std.shape != (ts.dimension,):
         raise ValueError("stats must provide one (mean, std) per variable")
     bad = np.nonzero(std <= 0)[0]
     if bad.size:
         raise ValueError(
             f"zero standard deviation for variable {ts.variable_names[bad[0]]!r}"
+        )
+    if stats is None:
+        warnings.warn(
+            "standardization statistics estimated from the test set itself; "
+            "supply external statistics if available",
+            stacklevel=2,
         )
     return TestSet(
         (ts.x - mean) / std,

@@ -21,9 +21,9 @@ with residual r_t = y_t - f(x_t + delta), found by proximal Gauss-Newton:
   batch that gave ``G``.
 * The step solves the l1-penalized quadratic model of F around the
   iterate x, ``min_z grad J . (z - x) + (1/2)(z - x)^T H (z - x) + eta nu
-  ||z||_1``, with no model query: by one linear solve on the support and
-  signs of the last step's z when they hold, else by coordinate descent
-  (each coordinate's exact minimizer is a soft-threshold).
+  ||z||_1``, exactly and with no model query, by feature-sign search:
+  dense solves on an active set that starts from the support and signs of
+  the last step's z, so one solve suffices once the support settles.
 * A line search on F along ``x + s (z - x)``, s = 1, 1/2, 1/4, ...,
   accepts the first candidate that does not raise F.  A reach limits the
   steps: the first moves no coordinate by more than 0.5 input units, each
@@ -93,7 +93,7 @@ _MAX_HALVINGS = 20
 # largest coordinate move of the first step; each later step may move up to
 # twice as far as the last accepted one
 _FIRST_REACH = 0.5
-_MAX_SWEEPS = 10_000
+_MAX_ACTIVE_SET_STEPS = 10_000
 _INIT_SCALE = 1e-3
 _INIT_STREAM = 0x1A17
 _RATE_FLOOR = 1e-6
@@ -386,55 +386,56 @@ class _SolveState:
     halvings: int
 
 
-def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start, tol: float) -> np.ndarray:
+def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
     """The point ``v`` that minimizes the model ``q(v) = grad . (v - x) +
-    (1/2) (v - x)^T hess (v - x) + l1_weight ||v||_1``.  ``hess`` must be
-    symmetric positive definite.  No model query.
+    (1/2) (v - x)^T hess (v - x) + l1_weight ||v||_1``, exactly; ``hess``
+    must be symmetric, and positive definite on the coordinates whose slope
+    can exceed ``l1_weight``.  No model query.
 
-    First, one dense solve tries the sign pattern s of ``start`` on its
-    support S: ``hess_SS v_S = (hess x)_S - grad_S - l1_weight s_S``.  When
-    the signs of ``v_S`` are s and every zero coordinate's slope is at most
-    ``l1_weight`` in size, that v meets q's optimality conditions and is
-    returned as the exact minimizer.
-
-    Otherwise cyclic coordinate descent moves each coordinate in turn to its
-    exact minimizer, a soft-threshold, until none moves by ``tol`` or more,
-    or for ``_MAX_SWEEPS`` sweeps.  The sweeps start at ``start`` or at x,
-    whichever q rates lower, and never raise q, so ``q(v) <= q(x)`` however
-    loose ``tol`` is; then ``v - x`` is a descent direction of ``F = J +
-    l1_weight ||.||_1`` at x wherever ``grad`` and ``hess`` are J's.
+    Feature-sign search (Lee, Battle, Raina & Ng 2007) keeps a sign pattern
+    s, first that of ``start``, and solves q with the l1 term fixed by s on
+    its support S: ``hess_SS t_S = (hess x)_S - grad_S - l1_weight s_S``.
+    When t has the signs s, the zero coordinate whose slope most exceeds
+    ``l1_weight`` in size joins S with the sign opposite its slope, and when
+    none does, t is the minimizer.  When a sign flips, the current point
+    moves to whichever of t and the zero crossings on the way q rates
+    lowest, and the coordinate that crossed leaves S.  Each step lowers q,
+    so a step that cannot (rounding) ends the search at the current point,
+    as do ``_MAX_ACTIVE_SET_STEPS`` steps.  A ``start`` with the minimizer's
+    signs takes one solve.  As v minimizes q, ``q(v) <= q(x)``, and ``v -
+    x`` is a descent direction of ``F = J + l1_weight ||.||_1`` at x
+    wherever ``grad`` and ``hess`` are J's.
     """
     signs = np.sign(start)
-    support = signs != 0
-    v = np.zeros_like(x)
-    v[support] = np.linalg.solve(hess[np.ix_(support, support)],
-                                 (hess @ x - grad - l1_weight * signs)[support])
-    slope = grad + hess @ (v - x)
-    if (np.array_equal(np.sign(v), signs)
-            and np.all(np.abs(slope[~support]) <= l1_weight)):
-        return v
-    step = start - x
-    if (grad @ step + 0.5 * step @ hess @ step + l1_weight * np.abs(start).sum()
-            > l1_weight * np.abs(x).sum()):
-        start = x
-    v = np.array(start, dtype=float)
-    slope = grad + hess @ (v - x)  # gradient of the smooth part at v
-    inv_diag = (1.0 / hess.diagonal()).tolist()
-    rows = list(hess)
-    for _ in range(_MAX_SWEEPS):
-        worst = 0.0
-        for j, row in enumerate(rows):
-            old = v.item(j)
-            width = l1_weight * inv_diag[j]
-            target = old - slope.item(j) * inv_diag[j]
-            new = target - width if target > width else (
-                target + width if target < -width else 0.0)
-            if new != old:
-                slope += (new - old) * row
-                v[j] = new
-                worst = max(worst, abs(new - old))
-        if worst < tol:
-            break
+    v, rhs = start, hess @ x - grad
+    for _ in range(_MAX_ACTIVE_SET_STEPS):
+        support = signs != 0
+        target = np.zeros_like(x)
+        target[support] = np.linalg.solve(hess[np.ix_(support, support)],
+                                          (rhs - l1_weight * signs)[support])
+        if np.array_equal(np.sign(target), signs):
+            v = target
+            slope = grad + hess @ (v - x)
+            excess = np.where(support, -np.inf, np.abs(slope) - l1_weight)
+            j = int(np.argmax(excess))
+            if excess[j] <= 0.0:
+                return v
+            signs[j] = -np.sign(slope[j])
+            continue
+        # the current point, each zero crossing on the way to target (a
+        # coordinate just added sits at 0 and crosses none), target
+        crossed = np.flatnonzero((np.sign(target) != signs) & (v != 0.0))
+        ts = v[crossed] / (v[crossed] - target[crossed])
+        points = np.vstack([v, v + ts[:, None] * (target - v), target])
+        points[np.arange(1, len(crossed) + 1), crossed] = 0.0
+        steps = points - x
+        q = (steps @ grad + 0.5 * np.einsum("ij,ij->i", steps @ hess, steps)
+             + l1_weight * np.abs(points).sum(axis=1))
+        best = int(np.argmin(q))
+        if best == 0:
+            return v
+        v = points[best]
+        signs = np.sign(v)
     return v
 
 
@@ -456,22 +457,20 @@ def proximal_minimize(
     ``value_fn(delta) -> J``.  One iteration at the accepted point x takes
     ``grad_fn`` there, then solves the l1-penalized quadratic model ``min_z
     g.(z - x) + (1/2)(z - x)^T H (z - x) + eta*nu*||z||_1`` with no model
-    query (:func:`_solve_l1_quadratic`: exactly on the last z's support and
-    signs when they hold, else by coordinate descent from the last z, or
-    from x if the model rates it lower, to a tolerance of ``max(0.1 tol,
-    min(1e-3, 0.01 * last move))``), so that ``z - x`` is a descent
-    direction of F.  When the move ``max |z - x|`` is below ``tol`` the
-    solve has converged and the result is x.  Otherwise F is evaluated at
-    ``x + s (z - x)`` for s = s0, s0/2, s0/4, ..., where s0 <= 1 keeps the
-    first step within 0.5 of the start in every coordinate and each later
-    one within twice the last accepted step; the first candidate with ``F
-    <= F(x)`` becomes the new x, so ``F(x)``, the trace, never rises.  A
-    step halved until it moves less than ``tol`` ends the solve the same
-    way, as converged at x; a direction that F rejects at every s down to
-    s0 / 2**20 raises :class:`DivergenceError`, since then ``grad_fn``
-    disagrees with ``value_fn``.  ``delta`` starts at small seeded uniform
-    noise in [-1e-3, 1e-3], which keeps the sign-selection behaviour of the
-    l1 term intact.
+    query (:func:`_solve_l1_quadratic`, exactly, from the last z's support
+    and signs), so that ``z - x`` is a descent direction of F.  When the
+    move ``max |z - x|`` is below ``tol`` the solve has converged and the
+    result is x.  Otherwise F is evaluated at ``x + s (z - x)`` for s = s0,
+    s0/2, s0/4, ..., where s0 <= 1 keeps the first step within 0.5 of the
+    start in every coordinate and each later one within twice the last
+    accepted step; the first candidate with ``F <= F(x)`` becomes the new
+    x, so ``F(x)``, the trace, never rises.  A step halved until it moves
+    less than ``tol`` ends the solve the same way, as converged at x; a
+    direction that F rejects at every s down to s0 / 2**20 raises
+    :class:`DivergenceError`, since then ``grad_fn`` disagrees with
+    ``value_fn``.  ``delta`` starts at small seeded uniform noise in
+    [-1e-3, 1e-3], which keeps the sign-selection behaviour of the l1 term
+    intact.
 
     ``grad_fn`` is asked at the start, and at the first candidate of a line
     search before ``value_fn`` there when the previous line search accepted
@@ -508,7 +507,7 @@ def proximal_minimize(
             "float range; rescale the targets"
         )
     trace = [f_x]
-    z, move, reach = x, math.inf, _FIRST_REACH
+    z, reach = x, _FIRST_REACH
     converged = False
     halvings = 0
     iterations = 0
@@ -517,8 +516,7 @@ def proximal_minimize(
     for iterations in range(1, max_iter + 1):
         if not fresh:
             grad, hess = grad_fn(x)
-        inner_tol = max(0.1 * tol, min(1e-3, 0.01 * move))
-        z = _solve_l1_quadratic(grad, hess, x, l1_weight, z, inner_tol)
+        z = _solve_l1_quadratic(grad, hess, x, l1_weight, z)
         direction = z - x
         move = float(np.max(np.abs(direction)))
         first = min(1.0, reach / move) if move else 1.0

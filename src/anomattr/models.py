@@ -535,7 +535,8 @@ def _step_draws(seed: int, std: float, mc_samples: int, dimension: int):
     displacement matrix D whose row ``i * mc_samples + j`` is ``h[i, j] e_i``.
 
     Each fresh draw comes from its own substream keyed by (seed, coordinate,
-    draw), so serial and per-coordinate-parallel execution agree bit for bit.
+    draw), so a coordinate's steps do not depend on the dimension or on the
+    other coordinates.
     Draws are sign-paired (h, -h): the pairing leaves the marginal N(0, std^2)
     untouched but cancels the odd-order smoothing bias, which makes the slope
     estimator exact on linear and pure-quadratic models.  Near-zero draws are

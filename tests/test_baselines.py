@@ -31,6 +31,30 @@ from conftest import FINE_GRAD, BatchRecorder, periodic_lattice
 TIGHT_LIME = LimeConfig(n_samples=1000, sampling_std=1e-3, l1_strength=0.0, seed=0)
 
 
+def _lasso_cd(design, target, l1):
+    """Reference lasso: cyclic coordinate descent for (1/n)||target - design
+    @ beta||^2 + l1 ||beta||_1 on centered data (no intercept column), until
+    no coefficient moves by 1e-13 relative."""
+    n, m = design.shape
+    col_sq = 2.0 / n * np.einsum("ij,ij->j", design, design)
+    beta = np.zeros(m)
+    resid = target.copy()
+    for _ in range(10_000):
+        worst = 0.0
+        for j in range(m):
+            if col_sq[j] == 0.0:
+                continue
+            rho = 2.0 / n * (design[:, j] @ resid) + col_sq[j] * beta[j]
+            new = np.sign(rho) * max(abs(rho) - l1, 0.0) / col_sq[j]
+            if new != beta[j]:
+                resid += design[:, j] * (beta[j] - new)
+                worst = max(worst, abs(new - beta[j]))
+                beta[j] = new
+        if worst <= 1e-13 * max(1.0, float(np.max(np.abs(beta)))):
+            break
+    return beta
+
+
 class TestLime:
     def test_linear_recovers_coefficients(self):
         m = linear_model([3.0, -1.0, 0.5])
@@ -55,13 +79,30 @@ class TestLime:
 
     def test_degenerate_design_rejected(self):
         m = CallableModel(lambda x: 1.0, 2)
-        cfg = LimeConfig(n_samples=10, sampling_std=1e-30, l1_strength=0.0, seed=0)
-        # all samples collapse to x_t at this scale: columns have no variance
-        offsets = np.zeros((10, 2))
-        from anomattr.baselines import _lasso_cd
-
+        # the offsets' squares underflow to 0 at this scale: no column has
+        # variance
+        cfg = LimeConfig(n_samples=10, sampling_std=1e-300, l1_strength=0.0, seed=0)
         with pytest.raises(ValueError, match="degenerate"):
-            _lasso_cd(offsets, np.zeros(10), 0.0)
+            lime(m, [0.5, 0.0], 0.0, cfg)
+
+    @pytest.mark.parametrize("l1", [0.0, 0.01, 0.2])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_coordinate_descent(self, seed, l1):
+        # seeded clouds of a random quadratic in m = 2..6; the lasso is
+        # strictly convex here, so both solvers find the same slopes
+        rng = np.random.default_rng(seed)
+        m = 2 + seed % 5
+        model = quadratic_model(rng.uniform(-2.0, 2.0, m))
+        x_t = rng.normal(size=m)
+        cfg = LimeConfig(n_samples=50 + 40 * seed, sampling_std=0.5,
+                         l1_strength=l1, seed=seed)
+        beta = lime(model, x_t, 0.0, cfg)
+        offsets = np.random.default_rng(seed).standard_normal((cfg.n_samples, m))
+        design = cfg.sampling_std * offsets
+        fvals = model.evaluate_batch(x_t + design)
+        ref = _lasso_cd(design - design.mean(axis=0), fvals - fvals.mean(), l1)
+        np.testing.assert_allclose(beta, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(beta == 0.0, ref == 0.0)
 
     def test_too_few_samples_rejected(self, sin_model):
         cfg = LimeConfig(n_samples=2, sampling_std=0.1, l1_strength=0.0, seed=0)

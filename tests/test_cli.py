@@ -303,6 +303,22 @@ class TestExplain:
         assert run.returncode == 3
         assert run.stderr.count("\n") == 1 and "non-finite" in run.stderr
 
+    def test_constant_column_standardize_one_stderr_line(self, tmp_path):
+        # a fresh interpreter with the default warning filters: the
+        # provenance warning must not precede the error
+        data = tmp_path / "flat.csv"
+        data.write_text("x1,x2,y\n1.0,0.0,0\n1.0,1.0,1\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = str(Path(anomattr.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "anomattr.cli", "explain", "--data", str(data),
+             "--standardize", "--model", "sinusoidal2d", "--methods", "gpa",
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        assert run.stderr == "error: zero standard deviation for variable 'x1'\n"
+
     def test_env_var_model_default(self, sinus_data, tmp_path, monkeypatch):
         monkeypatch.setenv("ANOMATTR_MODEL", "sinusoidal2d")
         code = main([
@@ -364,6 +380,17 @@ class TestDist:
         step = grid[1] - grid[0]
         assert abs(mode - (-1 / 6)) <= step + 1e-3
         assert (out / "distributions.svg").exists()
+
+    def test_repeated_index_exit_2(self, sinus_data, tmp_path, capsys):
+        # a repeated row would count twice and scale eta with the count
+        code = main([
+            "dist", "--data", str(sinus_data), "--model", "sinusoidal2d",
+            "--collective", "--indices", "0,0,1", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: sample index 0 repeated in --indices\n"
+        assert not (tmp_path / "o").exists()
 
     def test_grid_points_flag(self, sinus_data, tmp_path):
         out = tmp_path / "out"

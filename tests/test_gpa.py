@@ -447,6 +447,28 @@ class TestAcceleratedSolver:
         assert res.converged
         np.testing.assert_allclose(res.delta_star, oracle_gpa([x1, 0.0], y_t), atol=1e-3)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_symmetric_copy_takes_the_same_steps(self, seed):
+        # permuting and sign-flipping the columns poses the same problem;
+        # the inner solve is exact whatever the coordinate order, so only
+        # the start's noise and rounding differ between the copies
+        coef, ts = _collective_problem(seed)
+        hp = GpaHyperParams.for_testset(ts.n_test, tol=1e-8)
+        res = map_estimate(ts, quadratic_model(coef), hp, GradientEstimatorConfig())
+        assert res.converged
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            perm = rng.permutation(ts.dimension)
+            signs = rng.choice([-1.0, 1.0], ts.dimension)
+            copy = TestSet(ts.x[:, perm] * signs, ts.y, ts.variable_names)
+            other = map_estimate(copy, quadratic_model(coef[perm]), hp,
+                                 GradientEstimatorConfig())
+            assert other.converged
+            assert (other.iterations, other.query_count) == (res.iterations,
+                                                              res.query_count)
+            np.testing.assert_allclose(other.delta_star, res.delta_star[perm] * signs,
+                                       rtol=0, atol=1e-9)
+
     def test_result_is_best_accepted_iterate(self):
         # the trace records F at the returned point, and ends there.  The
         # curvature 0.8 is 0.4 times the true one, so full steps overshoot
@@ -489,7 +511,7 @@ class TestL1QuadraticSolve:
         rng = np.random.default_rng(4)
         grad, x = rng.normal(size=6), rng.normal(size=6)
         diag = rng.uniform(0.5, 3.0, 6)
-        v = _solve_l1_quadratic(grad, np.diag(diag), x, 0.7, np.zeros(6), 1e-14)
+        v = _solve_l1_quadratic(grad, np.diag(diag), x, 0.7, np.zeros(6))
         target = x - grad / diag
         expect = np.sign(target) * np.maximum(np.abs(target) - 0.7 / diag, 0.0)
         assert 0 < np.count_nonzero(expect) < 6
@@ -501,17 +523,16 @@ class TestL1QuadraticSolve:
         gmat = rng.normal(size=(8, 12))
         hess = 0.1 * np.eye(12) + gmat.T @ gmat
         grad, x = rng.normal(size=12), rng.normal(size=12)
-        v = _solve_l1_quadratic(grad, hess, x, 1.0, x, 1e-13)
+        v = _solve_l1_quadratic(grad, hess, x, 1.0, x)
         assert 0 < np.count_nonzero(v) < 12
         assert np.max(_l1_kkt_residual(v, grad, hess, x, 1.0)) <= 1e-10
 
     def test_loose_tolerance_never_rates_above_x(self):
-        # from a start far along H's flat direction, one sweep with tol = 1
-        # moves each coordinate by under 0.03 and stops, still rated above
-        # x = 0; starting at x instead ends at the minimizer 0
+        # from a start far along H's nearly flat direction the solve still
+        # ends at the minimizer 0, so q(v) <= q(x)
         hess = np.array([[1.0, 0.999], [0.999, 1.0]])
         v = _solve_l1_quadratic(np.zeros(2), hess, np.zeros(2), 0.0,
-                                np.array([10.0, -10.0]), 1.0)
+                                np.array([10.0, -10.0]))
         np.testing.assert_array_equal(v, [0.0, 0.0])
 
     @staticmethod
@@ -522,21 +543,15 @@ class TestL1QuadraticSolve:
         grad, x = rng.normal(size=m), rng.normal(size=m)
         return rng, grad, hess, x
 
-    @staticmethod
-    def _q(v, grad, hess, x, l1_weight):
-        step = v - x
-        return grad @ step + 0.5 * step @ hess @ step + l1_weight * np.abs(v).sum()
-
     @pytest.mark.parametrize("seed", range(8))
     def test_start_with_the_right_signs_gives_the_exact_minimizer(self, seed):
-        # tol = 1 stops coordinate descent after a sweep or two, so only
-        # the direct solve on the start's support meets the conditions to
-        # rounding
+        # the start's signs hold, so the first solve on its support is the
+        # answer, and it meets the conditions to rounding
         rng, grad, hess, x = self._problem(seed)
-        exact = _solve_l1_quadratic(grad, hess, x, 0.5, x, 1e-14)
+        exact = _solve_l1_quadratic(grad, hess, x, 0.5, x)
         assert 0 < np.count_nonzero(exact) < len(x)
         start = exact * rng.uniform(0.9, 1.1, len(x))
-        v = _solve_l1_quadratic(grad, hess, x, 0.5, start, 1.0)
+        v = _solve_l1_quadratic(grad, hess, x, 0.5, start)
         scale = np.max(np.abs(hess @ x - grad))
         assert np.max(_l1_kkt_residual(v, grad, hess, x, 0.5)) <= 1e-12 * scale
         np.testing.assert_array_equal(np.sign(v), np.sign(exact))
@@ -544,17 +559,30 @@ class TestL1QuadraticSolve:
     @pytest.mark.parametrize("seed", range(8))
     def test_start_with_wrong_signs_falls_back_to_sweeps(self, seed):
         # the minimizer is unique, so the flipped sign pattern of x cannot
-        # meet the conditions, and the sweeps run from x
+        # meet the conditions; the active-set steps from x still end at it
         rng, grad, hess, _ = self._problem(seed)
         exact = _solve_l1_quadratic(grad, hess, np.zeros(len(grad)), 0.5,
-                                    np.zeros(len(grad)), 1e-14)
+                                    np.zeros(len(grad)))
         x = -exact * rng.uniform(0.5, 2.0, len(grad))
         grad = grad + hess @ x  # the same q, now around x
-        loose = _solve_l1_quadratic(grad, hess, x, 0.5, x, 1.0)
-        assert self._q(loose, grad, hess, x, 0.5) <= self._q(x, grad, hess, x, 0.5)
-        tight = _solve_l1_quadratic(grad, hess, x, 0.5, x, 1e-13)
-        assert np.max(_l1_kkt_residual(tight, grad, hess, x, 0.5)) <= 1e-10
-        np.testing.assert_allclose(tight, exact, rtol=0, atol=1e-9)
+        v = _solve_l1_quadratic(grad, hess, x, 0.5, x)
+        scale = np.max(np.abs(hess @ x - grad))
+        assert np.max(_l1_kkt_residual(v, grad, hess, x, 0.5)) <= 1e-12 * scale
+        np.testing.assert_allclose(v, exact, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.sign(v), np.sign(exact))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_start_gives_the_same_minimizer(self, seed):
+        # random sign patterns, zeros included, as starts
+        rng, grad, hess, x = self._problem(seed, m=20)
+        exact = _solve_l1_quadratic(grad, hess, x, 0.3, np.zeros(len(x)))
+        scale = np.max(np.abs(hess @ x - grad))
+        assert np.max(_l1_kkt_residual(exact, grad, hess, x, 0.3)) <= 1e-12 * scale
+        for _ in range(5):
+            start = rng.normal(size=len(x)) * rng.integers(0, 2, len(x))
+            v = _solve_l1_quadratic(grad, hess, x, 0.3, start)
+            np.testing.assert_allclose(v, exact, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(np.sign(v), np.sign(exact))
 
     def test_inner_solve_sends_no_query(self, monkeypatch):
         import anomattr.gpa as gpa_mod
