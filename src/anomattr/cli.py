@@ -14,9 +14,10 @@ argparse dest, the model spec in use (``--model`` or ``ANOMATTR_MODEL``), the
 resolved ``indices`` and ``hyperparams``, and for ``explain`` the
 ``noise_variance`` used, so the flags in ``config`` repeat the run.
 
-Exit codes: 0 success, 2 usage/configuration error (including a dataset cell
-that is not a finite number) or a solver that cannot proceed (its objective
-overflows, or keeps rising), 3 model transport error (including a subprocess
+Exit codes: 0 success, 2 usage/configuration error (including a flag or a
+dataset cell that is not a finite number, and ``--b0`` with ``--b-mode
+local_kernel``, which would ignore it) or a solver that cannot proceed (its
+objective overflows, or keeps rising), 3 model transport error (including a subprocess
 model that does not answer within its timeout) or non-finite output of any
 query, in any command, named by its input; no document is written then.
 Every model handle a command resolves is closed before ``main`` returns,
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -74,18 +76,21 @@ class UsageError(Exception):
     pass
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+def _finite_float(text: str) -> float:
+    """The type of every float flag and list entry: a finite number."""
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _ints(text: str) -> list[int]:
+def _numbers(text: str, kind=_finite_float) -> tuple:
+    """The entries of a comma-separated list, each parsed by ``kind``."""
     try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+        return tuple(kind(v) for v in text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        what = "integers" if kind is int else "finite numbers"
+        raise UsageError(f"expected comma-separated {what}, got {text!r}") from None
 
 
 def resolve_model(spec: str | None, dimension: int | None = None) -> ModelHandle:
@@ -113,7 +118,7 @@ def resolve_model(spec: str | None, dimension: int | None = None) -> ModelHandle
             raise UsageError("a subprocess model needs a dataset to infer the dimension")
         return SubprocessModel(spec[len("subprocess:"):], dimension)
     kind, _, coef_text = spec.partition(":")
-    coefficients = _floats(coef_text) if coef_text else ()
+    coefficients = _numbers(coef_text) if coef_text else ()
     try:
         model = make_builtin(BuiltinModelSpec(kind, coefficients))
     except ValueError as exc:
@@ -150,11 +155,8 @@ def _noise_variance(args, ts: TestSet, model: ModelHandle) -> float:
     return gpa.residual_variance(ts, model)
 
 
-def _selected_indices(args, n_test: int) -> list[int]:
-    if args.indices:
-        idx = _ints(args.indices)
-    else:
-        idx = [args.point_index]
+def _selected_indices(args, n_test: int) -> tuple[int, ...]:
+    idx = _numbers(args.indices, int) if args.indices else (args.point_index,)
     seen = set()
     for i in idx:
         if not 0 <= i < n_test:
@@ -237,15 +239,15 @@ def _run_method(
             grad_cfg=grad_cfg, max_iter=hp.max_iter, tol=hp.tol,
         )
         return scores, None
-    lime_cfg = baselines.LimeConfig(
-        n_samples=args.lime_samples, sampling_std=args.lime_std,
-        l1_strength=args.lime_l1, seed=args.seed,
-    )
-    if name == "lime":
-        return baselines.lime(model, x_t, y_t, lime_cfg), None
-    if name == "lime0":
-        return baselines.lime0(model, x_t, lime_cfg), None
-    if name == "baylime":
+    if name in ("lime", "lime0", "baylime"):
+        lime_cfg = baselines.LimeConfig(
+            n_samples=args.lime_samples, sampling_std=args.lime_std,
+            l1_strength=args.lime_l1, seed=args.seed,
+        )
+        if name == "lime":
+            return baselines.lime(model, x_t, y_t, lime_cfg), None
+        if name == "lime0":
+            return baselines.lime0(model, x_t, lime_cfg), None
         result = baselines.baylime_distributions(
             model, x_t, y_t, lime_cfg, args.prior_eta, args.noise_lambda
         )
@@ -253,7 +255,7 @@ def _run_method(
     if name == "ig":
         if args.baseline is None:
             raise UsageError("method 'ig' requires --baseline")
-        cfg = baselines.IgConfig(_floats(args.baseline), args.n_intervals)
+        cfg = baselines.IgConfig(_numbers(args.baseline), args.n_intervals)
         return baselines.integrated_gradient(model, x_t, cfg, grad_cfg), None
     if ref is None:
         raise UsageError(f"method {name!r} requires --ref")
@@ -262,9 +264,7 @@ def _run_method(
         return baselines.expected_integrated_gradient(model, x_t, ref, cfg, grad_cfg), None
     if name == "sv":
         return baselines.shapley_sampled(model, x_t, ref, args.sv_configs, args.seed), None
-    if name == "zscore":
-        return baselines.z_score(x_t, ref), None
-    raise UsageError(f"unknown method {name!r}")
+    return baselines.z_score(x_t, ref), None
 
 
 def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
@@ -433,16 +433,12 @@ def cmd_compare(args) -> int:
         for name, s in scores.items() if name != args.reference
     }
 
-    def _cell(v):
-        return "   null" if v is None else f"{v:7.4f}"
-
     print(f"consistency vs {args.reference}:")
     print(f"{'method':<10} {'tau':>7} {'rho':>7} {'smr':>7} {'hit25':>7}")
     for name, rep in reports.items():
-        print(
-            f"{name:<10} {_cell(rep['kendall_tau'])} {_cell(rep['spearman_rho'])} "
-            f"{_cell(rep['smr'])} {_cell(rep['hit25'])}"
-        )
+        cells = (rep[k] for k in ("kendall_tau", "spearman_rho", "smr", "hit25"))
+        print(f"{name:<10} " + " ".join("   null" if v is None else f"{v:7.4f}"
+                                        for v in cells))
 
     if args.out:
         path = _out_dir(args) / "compare.json"
@@ -461,7 +457,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    x = np.asarray(_floats(args.x))
+    x = np.asarray(_numbers(args.x))
     if args.which == "lime0":
         scores = oracle.oracle_lime0(x)
     elif args.which == "gpa":
@@ -471,10 +467,11 @@ def cmd_oracle(args) -> int:
     elif args.which == "ig":
         if args.x0 is None:
             raise UsageError("oracle ig requires --x0")
-        scores = oracle.oracle_ig(x, np.asarray(_floats(args.x0)))
+        scores = oracle.oracle_ig(x, np.asarray(_numbers(args.x0)))
     else:
         scores = oracle.oracle_sv(x)
-    print(json.dumps({"method": args.which, "scores": scores.tolist()}, sort_keys=True))
+    print(json.dumps({"method": args.which, "scores": scores.tolist()},
+                     sort_keys=True, allow_nan=False))
     return 0
 
 
@@ -490,7 +487,7 @@ def _add_common(p):
                    help="sinusoidal2d | linear:c1,c2 | quadratic:c1,.. | "
                         f"subprocess:CMD | http(s)://URL (default ${MODEL_ENV_VAR})")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grad-std", type=float, default=1.0,
+    p.add_argument("--grad-std", type=_finite_float, default=1.0,
                    help="gradient estimator perturbation std")
     p.add_argument("--grad-samples", type=int, default=10,
                    help="gradient estimator Monte Carlo samples")
@@ -504,18 +501,18 @@ def _add_selection(p):
 
 
 def _add_gpa_flags(p):
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
+    p.add_argument("--eta", type=_finite_float, default=None)
+    p.add_argument("--nu", type=_finite_float, default=None)
     # ignored: see the module docstring
-    p.add_argument("--kappa", type=float, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--a0", type=float, default=None)
-    p.add_argument("--cb", dest="c_b", type=float, default=None)
-    p.add_argument("--b0", type=float, default=None)
+    p.add_argument("--kappa", type=_finite_float, default=None, help=argparse.SUPPRESS)
+    p.add_argument("--a0", type=_finite_float, default=None)
+    p.add_argument("--cb", dest="c_b", type=_finite_float, default=None)
+    p.add_argument("--b0", type=_finite_float, default=None)
     p.add_argument("--b-mode", dest="b_mode", choices=("constant", "local_kernel"),
                    default=None)
     p.add_argument("--grid-points", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
 
 
 def _add_method_flags(p):
@@ -524,13 +521,13 @@ def _add_method_flags(p):
     p.add_argument("--n-intervals", type=int, default=100)
     p.add_argument("--sv-configs", type=int, default=100)
     p.add_argument("--lime-samples", type=int, default=1000)
-    p.add_argument("--lime-std", type=float, default=0.3)
-    p.add_argument("--lime-l1", type=float, default=0.01)
-    p.add_argument("--prior-eta", type=float, default=0.1)
-    p.add_argument("--noise-lambda", type=float, default=1.0)
-    p.add_argument("--lc-lambda", type=float, default=1.0)
+    p.add_argument("--lime-std", type=_finite_float, default=0.3)
+    p.add_argument("--lime-l1", type=_finite_float, default=0.01)
+    p.add_argument("--prior-eta", type=_finite_float, default=0.1)
+    p.add_argument("--noise-lambda", type=_finite_float, default=1.0)
+    p.add_argument("--lc-lambda", type=_finite_float, default=1.0)
     # ignored: see the module docstring
-    p.add_argument("--lc-kappa", type=float, default=None, help=argparse.SUPPRESS)
+    p.add_argument("--lc-kappa", type=_finite_float, default=None, help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="rank samples by anomaly score")
     _add_common(p)
-    p.add_argument("--noise-var", type=float, default=None)
+    p.add_argument("--noise-var", type=_finite_float, default=None)
     p.add_argument("--top", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
@@ -554,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method_flags(p)
     p.add_argument("--methods", required=True,
                    help=f"comma-separated subset of: {','.join(ALL_METHODS)}")
-    p.add_argument("--noise-var", type=float, default=None)
+    p.add_argument("--noise-var", type=_finite_float, default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_explain)
 
@@ -571,14 +568,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gpa_flags(p)
     _add_method_flags(p)
     p.add_argument("--methods", required=True)
-    p.add_argument("--reference", default="gpa")
+    p.add_argument("--reference", default="gpa", choices=ALL_METHODS)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("oracle", help="closed-form sinusoidal values")
     p.add_argument("which", choices=("lime0", "gpa", "ig", "sv"))
     p.add_argument("--x", required=True, help="test point, comma-separated")
-    p.add_argument("--y", type=float, default=None)
+    p.add_argument("--y", type=_finite_float, default=None)
     p.add_argument("--x0", default=None, help="baseline point (ig only)")
     p.set_defaults(func=cmd_oracle)
 
@@ -601,8 +598,7 @@ def main(argv=None) -> int:
         except NonFiniteModelOutput as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        except (UsageError, DivergenceError, dataio.CsvFormatError,
-                oracle.OracleDomainError, ValueError) as exc:
+        except (UsageError, DivergenceError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

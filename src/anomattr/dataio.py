@@ -195,18 +195,6 @@ def delta_to_raw_units(delta, ts: TestSet) -> np.ndarray:
     return delta * ts.standardization.std
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def emit_result_json(doc: dict, path) -> None:
     """Write ``doc`` with ``schema_version`` added, in deterministic bytes.
 
@@ -215,8 +203,9 @@ def emit_result_json(doc: dict, path) -> None:
     A NaN or infinity anywhere in ``doc`` raises ValueError before anything
     is written.
     """
-    text = json.dumps({"schema_version": SCHEMA_VERSION, **_jsonify(doc)},
-                      sort_keys=True, indent=2, allow_nan=False)
+    # ``default`` gets the numpy arrays and non-float numpy scalars
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True,
+                      indent=2, allow_nan=False, default=lambda obj: obj.tolist())
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -112,14 +112,14 @@ class GpaHyperParams:
     ``eta`` is the l2 prior strength, ``nu`` the relative l1 strength (the
     l1 weight is ``eta * nu``) and ``a0`` the gamma shape (``2 a0`` acts as
     the t-distribution's degrees of freedom).  The gamma rate ``b`` is
-    either the explicit ``b0``, estimated from the test residual variance
+    the explicit ``b0`` or else estimated from the test residual variance
     divided by the virtual-sample count ``c_b`` (``b_mode="constant"``), or
     refined per sample with a local kernel of parameters ``kernel_w0`` /
-    ``kernel_eta0`` (``b_mode="local_kernel"``).  The solver, proximal
-    Gauss-Newton (:func:`proximal_minimize`), takes Newton steps, halved
-    only where they raise the objective, so it needs no step size; it stops
-    after ``max_iter`` iterations or once a step moves no coordinate by
-    ``tol``.
+    ``kernel_eta0`` (``b_mode="local_kernel"``, which refuses a ``b0``).
+    The solver, proximal Gauss-Newton (:func:`proximal_minimize`), takes
+    Newton steps, halved only where they raise the objective, so it needs no
+    step size; it stops after ``max_iter`` iterations or once a step moves
+    no coordinate by ``tol``.
     """
 
     eta: float = 0.1
@@ -144,6 +144,8 @@ class GpaHyperParams:
             raise ValueError(f"unknown b_mode {self.b_mode!r}")
         if self.b0 is not None and self.b0 <= 0:
             raise ValueError("b0 must be positive when given")
+        if self.b0 is not None and self.b_mode != "constant":
+            raise ValueError("b0 applies only to b_mode 'constant'")
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
         if self.max_iter < 1 or self.tol <= 0 or self.delta_max_factor <= 0:
@@ -283,7 +285,7 @@ def refine_gamma_rate(
 def _resolve_rates(testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> np.ndarray:
     """Per-sample gamma rates b(x^t) according to the configured mode, all
     from one residual batch (no query for an explicit ``b0``)."""
-    if hp.b_mode == "constant" and hp.b0 is not None:
+    if hp.b0 is not None:
         return np.full(testset.n_test, float(hp.b0))
     resid = testset.y - model.evaluate_batch(testset.x)
     b_init = init_gamma_rate(resid, hp.a0, hp.c_b)
@@ -402,12 +404,21 @@ def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
     lowest, and the coordinate that crossed leaves S.  Each step lowers q,
     so a step that cannot (rounding) ends the search at the current point,
     as do ``_MAX_ACTIVE_SET_STEPS`` steps.  A ``start`` with the minimizer's
-    signs takes one solve.  As v minimizes q, ``q(v) <= q(x)``, and ``v -
-    x`` is a descent direction of ``F = J + l1_weight ||.||_1`` at x
-    wherever ``grad`` and ``hess`` are J's.
+    signs takes one solve.  A coordinate joins S only when its slope
+    exceeds ``l1_weight`` by more than the slope's rounding bound, and an
+    entry of the result within that bound times ``|hess_SS^-1|`` of 0 is
+    0: where a zero coordinate's slope is ``l1_weight`` in size exactly,
+    rounding neither cycles the search nor leaves +-1e-16 there.  As v
+    minimizes q, ``q(v) <= q(x)``, and ``v - x`` is a descent direction of
+    ``F = J + l1_weight ||.||_1`` at x wherever ``grad`` and ``hess`` are J's.
     """
     signs = np.sign(start)
     v, rhs = start, hess @ x - grad
+
+    def rounding(v):  # error bound of grad + hess (v - x) and of a solve's residual
+        magnitude = np.abs(grad) + np.abs(hess) @ (np.abs(v) + np.abs(x))
+        return len(x) * np.finfo(float).eps * magnitude
+
     for _ in range(_MAX_ACTIVE_SET_STEPS):
         support = signs != 0
         target = np.zeros_like(x)
@@ -417,9 +428,11 @@ def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
             v = target
             slope = grad + hess @ (v - x)
             excess = np.where(support, -np.inf, np.abs(slope) - l1_weight)
+            if excess.max() > 0.0:  # may be rounding alone
+                excess -= rounding(v)
             j = int(np.argmax(excess))
             if excess[j] <= 0.0:
-                return v
+                break
             signs[j] = -np.sign(slope[j])
             continue
         # the current point, each zero crossing on the way to target (a
@@ -433,10 +446,14 @@ def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
              + l1_weight * np.abs(points).sum(axis=1))
         best = int(np.argmin(q))
         if best == 0:
-            return v
+            break
         v = points[best]
         signs = np.sign(v)
-    return v
+    support = v != 0
+    error = np.zeros_like(v)
+    inverse = np.linalg.inv(hess[np.ix_(support, support)])
+    error[support] = np.abs(inverse) @ rounding(v)[support]
+    return np.where(np.abs(v) > error, v, 0.0)
 
 
 def proximal_minimize(

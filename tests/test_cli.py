@@ -75,10 +75,14 @@ def lattice_ref(tmp_path):
     return p
 
 
+def _subparsers():
+    """Each subcommand's parser, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _subparser(command):
-    subparsers = next(a for a in build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return subparsers.choices[command]
+    return _subparsers()[command]
 
 
 def _argv_from_config(config):
@@ -532,6 +536,30 @@ class TestCompare:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("ref", [False, True])
+    def test_unknown_reference_refused_before_the_model_starts(
+            self, sinus_data, lattice_ref, sine_child, tmp_path, capsys, ref):
+        started = tmp_path / "child.pid"
+        out = tmp_path / "out"
+        argv = ["compare", "--data", str(sinus_data), "--model",
+                sine_child("batch", str(started)), "--methods", "gpa,lc",
+                "--reference", "foo", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--ref", str(lattice_ref)] if ref else []))
+        assert exc.value.code == 2
+        assert "--reference: invalid choice: 'foo'" in capsys.readouterr().err
+        assert not started.exists() and not out.exists()
+
+    def test_lime_settings_unchecked_without_a_lime_method(self, sinus_data, tmp_path):
+        out = tmp_path / "out"
+        code = main([
+            "compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
+            "--methods", "gpa,ig", "--baseline", "0,0", "--lime-samples", "0",
+            "--out", str(out), *ORACLE_FLAGS,
+        ])
+        assert code == 0
+        assert (out / "compare.json").exists()
+
 
 class TestCollectiveLc:
     def test_compare_gpa_and_lc(self, tmp_path):
@@ -585,7 +613,81 @@ class TestNonFiniteModelOutput:
         assert not out.exists()
 
 
+class TestRateSettings:
+    def test_b0_with_local_kernel_exit_2(self, tmp_path, capsys):
+        # local_kernel rates ignore b0, so the pair is refused, not echoed
+        data = tmp_path / "three.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1.0\n0.4,0.1,0.5\n0.6,0.0,-0.3\n")
+        out = tmp_path / "out"
+        code = main(["explain", "--data", str(data), "--model", "sinusoidal2d",
+                     "--methods", "gpa", "--collective", "--indices", "0,1,2",
+                     "--b-mode", "local_kernel", "--b0", "1000", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: b0 applies only to b_mode 'constant'\n")
+        assert not out.exists()
+
+
+def _float_options():
+    """(command, flag) of every option whose type parses "0.5": the float
+    flags of every subcommand."""
+    options = []
+    for command, parser in _subparsers().items():
+        for action in parser._actions:
+            try:
+                action.type("0.5")
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                continue
+            options.append((command, action.option_strings[0]))
+    return options
+
+
 class TestNonFiniteInput:
+    VALID = {
+        "detect": ["--data", "{data}", "--model", "sinusoidal2d", "--out", "{out}"],
+        "explain": ["--data", "{data}", "--model", "sinusoidal2d", "--methods", "gpa",
+                    "--out", "{out}"],
+        "dist": ["--data", "{data}", "--model", "sinusoidal2d", "--out", "{out}"],
+        "compare": ["--data", "{data}", "--model", "sinusoidal2d", "--methods",
+                    "gpa,lc", "--out", "{out}"],
+        "oracle": ["gpa", "--x", "0.5,0"],
+    }
+
+    def test_every_float_flag_is_walked(self):
+        options = _float_options()
+        assert {c for c, _ in options} == set(self.VALID)
+        assert {("compare", "--kappa"), ("explain", "--lc-kappa"),
+                ("oracle", "--y"), ("detect", "--noise-var")} <= set(options)
+
+    @pytest.mark.parametrize("command, flag", _float_options())
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_exit_2(self, sinus_data, tmp_path, capsys, command,
+                                    flag, value):
+        out = tmp_path / "out"
+        argv = [a.format(data=sinus_data, out=out) for a in self.VALID[command]]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, f"{flag}={value}"])  # "-inf" alone reads as a flag
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"expected a finite number, got '{value}'" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "ig", "--x", "nan,0", "--x0", "0,0"],
+        ["oracle", "ig", "--x", "0.5,0", "--x0", "0,inf"],
+        ["oracle", "lime0", "--x=-inf,0"],
+        ["explain", "--data", "{data}", "--model", "sinusoidal2d", "--methods", "ig",
+         "--baseline", "0,nan", "--out", "{out}"],
+        ["detect", "--data", "{data}", "--model", "linear:1,inf", "--out", "{out}"],
+    ])
+    def test_non_finite_list_entry_exit_2(self, sinus_data, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code = main([a.format(data=sinus_data, out=out) for a in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "expected comma-separated finite numbers" in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("argv, cell", [
         (["explain", "--methods", "lime", "--noise-var", "1"], "inf"),
         (["explain", "--methods", "gpa"], "nan"),
@@ -692,9 +794,27 @@ class TestOracleCmd:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats dominates start-up time; only the rank metrics need it
+    # the library needs numpy alone
     env = dict(os.environ, PYTHONPATH=str(Path(anomattr.__file__).parents[1]))
     probe = "import sys, anomattr.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_compare_run_loads_no_scipy(sinus_data, tmp_path):
+    # the rank metrics are numpy closed forms: a whole compare run, in a
+    # fresh interpreter, imports no scipy module
+    env = dict(os.environ, PYTHONPATH=str(Path(anomattr.__file__).parents[1]))
+    argv = ["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
+            "--methods", "gpa,lc,lime", "--out", str(tmp_path / "out"), *ORACLE_FLAGS]
+    probe = textwrap.dedent(f"""
+        import sys
+        from anomattr.cli import main
+        assert main({argv!r}) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "compare.json").exists()

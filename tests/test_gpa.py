@@ -584,6 +584,40 @@ class TestL1QuadraticSolve:
             np.testing.assert_allclose(v, exact, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(np.sign(v), np.sign(exact))
 
+    def test_degenerate_zeros_stay_exactly_zero(self, monkeypatch):
+        # half the minimizer's coordinates are 0 with slopes exactly +-l1
+        # there, so their excess over l1 is only rounding; from 0, from the
+        # minimizer and from a random point the search must neither cycle
+        # nor leave +-1e-16 where the minimizer is 0
+        import anomattr.gpa as gpa_mod
+
+        solves = []
+        real_solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            solves[-1] += 1
+            return real_solve(a, b)
+
+        monkeypatch.setattr(gpa_mod.np.linalg, "solve", counting_solve)
+        rng = np.random.default_rng(2024)
+        for _ in range(100):
+            m = int(rng.integers(8, 28))
+            a = rng.normal(size=(m, m))
+            hess = a @ a.T / m + 0.1 * np.eye(m)
+            exact = rng.normal(size=m)
+            zero = rng.permutation(m)[: m // 2]
+            exact[zero] = 0.0
+            x = rng.normal(size=m)
+            slope = -0.5 * np.sign(exact)
+            slope[zero] = rng.choice([-0.5, 0.5], size=len(zero))
+            grad = slope - hess @ (exact - x)
+            for start in (np.zeros(m), exact.copy(), rng.normal(size=m)):
+                solves.append(0)
+                v = _solve_l1_quadratic(grad, hess, x, 0.5, start)
+                assert solves[-1] < gpa_mod._MAX_ACTIVE_SET_STEPS
+                np.testing.assert_allclose(v, exact, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(v[zero], 0.0)
+
     def test_inner_solve_sends_no_query(self, monkeypatch):
         import anomattr.gpa as gpa_mod
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from anomattr import (
     TestSet,
@@ -160,6 +161,28 @@ class TestSpearmanRho:
         if np.all(np.abs(a) == np.abs(a[0])) or np.all(np.abs(b) == np.abs(b[0])):
             return
         assert spearman_rho(a, b) == pytest.approx(brute_force_rho(a, b), abs=1e-12)
+
+
+def test_rank_correlations_match_scipy():
+    # seeded pairs with m = 2..60; every third pair draws from seven values,
+    # so ties are common; scipy.stats is the reference
+    rng = np.random.default_rng(11)
+    checked = 0
+    for k in range(1100):
+        m = int(rng.integers(2, 61))
+        if k % 3 == 0:
+            a, b = rng.integers(-3, 4, (2, m)).astype(float)
+        else:
+            a, b = rng.normal(size=(2, m))
+        a_abs, b_abs = np.abs(a), np.abs(b)
+        if np.all(a_abs == a_abs[0]) or np.all(b_abs == b_abs[0]):
+            continue
+        tau = stats.kendalltau(a_abs, b_abs, variant="b").statistic
+        rho = stats.spearmanr(a_abs, b_abs).statistic
+        assert abs(kendall_tau(a, b) - tau) <= 1e-15
+        assert abs(spearman_rho(a, b) - rho) <= 1e-15
+        checked += 1
+    assert checked >= 1000
 
 
 class TestSignMatchRatio:
