@@ -231,25 +231,19 @@ def expected_integrated_gradient(
     return total
 
 
-def _coalition_points(x_t: np.ndarray, ref_samples: np.ndarray, mask: np.ndarray):
-    """Reference samples with the masked coordinates pinned to x_t."""
-    points = ref_samples.copy()
-    points[:, mask] = x_t[mask]
-    return points
-
-
 def _shapley_exact(model: ModelHandle, x_t: np.ndarray, ref: ReferenceSet) -> np.ndarray:
     m = model.dimension
     weights = ref.effective_weights
     # value of each coalition: expected model output with coalition members
-    # pinned to the test point and the rest drawn from the reference set
-    values = {}
-    for size in range(m + 1):
-        for coalition in itertools.combinations(range(m), size):
-            mask = np.zeros(m, dtype=bool)
-            mask[list(coalition)] = True
-            fvals = model.evaluate_batch(_coalition_points(x_t, ref.samples, mask))
-            values[coalition] = float(weights @ fvals)
+    # pinned to the test point and the rest drawn from the reference set;
+    # all coalitions go to the model as one batch
+    coalitions = [c for size in range(m + 1)
+                  for c in itertools.combinations(range(m), size)]
+    points = np.tile(ref.samples, (len(coalitions), 1, 1))
+    for block, coalition in zip(points, coalitions):
+        block[:, list(coalition)] = x_t[list(coalition)]
+    fvals = model.evaluate_batch(points.reshape(-1, m)).reshape(len(coalitions), -1)
+    values = {c: float(weights @ row) for c, row in zip(coalitions, fvals)}
     scores = np.zeros(m)
     for i in range(m):
         others = [j for j in range(m) if j != i]
@@ -266,17 +260,20 @@ def _shapley_sampling(model: ModelHandle, x_t: np.ndarray, ref: ReferenceSet,
     m = model.dimension
     rng = np.random.default_rng(seed)
     weights = ref.effective_weights
-    scores = np.zeros(m)
-    for _ in range(n_configs):
-        perm = rng.permutation(m)
-        r = ref.samples[rng.choice(len(weights), p=weights)]
-        # walk the permutation, swapping reference coordinates to the test
-        # point one at a time; each swap's output change is one contribution
-        points = np.tile(r, (m + 1, 1))
+    perms = np.empty((n_configs, m), dtype=int)
+    points = np.empty((n_configs, m + 1, m))
+    # walk each permutation, swapping reference coordinates to the test
+    # point one at a time; each swap's output change is one contribution.
+    # All walks go to the model as one batch
+    for perm, walk in zip(perms, points):
+        perm[:] = rng.permutation(m)
+        walk[:] = ref.samples[rng.choice(len(weights), p=weights)]
         for pos, j in enumerate(perm):
-            points[pos + 1 :, j] = x_t[j]
-        fvals = model.evaluate_batch(points)
-        scores[perm] += fvals[1:] - fvals[:-1]
+            walk[pos + 1 :, j] = x_t[j]
+    fvals = model.evaluate_batch(points.reshape(-1, m)).reshape(n_configs, m + 1)
+    scores = np.zeros(m)
+    for perm, walk in zip(perms, fvals):
+        scores[perm] += walk[1:] - walk[:-1]
     return scores / n_configs
 
 
@@ -293,9 +290,9 @@ def shapley_sampled(
 
     ``method="auto"`` enumerates coalitions exactly when the dimension and
     reference set are small enough, and otherwise Monte Carlo samples
-    ``n_configs`` (permutation, reference sample) configurations.  The
-    observed target cancels in every marginal contribution, so it does not
-    appear here at all.
+    ``n_configs`` (permutation, reference sample) configurations; either way
+    the model answers one batch.  The observed target cancels in every
+    marginal contribution, so it does not appear here at all.
     """
     x_t = np.asarray(x_t, dtype=float)
     if n_configs < 1:
@@ -346,9 +343,10 @@ def lc(
     form).  This is the objective of :func:`anomattr.gpa.map_estimate` with
     the Gaussian loss in place of the heavy-tailed marginalization, which
     makes this the point-estimate-only sibling.  It is minimized by the same
-    solver, :func:`anomattr.gpa.proximal_minimize`, whose curvature is then
-    ``eta I + lam G^T G`` (plain Gauss-Newton); an objective that overflows
-    raises :class:`anomattr.gpa.DivergenceError`.
+    solver, :func:`anomattr.gpa.proximal_minimize`, whose Gauss-Newton
+    curvature is then ``eta I + lam G^T G``, with the same secant correction
+    where the steps slow down; an objective that overflows raises
+    :class:`anomattr.gpa.DivergenceError`.
     """
     if eta <= 0 or nu <= 0 or lam <= 0:
         raise ValueError("eta, nu and lam must be positive")

@@ -12,7 +12,9 @@ runs ``gpa`` and ``lc`` (the Gaussian-loss baseline over the same rows).
 Every JSON document a command writes carries ``config``: each flag under its
 argparse dest, the model spec in use (``--model`` or ``ANOMATTR_MODEL``), the
 resolved ``indices`` and ``hyperparams``, and for ``explain`` the
-``noise_variance`` used, so the flags in ``config`` repeat the run.
+``noise_variance`` used, so the flags in ``config`` repeat the run.  The
+comma-list flags ``--x``, ``--x0``, ``--baseline`` and ``--indices`` take a
+list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, and ``--b0`` with ``--b-mode
@@ -24,8 +26,10 @@ Every model handle a command resolves is closed before ``main`` returns,
 whatever the exit code.
 ``dist`` warns on stderr when more than 1% of a variable's posterior mass
 sits on the two edge points of its grid.  The gpa diagnostics report the
-solver's ``iterations``, its rejected candidate steps (``halvings``),
-``converged`` and the model's ``query_count`` and ``call_count``.  A
+solver's ``iterations``, its rejected candidate steps (``halvings``), the
+iterations whose step took the secant-corrected curvature
+(``secant_steps``), ``converged`` and the model's ``query_count`` and
+``call_count``.  A
 converged solve whose line searches take their first step makes one model
 call per iteration, after one for the gamma rates unless ``--b0`` is given;
 each halving adds a call, and so does the gradient at a point accepted by
@@ -44,6 +48,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -67,9 +72,12 @@ from .models import (
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa", "lc")
-_GPA_DIAGNOSTICS = ("iterations", "halvings", "converged", "query_count", "call_count")
+_GPA_DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "converged", "query_count",
+                    "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
 _EDGE_MASS_WARNING = 1e-2
+# comma-list flags whose value may start with a minus sign
+_LIST_FLAGS = ("--x", "--x0", "--baseline", "--indices")
 
 
 class UsageError(Exception):
@@ -582,9 +590,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """``argv`` with each comma-list flag, or an abbreviation of one,
+    followed by a word such as ``-0.5,0`` joined to it as ``--x=-0.5,0``:
+    argparse takes a word that starts with ``-`` for an option unless it is
+    one plain negative number."""
+    out = []
+    for word in argv:
+        flag = out[-1] if out else ""
+        if (len(flag) > 2 and any(f.startswith(flag) for f in _LIST_FLAGS)
+                and re.match(r"-[\d.]", word)):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     # numpy's overflow and invalid-value warnings would precede the one-line
     # messages below; non-finite model output is refused by the model handle
     # (NonFiniteModelOutput), an overflowing objective by the solver.

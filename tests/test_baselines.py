@@ -280,6 +280,7 @@ class TestShapley:
         ref = ReferenceSet(rng.uniform(-1, 1, (4, 2)))
         x_t = np.array([0.8, -0.3])
         sv = shapley_sampled(m, x_t, ref, method="exact")
+        assert m.call_count == 1  # every coalition in one batch
         coef = np.array([1.0, -0.5])
         closed = coef * x_t**2 - (coef * ref.samples**2).mean(axis=0)
         np.testing.assert_allclose(sv, closed, atol=1e-10)
@@ -303,8 +304,26 @@ class TestShapley:
     def test_sampling_deterministic_per_seed(self, sin_model):
         ref = periodic_lattice()
         a = shapley_sampled(sin_model, [0.3, 0.2], ref, 50, seed=9, method="sampling")
+        assert sin_model.call_count == 1  # every permutation walk in one batch
         b = shapley_sampled(sin_model, [0.3, 0.2], ref, 50, seed=9, method="sampling")
         np.testing.assert_array_equal(a, b)
+
+    def test_sampling_batch_matches_one_call_per_walk(self, sin_model):
+        # the walks, drawn in the same order, one model call each
+        ref = periodic_lattice()
+        x_t = np.array([0.3, 0.2])
+        rng = np.random.default_rng(9)
+        expect = np.zeros(2)
+        for _ in range(50):
+            perm = rng.permutation(2)
+            points = np.tile(ref.samples[rng.choice(len(ref.samples),
+                                                    p=ref.effective_weights)], (3, 1))
+            for pos, j in enumerate(perm):
+                points[pos + 1:, j] = x_t[j]
+            fvals = sin_model.evaluate_batch(points)
+            expect[perm] += fvals[1:] - fvals[:-1]
+        got = shapley_sampled(sinusoidal2d(), x_t, ref, 50, seed=9, method="sampling")
+        np.testing.assert_array_equal(got, expect / 50)
 
     def test_auto_uses_sampling_for_large_dimension(self):
         m = CallableModel(lambda x: float(np.sum(x)), 16)

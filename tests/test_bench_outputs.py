@@ -1,7 +1,8 @@
-"""The benchmark's output checks (``bench/checks.py``) on one round of two
+"""The benchmark's output checks (``bench/checks.py``) on one round of each
 of its workloads, run through ``cli.main`` as ``bench/workloads.build``
 describes them at seed 1.  A change that makes the benchmark report
-``correct: false`` fails this suite first.
+``correct: false`` fails this suite first, and so does a change to the
+number of model queries the collective solves send.
 """
 
 import contextlib
@@ -14,6 +15,9 @@ import pytest
 from anomattr import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+# the gpa query_count of the three seed-1 collective-builtin operations,
+# summed: the gamma rates and the MAP solves, 18, 11 and 16 iterations
+COLLECTIVE_GPA_QUERIES = 270_960
 
 
 @pytest.fixture
@@ -25,7 +29,8 @@ def bench(monkeypatch):
     return workloads, checks
 
 
-@pytest.mark.parametrize("workload", ["collective-builtin", "baselines-compare"])
+@pytest.mark.parametrize("workload", ["collective-builtin", "pointwise-subprocess",
+                                      "baselines-compare"])
 def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
     workloads, checks = bench
     ops, _, _ = workloads.build(workload, 1, tmp_path)
@@ -41,3 +46,8 @@ def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
         else:
             problems = checks.CHECKS[workload](op.expect, doc)
         assert problems == [], op.name
+    if workload == "collective-builtin":
+        # a change that adds queries to the collective solves fails here,
+        # and says in CHANGES.md why it needs them
+        queries = sum(doc["diagnostics"]["gpa"]["query_count"] for doc in docs)
+        assert queries == COLLECTIVE_GPA_QUERIES

@@ -723,7 +723,7 @@ class TestConfigEcho:
                      *flags, "--out", str(out)])
         assert code == 0
         doc = strict_json((out / name).read_text())
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
         assert dests <= doc["config"].keys()
         if command != "detect":
@@ -793,6 +793,46 @@ class TestOracleCmd:
         np.testing.assert_allclose(doc["scores"], [1.0, 1.0])
 
 
+class TestNegativeListValues:
+    """A comma list that starts with a minus sign, given as the word after
+    its flag, reads as it does after ``=``."""
+
+    @pytest.mark.parametrize("spaced, joined", [
+        (["lime0", "--x", "-0.5,0"], ["lime0", "--x=-0.5,0"]),
+        (["ig", "--x", "0.5,0", "--x0", "-0.25,.5"],
+         ["ig", "--x", "0.5,0", "--x0=-0.25,.5"]),
+        (["ig", "--x", "-.5,0.25", "--x0", "0,-1"], ["ig", "--x=-.5,0.25", "--x0", "0,-1"]),
+    ])
+    def test_oracle_points(self, capsys, spaced, joined):
+        docs = []
+        for argv in (spaced, joined):
+            assert main(["oracle", *argv]) == 0
+            docs.append(strict_json(capsys.readouterr().out))
+        assert docs[0] == docs[1]
+
+    def test_baseline(self, sinus_data, tmp_path):
+        docs = []
+        for i, baseline in enumerate((["--baseline", "-0.5,0"], ["--baseline=-0.5,0"],
+                                      ["--base", "-0.5,0"])):  # argparse's abbreviation
+            out = tmp_path / f"out{i}"
+            assert main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                         "--methods", "ig", *baseline, "--out", str(out)]) == 0
+            docs.append(strict_json((out / "result.json").read_text()))
+        for doc in docs[1:]:
+            assert doc["methods"]["ig"] == docs[0]["methods"]["ig"]
+            assert doc["config"]["baseline"] == "-0.5,0"
+
+    @pytest.mark.parametrize("indices", ["-1", "-1,0"])
+    def test_negative_index_is_out_of_range(self, sinus_data, tmp_path, capsys,
+                                            indices):
+        code = main(["dist", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--collective", "--indices", indices, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: sample index -1 out of range (0..2)\n"
+        assert not (tmp_path / "o").exists()
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # the library needs numpy alone
     env = dict(os.environ, PYTHONPATH=str(Path(anomattr.__file__).parents[1]))
@@ -818,3 +858,20 @@ def test_compare_run_loads_no_scipy(sinus_data, tmp_path):
                          capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "[]"
     assert (tmp_path / "out" / "compare.json").exists()
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    ("explain", ["--methods", "gpa"], "result.json"),
+    ("dist", [], "distributions.json"),
+    ("compare", ["--methods", "gpa,lc"], "compare.json"),
+])
+def test_gpa_diagnostics_count_secant_steps(tmp_path, command, flags, name):
+    # the collective quadratic rows of TestCollectiveLc, under the default
+    # flags: some steps take the secant-corrected curvature
+    data = tmp_path / "col.csv"
+    data.write_text("a,b,y\n0.0,0.0,1.0\n0.1,0.0,1.2\n-0.1,0.1,0.9\n")
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), "--model", "quadratic:2,1", *flags,
+                 "--indices", "0,1,2", "--collective", "--out", str(out)]) == 0
+    gpa = strict_json((out / name).read_text())["diagnostics"]["gpa"]
+    assert 0 < gpa["secant_steps"] <= gpa["iterations"]

@@ -26,6 +26,7 @@ from anomattr.gpa import (
     DivergenceError,
     ScoreDistribution,
     _resolve_rates,
+    _secant_correction,
     _solve_l1_quadratic,
     counterfactual_objective,
     gaussian_loss,
@@ -332,9 +333,10 @@ class TestMapEstimate:
             g = estimate_gradient(sin_model, x + delta, FINE_GRAD)
             expect -= 3.0 * r / (2 * b + r * r) * g
             expect_hess += 3.0 / (2 * b + r * r) * np.outer(g, g)
-        grad, hess = grad_fn(delta)
+        grad, hess, corr = grad_fn(delta)
         np.testing.assert_allclose(grad, expect, rtol=1e-10)
         np.testing.assert_allclose(hess, expect_hess, rtol=1e-10)
+        np.testing.assert_array_equal(corr, np.zeros((2, 2)))  # no step yet
 
     def test_deterministic(self, sin_model):
         a = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)
@@ -484,7 +486,7 @@ class TestAcceleratedSolver:
 
         def grad(d):
             calls["grad"] += 1
-            return 2.0 * (d - [1.0, -2.0]), 0.8 * np.eye(2)
+            return 2.0 * (d - [1.0, -2.0]), 0.8 * np.eye(2), np.zeros((2, 2))
 
         state = proximal_minimize(grad, value, dim=2, eta=1.0, nu=0.01,
                                   max_iter=500, tol=1e-10, seed=0)
@@ -496,6 +498,128 @@ class TestAcceleratedSolver:
         assert state.trace[-1] == penalized
         assert len(state.trace) == state.iterations
         np.testing.assert_allclose(state.delta, [0.995, -1.995], atol=1e-8)
+
+
+# signs of delta* on _benchmark_sized_problem() under the default flags, as
+# the plain Gauss-Newton solver found them in 30 iterations
+_BENCHMARK_SIGNS = [1, 1, 0, 0, -1, 0, 1, -1, -1, -1, 1, 0, 1, -1, 1, -1, 1, -1, 0, 1,
+                    0, -1, 0, 0, 0, 0, 1, 1, -1, 0]
+
+
+class TestSecantCorrection:
+    def test_update_meets_the_secant_equation_and_stays_symmetric(self):
+        coef, ts = _collective_problem()
+        rates = np.full(ts.n_test, 2.0)
+        model = quadratic_model(coef)
+        grad_fn, _ = counterfactual_objective(model, ts.x, ts.y, 0.3,
+                                              student_t_loss(1.0, rates), FINE_GRAD)
+        _, weight = student_t_loss(1.0, rates)
+        rng = np.random.default_rng(5)
+        before = np.zeros(ts.dimension)
+        grad_fn(before)
+        for _ in range(3):
+            delta = before + rng.normal(0.0, 0.1, ts.dimension)
+            _, _, corr = grad_fn(delta)
+            resid = ts.y - model.evaluate_batch(ts.x + delta)
+            grads_change = (estimate_gradient(model, ts.x + delta, FINE_GRAD)
+                            - estimate_gradient(model, ts.x + before, FINE_GRAD))
+            y_sharp = -grads_change.T @ (weight(resid) * resid)
+            np.testing.assert_allclose(corr @ (delta - before), y_sharp, rtol=1e-9,
+                                       atol=1e-12 * np.abs(y_sharp).max())
+            np.testing.assert_array_equal(corr, corr.T)
+            assert np.any(corr != 0.0)
+            before = delta
+
+    def test_helper_keeps_symmetry_over_many_updates(self):
+        rng = np.random.default_rng(11)
+        update = _secant_correction(6)
+        delta, grads = rng.normal(size=6), rng.normal(size=(4, 6))
+        assert not update(delta, grads, rng.normal(size=4)).any()
+        for _ in range(20):
+            last, last_grads = delta, grads
+            delta = delta + rng.normal(size=6)
+            grads, slope = rng.normal(size=(4, 6)), rng.normal(size=4)
+            corr = update(delta, grads, slope)
+            np.testing.assert_array_equal(corr, corr.T)
+            y_sharp = -(grads - last_grads).T @ slope
+            np.testing.assert_allclose(corr @ (delta - last), y_sharp, rtol=1e-9, atol=1e-9)
+
+    def test_constant_model_gradient_keeps_it_exactly_zero(self):
+        # a linear model's gradient is the same at every delta, so the
+        # model curvature the correction estimates is 0, and so is C
+        coef = np.array([2.0, -1.0, 0.5])
+        xs = np.random.default_rng(0).uniform(-1, 1, (4, 3))
+        update = _secant_correction(3)
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            delta = rng.normal(size=3)
+            resid = xs @ coef + 1.0 - linear_model(coef).evaluate_batch(xs + delta)
+            corr = update(delta, np.tile(coef, (4, 1)), resid / (2.0 + resid**2))
+            np.testing.assert_array_equal(corr, np.zeros((3, 3)))
+
+    def test_linear_model_keeps_it_at_rounding(self):
+        # the finite-difference estimate of a linear model's gradient moves
+        # with delta only by rounding, and C with it
+        coef = np.array([2.0, -1.0, 0.5])
+        xs = np.random.default_rng(0).uniform(-1, 1, (4, 3))
+        grad_fn, _ = counterfactual_objective(linear_model(coef), xs, xs @ coef + 1.0,
+                                              0.3, student_t_loss(1.0, np.full(4, 2.0)))
+        for delta in np.random.default_rng(1).normal(size=(5, 3)):
+            _, hess, corr = grad_fn(delta)
+            assert np.abs(corr).max() <= 1e-12 * np.abs(hess).max()
+
+    def test_zero_step_leaves_it_unchanged(self):
+        coef, ts = _collective_problem()
+        grad_fn, value_fn = counterfactual_objective(
+            quadratic_model(coef), ts.x, ts.y, 0.3,
+            student_t_loss(1.0, np.full(ts.n_test, 2.0)), FINE_GRAD)
+        grad_fn(np.zeros(ts.dimension))
+        delta = np.full(ts.dimension, 0.1)
+        _, _, corr = grad_fn(delta)
+        value_fn(delta / 2)  # the memo moves, the last gradient point does not
+        _, _, again = grad_fn(delta)
+        np.testing.assert_array_equal(again, corr)
+
+    def test_benchmark_problem_converges_in_fewer_iterations(self):
+        # plain Gauss-Newton steps take 30 iterations here; the parent's
+        # solution has the same support and signs
+        coef, ts = _benchmark_sized_problem()
+        hp = GpaHyperParams.for_testset(ts.n_test)
+        res = map_estimate(ts, quadratic_model(coef), hp, GradientEstimatorConfig())
+        assert res.converged
+        assert res.iterations <= 20
+        assert 0 < res.secant_steps <= res.iterations
+        kkt = _kkt_residual(res.delta_star, coef, ts, hp.eta, hp.nu,
+                            _student_t_slope(hp, res.rates))
+        assert np.max(kkt) <= 1e-5
+        np.testing.assert_array_equal(np.sign(res.delta_star), _BENCHMARK_SIGNS)
+
+    @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
+    def test_secant_steps_at_most_iterations(self, sin_model, y_t):
+        res = map_estimate(single_point([0.5, 0.0], y_t), sin_model, ORACLE_HP, FINE_GRAD)
+        assert 0 <= res.secant_steps <= res.iterations
+
+    def test_slow_steps_take_the_corrected_curvature(self):
+        # F = |d - t|^2 has curvature 2, and H = 20 I takes a tenth of each
+        # Newton step, so F falls by less than a fifth per step.  The true
+        # curvature as H + C cuts the iterations by more than 5x (a step that
+        # lowers F by more than a fifth leaves the next one to H); an
+        # indefinite H + C fails the Cholesky test and leaves the plain steps
+        target = np.array([1.0, -2.0])
+        runs = {}
+        for shift in (0.0, -18.0, -25.0):
+            runs[shift] = proximal_minimize(
+                lambda d, c=shift * np.eye(2): (2.0 * (d - target), 20.0 * np.eye(2), c),
+                lambda d: float(np.sum((d - target) ** 2)),
+                dim=2, eta=1.0, nu=0.01, max_iter=500, tol=1e-10, seed=0)
+        plain, exact, indefinite = runs[0.0], runs[-18.0], runs[-25.0]
+        assert plain.converged and exact.converged
+        assert 0 < plain.secant_steps == plain.iterations - 1
+        assert 5 * exact.iterations < plain.iterations
+        np.testing.assert_allclose(exact.delta, plain.delta, atol=1e-8)
+        assert indefinite.secant_steps == 0
+        assert indefinite.iterations == plain.iterations
+        np.testing.assert_array_equal(indefinite.delta, plain.delta)
 
 
 def _l1_kkt_residual(v, grad, hess, x, l1_weight):
@@ -640,9 +764,11 @@ class TestL1QuadraticSolve:
 def _two_call_objective(model, x, y, eta, loss, grad_cfg):
     """Reference objective that sends the values at ``x_t + delta`` and the
     displaced points as two batches, the second with the first's values as
-    ``f0``; the value at the last delta is remembered."""
+    ``f0``; the value at the last delta is remembered.  The secant
+    correction is the objective's own."""
     loss_value, loss_weight = loss
     key = fvals = None
+    secant = _secant_correction(len(x[0]))
 
     def value_fn(delta):
         nonlocal key, fvals
@@ -655,8 +781,9 @@ def _two_call_objective(model, x, y, eta, loss, grad_cfg):
         grads = estimate_gradient(model, x + delta, grad_cfg, f0=fvals)
         resid = y - fvals
         weight = loss_weight(resid)
+        slope = weight * resid
         hess = eta * np.eye(len(delta)) + grads.T @ (weight[:, None] * grads)
-        return eta * delta - (weight * resid) @ grads, hess
+        return eta * delta - slope @ grads, hess, secant(delta, grads, slope)
 
     return grad_fn, value_fn
 
@@ -820,7 +947,8 @@ class TestNonFiniteObjective:
 
     def test_infinite_start_raises(self):
         with pytest.raises(DivergenceError, match="inf"):
-            proximal_minimize(lambda d: (d, np.eye(2)), lambda d: math.inf, dim=2,
+            proximal_minimize(lambda d: (d, np.eye(2), np.zeros((2, 2))),
+                              lambda d: math.inf, dim=2,
                               eta=1.0, nu=0.5, max_iter=10, tol=1e-8, seed=0)
 
     def test_infinite_candidate_is_a_too_long_step(self):
@@ -830,7 +958,8 @@ class TestNonFiniteObjective:
         def value(d):
             return math.inf if d[0] > 0.3 else float((d[0] - 0.25) ** 2)
 
-        state = proximal_minimize(lambda d: (2.0 * (d - 0.25), np.full((1, 1), 1.2)),
+        state = proximal_minimize(lambda d: (2.0 * (d - 0.25), np.full((1, 1), 1.2),
+                                             np.zeros((1, 1))),
                                   value, dim=1, eta=1.0, nu=1e-6, max_iter=500,
                                   tol=1e-10, seed=0)
         assert state.converged
@@ -863,7 +992,7 @@ class TestDivergenceGuard:
     @staticmethod
     def _bad_grad(d):
         # a gradient pointing away from the objective's descent direction
-        return -np.sign(d) - 1.0, np.eye(2)
+        return -np.sign(d) - 1.0, np.eye(2), np.zeros((2, 2))
 
     @staticmethod
     def _value(d):
