@@ -18,8 +18,8 @@ from math import comb
 import numpy as np
 
 from .gpa import (
+    CounterfactualObjective,
     _solve_l1_quadratic,
-    counterfactual_objective,
     gaussian_loss,
     proximal_minimize,
 )
@@ -345,17 +345,18 @@ def lc(
     makes this the point-estimate-only sibling.  It is minimized by the same
     solver, :func:`anomattr.gpa.proximal_minimize`, whose Gauss-Newton
     curvature is then ``eta I + lam G^T G``, with the same secant correction
-    where the steps slow down; an objective that overflows raises
+    where the steps slow down and the same draws per coordinate, one pair
+    where the pairs agree and all draws at a confirmed stop; an objective
+    that overflows raises
     :class:`anomattr.gpa.DivergenceError`.
     """
     if eta <= 0 or nu <= 0 or lam <= 0:
         raise ValueError("eta, nu and lam must be positive")
-    grad_fn, value_fn = counterfactual_objective(
+    objective = CounterfactualObjective(
         model, np.atleast_2d(x_t), np.atleast_1d(y_t), eta, gaussian_loss(lam), grad_cfg
     )
-
     state = proximal_minimize(
-        grad_fn, value_fn, model.dimension, eta, nu, max_iter, tol,
-        grad_cfg.seed,
+        objective.grad, objective.value, model.dimension, eta, nu, max_iter, tol,
+        grad_cfg.seed, confirm_fn=objective.confirm,
     )
     return state.delta

@@ -28,12 +28,15 @@ whatever the exit code.
 sits on the two edge points of its grid.  The gpa diagnostics report the
 solver's ``iterations``, its rejected candidate steps (``halvings``), the
 iterations whose step took the secant-corrected curvature
-(``secant_steps``), ``converged`` and the model's ``query_count`` and
-``call_count``.  A
+(``secant_steps``), the gradient batches in which some coordinate sent one
+pair of draws (``one_pair_batches``), the batches that sent the missing
+draws where the solve would stop (``confirmations``), ``converged`` and the
+model's ``query_count`` and ``call_count``.  A
 converged solve whose line searches take their first step makes one model
 call per iteration, after one for the gamma rates unless ``--b0`` is given;
 each halving adds a call, and so does the gradient at a point accepted by
-a line search that halved or that follows one that halved.
+a line search that halved or that follows one that halved, and each
+confirmation.
 
 ``--kappa`` and ``--lc-kappa`` set the starting step of an earlier
 step-size solver.  The Gauss-Newton solver has no step size, so both are
@@ -72,8 +75,8 @@ from .models import (
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa", "lc")
-_GPA_DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "converged", "query_count",
-                    "call_count")
+_GPA_DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "one_pair_batches",
+                    "confirmations", "converged", "query_count", "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
 _EDGE_MASS_WARNING = 1e-2
 # comma-list flags whose value may start with a minus sign
@@ -498,7 +501,9 @@ def _add_common(p):
     p.add_argument("--grad-std", type=_finite_float, default=1.0,
                    help="gradient estimator perturbation std")
     p.add_argument("--grad-samples", type=int, default=10,
-                   help="gradient estimator Monte Carlo samples")
+                   help="gradient estimator Monte Carlo samples, sign-paired: the "
+                        "most a coordinate sends; the MAP solves send one pair "
+                        "where the pairs agree")
 
 
 def _add_selection(p):

@@ -5,7 +5,7 @@ File formats:
 * CSV: UTF-8, comma separated, one header row naming the columns, last column
   is the target.  No thousands separators.  Every cell is a finite number: a
   ``nan`` or ``inf`` cell is refused with its row and column.
-* JSON documents, format version 4 (``schema_version``), one per command:
+* JSON documents, format version 5 (``schema_version``), one per command:
   ``result.json`` (explain: ``config, anomaly_scores, methods: {name:
   {scores, scores_raw_units?}}, diagnostics``), ``distributions.json``
   (dist: ``config, methods: {gpa: {scores, distribution}}, diagnostics``),
@@ -40,7 +40,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 class CsvFormatError(ValueError):

@@ -97,11 +97,9 @@ class ModelHandle:
     batch calls; ``call_count`` by one per ``evaluate`` or ``evaluate_batch``
     call, cache hits of the remote adapters included.  A
     model should answer an input the same way every time.  The remote
-    adapters answer a repeated input from their response cache.  The
-    builtin ``linear`` and ``quadratic`` models compute a batch as one
-    matrix product, and BLAS picks the summation order by batch size, so
-    one input can get answers that differ in the last bit from batch to
-    batch; the builtin sinusoid is elementwise and does not.  ``evaluate``
+    adapters answer a repeated input from their response cache, and the
+    builtin models answer an input bit for bit the same in a batch of any
+    size.  ``evaluate``
     and ``evaluate_batch`` are the one non-finite policy: once the queries
     are counted, a NaN or infinite answer raises
     :class:`NonFiniteModelOutput` at the first input that got one.  A
@@ -188,9 +186,10 @@ class BuiltinModel(ModelHandle):
     def _evaluate_batch(self, xs):
         if self.spec.kind == "sinusoidal2d":
             return 2.0 * np.cos(np.pi * xs[:, 0]) * np.cos(np.pi * xs[:, 1])
+        # einsum sums each row alone, in one order whatever the batch size
         if self.spec.kind == "linear":
-            return xs @ self._coef
-        return (xs * xs) @ self._coef
+            return np.einsum("ij,j->i", xs, self._coef)
+        return np.einsum("ij,ij,j->i", xs, xs, self._coef)
 
 
 def make_builtin(spec: BuiltinModelSpec) -> BuiltinModel:
@@ -510,8 +509,11 @@ class GradientEstimatorConfig:
     """Settings for the smoothed finite-difference slope estimator.
 
     ``perturbation_std`` is the standard deviation of the Gaussian step sizes
-    (in standardized input units), ``mc_samples`` the number of slope samples
-    averaged per coordinate.
+    (in standardized input units), ``mc_samples`` the most slope samples a
+    coordinate averages.  Every estimate sends them all, except in the MAP
+    solver, whose gradient batches send only the first pair of sign-paired
+    draws of a coordinate whose pairs agree
+    (:class:`anomattr.gpa.CounterfactualObjective`).
     """
 
     perturbation_std: float = 1.0
@@ -565,47 +567,78 @@ def _step_draws(seed: int, std: float, mc_samples: int, dimension: int):
 
 def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
                       f0=None, points: np.ndarray | None = None,
-                      values: np.ndarray | None = None):
+                      values: np.ndarray | None = None, draws=None,
+                      slopes: np.ndarray | None = None, skip=None):
     """Estimate the model gradient at one point ``(m,)`` or at each row of a
     batch ``(k, m)``; the result has the shape of ``x``.
 
-    For each coordinate i the estimate is the average of
-    ``[f(x + h e_i) - f(x)] / h`` over ``mc_samples`` Gaussian step sizes h.
-    Every call is one model batch: the ``k * m * mc_samples`` displaced
-    points, preceded by the k points themselves unless their values ``f0``
-    are given (first, so that a non-finite value there names that point).
-    Without ``f0``, the values at the points are written to ``values`` when
-    the caller passes a ``(k,)`` buffer.  The batch is built in ``points``
-    when the caller passes a C-contiguous ``(k * (1 + m * mc_samples), m)``
-    buffer to reuse: rows ``:k`` hold the points and row ``k + (p * m + i)
-    * mc_samples + j`` holds ``x_p + h[i, j] e_i``.
+    For each coordinate i the estimate is the average of the slopes
+    ``[f(x + h e_i) - f(x)] / h`` over the first ``draws[i]`` of its
+    ``mc_samples`` Gaussian step sizes h, all of them when ``draws`` is not
+    given; ``mc_samples`` is the most draws a coordinate sends.  Every call
+    is one model batch: the displaced points of the draws it sends, preceded
+    by the k points themselves unless their values ``f0`` are given (first,
+    so that a non-finite value there names that point).  Without ``f0``, the
+    values at the points are written to ``values`` when the caller passes a
+    ``(k,)`` buffer.
 
-    Deterministic given (model, x, cfg).  For a model that answers a row
-    whatever batch it comes in, such as the builtin sinusoid, a batch of
-    points gives the per-point results bit for bit; the BLAS-backed
-    ``linear`` and ``quadratic`` builtins can differ in the last bit.
+    The slope of draw j of coordinate i at row p goes to ``slopes[p, i, j]``
+    when the caller passes a C-contiguous ``(k, m, mc_samples)`` buffer.
+    The first ``skip[i]`` draws of coordinate i are then taken from that
+    buffer, as an earlier call at the same points with the same ``f0`` left
+    them, and are not sent again.  The batch is built in ``points`` when the
+    caller passes a C-contiguous buffer of at least ``k * (1 + m *
+    mc_samples)`` rows to reuse: rows ``:k`` hold the points, and the
+    displaced points follow, row by row and, within a row, by coordinate and
+    draw.  With every draw sent, row ``k + (p * m + i) * mc_samples + j``
+    holds ``x_p + h[i, j] e_i``.
+
+    Deterministic given (model, x, cfg, draws).  A draw's slope is the same
+    whichever other draws a batch sends, and a coordinate's estimate over
+    all its draws is the same whether they came in one call or in two.  For
+    a model that answers a row whatever batch it comes in, as the builtin
+    models do, a batch of points gives the per-point results bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    m = model.dimension
+    m, mc = model.dimension, cfg.mc_samples
     if x.ndim not in (1, 2) or x.shape[-1] != m:
         raise ValueError(f"expected shape ({m},) or (k, {m}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     batch = x.reshape(-1, m)
     k = len(batch)
-    h, disp = _step_draws(cfg.seed, cfg.perturbation_std, cfg.mc_samples, m)
+    h, disp = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
+    if skip is not None and slopes is None:
+        raise ValueError("skip takes the skipped draws' slopes from slopes")
+    sent = slice(None)  # every draw
+    if draws is not None or skip is not None:
+        stop = np.full(m, mc) if draws is None else np.asarray(draws)
+        start = np.zeros(m, dtype=int) if skip is None else np.asarray(skip)
+        if not np.all((0 <= start) & (start <= stop) & (1 <= stop) & (stop <= mc)):
+            raise ValueError(f"need 0 <= skip <= draws, 1 <= draws <= {mc} per coordinate")
+        sent = np.arange(mc)
+        sent = np.flatnonzero((start[:, None] <= sent) & (sent < stop[:, None]))
+    moves = disp[sent]
+    end = k * (1 + len(moves))
     if points is None:
-        points = np.empty((k * (1 + len(disp)), m))
-    np.add(batch[:, None, :], disp, out=points[k:].reshape(k, len(disp), m))
+        points = np.empty((end, m))
+    np.add(batch[:, None, :], moves, out=points[k:end].reshape(k, len(moves), m))
     if f0 is None:
         points[:k] = batch
-        fvals = model.evaluate_batch(points)
+        fvals = model.evaluate_batch(points[:end])
         f0, fvals = fvals[:k], fvals[k:]
         if values is not None:
             values[:] = f0
     else:
         f0 = np.asarray(f0, dtype=float)
-        fvals = model.evaluate_batch(points[k:])
-    slopes = (fvals.reshape(k, -1) - f0.reshape(-1, 1)) / h.ravel()
-    grad = slopes.reshape(k, m, cfg.mc_samples).sum(axis=2) / cfg.mc_samples
+        fvals = model.evaluate_batch(points[k:end])
+    if slopes is None:
+        slopes = np.zeros((k, m, mc))
+    slopes.reshape(k, m * mc)[:, sent] = (
+        (fvals.reshape(k, -1) - f0.reshape(-1, 1)) / h.ravel()[sent])
+    grad = slopes.sum(axis=2) / mc
+    if draws is not None:
+        for d in np.unique(stop[stop < mc]):
+            few = stop == d
+            grad[:, few] = slopes[:, few, :d].sum(axis=2) / d
     return grad.reshape(x.shape)

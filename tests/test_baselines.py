@@ -375,21 +375,22 @@ class TestLc:
 
     def test_is_shared_objective_with_gaussian_loss(self, sin_model):
         from anomattr.gpa import (
-            counterfactual_objective,
+            CounterfactualObjective,
             gaussian_loss,
             proximal_minimize,
         )
 
         x_t, y_t, eta, lam = np.array([0.5, 0.0]), 1.0, 1e-3, 2.0
-        grad_fn, value_fn = counterfactual_objective(
+        objective = CounterfactualObjective(
             sinusoidal2d(), x_t[None, :], [y_t], eta, gaussian_loss(lam), FINE_GRAD
         )
+        grad_fn, value_fn = objective.grad, objective.value
         d = np.array([-0.1, 0.05])
         r = y_t - sin_model.evaluate(x_t + d)
         assert value_fn(d) == pytest.approx(0.5 * eta * d @ d + 0.5 * lam * r * r,
                                             rel=1e-12)
         state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
-                                  FINE_GRAD.seed)
+                                  FINE_GRAD.seed, confirm_fn=objective.confirm)
         delta = lc(sin_model, x_t, y_t, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
                    tol=1e-8)
         np.testing.assert_array_equal(delta, state.delta)
@@ -402,22 +403,23 @@ class TestLc:
 
     def test_collective_rows_share_the_gaussian_objective(self, sin_model):
         from anomattr.gpa import (
-            counterfactual_objective,
+            CounterfactualObjective,
             gaussian_loss,
             proximal_minimize,
         )
 
         x = np.array([[0.5, 0.0], [0.45, 0.05], [0.55, -0.05]])
         y, eta, lam = np.array([1.0, 0.9, 1.1]), 1e-3, 2.0
-        grad_fn, value_fn = counterfactual_objective(
+        objective = CounterfactualObjective(
             sinusoidal2d(), x, y, eta, gaussian_loss(lam), FINE_GRAD
         )
+        grad_fn, value_fn = objective.grad, objective.value
         d = np.array([-0.1, 0.05])
         r = y - sin_model.evaluate_batch(x + d)
         assert value_fn(d) == pytest.approx(0.5 * eta * d @ d + 0.5 * lam * r @ r,
                                             rel=1e-12)
         state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
-                                  FINE_GRAD.seed)
+                                  FINE_GRAD.seed, confirm_fn=objective.confirm)
         assert state.converged
         delta = lc(sin_model, x, y, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
                    tol=1e-8)
@@ -434,12 +436,12 @@ class TestLc:
         real_solver = baselines_mod.proximal_minimize
         grads = []
 
-        def counting_solver(grad_fn, value_fn, *args):
+        def counting_solver(grad_fn, value_fn, *args, **kwargs):
             def counted_grad(delta):
                 grads.append(1)
                 return grad_fn(delta)
 
-            return real_solver(counted_grad, value_fn, *args)
+            return real_solver(counted_grad, value_fn, *args, **kwargs)
 
         monkeypatch.setattr(baselines_mod, "proximal_minimize", counting_solver)
         delta = lc(sin_model, [0.5, 0.0], 1.0, eta=1e-3, nu=1e-3, lam=1.0,

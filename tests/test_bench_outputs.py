@@ -16,8 +16,11 @@ from anomattr import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # the gpa query_count of the three seed-1 collective-builtin operations,
-# summed: the gamma rates and the MAP solves, 18, 11 and 16 iterations
-COLLECTIVE_GPA_QUERIES = 270_960
+# summed: the gamma rates (20 rows) and the MAP solves, 18, 11 and 16
+# iterations.  A solve sends every draw at its start (6,020 rows), one pair
+# per coordinate in each later batch (1,220), and the 8 missing draws per
+# coordinate at its stop (4,800): 31,580 + 23,040 + 29,140
+COLLECTIVE_GPA_QUERIES = 83_760
 
 
 @pytest.fixture

@@ -57,3 +57,39 @@ def test_traced_collective_dist_resolves_rates_once(tracer_cls, tmp_path):
     assert (calls, model_calls, points) == (1, 3, 3 * 4 * 11)
     doc = strict_json((tmp_path / "out" / "distributions.json").read_text())
     assert len(doc["diagnostics"]["gpa"]["edge_mass"]) == 3
+
+
+def test_traced_collective_operation_sends_the_untraced_queries(tracer_cls, tmp_path,
+                                                                monkeypatch):
+    # one seed-1 collective-builtin operation: its solve drops pairs and is
+    # confirmed by a callable of its own, which the tracer's one-argument
+    # grad_fn wrapper must not hide
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    op = workloads.build("collective-builtin", 1, tmp_path)[0][0]
+    handles, resolve = [], cli.resolve_model
+    monkeypatch.setattr(cli, "resolve_model",
+                        lambda *args: handles.append(resolve(*args)) or handles[-1])
+    runs = []
+    for tracer in (None, tracer_cls()):
+        if tracer is not None:
+            tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(op.argv) == 0
+        finally:
+            if tracer is not None:
+                tracer.uninstall()
+        runs.append(op.output.read_bytes())
+    assert runs[0] == runs[1]
+    doc = strict_json(runs[1].decode())
+    gpa_doc = doc["diagnostics"]["gpa"]
+    assert gpa_doc["confirmations"] == 1 and gpa_doc["one_pair_batches"] > 0
+    grid = doc["methods"]["gpa"]["distribution"]["grid"]
+    slices = workloads.N_ROWS * workloads.DIM * len(grid)
+    assert tracer.totals["gpa.map_estimate"][3] == gpa_doc["query_count"]
+    assert tracer.points == gpa_doc["query_count"] + slices
+    assert [h.query_count for h in handles] == [tracer.points] * 2
+    assert tracer.solver["gpa.map_estimate"][1] == gpa_doc["iterations"]

@@ -723,7 +723,7 @@ class TestConfigEcho:
                      *flags, "--out", str(out)])
         assert code == 0
         doc = strict_json((out / name).read_text())
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
         assert dests <= doc["config"].keys()
         if command != "detect":
@@ -875,3 +875,32 @@ def test_gpa_diagnostics_count_secant_steps(tmp_path, command, flags, name):
                  "--indices", "0,1,2", "--collective", "--out", str(out)]) == 0
     gpa = strict_json((out / name).read_text())["diagnostics"]["gpa"]
     assert 0 < gpa["secant_steps"] <= gpa["iterations"]
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    ("explain", ["--methods", "gpa"], "result.json"),
+    ("dist", [], "distributions.json"),
+    ("compare", ["--methods", "gpa,lc"], "compare.json"),
+])
+def test_gpa_diagnostics_count_one_pair_batches_and_confirmations(tmp_path, command,
+                                                                  flags, name):
+    # the quadratic's sign-paired draws agree, so every gradient batch after
+    # the start sends one pair per coordinate, and the stop is confirmed
+    # once; the sinusoid's differ, so its solve sends every draw
+    data = tmp_path / "col.csv"
+    data.write_text("a,b,y\n0.0,0.0,1.0\n0.1,0.0,1.2\n-0.1,0.1,0.9\n")
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), "--model", "quadratic:2,1", *flags,
+                 "--indices", "0,1,2", "--collective", "--out", str(out)]) == 0
+    gpa = strict_json((out / name).read_text())["diagnostics"]["gpa"]
+    assert gpa["one_pair_batches"] == gpa["iterations"] - 1
+    assert gpa["confirmations"] == 1
+    assert gpa["call_count"] == 1 + gpa["iterations"] + gpa["halvings"] + 1
+    first = (out / name).read_bytes()
+    assert main([command, "--data", str(data), "--model", "quadratic:2,1", *flags,
+                 "--indices", "0,1,2", "--collective", "--out", str(out)]) == 0
+    assert (out / name).read_bytes() == first
+    assert main([command, "--data", str(data), "--model", "sinusoidal2d", *flags,
+                 "--indices", "0", "--out", str(out), *ORACLE_FLAGS]) == 0
+    gpa = strict_json((out / name).read_text())["diagnostics"]["gpa"]
+    assert gpa["one_pair_batches"] == gpa["confirmations"] == 0

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 
@@ -23,12 +24,12 @@ from anomattr import (
     sinusoidal2d,
 )
 from anomattr.gpa import (
+    CounterfactualObjective,
     DivergenceError,
     ScoreDistribution,
     _resolve_rates,
     _secant_correction,
     _solve_l1_quadratic,
-    counterfactual_objective,
     gaussian_loss,
     init_gamma_rate,
     proximal_minimize,
@@ -295,14 +296,14 @@ class TestMapEstimate:
         real_solver = gpa_mod.proximal_minimize
         calls_per_grad = []
 
-        def counting_solver(grad_fn, value_fn, *args):
+        def counting_solver(grad_fn, value_fn, *args, **kwargs):
             def counted_grad(delta):
                 before = len(model.sizes)
                 grad = grad_fn(delta)
                 calls_per_grad.append(len(model.sizes) - before)
                 return grad
 
-            return real_solver(counted_grad, value_fn, *args)
+            return real_solver(counted_grad, value_fn, *args, **kwargs)
 
         monkeypatch.setattr(gpa_mod, "proximal_minimize", counting_solver)
         coef = np.array([2.0, -1.0, 0.5])
@@ -324,9 +325,9 @@ class TestMapEstimate:
         ys = np.array([1.0, -0.5, 0.2])
         rates = np.array([10.0, 2.0, 0.5])
         delta = np.array([0.05, -0.1])
-        grad_fn, _ = counterfactual_objective(
+        grad_fn = CounterfactualObjective(
             sin_model, xs, ys, 0.3, student_t_loss(1.0, rates), FINE_GRAD
-        )
+        ).grad
         expect, expect_hess = 0.3 * delta, 0.3 * np.eye(2)
         for x, y, b in zip(xs, ys, rates):
             r = y - sin_model.evaluate(x + delta)
@@ -511,8 +512,8 @@ class TestSecantCorrection:
         coef, ts = _collective_problem()
         rates = np.full(ts.n_test, 2.0)
         model = quadratic_model(coef)
-        grad_fn, _ = counterfactual_objective(model, ts.x, ts.y, 0.3,
-                                              student_t_loss(1.0, rates), FINE_GRAD)
+        grad_fn = CounterfactualObjective(model, ts.x, ts.y, 0.3,
+                                          student_t_loss(1.0, rates), FINE_GRAD).grad
         _, weight = student_t_loss(1.0, rates)
         rng = np.random.default_rng(5)
         before = np.zeros(ts.dimension)
@@ -562,17 +563,18 @@ class TestSecantCorrection:
         # with delta only by rounding, and C with it
         coef = np.array([2.0, -1.0, 0.5])
         xs = np.random.default_rng(0).uniform(-1, 1, (4, 3))
-        grad_fn, _ = counterfactual_objective(linear_model(coef), xs, xs @ coef + 1.0,
-                                              0.3, student_t_loss(1.0, np.full(4, 2.0)))
+        grad_fn = CounterfactualObjective(linear_model(coef), xs, xs @ coef + 1.0,
+                                          0.3, student_t_loss(1.0, np.full(4, 2.0))).grad
         for delta in np.random.default_rng(1).normal(size=(5, 3)):
             _, hess, corr = grad_fn(delta)
             assert np.abs(corr).max() <= 1e-12 * np.abs(hess).max()
 
     def test_zero_step_leaves_it_unchanged(self):
         coef, ts = _collective_problem()
-        grad_fn, value_fn = counterfactual_objective(
+        objective = CounterfactualObjective(
             quadratic_model(coef), ts.x, ts.y, 0.3,
             student_t_loss(1.0, np.full(ts.n_test, 2.0)), FINE_GRAD)
+        grad_fn, value_fn = objective.grad, objective.value
         grad_fn(np.zeros(ts.dimension))
         delta = np.full(ts.dimension, 0.1)
         _, _, corr = grad_fn(delta)
@@ -758,7 +760,9 @@ class TestL1QuadraticSolve:
 
         monkeypatch.setattr(gpa_mod, "_solve_l1_quadratic", watched)
         res = map_estimate(ts, model, GpaHyperParams.for_testset(ts.n_test), FINE_GRAD)
-        assert len(sent) == res.iterations and set(sent) == {0}
+        # a confirmation at the stop solves the model once more
+        assert res.confirmations == 1
+        assert len(sent) == res.iterations + 1 and set(sent) == {0}
 
 
 def _two_call_objective(model, x, y, eta, loss, grad_cfg):
@@ -793,11 +797,17 @@ def _solve_both_ways(make_model, ts, loss, eta, nu, grad_cfg, max_iter=10_000,
     """(solver state, queries) with the fused objective, then with the
     two-call reference, each on a fresh model."""
     runs = []
-    for make_objective in (counterfactual_objective, _two_call_objective):
+    for fused in (True, False):
         model = make_model()
-        grad_fn, value_fn = make_objective(model, ts.x, ts.y, eta, loss, grad_cfg)
+        if fused:
+            objective = CounterfactualObjective(model, ts.x, ts.y, eta, loss, grad_cfg)
+            grad_fn, value_fn = objective.grad, objective.value
+            confirm_fn = objective.confirm
+        else:
+            grad_fn, value_fn = _two_call_objective(model, ts.x, ts.y, eta, loss, grad_cfg)
+            confirm_fn = None
         state = proximal_minimize(grad_fn, value_fn, ts.dimension, eta, nu,
-                                  max_iter, tol, grad_cfg.seed)
+                                  max_iter, tol, grad_cfg.seed, confirm_fn=confirm_fn)
         runs.append((state, model.query_count))
     return runs
 
@@ -808,15 +818,17 @@ class TestSolverPlan:
     carries its displaced rows, so that the gradient at the point it
     becomes is already there, unless the previous line search rejected its
     first candidate; the others carry the rows alone, and a point accepted
-    without its gradient sends one batch of its displaced rows."""
+    without its gradient sends one batch of its displaced rows.  Where a
+    coordinate's draws agree at the start, its later displaced rows are one
+    pair, and the stop sends the rest in one confirmation batch."""
 
     def test_fresh_gradient_is_one_batch_with_the_centre_rows_first(self):
         coef, ts = _collective_problem()
         n, m, mc = ts.n_test, ts.dimension, FINE_GRAD.mc_samples
         model = BatchRecorder(quadratic_model(coef))
         loss = student_t_loss(1.0, np.full(n, 2.0))
-        grad_fn, value_fn = counterfactual_objective(model, ts.x, ts.y, 0.3, loss,
-                                                     FINE_GRAD)
+        objective = CounterfactualObjective(model, ts.x, ts.y, 0.3, loss, FINE_GRAD)
+        grad_fn, value_fn = objective.grad, objective.value
         delta = np.linspace(-0.2, 0.2, m)
         grad_fn(delta)
         assert model.sizes == [n * (1 + m * mc)]
@@ -827,10 +839,11 @@ class TestSolverPlan:
                                            loss, FINE_GRAD)
         assert value == pytest.approx(reference(delta), rel=1e-12)
         # the reverse: the gradient where the value was just taken sends
-        # the displaced points alone
+        # the displaced points alone, one pair per coordinate, since the
+        # quadratic's pairs agree
         value_fn(delta / 2)
         grad_fn(delta / 2)
-        assert model.sizes[1:] == [n, n * m * mc]
+        assert model.sizes[1:] == [n, n * m * 2]
 
     @pytest.mark.parametrize("problem", ["oracle-row", "collective"])
     def test_solve_is_one_batch_per_iteration(self, problem):
@@ -846,12 +859,22 @@ class TestSolverPlan:
             model = BatchRecorder(quadratic_model(coef))
             hp = GpaHyperParams.for_testset(ts.n_test, max_iter=300)
         res = map_estimate(ts, model, hp, FINE_GRAD)
-        n = ts.n_test
-        displaced = n * ts.dimension * FINE_GRAD.mc_samples
+        n, m, mc = ts.n_test, ts.dimension, FINE_GRAD.mc_samples
+        displaced = n * m * mc
         assert res.converged and res.iterations > 1 and res.halvings == 0
-        assert res.call_count == len(model.sizes) == 1 + res.iterations
-        assert model.sizes == [n] + [n + displaced] * res.iterations
-        assert res.query_count == n + (n + displaced) * res.iterations
+        if problem == "oracle-row":  # the sinusoid's pairs differ: every draw
+            assert res.one_pair_batches == res.confirmations == 0
+            assert res.call_count == len(model.sizes) == 1 + res.iterations
+            assert model.sizes == [n] + [n + displaced] * res.iterations
+            assert res.query_count == n + (n + displaced) * res.iterations
+            return
+        # the quadratic's pairs agree: every draw at the start, one pair per
+        # coordinate after it, and the missing draws at the stop
+        assert res.one_pair_batches == res.iterations - 1 and res.confirmations == 1
+        assert res.call_count == len(model.sizes) == 2 + res.iterations
+        assert model.sizes == ([n, n + displaced] + [n + n * m * 2] * (res.iterations - 1)
+                               + [n * m * (mc - 2)])
+        assert res.query_count == sum(model.sizes)
 
     def test_rejected_first_candidate_costs_its_displaced_rows(self):
         # the default grad-std 1 shrinks the sinusoid's estimated slope, so
@@ -883,10 +906,13 @@ class TestSolverPlan:
         model = BatchRecorder(quadratic_model(coef))
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=3)
         res = map_estimate(ts, model, hp, FINE_GRAD)
-        n = ts.n_test
-        displaced = n * ts.dimension * FINE_GRAD.mc_samples
+        n, m = ts.n_test, ts.dimension
+        displaced = n * m * FINE_GRAD.mc_samples
         assert not res.converged and res.iterations == 3 and res.halvings == 0
-        assert model.sizes == [n] + [n + displaced] * 3 + [n]
+        # one pair per coordinate after the start, and no confirmation, as
+        # the solve does not stop on its step
+        assert model.sizes == [n, n + displaced] + [n + n * m * 2] * 2 + [n]
+        assert res.one_pair_batches == 2 and res.confirmations == 0
 
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     @pytest.mark.parametrize("method", ["gpa", "lc"])
@@ -906,18 +932,188 @@ class TestSolverPlan:
         np.testing.assert_array_equal(fused.trace, reference.trace)
 
     def test_collective_quadratic_matches_two_call_plan(self):
-        # a BLAS matrix product may round a row differently in a batch of
-        # another size, hence the tolerance
+        # the reference sends every draw at each accepted point; the fused
+        # objective sends them at the start, one pair per coordinate after
+        # it, and the missing draws at the stop.  A pair's slope is the
+        # all-draws mean up to rounding, hence the tolerance
         coef, ts = _benchmark_sized_problem()
         hp = GpaHyperParams.for_testset(ts.n_test)
+        cfg = GradientEstimatorConfig()
         rates = _resolve_rates(ts, quadratic_model(coef), hp)
         (fused, fused_queries), (reference, reference_queries) = _solve_both_ways(
             lambda: quadratic_model(coef), ts, student_t_loss(hp.a0, rates), hp.eta,
-            hp.nu, GradientEstimatorConfig(), hp.max_iter, hp.tol)
+            hp.nu, cfg, hp.max_iter, hp.tol)
         assert fused.converged
         assert fused.iterations == reference.iterations
-        assert fused_queries == reference_queries
+        left_out = ts.n_test * ts.dimension * (cfg.mc_samples - 2)
+        assert fused_queries == reference_queries - (fused.iterations - 2) * left_out
         np.testing.assert_allclose(fused.delta, reference.delta, rtol=1e-12, atol=0)
+
+
+def _cubic_past_threshold(coef, threshold, cube):
+    """A quadratic model plus ``cube (z_0 - threshold)^3`` where z_0 passes
+    ``threshold``: its sign-paired draws agree to rounding below the
+    threshold and differ past it.  Returns the model's function and its
+    analytic gradient."""
+    def value(z):
+        return float(coef @ (z * z) + cube * max(z[0] - threshold, 0.0) ** 3)
+
+    def gradient(z):
+        g = 2.0 * coef * z
+        g[0] += 3.0 * cube * max(z[0] - threshold, 0.0) ** 2
+        return g
+
+    return value, gradient
+
+
+def _all_draws(monkeypatch):
+    """Hold every coordinate to all its draws: the plan of an estimator
+    without pair counts."""
+    import anomattr.gpa as gpa_mod
+
+    monkeypatch.setattr(gpa_mod, "_PAIR_AGREEMENT", -np.inf)
+
+
+class TestPairDraws:
+    """The first gradient batch of a solve sends every draw; a coordinate
+    whose sign-paired draws agree there sends one pair in the later ones,
+    and a stop on such a batch is confirmed with the missing draws."""
+
+    @pytest.mark.parametrize("cfg", [
+        FINE_GRAD,  # the oracle flags: pairs differ by about (pi h)^2 / 6
+        GradientEstimatorConfig(),  # the default flags: by about half the slope
+        GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=1),
+        GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=2),
+        GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=3),
+    ], ids=["oracle", "default", "mc1", "mc2", "mc3"])
+    @pytest.mark.parametrize("method", ["gpa", "lc"])
+    def test_sinusoid_rows_keep_the_all_draws_plan(self, cfg, method, monkeypatch):
+        rows = [single_point([0.5, 0.0], 1.0), single_point([0.3, 0.1], -0.5),
+                TestSet(np.array([[0.5, 0.0], [0.45, 0.05], [0.55, -0.05]]),
+                        np.array([1.0, 0.9, 1.1]), ["x1", "x2"])]
+
+        def solve(ts):
+            model = BatchRecorder(sinusoidal2d())
+            if method == "lc":  # at the default flags lc gives up on the 3 rows
+                with contextlib.suppress(DivergenceError):
+                    delta = lc(model, ts.x, ts.y, eta=1e-3, nu=1e-3, grad_cfg=cfg, tol=1e-8)
+                    return model.sizes, model.call_count, delta, None
+                return model.sizes, model.call_count, None, None
+            res = map_estimate(ts, model, ORACLE_HP, cfg)
+            assert res.one_pair_batches == res.confirmations == 0
+            assert res.query_count == sum(model.sizes)
+            return model.sizes, res.call_count, res.delta_star, res.iterations
+
+        adaptive = [solve(ts) for ts in rows]
+        _all_draws(monkeypatch)
+        for (sizes, calls, delta, iterations), ts in zip(adaptive, rows):
+            ref_sizes, ref_calls, ref_delta, ref_iterations = solve(ts)
+            assert sizes == ref_sizes and calls == ref_calls
+            assert iterations == ref_iterations
+            np.testing.assert_array_equal(delta, ref_delta)
+
+    @pytest.mark.parametrize("make", [linear_model, quadratic_model])
+    def test_one_pair_gradient_is_the_first_pair_slope(self, make):
+        coef, ts = _collective_problem()
+        n, m = ts.n_test, ts.dimension
+        model = BatchRecorder(make(coef))
+        objective = CounterfactualObjective(model, ts.x, ts.y, 0.3,
+                                            gaussian_loss(1.0), FINE_GRAD)
+        objective.grad(np.zeros(m))
+        delta = np.linspace(-0.2, 0.2, m)
+        grad, hess, _ = objective.grad(delta)
+        assert model.sizes == [n * (1 + m * FINE_GRAD.mc_samples), n * (1 + 2 * m)]
+        assert objective.one_pair_batches == 1
+        pairs = estimate_gradient(make(coef), ts.x + delta, FINE_GRAD,
+                                  draws=np.full(m, 2))
+        resid = ts.y - make(coef).evaluate_batch(ts.x + delta)
+        np.testing.assert_array_equal(grad, 0.3 * delta - resid @ pairs)
+        np.testing.assert_array_equal(hess, pairs.T @ pairs + 0.3 * np.eye(m))
+
+    def test_confirmation_resumes_a_solve_the_pairs_would_stop(self, monkeypatch):
+        # the pairs agree at the start and the solve drops them; past the
+        # threshold, where the solution lies, the first pair's slope of x_0
+        # differs from the mean's, so the one-pair step goes below tol at
+        # another point than the all-draws step does
+        coef = np.array([1.0, 0.5, 2.0])
+        value, gradient = _cubic_past_threshold(coef, 0.5, 1.0)
+        xs = np.random.default_rng(0).uniform(-0.3, 0.3, (3, 3))
+        ys = np.array([value(x + [0.9, 0.0, 0.0]) for x in xs])
+        ts = TestSet(xs, ys, ["a", "b", "c"])
+        cfg = GradientEstimatorConfig(perturbation_std=1e-2, seed=0)
+        n, mc = ts.n_test, cfg.mc_samples
+        rates = np.full(n, ORACLE_HP.b0)
+        loss = student_t_loss(ORACLE_HP.a0, rates)
+
+        def kkt(delta):
+            rows = ts.x + delta
+            slope = _student_t_slope(ORACLE_HP, rates)(ts.y - [value(r) for r in rows])
+            grad = ORACLE_HP.eta * delta - slope @ np.array([gradient(r) for r in rows])
+            lam = ORACLE_HP.eta * ORACLE_HP.nu
+            return np.max(np.where(delta != 0.0, np.abs(grad + lam * np.sign(delta)),
+                                   np.maximum(np.abs(grad) - lam, 0.0)))
+
+        def solve(confirm):
+            model = BatchRecorder(CallableModel(value, 3))
+            objective = CounterfactualObjective(model, ts.x, ts.y, ORACLE_HP.eta, loss, cfg)
+            state = proximal_minimize(objective.grad, objective.value, 3, ORACLE_HP.eta,
+                                      ORACLE_HP.nu, 10_000, ORACLE_HP.tol, cfg.seed,
+                                      confirm_fn=objective.confirm if confirm else None)
+            assert state.converged
+            return state, objective, model.sizes
+
+        confirmed, objective, sizes = solve(True)
+        unconfirmed, _, _ = solve(False)
+        _all_draws(monkeypatch)
+        all_draws, _, _ = solve(True)
+        assert objective.confirmations >= 1 and confirmed.iterations > unconfirmed.iterations
+        # after a confirmation x_0 sends all draws and the others one pair
+        assert n * (1 + 2 * 2 + mc) in sizes
+        # measured: 1.05e-8, 3.19e-8 and 8.8e-9, the smoothing's bias
+        assert kkt(confirmed.delta) <= 1.5 * kkt(all_draws.delta)
+        assert kkt(unconfirmed.delta) > 2.0 * kkt(all_draws.delta)
+        assert np.max(np.abs(confirmed.delta - all_draws.delta)) < 1e-7
+        assert np.max(np.abs(unconfirmed.delta - all_draws.delta)) > 1e-7
+
+    @pytest.mark.parametrize("problem", ["oracle-row", "collective"])
+    def test_one_gradient_call_per_iteration(self, problem):
+        # the confirmation is no grad_fn call, so a wrapper that counts
+        # grad_fn calls counts the iterations whether or not pairs drop
+        if problem == "oracle-row":
+            model, ts, hp = sinusoidal2d(), single_point([0.5, 0.0], 1.0), ORACLE_HP
+            loss = student_t_loss(hp.a0, np.full(1, hp.b0))
+        else:
+            coef, ts = _collective_problem()
+            model, hp = quadratic_model(coef), GpaHyperParams.for_testset(ts.n_test)
+            loss = student_t_loss(hp.a0, _resolve_rates(ts, model, hp))
+        objective = CounterfactualObjective(model, ts.x, ts.y, hp.eta, loss, FINE_GRAD)
+        grads = []
+
+        def counted_grad(delta):
+            grads.append(1)
+            return objective.grad(delta)
+
+        state = proximal_minimize(counted_grad, objective.value, ts.dimension, hp.eta,
+                                  hp.nu, hp.max_iter, hp.tol, FINE_GRAD.seed,
+                                  confirm_fn=objective.confirm)
+        assert state.converged and state.halvings == 0
+        assert len(grads) == state.iterations
+        assert objective.confirmations == (problem == "collective")
+
+    def test_confirm_needs_one_of_the_last_two_gradients(self):
+        coef, ts = _collective_problem()
+        objective = CounterfactualObjective(quadratic_model(coef), ts.x, ts.y, 0.3,
+                                            gaussian_loss(1.0), FINE_GRAD)
+        deltas = np.linspace(0.0, 0.3, 4)[:, None] * np.ones(ts.dimension)
+        objective.grad(deltas[0])
+        assert objective.confirm(deltas[0]) is None  # all draws at the start
+        for delta in deltas[1:]:
+            objective.grad(delta)
+        with pytest.raises(ValueError, match="last two"):
+            objective.confirm(deltas[1])
+        assert objective.confirm(deltas[2]) is not None
+        assert objective.confirm(deltas[2]) is None  # confirmed already
+        assert objective.confirmations == 1
 
 
 class TestNonFiniteObjective:
@@ -1054,8 +1250,12 @@ class TestScoreDistributions:
         res = map_estimate(ts, model, hp, FINE_GRAD)
         assert model.sizes[0] == n
         solver = model.sizes[1:]
-        displaced = n * m * FINE_GRAD.mc_samples
-        assert all(size in (n, displaced, n + displaced) for size in solver)
+        mc = FINE_GRAD.mc_samples
+        # the start sends every draw, the later batches one pair per
+        # coordinate, the confirmation the rest
+        assert solver[0] == n * (1 + m * mc)
+        assert solver[-1] == n * m * (mc - 2)
+        assert all(size in (n, n * m * 2, n + n * m * 2) for size in solver[1:-1])
         model.sizes.clear()
         score_distributions(res.delta_star, ts, model, hp, res.rates)
         assert model.sizes == [n * hp.grid_points] * m

@@ -20,6 +20,7 @@ from anomattr.models import (
     NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
+    _step_draws,
     estimate_gradient,
     linear_model,
     make_builtin,
@@ -56,10 +57,17 @@ class TestBuiltins:
         singles = [m.evaluate(x) for x in xs]
         # one formula: a single query is the one-row batch, bit for bit
         np.testing.assert_array_equal(singles, [m.evaluate_batch(x[None])[0] for x in xs])
-        if spec.kind == "sinusoidal2d":  # elementwise, so the batch size cannot matter
-            np.testing.assert_array_equal(batch, singles)
-        else:  # BLAS may sum a row in an order that depends on the batch size
-            np.testing.assert_allclose(batch, singles, rtol=4 * np.finfo(float).eps, atol=0)
+        np.testing.assert_array_equal(batch, singles)
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_wide_batches_of_any_size_match_scalar(self, kind):
+        # rows of 30 terms, whose sum a matrix product orders by batch size
+        rng = np.random.default_rng(4)
+        m = make_builtin(BuiltinModelSpec(kind, tuple(rng.uniform(0.5, 1.5, 30))))
+        xs = rng.normal(size=(1_220, 30))
+        batch = m.evaluate_batch(xs)
+        np.testing.assert_array_equal(batch[:200], [m.evaluate(x) for x in xs[:200]])
+        np.testing.assert_array_equal(m.evaluate_batch(xs[7:511]), batch[7:511])
 
     def test_query_count(self):
         m = sinusoidal2d()
@@ -144,6 +152,57 @@ class TestGradientEstimator:
         again = estimate_gradient(m, x, FINE_GRAD, f0=values, points=np.empty((k + rows, 2)))
         assert m.sizes == [k + rows, rows]
         np.testing.assert_array_equal(again, grad)
+
+    @pytest.mark.parametrize("model", [linear_model([3.0, -1.0, 0.25, 2.0]),
+                                       quadratic_model([1.0, 0.5, 2.0, 1.5])],
+                             ids=["linear", "quadratic"])
+    def test_one_pair_coordinates_take_their_first_pair(self, model):
+        # coordinates 0 and 2 send their first pair, 1 and 3 all draws: one
+        # batch of k (1 + 2 * 2 + mc * 2) rows.  A one-pair coordinate's
+        # estimate is the first pair's slope and an all-draws one the full
+        # estimate, bit for bit
+        x = np.random.default_rng(2).normal(size=(3, 4))
+        k, mc = len(x), FINE_GRAD.mc_samples
+        recorder = BatchRecorder(model)
+        draws = np.array([2, mc, 2, mc])
+        grad = estimate_gradient(recorder, x, FINE_GRAD, draws=draws)
+        assert recorder.sizes == [k * (1 + 2 * 2 + mc * 2)]
+        full = estimate_gradient(model, x, FINE_GRAD)
+        np.testing.assert_array_equal(grad[:, [1, 3]], full[:, [1, 3]])
+        h, _ = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std, mc, 4)
+        f0 = model.evaluate_batch(x)
+        for i in (0, 2):
+            up, down = x.copy(), x.copy()
+            up[:, i] += h[i, 0]
+            down[:, i] += h[i, 1]
+            pair = ((model.evaluate_batch(up) - f0) / h[i, 0]
+                    + (model.evaluate_batch(down) - f0) / h[i, 1]) / 2
+            np.testing.assert_array_equal(grad[:, i], pair)
+
+    def test_skipped_draws_complete_to_the_full_estimate(self):
+        # the missing draws sent later, with the first call's slopes and
+        # values, give the one-call estimate bit for bit
+        model = quadratic_model([1.0, 0.5, 2.0])
+        x = np.random.default_rng(3).normal(size=(4, 3))
+        k, mc = len(x), FINE_GRAD.mc_samples
+        recorder = BatchRecorder(model)
+        slopes, values = np.zeros((k, 3, mc)), np.empty(k)
+        draws = np.array([2, mc, 2])
+        estimate_gradient(recorder, x, FINE_GRAD, values=values, draws=draws,
+                          slopes=slopes)
+        grad = estimate_gradient(recorder, x, FINE_GRAD, f0=values, slopes=slopes,
+                                 skip=draws)
+        assert recorder.sizes == [k * (1 + 2 + mc + 2), k * 2 * (mc - 2)]
+        np.testing.assert_array_equal(grad, estimate_gradient(model, x, FINE_GRAD))
+
+    def test_draw_counts_validated(self, sin_model):
+        for draws, skip in (([0, 10], None), ([2, 11], None), ([2, 10], [3, 0]),
+                            (None, [-1, 0])):
+            with pytest.raises(ValueError, match="skip <= draws"):
+                estimate_gradient(sin_model, [0.1, 0.2], FINE_GRAD, draws=draws, skip=skip,
+                                  slopes=np.zeros((1, 2, 10)))
+        with pytest.raises(ValueError, match="from slopes"):
+            estimate_gradient(sin_model, [0.1, 0.2], FINE_GRAD, skip=[2, 2])
 
     def test_nonfinite_value_at_the_point_names_it(self):
         x = np.array([0.25, -0.5])
