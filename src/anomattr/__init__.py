@@ -41,8 +41,6 @@ from .gpa import (
     objective,
     refine_gamma_rate,
     score_distributions,
-    select_gamma_shape,
-    soft_threshold,
 )
 from .metrics import (
     AnomalyScore,
@@ -56,6 +54,7 @@ from .metrics import (
     spearman_rho,
 )
 from .models import (
+    BuiltinModel,
     BuiltinModelSpec,
     CallableModel,
     GradientEstimatorConfig,
@@ -66,7 +65,6 @@ from .models import (
     TransportError,
     estimate_gradient,
     linear_model,
-    make_builtin,
     quadratic_model,
     sinusoidal2d,
 )

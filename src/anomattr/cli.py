@@ -31,12 +31,8 @@ iterations whose step took the secant-corrected curvature
 (``secant_steps``), the gradient batches in which some coordinate sent one
 pair of draws (``one_pair_batches``), the batches that sent the missing
 draws where the solve would stop (``confirmations``), ``converged`` and the
-model's ``query_count`` and ``call_count``.  A
-converged solve whose line searches take their first step makes one model
-call per iteration, after one for the gamma rates unless ``--b0`` is given;
-each halving adds a call, and so does the gradient at a point accepted by
-a line search that halved or that follows one that halved, and each
-confirmation.
+model's ``query_count`` and ``call_count``, which follow the query plan in
+the :mod:`anomattr.gpa` module docstring.
 
 ``--kappa`` and ``--lc-kappa`` set the starting step of an earlier
 step-size solver.  The Gauss-Newton solver has no step size, so both are
@@ -62,6 +58,7 @@ from . import baselines, dataio, gpa, metrics, oracle
 from .dataio import TestSet
 from .gpa import DivergenceError, GpaHyperParams
 from .models import (
+    BuiltinModel,
     BuiltinModelSpec,
     GradientEstimatorConfig,
     HttpModel,
@@ -69,7 +66,6 @@ from .models import (
     NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
-    make_builtin,
 )
 
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
@@ -131,7 +127,7 @@ def resolve_model(spec: str | None, dimension: int | None = None) -> ModelHandle
     kind, _, coef_text = spec.partition(":")
     coefficients = _numbers(coef_text) if coef_text else ()
     try:
-        model = make_builtin(BuiltinModelSpec(kind, coefficients))
+        model = BuiltinModel(BuiltinModelSpec(kind, coefficients))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if dimension is not None and model.dimension != dimension:
@@ -501,9 +497,8 @@ def _add_common(p):
     p.add_argument("--grad-std", type=_finite_float, default=1.0,
                    help="gradient estimator perturbation std")
     p.add_argument("--grad-samples", type=int, default=10,
-                   help="gradient estimator Monte Carlo samples, sign-paired: the "
-                        "most a coordinate sends; the MAP solves send one pair "
-                        "where the pairs agree")
+                   help="gradient estimator Monte Carlo samples per coordinate, "
+                        "sign-paired")
 
 
 def _add_selection(p):

@@ -62,30 +62,42 @@ would, with lower or higher F.
 Per-variable uncertainty comes from slicing the unnormalized posterior along
 one coordinate through the MAP point and normalizing on a symmetric grid.
 
-One run queries the model in one plan: the gamma rates from one residual
-batch, then the solver, then one batch per variable for the slices, which
-reuse the run's rates.  The solver sends one batch at its start, which gives
-both the objective and its gradient there, and one per candidate step.  The
-first candidate of a line search also carries the displaced points of its
-gradient, so that an accepted step needs no further batch, unless the
-previous line search rejected its first candidate or no iteration follows;
-a point accepted without its gradient sends one batch of displaced points
-for it.  A converged solve whose line searches take their first step sends
-one batch per iteration, plus one confirmation where it left draws out.
+The query plan.  One run queries the model in one plan: the gamma rates
+from one residual batch (none for an explicit ``b0``), then the solver, then
+one batch per variable for the slices, which reuse the run's rates.
+:attr:`AttributionResult.query_count` and ``call_count`` count the rates and
+the solver.  The solver's batches come from :class:`CounterfactualObjective`:
 
-The gradient estimator's ``mc_samples`` draws are sign-paired, so a
-coordinate's estimate is the mean of ``mc_samples / 2`` central differences.
-The start's batch sends every draw.  A coordinate whose pair slopes agree
-there to ``sqrt(eps)`` (1.5e-8) of its largest slope sends only its first
-pair in the later batches, and that pair's slope is its estimate (after Byrd,
-Chin, Nocedal & Wu 2012, and Bollapragada, Byrd & Nocedal 2018: extra draws
-only where they disagree).  Where the solver would stop on such a batch, one
-confirmation batch sends the missing draws at that point; the solve stops
-only if the all-draws step is below ``tol`` too, and the pair counts are
-decided anew.  On a quadratic model the pairs agree to about 1e-13, so the
-three ``collective-builtin`` solves send 31,580, 23,040 and 29,140 queries,
-where all draws took 108,380, 66,240 and 96,340, and end within 1.4e-13 of
-the all-draws delta*.  On the sinusoid the pairs differ by about (pi h)^2 / 6
+* The start sends one batch, which gives both the objective and its
+  gradient there, and each candidate step sends one.  The first candidate of
+  a line search also carries the displaced points of its gradient, so that
+  an accepted step needs no further batch, unless the previous line search
+  rejected its first candidate or no iteration follows (the ``max_iter``-th
+  sends its candidate alone).  A point accepted without its gradient sends
+  one batch of displaced points for it; a rejected first candidate that
+  carried its gradient costs those points and no batch.
+* So a converged solve sends ``iterations + halvings`` batches, plus one
+  after each acceptance that was halved or not trusted, plus one per
+  confirmation; where its line searches take their first step, that is one
+  per iteration plus the confirmations.  It is never more than the ``1 + 2
+  (iterations - 1) + halvings`` of asking for the gradient at each accepted
+  point, plus the confirmations.
+* The gradient estimator's ``mc_samples`` draws are sign-paired, so a
+  coordinate's estimate is the mean of ``mc_samples / 2`` central
+  differences.  The start's batch sends every draw.  A coordinate whose pair
+  slopes agree there to ``sqrt(eps)`` (1.5e-8) of its largest slope sends
+  only its first pair in the later batches, and that pair's slope is its
+  estimate (after Byrd, Chin, Nocedal & Wu 2012, and Bollapragada, Byrd &
+  Nocedal 2018: extra draws only where they disagree).  Where the solver
+  would stop on such a batch, one confirmation batch sends the missing
+  draws at that point; the solve stops only if the all-draws step is below
+  ``tol`` too, and the pairs are judged anew from that batch.  Pair draws
+  change only at the first batch and at a confirmation.
+
+On a quadratic model the pairs agree to about 1e-13, so the three
+``collective-builtin`` solves send 31,580, 23,040 and 29,140 queries, where
+all draws took 108,380, 66,240 and 96,340, and end within 1.4e-13 of the
+all-draws delta*.  On the sinusoid the pairs differ by about (pi h)^2 / 6
 relative, 1e-6 at ``--grad-std 0.001``, and by about half the slope at the
 default 1, so there every batch sends every draw.
 
@@ -110,8 +122,6 @@ __all__ = [
     "GpaHyperParams",
     "AttributionResult",
     "ScoreDistribution",
-    "soft_threshold",
-    "select_gamma_shape",
     "residual_variance",
     "init_gamma_rate",
     "refine_gamma_rate",
@@ -210,12 +220,9 @@ class AttributionResult:
     secant-corrected curvature ``H + C``.  ``one_pair_batches`` counts the
     gradient batches in which some coordinate sent one pair of draws, and
     ``confirmations`` the batches that sent the missing draws where the
-    solve would stop (see :class:`CounterfactualObjective`).  A converged
-    solve makes ``iterations + halvings + confirmations`` calls plus one per
-    point it accepted without the gradient there (see
-    :func:`proximal_minimize`); each rejected first candidate whose batch
-    carried its gradient's displaced points costs those points and no call.
-    Pass ``rates`` on to :func:`score_distributions` and :func:`objective`."""
+    solve would stop.  The module docstring gives the query plan these counts
+    follow.  Pass ``rates`` on to :func:`score_distributions` and
+    :func:`objective`."""
 
     delta_star: np.ndarray
     iterations: int
@@ -253,22 +260,6 @@ class ScoreDistribution:
     @property
     def delta_max(self) -> float:
         return float(self.grid[-1])
-
-
-def soft_threshold(g, threshold: float) -> np.ndarray:
-    """Elementwise shrinkage toward zero; exact zero inside the dead zone."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    g = np.asarray(g, dtype=float)
-    return np.sign(g) * np.maximum(np.abs(g) - threshold, 0.0)
-
-
-def select_gamma_shape(n_virtual: int) -> float:
-    """Gamma shape from a virtual sample count: a0 = (n + 1) / 2, so a single
-    sample gives a0 = 1."""
-    if n_virtual < 1:
-        raise ValueError("n_virtual must be >= 1")
-    return (n_virtual + 1) / 2.0
 
 
 def residual_variance(testset: TestSet, model: ModelHandle) -> float:
@@ -386,17 +377,14 @@ class CounterfactualObjective:
     ``value`` sends the displaced points alone.  A loss that overflows gives
     an infinite J without a numpy warning.
 
-    The first ``grad`` sends all ``mc_samples`` draws of every coordinate.
-    A coordinate whose sign-paired draws agree there, whose pair slopes
-    spread over no more than ``sqrt(eps)`` (1.5e-8) of its largest slope
-    over the rows, sends only its first pair in the later batches, and that
-    pair's slope is its estimate.  ``confirm(delta)``, at a delta of one of
+    The first ``grad`` sends every draw, and its slopes set the draws of the
+    later ones (:func:`_pair_draws`): the first pair of each coordinate whose
+    pairs agree, every draw of the others.  ``one_pair_batches`` counts the
+    batches that left draws out.  ``confirm(delta)``, at a delta of one of
     the last two ``grad`` calls, returns None when that gradient used every
-    draw.  Otherwise it sends the missing draws there, one batch, returns
-    the all-draws ``(g, H, C)`` and decides the pair counts anew.  Pair
-    counts change only at the first batch and at a confirmation.
-    ``one_pair_batches`` counts the gradient batches in which some
-    coordinate sent one pair, ``confirmations`` the confirmation batches.
+    draw.  Otherwise it sends the missing draws there, one batch counted in
+    ``confirmations``, returns the all-draws ``(g, H, C)`` and sets the later
+    draws anew from them.  The module docstring gives the query plan.
     """
 
     def __init__(self, model: ModelHandle, x, y, eta: float, loss,
@@ -404,14 +392,12 @@ class CounterfactualObjective:
         self._model, self._cfg, self._eta = model, grad_cfg, eta
         self._x, self._y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         self._loss_value, self._loss_weight = loss
-        m = model.dimension
-        self._points = np.empty((len(self._x) * (1 + m * grad_cfg.mc_samples), m))
         self._key = self._fvals = self._value = None
-        self._secant = _secant_correction(m)
-        # per coordinate, the draws of the later batches (None: every draw),
-        # set by the first
-        self._draws, self._decided = None, False
-        # (delta key, values, slopes, draws) of the last gradient batches
+        self._secant = _secant_correction(model.dimension)
+        # the draw mask of the later batches (None: every draw), set by the
+        # first batch and by each confirmation
+        self._send = None
+        # (delta key, values, slopes, send) of the last gradient batches
         self._recent = deque(maxlen=2)
         self.one_pair_batches = self.confirmations = 0
 
@@ -421,25 +407,20 @@ class CounterfactualObjective:
         return self._value
 
     def grad(self, delta):
-        key, draws = delta.tobytes(), self._draws
-        slopes = None  # kept where a confirmation or the decision needs them
-        if draws is not None or not self._decided:
-            slopes = np.zeros((len(self._x), self._model.dimension, self._cfg.mc_samples))
-        if key == self._key:
-            fvals = self._fvals
-            grads = estimate_gradient(self._model, self._x + delta, self._cfg, f0=fvals,
-                                      points=self._points, draws=draws, slopes=slopes)
-        else:
-            fvals = np.empty(len(self._x))
-            grads = estimate_gradient(self._model, self._x + delta, self._cfg,
-                                      points=self._points, values=fvals, draws=draws,
-                                      slopes=slopes)
+        key, send = delta.tobytes(), self._send
+        slopes = np.zeros((len(self._x), self._model.dimension, self._cfg.mc_samples))
+        memo = key == self._key
+        fvals = self._fvals if memo else np.empty(len(self._x))
+        grads = estimate_gradient(self._model, self._x + delta, self._cfg,
+                                  f0=fvals if memo else None,
+                                  values=None if memo else fvals, slopes=slopes, send=send)
+        if not memo:
             self._remember(delta, fvals)
-        if not self._decided:
-            self._draws, self._decided = _pair_draws(slopes, grads), True
-        elif draws is not None:
+        if not self._recent:
+            self._send = _pair_draws(slopes)
+        elif send is not None:
             self.one_pair_batches += 1
-        self._recent.append((key, fvals, slopes, draws))
+        self._recent.append((key, fvals, slopes, send))
         return self._derivatives(delta, fvals, grads)
 
     def confirm(self, delta):
@@ -447,15 +428,15 @@ class CounterfactualObjective:
         found = [entry for entry in self._recent if entry[0] == key]
         if not found:
             raise ValueError("confirm takes a delta of one of the last two gradients")
-        _, fvals, slopes, draws = found[-1]
-        if draws is None:
+        _, fvals, slopes, send = found[-1]
+        if send is None:
             return None
-        grads = estimate_gradient(self._model, self._x + delta, self._cfg, f0=fvals,
-                                  points=self._points, slopes=slopes, skip=draws)
+        estimate_gradient(self._model, self._x + delta, self._cfg, f0=fvals,
+                          slopes=slopes, send=~send)
         self.confirmations += 1
-        self._draws = _pair_draws(slopes, grads)
+        self._send = _pair_draws(slopes)
         self._recent.append((key, fvals, slopes, None))
-        return self._derivatives(delta, fvals, grads)
+        return self._derivatives(delta, fvals, slopes.sum(axis=2) / self._cfg.mc_samples)
 
     def _remember(self, delta, model_values):
         self._key, self._fvals = delta.tobytes(), model_values
@@ -474,14 +455,14 @@ class CounterfactualObjective:
             return self._eta * delta - slope @ grads, hess, self._secant(delta, grads, slope)
 
 
-def _pair_draws(slopes, grads):
-    """Per coordinate, the draws later gradient batches send, from the
-    ``(rows, m, mc_samples)`` draw ``slopes`` and their estimates ``grads``:
-    the first pair where the draws agree, all ``mc_samples`` draws
-    otherwise; None where every coordinate sends all.  The draws agree where
-    the spread of their pair slopes (a trailing unpaired draw counts as a
-    pair), at the row where it is largest, is at most ``sqrt(eps)`` times
-    the largest ``|grads|`` over the rows.  No model query."""
+def _pair_draws(slopes):
+    """The draw mask of the later gradient batches, from the ``(rows, m,
+    mc_samples)`` draw ``slopes`` of an all-draws batch: the first pair of a
+    coordinate whose draws agree, every draw of the others; None where no
+    coordinate's draws agree.  The draws agree where the spread of their
+    pair slopes (a trailing unpaired draw counts as a pair), at the row where
+    it is largest, is at most ``sqrt(eps)`` times the largest all-draws
+    estimate ``|mean slope|`` over the rows.  No model query."""
     mc = slopes.shape[2]
     if mc <= 2:
         return None
@@ -490,8 +471,11 @@ def _pair_draws(slopes, grads):
     pairs[..., : mc // 2] /= 2.0
     with np.errstate(invalid="ignore"):  # spread of infinite slopes: keep all
         spread = np.max(pairs.max(axis=2) - pairs.min(axis=2), axis=0)
-        agree = spread <= _PAIR_AGREEMENT * np.max(np.abs(grads), axis=0)
-    return np.where(agree, 2, mc) if agree.any() else None
+        scale = np.max(np.abs(slopes.sum(axis=2) / mc), axis=0)
+        agree = spread <= _PAIR_AGREEMENT * scale
+    send = np.ones(slopes.shape[1:], dtype=bool)
+    send[agree, 2:] = False
+    return send if agree.any() else None
 
 
 def _secant_correction(dim: int):
@@ -667,19 +651,13 @@ def proximal_minimize(
     its first candidate (the first line search counts as trusted) and the
     iteration is not the ``max_iter``-th: if that candidate is accepted, its
     ``(g, H, C)`` serve the next iteration.  Other accepted points get their
-    ``grad_fn`` call at the next iteration.  With
-    :class:`CounterfactualObjective` the batch of ``grad_fn`` at a new point
-    also holds the values F needs there, so the start and each candidate
-    cost one batch, and each point accepted without its gradient one more:
-    a converged solve sends ``iterations + halvings`` batches plus one after
-    each acceptance that was halved or not trusted, plus one per
-    confirmation, and a rejected first candidate that carried its gradient
-    costs its displaced points and no extra batch.  The gate bounds the
-    batches by the ``1 + 2 (iterations - 1) + halvings`` of asking
-    ``grad_fn`` at each accepted point, plus the confirmations.  A
-    non-finite F at the start raises :class:`DivergenceError` (the model
-    handle refuses non-finite outputs, so the loss itself overflowed); a
-    non-finite candidate only fails the comparison and is halved.
+    ``grad_fn`` call at the next iteration, so a solve whose line searches
+    take their first step calls ``grad_fn`` once per iteration.  The module
+    docstring gives the model batches this makes with
+    :class:`CounterfactualObjective`.  A non-finite F at the start raises
+    :class:`DivergenceError` (the model handle refuses non-finite outputs, so
+    the loss itself overflowed); a non-finite candidate only fails the
+    comparison and is halved.
     """
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_INIT_STREAM,))

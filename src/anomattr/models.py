@@ -49,7 +49,6 @@ __all__ = [
     "CallableModel",
     "SubprocessModel",
     "HttpModel",
-    "make_builtin",
     "sinusoidal2d",
     "linear_model",
     "quadratic_model",
@@ -190,10 +189,6 @@ class BuiltinModel(ModelHandle):
         if self.spec.kind == "linear":
             return np.einsum("ij,j->i", xs, self._coef)
         return np.einsum("ij,ij,j->i", xs, xs, self._coef)
-
-
-def make_builtin(spec: BuiltinModelSpec) -> BuiltinModel:
-    return BuiltinModel(spec)
 
 
 def sinusoidal2d() -> BuiltinModel:
@@ -509,11 +504,9 @@ class GradientEstimatorConfig:
     """Settings for the smoothed finite-difference slope estimator.
 
     ``perturbation_std`` is the standard deviation of the Gaussian step sizes
-    (in standardized input units), ``mc_samples`` the most slope samples a
-    coordinate averages.  Every estimate sends them all, except in the MAP
-    solver, whose gradient batches send only the first pair of sign-paired
-    draws of a coordinate whose pairs agree
-    (:class:`anomattr.gpa.CounterfactualObjective`).
+    (in standardized input units), ``mc_samples`` the number of sign-paired
+    step draws per coordinate, the most slope samples its estimate averages
+    (:func:`estimate_gradient`).
     """
 
     perturbation_std: float = 1.0
@@ -566,38 +559,38 @@ def _step_draws(seed: int, std: float, mc_samples: int, dimension: int):
 
 
 def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
-                      f0=None, points: np.ndarray | None = None,
-                      values: np.ndarray | None = None, draws=None,
-                      slopes: np.ndarray | None = None, skip=None):
+                      f0=None, values: np.ndarray | None = None,
+                      slopes: np.ndarray | None = None, send=None):
     """Estimate the model gradient at one point ``(m,)`` or at each row of a
     batch ``(k, m)``; the result has the shape of ``x``.
 
     For each coordinate i the estimate is the average of the slopes
-    ``[f(x + h e_i) - f(x)] / h`` over the first ``draws[i]`` of its
-    ``mc_samples`` Gaussian step sizes h, all of them when ``draws`` is not
-    given; ``mc_samples`` is the most draws a coordinate sends.  Every call
-    is one model batch: the displaced points of the draws it sends, preceded
-    by the k points themselves unless their values ``f0`` are given (first,
-    so that a non-finite value there names that point).  Without ``f0``, the
-    values at the points are written to ``values`` when the caller passes a
-    ``(k,)`` buffer.
+    ``[f(x + h e_i) - f(x)] / h`` over the draws of its ``mc_samples``
+    Gaussian step sizes h that the ``(m, mc_samples)`` boolean mask ``send``
+    marks, every draw when ``send`` is None.  Every call is one model batch,
+    built in one array: the k points themselves unless their values ``f0``
+    are given (first, so that a non-finite value there names that point),
+    then the displaced points of the draws it sends, row by row and, within
+    a row, by coordinate and draw; with every draw sent, displaced point
+    ``(p * m + i) * mc_samples + j`` is ``x_p + h[i, j] e_i``.  Without
+    ``f0``, the values at the points are written to ``values`` when the
+    caller passes a ``(k,)`` buffer.
 
     The slope of draw j of coordinate i at row p goes to ``slopes[p, i, j]``
-    when the caller passes a C-contiguous ``(k, m, mc_samples)`` buffer.
-    The first ``skip[i]`` draws of coordinate i are then taken from that
-    buffer, as an earlier call at the same points with the same ``f0`` left
-    them, and are not sent again.  The batch is built in ``points`` when the
-    caller passes a C-contiguous buffer of at least ``k * (1 + m *
-    mc_samples)`` rows to reuse: rows ``:k`` hold the points, and the
-    displaced points follow, row by row and, within a row, by coordinate and
-    draw.  With every draw sent, row ``k + (p * m + i) * mc_samples + j``
-    holds ``x_p + h[i, j] e_i``.
+    when the caller passes a C-contiguous ``(k, m, mc_samples)`` table, and
+    the estimate is the table's sum over the draws divided by the number of
+    draws sent, exact where the unsent slots hold 0.  A table that holds an
+    earlier call's slopes at the same points and ``f0`` keeps them in the
+    draws this call does not send, so a call with the mask's complement
+    completes it: the table's mean over every draw is then the one-call
+    estimate bit for bit.  Such a call may send a coordinate no draw, and
+    that coordinate's estimate is the table's mean; otherwise a mask must
+    send each coordinate a draw.
 
-    Deterministic given (model, x, cfg, draws).  A draw's slope is the same
-    whichever other draws a batch sends, and a coordinate's estimate over
-    all its draws is the same whether they came in one call or in two.  For
-    a model that answers a row whatever batch it comes in, as the builtin
-    models do, a batch of points gives the per-point results bit for bit.
+    Deterministic given (model, x, cfg, send).  A draw's slope is the same
+    whichever other draws a batch sends.  For a model that answers a row
+    whatever batch it comes in, as the builtin models do, a batch of points
+    gives the per-point results bit for bit.
     """
     x = np.asarray(x, dtype=float)
     m, mc = model.dimension, cfg.mc_samples
@@ -608,37 +601,28 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     batch = x.reshape(-1, m)
     k = len(batch)
     h, disp = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
-    if skip is not None and slopes is None:
-        raise ValueError("skip takes the skipped draws' slopes from slopes")
-    sent = slice(None)  # every draw
-    if draws is not None or skip is not None:
-        stop = np.full(m, mc) if draws is None else np.asarray(draws)
-        start = np.zeros(m, dtype=int) if skip is None else np.asarray(skip)
-        if not np.all((0 <= start) & (start <= stop) & (1 <= stop) & (stop <= mc)):
-            raise ValueError(f"need 0 <= skip <= draws, 1 <= draws <= {mc} per coordinate")
-        sent = np.arange(mc)
-        sent = np.flatnonzero((start[:, None] <= sent) & (sent < stop[:, None]))
+    sent, count = slice(None), mc  # every draw
+    if send is not None:
+        send = np.asarray(send, dtype=bool)
+        if send.shape != (m, mc):
+            raise ValueError(f"send must be an ({m}, {mc}) mask, got shape {send.shape}")
+        count = send.sum(axis=1)
+        if slopes is None and not count.all():
+            raise ValueError("send leaves a coordinate with no draw")
+        sent, count = np.flatnonzero(send), np.where(count > 0, count, mc)
     moves = disp[sent]
-    end = k * (1 + len(moves))
-    if points is None:
-        points = np.empty((end, m))
-    np.add(batch[:, None, :], moves, out=points[k:end].reshape(k, len(moves), m))
+    centre = k if f0 is None else 0
+    points = np.empty((centre + k * len(moves), m))
+    points[:centre] = batch[:centre]  # the points first, unless f0 is given
+    np.add(batch[:, None, :], moves, out=points[centre:].reshape(k, len(moves), m))
+    fvals = model.evaluate_batch(points)
     if f0 is None:
-        points[:k] = batch
-        fvals = model.evaluate_batch(points[:end])
-        f0, fvals = fvals[:k], fvals[k:]
+        f0 = fvals[:k]
         if values is not None:
             values[:] = f0
-    else:
-        f0 = np.asarray(f0, dtype=float)
-        fvals = model.evaluate_batch(points[k:end])
+    f0, fvals = np.asarray(f0, dtype=float), fvals[centre:]
     if slopes is None:
         slopes = np.zeros((k, m, mc))
     slopes.reshape(k, m * mc)[:, sent] = (
         (fvals.reshape(k, -1) - f0.reshape(-1, 1)) / h.ravel()[sent])
-    grad = slopes.sum(axis=2) / mc
-    if draws is not None:
-        for d in np.unique(stop[stop < mc]):
-            few = stop == d
-            grad[:, few] = slopes[:, few, :d].sum(axis=2) / d
-    return grad.reshape(x.shape)
+    return (slopes.sum(axis=2) / count).reshape(x.shape)

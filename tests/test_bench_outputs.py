@@ -2,7 +2,7 @@
 of its workloads, run through ``cli.main`` as ``bench/workloads.build``
 describes them at seed 1.  A change that makes the benchmark report
 ``correct: false`` fails this suite first, and so does a change to the
-number of model queries the collective solves send.
+number of model queries or calls any workload sends.
 """
 
 import contextlib
@@ -21,6 +21,13 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # per coordinate in each later batch (1,220), and the 8 missing draws per
 # coordinate at its stop (4,800): 31,580 + 23,040 + 29,140
 COLLECTIVE_GPA_QUERIES = 83_760
+# and their model calls: the rates, the start's batch, one batch per later
+# iteration and the confirmation, 2 + 18, 2 + 11 and 2 + 16
+COLLECTIVE_GPA_CALLS = 51
+# the model_queries and model_calls of every method in the six seed-1
+# operations of the sinusoid workloads, summed
+SINUSOID_QUERY_PLANS = {"pointwise-subprocess": (567, 37),
+                        "baselines-compare": (835_797, 453)}
 
 
 @pytest.fixture
@@ -52,5 +59,10 @@ def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
     if workload == "collective-builtin":
         # a change that adds queries to the collective solves fails here,
         # and says in CHANGES.md why it needs them
-        queries = sum(doc["diagnostics"]["gpa"]["query_count"] for doc in docs)
-        assert queries == COLLECTIVE_GPA_QUERIES
+        gpa = [doc["diagnostics"]["gpa"] for doc in docs]
+        assert sum(d["query_count"] for d in gpa) == COLLECTIVE_GPA_QUERIES
+        assert sum(d["call_count"] for d in gpa) == COLLECTIVE_GPA_CALLS
+    else:
+        plan = tuple(sum(doc["diagnostics"][key] for doc in docs)
+                     for key in ("model_queries", "model_calls"))
+        assert plan == SINUSOID_QUERY_PLANS[workload]

@@ -34,50 +34,13 @@ from anomattr.gpa import (
     init_gamma_rate,
     proximal_minimize,
     refine_gamma_rate,
-    select_gamma_shape,
-    soft_threshold,
     student_t_loss,
 )
 from anomattr.models import estimate_gradient
 from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, single_point
 
 
-class TestSoftThreshold:
-    def test_examples(self):
-        np.testing.assert_allclose(
-            soft_threshold(np.array([0.5, -0.2]), 0.3), [0.2, 0.0]
-        )
-        g = np.array([1.3, -0.7, 0.0])
-        np.testing.assert_array_equal(soft_threshold(g, 0.0), g)
-        np.testing.assert_array_equal(soft_threshold(np.zeros(2), 5.0), np.zeros(2))
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold(np.zeros(2), -0.1)
-
-    @given(
-        g=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
-        t=st.floats(0, 1e6),
-    )
-    @settings(max_examples=100)
-    def test_shrinkage_properties(self, g, t):
-        g = np.asarray(g)
-        out = soft_threshold(g, t)
-        # never grows, never flips sign, dead zone is exactly zero
-        assert np.all(np.abs(out) <= np.maximum(np.abs(g) - t, 0.0) + 1e-12)
-        assert np.all(out * g >= 0.0)
-        assert np.all(out[np.abs(g) <= t] == 0.0)
-
-
 class TestGammaHyperparameters:
-    def test_shape_examples(self):
-        assert select_gamma_shape(1) == 1.0
-        assert select_gamma_shape(10) == 5.5
-        # the reported experimental regime 2*a0 = 11 comes from 10 virtual samples
-        assert 2 * select_gamma_shape(10) == 11.0
-        with pytest.raises(ValueError):
-            select_gamma_shape(0)
-
     def test_init_rate_examples(self):
         # residuals all equal 2 -> variance 4
         resid = np.array([2.0, 2.0])
@@ -1024,8 +987,9 @@ class TestPairDraws:
         grad, hess, _ = objective.grad(delta)
         assert model.sizes == [n * (1 + m * FINE_GRAD.mc_samples), n * (1 + 2 * m)]
         assert objective.one_pair_batches == 1
-        pairs = estimate_gradient(make(coef), ts.x + delta, FINE_GRAD,
-                                  draws=np.full(m, 2))
+        first_pair = np.zeros((m, FINE_GRAD.mc_samples), dtype=bool)
+        first_pair[:, :2] = True
+        pairs = estimate_gradient(make(coef), ts.x + delta, FINE_GRAD, send=first_pair)
         resid = ts.y - make(coef).evaluate_batch(ts.x + delta)
         np.testing.assert_array_equal(grad, 0.3 * delta - resid @ pairs)
         np.testing.assert_array_equal(hess, pairs.T @ pairs + 0.3 * np.eye(m))

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomattr.models import (
+    BuiltinModel,
     BuiltinModelSpec,
     CallableModel,
     GradientEstimatorConfig,
@@ -23,7 +24,6 @@ from anomattr.models import (
     _step_draws,
     estimate_gradient,
     linear_model,
-    make_builtin,
     quadratic_model,
     sinusoidal2d,
 )
@@ -51,7 +51,7 @@ class TestBuiltins:
         BuiltinModelSpec("quadratic", (0.1, 7.0)),
     ], ids=lambda spec: spec.kind)
     def test_batch_matches_scalar(self, spec):
-        m = make_builtin(spec)
+        m = BuiltinModel(spec)
         xs = np.array([[0.1, 0.2], [0.7, -0.3], [0.0, 0.0], [1 / 3, 2 / 7]])
         batch = m.evaluate_batch(xs)
         singles = [m.evaluate(x) for x in xs]
@@ -63,7 +63,7 @@ class TestBuiltins:
     def test_wide_batches_of_any_size_match_scalar(self, kind):
         # rows of 30 terms, whose sum a matrix product orders by batch size
         rng = np.random.default_rng(4)
-        m = make_builtin(BuiltinModelSpec(kind, tuple(rng.uniform(0.5, 1.5, 30))))
+        m = BuiltinModel(BuiltinModelSpec(kind, tuple(rng.uniform(0.5, 1.5, 30))))
         xs = rng.normal(size=(1_220, 30))
         batch = m.evaluate_batch(xs)
         np.testing.assert_array_equal(batch[:200], [m.evaluate(x) for x in xs[:200]])
@@ -149,7 +149,7 @@ class TestGradientEstimator:
         assert m.sizes == [k + rows]
         np.testing.assert_array_equal(m.last[:k], x)
         np.testing.assert_array_equal(values, sinusoidal2d().evaluate_batch(x))
-        again = estimate_gradient(m, x, FINE_GRAD, f0=values, points=np.empty((k + rows, 2)))
+        again = estimate_gradient(m, x, FINE_GRAD, f0=values)
         assert m.sizes == [k + rows, rows]
         np.testing.assert_array_equal(again, grad)
 
@@ -157,15 +157,16 @@ class TestGradientEstimator:
                                        quadratic_model([1.0, 0.5, 2.0, 1.5])],
                              ids=["linear", "quadratic"])
     def test_one_pair_coordinates_take_their_first_pair(self, model):
-        # coordinates 0 and 2 send their first pair, 1 and 3 all draws: one
+        # coordinates 0 and 2 send draws 0 and 1, 1 and 3 every draw: one
         # batch of k (1 + 2 * 2 + mc * 2) rows.  A one-pair coordinate's
-        # estimate is the first pair's slope and an all-draws one the full
+        # estimate is the first pair's slope and an every-draw one the full
         # estimate, bit for bit
         x = np.random.default_rng(2).normal(size=(3, 4))
         k, mc = len(x), FINE_GRAD.mc_samples
         recorder = BatchRecorder(model)
-        draws = np.array([2, mc, 2, mc])
-        grad = estimate_gradient(recorder, x, FINE_GRAD, draws=draws)
+        send = np.ones((4, mc), dtype=bool)
+        send[[0, 2], 2:] = False
+        grad = estimate_gradient(recorder, x, FINE_GRAD, send=send)
         assert recorder.sizes == [k * (1 + 2 * 2 + mc * 2)]
         full = estimate_gradient(model, x, FINE_GRAD)
         np.testing.assert_array_equal(grad[:, [1, 3]], full[:, [1, 3]])
@@ -180,29 +181,37 @@ class TestGradientEstimator:
             np.testing.assert_array_equal(grad[:, i], pair)
 
     def test_skipped_draws_complete_to_the_full_estimate(self):
-        # the missing draws sent later, with the first call's slopes and
-        # values, give the one-call estimate bit for bit
+        # the mask's complement sent later into the first call's table, with
+        # its values, gives the one-call estimate bit for bit; coordinate 1
+        # sent every draw at first and sends none then
         model = quadratic_model([1.0, 0.5, 2.0])
         x = np.random.default_rng(3).normal(size=(4, 3))
         k, mc = len(x), FINE_GRAD.mc_samples
         recorder = BatchRecorder(model)
         slopes, values = np.zeros((k, 3, mc)), np.empty(k)
-        draws = np.array([2, mc, 2])
-        estimate_gradient(recorder, x, FINE_GRAD, values=values, draws=draws,
-                          slopes=slopes)
-        grad = estimate_gradient(recorder, x, FINE_GRAD, f0=values, slopes=slopes,
-                                 skip=draws)
+        send = np.ones((3, mc), dtype=bool)
+        send[[0, 2], 2:] = False
+        estimate_gradient(recorder, x, FINE_GRAD, values=values, slopes=slopes, send=send)
+        rest = estimate_gradient(recorder, x, FINE_GRAD, f0=values, slopes=slopes,
+                                 send=~send)
         assert recorder.sizes == [k * (1 + 2 + mc + 2), k * 2 * (mc - 2)]
-        np.testing.assert_array_equal(grad, estimate_gradient(model, x, FINE_GRAD))
+        full = estimate_gradient(model, x, FINE_GRAD)
+        np.testing.assert_array_equal(slopes.sum(axis=2) / mc, full)
+        # a coordinate that sends no draw takes the table's mean
+        np.testing.assert_array_equal(rest[:, 1], full[:, 1])
 
     def test_draw_counts_validated(self, sin_model):
-        for draws, skip in (([0, 10], None), ([2, 11], None), ([2, 10], [3, 0]),
-                            (None, [-1, 0])):
-            with pytest.raises(ValueError, match="skip <= draws"):
-                estimate_gradient(sin_model, [0.1, 0.2], FINE_GRAD, draws=draws, skip=skip,
-                                  slopes=np.zeros((1, 2, 10)))
-        with pytest.raises(ValueError, match="from slopes"):
-            estimate_gradient(sin_model, [0.1, 0.2], FINE_GRAD, skip=[2, 2])
+        x = [0.1, 0.2]
+        for shape in ((2, 9), (1, 10), (20,)):
+            with pytest.raises(ValueError, match="mask"):
+                estimate_gradient(sin_model, x, FINE_GRAD, send=np.ones(shape, dtype=bool))
+        none_for_x2 = np.ones((2, 10), dtype=bool)
+        none_for_x2[1] = False
+        before = sin_model.query_count
+        # raised before the batch goes, where the mean would be 0 / 0
+        with pytest.raises(ValueError, match="no draw"):
+            estimate_gradient(sin_model, x, FINE_GRAD, send=none_for_x2)
+        assert sin_model.query_count == before
 
     def test_nonfinite_value_at_the_point_names_it(self):
         x = np.array([0.25, -0.5])
