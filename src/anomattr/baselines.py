@@ -6,6 +6,13 @@ the z-score, and a Gaussian-loss counterfactual shift.  All of them except
 the last are insensitive to the observed target: shifting y only moves a
 surrogate intercept or cancels in differences, and the implementations keep
 that cancellation exact at machine precision.
+
+The surrogates send their cloud, and Shapley its coalitions or permutation
+walks, in one model batch each.  The path integrals send whole paths, each
+path's points with their displaced points, as many paths per batch as keep
+the batch within ``_PATH_BATCH_NUMBERS`` model-input numbers (rows times
+m), and at least one: ig sends one batch, and eig over the 64-point lattice
+of the benchmark's sinusoid sends 10.
 """
 
 from __future__ import annotations
@@ -42,6 +49,14 @@ __all__ = [
 
 # exact Shapley enumeration cutoff: coalition values to evaluate
 _EXACT_SV_BUDGET = 50_000
+# model-input numbers (rows times m) in one batch of path-integral paths.
+# Peak memory sets the limit, not the model: the gradient estimator holds
+# about six float64s per row at m = 2, and on the benchmark's sinusoid
+# compare peak RSS rose by 0.5-0.7 MiB with 7 or 8 of eig's 64 paths per
+# batch, 2.0 MiB with 16, 3.3 MiB with 32 and 6.3 MiB (+14.5%) with all 64
+# in one batch.  A path above the budget goes alone, so no batch is larger
+# than the larger of one path and the budget
+_PATH_BATCH_NUMBERS = 2**15
 
 
 @dataclass
@@ -190,6 +205,33 @@ def baylime_distributions(
     return BaylimeResult(means, variance)
 
 
+def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
+                    n_intervals: int, grad_cfg: GradientEstimatorConfig) -> np.ndarray:
+    """Trapezoidal integral of the gradient along the straight path from each
+    row of ``starts`` to x_t, scaled elementwise by the displacement: one row
+    per start, sent by the batch rule of the module docstring.  Each path is
+    built and integrated on its own, so its integral does not depend on the
+    batch it goes in, on a model that answers a row whatever batch it comes
+    in."""
+    if starts.shape[1:] != x_t.shape:
+        raise ValueError("baseline must have the same dimension as x_t")
+    m = x_t.shape[-1]
+    alphas = np.linspace(0.0, 1.0, n_intervals + 1)
+    weights = np.full(n_intervals + 1, 1.0 / n_intervals)
+    weights[0] = weights[-1] = 0.5 / n_intervals
+    d = x_t - starts
+    path_numbers = (n_intervals + 1) * (1 + m * grad_cfg.mc_samples) * m
+    per_batch = max(1, _PATH_BATCH_NUMBERS // path_numbers)
+    integrals = np.empty(starts.shape)
+    for lo in range(0, len(starts), per_batch):
+        dk = d[lo : lo + per_batch, None, :]
+        paths = starts[lo : lo + per_batch, None, :] + alphas[:, None] * dk
+        grads = estimate_gradient(model, paths.reshape(-1, m), grad_cfg).reshape(paths.shape)
+        for row, di, path_grads in zip(integrals[lo:], dk[:, 0], grads):
+            row[:] = di * (weights @ path_grads)
+    return integrals
+
+
 def integrated_gradient(
     model: ModelHandle,
     x_t,
@@ -198,20 +240,13 @@ def integrated_gradient(
 ) -> np.ndarray:
     """Trapezoidal path integral of the gradient from ``cfg.baseline`` to
     x_t, scaled elementwise by the displacement.  The path's points and
-    their displaced points go to the model as one batch."""
+    their displaced points go to the model as one batch, whatever its size:
+    the one-path case of the batch rule in the module docstring."""
     if cfg.baseline is None:
         raise ValueError("integrated_gradient requires a baseline point")
-    x_t = np.asarray(x_t, dtype=float)
     x0 = np.asarray(cfg.baseline, dtype=float)
-    if x0.shape != x_t.shape:
-        raise ValueError("baseline must have the same dimension as x_t")
-    d = x_t - x0
-    alphas = np.linspace(0.0, 1.0, cfg.n_intervals + 1)
-    path = x0[None, :] + alphas[:, None] * d[None, :]
-    grads = estimate_gradient(model, path, grad_cfg)
-    weights = np.full(cfg.n_intervals + 1, 1.0 / cfg.n_intervals)
-    weights[0] = weights[-1] = 0.5 / cfg.n_intervals
-    return d * (weights @ grads)
+    return _path_integrals(model, np.asarray(x_t, dtype=float), x0[None],
+                           cfg.n_intervals, grad_cfg)[0]
 
 
 def expected_integrated_gradient(
@@ -221,13 +256,17 @@ def expected_integrated_gradient(
     cfg: IgConfig,
     grad_cfg: GradientEstimatorConfig,
 ) -> np.ndarray:
-    """Path integral averaged over baselines drawn from the reference set."""
-    x_t = np.asarray(x_t, dtype=float)
-    weights = ref.effective_weights
+    """Path integral averaged over baselines drawn from the reference set:
+    the weighted sum, in reference order, of the path integrals from each
+    sample (``cfg.baseline`` is not read).  The queries are those of one
+    :func:`integrated_gradient` per sample, in fewer batches: whole paths
+    share a batch up to ``_PATH_BATCH_NUMBERS`` model-input numbers, and a
+    larger path goes alone."""
+    integrals = _path_integrals(model, np.asarray(x_t, dtype=float), ref.samples,
+                                cfg.n_intervals, grad_cfg)
     total = np.zeros(model.dimension)
-    for w, sample in zip(weights, ref.samples):
-        sub_cfg = IgConfig(baseline=tuple(sample), n_intervals=cfg.n_intervals)
-        total += w * integrated_gradient(model, x_t, sub_cfg, grad_cfg)
+    for w, integral in zip(ref.effective_weights, integrals):
+        total += w * integral
     return total
 
 

@@ -32,7 +32,10 @@ iterations whose step took the secant-corrected curvature
 pair of draws (``one_pair_batches``), the batches that sent the missing
 draws where the solve would stop (``confirmations``), ``converged`` and the
 model's ``query_count`` and ``call_count``, which follow the query plan in
-the :mod:`anomattr.gpa` module docstring.
+the :mod:`anomattr.gpa` module docstring.  The diagnostics' own
+``model_queries`` and ``model_calls`` count every query and call of the
+command: for ``dist`` the posterior slices too, and for ``explain`` and
+``compare`` every method.
 
 ``--kappa`` and ``--lc-kappa`` set the starting step of an earlier
 step-size solver.  The Gauss-Newton solver has no step size, so both are
@@ -415,7 +418,9 @@ def cmd_dist(args) -> int:
         },
         "diagnostics": {
             "gpa": {**{k: getattr(result, k) for k in _GPA_DIAGNOSTICS},
-                    "edge_mass": edge_mass}
+                    "edge_mass": edge_mass},
+            "model_queries": model.query_count,
+            "model_calls": model.call_count,
         },
     }
     json_path = out / "distributions.json"

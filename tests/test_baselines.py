@@ -210,9 +210,16 @@ class TestIntegratedGradient:
         loop = np.array([estimate_gradient(sin_model, p, FINE_GRAD) for p in pts])
         np.testing.assert_array_equal(batched, loop)
 
+    def test_baseline_dimension_checked(self, sin_model):
+        with pytest.raises(ValueError, match="same dimension"):
+            integrated_gradient(sin_model, [0.5, 0.0], IgConfig((0.0, 0.0, 0.0)), FINE_GRAD)
+        ref = ReferenceSet(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="same dimension"):
+            expected_integrated_gradient(sin_model, [0.5, 0.0], ref, IgConfig(), FINE_GRAD)
+
     def test_one_model_call_per_path(self):
-        # the path's points and their displaced points, for ig and for each
-        # of eig's baselines
+        # a path's points and their displaced points go whole into one model
+        # call, with as many other whole paths as keep rows x m within 2**15
         model = BatchRecorder(sinusoidal2d())
         cfg = IgConfig((0.0, 0.0), n_intervals=8)
         per_path = (8 + 1) * (1 + 2 * FINE_GRAD.mc_samples)
@@ -221,7 +228,23 @@ class TestIntegratedGradient:
         model.sizes.clear()
         ref = ReferenceSet(np.array([[0.0, 0.0], [0.1, -0.3], [0.7, 0.2]]))
         expected_integrated_gradient(model, [0.5, 0.2], ref, cfg, FINE_GRAD)
-        assert model.sizes == [per_path] * 3
+        assert model.sizes == [3 * per_path]
+        model.sizes.clear()
+        # 101 points x 21 rows x m = 2 is 4,242 numbers a path: 7 a batch
+        expected_integrated_gradient(model, [0.5, 0.2], periodic_lattice(),
+                                     IgConfig(n_intervals=100), FINE_GRAD)
+        assert model.sizes == [7 * 2_121] * 9 + [2_121]
+
+    def test_path_above_budget_goes_alone(self):
+        # in m = 30, one path is 5 points x 301 rows x 30 = 45,150 numbers
+        coef = np.linspace(-1.0, 1.0, 30)
+        model = BatchRecorder(linear_model(coef))
+        rng = np.random.default_rng(3)
+        ref = ReferenceSet(rng.uniform(-1, 1, (3, 30)))
+        x_t = rng.uniform(-1, 1, 30)
+        eig = expected_integrated_gradient(model, x_t, ref, IgConfig(n_intervals=4), FINE_GRAD)
+        assert model.sizes == [5 * (1 + 30 * FINE_GRAD.mc_samples)] * 3
+        np.testing.assert_allclose(eig, (x_t - ref.samples.mean(axis=0)) * coef, atol=1e-12)
 
 
 class TestExpectedIntegratedGradient:
@@ -239,6 +262,23 @@ class TestExpectedIntegratedGradient:
         eig = expected_integrated_gradient(m, x_t, ref, IgConfig(), FINE_GRAD)
         expected = (x_t - ref.samples.mean(axis=0)) * coef
         np.testing.assert_allclose(eig, expected, atol=1e-12)
+
+    def test_equals_reference_loop_of_ig(self, sin_model):
+        # the batched paths give each reference's integral bit for bit, and
+        # eig adds them up in reference order
+        ref = periodic_lattice()
+        x_t = np.array([0.3, -0.2])
+        eig = expected_integrated_gradient(sin_model, x_t, ref, IgConfig(), FINE_GRAD)
+        total = np.zeros(2)
+        for w, sample in zip(ref.effective_weights, ref.samples):
+            total += w * integrated_gradient(sin_model, x_t, IgConfig(tuple(sample)), FINE_GRAD)
+        np.testing.assert_array_equal(eig, total)
+
+    def test_one_sample_is_ig(self, sin_model):
+        ref = ReferenceSet(np.array([[0.1, -0.4]]))
+        eig = expected_integrated_gradient(sin_model, [0.5, 0.2], ref, IgConfig(), FINE_GRAD)
+        ig = integrated_gradient(sin_model, [0.5, 0.2], IgConfig((0.1, -0.4)), FINE_GRAD)
+        np.testing.assert_array_equal(eig, ig)
 
     def test_sum_rule(self, sin_model):
         ref = periodic_lattice()

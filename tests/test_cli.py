@@ -723,7 +723,7 @@ class TestConfigEcho:
                      *flags, "--out", str(out)])
         assert code == 0
         doc = strict_json((out / name).read_text())
-        assert doc["schema_version"] == 5
+        assert doc["schema_version"] == 6
         dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
         assert dests <= doc["config"].keys()
         if command != "detect":
