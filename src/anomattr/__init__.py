@@ -9,7 +9,6 @@ model.
 
 from .baselines import (
     BaylimeResult,
-    IgConfig,
     LimeConfig,
     ReferenceSet,
     baylime_distributions,
@@ -43,7 +42,6 @@ from .gpa import (
     score_distributions,
 )
 from .metrics import (
-    AnomalyScore,
     ConsistencyReport,
     anomaly_score,
     collective_anomaly_score,

@@ -35,7 +35,6 @@ from .models import GradientEstimatorConfig, ModelHandle, estimate_gradient
 __all__ = [
     "ReferenceSet",
     "LimeConfig",
-    "IgConfig",
     "BaylimeResult",
     "lime",
     "lime0",
@@ -93,18 +92,6 @@ class LimeConfig:
             raise ValueError("sampling_std must be positive")
         if self.l1_strength < 0:
             raise ValueError("l1_strength must be nonnegative")
-
-
-@dataclass(frozen=True)
-class IgConfig:
-    """Path-integral settings; ``baseline`` is the start point x0."""
-
-    baseline: tuple[float, ...] | None = None
-    n_intervals: int = 100
-
-    def __post_init__(self):
-        if self.n_intervals < 1:
-            raise ValueError("n_intervals must be >= 1")
 
 
 def _local_cloud(model: ModelHandle, x_t, cfg: LimeConfig):
@@ -171,9 +158,6 @@ class BaylimeResult:
     means: np.ndarray
     variance: float
 
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(float(m), self.variance) for m in self.means]
-
 
 def baylime_distributions(
     model: ModelHandle,
@@ -213,6 +197,8 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
     built and integrated on its own, so its integral does not depend on the
     batch it goes in, on a model that answers a row whatever batch it comes
     in."""
+    if n_intervals < 1:
+        raise ValueError("n_intervals must be >= 1")
     if starts.shape[1:] != x_t.shape:
         raise ValueError("baseline must have the same dimension as x_t")
     m = x_t.shape[-1]
@@ -235,35 +221,35 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
 def integrated_gradient(
     model: ModelHandle,
     x_t,
-    cfg: IgConfig,
+    baseline,
+    n_intervals: int,
     grad_cfg: GradientEstimatorConfig,
 ) -> np.ndarray:
-    """Trapezoidal path integral of the gradient from ``cfg.baseline`` to
-    x_t, scaled elementwise by the displacement.  The path's points and
-    their displaced points go to the model as one batch, whatever its size:
-    the one-path case of the batch rule in the module docstring."""
-    if cfg.baseline is None:
-        raise ValueError("integrated_gradient requires a baseline point")
-    x0 = np.asarray(cfg.baseline, dtype=float)
+    """Trapezoidal path integral of the gradient from ``baseline`` to x_t
+    over ``n_intervals`` intervals, scaled elementwise by the displacement.
+    The path's points and their displaced points go to the model as one
+    batch, whatever its size: the one-path case of the batch rule in the
+    module docstring."""
+    x0 = np.asarray(baseline, dtype=float)
     return _path_integrals(model, np.asarray(x_t, dtype=float), x0[None],
-                           cfg.n_intervals, grad_cfg)[0]
+                           n_intervals, grad_cfg)[0]
 
 
 def expected_integrated_gradient(
     model: ModelHandle,
     x_t,
     ref: ReferenceSet,
-    cfg: IgConfig,
+    n_intervals: int,
     grad_cfg: GradientEstimatorConfig,
 ) -> np.ndarray:
     """Path integral averaged over baselines drawn from the reference set:
     the weighted sum, in reference order, of the path integrals from each
-    sample (``cfg.baseline`` is not read).  The queries are those of one
-    :func:`integrated_gradient` per sample, in fewer batches: whole paths
-    share a batch up to ``_PATH_BATCH_NUMBERS`` model-input numbers, and a
-    larger path goes alone."""
+    sample, over ``n_intervals`` intervals each.  The queries are those of
+    one :func:`integrated_gradient` per sample, in fewer batches: whole
+    paths share a batch up to ``_PATH_BATCH_NUMBERS`` model-input numbers,
+    and a larger path goes alone."""
     integrals = _path_integrals(model, np.asarray(x_t, dtype=float), ref.samples,
-                                cfg.n_intervals, grad_cfg)
+                                n_intervals, grad_cfg)
     total = np.zeros(model.dimension)
     for w, integral in zip(ref.effective_weights, integrals):
         total += w * integral

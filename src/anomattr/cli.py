@@ -17,11 +17,12 @@ comma-list flags ``--x``, ``--x0``, ``--baseline`` and ``--indices`` take a
 list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
-dataset cell that is not a finite number, and ``--b0`` with ``--b-mode
-local_kernel``, which would ignore it) or a solver that cannot proceed (its
-objective overflows, or keeps rising), 3 model transport error (including a subprocess
-model that does not answer within its timeout) or non-finite output of any
-query, in any command, named by its input; no document is written then.
+dataset cell that is not a finite number, ``--b0`` with ``--b-mode
+local_kernel``, which would ignore it, and a ``subprocess:`` model with no
+command) or a solver that cannot proceed (its objective overflows, or keeps
+rising), 3 model transport error (including a subprocess model that does not
+answer within its timeout) or non-finite output of any query, in any
+command, named by its input; no document is written then.
 Every model handle a command resolves is closed before ``main`` returns,
 whatever the exit code.
 ``dist`` warns on stderr when more than 1% of a variable's posterior mass
@@ -265,13 +266,13 @@ def _run_method(
     if name == "ig":
         if args.baseline is None:
             raise UsageError("method 'ig' requires --baseline")
-        cfg = baselines.IgConfig(_numbers(args.baseline), args.n_intervals)
-        return baselines.integrated_gradient(model, x_t, cfg, grad_cfg), None
+        return baselines.integrated_gradient(model, x_t, _numbers(args.baseline),
+                                             args.n_intervals, grad_cfg), None
     if ref is None:
         raise UsageError(f"method {name!r} requires --ref")
     if name == "eig":
-        cfg = baselines.IgConfig(None, args.n_intervals)
-        return baselines.expected_integrated_gradient(model, x_t, ref, cfg, grad_cfg), None
+        return baselines.expected_integrated_gradient(model, x_t, ref, args.n_intervals,
+                                                      grad_cfg), None
     if name == "sv":
         return baselines.shapley_sampled(model, x_t, ref, args.sv_configs, args.seed), None
     return baselines.z_score(x_t, ref), None
@@ -329,7 +330,7 @@ def cmd_detect(args) -> int:
     model = _open_model(args, ts.dimension)
     noise_var = _noise_variance(args, ts, model)
     scores = [
-        metrics.anomaly_score(model, ts.x[t], ts.y[t], noise_var, t).value
+        metrics.anomaly_score(model, ts.x[t], ts.y[t], noise_var)
         for t in range(ts.n_test)
     ]
     order = sorted(range(ts.n_test), key=lambda t: (-scores[t], t))
@@ -355,7 +356,7 @@ def cmd_explain(args) -> int:
     noise_var = _noise_variance(args, ts, model)
     anomaly = [
         {"sample_index": i,
-         "value": metrics.anomaly_score(model, ts.x[i], ts.y[i], noise_var, i).value}
+         "value": metrics.anomaly_score(model, ts.x[i], ts.y[i], noise_var)}
         for i in indices
     ]
     scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg)

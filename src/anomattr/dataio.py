@@ -1,11 +1,14 @@
 """Dataset ingestion, standardization, result serialization, and SVG plots.
 
+Standardization uses the test set's own statistics.  The SVG plots escape
+the variable names of the CSV header.
+
 File formats:
 
 * CSV: UTF-8, comma separated, one header row naming the columns, last column
   is the target.  No thousands separators.  Every cell is a finite number: a
   ``nan`` or ``inf`` cell is refused with its row and column.
-* JSON documents, format version 6 (``schema_version``), one per command:
+* JSON documents, format version 7 (``schema_version``), one per command:
   ``result.json`` (explain: ``config, anomaly_scores, methods: {name:
   {scores, scores_raw_units?}}, diagnostics``), ``distributions.json``
   (dist: ``config, methods: {gpa: {scores, distribution}}, diagnostics``),
@@ -26,6 +29,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -42,7 +46,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class CsvFormatError(ValueError):
@@ -51,16 +55,10 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Standardization:
-    """Per-variable (mean, std) with a record of where the statistics came
-    from: ``user_supplied`` or ``test_set_estimated``."""
+    """Per-variable (mean, std) estimated from the test set."""
 
     mean: np.ndarray
     std: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        if self.provenance not in ("user_supplied", "test_set_estimated"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
 
 
 @dataclass
@@ -151,41 +149,30 @@ def load_csv(path) -> TestSet:
     return TestSet(data[:, :-1], data[:, -1], header[:-1])
 
 
-def standardize(ts: TestSet, stats: tuple | None = None) -> TestSet:
+def standardize(ts: TestSet) -> TestSet:
     """Shift/scale the x columns to zero mean, unit variance; y is untouched.
 
-    ``stats`` is an optional (mean, std) pair of per-variable arrays.  When
-    omitted the statistics are estimated from the test set itself (population
-    std), which is the only option without training data; once the statistics
-    pass their checks, a warning flags the provenance.  The inverse transform
-    for perturbations is :func:`delta_to_raw_units`.
+    The statistics are estimated from the test set itself (population std),
+    which is the only option without training data; once they pass their
+    checks, a warning says so.  The inverse transform for perturbations is
+    :func:`delta_to_raw_units`.
     """
-    if stats is not None:
-        mean = np.asarray(stats[0], dtype=float)
-        std = np.asarray(stats[1], dtype=float)
-        provenance = "user_supplied"
-    else:
-        mean = ts.x.mean(axis=0)
-        std = ts.x.std(axis=0)
-        provenance = "test_set_estimated"
-    if mean.shape != (ts.dimension,) or std.shape != (ts.dimension,):
-        raise ValueError("stats must provide one (mean, std) per variable")
+    mean = ts.x.mean(axis=0)
+    std = ts.x.std(axis=0)
     bad = np.nonzero(std <= 0)[0]
     if bad.size:
         raise ValueError(
             f"zero standard deviation for variable {ts.variable_names[bad[0]]!r}"
         )
-    if stats is None:
-        warnings.warn(
-            "standardization statistics estimated from the test set itself; "
-            "supply external statistics if available",
-            stacklevel=2,
-        )
+    warnings.warn(
+        "standardization statistics estimated from the test set itself",
+        stacklevel=2,
+    )
     return TestSet(
         (ts.x - mean) / std,
         ts.y.copy(),
         ts.variable_names,
-        Standardization(mean, std, provenance),
+        Standardization(mean, std),
     )
 
 
@@ -253,7 +240,7 @@ def emit_litmus_svg(results: dict[str, np.ndarray], path, variable_names=None) -
     for j, name in enumerate(variable_names):
         out.append(
             f'<text x="{label_w + j * cell + cell / 2:.1f}" y="{top - 8}" '
-            f'text-anchor="middle">{name}</text>'
+            f'text-anchor="middle">{escape(name)}</text>'
         )
     for i, method in enumerate(methods):
         scores = np.atleast_1d(np.asarray(results[method], dtype=float))
@@ -330,7 +317,8 @@ def emit_distribution_svg(dists, map_point, path, variable_names=None) -> None:
             f'<rect x="{width - mr + 10}" y="{ly - 9}" width="12" height="12" fill="{color}"/>'
         )
         out.append(
-            f'<text x="{width - mr + 27}" y="{ly}" class="legend">{variable_names[k]}</text>'
+            f'<text x="{width - mr + 27}" y="{ly}" class="legend">'
+            f'{escape(variable_names[k])}</text>'
         )
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

@@ -149,6 +149,9 @@ _MAX_ACTIVE_SET_STEPS = 10_000
 _INIT_SCALE = 1e-3
 _INIT_STREAM = 0x1A17
 _RATE_FLOOR = 1e-6
+# the posterior slices' grid reaches this multiple of the largest |delta*_k|,
+# so the MAP point sits inside the grid with a margin on each side
+_GRID_REACH = 1.1
 _VARIANCE_FLOOR = 1e-6
 # a coordinate's draws agree when their pair slopes spread over at most this
 # share of its largest slope: five orders above the rounding of a quadratic
@@ -170,12 +173,13 @@ class GpaHyperParams:
     the t-distribution's degrees of freedom).  The gamma rate ``b`` is
     the explicit ``b0`` or else estimated from the test residual variance
     divided by the virtual-sample count ``c_b`` (``b_mode="constant"``), or
-    refined per sample with a local kernel of parameters ``kernel_w0`` /
-    ``kernel_eta0`` (``b_mode="local_kernel"``, which refuses a ``b0``).
-    The solver, proximal Gauss-Newton (:func:`proximal_minimize`), takes
-    Newton steps, halved only where they raise the objective, so it needs no
-    step size; it stops after ``max_iter`` iterations or once a step moves
-    no coordinate by ``tol``.
+    refined per sample with a unit-width Gaussian kernel
+    (``b_mode="local_kernel"``, which refuses a ``b0``).  The solver,
+    proximal Gauss-Newton (:func:`proximal_minimize`), takes Newton steps,
+    halved only where they raise the objective, so it needs no step size; it
+    stops after ``max_iter`` iterations or once a step moves no coordinate
+    by ``tol``.  ``grid_points`` sizes the posterior slices.  Each field is
+    a flag of ``explain``, ``dist`` and ``compare``.
     """
 
     eta: float = 0.1
@@ -184,12 +188,9 @@ class GpaHyperParams:
     b_mode: str = "constant"
     b0: float | None = None
     c_b: float = 10.0
-    kernel_w0: float = 0.0
-    kernel_eta0: float = 1.0
     max_iter: int = 10_000
     tol: float = 1e-6
     grid_points: int = 100
-    delta_max_factor: float = 1.1
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
@@ -204,16 +205,14 @@ class GpaHyperParams:
             raise ValueError("b0 applies only to b_mode 'constant'")
         if self.grid_points < 3:
             raise ValueError("grid_points must be >= 3")
-        if self.max_iter < 1 or self.tol <= 0 or self.delta_max_factor <= 0:
-            raise ValueError("max_iter, tol and delta_max_factor must be positive")
+        if self.max_iter < 1 or self.tol <= 0:
+            raise ValueError("max_iter and tol must be positive")
 
     @classmethod
     def for_testset(cls, n_test: int, **overrides) -> "GpaHyperParams":
-        """Defaults scaled by the collective size: eta = 0.1 * n_test, with
-        nu = 0.5, 2 a0 = 11, c_b = 10."""
-        base = dict(eta=0.1 * n_test, nu=0.5, a0=5.5, c_b=10.0)
-        base.update(overrides)
-        return cls(**base)
+        """The defaults with eta scaled by the collective size, eta = 0.1 *
+        n_test."""
+        return cls(**{"eta": 0.1 * n_test, **overrides})
 
 
 @dataclass
@@ -290,29 +289,29 @@ def refine_gamma_rate(
     a0: float,
     b_init: float,
     anchor: int,
-    kernel: tuple[float, float] = (0.0, 1.0),
     iters: int = 100,
     rel_tol: float = 1e-6,
 ) -> float:
     """Anchor-local gamma rate from the other rows' residuals (no query).
 
     Iterates ``1/b <- ((2 a0 + 1) / a0) * sum_{n != anchor} w_n / (2 b +
-    r_n^2)`` with kernel weights ``w0 + exp(-||x_n - x_anchor||^2 /
-    (2 eta0^2))`` normalized over the included samples, until the relative
-    change drops below ``rel_tol`` or ``iters`` rounds pass.  The map is a
-    contraction, so tightening ``rel_tol`` buys precision.  The result is
-    floored at ``1e-6 * b_init`` (all-zero residuals drive b to 0).
+    r_n^2)`` with kernel weights ``exp(-||x_n - x_anchor||^2 / 2)``
+    normalized over the included samples, until the relative change drops
+    below ``rel_tol`` or ``iters`` rounds pass.  The map is a contraction,
+    so tightening ``rel_tol`` buys precision.  The result is floored at
+    ``1e-6 * b_init`` (all-zero residuals drive b to 0).  The weights are
+    computed relative to the nearest other row, which the normalization
+    cancels, so a row far from all others still gets finite weights.
     """
     x, resid = np.asarray(x, dtype=float), np.asarray(resid, dtype=float)
     if len(resid) < 2:
         raise ValueError(
             "refine_gamma_rate needs at least two samples; use init_gamma_rate"
         )
-    w0, eta0 = kernel
     others = np.arange(len(resid)) != anchor
     resid = resid[others]
     dist2 = np.sum((x[others] - x[anchor]) ** 2, axis=1)
-    weights = w0 + np.exp(-dist2 / (2.0 * eta0**2))
+    weights = np.exp(-(dist2 - dist2.min()) / 2.0)
     weights = weights / weights.sum()
 
     floor = _RATE_FLOOR * b_init
@@ -336,8 +335,7 @@ def _resolve_rates(testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> 
     b_init = init_gamma_rate(resid, hp.a0, hp.c_b)
     if hp.b_mode == "constant":
         return np.full(testset.n_test, b_init)
-    kernel = (hp.kernel_w0, hp.kernel_eta0)
-    return np.array([refine_gamma_rate(testset.x, resid, hp.a0, b_init, t, kernel)
+    return np.array([refine_gamma_rate(testset.x, resid, hp.a0, b_init, t)
                      for t in range(testset.n_test)])
 
 
@@ -814,15 +812,15 @@ def score_distributions(
     and would raise peak memory with each variable added (the query plan in
     the module docstring gives the figures).  The slice is
     stabilized by subtracting its maximum, exponentiated and normalized to
-    sum to one.  The grid spans ``delta_max_factor * max_k
-    |delta*_k|``; a fully normal sample (``delta* ~ 0``) falls back to one
-    standardized unit so the slices stay informative.
+    sum to one.  The grid spans ``1.1 max_k |delta*_k|``; a fully normal
+    sample (``delta* ~ 0``) falls back to one standardized unit so the
+    slices stay informative.
     """
     delta_star = np.asarray(delta_star, dtype=float)
     if not np.all(np.isfinite(delta_star)):
         raise ValueError("delta_star must be finite")
     peak = float(np.max(np.abs(delta_star)))
-    delta_max = hp.delta_max_factor * peak if peak >= 1e-9 else 1.0
+    delta_max = _GRID_REACH * peak if peak >= 1e-9 else 1.0
     grid = np.linspace(-delta_max, delta_max, hp.grid_points)
     grid = 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 

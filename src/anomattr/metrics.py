@@ -1,4 +1,5 @@
-"""Anomaly scoring and consistency metrics between attribution vectors."""
+"""Anomaly scores (negative log-likelihoods in nats, as floats) and
+consistency metrics between attribution vectors."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ from .models import ModelHandle
 
 __all__ = [
     "MetricUndefinedError",
-    "AnomalyScore",
     "ConsistencyReport",
     "anomaly_score",
     "collective_anomaly_score",
@@ -28,39 +28,27 @@ class MetricUndefinedError(ValueError):
     """Rank correlation is undefined (a constant input vector)."""
 
 
-@dataclass(frozen=True)
-class AnomalyScore:
-    """Negative log-likelihood (nats) of one sample, or of the whole test set
-    when ``sample_index`` is ``"collective"``."""
-
-    value: float
-    sample_index: int | str
-
-
-def anomaly_score(
-    model: ModelHandle, x_t, y_t: float, noise_variance: float,
-    sample_index: int | str = 0,
-) -> AnomalyScore:
-    """Gaussian plug-in negative log-likelihood:
+def anomaly_score(model: ModelHandle, x_t, y_t: float, noise_variance: float) -> float:
+    """Gaussian plug-in negative log-likelihood of one sample, in nats:
     0.5 ln(2 pi v) + (y - f(x))^2 / (2 v)."""
     if not 0 < noise_variance < np.inf:
         raise ValueError("noise_variance must be positive and finite")
     resid = y_t - model.evaluate(x_t)
     value = 0.5 * np.log(2.0 * np.pi * noise_variance) + resid**2 / (2.0 * noise_variance)
-    return AnomalyScore(float(value), sample_index)
+    return float(value)
 
 
 def collective_anomaly_score(
     model: ModelHandle, testset: TestSet, noise_variance: float
-) -> AnomalyScore:
+) -> float:
     """Mean of the per-sample scores over the test set."""
     if testset.n_test == 0:
         raise ValueError("testset must be nonempty")
     values = [
-        anomaly_score(model, testset.x[t], testset.y[t], noise_variance, t).value
+        anomaly_score(model, testset.x[t], testset.y[t], noise_variance)
         for t in range(testset.n_test)
     ]
-    return AnomalyScore(float(np.mean(values)), "collective")
+    return float(np.mean(values))
 
 
 def _abs_pair(a, b):

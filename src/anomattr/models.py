@@ -305,7 +305,7 @@ class SubprocessModel(_RemoteModel):
     request or to deliver more of the answer; a child that does not answer
     in time is killed and :class:`TransportError` is raised.  A child that
     exits mid-request is restarted once, then :class:`TransportError` is
-    raised.  :meth:`close` ends the child.
+    raised.  :meth:`close` ends the child.  An empty command raises ValueError.
 
     The child's stderr is read through a pipe while a request waits, so it
     never reaches the caller's terminal and can never fill up and block the
@@ -318,6 +318,8 @@ class SubprocessModel(_RemoteModel):
         if isinstance(command, str):
             command = shlex.split(command)
         self._command = list(command)
+        if not self._command:
+            raise ValueError("a subprocess model needs a command")
         self._timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._pending = bytearray()  # bytes read past the last answer line

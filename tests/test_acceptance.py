@@ -9,7 +9,6 @@ import pytest
 from anomattr import (
     GpaHyperParams,
     GradientEstimatorConfig,
-    IgConfig,
     LimeConfig,
     ReferenceSet,
     baylime_distributions,
@@ -86,8 +85,8 @@ def test_criterion_02_lc_matches_gpa():
 
 def test_criterion_03_integrated_gradient():
     model = sinusoidal2d()
-    ig_a = integrated_gradient(model, X_T, IgConfig((0.0, 0.0), 100), FINE_GRAD)
-    ig_b = integrated_gradient(model, X_T, IgConfig((0.0, 1.0), 100), FINE_GRAD)
+    ig_a = integrated_gradient(model, X_T, (0.0, 0.0), 100, FINE_GRAD)
+    ig_b = integrated_gradient(model, X_T, (0.0, 1.0), 100, FINE_GRAD)
     ok = np.max(np.abs(ig_a - [-2.0, 0.0])) <= 1e-3
     ok = ok and np.max(np.abs(ig_b - [-2 / 3, 8 / 3])) <= 1e-3
 
@@ -103,7 +102,7 @@ def test_criterion_03_integrated_gradient():
         increment = surface(x_t) - surface(x_0)
         worst_analytic = max(worst_analytic,
                              abs(oracle_ig(x_t, x_0).sum() - increment))
-        num = integrated_gradient(model, x_t, IgConfig(tuple(x_0), 100), FINE_GRAD)
+        num = integrated_gradient(model, x_t, x_0, 100, FINE_GRAD)
         worst_numeric = max(worst_numeric, abs(num.sum() - increment))
         checked += 1
     ok = ok and worst_analytic <= 1e-12 and worst_numeric <= 1e-3
@@ -128,8 +127,8 @@ def test_criterion_05_target_shift_invariance():
         return {
             "lime": lime(model, X_T, y_t, lime_cfg),
             "lime0": lime0(model, X_T, lime_cfg),
-            "ig": integrated_gradient(model, X_T, IgConfig((0.0, 0.0), 100), FINE_GRAD),
-            "eig": expected_integrated_gradient(model, X_T, ref, IgConfig(), FINE_GRAD),
+            "ig": integrated_gradient(model, X_T, (0.0, 0.0), 100, FINE_GRAD),
+            "eig": expected_integrated_gradient(model, X_T, ref, 100, FINE_GRAD),
             "sv": shapley_sampled(model, X_T, ref, n_configs=100, seed=5,
                                   method="sampling"),
             "zscore": z_score(X_T, ref),
@@ -162,7 +161,7 @@ def test_criterion_06_sum_rules_and_additive_equivalence():
         ref.effective_weights @ model.evaluate_batch(ref.samples)
     )
     sv = shapley_sampled(model, x_t, ref, method="exact")
-    eig = expected_integrated_gradient(model, x_t, ref, IgConfig(None, 100), FINE_GRAD)
+    eig = expected_integrated_gradient(model, x_t, ref, 100, FINE_GRAD)
     sv_sum = abs(sv.sum() - target)
     eig_sum = abs(eig.sum() - target)
     coord_gap = np.max(np.abs(sv - eig))
@@ -212,7 +211,8 @@ def test_criterion_08_bayesian_surrogate_variance_is_trivial():
     res = baylime_distributions(model, X_T, 1.0, cfg, prior_eta=0.1, noise_lambda=1.0)
     expected = 1.0 / (0.1 + 1.0 * 10)
     err = abs(res.variance - expected)
-    same_for_all = len({v for _, v in res.pairs()}) == 1
+    # one variance, shared by every variable's posterior
+    same_for_all = isinstance(res.variance, float) and res.means.shape == (2,)
     ok = err <= 1e-10 and same_for_all
     _report(8, "Bayesian surrogate posterior variance is the constant "
                "1/(eta + lambda n) for every variable",

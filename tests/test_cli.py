@@ -7,6 +7,7 @@ import sys
 import textwrap
 from dataclasses import fields
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -213,6 +214,28 @@ class TestExplain:
         assert code == 2
         assert "ig" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["ig", "eig"])
+    def test_zero_intervals_exit_2(self, sinus_data, lattice_ref, tmp_path, capsys,
+                                   method):
+        code = main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", method, "--baseline", "0,0", "--ref", str(lattice_ref),
+                     "--n-intervals", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: n_intervals must be >= 1\n"
+
+    def test_variable_names_escaped_in_svgs(self, tmp_path):
+        # header names are text, not markup: both plots parse and show them
+        data = tmp_path / "names.csv"
+        data.write_text("a&b,x<2,y\n0.5,0.0,1.0\n0.4,0.1,0.0\n")
+        for command, flags, name in (("explain", ["--methods", "lime0"], "litmus.svg"),
+                                     ("dist", ORACLE_FLAGS, "distributions.svg")):
+            out = tmp_path / command
+            assert main([command, "--data", str(data), "--model", "sinusoidal2d",
+                         *flags, "--out", str(out)]) == 0
+            texts = [e.text for e in ElementTree.parse(out / name).iter()
+                     if e.tag.endswith("text")]
+            assert {"a&b", "x<2"} <= set(texts)
+
     def test_missing_ref_exit_2(self, sinus_data, tmp_path, capsys):
         for method in ("eig", "sv", "zscore"):
             code = main([
@@ -366,6 +389,15 @@ class TestSubprocessModel:
         assert code == expected
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_file.read_text()), 0)
+
+    @pytest.mark.parametrize("spec", ["subprocess:", "subprocess:   "])
+    def test_empty_command_exit_2(self, sinus_data, tmp_path, capsys, spec):
+        out = tmp_path / "out"
+        code = main(["explain", "--data", str(sinus_data), "--model", spec,
+                     "--methods", "gpa", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: a subprocess model needs a command\n"
+        assert not out.exists()
 
 
 class TestDist:
@@ -627,6 +659,19 @@ class TestRateSettings:
             "error: b0 applies only to b_mode 'constant'\n")
         assert not out.exists()
 
+    def test_local_kernel_isolated_row_exit_0(self, tmp_path):
+        # row 2 lies 60 units from the others, beyond where its kernel
+        # weights exp(-d^2 / 2) underflow: its rate stays finite all the same
+        data = tmp_path / "far.csv"
+        data.write_text("x1,x2,y\n0,0,1\n0.5,0.1,0.2\n60,0,61.5\n")
+        out = tmp_path / "out"
+        code = main(["explain", "--data", str(data), "--model", "linear:1,1",
+                     "--methods", "gpa", "--collective", "--indices", "0,1,2",
+                     "--b-mode", "local_kernel", "--out", str(out)])
+        assert code == 0
+        doc = strict_json((out / "result.json").read_text())
+        assert doc["diagnostics"]["gpa"]["converged"]
+
 
 def _float_options():
     """(command, flag) of every option whose type parses "0.5": the float
@@ -723,12 +768,14 @@ class TestConfigEcho:
                      *flags, "--out", str(out)])
         assert code == 0
         doc = strict_json((out / name).read_text())
-        assert doc["schema_version"] == 6
+        assert doc["schema_version"] == 7
         dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
         assert dests <= doc["config"].keys()
         if command != "detect":
-            assert doc["config"]["hyperparams"].keys() == {
-                f.name for f in fields(GpaHyperParams)}
+            hyperparams = {f.name for f in fields(GpaHyperParams)}
+            assert doc["config"]["hyperparams"].keys() == hyperparams
+            # no hyperparameter without a flag
+            assert hyperparams <= dests
 
     def test_explain_repeats_from_its_config(self, sinus_data, lattice_ref, tmp_path,
                                              monkeypatch):

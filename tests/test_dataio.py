@@ -68,18 +68,13 @@ class TestLoadCsv:
 
 
 class TestStandardize:
-    def test_identity_stats(self):
-        ts = TestSet(np.array([[1.0], [2.0]]), np.array([0.0, 0.0]), ["a"])
-        out = standardize(ts, (np.zeros(1), np.ones(1)))
-        np.testing.assert_array_equal(out.x, ts.x)
-        assert out.standardization.provenance == "user_supplied"
-
     def test_test_set_estimated(self):
         ts = TestSet(np.array([[2.0], [4.0]]), np.array([0.0, 0.0]), ["a"])
         with pytest.warns(UserWarning, match="test set"):
             out = standardize(ts)
         np.testing.assert_allclose(out.x[:, 0], [-1.0, 1.0])
-        assert out.standardization.provenance == "test_set_estimated"
+        np.testing.assert_array_equal(out.standardization.mean, [3.0])
+        np.testing.assert_array_equal(out.standardization.std, [1.0])
 
     def test_y_untouched(self):
         ts = TestSet(np.array([[2.0], [4.0]]), np.array([5.0, 7.0]), ["a"])
@@ -135,7 +130,7 @@ class TestResultJson:
         emit_result_json({"methods": {"gpa": {"scores": scores}}}, p)
         back = json.loads(p.read_text())
         assert back["methods"]["gpa"]["scores"] == scores.tolist()
-        assert back["schema_version"] == 6
+        assert back["schema_version"] == 7
 
     def test_deterministic_bytes(self, tmp_path):
         doc = {
@@ -151,7 +146,7 @@ class TestResultJson:
         # no section is added: a document holds what the command gave it
         p = tmp_path / "e.json"
         emit_result_json({}, p)
-        assert json.loads(p.read_text()) == {"schema_version": 6}
+        assert json.loads(p.read_text()) == {"schema_version": 7}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_nothing_written(self, tmp_path, bad):

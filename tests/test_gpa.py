@@ -73,17 +73,16 @@ class TestGammaHyperparameters:
                               b_init=0.5, anchor=0, iters=10_000, rel_tol=0.0)
         assert b == pytest.approx(1e-6 * 0.5)
 
-    def test_refine_huge_w0_matches_uniform_fixed_point(self):
-        xs = np.array([[0.0], [5.0], [9.0]])
-        resid = np.array([1.0, 5.5, 11.0]) - xs[:, 0]
+    def test_refine_isolated_anchor_is_finite(self):
+        # every other row lies beyond 38 units, where exp(-d^2 / 2)
+        # underflows to 0; the nearest row then carries all the weight but
+        # exp(-29.9), so b is the one-sample fixed point a0 r^2 of that row
+        xs = np.array([[0.0, 0.0], [0.5, 0.1], [60.0, 0.0]])
+        resid = np.array([1.0, -0.4, 1.5])
         a0 = 1.0
-        b = refine_gamma_rate(xs, resid, a0, b_init=1.0, anchor=0,
-                              kernel=(1e12, 1.0), iters=10_000, rel_tol=1e-15)
-
-        def uniform_fixed_point(bb):
-            return 1.0 / bb - ((2 * a0 + 1) / a0) * np.mean(1.0 / (2 * bb + resid[1:] ** 2))
-
-        assert b == pytest.approx(brentq(uniform_fixed_point, 1e-9, 1e9), abs=1e-8)
+        b = refine_gamma_rate(xs, resid, a0, b_init=1.0, anchor=2,
+                              iters=10_000, rel_tol=1e-15)
+        assert b == pytest.approx(a0 * resid[1] ** 2, rel=1e-10)
 
     def test_refine_needs_two_samples(self):
         with pytest.raises(ValueError, match="init_gamma_rate"):
@@ -97,8 +96,7 @@ class TestGammaHyperparameters:
         coef = rng.uniform(0.5, 2.0, 6)
         xs = rng.normal(size=(8, 6))
         ts = TestSet(xs, (xs * xs) @ coef + rng.normal(size=8), list("abcdef"))
-        hp = GpaHyperParams.for_testset(8, b_mode="local_kernel", kernel_w0=0.1,
-                                        kernel_eta0=2.0)
+        hp = GpaHyperParams.for_testset(8, b_mode="local_kernel")
         model = BatchRecorder(quadratic_model(coef))
         rates = _resolve_rates(ts, model, hp)
         assert model.sizes == [8]
@@ -109,8 +107,7 @@ class TestGammaHyperparameters:
         for t in range(8):
             others = [n for n in range(8) if n != t]
             resid = ts.y[others] - reference.evaluate_batch(xs[others])
-            weights = hp.kernel_w0 + np.exp(
-                -np.sum((xs[others] - xs[t]) ** 2, axis=1) / (2.0 * hp.kernel_eta0**2))
+            weights = np.exp(-np.sum((xs[others] - xs[t]) ** 2, axis=1) / 2.0)
             weights = weights / weights.sum()
             b = b_init
             for _ in range(100):
@@ -1280,7 +1277,8 @@ class TestScoreDistributions:
         hp = ORACLE_HP
         dists = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
                                     np.full(1, hp.b0))
-        assert dists[0].delta_max == pytest.approx(hp.delta_max_factor / 6)
+        # the grid reaches 1.1 times the largest |delta*_k|
+        assert dists[0].delta_max == pytest.approx(1.1 / 6)
         # fully normal sample: fall back to one standardized unit
         flat = score_distributions(np.zeros(2), single_point([0.5, 0.0], 0.0),
                                    sin_model, hp, np.full(1, hp.b0))
