@@ -34,7 +34,6 @@ from .gpa import (
     AttributionResult,
     DivergenceError,
     GpaHyperParams,
-    ScoreDistribution,
     init_gamma_rate,
     map_estimate,
     objective,

@@ -18,25 +18,28 @@ list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, ``--b0`` with ``--b-mode
-local_kernel``, which would ignore it, and a ``subprocess:`` model with no
-command) or a solver that cannot proceed (its objective overflows, or keeps
-rising), 3 model transport error (including a subprocess model that does not
-answer within its timeout) or non-finite output of any query, in any
-command, named by its input; no document is written then.
+local_kernel``, which would ignore it, ``--b-mode local_kernel`` on one
+row, which has no other rows to take its rate from, and a ``subprocess:``
+model with no command), an anomaly score or residual variance that
+overflows, or a solver that cannot proceed (its objective overflows, or
+keeps rising), 3 model transport error (including a subprocess model that
+does not answer within its timeout) or non-finite output of any query, in
+any command, named by its input; no document is written then.
 Every model handle a command resolves is closed before ``main`` returns,
 whatever the exit code.
-``dist`` warns on stderr when more than 1% of a variable's posterior mass
-sits on the two edge points of its grid.  The gpa diagnostics report the
-solver's ``iterations``, its rejected candidate steps (``halvings``), the
-iterations whose step took the secant-corrected curvature
-(``secant_steps``), the gradient batches in which some coordinate sent one
-pair of draws (``one_pair_batches``), the batches that sent the missing
-draws where the solve would stop (``confirmations``), ``converged`` and the
-model's ``query_count`` and ``call_count``, which follow the query plan in
-the :mod:`anomattr.gpa` module docstring.  The diagnostics' own
-``model_queries`` and ``model_calls`` count every query and call of the
-command: for ``dist`` the posterior slices too, and for ``explain`` and
-``compare`` every method.
+``dist`` writes the posterior as one grid and one row of probabilities per
+variable, and warns on stderr, naming the variable by its CSV header, when
+more than 1% of a row's mass sits on the grid's two edge points.  The gpa
+diagnostics report the solver's ``iterations``, its rejected candidate
+steps (``halvings``), the iterations whose step took the secant-corrected
+curvature (``secant_steps``), the gradient batches in which some
+coordinate sent one pair of draws (``one_pair_batches``), the batches that
+sent the missing draws where the solve would stop (``confirmations``),
+``converged`` and the model's ``query_count`` and ``call_count``, which
+follow the query plan in the :mod:`anomattr.gpa` module docstring.  The
+diagnostics' own ``model_queries`` and ``model_calls`` count every query
+and call of the command: for ``dist`` the posterior slices too, and for
+``explain`` and ``compare`` every method.
 
 ``--kappa`` and ``--lc-kappa`` set the starting step of an earlier
 step-size solver.  The Gauss-Newton solver has no step size, so both are
@@ -163,7 +166,13 @@ def _noise_variance(args, ts: TestSet, model: ModelHandle) -> float:
         if args.noise_var <= 0:
             raise UsageError("--noise-var must be positive")
         return args.noise_var
-    return gpa.residual_variance(ts, model)
+    variance = gpa.residual_variance(ts, model)
+    if not math.isfinite(variance):
+        raise UsageError(
+            "the residual variance of the data overflows the float range; "
+            "pass --noise-var or rescale the targets"
+        )
+    return variance
 
 
 def _selected_indices(args, n_test: int) -> tuple[int, ...]:
@@ -208,6 +217,11 @@ def _setup(args, methods):
         )
     selection = ts.select(indices)
     hp = _hyperparams(args, selection.n_test)
+    if "gpa" in methods and hp.b_mode == "local_kernel" and selection.n_test < 2:
+        raise UsageError(
+            "--b-mode local_kernel takes each row's rate from the other rows; "
+            "select two or more --indices with --collective"
+        )
     grad_cfg = GradientEstimatorConfig(
         perturbation_std=args.grad_std, mc_samples=args.grad_samples, seed=args.seed
     )
@@ -394,13 +408,15 @@ def cmd_dist(args) -> int:
             "distributions use the last iterate",
             file=sys.stderr,
         )
-    dists = gpa.score_distributions(result.delta_star, selection, model, hp, result.rates)
-    edge_mass = [float(d.probs[0] + d.probs[-1]) for d in dists]
+    grid, probs = gpa.score_distributions(result.delta_star, selection, model, hp,
+                                          result.rates)
+    edge_mass = probs[:, 0] + probs[:, -1]
     worst = int(np.argmax(edge_mass))
     if edge_mass[worst] > _EDGE_MASS_WARNING:
         print(
-            f"warning: {edge_mass[worst]:.3g} of variable {worst}'s posterior mass "
-            "sits on the grid's edge points; the grid may cut off probability mass",
+            f"warning: {edge_mass[worst]:.3g} of the posterior mass of variable "
+            f"{ts.variable_names[worst]!r} sits on the grid's edge points; the "
+            "grid may cut off probability mass",
             file=sys.stderr,
         )
 
@@ -410,11 +426,7 @@ def cmd_dist(args) -> int:
         "methods": {
             "gpa": {
                 "scores": result.delta_star,
-                "distribution": {
-                    "grid": dists[0].grid,
-                    "probs": [d.probs for d in dists],
-                    "delta_max": dists[0].delta_max,
-                },
+                "distribution": {"grid": grid, "probs": probs},
             }
         },
         "diagnostics": {
@@ -427,7 +439,7 @@ def cmd_dist(args) -> int:
     json_path = out / "distributions.json"
     dataio.emit_result_json(doc, json_path)
     svg_path = out / "distributions.svg"
-    dataio.emit_distribution_svg(dists, result.delta_star, svg_path, ts.variable_names)
+    dataio.emit_distribution_svg(grid, probs, svg_path, result.delta_star, ts.variable_names)
     print(f"wrote {json_path}")
     print(f"wrote {svg_path}")
     return 0

@@ -8,10 +8,11 @@ File formats:
 * CSV: UTF-8, comma separated, one header row naming the columns, last column
   is the target.  No thousands separators.  Every cell is a finite number: a
   ``nan`` or ``inf`` cell is refused with its row and column.
-* JSON documents, format version 7 (``schema_version``), one per command:
+* JSON documents, format version 8 (``schema_version``), one per command:
   ``result.json`` (explain: ``config, anomaly_scores, methods: {name:
   {scores, scores_raw_units?}}, diagnostics``), ``distributions.json``
-  (dist: ``config, methods: {gpa: {scores, distribution}}, diagnostics``),
+  (dist: ``config, methods: {gpa: {scores, distribution: {grid, probs}}},
+  diagnostics``, where ``probs`` holds one row over ``grid`` per variable),
   ``compare.json`` (``config, reference, scores, reports, diagnostics``) and
   ``detect.json`` (``config, noise_variance, scores, order, indices``).
   The diagnostics of explain, dist and compare carry the model's query and
@@ -46,7 +47,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class CsvFormatError(ValueError):
@@ -264,21 +265,18 @@ def emit_litmus_svg(results: dict[str, np.ndarray], path, variable_names=None) -
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def emit_distribution_svg(dists, map_point, path, variable_names=None) -> None:
-    """Render per-variable score distributions as curves on shared axes, with
-    a marker at each variable's MAP point."""
-    dists = list(dists)
-    if not dists:
+def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> None:
+    """Render the posterior table of :func:`~anomattr.gpa.score_distributions`,
+    row k of ``probs`` over ``grid`` for variable k, as curves on shared
+    axes, with a marker at each variable's MAP point."""
+    grid, probs = np.asarray(grid, dtype=float), np.asarray(probs, dtype=float)
+    if not len(probs):
         raise ValueError("need at least one distribution")
     map_point = np.asarray(map_point, dtype=float)
     if variable_names is None:
-        variable_names = [f"x{d.variable_index + 1}" for d in dists]
-    grid = dists[0].grid
+        variable_names = [f"x{k + 1}" for k in range(len(probs))]
     gmin, gmax = float(grid[0]), float(grid[-1])
-    for d in dists:
-        if abs(float(d.grid[0]) - gmin) > 1e-12 or abs(float(d.grid[-1]) - gmax) > 1e-12:
-            raise ValueError("all distributions must share one grid range")
-    pmax = max(float(np.max(d.probs)) for d in dists)
+    pmax = float(np.max(probs))
     pmax = pmax if pmax > 0 else 1.0
 
     width, height, ml, mr, mt, mb = 560, 320, 56, 140, 20, 40
@@ -299,17 +297,16 @@ def emit_distribution_svg(dists, map_point, path, variable_names=None) -> None:
         f'<text x="{ml + pw}" y="{height - 10}" text-anchor="end">{_fmt(gmax)}</text>',
         f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">perturbation</text>',
     ]
-    for k, d in enumerate(dists):
+    xs = sx(grid).tolist()
+    for k, row in enumerate(probs):
         color = _PALETTE[k % len(_PALETTE)]
-        xs, ys = sx(d.grid).tolist(), sy(d.probs).tolist()
-        pts = " ".join(f"{g:.2f},{p:.2f}" for g, p in zip(xs, ys))
+        pts = " ".join(f"{g:.2f},{p:.2f}" for g, p in zip(xs, sy(row).tolist()))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        mk = map_point[d.variable_index]
-        nearest = int(np.argmin(np.abs(d.grid - mk)))
+        nearest = int(np.argmin(np.abs(grid - map_point[k])))
         out.append(
-            f'<circle cx="{sx(d.grid[nearest]):.2f}" cy="{sy(d.probs[nearest]):.2f}" '
+            f'<circle cx="{sx(grid[nearest]):.2f}" cy="{sy(row[nearest]):.2f}" '
             f'r="3.5" fill="{color}"/>'
         )
         ly = mt + 14 + 16 * k

@@ -60,7 +60,8 @@ the solver can end at another stationary point than a short-step descent
 would, with lower or higher F.
 
 Per-variable uncertainty comes from slicing the unnormalized posterior along
-one coordinate through the MAP point and normalizing on a symmetric grid.
+one coordinate through the MAP point and normalizing it on a symmetric grid:
+a table of one row per variable (:func:`score_distributions`).
 
 The query plan.  One run queries the model in one plan: the gamma rates
 from one residual batch (none for an explicit ``b0``), then the solver, then
@@ -125,7 +126,6 @@ __all__ = [
     "DivergenceError",
     "GpaHyperParams",
     "AttributionResult",
-    "ScoreDistribution",
     "residual_variance",
     "init_gamma_rate",
     "refine_gamma_rate",
@@ -238,31 +238,6 @@ class AttributionResult:
     query_count: int
     call_count: int
     rates: np.ndarray
-
-
-@dataclass
-class ScoreDistribution:
-    """Discrete per-variable posterior on a symmetric grid."""
-
-    variable_index: int
-    grid: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        self.probs = np.asarray(self.probs, dtype=float)
-        if self.grid.shape != self.probs.shape or self.grid.ndim != 1:
-            raise ValueError("grid and probs must be 1-d arrays of equal length")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        if np.max(np.abs(self.grid + self.grid[::-1])) > 1e-12:
-            raise ValueError("grid must be symmetric about 0")
-        if np.any(self.probs < 0) or not abs(self.probs.sum() - 1.0) <= 1e-10:
-            raise ValueError("probs must be nonnegative and sum to 1")
-
-    @property
-    def delta_max(self) -> float:
-        return float(self.grid[-1])
 
 
 def residual_variance(testset: TestSet, model: ModelHandle) -> float:
@@ -799,22 +774,26 @@ def score_distributions(
     model: ModelHandle,
     hp: GpaHyperParams,
     rates,
-) -> list[ScoreDistribution]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable posterior slices through the MAP point, under the gamma
-    ``rates`` of the MAP run (:attr:`AttributionResult.rates`).
+    ``rates`` of the MAP run (:attr:`AttributionResult.rates`), as ``(grid,
+    probs)``: the one grid of shape ``(grid_points,)`` that all variables
+    share, and ``probs`` of shape ``(m, grid_points)``, row k the slice
+    along variable k.
 
-    For each variable k the log posterior (including the l1-augmented prior)
-    is evaluated along a symmetric grid while the other coordinates stay at
-    their MAP values: one model batch of ``n_test x grid_points`` rows, whose
-    non-finite output the model handle refuses with
-    :class:`~anomattr.models.NonFiniteModelOutput` naming the input.  The
-    variables do not share batches, which would save calls but not queries
-    and would raise peak memory with each variable added (the query plan in
-    the module docstring gives the figures).  The slice is
-    stabilized by subtracting its maximum, exponentiated and normalized to
-    sum to one.  The grid spans ``1.1 max_k |delta*_k|``; a fully normal
-    sample (``delta* ~ 0``) falls back to one standardized unit so the
-    slices stay informative.
+    The grid is symmetric about 0 and spans ``1.1 max_k |delta*_k|``; a
+    fully normal sample (``delta* ~ 0``) falls back to one standardized
+    unit so the slices stay informative.  Along variable k the log
+    posterior (including the l1-augmented prior) is evaluated on the grid
+    while the other coordinates stay at their MAP values: one model batch
+    of ``n_test x grid_points`` rows, whose non-finite output the model
+    handle refuses with :class:`~anomattr.models.NonFiniteModelOutput`
+    naming the input.  The variables do not share batches, which would save
+    calls but not queries and would raise peak memory with each variable
+    added (the query plan in the module docstring gives the figures).  The
+    slice is stabilized by subtracting its maximum, exponentiated and
+    normalized to sum to one; one that overflows at every grid point raises
+    ValueError naming the variable.
     """
     delta_star = np.asarray(delta_star, dtype=float)
     if not np.all(np.isfinite(delta_star)):
@@ -824,8 +803,8 @@ def score_distributions(
     grid = np.linspace(-delta_max, delta_max, hp.grid_points)
     grid = 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 
-    dists = []
-    for k in range(testset.dimension):
+    probs = np.empty((testset.dimension, hp.grid_points))
+    for k, name in enumerate(testset.variable_names):
         candidates = np.repeat(delta_star[None, :], hp.grid_points, axis=0)
         candidates[:, k] = grid
         log_q = -0.5 * hp.eta * np.sum(candidates**2, axis=1)
@@ -833,9 +812,13 @@ def score_distributions(
         rows = (testset.x[:, None, :] + candidates).reshape(-1, testset.dimension)
         fvals = model.evaluate_batch(rows).reshape(testset.n_test, hp.grid_points)
         resid = testset.y[:, None] - fvals
-        for loss in (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[:, None])):
-            log_q -= loss
-        probs = np.exp(log_q - np.max(log_q))
-        probs /= probs.sum()
-        dists.append(ScoreDistribution(k, grid, probs))
-    return dists
+        with np.errstate(over="ignore", invalid="ignore"):
+            for loss in (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[:, None])):
+                log_q -= loss
+            q = np.exp(log_q - np.max(log_q))
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"the log posterior along variable {name!r} overflows "
+                             "at every grid point: the residuals are too large "
+                             "for the rates")
+        probs[k] = q / q.sum()
+    return grid, probs

@@ -30,11 +30,19 @@ class MetricUndefinedError(ValueError):
 
 def anomaly_score(model: ModelHandle, x_t, y_t: float, noise_variance: float) -> float:
     """Gaussian plug-in negative log-likelihood of one sample, in nats:
-    0.5 ln(2 pi v) + (y - f(x))^2 / (2 v)."""
+    0.5 ln(2 pi v) + (y - f(x))^2 / (2 v).  A score that overflows raises
+    ValueError."""
     if not 0 < noise_variance < np.inf:
         raise ValueError("noise_variance must be positive and finite")
     resid = y_t - model.evaluate(x_t)
-    value = 0.5 * np.log(2.0 * np.pi * noise_variance) + resid**2 / (2.0 * noise_variance)
+    with np.errstate(over="ignore"):
+        value = (0.5 * np.log(2.0 * np.pi * noise_variance)
+                 + np.square(resid) / (2.0 * noise_variance))
+    if not np.isfinite(value):
+        raise ValueError(
+            f"anomaly score is {float(value)!r}: the residual {resid:.3g} or its "
+            "square overflows the float range; rescale the targets"
+        )
     return float(value)
 
 

@@ -93,3 +93,32 @@ def test_traced_collective_operation_sends_the_untraced_queries(tracer_cls, tmp_
     assert tracer.points == gpa_doc["query_count"] + slices
     assert [h.query_count for h in handles] == [tracer.points] * 2
     assert tracer.solver["gpa.map_estimate"][1] == gpa_doc["iterations"]
+
+
+def test_traced_compare_operation_writes_the_untraced_bytes(tracer_cls, tmp_path,
+                                                            monkeypatch):
+    # one seed-1 baselines-compare operation runs all seven methods, so each
+    # baseline's wrapper, lc's solver wrapper among them, sees a whole command
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracer as tracer_module
+    import workloads
+
+    op = workloads.build("baselines-compare", 1, tmp_path)[0][0]
+    runs = []
+    for tracer in (None, tracer_cls()):
+        if tracer is not None:
+            tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(op.argv) == 0
+        finally:
+            if tracer is not None:
+                tracer.uninstall()
+        runs.append(op.output.read_bytes())
+    assert runs[0] == runs[1]
+    doc = strict_json(runs[1].decode())
+    assert tracer.points == doc["diagnostics"]["model_queries"]
+    for name in tracer_module.BASELINE_METHODS:
+        assert tracer.totals[f"baselines.{name}"][0] == 1, name
+    assert tracer.solver["baselines.lc"][1] > 0

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import anomattr
+from anomattr import cli
 from anomattr.cli import build_parser, main
 from anomattr.gpa import GpaHyperParams
 from conftest import strict_json
@@ -147,6 +148,40 @@ class TestDetect:
         assert ordered == sorted(ordered, reverse=True)
 
 
+class TestOverflowingTargets:
+    # rows whose residuals on linear:1,1 are finite but square past the
+    # float range
+    @pytest.fixture
+    def huge_data(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("x1,x2,y\n0,0,1e160\n0.5,0,-1e160\n")
+        return p
+
+    @pytest.mark.parametrize("write", [False, True])
+    def test_overflowing_anomaly_score_exit_2(self, huge_data, tmp_path, capsys, write):
+        out = tmp_path / "out"
+        code = main(["detect", "--data", str(huge_data), "--model", "linear:1,1",
+                     "--noise-var", "1", *(["--out", str(out)] if write else [])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "anomaly score" in captured.err and "rescale the targets" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["detect"], ["explain", "--methods", "gpa"]])
+    def test_overflowing_residual_variance_names_flag(self, huge_data, tmp_path, capsys,
+                                                      command):
+        out = tmp_path / "out"
+        code = main([*command, "--data", str(huge_data), "--model", "linear:1,1",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--noise-var" in captured.err
+        assert not out.exists()
+
+
 class TestExplain:
     def test_single_method(self, sinus_data, tmp_path):
         out = tmp_path / "out"
@@ -190,8 +225,9 @@ class TestExplain:
             assert f">{name}</text>" in text
 
     def test_overflowing_residual_exit_2(self, tmp_path, capsys):
-        # r = 1e200 is finite, but r^2 overflows: gpa and lc both refuse
-        # the infinite objective instead of converging on it
+        # r = 1e200 is finite, but r^2 overflows: the anomaly score of the
+        # selected row refuses it before gpa or lc runs, in the words of the
+        # solvers' refusal of the infinite objective
         data = tmp_path / "big.csv"
         data.write_text("x1,x2,y\n0.1,0.2,1e200\n0.3,0.1,1.0\n")
         out = tmp_path / "out"
@@ -479,7 +515,8 @@ class TestDist:
         err = capsys.readouterr().err
         assert err.count("\n") == warned
         if warned:
-            assert f"variable {int(np.argmax(edge_mass))}" in err and "edge" in err
+            name = ["x1", "x2"][int(np.argmax(edge_mass))]
+            assert f"variable {name!r}" in err and "edge" in err
 
     def test_partly_nonfinite_slice_exit_3(self, sinus_data, tmp_path, capsys,
                                            nan_model):
@@ -659,6 +696,24 @@ class TestRateSettings:
             "error: b0 applies only to b_mode 'constant'\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["explain", "--methods", "gpa"], ["dist"]])
+    def test_local_kernel_one_row_exit_2(self, sinus_data, tmp_path, capsys,
+                                         monkeypatch, command):
+        # local_kernel rates come from the other selected rows; one row at
+        # the default --point-index has none, so nothing is queried
+        handles, resolve = [], cli.resolve_model
+        monkeypatch.setattr(cli, "resolve_model",
+                            lambda *args: handles.append(resolve(*args)) or handles[-1])
+        out = tmp_path / "out"
+        code = main([*command, "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--b-mode", "local_kernel", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--collective" in err and "two or more --indices" in err
+        assert [h.query_count for h in handles] == [0]
+        assert not out.exists()
+
     def test_local_kernel_isolated_row_exit_0(self, tmp_path):
         # row 2 lies 60 units from the others, beyond where its kernel
         # weights exp(-d^2 / 2) underflow: its rate stays finite all the same
@@ -768,7 +823,7 @@ class TestConfigEcho:
                      *flags, "--out", str(out)])
         assert code == 0
         doc = strict_json((out / name).read_text())
-        assert doc["schema_version"] == 7
+        assert doc["schema_version"] == 8
         dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
         assert dests <= doc["config"].keys()
         if command != "detect":

@@ -15,7 +15,6 @@ from anomattr.dataio import (
     load_csv,
     standardize,
 )
-from anomattr.gpa import ScoreDistribution
 
 
 class TestLoadCsv:
@@ -130,7 +129,7 @@ class TestResultJson:
         emit_result_json({"methods": {"gpa": {"scores": scores}}}, p)
         back = json.loads(p.read_text())
         assert back["methods"]["gpa"]["scores"] == scores.tolist()
-        assert back["schema_version"] == 7
+        assert back["schema_version"] == 8
 
     def test_deterministic_bytes(self, tmp_path):
         doc = {
@@ -146,7 +145,7 @@ class TestResultJson:
         # no section is added: a document holds what the command gave it
         p = tmp_path / "e.json"
         emit_result_json({}, p)
-        assert json.loads(p.read_text()) == {"schema_version": 7}
+        assert json.loads(p.read_text()) == {"schema_version": 8}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_nothing_written(self, tmp_path, bad):
@@ -186,56 +185,53 @@ class TestLitmusSvg:
             emit_litmus_svg({}, tmp_path / "x.svg")
 
 
-def _flat_dist(k, n=21):
-    grid = np.linspace(-1, 1, n)
-    grid = 0.5 * (grid - grid[::-1])
-    return ScoreDistribution(k, grid, np.full(n, 1.0 / n))
+def _symmetric_grid(reach, n):
+    grid = np.linspace(-reach, reach, n)
+    return 0.5 * (grid - grid[::-1])
+
+
+def _flat_table(rows, n=21):
+    return _symmetric_grid(1.0, n), np.full((rows, n), 1.0 / n)
 
 
 class TestDistributionSvg:
     def test_one_curve_and_legend_entry_per_variable(self, tmp_path):
         p = tmp_path / "d.svg"
-        dists = [_flat_dist(0), _flat_dist(1), _flat_dist(2)]
-        emit_distribution_svg(dists, np.zeros(3), p, ["a", "b", "c"])
+        emit_distribution_svg(*_flat_table(3), p, np.zeros(3), ["a", "b", "c"])
         text = p.read_text()
         assert text.count("<polyline") == 3
         assert text.count('class="legend"') == 3
 
     def test_flat_distribution_horizontal_line(self, tmp_path):
         p = tmp_path / "d.svg"
-        emit_distribution_svg([_flat_dist(0)], np.zeros(1), p)
+        emit_distribution_svg(*_flat_table(1), p, np.zeros(1))
         text = p.read_text()
         line = text.split('points="')[1].split('"')[0]
         ys = {pt.split(",")[1] for pt in line.split()}
         assert len(ys) == 1
 
     def test_spike_renders(self, tmp_path):
-        grid = np.linspace(-1, 1, 21)
-        grid = 0.5 * (grid - grid[::-1])
-        probs = np.zeros(21)
-        probs[10] = 1.0
+        probs = np.zeros((1, 21))
+        probs[0, 10] = 1.0
         p = tmp_path / "d.svg"
-        emit_distribution_svg([ScoreDistribution(0, grid, probs)], np.zeros(1), p)
+        emit_distribution_svg(_symmetric_grid(1.0, 21), probs, p, np.zeros(1))
         assert "<polyline" in p.read_text()
 
-    def test_mismatched_grids_rejected(self, tmp_path):
-        grid = np.linspace(-2, 2, 21)
-        grid = 0.5 * (grid - grid[::-1])
-        other = ScoreDistribution(1, grid, np.full(21, 1 / 21))
-        with pytest.raises(ValueError, match="grid"):
-            emit_distribution_svg([_flat_dist(0), other], np.zeros(2), tmp_path / "x.svg")
+    def test_empty_table_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one"):
+            emit_distribution_svg(_symmetric_grid(1.0, 21), np.zeros((0, 21)),
+                                  tmp_path / "x.svg", np.zeros(0))
+        assert not (tmp_path / "x.svg").exists()
 
     def test_fixed_set_renders_known_bytes(self, tmp_path):
         # the whole document, pinned: the coordinates are computed over the
         # grid at once and must format exactly as the point-by-point version
-        grid = np.linspace(-0.7, 0.7, 7)
-        grid = 0.5 * (grid - grid[::-1])
+        grid = _symmetric_grid(0.7, 7)
         p1 = np.array([1.0, 3.0, 7.0, 11.0, 5.0, 2.0, 0.5])
         p2 = np.array([0.2, 0.9, 2.0, 1.3, 3.1, 1.7, 0.8])
-        dists = [ScoreDistribution(0, grid, p1 / p1.sum()),
-                 ScoreDistribution(2, grid, p2 / p2.sum())]
+        probs = np.array([p1 / p1.sum(), p2 / p2.sum()])
         p = tmp_path / "d.svg"
-        emit_distribution_svg(dists, [0.25, 9.0, -0.7], p, ["a", "c"])
+        emit_distribution_svg(grid, probs, p, [0.25, -0.7], ["a", "c"])
         assert p.read_bytes() == _FIXED_SVG.encode()
 
 

@@ -26,7 +26,6 @@ from anomattr import (
 from anomattr.gpa import (
     CounterfactualObjective,
     DivergenceError,
-    ScoreDistribution,
     _resolve_rates,
     _secant_correction,
     _solve_l1_quadratic,
@@ -1227,11 +1226,9 @@ class TestScoreDistributions:
         model = quadratic_model(coef)
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=200)
         res = map_estimate(ts, model, hp, FINE_GRAD)
-        dists = score_distributions(res.delta_star, ts, model, hp, res.rates)
-        expect = _reference_slices(res.delta_star, ts, model, hp, res.rates,
-                                   dists[0].grid)
-        for d, probs in zip(dists, expect):
-            np.testing.assert_array_equal(d.probs, probs)
+        grid, probs = score_distributions(res.delta_star, ts, model, hp, res.rates)
+        expect = _reference_slices(res.delta_star, ts, model, hp, res.rates, grid)
+        np.testing.assert_array_equal(probs, expect)
 
     def test_partly_nonfinite_slice_names_sample(self):
         # only sample 1's slice along variable 0 reaches x0 < 0
@@ -1247,13 +1244,15 @@ class TestScoreDistributions:
     def test_normalization_and_mode(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         res = map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
-        dists = score_distributions(res.delta_star, ts, sin_model, ORACLE_HP, res.rates)
-        assert len(dists) == 2
-        for d in dists:
-            assert d.probs.sum() == pytest.approx(1.0, abs=1e-10)
-            assert np.all(d.probs >= 0)
-        step = dists[0].grid[1] - dists[0].grid[0]
-        mode = dists[0].grid[np.argmax(dists[0].probs)]
+        grid, probs = score_distributions(res.delta_star, ts, sin_model, ORACLE_HP,
+                                          res.rates)
+        assert grid.shape == (ORACLE_HP.grid_points,)
+        assert probs.shape == (2, ORACLE_HP.grid_points)
+        for row in probs:
+            assert row.sum() == pytest.approx(1.0, abs=1e-10)
+            assert np.all(row >= 0)
+        step = grid[1] - grid[0]
+        mode = grid[np.argmax(probs[0])]
         assert abs(mode - res.delta_star[0]) <= step + 1e-12
 
     def test_ignored_variable_matches_prior_slice(self):
@@ -1262,34 +1261,33 @@ class TestScoreDistributions:
         hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
         res = map_estimate(ts, m, hp, FINE_GRAD)
         assert res.converged
-        dists = score_distributions(res.delta_star, ts, m, hp, res.rates)
-        grid = dists[1].grid
+        grid, probs = score_distributions(res.delta_star, ts, m, hp, res.rates)
         prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
         prior /= prior.sum()
-        np.testing.assert_allclose(dists[1].probs, prior, atol=1e-8)
+        np.testing.assert_allclose(probs[1], prior, atol=1e-8)
         # flat-peaked at zero: the grid has no exact zero, so the two central
         # points tie up to the tiny l2 curvature
-        mode = grid[np.argmax(dists[1].probs)]
+        mode = grid[np.argmax(probs[1])]
         assert abs(mode) <= grid[1] - grid[0]
 
     def test_delta_max_scaling_and_fallback(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         hp = ORACLE_HP
-        dists = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
-                                    np.full(1, hp.b0))
+        grid, _ = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
+                                      np.full(1, hp.b0))
         # the grid reaches 1.1 times the largest |delta*_k|
-        assert dists[0].delta_max == pytest.approx(1.1 / 6)
+        assert grid[-1] == pytest.approx(1.1 / 6)
         # fully normal sample: fall back to one standardized unit
-        flat = score_distributions(np.zeros(2), single_point([0.5, 0.0], 0.0),
-                                   sin_model, hp, np.full(1, hp.b0))
-        assert flat[0].delta_max == pytest.approx(1.0)
+        flat, _ = score_distributions(np.zeros(2), single_point([0.5, 0.0], 0.0),
+                                      sin_model, hp, np.full(1, hp.b0))
+        assert flat[-1] == pytest.approx(1.0)
 
     def test_grid_points_setting(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, grid_points=200)
-        dists = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
-                                    np.full(1, hp.b0))
-        assert len(dists[0].grid) == 200
+        grid, probs = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
+                                          np.full(1, hp.b0))
+        assert len(grid) == 200 and probs.shape == (2, 200)
 
     def test_all_nonfinite_slice_names_variable(self):
         # the one non-finite policy: the input is named, as in map_estimate;
@@ -1300,16 +1298,13 @@ class TestScoreDistributions:
         with pytest.raises(NonFiniteModelOutput, match=r"nan at input \[-0\.11\d*, 0\.0\]"):
             score_distributions(np.array([0.1, 0.0]), ts, m, hp, np.full(1, hp.b0))
 
-    def test_distribution_validation(self):
-        grid = np.linspace(-1, 1, 11)
-        good = np.full(11, 1 / 11)
-        ScoreDistribution(0, grid, good)
-        with pytest.raises(ValueError):
-            ScoreDistribution(0, grid, good * 2)  # does not sum to 1
-        with pytest.raises(ValueError):
-            ScoreDistribution(0, grid, np.full(11, np.nan))  # overflowed slice
-        with pytest.raises(ValueError):
-            ScoreDistribution(0, grid + 0.5, good)  # asymmetric grid
+    def test_overflowing_table_names_variable(self):
+        # a rate of 1e-320 makes r^2 / (2 b) overflow at every grid point of
+        # the first variable, so its slice cannot be normalized
+        ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
+        with pytest.raises(ValueError, match="variable 'a' overflows"):
+            score_distributions(np.array([0.1, 0.0]), ts, linear_model([1.0, 1.0]),
+                                GpaHyperParams(), np.array([1e-320]))
 
 
 class TestHyperParamsValidation:
