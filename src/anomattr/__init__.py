@@ -9,6 +9,7 @@ model.
 
 from .baselines import (
     BaylimeResult,
+    LcResult,
     LimeConfig,
     ReferenceSet,
     baylime_distributions,

@@ -43,6 +43,7 @@ __all__ = [
     "expected_integrated_gradient",
     "shapley_sampled",
     "z_score",
+    "LcResult",
     "lc",
 ]
 
@@ -349,6 +350,20 @@ def z_score(x_t, ref: ReferenceSet) -> np.ndarray:
     return (x_t - mean) / std
 
 
+@dataclass(frozen=True)
+class LcResult:
+    """The shift ``delta`` of :func:`lc` and its solver record, each field
+    as in :class:`anomattr.gpa.AttributionResult`."""
+
+    delta: np.ndarray
+    iterations: int
+    converged: bool
+    halvings: int
+    secant_steps: int
+    one_pair_batches: int
+    confirmations: int
+
+
 def lc(
     model: ModelHandle,
     x_t,
@@ -359,8 +374,9 @@ def lc(
     grad_cfg: GradientEstimatorConfig = GradientEstimatorConfig(),
     max_iter: int = 10_000,
     tol: float = 1e-6,
-) -> np.ndarray:
-    """Counterfactual shift under a plain Gaussian loss.
+) -> LcResult:
+    """Counterfactual shift under a plain Gaussian loss, with its solver
+    record.
 
     Minimizes ``(eta/2)||delta||^2 + sum_t (lam/2)[y_t - f(x_t + delta)]^2
     + eta nu ||delta||_1``.  ``x_t`` is one row, or an (n, m) array of rows
@@ -384,4 +400,6 @@ def lc(
         objective.grad, objective.value, model.dimension, eta, nu, max_iter, tol,
         grad_cfg.seed, confirm_fn=objective.confirm,
     )
-    return state.delta
+    return LcResult(state.delta, state.iterations, state.converged, state.halvings,
+                    state.secant_steps, objective.one_pair_batches,
+                    objective.confirmations)

@@ -37,9 +37,11 @@ coordinate sent one pair of draws (``one_pair_batches``), the batches that
 sent the missing draws where the solve would stop (``confirmations``),
 ``converged`` and the model's ``query_count`` and ``call_count``, which
 follow the query plan in the :mod:`anomattr.gpa` module docstring.  The
-diagnostics' own ``model_queries`` and ``model_calls`` count every query
-and call of the command: for ``dist`` the posterior slices too, and for
-``explain`` and ``compare`` every method.
+lc diagnostics of ``explain`` and ``compare`` report the same solver
+fields, from ``iterations`` to ``converged``.  The diagnostics' own
+``model_queries`` and ``model_calls`` count every query and call of the
+command: for ``dist`` the posterior slices too, and for ``explain`` and
+``compare`` every method.
 
 ``--kappa`` and ``--lc-kappa`` set the starting step of an earlier
 step-size solver.  The Gauss-Newton solver has no step size, so both are
@@ -78,8 +80,9 @@ from .models import (
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa", "lc")
-_GPA_DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "one_pair_batches",
-                    "confirmations", "converged", "query_count", "call_count")
+_SOLVER_DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "one_pair_batches",
+                       "confirmations", "converged")
+_GPA_DIAGNOSTICS = _SOLVER_DIAGNOSTICS + ("query_count", "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
 _EDGE_MASS_WARNING = 1e-2
 # comma-list flags whose value may start with a minus sign
@@ -259,11 +262,11 @@ def _run_method(
         result = gpa.map_estimate(selection, model, hp, grad_cfg)
         return result.delta_star, {k: getattr(result, k) for k in _GPA_DIAGNOSTICS}
     if name == "lc":
-        scores = baselines.lc(
+        result = baselines.lc(
             model, selection.x, selection.y, eta=hp.eta, nu=hp.nu, lam=args.lc_lambda,
             grad_cfg=grad_cfg, max_iter=hp.max_iter, tol=hp.tol,
         )
-        return scores, None
+        return result.delta, {k: getattr(result, k) for k in _SOLVER_DIAGNOSTICS}
     if name in ("lime", "lime0", "baylime"):
         lime_cfg = baselines.LimeConfig(
             n_samples=args.lime_samples, sampling_std=args.lime_std,
@@ -408,8 +411,10 @@ def cmd_dist(args) -> int:
             "distributions use the last iterate",
             file=sys.stderr,
         )
+    # no slice batch larger than the solve's first, all-draws gradient batch
+    solve_rows = selection.n_test * (1 + selection.dimension * grad_cfg.mc_samples)
     grid, probs = gpa.score_distributions(result.delta_star, selection, model, hp,
-                                          result.rates)
+                                          result.rates, max_rows=solve_rows)
     edge_mass = probs[:, 0] + probs[:, -1]
     worst = int(np.argmax(edge_mass))
     if edge_mass[worst] > _EDGE_MASS_WARNING:

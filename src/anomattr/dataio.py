@@ -8,7 +8,7 @@ File formats:
 * CSV: UTF-8, comma separated, one header row naming the columns, last column
   is the target.  No thousands separators.  Every cell is a finite number: a
   ``nan`` or ``inf`` cell is refused with its row and column.
-* JSON documents, format version 8 (``schema_version``), one per command:
+* JSON documents, format version 9 (``schema_version``), one per command:
   ``result.json`` (explain: ``config, anomaly_scores, methods: {name:
   {scores, scores_raw_units?}}, diagnostics``), ``distributions.json``
   (dist: ``config, methods: {gpa: {scores, distribution: {grid, probs}}},
@@ -16,7 +16,8 @@ File formats:
   ``compare.json`` (``config, reference, scores, reports, diagnostics``) and
   ``detect.json`` (``config, noise_variance, scores, order, indices``).
   The diagnostics of explain, dist and compare carry the model's query and
-  call totals over the command, ``model_queries`` and ``model_calls``.
+  call totals over the command, ``model_queries`` and ``model_calls``, and
+  the solver records of the gpa and lc runs, ``gpa`` and ``lc``.
   ``config`` echoes the command's flags (see :mod:`anomattr.cli`).  Bytes
   are deterministic for identical inputs (sorted keys, shortest round-trip
   float formatting), and the documents are strict JSON: a NaN or infinity
@@ -47,7 +48,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 class CsvFormatError(ValueError):

@@ -65,11 +65,18 @@ a table of one row per variable (:func:`score_distributions`).
 
 The query plan.  One run queries the model in one plan: the gamma rates
 from one residual batch (none for an explicit ``b0``), then the solver, then
-one batch per variable for the slices, which reuse the run's rates.  The
-slices stay one batch per variable, because peak memory grows with the
-batch: on the benchmark's 20-row collective in m = 30, packing 2 variables
-per batch raised peak RSS by 0.6-1.5 MiB, 4 by 4.2 MiB (+9.4%) and all 30 by
-15.4 MiB, for no fewer queries.
+the slices, which reuse the run's rates.  ``dist`` packs ``P = max(1, (1 +
+m mc_samples) // grid_points)`` whole variables into each slice batch, so
+that no slice batch is larger than the solver's first, all-draws gradient
+batch of ``n (1 + m mc_samples)`` rows, which the model has already
+answered.  At the defaults (10 draws, 100 grid points) and m = 30, P = 3:
+10 batches of 6,000 rows against the solver's 6,020.  Where P = 1, as on
+the two-variable sinusoid, each variable keeps a batch of its own.  The
+batches are written into one reused buffer, so the slices hold one batch's
+rows at a time: on 20 rows of a quadratic model in m = 30, the benchmark's
+size, their traced peak is 1.53 MiB, below the MAP solve's 1.62-1.70 MiB.
+Batches of 3 variables built anew while the last one is still bound would
+hold two batches of 1.4 MiB at once.
 :attr:`AttributionResult.query_count` and ``call_count`` count the rates and
 the solver.  The solver's batches come from :class:`CounterfactualObjective`:
 
@@ -774,28 +781,34 @@ def score_distributions(
     model: ModelHandle,
     hp: GpaHyperParams,
     rates,
+    max_rows: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable posterior slices through the MAP point, under the gamma
-    ``rates`` of the MAP run (:attr:`AttributionResult.rates`), as ``(grid,
-    probs)``: the one grid of shape ``(grid_points,)`` that all variables
-    share, and ``probs`` of shape ``(m, grid_points)``, row k the slice
-    along variable k.
+    ``rates`` of the MAP run (:attr:`AttributionResult.rates`, any array-like
+    of one rate per row), as ``(grid, probs)``: the one grid of shape
+    ``(grid_points,)`` that all variables share, and ``probs`` of shape
+    ``(m, grid_points)``, row k the slice along variable k.
 
     The grid is symmetric about 0 and spans ``1.1 max_k |delta*_k|``; a
     fully normal sample (``delta* ~ 0``) falls back to one standardized
     unit so the slices stay informative.  Along variable k the log
     posterior (including the l1-augmented prior) is evaluated on the grid
-    while the other coordinates stay at their MAP values: one model batch
-    of ``n_test x grid_points`` rows, whose non-finite output the model
-    handle refuses with :class:`~anomattr.models.NonFiniteModelOutput`
-    naming the input.  The variables do not share batches, which would save
-    calls but not queries and would raise peak memory with each variable
-    added (the query plan in the module docstring gives the figures).  The
-    slice is stabilized by subtracting its maximum, exponentiated and
-    normalized to sum to one; one that overflows at every grid point raises
-    ValueError naming the variable.
+    while the other coordinates stay at their MAP values: ``n_test x
+    grid_points`` rows ``x_t + delta*`` with ``x_t[k] + grid`` in column k.
+    A model batch holds as many whole variables as fit in ``max_rows`` rows,
+    at least one (one per batch when ``max_rows`` is None), in variable
+    order and, within a variable, by row and grid point, so the queries are
+    the one-variable batches' end to end.  Every batch is written into one
+    buffer that holds ``x_t + delta*`` between batches.  The model handle
+    refuses non-finite output with
+    :class:`~anomattr.models.NonFiniteModelOutput` naming the first input
+    that got one, the same input as with one variable per batch.  The slice
+    is stabilized by subtracting its maximum, exponentiated and normalized
+    to sum to one; one that overflows at every grid point raises ValueError
+    naming the variable.
     """
     delta_star = np.asarray(delta_star, dtype=float)
+    rates = np.asarray(rates, dtype=float)
     if not np.all(np.isfinite(delta_star)):
         raise ValueError("delta_star must be finite")
     peak = float(np.max(np.abs(delta_star)))
@@ -803,22 +816,32 @@ def score_distributions(
     grid = np.linspace(-delta_max, delta_max, hp.grid_points)
     grid = 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 
-    probs = np.empty((testset.dimension, hp.grid_points))
-    for k, name in enumerate(testset.variable_names):
-        candidates = np.repeat(delta_star[None, :], hp.grid_points, axis=0)
-        candidates[:, k] = grid
-        log_q = -0.5 * hp.eta * np.sum(candidates**2, axis=1)
-        log_q -= hp.eta * hp.nu * np.sum(np.abs(candidates), axis=1)
-        rows = (testset.x[:, None, :] + candidates).reshape(-1, testset.dimension)
-        fvals = model.evaluate_batch(rows).reshape(testset.n_test, hp.grid_points)
-        resid = testset.y[:, None] - fvals
-        with np.errstate(over="ignore", invalid="ignore"):
-            for loss in (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[:, None])):
-                log_q -= loss
-            q = np.exp(log_q - np.max(log_q))
-        if not np.all(np.isfinite(q)):
-            raise ValueError(f"the log posterior along variable {name!r} overflows "
-                             "at every grid point: the residuals are too large "
-                             "for the rates")
-        probs[k] = q / q.sum()
+    n, m = testset.n_test, testset.dimension
+    pack = 1 if max_rows is None else max(1, min(m, max_rows // (n * hp.grid_points)))
+    x = testset.x
+    buf = np.empty((pack, n, hp.grid_points, m))
+    buf[...] = (x + delta_star)[:, None, :]
+    probs = np.empty((m, hp.grid_points))
+    for first in range(0, m, pack):
+        ks = range(first, min(first + pack, m))
+        for j, k in enumerate(ks):
+            buf[j, :, :, k] = x[:, k, None] + grid
+        fvals = model.evaluate_batch(buf[: len(ks)].reshape(-1, m)).reshape(
+            len(ks), n, hp.grid_points)
+        for j, k in enumerate(ks):
+            buf[j, :, :, k] = (x[:, k] + delta_star[k])[:, None]
+            candidates = np.repeat(delta_star[None, :], hp.grid_points, axis=0)
+            candidates[:, k] = grid
+            log_q = -0.5 * hp.eta * np.sum(candidates**2, axis=1)
+            log_q -= hp.eta * hp.nu * np.sum(np.abs(candidates), axis=1)
+            resid = testset.y[:, None] - fvals[j]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for loss in (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[:, None])):
+                    log_q -= loss
+                q = np.exp(log_q - np.max(log_q))
+            if not np.all(np.isfinite(q)):
+                raise ValueError(f"the log posterior along variable "
+                                 f"{testset.variable_names[k]!r} overflows at every "
+                                 "grid point: the residuals are too large for the rates")
+            probs[k] = q / q.sum()
     return grid, probs

@@ -54,7 +54,7 @@ def _gpa_delta(y_t: float) -> np.ndarray:
 
 def _lc_delta(y_t: float) -> np.ndarray:
     return lc(sinusoidal2d(), X_T, y_t, eta=1e-3, nu=1e-3, lam=1.0,
-              grad_cfg=FINE_GRAD, tol=1e-8)
+              grad_cfg=FINE_GRAD, tol=1e-8).delta
 
 
 def test_criterion_01_gpa_matches_closed_form():

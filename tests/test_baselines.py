@@ -395,13 +395,13 @@ class TestLc:
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     def test_matches_counterfactual_closed_form(self, sin_model, y_t):
         delta = lc(sin_model, [0.5, 0.0], y_t, eta=1e-3, nu=1e-3, lam=1.0,
-                   grad_cfg=FINE_GRAD, tol=1e-8)
+                   grad_cfg=FINE_GRAD, tol=1e-8).delta
         np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], y_t), atol=1e-3)
 
     def test_zero_residual_stays_home(self, sin_model):
         y_t = sin_model.evaluate([0.3, 0.1])
         delta = lc(sin_model, [0.3, 0.1], y_t, eta=1e-3, nu=1e-3, grad_cfg=FINE_GRAD,
-                   tol=1e-8)
+                   tol=1e-8).delta
         np.testing.assert_allclose(delta, 0.0, atol=1e-4)
 
     def test_scalar_linear_closed_form(self):
@@ -409,7 +409,7 @@ class TestLc:
         c, x_t, y_t = 2.0, 1.0, 3.0
         m = linear_model([c])
         delta = lc(m, [x_t], y_t, eta=1e-6, nu=1e-6, lam=1.0, grad_cfg=FINE_GRAD,
-                   tol=1e-10)
+                   tol=1e-10).delta
         assert delta[0] == pytest.approx((y_t - c * x_t) / c, abs=1e-5)
 
     def test_is_shared_objective_with_gaussian_loss(self, sin_model):
@@ -430,15 +430,21 @@ class TestLc:
                                             rel=1e-12)
         state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
                                   FINE_GRAD.seed, confirm_fn=objective.confirm)
-        delta = lc(sin_model, x_t, y_t, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
-                   tol=1e-8)
-        np.testing.assert_array_equal(delta, state.delta)
+        result = lc(sin_model, x_t, y_t, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
+                    tol=1e-8)
+        np.testing.assert_array_equal(result.delta, state.delta)
+        # the solver record is the solve's and its objective's
+        assert (result.iterations, result.converged, result.halvings,
+                result.secant_steps) == (state.iterations, state.converged,
+                                         state.halvings, state.secant_steps)
+        assert (result.one_pair_batches, result.confirmations) == (
+            objective.one_pair_batches, objective.confirmations)
 
     def test_one_row_array_is_the_point_call(self, sin_model):
         kwargs = dict(eta=1e-3, nu=1e-3, grad_cfg=FINE_GRAD, tol=1e-8)
         point = lc(sin_model, [0.5, 0.0], 1.0, **kwargs)
         row = lc(sin_model, np.array([[0.5, 0.0]]), np.array([1.0]), **kwargs)
-        np.testing.assert_array_equal(row, point)
+        np.testing.assert_array_equal(row.delta, point.delta)
 
     def test_collective_rows_share_the_gaussian_objective(self, sin_model):
         from anomattr.gpa import (
@@ -461,7 +467,7 @@ class TestLc:
                                   FINE_GRAD.seed, confirm_fn=objective.confirm)
         assert state.converged
         delta = lc(sin_model, x, y, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
-                   tol=1e-8)
+                   tol=1e-8).delta
         np.testing.assert_array_equal(delta, state.delta)
 
     def test_invalid_params(self, sin_model):
@@ -484,7 +490,7 @@ class TestLc:
 
         monkeypatch.setattr(baselines_mod, "proximal_minimize", counting_solver)
         delta = lc(sin_model, [0.5, 0.0], 1.0, eta=1e-3, nu=1e-3, lam=1.0,
-                   grad_cfg=FINE_GRAD, tol=1e-8)
+                   grad_cfg=FINE_GRAD, tol=1e-8).delta
         np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], 1.0), atol=1e-3)
         assert 0 < len(grads) <= 600
 

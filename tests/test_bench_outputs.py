@@ -25,9 +25,10 @@ COLLECTIVE_GPA_QUERIES = 83_760
 # iteration and the confirmation, 2 + 18, 2 + 11 and 2 + 16
 COLLECTIVE_GPA_CALLS = 51
 # the documents' model_queries and model_calls, summed: the gpa sums above
-# and the posterior slices, one batch of 20 rows x 100 grid points per
-# variable, 3 x 60,000 queries in 3 x 30 calls
-COLLECTIVE_QUERY_PLAN = (263_760, 141)
+# and the posterior slices, 20 rows x 100 grid points per variable, packed
+# 3 variables to a batch (no more rows than the solve's first batch of
+# 6,020): 3 x 60,000 queries in 3 x 10 calls
+COLLECTIVE_QUERY_PLAN = (263_760, 81)
 # the model_queries and model_calls of every method in the six seed-1
 # operations of the sinusoid workloads, summed.  In each compare, eig sends
 # its 64 paths of 2,121 rows seven to a batch: 10 calls

@@ -54,7 +54,8 @@ def test_traced_collective_dist_resolves_rates_once(tracer_cls, tmp_path):
         tracer.uninstall()
     calls, _, _, points, model_calls = tracer.totals["gpa.score_distributions"]
     assert tracer.totals["gpa.rates"][0] == 1
-    assert (calls, model_calls, points) == (1, 3, 3 * 4 * 11)
+    # 2 variables of 4 x 11 rows fit in the solve's first batch of 4 x 31
+    assert (calls, model_calls, points) == (1, 2, 3 * 4 * 11)
     doc = strict_json((tmp_path / "out" / "distributions.json").read_text())
     assert len(doc["diagnostics"]["gpa"]["edge_mass"]) == 3
 

@@ -647,6 +647,32 @@ class TestCollectiveLc:
         assert doc["reports"]["lc"]["smr"] == 1.0
         assert doc["diagnostics"]["gpa"]["converged"] is True
 
+    @pytest.mark.parametrize("command, name", [("explain", "result.json"),
+                                               ("compare", "compare.json")])
+    def test_gpa_and_lc_write_their_solver_records(self, tmp_path, command, name):
+        # the quadratic's draws agree, so lc's record counts one-pair batches
+        x = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1]])
+        y = np.array([1.0, 1.2, 0.9])
+        p = tmp_path / "col.csv"
+        p.write_text("a,b,y\n0.0,0.0,1.0\n0.1,0.0,1.2\n-0.1,0.1,0.9\n")
+        out = tmp_path / "out"
+        assert main([command, "--data", str(p), "--model", "quadratic:2,1",
+                     "--methods", "gpa,lc", "--indices", "0,1,2", "--collective",
+                     "--out", str(out)]) == 0
+        diagnostics = strict_json((out / name).read_text())["diagnostics"]
+        hp = GpaHyperParams.for_testset(3)
+        record = anomattr.lc(anomattr.quadratic_model([2.0, 1.0]), x, y, eta=hp.eta,
+                             nu=hp.nu)
+        assert record.converged and record.one_pair_batches > 0
+        assert diagnostics["lc"] == {
+            "iterations": record.iterations, "halvings": record.halvings,
+            "secant_steps": record.secant_steps,
+            "one_pair_batches": record.one_pair_batches,
+            "confirmations": record.confirmations, "converged": True,
+        }
+        assert diagnostics["gpa"].keys() - diagnostics["lc"].keys() == {
+            "query_count", "call_count"}
+
 
 class TestNonFiniteModelOutput:
     """NaN where x1 > 0.6, which every method but zscore reaches from the
@@ -823,7 +849,7 @@ class TestConfigEcho:
                      *flags, "--out", str(out)])
         assert code == 0
         doc = strict_json((out / name).read_text())
-        assert doc["schema_version"] == 8
+        assert doc["schema_version"] == 9
         dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
         assert dests <= doc["config"].keys()
         if command != "detect":

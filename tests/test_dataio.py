@@ -129,7 +129,7 @@ class TestResultJson:
         emit_result_json({"methods": {"gpa": {"scores": scores}}}, p)
         back = json.loads(p.read_text())
         assert back["methods"]["gpa"]["scores"] == scores.tolist()
-        assert back["schema_version"] == 8
+        assert back["schema_version"] == 9
 
     def test_deterministic_bytes(self, tmp_path):
         doc = {
@@ -145,7 +145,7 @@ class TestResultJson:
         # no section is added: a document holds what the command gave it
         p = tmp_path / "e.json"
         emit_result_json({}, p)
-        assert json.loads(p.read_text()) == {"schema_version": 8}
+        assert json.loads(p.read_text()) == {"schema_version": 9}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_nothing_written(self, tmp_path, bad):

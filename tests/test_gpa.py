@@ -1,5 +1,6 @@
 import contextlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -388,7 +389,7 @@ class TestAcceleratedSolver:
             delta, slope = res.delta_star, _student_t_slope(hp, res.rates)
         else:
             delta = lc(model, ts.x, ts.y, eta=hp.eta, nu=hp.nu, lam=2.0,
-                       grad_cfg=FINE_GRAD, tol=hp.tol)
+                       grad_cfg=FINE_GRAD, tol=hp.tol).delta
             slope = lambda r: 2.0 * r  # noqa: E731
         assert np.count_nonzero(delta) >= 2
         assert np.max(_kkt_residual(delta, coef, ts, hp.eta, hp.nu, slope)) <= 1e-4
@@ -955,7 +956,8 @@ class TestPairDraws:
             model = BatchRecorder(sinusoidal2d())
             if method == "lc":  # at the default flags lc gives up on the 3 rows
                 with contextlib.suppress(DivergenceError):
-                    delta = lc(model, ts.x, ts.y, eta=1e-3, nu=1e-3, grad_cfg=cfg, tol=1e-8)
+                    delta = lc(model, ts.x, ts.y, eta=1e-3, nu=1e-3, grad_cfg=cfg,
+                               tol=1e-8).delta
                     return model.sizes, model.call_count, delta, None
                 return model.sizes, model.call_count, None, None
             res = map_estimate(ts, model, ORACLE_HP, cfg)
@@ -1201,24 +1203,85 @@ def _collective_problem(seed=1, n=6, m=5):
     return coef, TestSet(xs, ys, [f"x{i}" for i in range(m)])
 
 
+class _RowLog(BatchRecorder):
+    """A :class:`BatchRecorder` that keeps the rows of every batch."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.batches = []
+
+    def _evaluate_batch(self, xs):
+        self.batches.append(xs.copy())
+        return super()._evaluate_batch(xs)
+
+
 class TestScoreDistributions:
-    def test_collective_plan_one_rate_call_one_batch_per_variable(self):
+    def test_collective_plan_packs_whole_variables_up_to_the_solve_batch(self):
         coef, ts = _collective_problem()
         n, m = ts.n_test, ts.dimension
-        hp = GpaHyperParams.for_testset(n, max_iter=50)
+        mc = FINE_GRAD.mc_samples
+        # 2 variables of n x 20 rows fit in the solve's first batch of n (1 +
+        # m mc) rows, so m = 5 leaves a short last batch
+        hp = GpaHyperParams.for_testset(n, max_iter=50, grid_points=20)
         model = BatchRecorder(quadratic_model(coef))
         res = map_estimate(ts, model, hp, FINE_GRAD)
         assert model.sizes[0] == n
         solver = model.sizes[1:]
-        mc = FINE_GRAD.mc_samples
         # the start sends every draw, the later batches one pair per
         # coordinate, the confirmation the rest
         assert solver[0] == n * (1 + m * mc)
         assert solver[-1] == n * m * (mc - 2)
         assert all(size in (n, n * m * 2, n + n * m * 2) for size in solver[1:-1])
-        model.sizes.clear()
-        score_distributions(res.delta_star, ts, model, hp, res.rates)
-        assert model.sizes == [n * hp.grid_points] * m
+        per_variable = n * hp.grid_points
+        packed = _RowLog(quadratic_model(coef))
+        grid, probs = score_distributions(res.delta_star, ts, packed, hp, res.rates,
+                                          max_rows=solver[0])
+        assert packed.sizes == [2 * per_variable, 2 * per_variable, per_variable]
+        assert max(packed.sizes) <= n * (1 + m * mc)
+        # the queries of one variable per batch, end to end, and the same bits
+        single = _RowLog(quadratic_model(coef))
+        _, alone = score_distributions(res.delta_star, ts, single, hp, res.rates)
+        assert single.sizes == [per_variable] * m
+        np.testing.assert_array_equal(np.vstack(packed.batches), np.vstack(single.batches))
+        np.testing.assert_array_equal(probs, alone)
+        expect = _reference_slices(res.delta_star, ts, quadratic_model(coef), hp,
+                                   res.rates, grid)
+        np.testing.assert_array_equal(probs, expect)
+
+    @pytest.mark.parametrize("max_rows, sizes", [(0, [1] * 5), (10**9, [5]),
+                                                 (3 * 6 * 20 - 1, [2, 2, 1])])
+    def test_batch_holds_whole_variables_within_max_rows(self, max_rows, sizes):
+        # at least one variable per batch, at most all of them
+        coef, ts = _collective_problem()
+        hp = GpaHyperParams.for_testset(ts.n_test, grid_points=20)
+        model = BatchRecorder(quadratic_model(coef))
+        delta_star = np.array([0.8, -0.5, 0.0, 0.1, 0.0])
+        _, probs = score_distributions(delta_star, ts, model, hp, np.ones(ts.n_test),
+                                       max_rows=max_rows)
+        assert model.sizes == [ts.n_test * hp.grid_points * k for k in sizes]
+        _, alone = score_distributions(delta_star, ts, quadratic_model(coef), hp,
+                                       np.ones(ts.n_test))
+        np.testing.assert_array_equal(probs, alone)
+
+    def test_slices_peak_memory_within_the_solve(self):
+        # at the benchmark's size the slices pack 3 variables, 6,000 rows, to
+        # a batch in one buffer of 1.4 MiB: their traced peak stays below
+        # the solve's, and two batches' rows alive at once would not
+        coef, ts = _collective_problem(n=20, m=30)
+        model, cfg = quadratic_model(coef), GradientEstimatorConfig()
+        hp = GpaHyperParams.for_testset(ts.n_test)
+        tracemalloc.start()
+        try:
+            res = map_estimate(ts, model, hp, cfg)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            score_distributions(res.delta_star, ts, model, hp, res.rates,
+                                max_rows=ts.n_test * (1 + ts.dimension * cfg.mc_samples))
+            slices_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert slices_peak <= solve_peak
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_slices_bit_identical_to_per_sample_loop(self, seed):
@@ -1240,6 +1303,34 @@ class TestScoreDistributions:
             score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0))
         # sample 1 at the grid's first point, -1.1 * 0.5
         assert exc.value.x[0] == pytest.approx(-0.55) and exc.value.x[1] == 0.0
+
+    @pytest.mark.parametrize("column, named", [(0, [-0.55, 0.0]), (1, [1.5, -0.55])])
+    def test_packed_nonfinite_slice_names_the_one_variable_input(self, column, named):
+        # NaN where x[column] < 0: sample 1's slice along variable 0 reaches
+        # x0 < 0, and both samples' slices along variable 1 reach x1 < 0;
+        # packed, both variables share one batch
+        m = CallableModel(lambda x: np.nan if x[column] < 0 else x[0] + x[1], 2)
+        ts = TestSet(np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([1.0, 0.5]),
+                     ["a", "b"])
+        hp = GpaHyperParams(b0=1.0, a0=1.0)
+        named_inputs = []
+        for max_rows in (None, 2 * ts.n_test * hp.grid_points):
+            with pytest.raises(NonFiniteModelOutput) as exc:
+                score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0),
+                                    max_rows=max_rows)
+            named_inputs.append(exc.value.x)
+        np.testing.assert_array_equal(named_inputs[0], named_inputs[1])
+        np.testing.assert_allclose(named_inputs[1], named, rtol=1e-12)
+
+    def test_array_like_rates(self):
+        # a list of rates, as objective takes
+        ts = TestSet(np.array([[0.3, -0.2]]), np.array([2.0]), ["a", "b"])
+        model, hp = linear_model([1.0, 1.0]), GpaHyperParams(a0=1.0)
+        delta_star = np.array([0.9, 0.0])
+        grid, probs = score_distributions(delta_star, ts, model, hp, [1.0])
+        expect = score_distributions(delta_star, ts, model, hp, np.array([1.0]))
+        np.testing.assert_array_equal(grid, expect[0])
+        np.testing.assert_array_equal(probs, expect[1])
 
     def test_normalization_and_mode(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
