@@ -9,7 +9,6 @@ model.
 
 from .baselines import (
     BaylimeResult,
-    LcResult,
     LimeConfig,
     ReferenceSet,
     baylime_distributions,

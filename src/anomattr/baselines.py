@@ -25,7 +25,9 @@ from math import comb
 import numpy as np
 
 from .gpa import (
+    AttributionResult,
     CounterfactualObjective,
+    GpaHyperParams,
     _solve_l1_quadratic,
     gaussian_loss,
     proximal_minimize,
@@ -43,7 +45,6 @@ __all__ = [
     "expected_integrated_gradient",
     "shapley_sampled",
     "z_score",
-    "LcResult",
     "lc",
 ]
 
@@ -350,56 +351,40 @@ def z_score(x_t, ref: ReferenceSet) -> np.ndarray:
     return (x_t - mean) / std
 
 
-@dataclass(frozen=True)
-class LcResult:
-    """The shift ``delta`` of :func:`lc` and its solver record, each field
-    as in :class:`anomattr.gpa.AttributionResult`."""
-
-    delta: np.ndarray
-    iterations: int
-    converged: bool
-    halvings: int
-    secant_steps: int
-    one_pair_batches: int
-    confirmations: int
-
-
 def lc(
     model: ModelHandle,
     x_t,
     y_t,
-    eta: float,
-    nu: float,
-    lam: float = 1.0,
-    grad_cfg: GradientEstimatorConfig = GradientEstimatorConfig(),
-    max_iter: int = 10_000,
-    tol: float = 1e-6,
-) -> LcResult:
+    hp: GpaHyperParams,
+    grad_cfg: GradientEstimatorConfig,
+    lam: float,
+) -> AttributionResult:
     """Counterfactual shift under a plain Gaussian loss, with its solver
     record.
 
     Minimizes ``(eta/2)||delta||^2 + sum_t (lam/2)[y_t - f(x_t + delta)]^2
-    + eta nu ||delta||_1``.  ``x_t`` is one row, or an (n, m) array of rows
-    with one target each in ``y_t`` that share one shift (the collective
-    form).  This is the objective of :func:`anomattr.gpa.map_estimate` with
-    the Gaussian loss in place of the heavy-tailed marginalization, which
-    makes this the point-estimate-only sibling.  It is minimized by the same
-    solver, :func:`anomattr.gpa.proximal_minimize`, whose Gauss-Newton
-    curvature is then ``eta I + lam G^T G``, with the same secant correction
-    where the steps slow down and the same draws per coordinate, one pair
-    where the pairs agree and all draws at a confirmed stop; an objective
-    that overflows raises
+    + eta nu ||delta||_1``, with ``eta``, ``nu``, ``max_iter`` and ``tol``
+    from ``hp``.  ``x_t`` is one row, or an (n, m) array of rows with one
+    target each in ``y_t`` that share one shift (the collective form).  This
+    is the objective of :func:`anomattr.gpa.map_estimate` with the Gaussian
+    loss in place of the heavy-tailed marginalization, which makes this the
+    point-estimate-only sibling, and it returns the same record, with
+    ``rates`` None and the queries and calls of its own solve.  It is
+    minimized by the same solver, :func:`anomattr.gpa.proximal_minimize`,
+    whose Gauss-Newton curvature is then ``eta I + lam G^T G``, with the
+    same secant correction where the steps slow down and the same draws per
+    coordinate, one pair where the pairs agree and all draws at a confirmed
+    stop; an objective that overflows raises
     :class:`anomattr.gpa.DivergenceError`.
     """
-    if eta <= 0 or nu <= 0 or lam <= 0:
-        raise ValueError("eta, nu and lam must be positive")
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    counts = model.query_count, model.call_count
     objective = CounterfactualObjective(
-        model, np.atleast_2d(x_t), np.atleast_1d(y_t), eta, gaussian_loss(lam), grad_cfg
+        model, np.atleast_2d(x_t), np.atleast_1d(y_t), hp.eta, gaussian_loss(lam), grad_cfg
     )
     state = proximal_minimize(
-        objective.grad, objective.value, model.dimension, eta, nu, max_iter, tol,
-        grad_cfg.seed, confirm_fn=objective.confirm,
+        objective.grad, objective.value, model.dimension, hp.eta, hp.nu, hp.max_iter,
+        hp.tol, grad_cfg.seed, confirm_fn=objective.confirm,
     )
-    return LcResult(state.delta, state.iterations, state.converged, state.halvings,
-                    state.secant_steps, objective.one_pair_batches,
-                    objective.confirmations)
+    return AttributionResult.of(state, objective, model, counts)

@@ -29,16 +29,17 @@ Every model handle a command resolves is closed before ``main`` returns,
 whatever the exit code.
 ``dist`` writes the posterior as one grid and one row of probabilities per
 variable, and warns on stderr, naming the variable by its CSV header, when
-more than 1% of a row's mass sits on the grid's two edge points.  The gpa
-diagnostics report the solver's ``iterations``, its rejected candidate
-steps (``halvings``), the iterations whose step took the secant-corrected
-curvature (``secant_steps``), the gradient batches in which some
-coordinate sent one pair of draws (``one_pair_batches``), the batches that
-sent the missing draws where the solve would stop (``confirmations``),
-``converged`` and the model's ``query_count`` and ``call_count``, which
-follow the query plan in the :mod:`anomattr.gpa` module docstring.  The
-lc diagnostics of ``explain`` and ``compare`` report the same solver
-fields, from ``iterations`` to ``converged``.  The diagnostics' own
+more than 1% of a row's mass sits on the grid's two edge points.  The
+diagnostics ``gpa`` and ``lc`` hold the record of a gpa or lc run
+(:class:`~anomattr.gpa.AttributionResult`) under the same keys: the
+solver's ``iterations``, its rejected candidate steps (``halvings``), the
+iterations whose step took the secant-corrected curvature
+(``secant_steps``), the gradient batches in which some coordinate sent one
+pair of draws (``one_pair_batches``), the batches that sent the missing
+draws where the solve would stop (``confirmations``), ``converged``, and
+the run's own ``query_count`` and ``call_count`` (gpa's with its rate
+queries), which follow the query plan in the :mod:`anomattr.gpa` module
+docstring.  ``dist`` adds ``edge_mass`` to gpa's.  The diagnostics' own
 ``model_queries`` and ``model_calls`` count every query and call of the
 command: for ``dist`` the posterior slices too, and for ``explain`` and
 ``compare`` every method.
@@ -80,9 +81,8 @@ from .models import (
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa", "lc")
-_SOLVER_DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "one_pair_batches",
-                       "confirmations", "converged")
-_GPA_DIAGNOSTICS = _SOLVER_DIAGNOSTICS + ("query_count", "call_count")
+_DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "one_pair_batches",
+                "confirmations", "converged", "query_count", "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
 _EDGE_MASS_WARNING = 1e-2
 # comma-list flags whose value may start with a minus sign
@@ -99,6 +99,14 @@ def _finite_float(text: str) -> float:
         if math.isfinite(value := float(text)):
             return value
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _seed(text: str) -> int:
+    """The type of ``--seed``: numpy's generators take a nonnegative integer."""
+    with contextlib.suppress(ValueError):
+        if (value := int(text)) >= 0:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
 def _numbers(text: str, kind=_finite_float) -> tuple:
@@ -258,15 +266,10 @@ def _run_method(
     result document.
     """
     x_t, y_t = selection.x[0], float(selection.y[0])
-    if name == "gpa":
-        result = gpa.map_estimate(selection, model, hp, grad_cfg)
-        return result.delta_star, {k: getattr(result, k) for k in _GPA_DIAGNOSTICS}
-    if name == "lc":
-        result = baselines.lc(
-            model, selection.x, selection.y, eta=hp.eta, nu=hp.nu, lam=args.lc_lambda,
-            grad_cfg=grad_cfg, max_iter=hp.max_iter, tol=hp.tol,
-        )
-        return result.delta, {k: getattr(result, k) for k in _SOLVER_DIAGNOSTICS}
+    if name in _COLLECTIVE_METHODS:
+        result = (gpa.map_estimate(selection, model, hp, grad_cfg) if name == "gpa" else
+                  baselines.lc(model, selection.x, selection.y, hp, grad_cfg, args.lc_lambda))
+        return result.delta_star, {k: getattr(result, k) for k in _DIAGNOSTICS}
     if name in ("lime", "lime0", "baylime"):
         lime_cfg = baselines.LimeConfig(
             n_samples=args.lime_samples, sampling_std=args.lime_std,
@@ -299,6 +302,8 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
                  hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig):
     """The method loop of explain and compare: each method's scores by name,
     and the diagnostics section of the document."""
+    if "lc" in methods and args.lc_lambda <= 0:
+        raise UsageError("--lc-lambda must be positive")
     ref = _reference_set(args, selection.dimension)
     scores, diagnostics = {}, {}
     for name in methods:
@@ -314,11 +319,13 @@ def _parse_methods(text: str) -> list[str]:
     methods = [m.strip() for m in text.split(",") if m.strip()]
     if not methods:
         raise UsageError("at least one method required")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in ALL_METHODS:
             raise UsageError(
                 f"unknown method {m!r}; choose from {', '.join(ALL_METHODS)}"
             )
+        if m in methods[:i]:
+            raise UsageError(f"method {m!r} repeated in --methods")
     return methods
 
 
@@ -435,7 +442,7 @@ def cmd_dist(args) -> int:
             }
         },
         "diagnostics": {
-            "gpa": {**{k: getattr(result, k) for k in _GPA_DIAGNOSTICS},
+            "gpa": {**{k: getattr(result, k) for k in _DIAGNOSTICS},
                     "edge_mass": edge_mass},
             "model_queries": model.query_count,
             "model_calls": model.call_count,
@@ -516,7 +523,7 @@ def _add_common(p):
     p.add_argument("--model", default=None,
                    help="sinusoidal2d | linear:c1,c2 | quadratic:c1,.. | "
                         f"subprocess:CMD | http(s)://URL (default ${MODEL_ENV_VAR})")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--grad-std", type=_finite_float, default=1.0,
                    help="gradient estimator perturbation std")
     p.add_argument("--grad-samples", type=int, default=10,

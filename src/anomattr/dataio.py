@@ -8,7 +8,7 @@ File formats:
 * CSV: UTF-8, comma separated, one header row naming the columns, last column
   is the target.  No thousands separators.  Every cell is a finite number: a
   ``nan`` or ``inf`` cell is refused with its row and column.
-* JSON documents, format version 9 (``schema_version``), one per command:
+* JSON documents, format version 10 (``schema_version``), one per command:
   ``result.json`` (explain: ``config, anomaly_scores, methods: {name:
   {scores, scores_raw_units?}}, diagnostics``), ``distributions.json``
   (dist: ``config, methods: {gpa: {scores, distribution: {grid, probs}}},
@@ -17,7 +17,8 @@ File formats:
   ``detect.json`` (``config, noise_variance, scores, order, indices``).
   The diagnostics of explain, dist and compare carry the model's query and
   call totals over the command, ``model_queries`` and ``model_calls``, and
-  the solver records of the gpa and lc runs, ``gpa`` and ``lc``.
+  the records of the gpa and lc runs, ``gpa`` and ``lc``, with the same
+  keys, each run's own ``query_count`` and ``call_count`` among them.
   ``config`` echoes the command's flags (see :mod:`anomattr.cli`).  Bytes
   are deterministic for identical inputs (sorted keys, shortest round-trip
   float formatting), and the documents are strict JSON: a NaN or infinity
@@ -48,7 +49,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 
 class CsvFormatError(ValueError):
@@ -269,7 +270,9 @@ def emit_litmus_svg(results: dict[str, np.ndarray], path, variable_names=None) -
 def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> None:
     """Render the posterior table of :func:`~anomattr.gpa.score_distributions`,
     row k of ``probs`` over ``grid`` for variable k, as curves on shared
-    axes, with a marker at each variable's MAP point."""
+    axes, with a marker at each variable's MAP point.  The legend lists the
+    variables one below the other to the right of the plot, and the image
+    grows below the plot where it needs the room (from 18 variables)."""
     grid, probs = np.asarray(grid, dtype=float), np.asarray(probs, dtype=float)
     if not len(probs):
         raise ValueError("need at least one distribution")
@@ -282,6 +285,9 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
 
     width, height, ml, mr, mt, mb = 560, 320, 56, 140, 20, 40
     pw, ph = width - ml - mr, height - mt - mb
+    # legend row k has its baseline at mt + 14 + 16 k; the image reaches a
+    # row below the last
+    canvas = max(height, mt + 14 + 16 * len(probs))
 
     def sx(v):
         return ml + (v - gmin) / (gmax - gmin) * pw
@@ -291,8 +297,8 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'height="{canvas}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{width}" height="{canvas}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#444"/>',
         f'<text x="{ml}" y="{height - 10}">{_fmt(gmin)}</text>',
         f'<text x="{ml + pw}" y="{height - 10}" text-anchor="end">{_fmt(gmax)}</text>',

@@ -78,7 +78,7 @@ size, their traced peak is 1.53 MiB, below the MAP solve's 1.62-1.70 MiB.
 Batches of 3 variables built anew while the last one is still bound would
 hold two batches of 1.4 MiB at once.
 :attr:`AttributionResult.query_count` and ``call_count`` count the rates and
-the solver.  The solver's batches come from :class:`CounterfactualObjective`:
+the solver (lc's, which has no rates, the solver alone).  The solver's batches come from :class:`CounterfactualObjective`:
 
 * The start sends one batch, which gives both the objective and its
   gradient there, and each candidate step sends one.  The first candidate of
@@ -224,15 +224,19 @@ class GpaHyperParams:
 
 @dataclass
 class AttributionResult:
-    """``query_count`` (points) and ``call_count`` (model calls) include the
-    rate queries; ``halvings`` counts the candidate steps the solver's line
-    search rejected, and ``secant_steps`` the iterations whose step took the
+    """The record of one counterfactual solve, of :func:`map_estimate` or of
+    :func:`~anomattr.baselines.lc`, built by :meth:`of`.
+
+    ``query_count`` (points) and ``call_count`` (model calls) count the
+    run's queries, a :func:`map_estimate` run's rate queries included;
+    ``halvings`` counts the candidate steps the solver's line search
+    rejected, and ``secant_steps`` the iterations whose step took the
     secant-corrected curvature ``H + C``.  ``one_pair_batches`` counts the
     gradient batches in which some coordinate sent one pair of draws, and
     ``confirmations`` the batches that sent the missing draws where the
     solve would stop.  The module docstring gives the query plan these counts
-    follow.  Pass ``rates`` on to :func:`score_distributions` and
-    :func:`objective`."""
+    follow.  ``rates`` are a :func:`map_estimate` run's gamma rates, None for
+    lc; pass them on to :func:`score_distributions` and :func:`objective`."""
 
     delta_star: np.ndarray
     iterations: int
@@ -244,7 +248,18 @@ class AttributionResult:
     confirmations: int
     query_count: int
     call_count: int
-    rates: np.ndarray
+    rates: np.ndarray | None
+
+    @classmethod
+    def of(cls, state: _SolveState, objective: CounterfactualObjective,
+           model: ModelHandle, counts: tuple[int, int], rates=None) -> AttributionResult:
+        """The record of ``state``, a :func:`proximal_minimize` solve of
+        ``objective``, for a run that began when ``model`` had answered
+        ``counts``, its ``(query_count, call_count)`` then."""
+        return cls(state.delta, state.iterations, state.converged, state.trace,
+                   state.halvings, state.secant_steps, objective.one_pair_batches,
+                   state.confirmations, model.query_count - counts[0],
+                   model.call_count - counts[1], rates)
 
 
 def residual_variance(testset: TestSet, model: ModelHandle) -> float:
@@ -366,9 +381,9 @@ class CounterfactualObjective:
     pairs agree, every draw of the others.  ``one_pair_batches`` counts the
     batches that left draws out.  ``confirm(delta)``, at a delta of one of
     the last two ``grad`` calls, returns None when that gradient used every
-    draw.  Otherwise it sends the missing draws there, one batch counted in
-    ``confirmations``, returns the all-draws ``(g, H, C)`` and sets the later
-    draws anew from them.  The module docstring gives the query plan.
+    draw.  Otherwise it sends the missing draws there in one batch, returns
+    the all-draws ``(g, H, C)`` and sets the later draws anew from them.  The
+    module docstring gives the query plan.
     """
 
     def __init__(self, model: ModelHandle, x, y, eta: float, loss,
@@ -383,7 +398,7 @@ class CounterfactualObjective:
         self._send = None
         # (delta key, values, slopes, send) of the last gradient batches
         self._recent = deque(maxlen=2)
-        self.one_pair_batches = self.confirmations = 0
+        self.one_pair_batches = 0
 
     def value(self, delta) -> float:
         if delta.tobytes() != self._key:
@@ -417,7 +432,6 @@ class CounterfactualObjective:
             return None
         estimate_gradient(self._model, self._x + delta, self._cfg, f0=fvals,
                           slopes=slopes, send=~send)
-        self.confirmations += 1
         self._send = _pair_draws(slopes)
         self._recent.append((key, fvals, slopes, None))
         return self._derivatives(delta, fvals, slopes.sum(axis=2) / self._cfg.mc_samples)
@@ -515,6 +529,7 @@ class _SolveState:
     trace: np.ndarray
     halvings: int
     secant_steps: int
+    confirmations: int
 
 
 def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
@@ -624,9 +639,10 @@ def proximal_minimize(
     H, C)`` at x, or None if there is none, and the iteration solves and
     searches again from it, so the solve stops only where that step is below
     ``tol`` too.  ``confirm_fn`` is asked at most once per iteration, and it
-    is no ``grad_fn`` call.  A direction that F rejects at every s down to
-    s0 / 2**20 raises :class:`DivergenceError`, since then ``grad_fn``
-    disagrees with ``value_fn``.  ``delta`` starts at small seeded uniform
+    is no ``grad_fn`` call; ``confirmations`` counts the gradients it gave.
+    A direction that F rejects at every s down to s0 / 2**20 raises
+    :class:`DivergenceError`, since then ``grad_fn`` disagrees with
+    ``value_fn``.  ``delta`` starts at small seeded uniform
     noise in [-1e-3, 1e-3], which keeps the sign-selection behaviour of the
     l1 term intact.
 
@@ -662,7 +678,7 @@ def proximal_minimize(
     trace = [f_x]
     z, reach = x, _FIRST_REACH
     converged = False
-    halvings = secant_steps = iterations = 0
+    halvings = secant_steps = iterations = confirmations = 0
     # grad, hess, corr are at x; trusted: the last line search took its
     # first step; slow: the last accepted step lowered F by a small share
     fresh = trusted = True
@@ -704,6 +720,7 @@ def proximal_minimize(
                 break
             grad, hess, corr = confirmed
             confirm = None
+            confirmations += 1
         secant_steps += secant
         if converged:
             break
@@ -716,7 +733,7 @@ def proximal_minimize(
         reach = 2.0 * step * move
         trace.append(f_x)
     return _SolveState(x, iterations, converged, np.asarray(trace), halvings,
-                       secant_steps)
+                       secant_steps, confirmations)
 
 
 def _positive_definite(a) -> bool:
@@ -734,9 +751,9 @@ def map_estimate(
     hp: GpaHyperParams,
     grad_cfg: GradientEstimatorConfig,
 ) -> AttributionResult:
-    """MAP perturbation shared by all samples of ``testset``: the
-    :class:`CounterfactualObjective` under the :func:`student_t_loss`,
-    minimized by :func:`proximal_minimize`."""
+    """MAP perturbation shared by all samples of ``testset``, with its
+    record: the :class:`CounterfactualObjective` under the
+    :func:`student_t_loss`, minimized by :func:`proximal_minimize`."""
     if testset.n_test == 0:
         raise ValueError("testset must be nonempty")
     if testset.dimension != model.dimension:
@@ -744,35 +761,16 @@ def map_estimate(
             f"testset dimension {testset.dimension} != model dimension "
             f"{model.dimension}"
         )
-    queries_before, calls_before = model.query_count, model.call_count
+    counts = model.query_count, model.call_count
     rates = _resolve_rates(testset, model, hp)
     objective = CounterfactualObjective(
         model, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
     )
     state = proximal_minimize(
-        objective.grad,
-        objective.value,
-        testset.dimension,
-        hp.eta,
-        hp.nu,
-        hp.max_iter,
-        hp.tol,
-        grad_cfg.seed,
-        confirm_fn=objective.confirm,
+        objective.grad, objective.value, testset.dimension, hp.eta, hp.nu, hp.max_iter,
+        hp.tol, grad_cfg.seed, confirm_fn=objective.confirm,
     )
-    return AttributionResult(
-        delta_star=state.delta,
-        iterations=state.iterations,
-        converged=state.converged,
-        objective_trace=state.trace,
-        halvings=state.halvings,
-        secant_steps=state.secant_steps,
-        one_pair_batches=objective.one_pair_batches,
-        confirmations=objective.confirmations,
-        query_count=model.query_count - queries_before,
-        call_count=model.call_count - calls_before,
-        rates=rates,
-    )
+    return AttributionResult.of(state, objective, model, counts, rates)
 
 
 def score_distributions(
@@ -781,7 +779,7 @@ def score_distributions(
     model: ModelHandle,
     hp: GpaHyperParams,
     rates,
-    max_rows: int | None = None,
+    max_rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable posterior slices through the MAP point, under the gamma
     ``rates`` of the MAP run (:attr:`AttributionResult.rates`, any array-like
@@ -796,8 +794,7 @@ def score_distributions(
     while the other coordinates stay at their MAP values: ``n_test x
     grid_points`` rows ``x_t + delta*`` with ``x_t[k] + grid`` in column k.
     A model batch holds as many whole variables as fit in ``max_rows`` rows,
-    at least one (one per batch when ``max_rows`` is None), in variable
-    order and, within a variable, by row and grid point, so the queries are
+    at least one, in variable order and, within a variable, by row and grid point, so the queries are
     the one-variable batches' end to end.  Every batch is written into one
     buffer that holds ``x_t + delta*`` between batches.  The model handle
     refuses non-finite output with
@@ -817,7 +814,7 @@ def score_distributions(
     grid = 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 
     n, m = testset.n_test, testset.dimension
-    pack = 1 if max_rows is None else max(1, min(m, max_rows // (n * hp.grid_points)))
+    pack = max(1, min(m, max_rows // (n * hp.grid_points)))
     x = testset.x
     buf = np.empty((pack, n, hp.grid_points, m))
     buf[...] = (x + delta_star)[:, None, :]

@@ -6,6 +6,7 @@ import pytest
 
 from anomattr import (
     CallableModel,
+    GpaHyperParams,
     GradientEstimatorConfig,
     LimeConfig,
     ReferenceSet,
@@ -25,7 +26,7 @@ from anomattr import (
     sinusoidal2d,
     z_score,
 )
-from conftest import FINE_GRAD, BatchRecorder, periodic_lattice
+from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, periodic_lattice
 
 TIGHT_LIME = LimeConfig(n_samples=1000, sampling_std=1e-3, l1_strength=0.0, seed=0)
 
@@ -394,22 +395,20 @@ class TestZScore:
 class TestLc:
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     def test_matches_counterfactual_closed_form(self, sin_model, y_t):
-        delta = lc(sin_model, [0.5, 0.0], y_t, eta=1e-3, nu=1e-3, lam=1.0,
-                   grad_cfg=FINE_GRAD, tol=1e-8).delta
+        delta = lc(sin_model, [0.5, 0.0], y_t, ORACLE_HP, FINE_GRAD, 1.0).delta_star
         np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], y_t), atol=1e-3)
 
     def test_zero_residual_stays_home(self, sin_model):
         y_t = sin_model.evaluate([0.3, 0.1])
-        delta = lc(sin_model, [0.3, 0.1], y_t, eta=1e-3, nu=1e-3, grad_cfg=FINE_GRAD,
-                   tol=1e-8).delta
+        delta = lc(sin_model, [0.3, 0.1], y_t, ORACLE_HP, FINE_GRAD, 1.0).delta_star
         np.testing.assert_allclose(delta, 0.0, atol=1e-4)
 
     def test_scalar_linear_closed_form(self):
         # eta -> 0: delta solves y = c (x + delta)
         c, x_t, y_t = 2.0, 1.0, 3.0
         m = linear_model([c])
-        delta = lc(m, [x_t], y_t, eta=1e-6, nu=1e-6, lam=1.0, grad_cfg=FINE_GRAD,
-                   tol=1e-10).delta
+        hp = GpaHyperParams(eta=1e-6, nu=1e-6, tol=1e-10)
+        delta = lc(m, [x_t], y_t, hp, FINE_GRAD, 1.0).delta_star
         assert delta[0] == pytest.approx((y_t - c * x_t) / c, abs=1e-5)
 
     def test_is_shared_objective_with_gaussian_loss(self, sin_model):
@@ -430,21 +429,22 @@ class TestLc:
                                             rel=1e-12)
         state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
                                   FINE_GRAD.seed, confirm_fn=objective.confirm)
-        result = lc(sin_model, x_t, y_t, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
-                    tol=1e-8)
-        np.testing.assert_array_equal(result.delta, state.delta)
+        result = lc(sin_model, x_t, y_t, ORACLE_HP, FINE_GRAD, lam)
+        np.testing.assert_array_equal(result.delta_star, state.delta)
         # the solver record is the solve's and its objective's
         assert (result.iterations, result.converged, result.halvings,
-                result.secant_steps) == (state.iterations, state.converged,
-                                         state.halvings, state.secant_steps)
-        assert (result.one_pair_batches, result.confirmations) == (
-            objective.one_pair_batches, objective.confirmations)
+                result.secant_steps, result.confirmations) == (
+            state.iterations, state.converged, state.halvings, state.secant_steps,
+            state.confirmations)
+        np.testing.assert_array_equal(result.objective_trace, state.trace)
+        assert result.one_pair_batches == objective.one_pair_batches
+        assert result.rates is None
 
     def test_one_row_array_is_the_point_call(self, sin_model):
-        kwargs = dict(eta=1e-3, nu=1e-3, grad_cfg=FINE_GRAD, tol=1e-8)
-        point = lc(sin_model, [0.5, 0.0], 1.0, **kwargs)
-        row = lc(sin_model, np.array([[0.5, 0.0]]), np.array([1.0]), **kwargs)
-        np.testing.assert_array_equal(row.delta, point.delta)
+        point = lc(sin_model, [0.5, 0.0], 1.0, ORACLE_HP, FINE_GRAD, 1.0)
+        row = lc(sin_model, np.array([[0.5, 0.0]]), np.array([1.0]), ORACLE_HP,
+                 FINE_GRAD, 1.0)
+        np.testing.assert_array_equal(row.delta_star, point.delta_star)
 
     def test_collective_rows_share_the_gaussian_objective(self, sin_model):
         from anomattr.gpa import (
@@ -466,13 +466,14 @@ class TestLc:
         state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
                                   FINE_GRAD.seed, confirm_fn=objective.confirm)
         assert state.converged
-        delta = lc(sin_model, x, y, eta=eta, nu=1e-3, lam=lam, grad_cfg=FINE_GRAD,
-                   tol=1e-8).delta
+        delta = lc(sin_model, x, y, ORACLE_HP, FINE_GRAD, lam).delta_star
         np.testing.assert_array_equal(delta, state.delta)
 
     def test_invalid_params(self, sin_model):
-        with pytest.raises(ValueError):
-            lc(sin_model, [0.0, 0.0], 0.0, eta=0.0, nu=0.5)
+        # eta and nu are refused where GpaHyperParams is built
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                lc(sin_model, [0.0, 0.0], 0.0, GpaHyperParams(), FINE_GRAD, lam)
 
     def test_oracle_row_few_iterations(self, sin_model, monkeypatch):
         # unaccelerated proximal descent asks for 2,940 gradients here
@@ -489,8 +490,7 @@ class TestLc:
             return real_solver(counted_grad, value_fn, *args, **kwargs)
 
         monkeypatch.setattr(baselines_mod, "proximal_minimize", counting_solver)
-        delta = lc(sin_model, [0.5, 0.0], 1.0, eta=1e-3, nu=1e-3, lam=1.0,
-                   grad_cfg=FINE_GRAD, tol=1e-8).delta
+        delta = lc(sin_model, [0.5, 0.0], 1.0, ORACLE_HP, FINE_GRAD, 1.0).delta_star
         np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], 1.0), atol=1e-3)
         assert 0 < len(grads) <= 600
 
@@ -501,7 +501,8 @@ class TestLc:
         with warnings.catch_warnings(), pytest.raises(DivergenceError,
                                                       match="square overflows"):
             warnings.simplefilter("error")
-            lc(linear_model([1.0, 1.0]), [0.1, 0.2], 1e200, eta=0.1, nu=0.5)
+            lc(linear_model([1.0, 1.0]), [0.1, 0.2], 1e200, GpaHyperParams(),
+               GradientEstimatorConfig(), 1.0)
 
 
 class TestReferenceSet:

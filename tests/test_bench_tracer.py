@@ -9,12 +9,25 @@ from pathlib import Path
 
 import pytest
 
-from anomattr import cli, gpa
+from anomattr import baselines, cli, dataio, gpa, metrics, models
 from conftest import strict_json
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-WRAPPED = ("init_gamma_rate", "refine_gamma_rate", "map_estimate",
-           "score_distributions", "proximal_minimize", "estimate_gradient")
+# every (owner, name) the tracer replaces while it is installed
+WRAPPED = [
+    (models.ModelHandle, "evaluate"), (models.ModelHandle, "evaluate_batch"),
+    (cli, "resolve_model"), (dataio, "load_csv"), (dataio, "emit_result_json"),
+    (dataio, "emit_litmus_svg"), (dataio, "emit_distribution_svg"),
+    *((gpa, name) for name in ("init_gamma_rate", "refine_gamma_rate", "map_estimate",
+                               "score_distributions", "proximal_minimize")),
+    (models, "estimate_gradient"), (gpa, "estimate_gradient"),
+    (baselines, "estimate_gradient"), (baselines, "proximal_minimize"),
+    *((baselines, name) for name in ("lc", "lime", "integrated_gradient",
+                                     "expected_integrated_gradient", "shapley_sampled",
+                                     "z_score")),
+    *((metrics, name) for name in ("anomaly_score", "collective_anomaly_score",
+                                   "consistency_report")),
+]
 
 
 @pytest.fixture
@@ -26,14 +39,17 @@ def tracer_cls(monkeypatch):
 
 
 def test_install_wraps_and_uninstall_restores(tracer_cls):
-    originals = {name: getattr(gpa, name) for name in WRAPPED}
+    originals = [getattr(owner, name) for owner, name in WRAPPED]
     tracer = tracer_cls()
     tracer.install()
     try:
-        assert all(getattr(gpa, n) is not f for n, f in originals.items())
+        assert {(owner, name) for owner, name, _ in tracer._saved} == set(WRAPPED)
+        wrapped = [getattr(owner, name) for owner, name in WRAPPED]
     finally:
         tracer.uninstall()
-    assert all(getattr(gpa, n) is f for n, f in originals.items())
+    for (owner, name), original, wrapper in zip(WRAPPED, originals, wrapped):
+        assert wrapper is not original, (owner.__name__, name)
+        assert getattr(owner, name) is original, (owner.__name__, name)
 
 
 def test_traced_collective_dist_resolves_rates_once(tracer_cls, tmp_path):

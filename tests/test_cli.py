@@ -325,6 +325,48 @@ class TestExplain:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command, methods, repeated", [
+        ("explain", "gpa,gpa", "gpa"), ("compare", "lc,gpa,lc", "lc"),
+    ])
+    def test_repeated_method_exit_2(self, sinus_data, tmp_path, capsys, command,
+                                    methods, repeated):
+        # a repeated method would run twice and write one entry
+        out = tmp_path / "o"
+        code = main([command, "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", methods, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: method {repeated!r} repeated in --methods\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, methods", [("explain", "lc"),
+                                                  ("compare", "gpa,lc")])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_lc_lambda_names_flag(self, sinus_data, tmp_path, capsys,
+                                              command, methods, value):
+        out = tmp_path / "o"
+        code = main([command, "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", methods, "--lc-lambda", value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --lc-lambda must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("explain", ["--methods", "gpa"]), ("dist", []),
+        ("compare", ["--methods", "gpa,lc"]),
+    ])
+    def test_negative_seed_refused_at_parse_time(self, sinus_data, tmp_path, capsys,
+                                                 command, flags):
+        # numpy would refuse it later with a message that names no flag
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(sinus_data), "--model", "sinusoidal2d", *flags,
+                  "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert ("argument --seed: expected a nonnegative integer, got '-1'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_model_dimension_mismatch_exit_2(self, sinus_data, tmp_path):
         code = main([
             "explain", "--data", str(sinus_data), "--model", "linear:1,2,3",
@@ -660,18 +702,22 @@ class TestCollectiveLc:
                      "--methods", "gpa,lc", "--indices", "0,1,2", "--collective",
                      "--out", str(out)]) == 0
         diagnostics = strict_json((out / name).read_text())["diagnostics"]
-        hp = GpaHyperParams.for_testset(3)
-        record = anomattr.lc(anomattr.quadratic_model([2.0, 1.0]), x, y, eta=hp.eta,
-                             nu=hp.nu)
+        model = anomattr.quadratic_model([2.0, 1.0])
+        record = anomattr.lc(model, x, y, GpaHyperParams.for_testset(3),
+                             anomattr.GradientEstimatorConfig(), 1.0)
         assert record.converged and record.one_pair_batches > 0
-        assert diagnostics["lc"] == {
-            "iterations": record.iterations, "halvings": record.halvings,
-            "secant_steps": record.secant_steps,
-            "one_pair_batches": record.one_pair_batches,
-            "confirmations": record.confirmations, "converged": True,
-        }
-        assert diagnostics["gpa"].keys() - diagnostics["lc"].keys() == {
-            "query_count", "call_count"}
+        assert (record.query_count, record.call_count) == (model.query_count,
+                                                           model.call_count)
+        keys = {"iterations", "halvings", "secant_steps", "one_pair_batches",
+                "confirmations", "converged", "query_count", "call_count"}
+        # the command's lc counts leave out the queries of gpa, which ran first
+        assert diagnostics["lc"] == {k: getattr(record, k) for k in keys}
+        assert diagnostics["gpa"].keys() == keys
+        if command == "compare":  # no anomaly score queries
+            assert (diagnostics["gpa"]["query_count"] + diagnostics["lc"]["query_count"]
+                    == diagnostics["model_queries"])
+            assert (diagnostics["gpa"]["call_count"] + diagnostics["lc"]["call_count"]
+                    == diagnostics["model_calls"])
 
 
 class TestNonFiniteModelOutput:
@@ -849,7 +895,7 @@ class TestConfigEcho:
                      *flags, "--out", str(out)])
         assert code == 0
         doc = strict_json((out / name).read_text())
-        assert doc["schema_version"] == 9
+        assert doc["schema_version"] == 10
         dests = {a.dest for a in _subparser(command)._actions if a.dest != "help"}
         assert dests <= doc["config"].keys()
         if command != "detect":

@@ -1,4 +1,5 @@
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ class TestResultJson:
         emit_result_json({"methods": {"gpa": {"scores": scores}}}, p)
         back = json.loads(p.read_text())
         assert back["methods"]["gpa"]["scores"] == scores.tolist()
-        assert back["schema_version"] == 9
+        assert back["schema_version"] == 10
 
     def test_deterministic_bytes(self, tmp_path):
         doc = {
@@ -145,7 +146,7 @@ class TestResultJson:
         # no section is added: a document holds what the command gave it
         p = tmp_path / "e.json"
         emit_result_json({}, p)
-        assert json.loads(p.read_text()) == {"schema_version": 9}
+        assert json.loads(p.read_text()) == {"schema_version": 10}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_nothing_written(self, tmp_path, bad):
@@ -201,6 +202,27 @@ class TestDistributionSvg:
         text = p.read_text()
         assert text.count("<polyline") == 3
         assert text.count('class="legend"') == 3
+
+    @pytest.mark.parametrize("rows", [1, 17, 18, 30])
+    def test_every_legend_entry_inside_the_image(self, tmp_path, rows):
+        # legend row k sits at y = 34 + 16 k: on a fixed 320-pixel image the
+        # benchmark's 30 variables would reach y = 498
+        p = tmp_path / "d.svg"
+        emit_distribution_svg(*_flat_table(rows), p, np.zeros(rows))
+        svg = ElementTree.parse(p).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        height = float(svg.get("height"))
+        background, frame = svg.findall(f"{ns}rect")[:2]
+        assert float(background.get("height")) == height
+        assert (height == 320) == (rows < 18)
+        # the plot keeps its place when the image grows
+        assert (frame.get("y"), frame.get("height")) == ("20", "260")
+        labels = svg.findall(f"{ns}text[@class='legend']")
+        boxes = [r for r in svg.findall(f"{ns}rect") if r.get("width") == "12"]
+        assert len(labels) == len(boxes) == rows
+        # a label's descenders reach about a third of the 11-pixel font below
+        assert all(float(t.get("y")) + 4 <= height for t in labels)
+        assert all(float(r.get("y")) + float(r.get("height")) <= height for r in boxes)
 
     def test_flat_distribution_horizontal_line(self, tmp_path):
         p = tmp_path / "d.svg"

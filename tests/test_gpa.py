@@ -388,8 +388,7 @@ class TestAcceleratedSolver:
             assert res.converged
             delta, slope = res.delta_star, _student_t_slope(hp, res.rates)
         else:
-            delta = lc(model, ts.x, ts.y, eta=hp.eta, nu=hp.nu, lam=2.0,
-                       grad_cfg=FINE_GRAD, tol=hp.tol).delta
+            delta = lc(model, ts.x, ts.y, hp, FINE_GRAD, 2.0).delta_star
             slope = lambda r: 2.0 * r  # noqa: E731
         assert np.count_nonzero(delta) >= 2
         assert np.max(_kkt_residual(delta, coef, ts, hp.eta, hp.nu, slope)) <= 1e-4
@@ -956,8 +955,7 @@ class TestPairDraws:
             model = BatchRecorder(sinusoidal2d())
             if method == "lc":  # at the default flags lc gives up on the 3 rows
                 with contextlib.suppress(DivergenceError):
-                    delta = lc(model, ts.x, ts.y, eta=1e-3, nu=1e-3, grad_cfg=cfg,
-                               tol=1e-8).delta
+                    delta = lc(model, ts.x, ts.y, ORACLE_HP, cfg, 1.0).delta_star
                     return model.sizes, model.call_count, delta, None
                 return model.sizes, model.call_count, None, None
             res = map_estimate(ts, model, ORACLE_HP, cfg)
@@ -1022,13 +1020,14 @@ class TestPairDraws:
                                       ORACLE_HP.nu, 10_000, ORACLE_HP.tol, cfg.seed,
                                       confirm_fn=objective.confirm if confirm else None)
             assert state.converged
-            return state, objective, model.sizes
+            return state, model.sizes
 
-        confirmed, objective, sizes = solve(True)
-        unconfirmed, _, _ = solve(False)
+        confirmed, sizes = solve(True)
+        unconfirmed, _ = solve(False)
         _all_draws(monkeypatch)
-        all_draws, _, _ = solve(True)
-        assert objective.confirmations >= 1 and confirmed.iterations > unconfirmed.iterations
+        all_draws, _ = solve(True)
+        assert confirmed.confirmations >= 1 and unconfirmed.confirmations == 0
+        assert confirmed.iterations > unconfirmed.iterations
         # after a confirmation x_0 sends all draws and the others one pair
         assert n * (1 + 2 * 2 + mc) in sizes
         # measured: 1.05e-8, 3.19e-8 and 8.8e-9, the smoothing's bias
@@ -1060,12 +1059,13 @@ class TestPairDraws:
                                   confirm_fn=objective.confirm)
         assert state.converged and state.halvings == 0
         assert len(grads) == state.iterations
-        assert objective.confirmations == (problem == "collective")
+        assert state.confirmations == (problem == "collective")
 
     def test_confirm_needs_one_of_the_last_two_gradients(self):
         coef, ts = _collective_problem()
-        objective = CounterfactualObjective(quadratic_model(coef), ts.x, ts.y, 0.3,
-                                            gaussian_loss(1.0), FINE_GRAD)
+        model = quadratic_model(coef)
+        objective = CounterfactualObjective(model, ts.x, ts.y, 0.3, gaussian_loss(1.0),
+                                            FINE_GRAD)
         deltas = np.linspace(0.0, 0.3, 4)[:, None] * np.ones(ts.dimension)
         objective.grad(deltas[0])
         assert objective.confirm(deltas[0]) is None  # all draws at the start
@@ -1073,9 +1073,10 @@ class TestPairDraws:
             objective.grad(delta)
         with pytest.raises(ValueError, match="last two"):
             objective.confirm(deltas[1])
+        calls = model.call_count
         assert objective.confirm(deltas[2]) is not None
         assert objective.confirm(deltas[2]) is None  # confirmed already
-        assert objective.confirmations == 1
+        assert model.call_count == calls + 1  # one batch of the missing draws
 
 
 class TestNonFiniteObjective:
@@ -1101,7 +1102,7 @@ class TestNonFiniteObjective:
             if method == "gpa":
                 map_estimate(ts, model, GpaHyperParams(b0=1.0), FINE_GRAD)
             else:
-                lc(model, ts.x[0], ts.y[0], eta=0.1, nu=0.5)
+                lc(model, ts.x[0], ts.y[0], GpaHyperParams(), GradientEstimatorConfig(), 1.0)
 
     def test_infinite_start_raises(self):
         with pytest.raises(DivergenceError, match="inf"):
@@ -1127,7 +1128,7 @@ class TestNonFiniteObjective:
 
     @pytest.mark.parametrize("solve", [
         lambda m, ts: map_estimate(ts, m, GpaHyperParams(b0=1.0), GradientEstimatorConfig()),
-        lambda m, ts: lc(m, ts.x, ts.y, eta=0.1, nu=0.5),
+        lambda m, ts: lc(m, ts.x, ts.y, GpaHyperParams(), GradientEstimatorConfig(), 1.0),
     ], ids=["gpa", "lc"])
     def test_nonfinite_probe_output_stops_the_solve(self, solve):
         # NaN only at gradient probes that step x2 past 0.5: the first
@@ -1240,7 +1241,7 @@ class TestScoreDistributions:
         assert max(packed.sizes) <= n * (1 + m * mc)
         # the queries of one variable per batch, end to end, and the same bits
         single = _RowLog(quadratic_model(coef))
-        _, alone = score_distributions(res.delta_star, ts, single, hp, res.rates)
+        _, alone = score_distributions(res.delta_star, ts, single, hp, res.rates, 0)
         assert single.sizes == [per_variable] * m
         np.testing.assert_array_equal(np.vstack(packed.batches), np.vstack(single.batches))
         np.testing.assert_array_equal(probs, alone)
@@ -1260,7 +1261,7 @@ class TestScoreDistributions:
                                        max_rows=max_rows)
         assert model.sizes == [ts.n_test * hp.grid_points * k for k in sizes]
         _, alone = score_distributions(delta_star, ts, quadratic_model(coef), hp,
-                                       np.ones(ts.n_test))
+                                       np.ones(ts.n_test), 0)
         np.testing.assert_array_equal(probs, alone)
 
     def test_slices_peak_memory_within_the_solve(self):
@@ -1289,7 +1290,7 @@ class TestScoreDistributions:
         model = quadratic_model(coef)
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=200)
         res = map_estimate(ts, model, hp, FINE_GRAD)
-        grid, probs = score_distributions(res.delta_star, ts, model, hp, res.rates)
+        grid, probs = score_distributions(res.delta_star, ts, model, hp, res.rates, 0)
         expect = _reference_slices(res.delta_star, ts, model, hp, res.rates, grid)
         np.testing.assert_array_equal(probs, expect)
 
@@ -1300,7 +1301,7 @@ class TestScoreDistributions:
                      ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput) as exc:
-            score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0))
+            score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0), 0)
         # sample 1 at the grid's first point, -1.1 * 0.5
         assert exc.value.x[0] == pytest.approx(-0.55) and exc.value.x[1] == 0.0
 
@@ -1314,7 +1315,7 @@ class TestScoreDistributions:
                      ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         named_inputs = []
-        for max_rows in (None, 2 * ts.n_test * hp.grid_points):
+        for max_rows in (0, 2 * ts.n_test * hp.grid_points):
             with pytest.raises(NonFiniteModelOutput) as exc:
                 score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0),
                                     max_rows=max_rows)
@@ -1327,8 +1328,8 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.3, -0.2]]), np.array([2.0]), ["a", "b"])
         model, hp = linear_model([1.0, 1.0]), GpaHyperParams(a0=1.0)
         delta_star = np.array([0.9, 0.0])
-        grid, probs = score_distributions(delta_star, ts, model, hp, [1.0])
-        expect = score_distributions(delta_star, ts, model, hp, np.array([1.0]))
+        grid, probs = score_distributions(delta_star, ts, model, hp, [1.0], 0)
+        expect = score_distributions(delta_star, ts, model, hp, np.array([1.0]), 0)
         np.testing.assert_array_equal(grid, expect[0])
         np.testing.assert_array_equal(probs, expect[1])
 
@@ -1336,7 +1337,7 @@ class TestScoreDistributions:
         ts = single_point([0.5, 0.0], 1.0)
         res = map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
         grid, probs = score_distributions(res.delta_star, ts, sin_model, ORACLE_HP,
-                                          res.rates)
+                                          res.rates, 0)
         assert grid.shape == (ORACLE_HP.grid_points,)
         assert probs.shape == (2, ORACLE_HP.grid_points)
         for row in probs:
@@ -1352,7 +1353,7 @@ class TestScoreDistributions:
         hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
         res = map_estimate(ts, m, hp, FINE_GRAD)
         assert res.converged
-        grid, probs = score_distributions(res.delta_star, ts, m, hp, res.rates)
+        grid, probs = score_distributions(res.delta_star, ts, m, hp, res.rates, 0)
         prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
         prior /= prior.sum()
         np.testing.assert_allclose(probs[1], prior, atol=1e-8)
@@ -1365,19 +1366,19 @@ class TestScoreDistributions:
         ts = single_point([0.5, 0.0], 1.0)
         hp = ORACLE_HP
         grid, _ = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
-                                      np.full(1, hp.b0))
+                                      np.full(1, hp.b0), 0)
         # the grid reaches 1.1 times the largest |delta*_k|
         assert grid[-1] == pytest.approx(1.1 / 6)
         # fully normal sample: fall back to one standardized unit
         flat, _ = score_distributions(np.zeros(2), single_point([0.5, 0.0], 0.0),
-                                      sin_model, hp, np.full(1, hp.b0))
+                                      sin_model, hp, np.full(1, hp.b0), 0)
         assert flat[-1] == pytest.approx(1.0)
 
     def test_grid_points_setting(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, grid_points=200)
         grid, probs = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
-                                          np.full(1, hp.b0))
+                                          np.full(1, hp.b0), 0)
         assert len(grid) == 200 and probs.shape == (2, 200)
 
     def test_all_nonfinite_slice_names_variable(self):
@@ -1387,7 +1388,7 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput, match=r"nan at input \[-0\.11\d*, 0\.0\]"):
-            score_distributions(np.array([0.1, 0.0]), ts, m, hp, np.full(1, hp.b0))
+            score_distributions(np.array([0.1, 0.0]), ts, m, hp, np.full(1, hp.b0), 0)
 
     def test_overflowing_table_names_variable(self):
         # a rate of 1e-320 makes r^2 / (2 b) overflow at every grid point of
@@ -1395,7 +1396,7 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         with pytest.raises(ValueError, match="variable 'a' overflows"):
             score_distributions(np.array([0.1, 0.0]), ts, linear_model([1.0, 1.0]),
-                                GpaHyperParams(), np.array([1e-320]))
+                                GpaHyperParams(), np.array([1e-320]), 0)
 
 
 class TestHyperParamsValidation:
