@@ -15,9 +15,13 @@ resolved ``indices`` and ``hyperparams``, and for ``explain`` the
 ``noise_variance`` used, so the flags in ``config`` repeat the run.  The
 comma-list flags ``--x``, ``--x0``, ``--baseline`` and ``--indices`` take a
 list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
+``detect`` and ``explain`` send one batch of residuals ``y - f(x)`` for the
+noise variance and the anomaly scores, as their first model call: over
+every row, or with ``--noise-var`` over the scored rows alone.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
-dataset cell that is not a finite number, ``--b0`` with ``--b-mode
+dataset cell that is not a finite number, a number flag out of its range,
+too few ``--lime-samples`` for a lime fit, ``--b0`` with ``--b-mode
 local_kernel``, which would ignore it, ``--b-mode local_kernel`` on one
 row, which has no other rows to take its rate from, and a ``subprocess:``
 model with no command), an anomaly score or residual variance that
@@ -81,6 +85,7 @@ from .models import (
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa", "lc")
+_LIME_METHODS = {"lime", "lime0", "baylime"}
 _DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "one_pair_batches",
                 "confirmations", "converged", "query_count", "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
@@ -109,6 +114,21 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
+def _bounded(kind, low: float, strict: bool = False):
+    """The type of a number flag the library bounds below: argparse refuses a
+    value under ``low``, or at it if ``strict``, naming the flag."""
+    def parse(text: str):
+        if (value := kind(text)) > low or value == low and not strict:
+            return value
+        what = f"{'an integer' if kind is int else 'a number'} {'>' if strict else '>='} {low}"
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_positive = _bounded(_finite_float, 0, strict=True)
+
+
 def _numbers(text: str, kind=_finite_float) -> tuple:
     """The entries of a comma-separated list, each parsed by ``kind``."""
     try:
@@ -118,8 +138,8 @@ def _numbers(text: str, kind=_finite_float) -> tuple:
         raise UsageError(f"expected comma-separated {what}, got {text!r}") from None
 
 
-def resolve_model(spec: str | None, dimension: int | None = None) -> ModelHandle:
-    """Build a model handle from its CLI description.
+def resolve_model(spec: str | None, dimension: int) -> ModelHandle:
+    """Build a model handle of ``dimension`` inputs from its CLI description.
 
     Accepted forms: ``sinusoidal2d``, ``linear:c1,c2,...``,
     ``quadratic:c1,...``, ``subprocess:<command>``, ``http://...`` /
@@ -128,27 +148,19 @@ def resolve_model(spec: str | None, dimension: int | None = None) -> ModelHandle
     of :class:`~anomattr.models.SubprocessModel` and must answer each request
     within 10 s, or the command exits 3.  The caller closes the handle.
     """
-    if spec is None:
-        spec = os.environ.get(MODEL_ENV_VAR)
+    spec = spec or os.environ.get(MODEL_ENV_VAR)
     if not spec:
         raise UsageError(
             f"no model given: pass --model or set {MODEL_ENV_VAR}"
         )
     if spec.startswith(("http://", "https://")):
-        if dimension is None:
-            raise UsageError("an HTTP model needs a dataset to infer the dimension")
         return HttpModel(spec, dimension)
     if spec.startswith("subprocess:"):
-        if dimension is None:
-            raise UsageError("a subprocess model needs a dataset to infer the dimension")
         return SubprocessModel(spec[len("subprocess:"):], dimension)
     kind, _, coef_text = spec.partition(":")
     coefficients = _numbers(coef_text) if coef_text else ()
-    try:
-        model = BuiltinModel(BuiltinModelSpec(kind, coefficients))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    if dimension is not None and model.dimension != dimension:
+    model = BuiltinModel(BuiltinModelSpec(kind, coefficients))
+    if model.dimension != dimension:
         raise UsageError(
             f"model dimension {model.dimension} does not match dataset "
             f"dimension {dimension}"
@@ -172,29 +184,30 @@ def _load_testset(args) -> TestSet:
     return ts
 
 
-def _noise_variance(args, ts: TestSet, model: ModelHandle) -> float:
+def _anomaly_scores(args, ts: TestSet, model: ModelHandle, rows) -> tuple[float, list]:
+    """The noise variance and the anomaly scores of ``rows`` from one residual
+    batch: over every row, whose mean square floored at 1e-6 is the variance,
+    or over ``rows`` alone when ``--noise-var`` gives it."""
+    batch = ts if args.noise_var is None else ts.select(rows)
+    resid = batch.y - model.evaluate_batch(batch.x)
     if args.noise_var is not None:
-        if args.noise_var <= 0:
-            raise UsageError("--noise-var must be positive")
-        return args.noise_var
-    variance = gpa.residual_variance(ts, model)
+        return args.noise_var, metrics.anomaly_score(resid, args.noise_var).tolist()
+    variance = gpa.init_gamma_rate(resid, 1.0, 1.0)
     if not math.isfinite(variance):
         raise UsageError(
             "the residual variance of the data overflows the float range; "
             "pass --noise-var or rescale the targets"
         )
-    return variance
+    return variance, metrics.anomaly_score(resid[list(rows)], variance).tolist()
 
 
 def _selected_indices(args, n_test: int) -> tuple[int, ...]:
     idx = _numbers(args.indices, int) if args.indices else (args.point_index,)
-    seen = set()
-    for i in idx:
+    for k, i in enumerate(idx):
         if not 0 <= i < n_test:
             raise UsageError(f"sample index {i} out of range (0..{n_test - 1})")
-        if i in seen:
+        if i in idx[:k]:
             raise UsageError(f"sample index {i} repeated in --indices")
-        seen.add(i)
     if len(idx) > 1 and not args.collective:
         raise UsageError(
             "multiple --indices require --collective; run single points "
@@ -207,10 +220,7 @@ def _hyperparams(args, n_selected: int) -> GpaHyperParams:
     # a flag shares its field's name; fields without a flag keep their default
     overrides = {f.name: getattr(args, f.name) for f in fields(GpaHyperParams)
                  if getattr(args, f.name, None) is not None}
-    try:
-        return GpaHyperParams.for_testset(n_selected, **overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return GpaHyperParams.for_testset(n_selected, **overrides)
 
 
 def _setup(args, methods):
@@ -270,7 +280,7 @@ def _run_method(
         result = (gpa.map_estimate(selection, model, hp, grad_cfg) if name == "gpa" else
                   baselines.lc(model, selection.x, selection.y, hp, grad_cfg, args.lc_lambda))
         return result.delta_star, {k: getattr(result, k) for k in _DIAGNOSTICS}
-    if name in ("lime", "lime0", "baylime"):
+    if name in _LIME_METHODS:
         lime_cfg = baselines.LimeConfig(
             n_samples=args.lime_samples, sampling_std=args.lime_std,
             l1_strength=args.lime_l1, seed=args.seed,
@@ -304,6 +314,9 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
     and the diagnostics section of the document."""
     if "lc" in methods and args.lc_lambda <= 0:
         raise UsageError("--lc-lambda must be positive")
+    if _LIME_METHODS & set(methods) and args.lime_samples <= selection.dimension:
+        raise UsageError(f"--lime-samples must be at least the dimension + 1, "
+                         f"{selection.dimension + 1}, for a solvable fit")
     ref = _reference_set(args, selection.dimension)
     scores, diagnostics = {}, {}
     for name in methods:
@@ -352,11 +365,7 @@ def cmd_detect(args) -> int:
         raise UsageError("--top must be at least 1")
     ts = _load_testset(args)
     model = _open_model(args, ts.dimension)
-    noise_var = _noise_variance(args, ts, model)
-    scores = [
-        metrics.anomaly_score(model, ts.x[t], ts.y[t], noise_var)
-        for t in range(ts.n_test)
-    ]
+    noise_var, scores = _anomaly_scores(args, ts, model, range(ts.n_test))
     order = sorted(range(ts.n_test), key=lambda t: (-scores[t], t))
     top = order[: args.top]
     for t in order:
@@ -377,12 +386,8 @@ def cmd_detect(args) -> int:
 def cmd_explain(args) -> int:
     methods = _parse_methods(args.methods)
     ts, model, indices, selection, hp, grad_cfg = _setup(args, methods)
-    noise_var = _noise_variance(args, ts, model)
-    anomaly = [
-        {"sample_index": i,
-         "value": metrics.anomaly_score(model, ts.x[i], ts.y[i], noise_var)}
-        for i in indices
-    ]
+    noise_var, values = _anomaly_scores(args, ts, model, indices)
+    anomaly = [{"sample_index": i, "value": v} for i, v in zip(indices, values)]
     scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg)
     methods_doc = {name: {"scores": s} for name, s in scores.items()}
     if ts.standardization is not None:
@@ -524,9 +529,9 @@ def _add_common(p):
                    help="sinusoidal2d | linear:c1,c2 | quadratic:c1,.. | "
                         f"subprocess:CMD | http(s)://URL (default ${MODEL_ENV_VAR})")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--grad-std", type=_finite_float, default=1.0,
+    p.add_argument("--grad-std", type=_positive, default=1.0,
                    help="gradient estimator perturbation std")
-    p.add_argument("--grad-samples", type=int, default=10,
+    p.add_argument("--grad-samples", type=_bounded(int, 1), default=10,
                    help="gradient estimator Monte Carlo samples per coordinate, "
                         "sign-paired")
 
@@ -539,30 +544,31 @@ def _add_selection(p):
 
 
 def _add_gpa_flags(p):
-    p.add_argument("--eta", type=_finite_float, default=None)
+    p.add_argument("--eta", type=_positive, default=None)
     p.add_argument("--nu", type=_finite_float, default=None)
     # ignored: see the module docstring
     p.add_argument("--kappa", type=_finite_float, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--a0", type=_finite_float, default=None)
-    p.add_argument("--cb", dest="c_b", type=_finite_float, default=None)
-    p.add_argument("--b0", type=_finite_float, default=None)
+    p.add_argument("--a0", type=_positive, default=None)
+    p.add_argument("--cb", dest="c_b", type=_positive, default=None)
+    p.add_argument("--b0", type=_positive, default=None)
     p.add_argument("--b-mode", dest="b_mode", choices=("constant", "local_kernel"),
                    default=None)
-    p.add_argument("--grid-points", type=int, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--grid-points", type=_bounded(int, 3), default=None)
+    p.add_argument("--max-iter", type=_bounded(int, 1), default=None)
+    p.add_argument("--tol", type=_positive, default=None)
 
 
 def _add_method_flags(p):
     p.add_argument("--baseline", default=None, help="IG baseline point, comma-separated")
     p.add_argument("--ref", default=None, help="reference CSV for eig/sv/zscore")
-    p.add_argument("--n-intervals", type=int, default=100)
-    p.add_argument("--sv-configs", type=int, default=100)
+    p.add_argument("--n-intervals", type=_bounded(int, 1), default=100)
+    p.add_argument("--sv-configs", type=_bounded(int, 1), default=100)
+    # checked against the dimension when a lime method runs
     p.add_argument("--lime-samples", type=int, default=1000)
-    p.add_argument("--lime-std", type=_finite_float, default=0.3)
-    p.add_argument("--lime-l1", type=_finite_float, default=0.01)
-    p.add_argument("--prior-eta", type=_finite_float, default=0.1)
-    p.add_argument("--noise-lambda", type=_finite_float, default=1.0)
+    p.add_argument("--lime-std", type=_positive, default=0.3)
+    p.add_argument("--lime-l1", type=_bounded(_finite_float, 0), default=0.01)
+    p.add_argument("--prior-eta", type=_positive, default=0.1)
+    p.add_argument("--noise-lambda", type=_bounded(_finite_float, 0), default=1.0)
     p.add_argument("--lc-lambda", type=_finite_float, default=1.0)
     # ignored: see the module docstring
     p.add_argument("--lc-kappa", type=_finite_float, default=None, help=argparse.SUPPRESS)
@@ -577,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="rank samples by anomaly score")
     _add_common(p)
-    p.add_argument("--noise-var", type=_finite_float, default=None)
+    p.add_argument("--noise-var", type=_positive, default=None)
     p.add_argument("--top", type=int, default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
@@ -589,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method_flags(p)
     p.add_argument("--methods", required=True,
                    help=f"comma-separated subset of: {','.join(ALL_METHODS)}")
-    p.add_argument("--noise-var", type=_finite_float, default=None)
+    p.add_argument("--noise-var", type=_positive, default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_explain)
 

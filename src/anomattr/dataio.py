@@ -27,6 +27,7 @@ File formats:
 
 from __future__ import annotations
 
+import colorsys
 import csv
 import json
 import warnings
@@ -267,6 +268,13 @@ def emit_litmus_svg(results: dict[str, np.ndarray], path, variable_names=None) -
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
+def _colors(count: int) -> list[str]:
+    """The palette while it lasts, else ``count`` evenly spaced hues."""
+    hues = (colorsys.hls_to_rgb(k / count, 0.4, 0.65) for k in range(count))
+    return _PALETTE if count <= len(_PALETTE) else [
+        "#%02x%02x%02x" % tuple(round(255 * c) for c in rgb) for rgb in hues]
+
+
 def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> None:
     """Render the posterior table of :func:`~anomattr.gpa.score_distributions`,
     row k of ``probs`` over ``grid`` for variable k, as curves on shared
@@ -305,8 +313,7 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
         f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">perturbation</text>',
     ]
     xs = sx(grid).tolist()
-    for k, row in enumerate(probs):
-        color = _PALETTE[k % len(_PALETTE)]
+    for k, (row, color) in enumerate(zip(probs, _colors(len(probs)))):
         pts = " ".join(f"{g:.2f},{p:.2f}" for g, p in zip(xs, sy(row).tolist()))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -133,7 +133,6 @@ __all__ = [
     "DivergenceError",
     "GpaHyperParams",
     "AttributionResult",
-    "residual_variance",
     "init_gamma_rate",
     "refine_gamma_rate",
     "objective",
@@ -260,13 +259,6 @@ class AttributionResult:
                    state.halvings, state.secant_steps, objective.one_pair_batches,
                    state.confirmations, model.query_count - counts[0],
                    model.call_count - counts[1], rates)
-
-
-def residual_variance(testset: TestSet, model: ModelHandle) -> float:
-    """Mean squared residual ``mean((y - f(x))^2)``, floored at 1e-6 so a
-    perfectly fit test set keeps a positive variance (the
-    :func:`init_gamma_rate` of a0 = c_b = 1)."""
-    return init_gamma_rate(testset.y - model.evaluate_batch(testset.x), 1.0, 1.0)
 
 
 def init_gamma_rate(resid, a0: float, c_b: float) -> float:

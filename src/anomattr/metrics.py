@@ -1,5 +1,8 @@
-"""Anomaly scores (negative log-likelihoods in nats, as floats) and
-consistency metrics between attribution vectors."""
+"""Anomaly scores (negative log-likelihoods in nats) of residuals and
+consistency metrics between attribution vectors.
+
+Pure numpy: no function here queries a model.  A caller computes the
+residuals ``y - f(x)`` in one batch and scores them here."""
 
 from __future__ import annotations
 
@@ -7,9 +10,6 @@ from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
-
-from .dataio import TestSet
-from .models import ModelHandle
 
 __all__ = [
     "MetricUndefinedError",
@@ -28,35 +28,29 @@ class MetricUndefinedError(ValueError):
     """Rank correlation is undefined (a constant input vector)."""
 
 
-def anomaly_score(model: ModelHandle, x_t, y_t: float, noise_variance: float) -> float:
-    """Gaussian plug-in negative log-likelihood of one sample, in nats:
-    0.5 ln(2 pi v) + (y - f(x))^2 / (2 v).  A score that overflows raises
-    ValueError."""
+def anomaly_score(resid, noise_variance: float):
+    """Gaussian plug-in negative log-likelihood of the residuals ``resid = y
+    - f(x)``, in nats: 0.5 ln(2 pi v) + resid^2 / (2 v), a float for one
+    residual and an array for an array.  A score that overflows raises
+    ValueError naming its residual."""
     if not 0 < noise_variance < np.inf:
         raise ValueError("noise_variance must be positive and finite")
-    resid = y_t - model.evaluate(x_t)
+    resid = np.asarray(resid, dtype=float)
     with np.errstate(over="ignore"):
         value = (0.5 * np.log(2.0 * np.pi * noise_variance)
                  + np.square(resid) / (2.0 * noise_variance))
-    if not np.isfinite(value):
-        raise ValueError(
-            f"anomaly score is {float(value)!r}: the residual {resid:.3g} or its "
-            "square overflows the float range; rescale the targets"
-        )
-    return float(value)
+    over = resid[~np.isfinite(value)]
+    if over.size:
+        raise ValueError(f"anomaly score is not finite: the residual {over[0]:.3g} or "
+                         "its square overflows the float range; rescale the targets")
+    return float(value) if value.ndim == 0 else value
 
 
-def collective_anomaly_score(
-    model: ModelHandle, testset: TestSet, noise_variance: float
-) -> float:
-    """Mean of the per-sample scores over the test set."""
-    if testset.n_test == 0:
-        raise ValueError("testset must be nonempty")
-    values = [
-        anomaly_score(model, testset.x[t], testset.y[t], noise_variance)
-        for t in range(testset.n_test)
-    ]
-    return float(np.mean(values))
+def collective_anomaly_score(resid, noise_variance: float) -> float:
+    """Mean of the per-sample scores of the residuals ``resid``."""
+    if np.size(resid) == 0:
+        raise ValueError("resid must be nonempty")
+    return float(np.mean(anomaly_score(resid, noise_variance)))
 
 
 def _abs_pair(a, b):

@@ -31,8 +31,11 @@ COLLECTIVE_GPA_CALLS = 51
 COLLECTIVE_QUERY_PLAN = (263_760, 81)
 # the model_queries and model_calls of every method in the six seed-1
 # operations of the sinusoid workloads, summed.  In each compare, eig sends
-# its 64 paths of 2,121 rows seven to a batch: 10 calls
-SINUSOID_QUERY_PLANS = {"pointwise-subprocess": (567, 37),
+# its 64 paths of 2,121 rows seven to a batch: 10 calls.  Each explain takes
+# its noise variance and anomaly score from one residual batch over the six
+# rows, so every pointwise call sends rows the subprocess child has not yet
+# answered, and each one reaches the child: 31 calls, 31 child requests
+SINUSOID_QUERY_PLANS = {"pointwise-subprocess": (561, 31),
                         "baselines-compare": (835_797, 129)}
 
 
@@ -50,6 +53,7 @@ def bench(monkeypatch):
 def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
     workloads, checks = bench
     ops, _, _ = workloads.build(workload, 1, tmp_path)
+    child_counts = tmp_path / "child_counts.jsonl"
     docs = []
     for op in ops:
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -74,3 +78,8 @@ def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
         assert plan == COLLECTIVE_QUERY_PLAN
     else:
         assert plan == SINUSOID_QUERY_PLANS[workload]
+    if workload == "pointwise-subprocess":
+        # a call the response cache answers never reaches the child
+        requests = sum(json.loads(line)["requests"]
+                       for line in child_counts.read_text(encoding="utf-8").splitlines())
+        assert requests == plan[1]

@@ -16,7 +16,7 @@ import anomattr
 from anomattr import cli
 from anomattr.cli import build_parser, main
 from anomattr.gpa import GpaHyperParams
-from conftest import strict_json
+from conftest import BatchRecorder, strict_json
 
 ORACLE_FLAGS = [
     "--eta", "0.001", "--nu", "0.001", "--kappa", "0.1", "--a0", "1",
@@ -75,6 +75,19 @@ def lattice_ref(tmp_path):
     p = tmp_path / "ref.csv"
     p.write_text("\n".join(rows) + "\n")
     return p
+
+
+@pytest.fixture
+def recorders(monkeypatch):
+    """Every model handle the CLI resolves, wrapped in a BatchRecorder."""
+    made, resolve = [], cli.resolve_model
+
+    def record(spec, dimension):
+        made.append(BatchRecorder(resolve(spec, dimension)))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "resolve_model", record)
+    return made
 
 
 def _subparsers():
@@ -138,6 +151,29 @@ class TestDetect:
         assert code == 2
         assert "--top" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("noise_var", [False, True])
+    def test_one_model_call(self, tmp_path, recorders, noise_var):
+        # one residual batch gives the variance and all 50 scores
+        rng = np.random.default_rng(0)
+        x1 = rng.uniform(-1, 1, 50)
+        resid = rng.normal(0, 0.3, 50)
+        data = tmp_path / "rows.csv"
+        data.write_text("x1,x2,y\n" + "".join(
+            f"{a!r},0.0,{b!r}\n"
+            for a, b in zip(x1.tolist(), (2 * np.cos(np.pi * x1) + resid).tolist())))
+        argv = ["detect", "--data", str(data), "--model", "sinusoidal2d", "--top", "5"]
+        assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+        doc = strict_json((tmp_path / "a" / "detect.json").read_text())
+        if noise_var:
+            # the variance the first run took from the data, given as a flag
+            variance = repr(doc["noise_variance"])
+            assert main([*argv, "--noise-var", variance, "--out", str(tmp_path / "b")]) == 0
+            given = strict_json((tmp_path / "b" / "detect.json").read_text())
+            assert {k: v for k, v in given.items() if k != "config"} == \
+                {k: v for k, v in doc.items() if k != "config"}
+        assert [r.sizes for r in recorders] == [[50]] * (1 + noise_var)
+        assert doc["noise_variance"] == pytest.approx(np.mean(resid ** 2), rel=1e-9)
 
     def test_descending_order(self, sinus_data, tmp_path):
         out = tmp_path / "out"
@@ -253,11 +289,13 @@ class TestExplain:
     @pytest.mark.parametrize("method", ["ig", "eig"])
     def test_zero_intervals_exit_2(self, sinus_data, lattice_ref, tmp_path, capsys,
                                    method):
-        code = main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
-                     "--methods", method, "--baseline", "0,0", "--ref", str(lattice_ref),
-                     "--n-intervals", "0", "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert capsys.readouterr().err == "error: n_intervals must be >= 1\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                  "--methods", method, "--baseline", "0,0", "--ref", str(lattice_ref),
+                  "--n-intervals", "0", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert ("argument --n-intervals: expected an integer >= 1, got '0'"
+                in capsys.readouterr().err)
 
     def test_variable_names_escaped_in_svgs(self, tmp_path):
         # header names are text, not markup: both plots parse and show them
@@ -295,6 +333,33 @@ class TestExplain:
         doc = strict_json((out / "result.json").read_text())
         assert len(doc["methods"]["gpa"]["scores"]) == 2
         assert doc["config"]["indices"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("noise_var", [None, "0.5"])
+    def test_collective_anomaly_scores_from_one_batch(self, tmp_path, recorders, noise_var):
+        # four rows of linear:2,1; the batch covers every row, or with
+        # --noise-var the two scored ones
+        p = tmp_path / "col.csv"
+        p.write_text("a,b,y\n0.0,0.0,1.0\n0.1,0.0,1.2\n-0.1,0.1,0.9\n0.2,0.2,0.0\n")
+        out = tmp_path / "out"
+        code = main([
+            "explain", "--data", str(p), "--model", "linear:2,1",
+            "--methods", "gpa", "--indices", "3,1", "--collective",
+            "--a0", "1", "--grad-std", "0.001", "--out", str(out),
+            *(["--noise-var", noise_var] if noise_var else []),
+        ])
+        assert code == 0
+        doc = strict_json((out / "result.json").read_text())
+        (model,) = recorders
+        assert model.sizes[0] == (4 if noise_var is None else 2)
+        # that batch is the one call outside the gpa run
+        calls = doc["diagnostics"]["model_calls"] - doc["diagnostics"]["gpa"]["call_count"]
+        assert calls == 1
+        resid = np.array([1.0, 1.2 - 0.2, 0.9 + 0.1, 0.0 - 0.6])
+        variance = doc["config"]["noise_variance"]
+        assert variance == (0.5 if noise_var else pytest.approx(np.mean(resid ** 2)))
+        assert [a["sample_index"] for a in doc["anomaly_scores"]] == [3, 1]
+        assert [a["value"] for a in doc["anomaly_scores"]] == pytest.approx(
+            0.5 * np.log(2 * np.pi * variance) + resid[[3, 1]] ** 2 / (2 * variance))
 
     def test_collective_rejects_single_point_methods(self, sinus_data, tmp_path):
         code = main([
@@ -365,6 +430,52 @@ class TestExplain:
         assert exc.value.code == 2
         assert ("argument --seed: expected a nonnegative integer, got '-1'"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    # --n-intervals: test_zero_intervals_exit_2
+    @pytest.mark.parametrize("command, flag, value, bound", [
+        ("explain", "--sv-configs", "0", "an integer >= 1"),
+        ("explain", "--grad-samples", "0", "an integer >= 1"),
+        ("dist", "--max-iter", "0", "an integer >= 1"),
+        ("dist", "--grid-points", "2", "an integer >= 3"),
+        ("explain", "--grad-std", "0", "a number > 0"),
+        ("explain", "--lime-std", "0", "a number > 0"),
+        ("explain", "--prior-eta", "0", "a number > 0"),
+        ("explain", "--noise-var", "0", "a number > 0"),
+        ("detect", "--noise-var", "-1", "a number > 0"),
+        ("compare", "--cb", "0", "a number > 0"),
+        ("compare", "--eta", "-1", "a number > 0"),
+        ("dist", "--a0", "0", "a number > 0"),
+        ("dist", "--b0", "0", "a number > 0"),
+        ("dist", "--tol", "0", "a number > 0"),
+        ("explain", "--lime-l1", "-0.5", "a number >= 0"),
+        ("compare", "--noise-lambda", "-1", "a number >= 0"),
+    ])
+    def test_flag_below_its_bound_refused_at_parse_time(self, sinus_data, tmp_path,
+                                                        capsys, command, flag, value,
+                                                        bound):
+        # the library would refuse it later naming its parameter, not the flag
+        methods = {"explain": ["--methods", "gpa"], "compare": ["--methods", "gpa,lc"]}
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(sinus_data), "--model", "sinusoidal2d",
+                  *methods.get(command, []), f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: expected {bound}, got '{value}'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, samples", [("lime", "2"), ("lime0", "0"),
+                                                 ("baylime", "2")])
+    def test_lime_samples_below_dimension_names_flag(self, sinus_data, tmp_path, capsys,
+                                                     method, samples):
+        out = tmp_path / "o"
+        code = main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", method, "--lime-samples", samples, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --lime-samples must be at least the dimension + 1, 3, for a "
+            "solvable fit\n")
         assert not out.exists()
 
     def test_model_dimension_mismatch_exit_2(self, sinus_data, tmp_path):

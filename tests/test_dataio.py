@@ -224,6 +224,17 @@ class TestDistributionSvg:
         assert all(float(t.get("y")) + 4 <= height for t in labels)
         assert all(float(r.get("y")) + float(r.get("height")) <= height for r in boxes)
 
+    @pytest.mark.parametrize("rows", [10, 11, 30])
+    def test_every_variable_has_its_own_colour(self, tmp_path, rows):
+        # a palette reused modulo its length gave x1, x11 and x21 one colour
+        p = tmp_path / "d.svg"
+        emit_distribution_svg(*_flat_table(rows), p, np.zeros(rows))
+        svg = ElementTree.parse(p).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        boxes = [r.get("fill") for r in svg.findall(f"{ns}rect") if r.get("width") == "12"]
+        curves = [c.get("stroke") for c in svg.findall(f"{ns}polyline")]
+        assert boxes == curves and len(set(boxes)) == rows
+
     def test_flat_distribution_horizontal_line(self, tmp_path):
         p = tmp_path / "d.svg"
         emit_distribution_svg(*_flat_table(1), p, np.zeros(1))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,13 +8,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from anomattr import (
-    TestSet,
     anomaly_score,
     collective_anomaly_score,
     consistency_report,
     hit_ratio_25,
     kendall_tau,
-    linear_model,
     sign_match_ratio,
     sinusoidal2d,
     spearman_rho,
@@ -69,34 +68,51 @@ def brute_force_rho(a, b):
 
 class TestAnomalyScore:
     def test_zero_residual_unit_variance(self):
-        m = linear_model([1.0])
-        score = anomaly_score(m, [2.0], 2.0, 1.0)
+        score = anomaly_score(0.0, 1.0)
         assert isinstance(score, float)
         assert score == pytest.approx(0.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_residual_two(self):
-        m = linear_model([1.0])
-        score = anomaly_score(m, [0.0], 2.0, 1.0)
+        score = anomaly_score(2.0, 1.0)
         assert score == pytest.approx(0.5 * np.log(2 * np.pi) + 2.0)
 
-    def test_collective_is_mean_of_singles(self):
+    def test_array_equals_scalars_bit_for_bit(self):
+        # the residuals of the sinusoid at three rows, from one batch
         m = sinusoidal2d()
         xs = np.array([[0.5, 0.0], [0.1, 0.2], [0.0, 0.0]])
-        ys = np.array([1.0, -0.5, 2.5])
-        ts = TestSet(xs, ys, ["x1", "x2"])
-        singles = [anomaly_score(m, xs[t], ys[t], 0.7) for t in range(3)]
-        collective = collective_anomaly_score(m, ts, 0.7)
+        resid = np.array([1.0, -0.5, 2.5]) - m.evaluate_batch(xs)
+        scores = anomaly_score(resid, 0.7)
+        assert isinstance(scores, np.ndarray) and scores.shape == (3,)
+        assert scores.tolist() == [anomaly_score(r, 0.7) for r in resid.tolist()]
+
+    def test_collective_is_mean_of_singles(self):
+        resid = np.array([1.0, -0.5, 2.5])
+        singles = [anomaly_score(r, 0.7) for r in resid]
+        collective = collective_anomaly_score(resid, 0.7)
         assert isinstance(collective, float)
         assert collective == pytest.approx(np.mean(singles), rel=1e-12)
 
+    def test_collective_needs_residuals(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            collective_anomaly_score(np.zeros(0), 1.0)
+
     def test_positive_variance_required(self):
         with pytest.raises(ValueError):
-            anomaly_score(linear_model([1.0]), [0.0], 0.0, 0.0)
+            anomaly_score(0.0, 0.0)
 
     @pytest.mark.parametrize("variance", [np.inf, np.nan])
     def test_finite_variance_required(self, variance):
         with pytest.raises(ValueError):
-            anomaly_score(linear_model([1.0]), [0.0], 0.0, variance)
+            anomaly_score(0.0, variance)
+
+    @pytest.mark.parametrize("resid, named", [
+        (1e160, "1e+160"), (np.array([0.5, -2e160, 1e170]), "-2e+160"),
+    ])
+    def test_overflow_names_the_residual(self, resid, named):
+        # an array names its first residual whose square overflows
+        with pytest.raises(ValueError, match=re.escape(
+                f"the residual {named} or its square overflows")):
+            anomaly_score(resid, 1.0)
 
 
 class TestKendallTau:
