@@ -15,9 +15,13 @@ resolved ``indices`` and ``hyperparams``, and for ``explain`` the
 ``noise_variance`` used, so the flags in ``config`` repeat the run.  The
 comma-list flags ``--x``, ``--x0``, ``--baseline`` and ``--indices`` take a
 list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
-``detect`` and ``explain`` send one batch of residuals ``y - f(x)`` for the
-noise variance and the anomaly scores, as their first model call: over
-every row, or with ``--noise-var`` over the scored rows alone.
+``detect`` and ``explain`` take the noise variance and the anomaly scores
+from one batch of residuals ``y - f(x)``: over every row, or with
+``--noise-var`` over the scored rows alone.  ``detect`` sends it as its one
+model call.  ``explain`` sends no call of its own: the residual rows go at
+the front of the first batch any of its methods sends, and their scores are
+taken before that method sees its own answers, so an overflowing residual
+ends the run there; they go alone only when no method queries the model.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, a number flag out of its range,
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -184,12 +189,17 @@ def _load_testset(args) -> TestSet:
     return ts
 
 
-def _anomaly_scores(args, ts: TestSet, model: ModelHandle, rows) -> tuple[float, list]:
-    """The noise variance and the anomaly scores of ``rows`` from one residual
-    batch: over every row, whose mean square floored at 1e-6 is the variance,
-    or over ``rows`` alone when ``--noise-var`` gives it."""
-    batch = ts if args.noise_var is None else ts.select(rows)
-    resid = batch.y - model.evaluate_batch(batch.x)
+def _residual_rows(args, ts: TestSet, rows) -> TestSet:
+    """The rows whose residuals give the anomaly scores of ``rows``: every
+    row, whose mean square floored at 1e-6 is the noise variance, or
+    ``rows`` alone when ``--noise-var`` gives it."""
+    return ts if args.noise_var is None else ts.select(rows)
+
+
+def _anomaly_scores(args, batch: TestSet, fx, rows) -> tuple[float, list]:
+    """The noise variance and the anomaly scores of ``rows``, from the model's
+    answers ``fx`` at the :func:`_residual_rows` ``batch``."""
+    resid = batch.y - fx
     if args.noise_var is not None:
         return args.noise_var, metrics.anomaly_score(resid, args.noise_var).tolist()
     variance = gpa.init_gamma_rate(resid, 1.0, 1.0)
@@ -199,6 +209,51 @@ def _anomaly_scores(args, ts: TestSet, model: ModelHandle, rows) -> tuple[float,
             "pass --noise-var or rescale the targets"
         )
     return variance, metrics.anomaly_score(resid[list(rows)], variance).tolist()
+
+
+class _DeferredRows(ModelHandle):
+    """The opened ``model`` holding back ``rows`` that no caller needs yet:
+    they go first in the first batch a caller sends, with the caller's rows
+    after them in one call of ``model``, so a non-finite answer among them is
+    named first; ``complete`` takes their answers before the caller gets its
+    own.  :meth:`finish` sends them alone if no batch took them, and returns
+    what ``complete`` returned.  The handle counts its caller's queries and
+    calls; ``model`` counts every one."""
+
+    def __init__(self, model: ModelHandle, rows: np.ndarray, complete):
+        super().__init__(model.dimension)
+        self._model, self._rows, self._complete = model, rows, complete
+        self._completed = None
+
+    def _take(self, fx) -> None:
+        self._rows = None
+        self._completed = self._complete(fx)
+
+    def evaluate(self, x) -> float:
+        self.finish()
+        y = self._model.evaluate(x)
+        self.query_count += 1
+        self.call_count += 1
+        return y
+
+    def evaluate_batch(self, xs) -> np.ndarray:
+        # overrides evaluate_batch, not _evaluate_batch: the one call of
+        # ``model`` is the only one a query counter sees
+        if self._rows is None:
+            ys = self._model.evaluate_batch(xs)
+        else:
+            held = len(self._rows)
+            ys = self._model.evaluate_batch(np.concatenate([self._rows, xs]))
+            self._take(ys[:held])
+            ys = ys[held:]
+        self.query_count += len(ys)
+        self.call_count += 1
+        return ys
+
+    def finish(self):
+        if self._rows is not None:
+            self._take(self._model.evaluate_batch(self._rows))
+        return self._completed
 
 
 def _selected_indices(args, n_test: int) -> tuple[int, ...]:
@@ -311,9 +366,7 @@ def _run_method(
 def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
                  hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig):
     """The method loop of explain and compare: each method's scores by name,
-    and the diagnostics section of the document."""
-    if "lc" in methods and args.lc_lambda <= 0:
-        raise UsageError("--lc-lambda must be positive")
+    and the methods' part of the diagnostics section of the document."""
     if _LIME_METHODS & set(methods) and args.lime_samples <= selection.dimension:
         raise UsageError(f"--lime-samples must be at least the dimension + 1, "
                          f"{selection.dimension + 1}, for a solvable fit")
@@ -323,9 +376,12 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
         scores[name], extras = _run_method(name, model, selection, args, hp, grad_cfg, ref)
         if extras:
             diagnostics[name] = extras
-    diagnostics["model_queries"] = model.query_count
-    diagnostics["model_calls"] = model.call_count
     return scores, diagnostics
+
+
+def _model_counts(model: ModelHandle) -> dict:
+    """The diagnostics' count of every query and call of the command."""
+    return {"model_queries": model.query_count, "model_calls": model.call_count}
 
 
 def _parse_methods(text: str) -> list[str]:
@@ -361,11 +417,11 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_detect(args) -> int:
-    if args.top < 1:
-        raise UsageError("--top must be at least 1")
     ts = _load_testset(args)
     model = _open_model(args, ts.dimension)
-    noise_var, scores = _anomaly_scores(args, ts, model, range(ts.n_test))
+    rows = range(ts.n_test)
+    batch = _residual_rows(args, ts, rows)
+    noise_var, scores = _anomaly_scores(args, batch, model.evaluate_batch(batch.x), rows)
     order = sorted(range(ts.n_test), key=lambda t: (-scores[t], t))
     top = order[: args.top]
     for t in order:
@@ -386,9 +442,13 @@ def cmd_detect(args) -> int:
 def cmd_explain(args) -> int:
     methods = _parse_methods(args.methods)
     ts, model, indices, selection, hp, grad_cfg = _setup(args, methods)
-    noise_var, values = _anomaly_scores(args, ts, model, indices)
+    batch = _residual_rows(args, ts, indices)
+    deferred = _DeferredRows(model, batch.x,
+                             lambda fx: _anomaly_scores(args, batch, fx, indices))
+    scores, diagnostics = _run_methods(methods, args, deferred, selection, hp, grad_cfg)
+    noise_var, values = deferred.finish()
+    diagnostics.update(_model_counts(model))
     anomaly = [{"sample_index": i, "value": v} for i, v in zip(indices, values)]
-    scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg)
     methods_doc = {name: {"scores": s} for name, s in scores.items()}
     if ts.standardization is not None:
         for name in {"gpa", "lc"} & scores.keys():
@@ -449,8 +509,7 @@ def cmd_dist(args) -> int:
         "diagnostics": {
             "gpa": {**{k: getattr(result, k) for k in _DIAGNOSTICS},
                     "edge_mass": edge_mass},
-            "model_queries": model.query_count,
-            "model_calls": model.call_count,
+            **_model_counts(model),
         },
     }
     json_path = out / "distributions.json"
@@ -470,6 +529,7 @@ def cmd_compare(args) -> int:
         raise UsageError("compare needs at least two methods")
     _, model, indices, selection, hp, grad_cfg = _setup(args, methods)
     scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg)
+    diagnostics.update(_model_counts(model))
     reports = {
         name: asdict(metrics.consistency_report(scores[args.reference], s))
         for name, s in scores.items() if name != args.reference
@@ -569,12 +629,15 @@ def _add_method_flags(p):
     p.add_argument("--lime-l1", type=_bounded(_finite_float, 0), default=0.01)
     p.add_argument("--prior-eta", type=_positive, default=0.1)
     p.add_argument("--noise-lambda", type=_bounded(_finite_float, 0), default=1.0)
-    p.add_argument("--lc-lambda", type=_finite_float, default=1.0)
+    p.add_argument("--lc-lambda", type=_positive, default=1.0)
     # ignored: see the module docstring
     p.add_argument("--lc-kappa", type=_finite_float, default=None, help=argparse.SUPPRESS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: nothing in it depends on the call, and
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="anomattr",
         description="Black-box anomaly attribution toolkit",
@@ -584,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="rank samples by anomaly score")
     _add_common(p)
     p.add_argument("--noise-var", type=_positive, default=None)
-    p.add_argument("--top", type=int, default=1)
+    p.add_argument("--top", type=_bounded(int, 1), default=1)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_detect)
 

@@ -305,12 +305,15 @@ class SubprocessModel(_RemoteModel):
     request or to deliver more of the answer; a child that does not answer
     in time is killed and :class:`TransportError` is raised.  A child that
     exits mid-request is restarted once, then :class:`TransportError` is
-    raised.  :meth:`close` ends the child.  An empty command raises ValueError.
+    raised.  :meth:`close` ends the child: it closes the child's stdin and
+    returns as soon as the child exits, or kills it after ``timeout`` seconds.
+    An empty command raises ValueError.
 
-    The child's stderr is read through a pipe while a request waits, so it
-    never reaches the caller's terminal and can never fill up and block the
-    child.  Its last 4 KiB are kept and end the message of a timeout or of a
-    child that died twice; a crash on the batch probe line is forgotten.
+    The child's stderr is read through a pipe while a request waits and
+    while :meth:`close` waits, so it never reaches the caller's terminal and
+    can never fill up and block the child.  Its last 4 KiB are kept and end
+    the message of a timeout or of a child that died twice; a crash on the
+    batch probe line is forgotten.
     """
 
     def __init__(self, command, dimension: int, timeout: float = 10.0):
@@ -357,30 +360,55 @@ class SubprocessModel(_RemoteModel):
         text = self._stderr_tail.decode(errors="replace").strip()
         return f"; its stderr ended with:\n{text}" if text else ""
 
-    def _wait(self, fd: int, event: int) -> None:
-        """Wait until ``fd`` is ready for ``event``, draining the child's
-        stderr meanwhile; kill the child after ``timeout`` seconds."""
-        proc = self._proc
+    def _ready(self, proc: subprocess.Popen, fd: int, event: int, wait: float) -> bool:
+        """Whether ``fd`` gets ready for ``event`` within ``wait`` seconds,
+        draining ``proc``'s stderr meanwhile."""
         poller = select.poll()
         poller.register(fd, event)
         if not proc.stderr.closed:  # the child may close its stderr early
             err = proc.stderr.fileno()
             poller.register(err, select.POLLIN)
-        deadline = time.monotonic() + self._timeout
+        deadline = time.monotonic() + wait
         while True:
             left_ms = max(deadline - time.monotonic(), 0.0) * 1000.0
             ready = [f for f, _ in poller.poll(left_ms)]
             if fd in ready:
-                return
+                return True
             if not ready:
-                self._stop(wait=0.0)
-                raise TransportError(
-                    f"model process gave no answer within {self._timeout:g} s"
-                    + self._stderr_note()
-                )
+                return False
             self._read_stderr(proc)
             if proc.stderr.closed:
                 poller.unregister(err)
+
+    def _wait(self, fd: int, event: int) -> None:
+        """Wait until ``fd`` is ready for ``event``, draining the child's
+        stderr meanwhile; kill the child after ``timeout`` seconds."""
+        if not self._ready(self._proc, fd, event, self._timeout):
+            self._stop(wait=0.0)
+            raise TransportError(
+                f"model process gave no answer within {self._timeout:g} s"
+                + self._stderr_note()
+            )
+
+    def _exits(self, proc: subprocess.Popen, wait: float) -> bool:
+        """Whether ``proc`` exits within ``wait`` seconds.  A pidfd wakes the
+        wait at the exit, and the child's stderr is drained meanwhile, so a
+        child writing to it on its way out cannot block on a full pipe;
+        without ``os.pidfd_open``, ``Popen.wait`` polls and drains nothing."""
+        if proc.poll() is not None:
+            return True
+        try:
+            pidfd = os.pidfd_open(proc.pid)
+        except (AttributeError, OSError):
+            try:
+                proc.wait(timeout=wait)
+            except subprocess.TimeoutExpired:
+                return False
+            return True
+        try:
+            return self._ready(proc, pidfd, select.POLLIN, wait)
+        finally:
+            os.close(pidfd)
 
     def _exchange(self, payload: dict) -> bytes:
         """Send one request line and return the answer line; EOFError if the
@@ -440,11 +468,9 @@ class SubprocessModel(_RemoteModel):
         if proc is None:
             return
         proc.stdin.close()
-        try:
-            proc.wait(timeout=wait)
-        except subprocess.TimeoutExpired:
+        if not self._exits(proc, wait):
             proc.kill()
-            proc.wait()
+        proc.wait()
         proc.stdout.close()
         while not proc.stderr.closed and self._read_stderr(proc):
             pass

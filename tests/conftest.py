@@ -29,13 +29,13 @@ FINE_GRAD = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=10, seed=0
 
 class BatchRecorder(ModelHandle):
     """Wraps a model and records the number of points of every call, single
-    and batch alike, and the rows of the last batch."""
+    and batch alike, and the rows of the first and the last batch."""
 
     def __init__(self, inner):
         super().__init__(inner.dimension)
         self.inner = inner
         self.sizes = []
-        self.last = None
+        self.first = self.last = None
 
     def _evaluate(self, x):
         self.sizes.append(1)
@@ -44,6 +44,8 @@ class BatchRecorder(ModelHandle):
     def _evaluate_batch(self, xs):
         self.sizes.append(len(xs))
         self.last = xs.copy()
+        if self.first is None:
+            self.first = self.last
         return self.inner.evaluate_batch(xs)
 
 

@@ -31,11 +31,13 @@ COLLECTIVE_GPA_CALLS = 51
 COLLECTIVE_QUERY_PLAN = (263_760, 81)
 # the model_queries and model_calls of every method in the six seed-1
 # operations of the sinusoid workloads, summed.  In each compare, eig sends
-# its 64 paths of 2,121 rows seven to a batch: 10 calls.  Each explain takes
-# its noise variance and anomaly score from one residual batch over the six
-# rows, so every pointwise call sends rows the subprocess child has not yet
-# answered, and each one reaches the child: 31 calls, 31 child requests
-SINUSOID_QUERY_PLANS = {"pointwise-subprocess": (561, 31),
+# its 64 paths of 2,121 rows seven to a batch: 10 calls.  Each explain's
+# residual rows, the six rows of its noise variance and anomaly score, ride
+# at the front of gpa's first batch, so explain sends no call outside gpa
+# (31 calls before they did).  Every pointwise call sends rows the
+# subprocess child has not yet answered, and each one reaches the child:
+# 25 calls, 25 child requests
+SINUSOID_QUERY_PLANS = {"pointwise-subprocess": (561, 25),
                         "baselines-compare": (835_797, 129)}
 
 
@@ -79,6 +81,10 @@ def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
     else:
         assert plan == SINUSOID_QUERY_PLANS[workload]
     if workload == "pointwise-subprocess":
+        # a call outside gpa, such as one of the residual rows alone, fails here
+        for op, doc in zip(ops, docs):
+            diagnostics = doc["diagnostics"]
+            assert diagnostics["model_calls"] == diagnostics["gpa"]["call_count"], op.name
         # a call the response cache answers never reaches the child
         requests = sum(json.loads(line)["requests"]
                        for line in child_counts.read_text(encoding="utf-8").splitlines())

@@ -142,16 +142,6 @@ class TestDetect:
         p.write_text("x1,x2,y\n")
         assert main(["detect", "--data", str(p), "--model", "sinusoidal2d"]) == 2
 
-    @pytest.mark.parametrize("top", ["0", "-1"])
-    def test_top_below_one_exit_2(self, sinus_data, tmp_path, capsys, top):
-        code = main([
-            "detect", "--data", str(sinus_data), "--model", "sinusoidal2d",
-            "--noise-var", "1", "--top", top, "--out", str(tmp_path / "out"),
-        ])
-        assert code == 2
-        assert "--top" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("noise_var", [False, True])
     def test_one_model_call(self, tmp_path, recorders, noise_var):
         # one residual batch gives the variance and all 50 scores
@@ -336,8 +326,9 @@ class TestExplain:
 
     @pytest.mark.parametrize("noise_var", [None, "0.5"])
     def test_collective_anomaly_scores_from_one_batch(self, tmp_path, recorders, noise_var):
-        # four rows of linear:2,1; the batch covers every row, or with
-        # --noise-var the two scored ones
+        # four rows of linear:2,1; the residual rows are every row, or with
+        # --noise-var the two scored ones, and they ride in gpa's first batch,
+        # its rate batch over the two selected rows
         p = tmp_path / "col.csv"
         p.write_text("a,b,y\n0.0,0.0,1.0\n0.1,0.0,1.2\n-0.1,0.1,0.9\n0.2,0.2,0.0\n")
         out = tmp_path / "out"
@@ -350,10 +341,14 @@ class TestExplain:
         assert code == 0
         doc = strict_json((out / "result.json").read_text())
         (model,) = recorders
-        assert model.sizes[0] == (4 if noise_var is None else 2)
-        # that batch is the one call outside the gpa run
-        calls = doc["diagnostics"]["model_calls"] - doc["diagnostics"]["gpa"]["call_count"]
-        assert calls == 1
+        x = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1], [0.2, 0.2]])
+        residual_rows = x if noise_var is None else x[[3, 1]]
+        np.testing.assert_array_equal(model.first, np.vstack([residual_rows, x[[3, 1]]]))
+        # no call outside the gpa run
+        diagnostics = doc["diagnostics"]
+        assert diagnostics["model_calls"] == diagnostics["gpa"]["call_count"]
+        assert diagnostics["model_queries"] == (diagnostics["gpa"]["query_count"]
+                                                + len(residual_rows))
         resid = np.array([1.0, 1.2 - 0.2, 0.9 + 0.1, 0.0 - 0.6])
         variance = doc["config"]["noise_variance"]
         assert variance == (0.5 if noise_var else pytest.approx(np.mean(resid ** 2)))
@@ -404,18 +399,6 @@ class TestExplain:
             f"error: method {repeated!r} repeated in --methods\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, methods", [("explain", "lc"),
-                                                  ("compare", "gpa,lc")])
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_nonpositive_lc_lambda_names_flag(self, sinus_data, tmp_path, capsys,
-                                              command, methods, value):
-        out = tmp_path / "o"
-        code = main([command, "--data", str(sinus_data), "--model", "sinusoidal2d",
-                     "--methods", methods, "--lc-lambda", value, "--out", str(out)])
-        assert code == 2
-        assert capsys.readouterr().err == "error: --lc-lambda must be positive\n"
-        assert not out.exists()
-
     @pytest.mark.parametrize("command, flags", [
         ("explain", ["--methods", "gpa"]), ("dist", []),
         ("compare", ["--methods", "gpa,lc"]),
@@ -450,6 +433,13 @@ class TestExplain:
         ("dist", "--tol", "0", "a number > 0"),
         ("explain", "--lime-l1", "-0.5", "a number >= 0"),
         ("compare", "--noise-lambda", "-1", "a number >= 0"),
+        ("detect", "--top", "0", "an integer >= 1"),
+        ("detect", "--top", "-1", "an integer >= 1"),
+        # refused whether or not lc runs
+        ("explain", "--lc-lambda", "0", "a number > 0"),
+        ("explain", "--lc-lambda", "-1", "a number > 0"),
+        ("compare", "--lc-lambda", "0", "a number > 0"),
+        ("compare", "--lc-lambda", "-1", "a number > 0"),
     ])
     def test_flag_below_its_bound_refused_at_parse_time(self, sinus_data, tmp_path,
                                                         capsys, command, flag, value,
@@ -831,6 +821,96 @@ class TestCollectiveLc:
                     == diagnostics["model_calls"])
 
 
+class TestResidualRows:
+    """explain sends no model call of its own: the residual rows of the
+    anomaly scores go first in the first batch of its methods."""
+
+    @pytest.mark.parametrize("noise_var", [False, True])
+    def test_ride_in_gpa_first_batch(self, sinus_data, tmp_path, recorders, noise_var):
+        # with --b0, gpa's first batch is its solve's first gradient batch
+        out = tmp_path / "out"
+        assert main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", "gpa", "--point-index", "1", *ORACLE_FLAGS,
+                     *(["--noise-var", "1"] if noise_var else []),
+                     "--out", str(out)]) == 0
+        doc = strict_json((out / "result.json").read_text())
+        (model,) = recorders
+        x = np.array([[0.5, 0.0]] * 3)
+        residual_rows = x[[1]] if noise_var else x
+        alone = BatchRecorder(anomattr.sinusoidal2d())
+        anomattr.map_estimate(anomattr.TestSet(x[[1]], np.array([0.0]), ["x1", "x2"]),
+                              alone, GpaHyperParams(**doc["config"]["hyperparams"]),
+                              anomattr.GradientEstimatorConfig(perturbation_std=0.001))
+        np.testing.assert_array_equal(model.first, np.vstack([residual_rows, alone.first]))
+        k = len(residual_rows)
+        diagnostics = doc["diagnostics"]
+        assert diagnostics["model_calls"] == diagnostics["gpa"]["call_count"]
+        assert diagnostics["model_queries"] == diagnostics["gpa"]["query_count"] + k
+        # the scores are those of a run whose residuals went alone
+        assert main(["detect", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     *(["--noise-var", "1"] if noise_var else []),
+                     "--out", str(tmp_path / "detect")]) == 0
+        detected = strict_json((tmp_path / "detect" / "detect.json").read_text())
+        assert doc["config"]["noise_variance"] == detected["noise_variance"]
+        assert doc["anomaly_scores"] == [{"sample_index": 1,
+                                          "value": detected["scores"][1]}]
+
+    def test_go_alone_when_no_method_queries(self, sinus_data, lattice_ref, tmp_path,
+                                             recorders):
+        out = tmp_path / "out"
+        assert main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", "zscore", "--ref", str(lattice_ref),
+                     "--out", str(out)]) == 0
+        (model,) = recorders
+        assert model.sizes == [3]
+        np.testing.assert_array_equal(model.first, [[0.5, 0.0]] * 3)
+        doc = strict_json((out / "result.json").read_text())
+        assert (doc["diagnostics"]["model_queries"], doc["diagnostics"]["model_calls"]) == (3, 1)
+        assert len(doc["anomaly_scores"]) == 1
+
+    def test_single_query_sends_the_rows_first(self):
+        model = BatchRecorder(anomattr.sinusoidal2d())
+        rows = np.array([[0.5, 0.0], [0.0, 0.0]])
+        deferred = cli._DeferredRows(model, rows, lambda fx: fx.tolist())
+        assert deferred.evaluate([1.0, 0.0]) == -2.0
+        assert model.sizes == [2, 1]
+        assert deferred.finish() == pytest.approx([0.0, 2.0], abs=1e-12)
+        assert (deferred.query_count, deferred.call_count) == (1, 1)
+        assert (model.query_count, model.call_count) == (3, 2)
+
+    def test_nonfinite_residual_named_first(self, tmp_path, capsys, nan_model):
+        # row 1 is not selected; its residual comes before gpa's rows
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1.0\n0.7,0.0,0.0\n")
+        out = tmp_path / "out"
+        code = main(["explain", "--data", str(data), "--model", "sinusoidal2d",
+                     "--methods", "gpa", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: model returned non-finite output nan at input [0.7, 0.0]\n")
+        assert not (out / "result.json").exists()
+
+    def test_nonfinite_gpa_row_named_as_by_gpa_alone(self, tmp_path, capsys, nan_model):
+        # finite residuals; gpa's first batch reaches x1 > 0.6, and the input
+        # named is the one a gpa run on its own names
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1.0\n0.5,0.0,0.0\n")
+        out = tmp_path / "out"
+        code = main(["explain", "--data", str(data), "--model", "sinusoidal2d",
+                     "--methods", "gpa", "--b0", "10", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        model = cli.resolve_model("sinusoidal2d", 2)
+        with pytest.raises(anomattr.NonFiniteModelOutput) as alone:
+            anomattr.map_estimate(
+                anomattr.TestSet(np.array([[0.5, 0.0]]), np.array([1.0]), ["x1", "x2"]),
+                model, GpaHyperParams.for_testset(1, b0=10.0),
+                anomattr.GradientEstimatorConfig())
+        assert model.call_count == 1 and alone.value.x[0] > 0.6
+        assert err == f"error: {alone.value}\n"
+        assert not (out / "result.json").exists()
+
+
 class TestNonFiniteModelOutput:
     """NaN where x1 > 0.6, which every method but zscore reaches from the
     rows at x1 = 0.5: one stderr line, exit 3 and no document."""
@@ -1116,6 +1196,17 @@ class TestNegativeListValues:
         err = capsys.readouterr().err
         assert err == "error: sample index -1 out of range (0..2)\n"
         assert not (tmp_path / "o").exists()
+
+
+def test_main_calls_share_one_parser_and_no_flags(sinus_data, tmp_path, monkeypatch):
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    argv = ["detect", "--data", str(sinus_data), "--model", "sinusoidal2d"]
+    assert main([*argv, "--noise-var", "1", "--top", "2", "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+    assert len(built) == 2 and built[0] is built[1]
+    config = strict_json((tmp_path / "b" / "detect.json").read_text())["config"]
+    assert (config["noise_var"], config["top"], config["out"]) == (None, 1, str(tmp_path / "b"))
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -411,6 +411,24 @@ class TestSubprocessAdapter:
             m.close()
         assert m._stderr_tail == b"x" * 4096
 
+    def test_close_drains_a_child_flooding_stderr_on_its_way_out(self, tmp_path):
+        # after end of input the child writes 200 KiB to stderr, more than a
+        # pipe buffer holds, and exits 0 only once all of it is written
+        script = tmp_path / "farewell.py"
+        script.write_text(
+            "import json, sys\nfor line in sys.stdin:\n"
+            "    print(json.dumps({'y': 1.0}), flush=True)\n"
+            "sys.stderr.write('x' * 200 * 1024 + 'bye'); sys.stderr.flush()\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=1, timeout=10.0)
+        assert m.evaluate([0.0]) == 1.0
+        proc = m._proc
+        start = time.monotonic()
+        m.close()
+        assert time.monotonic() - start < 5.0
+        assert proc.returncode == 0
+        assert m._stderr_tail == (b"x" * 200 * 1024 + b"bye")[-4096:]
+
     def test_map_estimate_makes_one_request_per_iteration(self, tmp_path):
         # one request at the start, for the objective and its gradient, then
         # one per candidate step, which carries the gradient's displaced
