@@ -8,11 +8,14 @@ surrogate intercept or cancels in differences, and the implementations keep
 that cancellation exact at machine precision.
 
 The surrogates send their cloud, and Shapley its coalitions or permutation
-walks, in one model batch each.  The path integrals send whole paths, each
-path's points with their displaced points, as many paths per batch as keep
-the batch within ``_PATH_BATCH_NUMBERS`` model-input numbers (rows times
-m), and at least one: ig sends one batch, and eig over the 64-point lattice
-of the benchmark's sinusoid sends 10.
+walks, in one model batch each.  The path integrals send whole paths, the
+displaced points of each path's points short of x_t, as many paths per
+batch as keep the batch within ``_PATH_BATCH_NUMBERS`` model-input numbers
+(rows times m), and at least one.  x_t, where every path ends, goes once,
+first in the first batch.  The estimator sends a point itself only at an
+odd ``mc_samples``, where the unpaired draw needs its value.  So ig sends
+one batch of ``(n_intervals + 1) m mc_samples`` rows, and eig over the
+64-point lattice of the benchmark's sinusoid sends 8.
 """
 
 from __future__ import annotations
@@ -53,10 +56,11 @@ _EXACT_SV_BUDGET = 50_000
 # model-input numbers (rows times m) in one batch of path-integral paths.
 # Peak memory sets the limit, not the model: the gradient estimator holds
 # about six float64s per row at m = 2, and on the benchmark's sinusoid
-# compare peak RSS rose by 0.5-0.7 MiB with 7 or 8 of eig's 64 paths per
-# batch, 2.0 MiB with 16, 3.3 MiB with 32 and 6.3 MiB (+14.5%) with all 64
-# in one batch.  A path above the budget goes alone, so no batch is larger
-# than the larger of one path and the budget
+# compare peak RSS, against one path per batch, rose by at most 0.1 MiB
+# with 8 of eig's 64 paths per batch, 0.9 MiB with 16, 2.6 MiB with 32 and
+# 5.2 MiB (+13%) with all 64 in one batch.  A path above the budget goes
+# alone, so no batch is larger than the larger of one path, with x_t's rows
+# in the first batch, and the budget
 _PATH_BATCH_NUMBERS = 2**15
 
 
@@ -195,7 +199,9 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
                     n_intervals: int, grad_cfg: GradientEstimatorConfig) -> np.ndarray:
     """Trapezoidal integral of the gradient along the straight path from each
     row of ``starts`` to x_t, scaled elementwise by the displacement: one row
-    per start, sent by the batch rule of the module docstring.  Each path is
+    per start, sent by the batch rule of the module docstring.  Every path
+    ends at x_t, whose gradient is estimated once, as the first point of the
+    first batch, and serves each path's last trapezoid term.  Each path is
     built and integrated on its own, so its integral does not depend on the
     batch it goes in, on a model that answers a row whatever batch it comes
     in."""
@@ -204,19 +210,29 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
     if starts.shape[1:] != x_t.shape:
         raise ValueError("baseline must have the same dimension as x_t")
     m = x_t.shape[-1]
-    alphas = np.linspace(0.0, 1.0, n_intervals + 1)
-    weights = np.full(n_intervals + 1, 1.0 / n_intervals)
-    weights[0] = weights[-1] = 0.5 / n_intervals
+    alphas = np.linspace(0.0, 1.0, n_intervals + 1)[:-1]  # the points short of x_t
+    weights = np.full(n_intervals, 1.0 / n_intervals)
+    weights[0] = 0.5 / n_intervals
     d = x_t - starts
-    path_numbers = (n_intervals + 1) * (1 + m * grad_cfg.mc_samples) * m
-    per_batch = max(1, _PATH_BATCH_NUMBERS // path_numbers)
+    # the estimator sends a point itself only where an unpaired draw needs it
+    point_numbers = (m * grad_cfg.mc_samples + grad_cfg.mc_samples % 2) * m
+    path_numbers = n_intervals * point_numbers
     integrals = np.empty(starts.shape)
-    for lo in range(0, len(starts), per_batch):
-        dk = d[lo : lo + per_batch, None, :]
-        paths = starts[lo : lo + per_batch, None, :] + alphas[:, None] * dk
-        grads = estimate_gradient(model, paths.reshape(-1, m), grad_cfg).reshape(paths.shape)
-        for row, di, path_grads in zip(integrals[lo:], dk[:, 0], grads):
-            row[:] = di * (weights @ path_grads)
+    lo, lead = 0, 1  # x_t leads the first batch
+    while lo < len(starts):
+        hi = lo + max(1, (_PATH_BATCH_NUMBERS - lead * point_numbers) // path_numbers)
+        dk = d[lo:hi, None, :]
+        points = np.empty((lead + len(dk) * n_intervals, m))
+        points[:lead] = x_t
+        np.add(starts[lo:hi, None, :], alphas[:, None] * dk,
+               out=points[lead:].reshape(len(dk), n_intervals, m))
+        grads = estimate_gradient(model, points, grad_cfg)
+        if lead:
+            end_term = 0.5 / n_intervals * grads[0]
+        for row, di, path_grads in zip(integrals[lo:hi], dk[:, 0],
+                                       grads[lead:].reshape(len(dk), n_intervals, m)):
+            row[:] = di * (weights @ path_grads + end_term)
+        lo, lead = hi, 0
     return integrals
 
 

@@ -32,8 +32,8 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -244,7 +244,7 @@ def emit_litmus_svg(results: dict[str, np.ndarray], path, variable_names=None) -
     for j, name in enumerate(variable_names):
         out.append(
             f'<text x="{label_w + j * cell + cell / 2:.1f}" y="{top - 8}" '
-            f'text-anchor="middle">{escape(name)}</text>'
+            f'text-anchor="middle">{escape(name, quote=False)}</text>'
         )
     for i, method in enumerate(methods):
         scores = np.atleast_1d(np.asarray(results[method], dtype=float))
@@ -312,9 +312,9 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
         f'<text x="{ml + pw}" y="{height - 10}" text-anchor="end">{_fmt(gmax)}</text>',
         f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">perturbation</text>',
     ]
-    xs = sx(grid).tolist()
+    xs = [f"{g:.2f}" for g in sx(grid).tolist()]  # every curve shares them
     for k, (row, color) in enumerate(zip(probs, _colors(len(probs)))):
-        pts = " ".join(f"{g:.2f},{p:.2f}" for g, p in zip(xs, sy(row).tolist()))
+        pts = " ".join(f"{g},{p:.2f}" for g, p in zip(xs, sy(row).tolist()))
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -329,7 +329,7 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
         )
         out.append(
             f'<text x="{width - mr + 27}" y="{ly}" class="legend">'
-            f'{escape(variable_names[k])}</text>'
+            f'{escape(variable_names[k], quote=False)}</text>'
         )
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

@@ -14,8 +14,8 @@ HTTP model says so at ``GET /capabilities``, a subprocess child by how it
 answers the first batch, which is why a child should answer a line it does
 not understand with a one-line JSON object such as ``{"error": "..."}``
 rather than crash.  A batch answer of the wrong length and a subprocess
-child silent for longer than ``timeout`` (10 s by default; it is killed)
-raise :class:`TransportError`.
+child that has not answered within ``timeout`` of the request (10 s by
+default; it is killed) raise :class:`TransportError`.
 
 :class:`ModelHandle` is the one place where model output is checked: a NaN
 or infinite answer of any model, to a single query or to one row of a batch,
@@ -25,7 +25,6 @@ and no caller checks for it.
 
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
@@ -34,7 +33,6 @@ import shlex
 import subprocess
 import sys
 import time
-import urllib.request
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -301,13 +299,14 @@ class SubprocessModel(_RemoteModel):
       understand with a one-line JSON object such as ``{"error": "..."}``
       rather than crash.
 
-    Each request waits at most ``timeout`` seconds for the pipe to take the
-    request or to deliver more of the answer; a child that does not answer
-    in time is killed and :class:`TransportError` is raised.  A child that
-    exits mid-request is restarted once, then :class:`TransportError` is
-    raised.  :meth:`close` ends the child: it closes the child's stdin and
-    returns as soon as the child exits, or kills it after ``timeout`` seconds.
-    An empty command raises ValueError.
+    Each request has ``timeout`` seconds from its start, across writing the
+    request, every read of the answer and a restart: a child that has not
+    answered by then, even one that is still writing, is killed and
+    :class:`TransportError` is raised.  A child that exits mid-request is
+    restarted once, then :class:`TransportError` is raised.  :meth:`close`
+    ends the child: it closes the child's stdin and returns as soon as the
+    child exits, or kills it after ``timeout`` seconds.  An empty command
+    raises ValueError.
 
     The child's stderr is read through a pipe while a request waits and
     while :meth:`close` waits, so it never reaches the caller's terminal and
@@ -380,10 +379,12 @@ class SubprocessModel(_RemoteModel):
             if proc.stderr.closed:
                 poller.unregister(err)
 
-    def _wait(self, fd: int, event: int) -> None:
+    def _wait(self, fd: int, event: int, deadline: float) -> None:
         """Wait until ``fd`` is ready for ``event``, draining the child's
-        stderr meanwhile; kill the child after ``timeout`` seconds."""
-        if not self._ready(self._proc, fd, event, self._timeout):
+        stderr meanwhile; kill the child at the request's ``deadline`` (a
+        ``time.monotonic`` reading)."""
+        left = max(deadline - time.monotonic(), 0.0)
+        if not self._ready(self._proc, fd, event, left):
             self._stop(wait=0.0)
             raise TransportError(
                 f"model process gave no answer within {self._timeout:g} s"
@@ -410,9 +411,9 @@ class SubprocessModel(_RemoteModel):
         finally:
             os.close(pidfd)
 
-    def _exchange(self, payload: dict) -> bytes:
-        """Send one request line and return the answer line; EOFError if the
-        child has gone."""
+    def _exchange(self, payload: dict, deadline: float) -> bytes:
+        """Send one request line and return the answer line by ``deadline``;
+        EOFError if the child has gone."""
         proc = self._ensure_proc()
         out, view = proc.stdout.fileno(), memoryview(json.dumps(payload).encode() + b"\n")
         try:
@@ -420,13 +421,13 @@ class SubprocessModel(_RemoteModel):
                 try:
                     view = view[os.write(proc.stdin.fileno(), view):]
                 except BlockingIOError:
-                    self._wait(proc.stdin.fileno(), select.POLLOUT)
+                    self._wait(proc.stdin.fileno(), select.POLLOUT, deadline)
         except OSError as exc:  # BrokenPipeError: the child is gone
             raise EOFError(str(exc)) from exc
         scanned = 0
         while (end := self._pending.find(b"\n", scanned)) < 0:
             scanned = len(self._pending)
-            self._wait(out, select.POLLIN)
+            self._wait(out, select.POLLIN, deadline)
             chunk = os.read(out, 1 << 16)
             if not chunk:
                 raise EOFError("model process closed stdout")
@@ -436,9 +437,10 @@ class SubprocessModel(_RemoteModel):
         return reply
 
     def _request(self, payload):
+        deadline = time.monotonic() + self._timeout
         for _ in range(2):  # one restart per request, then give up
             try:
-                return _decode(self._exchange(payload))
+                return _decode(self._exchange(payload, deadline))
             except EOFError as exc:
                 self._stop(wait=0.0)
                 error = exc
@@ -450,7 +452,7 @@ class SubprocessModel(_RemoteModel):
         # a child that dies on the "xs" line, or answers it without "ys",
         # does not batch
         try:
-            reply = self._exchange(payload)
+            reply = self._exchange(payload, time.monotonic() + self._timeout)
         except EOFError:
             self._stop(wait=0.0)
             self._stderr_tail = b""  # the expected crash of a one-point child
@@ -499,6 +501,10 @@ class HttpModel(_RemoteModel):
         self._timeout = timeout
 
     def _request(self, payload):
+        # the HTTP stack loads on first use, not with the package
+        import http.client
+        import urllib.request
+
         req = urllib.request.Request(
             self._base + "/predict", data=json.dumps(payload).encode(),
             headers={"Content-Type": "application/json"},
@@ -511,6 +517,9 @@ class HttpModel(_RemoteModel):
         return _decode(body)
 
     def _probe_batch(self, payload):
+        import http.client
+        import urllib.request
+
         try:
             with urllib.request.urlopen(
                 self._base + "/capabilities", timeout=self._timeout
@@ -533,7 +542,10 @@ class GradientEstimatorConfig:
 
     ``perturbation_std`` is the standard deviation of the Gaussian step sizes
     (in standardized input units), ``mc_samples`` the number of sign-paired
-    step draws per coordinate, the most slope samples its estimate averages
+    step draws per coordinate, the most slope samples its estimate averages.
+    An even count pairs every draw, so a caller that does not ask for the
+    values at the points is sent only the displaced points, and the
+    estimate is the mean of the pairs' central differences
     (:func:`estimate_gradient`).
     """
 
@@ -596,13 +608,20 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     ``[f(x + h e_i) - f(x)] / h`` over the draws of its ``mc_samples``
     Gaussian step sizes h that the ``(m, mc_samples)`` boolean mask ``send``
     marks, every draw when ``send`` is None.  Every call is one model batch,
-    built in one array: the k points themselves unless their values ``f0``
-    are given (first, so that a non-finite value there names that point),
-    then the displaced points of the draws it sends, row by row and, within
-    a row, by coordinate and draw; with every draw sent, displaced point
-    ``(p * m + i) * mc_samples + j`` is ``x_p + h[i, j] e_i``.  Without
-    ``f0``, the values at the points are written to ``values`` when the
-    caller passes a ``(k,)`` buffer.
+    built in one array: the k points themselves when their values are used
+    (first, so that a non-finite value there names that point), then the
+    displaced points of the draws it sends, row by row and, within a row, by
+    coordinate and draw; with every draw sent, displaced point ``(p * m + i)
+    * mc_samples + j`` is ``x_p + h[i, j] e_i``.
+
+    The values at the points are used unless ``f0`` gives them: when the
+    caller passes a ``(k,)`` buffer ``values`` for them or a ``slopes``
+    table, at an odd ``mc_samples``, whose last draw has no partner, and
+    when ``send`` sends one draw of a pair.  Otherwise only the displaced
+    points go, and each coordinate's estimate is the mean of its pairs'
+    central differences ``[f(x + h e_i) - f(x - h e_i)] / 2h``, in which
+    ``f(x)`` cancels: the same estimate in exact arithmetic, exact on linear
+    and pure-quadratic models.
 
     The slope of draw j of coordinate i at row p goes to ``slopes[p, i, j]``
     when the caller passes a C-contiguous ``(k, m, mc_samples)`` table, and
@@ -610,10 +629,10 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     draws sent, exact where the unsent slots hold 0.  A table that holds an
     earlier call's slopes at the same points and ``f0`` keeps them in the
     draws this call does not send, so a call with the mask's complement
-    completes it: the table's mean over every draw is then the one-call
-    estimate bit for bit.  Such a call may send a coordinate no draw, and
-    that coordinate's estimate is the table's mean; otherwise a mask must
-    send each coordinate a draw.
+    completes it: the table's mean over every draw is then bit for bit the
+    estimate of one call that fills a table with every draw.  Such a call
+    may send a coordinate no draw, and that coordinate's estimate is the
+    table's mean; otherwise a mask must send each coordinate a draw.
 
     Deterministic given (model, x, cfg, send).  A draw's slope is the same
     whichever other draws a batch sends.  For a model that answers a row
@@ -630,6 +649,7 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     k = len(batch)
     h, disp = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
     sent, count = slice(None), mc  # every draw
+    central = f0 is None and values is None and slopes is None and mc % 2 == 0
     if send is not None:
         send = np.asarray(send, dtype=bool)
         if send.shape != (m, mc):
@@ -637,20 +657,27 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
         count = send.sum(axis=1)
         if slopes is None and not count.all():
             raise ValueError("send leaves a coordinate with no draw")
+        central = central and (send[:, ::2] == send[:, 1::2]).all()
         sent, count = np.flatnonzero(send), np.where(count > 0, count, mc)
     moves = disp[sent]
-    centre = k if f0 is None else 0
+    centre = k if f0 is None and not central else 0
     points = np.empty((centre + k * len(moves), m))
-    points[:centre] = batch[:centre]  # the points first, unless f0 is given
+    points[:centre] = batch[:centre]  # the points first, where their values are used
     np.add(batch[:, None, :], moves, out=points[centre:].reshape(k, len(moves), m))
     fvals = model.evaluate_batch(points)
-    if f0 is None:
-        f0 = fvals[:k]
-        if values is not None:
-            values[:] = f0
-    f0, fvals = np.asarray(f0, dtype=float), fvals[centre:]
-    if slopes is None:
-        slopes = np.zeros((k, m, mc))
-    slopes.reshape(k, m * mc)[:, sent] = (
-        (fvals.reshape(k, -1) - f0.reshape(-1, 1)) / h.ravel()[sent])
-    return (slopes.sum(axis=2) / count).reshape(x.shape)
+    if central:
+        # draws 2j and 2j + 1 step by h and -h, so the mean of their two
+        # slopes is their central difference: one slot per pair
+        pairs = fvals.reshape(k, -1, 2)
+        diffs, steps = pairs[..., 0] - pairs[..., 1], 2.0 * h.ravel()[sent][::2]
+        table, slots, per_slot = np.zeros((k, m, mc // 2)), np.arange(m * mc)[sent][::2] // 2, 2
+    else:
+        if f0 is None:
+            f0 = fvals[:k]
+            if values is not None:
+                values[:] = f0
+        diffs = fvals[centre:].reshape(k, -1) - np.asarray(f0, dtype=float).reshape(-1, 1)
+        table = np.zeros((k, m, mc)) if slopes is None else slopes
+        steps, slots, per_slot = h.ravel()[sent], sent, 1
+    table.reshape(k, -1)[:, slots] = diffs / steps
+    return (table.sum(axis=2) / (count // per_slot)).reshape(x.shape)

@@ -9,6 +9,7 @@ from anomattr import (
     GpaHyperParams,
     GradientEstimatorConfig,
     LimeConfig,
+    NonFiniteModelOutput,
     ReferenceSet,
     baylime_distributions,
     expected_integrated_gradient,
@@ -26,6 +27,7 @@ from anomattr import (
     sinusoidal2d,
     z_score,
 )
+from anomattr.models import _step_draws
 from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, periodic_lattice
 
 TIGHT_LIME = LimeConfig(n_samples=1000, sampling_std=1e-3, l1_strength=0.0, seed=0)
@@ -220,30 +222,67 @@ class TestIntegratedGradient:
             expected_integrated_gradient(sin_model, [0.5, 0.0], ref, 0, FINE_GRAD)
 
     def test_one_model_call_per_path(self):
-        # a path's points and their displaced points go whole into one model
-        # call, with as many other whole paths as keep rows x m within 2**15
+        # a path's points short of x_t and their displaced points go whole
+        # into one model call, with as many other whole paths as keep rows x
+        # m within 2**15, and x_t's displaced points lead the first call
         model = BatchRecorder(sinusoidal2d())
-        per_path = (8 + 1) * (1 + 2 * FINE_GRAD.mc_samples)
+        per_point = 2 * FINE_GRAD.mc_samples
         integrated_gradient(model, [0.5, 0.2], (0.0, 0.0), 8, FINE_GRAD)
-        assert model.sizes == [per_path]
+        assert model.sizes == [(8 + 1) * per_point]
         model.sizes.clear()
         ref = ReferenceSet(np.array([[0.0, 0.0], [0.1, -0.3], [0.7, 0.2]]))
         expected_integrated_gradient(model, [0.5, 0.2], ref, 8, FINE_GRAD)
-        assert model.sizes == [3 * per_path]
+        assert model.sizes == [(1 + 3 * 8) * per_point]
         model.sizes.clear()
-        # 101 points x 21 rows x m = 2 is 4,242 numbers a path: 7 a batch
+        # 100 points x 20 rows x m = 2 is 4,000 numbers a path: 8 a batch,
+        # the first with x_t's 20 rows (32,040 numbers)
         expected_integrated_gradient(model, [0.5, 0.2], periodic_lattice(), 100, FINE_GRAD)
-        assert model.sizes == [7 * 2_121] * 9 + [2_121]
+        assert model.sizes == [16_020] + [16_000] * 7
+
+    def test_x_t_rows_lead_the_first_batch(self):
+        # the estimator sends no point itself at an even mc, so the first
+        # batch opens with x_t's displaced rows
+        x_t = np.array([0.5, 0.2])
+        model = BatchRecorder(sinusoidal2d())
+        expected_integrated_gradient(model, x_t, periodic_lattice(), 100, FINE_GRAD)
+        _, disp = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std,
+                              FINE_GRAD.mc_samples, 2)
+        np.testing.assert_array_equal(model.first[: len(disp)], x_t + disp)
+
+    def test_nan_at_an_endpoint_row_names_it(self):
+        x_t = np.array([0.5, 0.2])
+        _, disp = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std,
+                              FINE_GRAD.mc_samples, 2)
+        bad = x_t + disp[13]
+        inner = sinusoidal2d()
+        model = CallableModel(
+            lambda p: np.nan if np.array_equal(p, bad) else inner.evaluate(p), 2)
+        with pytest.raises(NonFiniteModelOutput) as exc:
+            expected_integrated_gradient(model, x_t, periodic_lattice(), 100, FINE_GRAD)
+        np.testing.assert_array_equal(exc.value.x, bad)
+        assert model.call_count == 1
+
+    def test_odd_draw_count_sends_the_path_points(self):
+        # an unpaired draw needs f at its point: at mc = 3 a point is 1 + 2 x
+        # 3 rows, a path 700 rows x m = 2, so 23 paths go to a batch, and x_t's
+        # 7 rows lead the first
+        cfg = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=3, seed=0)
+        model = BatchRecorder(sinusoidal2d())
+        expected_integrated_gradient(model, [0.5, 0.2], periodic_lattice(), 100, cfg)
+        assert model.sizes == [7 + 23 * 700, 23 * 700, 18 * 700]
+        np.testing.assert_array_equal(model.first[0], [0.5, 0.2])
 
     def test_path_above_budget_goes_alone(self):
-        # in m = 30, one path is 5 points x 301 rows x 30 = 45,150 numbers
+        # in m = 30, one path is 4 points x 300 rows x 30 = 36,000 numbers;
+        # x_t's 300 rows ride with the first
         coef = np.linspace(-1.0, 1.0, 30)
         model = BatchRecorder(linear_model(coef))
         rng = np.random.default_rng(3)
         ref = ReferenceSet(rng.uniform(-1, 1, (3, 30)))
         x_t = rng.uniform(-1, 1, 30)
         eig = expected_integrated_gradient(model, x_t, ref, 4, FINE_GRAD)
-        assert model.sizes == [5 * (1 + 30 * FINE_GRAD.mc_samples)] * 3
+        per_point = 30 * FINE_GRAD.mc_samples
+        assert model.sizes == [5 * per_point] + [4 * per_point] * 2
         np.testing.assert_allclose(eig, (x_t - ref.samples.mean(axis=0)) * coef, atol=1e-12)
 
 

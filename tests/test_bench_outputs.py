@@ -6,13 +6,19 @@ number of model queries or calls any workload sends.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from anomattr import cli
+from anomattr.dataio import TestSet
+from anomattr.gpa import map_estimate
+from anomattr.models import GradientEstimatorConfig, sinusoidal2d
+from conftest import ORACLE_HP
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # the gpa query_count of the three seed-1 collective-builtin operations,
@@ -31,14 +37,25 @@ COLLECTIVE_GPA_CALLS = 51
 COLLECTIVE_QUERY_PLAN = (263_760, 81)
 # the model_queries and model_calls of every method in the six seed-1
 # operations of the sinusoid workloads, summed.  In each compare, eig sends
-# its 64 paths of 2,121 rows seven to a batch: 10 calls.  Each explain's
-# residual rows, the six rows of its noise variance and anomaly score, ride
-# at the front of gpa's first batch, so explain sends no call outside gpa
-# (31 calls before they did).  Every pointwise call sends rows the
-# subprocess child has not yet answered, and each one reaches the child:
-# 25 calls, 25 child requests
+# its 64 paths of 2,000 rows eight to a batch, plus x_t's 20 rows in the
+# first: 8 calls.  Each explain's residual rows, the six rows of its noise
+# variance and anomaly score, ride at the front of gpa's first batch, so
+# explain sends no call outside gpa (31 calls before they did).  Every
+# pointwise call sends rows the subprocess child has not yet answered, and
+# each one reaches the child: 25 calls, 25 child requests
 SINUSOID_QUERY_PLANS = {"pointwise-subprocess": (561, 25),
-                        "baselines-compare": (835_797, 129)}
+                        "baselines-compare": (788_847, 117)}
+# the SHA-256 of the three seed-1 collective-builtin distributions.svg files
+COLLECTIVE_SVG_SHA256 = [
+    "77d6fdf5e88cb740d1a1da8f52e9918992bc168f9eef6db7d87d3ce8ff2f23ec",
+    "4cdf18d8acf4edb6204509632d0ee6d09d4f93e79ef1907310ba0f7e0a81cf0d",
+    "ec12b5cfd3f0b0fd0999aa1be1064e987849c3c10541221c20ecabb06ad083b8",
+]
+# map_estimate on each of the six seed-1 sinusoid rows at the default
+# gradient flags (--grad-std 1), which no workload runs: the summed
+# query_count, call_count, iterations and halvings.  The smoothed slope
+# there makes each solve take 11-12 iterations and 11-13 halvings
+DEFAULT_FLAG_SINUSOID_PLAN = (1_618, 142, 68, 70)
 
 
 @pytest.fixture
@@ -89,3 +106,27 @@ def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
         requests = sum(json.loads(line)["requests"]
                        for line in child_counts.read_text(encoding="utf-8").splitlines())
         assert requests == plan[1]
+
+
+def test_seed_one_collective_svgs_keep_their_bytes(bench, tmp_path):
+    workloads, _ = bench
+    ops, _, _ = workloads.build("collective-builtin", 1, tmp_path)
+    digests = []
+    for op in ops:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(op.argv) == 0, op.name
+        svg = op.output.parent / "distributions.svg"
+        digests.append(hashlib.sha256(svg.read_bytes()).hexdigest())
+    assert digests == COLLECTIVE_SVG_SHA256
+
+
+def test_default_flag_sinusoid_plan(bench):
+    workloads, _ = bench
+    plan = np.zeros(4, dtype=int)
+    for x1, y in workloads.sinusoid_rows(1):
+        testset = TestSet(np.array([[x1, 0.0]]), np.array([y]), ["x1", "x2"])
+        result = map_estimate(testset, sinusoidal2d(), ORACLE_HP, GradientEstimatorConfig())
+        assert result.converged
+        plan += (result.query_count, result.call_count, result.iterations, result.halvings)
+    assert tuple(plan.tolist()) == DEFAULT_FLAG_SINUSOID_PLAN

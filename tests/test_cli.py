@@ -115,6 +115,19 @@ def _argv_from_config(config):
     return argv
 
 
+def test_import_loads_no_http_stack():
+    # only HttpModel needs it, and it loads it on first use
+    heavy = ("urllib.request", "http.client", "ssl", "email")
+    src = str(Path(anomattr.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, anomattr.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert probe.stdout.strip() == "[]"
+
+
 class TestDetect:
     def test_top_one(self, sinus_data, tmp_path, capsys):
         out = tmp_path / "out"

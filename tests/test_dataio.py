@@ -186,6 +186,23 @@ class TestLitmusSvg:
             emit_litmus_svg({}, tmp_path / "x.svg")
 
 
+@pytest.mark.parametrize("emit", ["litmus", "distribution"])
+def test_variable_names_escaped_as_element_text(tmp_path, emit):
+    # &, < and > become entities and the quotes stay, as XML element text
+    # needs
+    names = ["a&b", "<x\"y'>"]
+    p = tmp_path / "plot.svg"
+    if emit == "litmus":
+        emit_litmus_svg({"m": np.array([1.0, -1.0])}, p, names)
+    else:
+        emit_distribution_svg(*_flat_table(2), p, np.zeros(2), names)
+    text = p.read_text()
+    assert ">a&amp;b</text>" in text and ">&lt;x\"y'&gt;</text>" in text
+    svg = ElementTree.parse(p).getroot()
+    labels = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert set(names) <= set(labels)
+
+
 def _symmetric_grid(reach, n):
     grid = np.linspace(-reach, reach, n)
     return 0.5 * (grid - grid[::-1])

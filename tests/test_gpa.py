@@ -985,7 +985,9 @@ class TestPairDraws:
         assert objective.one_pair_batches == 1
         first_pair = np.zeros((m, FINE_GRAD.mc_samples), dtype=bool)
         first_pair[:, :2] = True
-        pairs = estimate_gradient(make(coef), ts.x + delta, FINE_GRAD, send=first_pair)
+        # the solver's batch fills a slope table, so the reference does too
+        pairs = estimate_gradient(make(coef), ts.x + delta, FINE_GRAD, send=first_pair,
+                                  slopes=np.zeros((n, m, FINE_GRAD.mc_samples)))
         resid = ts.y - make(coef).evaluate_batch(ts.x + delta)
         np.testing.assert_array_equal(grad, 0.3 * delta - resid @ pairs)
         np.testing.assert_array_equal(hess, pairs.T @ pairs + 0.3 * np.eye(m))

@@ -129,7 +129,8 @@ class TestGradientEstimator:
         m = CallableModel(lambda x: float(np.sum(x)), dim)
         cfg = GradientEstimatorConfig(perturbation_std=0.5, mc_samples=mc, seed=seed)
         estimate_gradient(m, np.zeros(dim), cfg)
-        assert m.query_count == 1 + dim * mc
+        # the point itself goes only for the unpaired last draw of an odd mc
+        assert m.query_count == dim * mc + mc % 2
 
     def test_f0_reuse_skips_baseline(self):
         m = linear_model([1.0, 1.0])
@@ -137,6 +138,69 @@ class TestGradientEstimator:
         before = m.query_count
         estimate_gradient(m, [0.0, 0.0], FINE_GRAD, f0=f0)
         assert m.query_count - before == 2 * FINE_GRAD.mc_samples
+
+    def test_plain_call_sends_only_the_displaced_points(self):
+        # no caller asks for the values at the points and every draw has its
+        # partner, so the k m mc displaced points go and no point
+        x = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.0]])
+        m = BatchRecorder(sinusoidal2d())
+        estimate_gradient(m, x, FINE_GRAD)
+        _, disp = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std,
+                              FINE_GRAD.mc_samples, 2)
+        assert m.sizes == [len(x) * len(disp)]
+        np.testing.assert_array_equal(m.last, (x[:, None, :] + disp).reshape(-1, 2))
+        # a mask that sends whole pairs asks for no value either
+        send = np.zeros((2, FINE_GRAD.mc_samples), dtype=bool)
+        send[:, 4:8] = True
+        estimate_gradient(m, x, FINE_GRAD, send=send)
+        assert m.sizes[1:] == [len(x) * 2 * 4]
+
+    @pytest.mark.parametrize("ask", ["values", "slopes", "mc=1", "mc=3",
+                                     "mc=3 first pair", "split pair"])
+    def test_points_go_first_where_their_values_are_used(self, ask):
+        x = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.0]])
+        k = len(x)
+        mc = {"mc=1": 1, "mc=3": 3, "mc=3 first pair": 3}.get(ask, FINE_GRAD.mc_samples)
+        cfg = GradientEstimatorConfig(FINE_GRAD.perturbation_std, mc, FINE_GRAD.seed)
+        kwargs, draws = {}, 2 * mc
+        if ask == "values":
+            kwargs["values"] = np.empty(k)
+        elif ask == "slopes":
+            kwargs["slopes"] = np.zeros((k, 2, mc))
+        elif ask == "mc=3 first pair":
+            # an odd mc sends the points even where its last draw is not sent
+            kwargs["send"] = np.ones((2, mc), dtype=bool)
+            kwargs["send"][:, 2] = False
+            draws -= 2
+        elif ask == "split pair":
+            kwargs["send"] = np.ones((2, mc), dtype=bool)
+            kwargs["send"][1, 3] = False  # draw 2 of x2 goes without its partner
+            draws -= 1
+        m = BatchRecorder(sinusoidal2d())
+        estimate_gradient(m, x, cfg, **kwargs)
+        assert m.sizes == [k + k * draws]
+        np.testing.assert_array_equal(m.last[:k], x)
+
+    @pytest.mark.parametrize("model", [linear_model([3.0, -1.0, 0.25]),
+                                       quadratic_model([1.0, 0.5, 2.0]), sinusoidal2d()],
+                             ids=["linear", "quadratic", "sinusoid"])
+    @pytest.mark.parametrize("cfg", [FINE_GRAD, GradientEstimatorConfig()],
+                             ids=["fine", "default"])
+    def test_central_differences_are_the_one_sided_mean(self, model, cfg):
+        # the plain estimate against the mean of [f(x + h e_i) - f(x)] / h
+        # over every draw, looped over coordinates and draws
+        dim, mc = model.dimension, cfg.mc_samples
+        x = np.random.default_rng(5).uniform(0.15, 0.35, (6, dim))
+        h, _ = _step_draws(cfg.seed, cfg.perturbation_std, mc, dim)
+        f0 = model.evaluate_batch(x)
+        one_sided = np.zeros_like(x)
+        for i in range(dim):
+            for j in range(mc):
+                moved = x.copy()
+                moved[:, i] += h[i, j]
+                one_sided[:, i] += (model.evaluate_batch(moved) - f0) / h[i, j]
+        np.testing.assert_allclose(estimate_gradient(model, x, cfg), one_sided / mc,
+                                   rtol=1e-12, atol=0)
 
     def test_one_batch_centre_rows_first(self):
         # without f0 the points ride first in the displacement batch; with
@@ -158,17 +222,18 @@ class TestGradientEstimator:
                              ids=["linear", "quadratic"])
     def test_one_pair_coordinates_take_their_first_pair(self, model):
         # coordinates 0 and 2 send draws 0 and 1, 1 and 3 every draw: one
-        # batch of k (1 + 2 * 2 + mc * 2) rows.  A one-pair coordinate's
-        # estimate is the first pair's slope and an every-draw one the full
-        # estimate, bit for bit
+        # batch of k (1 + 2 * 2 + mc * 2) rows, the points first since the
+        # call asks for their values.  A one-pair coordinate's estimate is
+        # the first pair's slope and an every-draw one the full estimate, bit
+        # for bit
         x = np.random.default_rng(2).normal(size=(3, 4))
         k, mc = len(x), FINE_GRAD.mc_samples
         recorder = BatchRecorder(model)
         send = np.ones((4, mc), dtype=bool)
         send[[0, 2], 2:] = False
-        grad = estimate_gradient(recorder, x, FINE_GRAD, send=send)
+        grad = estimate_gradient(recorder, x, FINE_GRAD, values=np.empty(k), send=send)
         assert recorder.sizes == [k * (1 + 2 * 2 + mc * 2)]
-        full = estimate_gradient(model, x, FINE_GRAD)
+        full = estimate_gradient(model, x, FINE_GRAD, values=np.empty(k))
         np.testing.assert_array_equal(grad[:, [1, 3]], full[:, [1, 3]])
         h, _ = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std, mc, 4)
         f0 = model.evaluate_batch(x)
@@ -182,8 +247,8 @@ class TestGradientEstimator:
 
     def test_skipped_draws_complete_to_the_full_estimate(self):
         # the mask's complement sent later into the first call's table, with
-        # its values, gives the one-call estimate bit for bit; coordinate 1
-        # sent every draw at first and sends none then
+        # its values, gives the estimate of one call that fills a table bit
+        # for bit; coordinate 1 sent every draw at first and sends none then
         model = quadratic_model([1.0, 0.5, 2.0])
         x = np.random.default_rng(3).normal(size=(4, 3))
         k, mc = len(x), FINE_GRAD.mc_samples
@@ -195,7 +260,7 @@ class TestGradientEstimator:
         rest = estimate_gradient(recorder, x, FINE_GRAD, f0=values, slopes=slopes,
                                  send=~send)
         assert recorder.sizes == [k * (1 + 2 + mc + 2), k * 2 * (mc - 2)]
-        full = estimate_gradient(model, x, FINE_GRAD)
+        full = estimate_gradient(model, x, FINE_GRAD, slopes=np.zeros((k, 3, mc)))
         np.testing.assert_array_equal(slopes.sum(axis=2) / mc, full)
         # a coordinate that sends no draw takes the table's mean
         np.testing.assert_array_equal(rest[:, 1], full[:, 1])
@@ -217,7 +282,7 @@ class TestGradientEstimator:
         x = np.array([0.25, -0.5])
         m = CallableModel(lambda p: np.nan if np.array_equal(p, x) else 0.0, 2)
         with pytest.raises(NonFiniteModelOutput) as exc:
-            estimate_gradient(m, x, FINE_GRAD)
+            estimate_gradient(m, x, FINE_GRAD, values=np.empty(1))
         np.testing.assert_array_equal(exc.value.x, x)
         assert m.query_count == 1 + 2 * FINE_GRAD.mc_samples and m.call_count == 1
 
@@ -465,6 +530,28 @@ class TestSubprocessAdapter:
         with pytest.raises(TransportError, match="(?s)no answer within.*license server"):
             m.evaluate([1.0])
         assert time.monotonic() - start < 5.0
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)
+
+    def test_trickled_answer_ends_at_the_deadline(self, tmp_path):
+        # every byte comes well within the timeout, the whole answer (14
+        # bytes, 0.1 s apart) only after it: the request's deadline ends it
+        pid_file = tmp_path / "pid"
+        script = tmp_path / "trickle.py"
+        script.write_text(
+            "import json, os, sys, time\n"
+            f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+            "for line in sys.stdin:\n"
+            "    for byte in json.dumps({'ys': [1.0]}).encode() + b'\\n':\n"
+            "        sys.stdout.buffer.write(bytes([byte]))\n"
+            "        sys.stdout.flush()\n"
+            "        time.sleep(0.1)\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=1, timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="no answer within 0.5 s"):
+            m.evaluate_batch([[1.0]])
+        assert time.monotonic() - start < 0.5 + 0.5
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_file.read_text()), 0)
 
