@@ -36,7 +36,6 @@ from .gpa import (
     GpaHyperParams,
     init_gamma_rate,
     map_estimate,
-    objective,
     refine_gamma_rate,
     score_distributions,
 )
@@ -52,7 +51,6 @@ from .metrics import (
 )
 from .models import (
     BuiltinModel,
-    BuiltinModelSpec,
     CallableModel,
     GradientEstimatorConfig,
     HttpModel,

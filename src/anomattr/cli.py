@@ -27,12 +27,14 @@ Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, a number flag out of its range,
 too few ``--lime-samples`` for a lime fit, ``--b0`` with ``--b-mode
 local_kernel``, which would ignore it, ``--b-mode local_kernel`` on one
-row, which has no other rows to take its rate from, and a ``subprocess:``
-model with no command), an anomaly score or residual variance that
-overflows, or a solver that cannot proceed (its objective overflows, or
-keeps rising), 3 model transport error (including a subprocess model that
-does not answer within its timeout) or non-finite output of any query, in
-any command, named by its input; no document is written then.
+row, which has no other rows to take its rate from, a ``subprocess:``
+model with no command, and a file that cannot be read or written, such as
+a missing ``--data`` or ``--ref`` or an ``--out`` that names a file), an
+anomaly score or residual variance that overflows, or a solver that cannot
+proceed (its objective overflows, or keeps rising), 3 model transport
+error (including a remote model that does not answer within its timeout)
+or non-finite output of any query, in any command, named by its input; no
+document is written then.
 Every model handle a command resolves is closed before ``main`` returns,
 whatever the exit code.
 ``dist`` writes the posterior as one grid and one row of probabilities per
@@ -78,7 +80,6 @@ from .dataio import TestSet
 from .gpa import DivergenceError, GpaHyperParams
 from .models import (
     BuiltinModel,
-    BuiltinModelSpec,
     GradientEstimatorConfig,
     HttpModel,
     ModelHandle,
@@ -164,7 +165,7 @@ def resolve_model(spec: str | None, dimension: int) -> ModelHandle:
         return SubprocessModel(spec[len("subprocess:"):], dimension)
     kind, _, coef_text = spec.partition(":")
     coefficients = _numbers(coef_text) if coef_text else ()
-    model = BuiltinModel(BuiltinModelSpec(kind, coefficients))
+    model = BuiltinModel(kind, coefficients)
     if model.dimension != dimension:
         raise UsageError(
             f"model dimension {model.dimension} does not match dataset "
@@ -213,12 +214,12 @@ def _anomaly_scores(args, batch: TestSet, fx, rows) -> tuple[float, list]:
 
 class _DeferredRows(ModelHandle):
     """The opened ``model`` holding back ``rows`` that no caller needs yet:
-    they go first in the first batch a caller sends, with the caller's rows
-    after them in one call of ``model``, so a non-finite answer among them is
-    named first; ``complete`` takes their answers before the caller gets its
-    own.  :meth:`finish` sends them alone if no batch took them, and returns
-    what ``complete`` returned.  The handle counts its caller's queries and
-    calls; ``model`` counts every one."""
+    they go first in the first call a caller makes, a single query included,
+    with the caller's rows after them in one call of ``model``, so a
+    non-finite answer among them is named first; ``complete`` takes their
+    answers before the caller gets its own.  :meth:`finish` sends them alone
+    if no call took them, and returns what ``complete`` returned.  The handle
+    counts its caller's queries and calls; ``model`` counts every one."""
 
     def __init__(self, model: ModelHandle, rows: np.ndarray, complete):
         super().__init__(model.dimension)
@@ -228,13 +229,6 @@ class _DeferredRows(ModelHandle):
     def _take(self, fx) -> None:
         self._rows = None
         self._completed = self._complete(fx)
-
-    def evaluate(self, x) -> float:
-        self.finish()
-        y = self._model.evaluate(x)
-        self.query_count += 1
-        self.call_count += 1
-        return y
 
     def evaluate_batch(self, xs) -> np.ndarray:
         # overrides evaluate_batch, not _evaluate_batch: the one call of
@@ -721,7 +715,7 @@ def main(argv=None) -> int:
         except NonFiniteModelOutput as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        except (UsageError, DivergenceError, ValueError) as exc:
+        except (UsageError, DivergenceError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

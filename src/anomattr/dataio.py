@@ -255,7 +255,7 @@ def emit_litmus_svg(results: dict[str, np.ndarray], path, variable_names=None) -
         y = top + i * cell
         out.append(
             f'<text x="{label_w - 6}" y="{y + cell / 2 + 4:.1f}" '
-            f'text-anchor="end">{method}</text>'
+            f'text-anchor="end">{escape(method, quote=False)}</text>'
         )
         for j, v in enumerate(normalized):
             color = _NEG_COLOR if v < 0 else _POS_COLOR

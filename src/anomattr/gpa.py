@@ -135,7 +135,6 @@ __all__ = [
     "AttributionResult",
     "init_gamma_rate",
     "refine_gamma_rate",
-    "objective",
     "student_t_loss",
     "gaussian_loss",
     "CounterfactualObjective",
@@ -235,7 +234,7 @@ class AttributionResult:
     ``confirmations`` the batches that sent the missing draws where the
     solve would stop.  The module docstring gives the query plan these counts
     follow.  ``rates`` are a :func:`map_estimate` run's gamma rates, None for
-    lc; pass them on to :func:`score_distributions` and :func:`objective`."""
+    lc; pass them on to :func:`score_distributions`."""
 
     delta_star: np.ndarray
     iterations: int
@@ -501,16 +500,6 @@ def _secant_correction(dim: int):
         return corr
 
     return update
-
-
-def objective(delta, testset: TestSet, model: ModelHandle, hp: GpaHyperParams,
-              rates) -> float:
-    """Smooth part of the MAP objective at ``delta`` (no l1 term), under the
-    per-sample gamma ``rates`` of a run (:attr:`AttributionResult.rates`), as
-    in :func:`score_distributions`."""
-    delta = np.asarray(delta, dtype=float)
-    loss = student_t_loss(hp.a0, np.asarray(rates, dtype=float))
-    return CounterfactualObjective(model, testset.x, testset.y, hp.eta, loss).value(delta)
 
 
 @dataclass

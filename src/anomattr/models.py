@@ -9,13 +9,15 @@ The remote adapters, :class:`SubprocessModel` (one JSON line each way over a
 child's stdin/stdout) and :class:`HttpModel` (``POST /predict``), share one
 protocol and one response cache.  ``{"x": [...]}`` is answered by ``{"y":
 <number>}``; a batch ``{"xs": [[...], ...]}`` by ``{"ys": [<number>, ...]}``.
-A model that does not batch gets one ``x`` request per point instead: an
-HTTP model says so at ``GET /capabilities``, a subprocess child by how it
-answers the first batch, which is why a child should answer a line it does
-not understand with a one-line JSON object such as ``{"error": "..."}``
-rather than crash.  A batch answer of the wrong length and a subprocess
-child that has not answered within ``timeout`` of the request (10 s by
-default; it is killed) raise :class:`TransportError`.
+A lone uncached row, such as :meth:`ModelHandle.evaluate` sends, goes as
+``x``, which every model must speak.  A model that does not batch gets one
+``x`` request per point instead: an HTTP model says so at ``GET
+/capabilities``, a subprocess child by how it answers the first ``xs``
+request, which is why a child should answer a line it does not understand
+with a one-line JSON object such as ``{"error": "..."}`` rather than crash.
+A batch answer of the wrong length and a model that has not answered
+within ``timeout`` of the request's start (10 s by default; a subprocess
+child is killed) raise :class:`TransportError`.
 
 :class:`ModelHandle` is the one place where model output is checked: a NaN
 or infinite answer of any model, to a single query or to one row of a batch,
@@ -26,7 +28,6 @@ and no caller checks for it.
 from __future__ import annotations
 
 import json
-import math
 import os
 import select
 import shlex
@@ -42,7 +43,6 @@ __all__ = [
     "TransportError",
     "NonFiniteModelOutput",
     "ModelHandle",
-    "BuiltinModelSpec",
     "BuiltinModel",
     "CallableModel",
     "SubprocessModel",
@@ -89,19 +89,18 @@ def _as_vector(x, dimension: int) -> np.ndarray:
 class ModelHandle:
     """Opaque query interface to a scalar-output regression function.
 
-    Subclasses implement ``_evaluate`` (and optionally ``_evaluate_batch``).
-    ``query_count`` increases by one per evaluation, by the batch size for
-    batch calls; ``call_count`` by one per ``evaluate`` or ``evaluate_batch``
-    call, cache hits of the remote adapters included.  A
-    model should answer an input the same way every time.  The remote
-    adapters answer a repeated input from their response cache, and the
-    builtin models answer an input bit for bit the same in a batch of any
-    size.  ``evaluate``
-    and ``evaluate_batch`` are the one non-finite policy: once the queries
-    are counted, a NaN or infinite answer raises
-    :class:`NonFiniteModelOutput` at the first input that got one.  A
-    handle serves one thread: its counters, the remote adapters' response
-    cache and a subprocess child's pipe are not locked.
+    Subclasses implement ``_evaluate_batch``, which answers a ``(n, m)``
+    array of rows with ``n`` numbers.  :meth:`evaluate_batch` is the one gate
+    to it: it checks the batch's shape, adds the batch size to
+    ``query_count`` and one to ``call_count`` (cache hits of the remote
+    adapters included), and only then refuses a NaN or infinite answer, with
+    :class:`NonFiniteModelOutput` at the first input that got one.
+    :meth:`evaluate` is its one-row case.  A model should answer an input the
+    same way every time.  The remote adapters answer a repeated input from
+    their response cache, and the builtin models answer an input bit for bit
+    the same in a batch of any size.  A handle serves one thread: its
+    counters, the remote adapters' response cache and a subprocess child's
+    pipe are not locked.
     """
 
     def __init__(self, dimension: int):
@@ -112,13 +111,8 @@ class ModelHandle:
         self.call_count = 0
 
     def evaluate(self, x) -> float:
-        x = _as_vector(x, self.dimension)
-        y = float(self._evaluate(x))
-        self.query_count += 1
-        self.call_count += 1
-        if not math.isfinite(y):
-            raise NonFiniteModelOutput(x, y)
-        return y
+        """The answer at one vector ``x``: ``evaluate_batch(x[None])[0]``."""
+        return float(self.evaluate_batch(_as_vector(x, self.dimension)[None])[0])
 
     def evaluate_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -138,67 +132,51 @@ class ModelHandle:
     def close(self) -> None:
         """Release what the handle holds; a no-op unless overridden."""
 
-    def _evaluate(self, x: np.ndarray) -> float:
+    def _evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _evaluate_batch(self, xs: np.ndarray) -> np.ndarray:
-        return np.array([self._evaluate(x) for x in xs])
 
-
-@dataclass(frozen=True)
-class BuiltinModelSpec:
-    """Analytic test model: ``sinusoidal2d``, ``linear`` or ``quadratic``.
+class BuiltinModel(ModelHandle):
+    """Analytic test model of ``kind`` ``sinusoidal2d``, ``linear`` or
+    ``quadratic``, whose dimension its coefficients set.
 
     ``linear`` computes ``c . x``; ``quadratic`` computes ``sum_i c_i x_i^2``.
     ``sinusoidal2d`` is the fixed two-variable surface
     ``f(x) = 2 cos(pi x1) cos(pi x2)`` and takes no coefficients.
     """
 
-    kind: str
-    coefficients: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("sinusoidal2d", "linear", "quadratic"):
-            raise ValueError(f"unknown builtin model kind: {self.kind!r}")
-        if self.kind == "sinusoidal2d":
-            if self.coefficients:
+    def __init__(self, kind: str, coefficients=()):
+        if kind not in ("sinusoidal2d", "linear", "quadratic"):
+            raise ValueError(f"unknown builtin model kind: {kind!r}")
+        coefficients = tuple(float(c) for c in coefficients)
+        if kind == "sinusoidal2d":
+            if coefficients:
                 raise ValueError("sinusoidal2d takes no coefficients")
-        elif not self.coefficients:
-            raise ValueError(f"{self.kind} model requires coefficients")
-
-    @property
-    def dimension(self) -> int:
-        return 2 if self.kind == "sinusoidal2d" else len(self.coefficients)
-
-
-class BuiltinModel(ModelHandle):
-    def __init__(self, spec: BuiltinModelSpec):
-        super().__init__(spec.dimension)
-        self.spec = spec
-        self._coef = np.asarray(spec.coefficients, dtype=float)
-
-    def _evaluate(self, x):
-        return self._evaluate_batch(x[None])[0]
+        elif not coefficients:
+            raise ValueError(f"{kind} model requires coefficients")
+        super().__init__(2 if kind == "sinusoidal2d" else len(coefficients))
+        self.kind = kind
+        self._coef = np.asarray(coefficients)
 
     def _evaluate_batch(self, xs):
-        if self.spec.kind == "sinusoidal2d":
+        if self.kind == "sinusoidal2d":
             return 2.0 * np.cos(np.pi * xs[:, 0]) * np.cos(np.pi * xs[:, 1])
         # einsum sums each row alone, in one order whatever the batch size
-        if self.spec.kind == "linear":
+        if self.kind == "linear":
             return np.einsum("ij,j->i", xs, self._coef)
         return np.einsum("ij,ij,j->i", xs, xs, self._coef)
 
 
 def sinusoidal2d() -> BuiltinModel:
-    return BuiltinModel(BuiltinModelSpec("sinusoidal2d"))
+    return BuiltinModel("sinusoidal2d")
 
 
 def linear_model(coefficients) -> BuiltinModel:
-    return BuiltinModel(BuiltinModelSpec("linear", tuple(float(c) for c in coefficients)))
+    return BuiltinModel("linear", coefficients)
 
 
 def quadratic_model(coefficients) -> BuiltinModel:
-    return BuiltinModel(BuiltinModelSpec("quadratic", tuple(float(c) for c in coefficients)))
+    return BuiltinModel("quadratic", coefficients)
 
 
 class CallableModel(ModelHandle):
@@ -208,8 +186,8 @@ class CallableModel(ModelHandle):
         super().__init__(dimension)
         self._fn = fn
 
-    def _evaluate(self, x):
-        return self._fn(x)
+    def _evaluate_batch(self, xs):
+        return [float(self._fn(x)) for x in xs]
 
 
 def _decode(reply: bytes) -> dict:
@@ -236,18 +214,21 @@ def _answers(doc, key: str, shape: tuple) -> np.ndarray:
 
 class _RemoteModel(ModelHandle):
     """Response cache and ``x``/``xs`` request logic shared by the remote
-    adapters; the protocol is in the module docstring.
+    adapters; the protocol is in the module docstring.  A call sends its
+    uncached distinct rows: two or more as one ``xs`` request, the first of
+    which is the probe, and a lone one, or each once the model has shown
+    that it does not batch, as one ``x`` request.
 
     Subclasses supply the transport: ``_request(payload)`` sends one request
     and returns the decoded reply, and ``_probe_batch(payload)``, called with
-    the first batch, returns the reply to that ``xs`` request, or ``None`` if
-    the model does not batch.
+    the first ``xs`` request, returns the reply to it, or ``None`` if the
+    model does not batch.
     """
 
     def __init__(self, dimension: int):
         super().__init__(dimension)
         self._cache: dict[bytes, float] = {}
-        self._batches: bool | None = None  # unknown until the first batch
+        self._batches: bool | None = None  # unknown until the first xs request
 
     def _request(self, payload: dict) -> dict:
         raise NotImplementedError
@@ -255,29 +236,19 @@ class _RemoteModel(ModelHandle):
     def _probe_batch(self, payload: dict) -> dict | None:
         raise NotImplementedError
 
-    def _evaluate(self, x):
-        key = x.tobytes()
-        if key not in self._cache:
-            doc = self._request({"x": x.tolist()})
-            self._cache[key] = float(_answers(doc, "y", ()))
-        return self._cache[key]
-
     def _evaluate_batch(self, xs):
-        if self._batches is False:
-            return super()._evaluate_batch(xs)
         keys = [x.tobytes() for x in xs]
         todo = {k: i for i, k in enumerate(keys) if k not in self._cache}
-        if todo:
-            payload = {"xs": xs[list(todo.values())].tolist()}
-            if self._batches:
-                doc = self._request(payload)
-            else:
-                doc = self._probe_batch(payload)
-                self._batches = doc is not None
-                if doc is None:
-                    return super()._evaluate_batch(xs)
-            ys = _answers(doc, "ys", (len(todo),))
-            self._cache.update(zip(todo, ys.tolist()))
+        rows = xs[list(todo.values())].tolist()
+        doc = None
+        if len(rows) > 1 and self._batches is not False:
+            doc = (self._request if self._batches else self._probe_batch)({"xs": rows})
+            self._batches = doc is not None
+        if doc is None:
+            for k, row in zip(todo, rows):
+                self._cache[k] = float(_answers(self._request({"x": row}), "y", ()))
+        else:
+            self._cache.update(zip(todo, _answers(doc, "ys", (len(rows),)).tolist()))
         return np.array([self._cache[k] for k in keys])
 
 
@@ -288,14 +259,15 @@ class SubprocessModel(_RemoteModel):
     JSON object per line on its stdout.
 
     - ``{"x": [...]}`` is answered by ``{"y": <number>}``.  Every child
-      must speak it; single evaluations always use it.
+      must speak it; a lone uncached row, as of :meth:`evaluate`, always
+      goes this way.
     - ``{"xs": [[...], ...]}`` is answered by ``{"ys": [<number>, ...]}``,
-      one value per row.  This line is optional.  The first batch is sent
-      this way and serves as the probe: a ``ys`` reply means the child
-      batches for the rest of the handle's life.  A reply without ``ys``,
-      or the child exiting on that line, means it does not: the child is
-      restarted if it died, and this batch and every later one go one
-      ``x`` line per point.  A child should answer a line it does not
+      one value per row.  This line is optional.  The first batch of two
+      or more uncached rows is sent this way and serves as the probe: a
+      ``ys`` reply means the child batches for the rest of the handle's
+      life.  A reply without ``ys``, or the child exiting on that line,
+      means it does not: the child is restarted if it died, and this batch
+      and every later one go one ``x`` line per point.  A child should answer a line it does not
       understand with a one-line JSON object such as ``{"error": "..."}``
       rather than crash.
 
@@ -492,7 +464,12 @@ class HttpModel(_RemoteModel):
     go through ``{"xs": [[...], ...]}`` -> ``{"ys": [...]}``; if that request
     fails or does not return JSON, they go one point per request.  A
     capabilities reply that is JSON but not an object raises
-    :class:`TransportError`.  ``timeout`` bounds each socket operation.
+    :class:`TransportError`, as do a ``/predict`` status of 400 or above and
+    a request whose answer has not come within ``timeout`` seconds of its
+    start: the body is read in chunks against that deadline.  Connecting,
+    sending and reading the status line and headers are bounded per socket
+    operation only, so a server that trickles its status line or headers
+    can hold a request longer.
     """
 
     def __init__(self, base_url: str, dimension: int, timeout: float = 10.0):
@@ -500,33 +477,49 @@ class HttpModel(_RemoteModel):
         self._base = base_url.rstrip("/")
         self._timeout = timeout
 
-    def _request(self, payload):
+    def _exchange(self, method: str, path: str, body: bytes | None = None):
+        """One request to ``<base><path>``, answered as ``(status, body)``
+        within ``timeout`` seconds of its start, or :class:`TransportError`."""
         # the HTTP stack loads on first use, not with the package
         import http.client
-        import urllib.request
+        from urllib.parse import urlsplit
 
-        req = urllib.request.Request(
-            self._base + "/predict", data=json.dumps(payload).encode(),
-            headers={"Content-Type": "application/json"},
-        )
+        deadline = time.monotonic() + self._timeout
+        url = urlsplit(self._base + path)
+        conn = (http.client.HTTPSConnection if url.scheme == "https" else
+                http.client.HTTPConnection)(url.netloc, timeout=self._timeout)
         try:
-            with urllib.request.urlopen(req, timeout=self._timeout) as resp:
-                body = resp.read()
+            conn.request(method, url.path, body, {"Content-Type": "application/json"})
+            sock, reply = conn.sock, bytearray()  # conn drops sock after HTTP/1.0
+            with conn.getresponse() as resp:
+                while (left := deadline - time.monotonic()) > 0:
+                    sock.settimeout(left)
+                    if not (chunk := resp.read1(1 << 16)):
+                        return resp.status, bytes(reply)
+                    reply += chunk
+            raise TimeoutError
+        except TimeoutError as exc:
+            raise TransportError(
+                f"model endpoint gave no answer within {self._timeout:g} s") from exc
         except (OSError, http.client.HTTPException) as exc:
             raise TransportError(f"model endpoint failed: {exc}") from exc
+        finally:
+            conn.close()
+
+    def _request(self, payload):
+        status, body = self._exchange("POST", "/predict", json.dumps(payload).encode())
+        if status >= 400:
+            raise TransportError(f"model endpoint answered HTTP {status}: {body[:200]!r}")
         return _decode(body)
 
     def _probe_batch(self, payload):
-        import http.client
-        import urllib.request
-
         try:
-            with urllib.request.urlopen(
-                self._base + "/capabilities", timeout=self._timeout
-            ) as resp:
-                caps = json.loads(resp.read())
-        except (OSError, http.client.HTTPException, ValueError):
-            return None  # unreachable, an HTTP error status, or not JSON
+            status, body = self._exchange("GET", "/capabilities")
+            if status >= 400:
+                return None
+            caps = json.loads(body)
+        except (TransportError, ValueError):
+            return None  # unreachable, too slow, or not JSON
         if not isinstance(caps, dict):
             raise TransportError(f"malformed capabilities response: {str(caps)[:200]}")
         return self._request(payload) if caps.get("batch", False) else None

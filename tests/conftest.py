@@ -29,17 +29,14 @@ FINE_GRAD = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=10, seed=0
 
 class BatchRecorder(ModelHandle):
     """Wraps a model and records the number of points of every call, single
-    and batch alike, and the rows of the first and the last batch."""
+    and batch alike (a single query is a one-row batch), and the rows of
+    the first and the last call."""
 
     def __init__(self, inner):
         super().__init__(inner.dimension)
         self.inner = inner
         self.sizes = []
         self.first = self.last = None
-
-    def _evaluate(self, x):
-        self.sizes.append(1)
-        return self.inner.evaluate(x)
 
     def _evaluate_batch(self, xs):
         self.sizes.append(len(xs))

@@ -886,10 +886,12 @@ class TestResidualRows:
         rows = np.array([[0.5, 0.0], [0.0, 0.0]])
         deferred = cli._DeferredRows(model, rows, lambda fx: fx.tolist())
         assert deferred.evaluate([1.0, 0.0]) == -2.0
-        assert model.sizes == [2, 1]
+        # one call of the model: the held rows, then the query's own row
+        assert model.sizes == [3]
+        np.testing.assert_array_equal(model.first, [*rows, [1.0, 0.0]])
         assert deferred.finish() == pytest.approx([0.0, 2.0], abs=1e-12)
         assert (deferred.query_count, deferred.call_count) == (1, 1)
-        assert (model.query_count, model.call_count) == (3, 2)
+        assert (model.query_count, model.call_count) == (3, 1)
 
     def test_nonfinite_residual_named_first(self, tmp_path, capsys, nan_model):
         # row 1 is not selected; its residual comes before gpa's rows
@@ -1293,3 +1295,33 @@ def test_gpa_diagnostics_count_one_pair_batches_and_confirmations(tmp_path, comm
                  "--indices", "0", "--out", str(out), *ORACLE_FLAGS]) == 0
     gpa = strict_json((out / name).read_text())["diagnostics"]["gpa"]
     assert gpa["one_pair_batches"] == gpa["confirmations"] == 0
+
+
+@pytest.mark.parametrize("case", ["missing data", "data is a directory", "missing ref",
+                                  "out is a file"])
+def test_unreadable_or_unwritable_file_exit_2(sinus_data, lattice_ref, tmp_path, capsys,
+                                              case):
+    out = tmp_path / "out"
+    argv = ["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+            "--methods", "eig", "--ref", str(lattice_ref), "--out", str(out)]
+    if case == "missing data":
+        path = tmp_path / "nonexistent.csv"
+        argv = ["detect", "--data", str(path), "--model", "sinusoidal2d", "--out", str(out)]
+    elif case == "data is a directory":
+        path = tmp_path / "data_dir"
+        path.mkdir()
+        argv[argv.index("--data") + 1] = str(path)
+    elif case == "missing ref":
+        path = tmp_path / "missing_ref.csv"
+        argv[argv.index("--ref") + 1] = str(path)
+    else:  # raised when the methods have run
+        path = out
+        out.write_text("not a directory\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert "Traceback" not in err
+    if case == "out is a file":
+        assert out.read_text() == "not a directory\n"
+    else:
+        assert not out.exists()

@@ -185,6 +185,13 @@ class TestLitmusSvg:
         with pytest.raises(ValueError):
             emit_litmus_svg({}, tmp_path / "x.svg")
 
+    def test_method_names_escaped_as_element_text(self, tmp_path):
+        p = tmp_path / "l.svg"
+        emit_litmus_svg({"a<b&c": np.array([1.0, -1.0])}, p)
+        svg = ElementTree.parse(p).getroot()
+        labels = [t.text for t in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert labels == ["x1", "x2", "a<b&c"]
+
 
 @pytest.mark.parametrize("emit", ["litmus", "distribution"])
 def test_variable_names_escaped_as_element_text(tmp_path, emit):

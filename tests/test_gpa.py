@@ -18,7 +18,6 @@ from anomattr import (
     lc,
     linear_model,
     map_estimate,
-    objective,
     oracle_gpa,
     quadratic_model,
     score_distributions,
@@ -122,12 +121,19 @@ class TestGammaHyperparameters:
         np.testing.assert_allclose(rates, expect, rtol=1e-12, atol=0)
 
 
+def _objective(delta, ts, model, hp, rates):
+    """The smooth part of the MAP objective at ``delta`` (no l1 term), under
+    the per-sample gamma ``rates`` of a run."""
+    loss = student_t_loss(hp.a0, rates)
+    return CounterfactualObjective(model, ts.x, ts.y, hp.eta, loss).value(delta)
+
+
 class TestObjective:
     def test_zero_residual_zero_perturbation(self):
         m = linear_model([2.0])
         ts = TestSet(np.array([[1.0]]), np.array([2.0]), ["a"])
         hp = GpaHyperParams(eta=0.5, a0=1.0, b0=1.0)
-        assert objective(np.zeros(1), ts, m, hp, np.full(1, hp.b0)) == pytest.approx(
+        assert _objective(np.zeros(1), ts, m, hp, np.full(1, hp.b0)) == pytest.approx(
             0.0, abs=1e-15)
 
     def test_unit_ratio_gives_log_two(self):
@@ -138,17 +144,17 @@ class TestObjective:
         for a0 in (1.0, 5.5):
             hp = GpaHyperParams(eta=1.0, a0=a0, b0=s**2 / 2)
             expect = (2 * a0 + 1) / 2 * np.log(2.0)
-            assert objective(np.zeros(1), ts, m, hp, np.full(1, hp.b0)) == pytest.approx(
+            assert _objective(np.zeros(1), ts, m, hp, np.full(1, hp.b0)) == pytest.approx(
                 expect)
 
     def test_residual_killing_shift_is_near_minimal(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         best = np.array([-1.0 / 6.0, 0.0])
         rates = np.full(1, ORACLE_HP.b0)
-        value = objective(best, ts, sin_model, ORACLE_HP, rates)
+        value = _objective(best, ts, sin_model, ORACLE_HP, rates)
         assert value == pytest.approx(0.5 * ORACLE_HP.eta * (1 / 36), abs=1e-9)
         for other in (np.zeros(2), np.array([0.1, 0.0]), np.array([-0.3, 0.1])):
-            assert objective(other, ts, sin_model, ORACLE_HP, rates) > value
+            assert _objective(other, ts, sin_model, ORACLE_HP, rates) > value
 
     def test_collective_single_sample_reduction(self, sin_model):
         # the collective objective with one sample is the single-sample one
@@ -159,11 +165,11 @@ class TestObjective:
         direct = 0.5 * hp.eta * delta @ delta + (2 * hp.a0 + 1) / 2 * np.log1p(
             resid**2 / (2 * hp.b0)
         )
-        assert objective(delta, ts, sin_model, hp, np.full(1, hp.b0)) == pytest.approx(
+        assert _objective(delta, ts, sin_model, hp, np.full(1, hp.b0)) == pytest.approx(
             direct, rel=1e-12)
 
     def test_run_rates_give_the_solver_trace(self):
-        # c_b rates from the residuals: objective() reuses the run's rates
+        # c_b rates from the residuals: the objective reuses the run's rates
         # and costs one batch of the samples, with no second rate query
         m = linear_model([1.0, -2.0])
         ts = TestSet(np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]]),
@@ -171,7 +177,7 @@ class TestObjective:
         hp = GpaHyperParams(a0=1.0, tol=1e-8)
         res = map_estimate(ts, m, hp, FINE_GRAD)
         before = m.query_count
-        value = objective(res.delta_star, ts, m, hp, res.rates)
+        value = _objective(res.delta_star, ts, m, hp, res.rates)
         assert m.query_count - before == ts.n_test
         l1 = hp.eta * hp.nu * np.abs(res.delta_star).sum()
         assert value + l1 == res.objective_trace[-1]
@@ -181,7 +187,7 @@ class TestObjective:
         ts = TestSet(np.array([[0.0], [1.0]]), np.array([0.0, 0.0]), ["a"])
         hp = GpaHyperParams(b0=1.0)
         with pytest.raises(NonFiniteModelOutput) as exc:
-            objective(np.zeros(1), ts, m, hp, np.full(2, hp.b0))
+            _objective(np.zeros(1), ts, m, hp, np.full(2, hp.b0))
         assert str(exc.value) == "model returned non-finite output inf at input [1.0]"
         assert m.query_count == 2  # counted before it is refused
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from anomattr.models import (
     BuiltinModel,
-    BuiltinModelSpec,
     CallableModel,
     GradientEstimatorConfig,
     HttpModel,
@@ -45,13 +44,13 @@ class TestBuiltins:
         m = quadratic_model([1.0])
         assert m.evaluate([2.0]) == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("spec", [
-        BuiltinModelSpec("sinusoidal2d"),
-        BuiltinModelSpec("linear", (3.0, -1.0 / 3.0)),
-        BuiltinModelSpec("quadratic", (0.1, 7.0)),
-    ], ids=lambda spec: spec.kind)
-    def test_batch_matches_scalar(self, spec):
-        m = BuiltinModel(spec)
+    @pytest.mark.parametrize("kind, coefficients", [
+        ("sinusoidal2d", ()),
+        ("linear", (3.0, -1.0 / 3.0)),
+        ("quadratic", (0.1, 7.0)),
+    ], ids=["sinusoidal2d", "linear", "quadratic"])
+    def test_batch_matches_scalar(self, kind, coefficients):
+        m = BuiltinModel(kind, coefficients)
         xs = np.array([[0.1, 0.2], [0.7, -0.3], [0.0, 0.0], [1 / 3, 2 / 7]])
         batch = m.evaluate_batch(xs)
         singles = [m.evaluate(x) for x in xs]
@@ -63,7 +62,7 @@ class TestBuiltins:
     def test_wide_batches_of_any_size_match_scalar(self, kind):
         # rows of 30 terms, whose sum a matrix product orders by batch size
         rng = np.random.default_rng(4)
-        m = BuiltinModel(BuiltinModelSpec(kind, tuple(rng.uniform(0.5, 1.5, 30))))
+        m = BuiltinModel(kind, rng.uniform(0.5, 1.5, 30))
         xs = rng.normal(size=(1_220, 30))
         batch = m.evaluate_batch(xs)
         np.testing.assert_array_equal(batch[:200], [m.evaluate(x) for x in xs[:200]])
@@ -83,11 +82,11 @@ class TestBuiltins:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            BuiltinModelSpec("cubic")
+            BuiltinModel("cubic")
         with pytest.raises(ValueError):
-            BuiltinModelSpec("linear")
+            BuiltinModel("linear")
         with pytest.raises(ValueError):
-            BuiltinModelSpec("sinusoidal2d", (1.0,))
+            BuiltinModel("sinusoidal2d", (1.0,))
 
 
 class TestGradientEstimator:
@@ -411,7 +410,7 @@ class TestSubprocessAdapter:
     def test_batch_is_one_line_and_cached_rows_are_not_resent(self, tmp_path):
         m, requests = _child(tmp_path, BATCH_MODEL)
         try:
-            first = m.evaluate(POINTS[0])
+            first = m.evaluate(POINTS[0])  # one x line on a fresh child, no probe
             ys = m.evaluate_batch(POINTS)
             again = m.evaluate_batch(POINTS[::-1])
         finally:
@@ -421,6 +420,27 @@ class TestSubprocessAdapter:
         assert ys[0] == first
         assert m.query_count == 9
         assert requests() == [{"x": [1.0, 2.0]}, {"xs": POINTS[1:].tolist()}]
+
+    def test_lone_uncached_row_after_the_probe_sends_x(self, tmp_path):
+        m, requests = _child(tmp_path, BATCH_MODEL)
+        try:
+            m.evaluate_batch(POINTS[:2])
+            ys = m.evaluate_batch(POINTS[:3])
+        finally:
+            m.close()
+        np.testing.assert_array_equal(ys, 3.0 * POINTS[:3, 0] - POINTS[:3, 1])
+        assert requests() == [{"xs": POINTS[:2].tolist()}, {"x": POINTS[2].tolist()}]
+        assert (m.query_count, m.call_count) == (5, 2)
+
+    def test_repeated_row_is_one_x_line(self, tmp_path):
+        m, requests = _child(tmp_path, BATCH_MODEL)
+        try:
+            ys = m.evaluate_batch(POINTS[[1, 1]])
+        finally:
+            m.close()
+        np.testing.assert_array_equal(ys, [2.5, 2.5])
+        assert requests() == [{"x": POINTS[1].tolist()}]
+        assert (m.query_count, m.call_count) == (2, 1)
 
     def test_single_point_child_falls_back_after_one_probe(self, tmp_path):
         (tmp_path / "batch").mkdir()
@@ -610,15 +630,18 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send({}, 404)
 
+    @staticmethod
+    def f(x):
+        return 2.0 * x[0] + x[1]
+
     def do_POST(self):
         n = int(self.headers["Content-Length"])
         req = json.loads(self.rfile.read(n))
         self.posts.append(req)
         if "xs" in req:
-            self._send({"ys": [2.0 * x[0] + x[1] for x in req["xs"]]})
+            self._send({"ys": [self.f(x) for x in req["xs"]]})
         else:
-            x = req["x"]
-            self._send({"y": 2.0 * x[0] + x[1]})
+            self._send({"y": self.f(req["x"])})
 
 
 class _NoCapabilities(_Handler):
@@ -637,6 +660,31 @@ class _NonFiniteBatch(_Handler):
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
         self._send({"ys": [1.0, float("nan")]})  # json writes the token NaN
+
+
+class _Trickle(_Handler):
+    """Answers a 10-byte body one byte every 0.1 s."""
+    posts: list = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.dumps({"y": 1.0}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        with contextlib.suppress(OSError):  # the client has hung up
+            for byte in body:
+                self.wfile.write(bytes([byte]))
+                self.wfile.flush()
+                time.sleep(0.1)
+
+
+class _ServerError(_Handler):
+    posts: list = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self._send({"error": "model crashed"}, 500)
 
 
 @contextlib.contextmanager
@@ -692,6 +740,23 @@ class TestHttpAdapter:
         with pytest.raises(TransportError):
             m.evaluate([0.0])
 
+    @pytest.mark.parametrize("http_server", [_Trickle], indirect=True)
+    def test_trickled_body_ends_at_the_deadline(self, http_server):
+        # every byte comes well within the timeout, the whole body (10
+        # bytes, 0.1 s apart) only after it: the request's deadline ends it
+        m = HttpModel(http_server, dimension=1, timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="no answer within 0.5 s"):
+            m.evaluate([0.0])
+        assert time.monotonic() - start < 0.5 + 0.5
+
+    @pytest.mark.parametrize("http_server", [_ServerError], indirect=True)
+    def test_error_status_raises(self, http_server):
+        m = HttpModel(http_server, dimension=1)
+        with pytest.raises(TransportError, match="HTTP 500"):
+            m.evaluate([0.0])
+        assert m.query_count == 0
+
 
 @pytest.mark.parametrize("reply, bad", [
     ('{"y": NaN}', 0),  # also the reply to the batch probe: a one-point child
@@ -713,3 +778,63 @@ def test_nonfinite_batch_answer_raises(tmp_path, reply, bad):
             m.evaluate_batch(POINTS[:2])
     np.testing.assert_array_equal(exc.value.x, POINTS[bad])
     assert m.query_count == 2
+
+
+def _contract_f(x):
+    """The surface behind the contract test's callable, child and server:
+    NaN where x1 > 5."""
+    return float("nan") if x[0] > 5 else 2.0 * x[0] + x[1]
+
+
+CONTRACT_CHILD = textwrap.dedent(
+    """
+    import json, sys
+    def f(x):
+        return float("nan") if x[0] > 5 else 2.0 * x[0] + x[1]
+    for line in sys.stdin:
+        doc = json.loads(line)
+        reply = {"ys": [f(x) for x in doc["xs"]]} if "xs" in doc else {"y": f(doc["x"])}
+        print(json.dumps(reply), flush=True)
+    """
+)
+
+
+class _Contract(_Handler):
+    posts: list = []
+    f = staticmethod(_contract_f)
+
+
+@pytest.mark.parametrize("kind", [
+    "sinusoidal2d", "linear", "quadratic", "callable", "subprocess", "http",
+])
+def test_evaluate_is_the_one_row_batch(tmp_path, kind):
+    # the builtin surfaces are finite at finite inputs: an infinite input
+    # makes their answer NaN
+    nan_x = np.array([np.inf, 0.0] if kind == "sinusoidal2d" else [np.inf, np.inf])
+    with contextlib.ExitStack() as stack:
+        if kind in ("sinusoidal2d", "linear", "quadratic"):
+            m = BuiltinModel(kind, () if kind == "sinusoidal2d" else (1.0, -1.0))
+        elif kind == "callable":
+            m, nan_x = CallableModel(_contract_f, 2), np.array([6.0, 0.0])
+        elif kind == "subprocess":
+            script = tmp_path / "child.py"
+            script.write_text(CONTRACT_CHILD)
+            m = SubprocessModel([sys.executable, str(script)], dimension=2)
+            stack.callback(m.close)
+            m.evaluate_batch(POINTS[:2])  # the probe: the child batches
+            nan_x = np.array([6.0, 0.0])
+        else:
+            m = HttpModel(stack.enter_context(_serving(_Contract)), dimension=2)
+            nan_x = np.array([6.0, 0.0])
+        queries, calls = m.query_count, m.call_count
+        x = np.array([0.25, -0.5])
+        y = m.evaluate(x)
+        assert (m.query_count, m.call_count) == (queries + 1, calls + 1)
+        assert type(y) is float and y == m.evaluate_batch(x[None])[0]
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteModelOutput) as exc:
+            m.evaluate(nan_x)
+        np.testing.assert_array_equal(exc.value.x, nan_x)
+        assert (m.query_count, m.call_count) == (queries + 3, calls + 3)
+        with pytest.raises(ValueError, match="length 2"):
+            m.evaluate([0.25, -0.5, 1.0])
+        assert (m.query_count, m.call_count) == (queries + 3, calls + 3)

@@ -1,0 +1,36 @@
+import ast
+from pathlib import Path
+
+import pytest
+
+import anomattr
+
+SOURCES = sorted(p for p in Path(anomattr.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """The (line, name) of each name a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, "; ".join(f"{path.name}:{line} imports {name!r}, never read"
+                                 for line, name in unused)
+
+
+def test_an_unused_import_is_found():
+    tree = ast.parse("import math\nimport os\nfrom json import dumps as d\nos.getpid()\n")
+    assert _unused_imports(tree) == [(1, "math"), (3, "d")]
