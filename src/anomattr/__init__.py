@@ -53,6 +53,7 @@ from .models import (
     BuiltinModel,
     CallableModel,
     GradientEstimatorConfig,
+    HeldRows,
     HttpModel,
     ModelHandle,
     NonFiniteModelOutput,

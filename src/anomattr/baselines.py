@@ -8,7 +8,13 @@ surrogate intercept or cancels in differences, and the implementations keep
 that cancellation exact at machine precision.
 
 The surrogates send their cloud, and Shapley its coalitions or permutation
-walks, in one model batch each.  The path integrals send whole paths, the
+walks, in one model batch each, and ig its one path.  Those batches need no
+answer to be built, and :func:`cloud_rows`, :func:`path_rows` and
+:func:`shapley_rows` build their rows, with no query, by the helpers the
+methods build them with.  So ``explain`` and ``compare`` hold them on a
+:class:`~anomattr.models.HeldRows`, where they ride the command's first
+model call, and each method's request is answered from that call, bit for
+bit the rows it would send.  The path integrals send whole paths, the
 displaced points of each path's points short of x_t, as many paths per
 batch as keep the batch within ``_PATH_BATCH_NUMBERS`` model-input numbers
 (rows times m), and at least one.  x_t, where every path ends, goes once,
@@ -35,7 +41,12 @@ from .gpa import (
     gaussian_loss,
     proximal_minimize,
 )
-from .models import GradientEstimatorConfig, ModelHandle, estimate_gradient
+from .models import (
+    GradientEstimatorConfig,
+    ModelHandle,
+    _gradient_batch,
+    estimate_gradient,
+)
 
 __all__ = [
     "ReferenceSet",
@@ -49,6 +60,9 @@ __all__ = [
     "shapley_sampled",
     "z_score",
     "lc",
+    "cloud_rows",
+    "path_rows",
+    "shapley_rows",
 ]
 
 # exact Shapley enumeration cutoff: coalition values to evaluate
@@ -100,15 +114,27 @@ class LimeConfig:
             raise ValueError("l1_strength must be nonnegative")
 
 
-def _local_cloud(model: ModelHandle, x_t, cfg: LimeConfig):
-    """Standard-normal offsets around x_t and the model values there."""
+def _cloud(x_t, cfg: LimeConfig, dimension: int):
+    """Standard-normal offsets around x_t and the cloud's rows there."""
     x_t = np.asarray(x_t, dtype=float)
-    if cfg.n_samples < model.dimension + 1:
+    if cfg.n_samples < dimension + 1:
         raise ValueError("n_samples must be at least dimension + 1 for a solvable fit")
     rng = np.random.default_rng(cfg.seed)
-    offsets = rng.standard_normal((cfg.n_samples, model.dimension))
-    fvals = model.evaluate_batch(x_t + cfg.sampling_std * offsets)
-    return offsets, fvals
+    offsets = rng.standard_normal((cfg.n_samples, dimension))
+    return offsets, x_t + cfg.sampling_std * offsets
+
+
+def cloud_rows(x_t, cfg: LimeConfig, dimension: int) -> np.ndarray:
+    """The rows of the one model batch of :func:`lime`, :func:`lime0` and
+    :func:`baylime_distributions` at x_t under ``cfg``, the same for all
+    three, for a caller that sends them early (no model query)."""
+    return _cloud(x_t, cfg, dimension)[1]
+
+
+def _local_cloud(model: ModelHandle, x_t, cfg: LimeConfig):
+    """Standard-normal offsets around x_t and the model values there."""
+    offsets, rows = _cloud(x_t, cfg, model.dimension)
+    return offsets, model.evaluate_batch(rows)
 
 
 def lime(model: ModelHandle, x_t, y_t: float, cfg: LimeConfig) -> np.ndarray:
@@ -195,6 +221,27 @@ def baylime_distributions(
     return BaylimeResult(means, variance)
 
 
+def _path_alphas(x_t: np.ndarray, starts: np.ndarray, n_intervals: int) -> np.ndarray:
+    """The path positions of the points short of x_t, 0 at the start."""
+    if n_intervals < 1:
+        raise ValueError("n_intervals must be >= 1")
+    if starts.shape[1:] != x_t.shape:
+        raise ValueError("baseline must have the same dimension as x_t")
+    return np.linspace(0.0, 1.0, n_intervals + 1)[:-1]
+
+
+def _path_points(x_t: np.ndarray, starts: np.ndarray, alphas: np.ndarray,
+                 lead: int) -> np.ndarray:
+    """``lead`` copies of x_t, then the points at ``alphas`` on the straight
+    path from each row of ``starts`` to x_t, path by path."""
+    m = x_t.shape[-1]
+    points = np.empty((lead + len(starts) * len(alphas), m))
+    points[:lead] = x_t
+    np.add(starts[:, None, :], alphas[:, None] * (x_t - starts)[:, None, :],
+           out=points[lead:].reshape(len(starts), len(alphas), m))
+    return points
+
+
 def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
                     n_intervals: int, grad_cfg: GradientEstimatorConfig) -> np.ndarray:
     """Trapezoidal integral of the gradient along the straight path from each
@@ -205,15 +252,10 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
     built and integrated on its own, so its integral does not depend on the
     batch it goes in, on a model that answers a row whatever batch it comes
     in."""
-    if n_intervals < 1:
-        raise ValueError("n_intervals must be >= 1")
-    if starts.shape[1:] != x_t.shape:
-        raise ValueError("baseline must have the same dimension as x_t")
+    alphas = _path_alphas(x_t, starts, n_intervals)
     m = x_t.shape[-1]
-    alphas = np.linspace(0.0, 1.0, n_intervals + 1)[:-1]  # the points short of x_t
     weights = np.full(n_intervals, 1.0 / n_intervals)
     weights[0] = 0.5 / n_intervals
-    d = x_t - starts
     # the estimator sends a point itself only where an unpaired draw needs it
     point_numbers = (m * grad_cfg.mc_samples + grad_cfg.mc_samples % 2) * m
     path_numbers = n_intervals * point_numbers
@@ -221,19 +263,25 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
     lo, lead = 0, 1  # x_t leads the first batch
     while lo < len(starts):
         hi = lo + max(1, (_PATH_BATCH_NUMBERS - lead * point_numbers) // path_numbers)
-        dk = d[lo:hi, None, :]
-        points = np.empty((lead + len(dk) * n_intervals, m))
-        points[:lead] = x_t
-        np.add(starts[lo:hi, None, :], alphas[:, None] * dk,
-               out=points[lead:].reshape(len(dk), n_intervals, m))
-        grads = estimate_gradient(model, points, grad_cfg)
+        grads = estimate_gradient(model, _path_points(x_t, starts[lo:hi], alphas, lead),
+                                  grad_cfg)
         if lead:
             end_term = 0.5 / n_intervals * grads[0]
-        for row, di, path_grads in zip(integrals[lo:hi], dk[:, 0],
-                                       grads[lead:].reshape(len(dk), n_intervals, m)):
+        for row, di, path_grads in zip(integrals[lo:hi], x_t - starts[lo:hi],
+                                       grads[lead:].reshape(-1, n_intervals, m)):
             row[:] = di * (weights @ path_grads + end_term)
         lo, lead = hi, 0
     return integrals
+
+
+def path_rows(x_t, baseline, n_intervals: int,
+              grad_cfg: GradientEstimatorConfig) -> np.ndarray:
+    """The rows of the one model batch of :func:`integrated_gradient`: the
+    estimator's displaced points of the path's points, for a caller that
+    sends them early (no model query)."""
+    x_t, starts = np.asarray(x_t, dtype=float), np.asarray(baseline, dtype=float)[None]
+    points = _path_points(x_t, starts, _path_alphas(x_t, starts, n_intervals), 1)
+    return _gradient_batch(points, len(x_t), grad_cfg)[0]
 
 
 def integrated_gradient(
@@ -274,8 +322,9 @@ def expected_integrated_gradient(
     return total
 
 
-def _shapley_exact(model: ModelHandle, x_t: np.ndarray, ref: ReferenceSet) -> np.ndarray:
-    m = model.dimension
+def _shapley_exact(x_t: np.ndarray, ref: ReferenceSet):
+    """The rows of the exact Shapley batch and the scores from its answers."""
+    m = len(x_t)
     weights = ref.effective_weights
     # value of each coalition: expected model output with coalition members
     # pinned to the test point and the rest drawn from the reference set;
@@ -285,22 +334,26 @@ def _shapley_exact(model: ModelHandle, x_t: np.ndarray, ref: ReferenceSet) -> np
     points = np.tile(ref.samples, (len(coalitions), 1, 1))
     for block, coalition in zip(points, coalitions):
         block[:, list(coalition)] = x_t[list(coalition)]
-    fvals = model.evaluate_batch(points.reshape(-1, m)).reshape(len(coalitions), -1)
-    values = {c: float(weights @ row) for c, row in zip(coalitions, fvals)}
-    scores = np.zeros(m)
-    for i in range(m):
-        others = [j for j in range(m) if j != i]
-        for size in range(m):
-            coeff = 1.0 / (m * comb(m - 1, size))
-            for subset in itertools.combinations(others, size):
-                with_i = tuple(sorted(subset + (i,)))
-                scores[i] += coeff * (values[with_i] - values[subset])
-    return scores
+
+    def scores_from(fvals):
+        fvals = fvals.reshape(len(coalitions), -1)
+        values = {c: float(weights @ row) for c, row in zip(coalitions, fvals)}
+        scores = np.zeros(m)
+        for i in range(m):
+            others = [j for j in range(m) if j != i]
+            for size in range(m):
+                coeff = 1.0 / (m * comb(m - 1, size))
+                for subset in itertools.combinations(others, size):
+                    with_i = tuple(sorted(subset + (i,)))
+                    scores[i] += coeff * (values[with_i] - values[subset])
+        return scores
+
+    return points.reshape(-1, m), scores_from
 
 
-def _shapley_sampling(model: ModelHandle, x_t: np.ndarray, ref: ReferenceSet,
-                      n_configs: int, seed: int) -> np.ndarray:
-    m = model.dimension
+def _shapley_sampling(x_t: np.ndarray, ref: ReferenceSet, n_configs: int, seed: int):
+    """The rows of the sampled Shapley batch and the scores from its answers."""
+    m = len(x_t)
     rng = np.random.default_rng(seed)
     weights = ref.effective_weights
     perms = np.empty((n_configs, m), dtype=int)
@@ -313,11 +366,38 @@ def _shapley_sampling(model: ModelHandle, x_t: np.ndarray, ref: ReferenceSet,
         walk[:] = ref.samples[rng.choice(len(weights), p=weights)]
         for pos, j in enumerate(perm):
             walk[pos + 1 :, j] = x_t[j]
-    fvals = model.evaluate_batch(points.reshape(-1, m)).reshape(n_configs, m + 1)
-    scores = np.zeros(m)
-    for perm, walk in zip(perms, fvals):
-        scores[perm] += walk[1:] - walk[:-1]
-    return scores / n_configs
+
+    def scores_from(fvals):
+        scores = np.zeros(m)
+        for perm, walk in zip(perms, fvals.reshape(n_configs, m + 1)):
+            scores[perm] += walk[1:] - walk[:-1]
+        return scores / n_configs
+
+    return points.reshape(-1, m), scores_from
+
+
+def _shapley_batch(x_t, ref: ReferenceSet, n_configs: int, seed: int, method: str):
+    """The rows of :func:`shapley_sampled`'s one batch and the scores from
+    its answers, by the ``method`` rule there."""
+    x_t = np.asarray(x_t, dtype=float)
+    if n_configs < 1:
+        raise ValueError("n_configs must be >= 1")
+    if method not in ("auto", "exact", "sampling"):
+        raise ValueError(f"unknown method {method!r}")
+    m = len(x_t)
+    if method == "auto":
+        cheap = m <= 10 and (2**m) * len(ref.samples) <= _EXACT_SV_BUDGET
+        method = "exact" if cheap else "sampling"
+    if method == "exact":
+        return _shapley_exact(x_t, ref)
+    return _shapley_sampling(x_t, ref, n_configs, seed)
+
+
+def shapley_rows(x_t, ref: ReferenceSet, n_configs: int = 100, seed: int = 0,
+                 method: str = "auto") -> np.ndarray:
+    """The rows of the one model batch of :func:`shapley_sampled`, for a
+    caller that sends them early (no model query)."""
+    return _shapley_batch(x_t, ref, n_configs, seed, method)[0]
 
 
 def shapley_sampled(
@@ -337,18 +417,8 @@ def shapley_sampled(
     the model answers one batch.  The observed target cancels in every
     marginal contribution, so it does not appear here at all.
     """
-    x_t = np.asarray(x_t, dtype=float)
-    if n_configs < 1:
-        raise ValueError("n_configs must be >= 1")
-    if method not in ("auto", "exact", "sampling"):
-        raise ValueError(f"unknown method {method!r}")
-    m = model.dimension
-    if method == "auto":
-        cheap = m <= 10 and (2**m) * len(ref.samples) <= _EXACT_SV_BUDGET
-        method = "exact" if cheap else "sampling"
-    if method == "exact":
-        return _shapley_exact(model, x_t, ref)
-    return _shapley_sampling(model, x_t, ref, n_configs, seed)
+    rows, scores_from = _shapley_batch(x_t, ref, n_configs, seed, method)
+    return scores_from(model.evaluate_batch(rows))
 
 
 def z_score(x_t, ref: ReferenceSet) -> np.ndarray:

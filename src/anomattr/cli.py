@@ -18,10 +18,17 @@ list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
 ``detect`` and ``explain`` take the noise variance and the anomaly scores
 from one batch of residuals ``y - f(x)``: over every row, or with
 ``--noise-var`` over the scored rows alone.  ``detect`` sends it as its one
-model call.  ``explain`` sends no call of its own: the residual rows go at
-the front of the first batch any of its methods sends, and their scores are
-taken before that method sees its own answers, so an overflowing residual
-ends the run there; they go alone only when no method queries the model.
+model call.  ``explain`` and ``compare`` send no call for rows that no
+answer depends on.  Before any method runs, they hold
+(:class:`~anomattr.models.HeldRows`) explain's residual rows, then the one
+batch of each method that builds it without an answer: the lime cloud,
+which lime, lime0 and baylime share, ig's path and sv's batch.  All of them
+go at the front of the command's first model call, whichever method makes
+it, and those methods take their answers from that call.  The residual
+scores are taken before the caller of that call sees its own answers, so an
+overflowing residual ends the run there.  Held rows go alone only where no
+method sends a batch of its own, and a missing ``--baseline`` or ``--ref``
+is refused before the first query.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, a number flag out of its range,
@@ -81,6 +88,7 @@ from .gpa import DivergenceError, GpaHyperParams
 from .models import (
     BuiltinModel,
     GradientEstimatorConfig,
+    HeldRows,
     HttpModel,
     ModelHandle,
     NonFiniteModelOutput,
@@ -92,6 +100,7 @@ MODEL_ENV_VAR = "ANOMATTR_MODEL"
 ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zscore")
 _COLLECTIVE_METHODS = ("gpa", "lc")
 _LIME_METHODS = {"lime", "lime0", "baylime"}
+_REF_METHODS = ("eig", "sv", "zscore")
 _DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "one_pair_batches",
                 "confirmations", "converged", "query_count", "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
@@ -212,44 +221,6 @@ def _anomaly_scores(args, batch: TestSet, fx, rows) -> tuple[float, list]:
     return variance, metrics.anomaly_score(resid[list(rows)], variance).tolist()
 
 
-class _DeferredRows(ModelHandle):
-    """The opened ``model`` holding back ``rows`` that no caller needs yet:
-    they go first in the first call a caller makes, a single query included,
-    with the caller's rows after them in one call of ``model``, so a
-    non-finite answer among them is named first; ``complete`` takes their
-    answers before the caller gets its own.  :meth:`finish` sends them alone
-    if no call took them, and returns what ``complete`` returned.  The handle
-    counts its caller's queries and calls; ``model`` counts every one."""
-
-    def __init__(self, model: ModelHandle, rows: np.ndarray, complete):
-        super().__init__(model.dimension)
-        self._model, self._rows, self._complete = model, rows, complete
-        self._completed = None
-
-    def _take(self, fx) -> None:
-        self._rows = None
-        self._completed = self._complete(fx)
-
-    def evaluate_batch(self, xs) -> np.ndarray:
-        # overrides evaluate_batch, not _evaluate_batch: the one call of
-        # ``model`` is the only one a query counter sees
-        if self._rows is None:
-            ys = self._model.evaluate_batch(xs)
-        else:
-            held = len(self._rows)
-            ys = self._model.evaluate_batch(np.concatenate([self._rows, xs]))
-            self._take(ys[:held])
-            ys = ys[held:]
-        self.query_count += len(ys)
-        self.call_count += 1
-        return ys
-
-    def finish(self):
-        if self._rows is not None:
-            self._take(self._model.evaluate_batch(self._rows))
-        return self._completed
-
-
 def _selected_indices(args, n_test: int) -> tuple[int, ...]:
     idx = _numbers(args.indices, int) if args.indices else (args.point_index,)
     for k, i in enumerate(idx):
@@ -310,6 +281,11 @@ def _reference_set(args, dimension: int) -> baselines.ReferenceSet | None:
     return baselines.ReferenceSet(ref_ts.x)
 
 
+def _lime_config(args) -> baselines.LimeConfig:
+    return baselines.LimeConfig(n_samples=args.lime_samples, sampling_std=args.lime_std,
+                                l1_strength=args.lime_l1, seed=args.seed)
+
+
 def _run_method(
     name: str,
     model: ModelHandle,
@@ -329,26 +305,18 @@ def _run_method(
         result = (gpa.map_estimate(selection, model, hp, grad_cfg) if name == "gpa" else
                   baselines.lc(model, selection.x, selection.y, hp, grad_cfg, args.lc_lambda))
         return result.delta_star, {k: getattr(result, k) for k in _DIAGNOSTICS}
-    if name in _LIME_METHODS:
-        lime_cfg = baselines.LimeConfig(
-            n_samples=args.lime_samples, sampling_std=args.lime_std,
-            l1_strength=args.lime_l1, seed=args.seed,
-        )
-        if name == "lime":
-            return baselines.lime(model, x_t, y_t, lime_cfg), None
-        if name == "lime0":
-            return baselines.lime0(model, x_t, lime_cfg), None
+    if name == "lime":
+        return baselines.lime(model, x_t, y_t, _lime_config(args)), None
+    if name == "lime0":
+        return baselines.lime0(model, x_t, _lime_config(args)), None
+    if name == "baylime":
         result = baselines.baylime_distributions(
-            model, x_t, y_t, lime_cfg, args.prior_eta, args.noise_lambda
+            model, x_t, y_t, _lime_config(args), args.prior_eta, args.noise_lambda
         )
         return result.means, {"variance": result.variance}
     if name == "ig":
-        if args.baseline is None:
-            raise UsageError("method 'ig' requires --baseline")
         return baselines.integrated_gradient(model, x_t, _numbers(args.baseline),
                                              args.n_intervals, grad_cfg), None
-    if ref is None:
-        raise UsageError(f"method {name!r} requires --ref")
     if name == "eig":
         return baselines.expected_integrated_gradient(model, x_t, ref, args.n_intervals,
                                                       grad_cfg), None
@@ -357,19 +325,43 @@ def _run_method(
     return baselines.z_score(x_t, ref), None
 
 
-def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
+def _hold_first_batches(methods, args, model: HeldRows, x_t, grad_cfg, ref) -> None:
+    """Hold the one model batch of each method that sends one and needs no
+    answer to build it, so that it rides the first call of the command:
+    the lime cloud, which lime, lime0 and baylime share, ig's path and sv's
+    batch.  Each is built by the helper its method builds it with."""
+    if _LIME_METHODS & set(methods):
+        model.hold(baselines.cloud_rows(x_t, _lime_config(args), model.dimension))
+    if "ig" in methods:
+        model.hold(baselines.path_rows(x_t, _numbers(args.baseline), args.n_intervals,
+                                       grad_cfg))
+    if "sv" in methods:
+        model.hold(baselines.shapley_rows(x_t, ref, args.sv_configs, args.seed))
+
+
+def _run_methods(methods, args, model: HeldRows, selection: TestSet,
                  hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig):
     """The method loop of explain and compare: each method's scores by name,
-    and the methods' part of the diagnostics section of the document."""
+    and the methods' part of the diagnostics section of the document.  Every
+    flag a method requires is checked before the first query, the one-batch
+    methods' batches are held on ``model`` before any method runs, and the
+    held rows that no call took go alone at the end."""
     if _LIME_METHODS & set(methods) and args.lime_samples <= selection.dimension:
         raise UsageError(f"--lime-samples must be at least the dimension + 1, "
                          f"{selection.dimension + 1}, for a solvable fit")
+    if "ig" in methods and args.baseline is None:
+        raise UsageError("method 'ig' requires --baseline")
     ref = _reference_set(args, selection.dimension)
+    needs_ref = [m for m in methods if m in _REF_METHODS]
+    if needs_ref and ref is None:
+        raise UsageError(f"method {needs_ref[0]!r} requires --ref")
+    _hold_first_batches(methods, args, model, selection.x[0], grad_cfg, ref)
     scores, diagnostics = {}, {}
     for name in methods:
         scores[name], extras = _run_method(name, model, selection, args, hp, grad_cfg, ref)
         if extras:
             diagnostics[name] = extras
+    model.flush()
     return scores, diagnostics
 
 
@@ -437,10 +429,11 @@ def cmd_explain(args) -> int:
     methods = _parse_methods(args.methods)
     ts, model, indices, selection, hp, grad_cfg = _setup(args, methods)
     batch = _residual_rows(args, ts, indices)
-    deferred = _DeferredRows(model, batch.x,
-                             lambda fx: _anomaly_scores(args, batch, fx, indices))
-    scores, diagnostics = _run_methods(methods, args, deferred, selection, hp, grad_cfg)
-    noise_var, values = deferred.finish()
+    held, residual = HeldRows(model), []
+    # scored as soon as the command's first call answers them
+    held.hold(batch.x, lambda fx: residual.extend(_anomaly_scores(args, batch, fx, indices)))
+    scores, diagnostics = _run_methods(methods, args, held, selection, hp, grad_cfg)
+    noise_var, values = residual
     diagnostics.update(_model_counts(model))
     anomaly = [{"sample_index": i, "value": v} for i, v in zip(indices, values)]
     methods_doc = {name: {"scores": s} for name, s in scores.items()}
@@ -522,7 +515,8 @@ def cmd_compare(args) -> int:
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
     _, model, indices, selection, hp, grad_cfg = _setup(args, methods)
-    scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg)
+    scores, diagnostics = _run_methods(methods, args, HeldRows(model), selection, hp,
+                                       grad_cfg)
     diagnostics.update(_model_counts(model))
     reports = {
         name: asdict(metrics.consistency_report(scores[args.reference], s))

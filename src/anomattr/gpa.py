@@ -65,20 +65,26 @@ a table of one row per variable (:func:`score_distributions`).
 
 The query plan.  One run queries the model in one plan: the gamma rates
 from one residual batch (none for an explicit ``b0``), then the solver, then
-the slices, which reuse the run's rates.  ``dist`` packs ``P = max(1, (1 +
-m mc_samples) // grid_points)`` whole variables into each slice batch, so
-that no slice batch is larger than the solver's first, all-draws gradient
-batch of ``n (1 + m mc_samples)`` rows, which the model has already
-answered.  At the defaults (10 draws, 100 grid points) and m = 30, P = 3:
-10 batches of 6,000 rows against the solver's 6,020.  Where P = 1, as on
-the two-variable sinusoid, each variable keeps a batch of its own.  The
-batches are written into one reused buffer, so the slices hold one batch's
-rows at a time: on 20 rows of a quadratic model in m = 30, the benchmark's
-size, their traced peak is 1.53 MiB, below the MAP solve's 1.62-1.70 MiB.
-Batches of 3 variables built anew while the last one is still bound would
-hold two batches of 1.4 MiB at once.
+the slices, which reuse the run's rates.  The residual rows need no answer,
+so :func:`map_estimate` holds them (:class:`~anomattr.models.HeldRows`) and
+they ride at the front of the solver's first batch: the rates cost their
+rows and no call, and they are set before the objective sees its first
+answers.  ``dist`` packs ``P = max(1, (1 + m mc_samples) // grid_points)``
+whole variables into each slice batch, so that no slice batch is larger
+than the solver's first, all-draws gradient batch of ``n (1 + m
+mc_samples)`` rows, which the model has already answered.  At the defaults
+(10 draws, 100 grid points) and m = 30, P = 3: 10 batches of 6,000 rows
+against the solver's 6,020.  Where P = 1, as on the two-variable sinusoid,
+each variable keeps a batch of its own.  The batches are written into one
+reused buffer, so the slices hold one batch's rows at a time: on 20 rows of
+a quadratic model in m = 30, the benchmark's size, their traced peak is
+1.53 MiB, below the MAP solve's 2.88-2.95 MiB, whose first batch is copied
+once to put the rate rows in front (1.62-1.70 MiB with the rates in a call
+of their own).  Batches of 3 variables built anew while the last one is
+still bound would hold two batches of 1.4 MiB at once.
 :attr:`AttributionResult.query_count` and ``call_count`` count the rates and
-the solver (lc's, which has no rates, the solver alone).  The solver's batches come from :class:`CounterfactualObjective`:
+the solver (lc's, which has no rates, the solver alone).  The solver's
+batches come from :class:`CounterfactualObjective`:
 
 * The start sends one batch, which gives both the objective and its
   gradient there, and each candidate step sends one.  The first candidate of
@@ -127,7 +133,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import TestSet
-from .models import GradientEstimatorConfig, ModelHandle, estimate_gradient
+from .models import GradientEstimatorConfig, HeldRows, ModelHandle, estimate_gradient
 
 __all__ = [
     "DivergenceError",
@@ -314,17 +320,26 @@ def refine_gamma_rate(
     return b
 
 
-def _resolve_rates(testset: TestSet, model: ModelHandle, hp: GpaHyperParams) -> np.ndarray:
+def _resolve_rates(testset: TestSet, model: HeldRows, hp: GpaHyperParams) -> np.ndarray:
     """Per-sample gamma rates b(x^t) according to the configured mode, all
-    from one residual batch (no query for an explicit ``b0``)."""
+    from one residual batch, which ``model`` holds for its next call: the
+    returned array is filled when that call answers, before its caller sees
+    its own answers (no query for an explicit ``b0``)."""
     if hp.b0 is not None:
         return np.full(testset.n_test, float(hp.b0))
-    resid = testset.y - model.evaluate_batch(testset.x)
-    b_init = init_gamma_rate(resid, hp.a0, hp.c_b)
-    if hp.b_mode == "constant":
-        return np.full(testset.n_test, b_init)
-    return np.array([refine_gamma_rate(testset.x, resid, hp.a0, b_init, t)
-                     for t in range(testset.n_test)])
+    rates = np.empty(testset.n_test)
+
+    def fill(fx):
+        resid = testset.y - fx
+        b_init = init_gamma_rate(resid, hp.a0, hp.c_b)
+        if hp.b_mode == "constant":
+            rates[:] = b_init
+        else:
+            rates[:] = [refine_gamma_rate(testset.x, resid, hp.a0, b_init, t)
+                        for t in range(testset.n_test)]
+
+    model.hold(testset.x, fill)
+    return rates
 
 
 def student_t_loss(a0: float, rates):
@@ -743,9 +758,11 @@ def map_estimate(
             f"{model.dimension}"
         )
     counts = model.query_count, model.call_count
-    rates = _resolve_rates(testset, model, hp)
+    # the rate rows ride the solve's first batch
+    held = HeldRows(model)
+    rates = _resolve_rates(testset, held, hp)
     objective = CounterfactualObjective(
-        model, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
+        held, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
     )
     state = proximal_minimize(
         objective.grad, objective.value, testset.dimension, hp.eta, hp.nu, hp.max_iter,

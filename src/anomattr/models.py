@@ -23,10 +23,15 @@ child is killed) raise :class:`TransportError`.
 or infinite answer of any model, to a single query or to one row of a batch,
 raises :class:`NonFiniteModelOutput` naming that input, so no caller sees it
 and no caller checks for it.
+
+:class:`HeldRows` wraps an opened model to send rows that no answer depends
+on, such as a method's one batch, at the front of a call that some caller
+makes anyway, and answers a later request for them from that call.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import select
@@ -45,6 +50,7 @@ __all__ = [
     "ModelHandle",
     "BuiltinModel",
     "CallableModel",
+    "HeldRows",
     "SubprocessModel",
     "HttpModel",
     "sinusoidal2d",
@@ -86,6 +92,13 @@ def _as_vector(x, dimension: int) -> np.ndarray:
     return x
 
 
+def _as_batch(xs, dimension: int) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != dimension:
+        raise ValueError(f"expected batch of shape (n, {dimension}), got {xs.shape}")
+    return xs
+
+
 class ModelHandle:
     """Opaque query interface to a scalar-output regression function.
 
@@ -115,11 +128,7 @@ class ModelHandle:
         return float(self.evaluate_batch(_as_vector(x, self.dimension)[None])[0])
 
     def evaluate_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim != 2 or xs.shape[1] != self.dimension:
-            raise ValueError(
-                f"expected batch of shape (n, {self.dimension}), got {xs.shape}"
-            )
+        xs = _as_batch(xs, self.dimension)
         ys = np.asarray(self._evaluate_batch(xs), dtype=float)
         self.query_count += xs.shape[0]
         self.call_count += 1
@@ -188,6 +197,74 @@ class CallableModel(ModelHandle):
 
     def _evaluate_batch(self, xs):
         return [float(self._fn(x)) for x in xs]
+
+
+@dataclass
+class _Held:
+    rows: np.ndarray
+    on_answer: object  # None or a callable taking the rows' answers
+    answers: np.ndarray | None = None  # None until a call of the model sends the rows
+
+
+class HeldRows(ModelHandle):
+    """The opened ``model`` with batches of rows that no answer depends on
+    held back, so that they ride a call some caller makes anyway.
+
+    :meth:`hold` adds a batch.  Each call of ``model`` sends the pending
+    batches first, in the order held, and the caller's rows after them, so
+    a non-finite answer among the held rows is named first, and each
+    batch's ``on_answer(answers)`` runs before the caller gets its own
+    answers.  A request for the rows of a held batch is answered from that
+    batch's answers with no further call; if no call has sent it yet, the
+    pending batches go alone first.  A request matches a batch by shape,
+    then by value, so no request is hashed.  :meth:`flush` sends the
+    batches no call took.  The handle counts its callers' queries and
+    calls, those answered from held answers included; ``model`` counts
+    what it answers, held rows included.
+    """
+
+    def __init__(self, model: ModelHandle):
+        super().__init__(model.dimension)
+        self._model = model
+        self._held: list[_Held] = []
+        self._sent = 0  # the first batches of _held, which a call has sent
+
+    def hold(self, rows, on_answer=None) -> None:
+        self._held.append(_Held(_as_batch(rows, self.dimension), on_answer))
+
+    def evaluate_batch(self, xs) -> np.ndarray:
+        # overrides evaluate_batch, not _evaluate_batch: the one call of
+        # ``model`` is the only one a query counter sees
+        xs = _as_batch(xs, self.dimension)
+        held = next((h for h in self._held
+                     if h.rows.shape == xs.shape and np.array_equal(h.rows, xs)), None)
+        if held is None:
+            ys = self._send(xs)
+        else:
+            self.flush()
+            ys = held.answers.copy()
+        self.query_count += len(ys)
+        self.call_count += 1
+        return ys
+
+    def flush(self) -> None:
+        """Send the held batches that no call has taken, alone."""
+        if self._sent < len(self._held):
+            self._send(np.empty((0, self.dimension)))
+
+    def _send(self, xs) -> np.ndarray:
+        pending = self._held[self._sent:]
+        if not pending:
+            return self._model.evaluate_batch(xs)
+        ys = self._model.evaluate_batch(np.concatenate([*(h.rows for h in pending), xs]))
+        self._sent = len(self._held)
+        start = 0
+        for h in pending:
+            h.answers = ys[start:start + len(h.rows)]
+            start += len(h.rows)
+            if h.on_answer is not None:
+                h.on_answer(h.answers)
+        return ys[start:]
 
 
 def _decode(reply: bytes) -> dict:
@@ -456,6 +533,32 @@ class SubprocessModel(_RemoteModel):
         self._stop(wait=self._timeout)
 
 
+class _DeadlineReader(io.RawIOBase):
+    """A socket read as a file, each read waiting only for the time left
+    before ``deadline`` (a ``time.monotonic`` reading); ``makefile`` gives
+    what :class:`http.client.HTTPResponse` reads from."""
+
+    def __init__(self, sock, deadline: float):
+        super().__init__()
+        self._sock, self._deadline = sock, deadline
+
+    def left(self) -> float:
+        """The seconds left before the deadline; TimeoutError if none."""
+        if (left := self._deadline - time.monotonic()) <= 0:
+            raise TimeoutError
+        return left
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(self.left())
+        return self._sock.recv_into(buffer)
+
+    def makefile(self, mode):
+        return io.BufferedReader(self)
+
+
 class HttpModel(_RemoteModel):
     """Adapter for an HTTP prediction endpoint.
 
@@ -466,10 +569,10 @@ class HttpModel(_RemoteModel):
     capabilities reply that is JSON but not an object raises
     :class:`TransportError`, as do a ``/predict`` status of 400 or above and
     a request whose answer has not come within ``timeout`` seconds of its
-    start: the body is read in chunks against that deadline.  Connecting,
-    sending and reading the status line and headers are bounded per socket
-    operation only, so a server that trickles its status line or headers
-    can hold a request longer.
+    start.  That deadline bounds the whole request: connecting, sending,
+    and every read of the status line, the headers and the body, each of
+    which waits only for the time left, so a server that trickles any part
+    of its answer cannot hold a request longer.
     """
 
     def __init__(self, base_url: str, dimension: int, timeout: float = 10.0):
@@ -489,15 +592,13 @@ class HttpModel(_RemoteModel):
         conn = (http.client.HTTPSConnection if url.scheme == "https" else
                 http.client.HTTPConnection)(url.netloc, timeout=self._timeout)
         try:
+            conn.connect()
+            reader = _DeadlineReader(conn.sock, deadline)
+            conn.sock.settimeout(reader.left())
             conn.request(method, url.path, body, {"Content-Type": "application/json"})
-            sock, reply = conn.sock, bytearray()  # conn drops sock after HTTP/1.0
-            with conn.getresponse() as resp:
-                while (left := deadline - time.monotonic()) > 0:
-                    sock.settimeout(left)
-                    if not (chunk := resp.read1(1 << 16)):
-                        return resp.status, bytes(reply)
-                    reply += chunk
-            raise TimeoutError
+            with http.client.HTTPResponse(reader, method=method) as resp:
+                resp.begin()
+                return resp.status, resp.read()
         except TimeoutError as exc:
             raise TransportError(
                 f"model endpoint gave no answer within {self._timeout:g} s") from exc
@@ -632,15 +733,46 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     whatever batch it comes in, as the builtin models do, a batch of points
     gives the per-point results bit for bit.
     """
-    x = np.asarray(x, dtype=float)
     m, mc = model.dimension, cfg.mc_samples
+    points, central, sent, count = _gradient_batch(x, m, cfg, f0, values, slopes, send)
+    fvals = model.evaluate_batch(points)
+    k = np.size(x) // m
+    h, _ = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
+    if central:
+        # draws 2j and 2j + 1 step by h and -h, so the mean of their two
+        # slopes is their central difference: one slot per pair
+        pairs = fvals.reshape(k, -1, 2)
+        diffs, steps = pairs[..., 0] - pairs[..., 1], 2.0 * h.ravel()[sent][::2]
+        table, slots, per_slot = np.zeros((k, m, mc // 2)), np.arange(m * mc)[sent][::2] // 2, 2
+    else:
+        if f0 is None:  # the points went first
+            f0, fvals = fvals[:k], fvals[k:]
+            if values is not None:
+                values[:] = f0
+        diffs = fvals.reshape(k, -1) - np.asarray(f0, dtype=float).reshape(-1, 1)
+        table = np.zeros((k, m, mc)) if slopes is None else slopes
+        steps, slots, per_slot = h.ravel()[sent], sent, 1
+    table.reshape(k, -1)[:, slots] = diffs / steps
+    return (table.sum(axis=2) / (count // per_slot)).reshape(np.shape(x))
+
+
+def _gradient_batch(x, m: int, cfg: GradientEstimatorConfig, f0=None, values=None,
+                    slopes=None, send=None):
+    """The one model batch of ``estimate_gradient(model, x, cfg, f0, values,
+    slopes, send)`` for a model of ``m`` inputs, built in one array, as
+    ``(points, central, sent, count)``: whether the estimate takes central
+    differences, the indices of the draws sent and each coordinate's count
+    of them.  No model query; a caller that sends the batch early builds
+    it here, so its rows are the estimator's bit for bit."""
+    x = np.asarray(x, dtype=float)
+    mc = cfg.mc_samples
     if x.ndim not in (1, 2) or x.shape[-1] != m:
         raise ValueError(f"expected shape ({m},) or (k, {m}), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     batch = x.reshape(-1, m)
     k = len(batch)
-    h, disp = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
+    _, disp = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
     sent, count = slice(None), mc  # every draw
     central = f0 is None and values is None and slopes is None and mc % 2 == 0
     if send is not None:
@@ -657,20 +789,4 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     points = np.empty((centre + k * len(moves), m))
     points[:centre] = batch[:centre]  # the points first, where their values are used
     np.add(batch[:, None, :], moves, out=points[centre:].reshape(k, len(moves), m))
-    fvals = model.evaluate_batch(points)
-    if central:
-        # draws 2j and 2j + 1 step by h and -h, so the mean of their two
-        # slopes is their central difference: one slot per pair
-        pairs = fvals.reshape(k, -1, 2)
-        diffs, steps = pairs[..., 0] - pairs[..., 1], 2.0 * h.ravel()[sent][::2]
-        table, slots, per_slot = np.zeros((k, m, mc // 2)), np.arange(m * mc)[sent][::2] // 2, 2
-    else:
-        if f0 is None:
-            f0 = fvals[:k]
-            if values is not None:
-                values[:] = f0
-        diffs = fvals[centre:].reshape(k, -1) - np.asarray(f0, dtype=float).reshape(-1, 1)
-        table = np.zeros((k, m, mc)) if slopes is None else slopes
-        steps, slots, per_slot = h.ravel()[sent], sent, 1
-    table.reshape(k, -1)[:, slots] = diffs / steps
-    return (table.sum(axis=2) / (count // per_slot)).reshape(x.shape)
+    return points, central, sent, count

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import threading
+from http.server import ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -44,6 +47,20 @@ class BatchRecorder(ModelHandle):
         if self.first is None:
             self.first = self.last
         return self.inner.evaluate_batch(xs)
+
+
+@contextlib.contextmanager
+def serving(handler):
+    """Serve ``handler`` on a loopback port and yield its base URL.  The
+    server polls for shutdown every 10 ms, so stopping it takes no longer."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def strict_json(text: str):

@@ -27,24 +27,26 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # per coordinate in each later batch (1,220), and the 8 missing draws per
 # coordinate at its stop (4,800): 31,580 + 23,040 + 29,140
 COLLECTIVE_GPA_QUERIES = 83_760
-# and their model calls: the rates, the start's batch, one batch per later
-# iteration and the confirmation, 2 + 18, 2 + 11 and 2 + 16
-COLLECTIVE_GPA_CALLS = 51
+# and their model calls: the start's batch, which carries the rate rows, one
+# batch per later iteration and the confirmation, 1 + 18, 1 + 11 and 1 + 16
+COLLECTIVE_GPA_CALLS = 48
 # the documents' model_queries and model_calls, summed: the gpa sums above
 # and the posterior slices, 20 rows x 100 grid points per variable, packed
 # 3 variables to a batch (no more rows than the solve's first batch of
 # 6,020): 3 x 60,000 queries in 3 x 10 calls
-COLLECTIVE_QUERY_PLAN = (263_760, 81)
+COLLECTIVE_QUERY_PLAN = (263_760, 78)
 # the model_queries and model_calls of every method in the six seed-1
 # operations of the sinusoid workloads, summed.  In each compare, eig sends
 # its 64 paths of 2,000 rows eight to a batch, plus x_t's 20 rows in the
-# first: 8 calls.  Each explain's residual rows, the six rows of its noise
-# variance and anomaly score, ride at the front of gpa's first batch, so
-# explain sends no call outside gpa (31 calls before they did).  Every
-# pointwise call sends rows the subprocess child has not yet answered, and
-# each one reaches the child: 25 calls, 25 child requests
+# first: 8 calls.  lime's cloud, ig's path and sv's coalitions (1,000, 2,020
+# and 256 rows) ride at the front of gpa's first batch, so lime, ig and sv
+# send no call of their own (117 calls before they did).  Each explain's
+# residual rows, the six rows of its noise variance and anomaly score, ride
+# there too, so explain sends no call outside gpa (31 calls before they
+# did).  Every pointwise call sends rows the subprocess child has not yet
+# answered, and each one reaches the child: 25 calls, 25 child requests
 SINUSOID_QUERY_PLANS = {"pointwise-subprocess": (561, 25),
-                        "baselines-compare": (788_847, 117)}
+                        "baselines-compare": (788_847, 99)}
 # the SHA-256 of the three seed-1 collective-builtin distributions.svg files
 COLLECTIVE_SVG_SHA256 = [
     "77d6fdf5e88cb740d1a1da8f52e9918992bc168f9eef6db7d87d3ce8ff2f23ec",

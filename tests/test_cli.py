@@ -340,8 +340,9 @@ class TestExplain:
     @pytest.mark.parametrize("noise_var", [None, "0.5"])
     def test_collective_anomaly_scores_from_one_batch(self, tmp_path, recorders, noise_var):
         # four rows of linear:2,1; the residual rows are every row, or with
-        # --noise-var the two scored ones, and they ride in gpa's first batch,
-        # its rate batch over the two selected rows
+        # --noise-var the two scored ones, and they ride in gpa's first batch
+        # with its rate rows, the two selected rows, ahead of the solve's
+        # first gradient batch of 2 x (1 + 2 x 10) rows
         p = tmp_path / "col.csv"
         p.write_text("a,b,y\n0.0,0.0,1.0\n0.1,0.0,1.2\n-0.1,0.1,0.9\n0.2,0.2,0.0\n")
         out = tmp_path / "out"
@@ -356,7 +357,9 @@ class TestExplain:
         (model,) = recorders
         x = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1], [0.2, 0.2]])
         residual_rows = x if noise_var is None else x[[3, 1]]
-        np.testing.assert_array_equal(model.first, np.vstack([residual_rows, x[[3, 1]]]))
+        held = np.vstack([residual_rows, x[[3, 1]]])
+        np.testing.assert_array_equal(model.first[:len(held)], held)
+        assert len(model.first) == len(held) + 2 * 21
         # no call outside the gpa run
         diagnostics = doc["diagnostics"]
         assert diagnostics["model_calls"] == diagnostics["gpa"]["call_count"]
@@ -572,11 +575,15 @@ class TestSubprocessModel:
     @pytest.mark.parametrize("methods, expected", [("gpa", 0), ("lime0,ig", 2)])
     def test_child_is_gone_when_main_returns(self, sinus_data, tmp_path, sine_child,
                                              methods, expected):
-        # "ig" without --baseline exits 2 after lime0 has queried the child
-        pid_file = tmp_path / "pid"
+        # exit 2 after the child has answered every method: the --out of
+        # lime0,ig names a file, where no document can be written
+        pid_file, out = tmp_path / "pid", tmp_path / "o"
+        if expected:
+            out.write_text("")
         code = main([
             "explain", "--data", str(sinus_data), "--methods", methods,
-            "--model", sine_child("batch", str(pid_file)), "--out", str(tmp_path / "o"),
+            "--baseline", "0,0", "--model", sine_child("batch", str(pid_file)),
+            "--out", str(out),
         ])
         assert code == expected
         with pytest.raises(ProcessLookupError):
@@ -884,13 +891,15 @@ class TestResidualRows:
     def test_single_query_sends_the_rows_first(self):
         model = BatchRecorder(anomattr.sinusoidal2d())
         rows = np.array([[0.5, 0.0], [0.0, 0.0]])
-        deferred = cli._DeferredRows(model, rows, lambda fx: fx.tolist())
-        assert deferred.evaluate([1.0, 0.0]) == -2.0
+        held, answered = anomattr.HeldRows(model), []
+        held.hold(rows, answered.extend)
+        assert held.evaluate([1.0, 0.0]) == -2.0
         # one call of the model: the held rows, then the query's own row
         assert model.sizes == [3]
         np.testing.assert_array_equal(model.first, [*rows, [1.0, 0.0]])
-        assert deferred.finish() == pytest.approx([0.0, 2.0], abs=1e-12)
-        assert (deferred.query_count, deferred.call_count) == (1, 1)
+        held.flush()
+        assert answered == pytest.approx([0.0, 2.0], abs=1e-12)
+        assert (held.query_count, held.call_count) == (1, 1)
         assert (model.query_count, model.call_count) == (3, 1)
 
     def test_nonfinite_residual_named_first(self, tmp_path, capsys, nan_model):
@@ -924,6 +933,108 @@ class TestResidualRows:
         assert model.call_count == 1 and alone.value.x[0] > 0.6
         assert err == f"error: {alone.value}\n"
         assert not (out / "result.json").exists()
+
+
+class TestHeldBatches:
+    """lime's cloud, ig's path and sv's batch need no answer to be built, so
+    explain and compare hold them before any method queries the model: they
+    ride the command's first call, and each method gets its answers from
+    that call."""
+
+    COMPARE = ["--methods", "gpa,lc,lime,ig,eig,sv,zscore", "--baseline", "0,0",
+               *ORACLE_FLAGS]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_method_scores_as_alone(self, sinus_data, lattice_ref, tmp_path, seed):
+        flags = ["--data", str(sinus_data), "--model", "sinusoidal2d", "--point-index", "1",
+                 "--baseline", "0,0", "--ref", str(lattice_ref), "--seed", str(seed),
+                 *ORACLE_FLAGS]
+        alone = {}
+        for name in cli.ALL_METHODS:
+            out = tmp_path / name
+            assert main(["explain", "--methods", name, *flags, "--out", str(out)]) == 0
+            alone[name] = strict_json((out / "result.json").read_text())["methods"][name]
+        every = ",".join(cli.ALL_METHODS)
+        assert main(["explain", "--methods", every, *flags, "--out", str(tmp_path / "e")]) == 0
+        assert main(["compare", "--methods", every, *flags, "--out", str(tmp_path / "c")]) == 0
+        explained = strict_json((tmp_path / "e" / "result.json").read_text())["methods"]
+        compared = strict_json((tmp_path / "c" / "compare.json").read_text())["scores"]
+        for name, doc in alone.items():
+            assert explained[name]["scores"] == doc["scores"], name
+            assert compared[name] == doc["scores"], name
+
+    def test_compare_sends_them_in_gpa_first_call(self, sinus_data, lattice_ref,
+                                                   tmp_path, recorders):
+        out = tmp_path / "out"
+        assert main(["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     *self.COMPARE, "--ref", str(lattice_ref), "--out", str(out)]) == 0
+        (model,) = recorders
+        x_t = np.array([0.5, 0.0])
+        held = np.vstack([
+            anomattr.baselines.cloud_rows(x_t, anomattr.LimeConfig(), 2),
+            anomattr.baselines.path_rows(x_t, [0.0, 0.0], 100,
+                                         anomattr.GradientEstimatorConfig(0.001)),
+            anomattr.baselines.shapley_rows(
+                x_t, anomattr.ReferenceSet(anomattr.load_csv(lattice_ref).x)),
+        ])
+        # 1,000 cloud rows, ig's 101 path points x 20 draws, 4 coalitions x 64
+        assert len(held) == 3_276
+        # gpa's first call, its rows and their displaced rows, carries them
+        assert model.sizes[:2] == [3_276 + 21, 21]
+        np.testing.assert_array_equal(model.first[:3_276], held)
+        # lime, ig and sv make no call: gpa's, lc's and eig's 8 are all
+        diagnostics = strict_json((out / "compare.json").read_text())["diagnostics"]
+        calls = diagnostics["gpa"]["call_count"] + diagnostics["lc"]["call_count"] + 8
+        assert diagnostics["model_calls"] == len(model.sizes) == calls
+
+    def test_lime_methods_hold_one_cloud(self, sinus_data, tmp_path, recorders):
+        assert main(["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", "lime,lime0,baylime", "--reference", "lime"]) == 0
+        assert recorders[0].sizes == [1_000]
+
+    def test_explain_sends_residual_rows_and_cloud_in_one_call(self, sinus_data, tmp_path,
+                                                               recorders):
+        assert main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", "lime", "--out", str(tmp_path / "out")]) == 0
+        (model,) = recorders
+        assert model.sizes == [3 + 1_000]
+        np.testing.assert_array_equal(model.first[:3], [[0.5, 0.0]] * 3)
+
+    @pytest.mark.parametrize("methods, flags", [("lime,ig", []),
+                                                ("lime,sv", ["--baseline", "0,0"])])
+    def test_missing_flag_refused_before_the_first_query(self, sinus_data, tmp_path, capsys,
+                                                         recorders, methods, flags):
+        code = main(["explain", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", methods, *flags, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: method 'ig' requires --baseline\n"
+                                           if "ig" in methods else
+                                           "error: method 'sv' requires --ref\n")
+        assert recorders[0].sizes == []
+
+    def test_nonfinite_cloud_row_named_in_gpa_first_call(self, sinus_data, tmp_path,
+                                                         capsys, monkeypatch):
+        x_t = np.array([0.5, 0.0])
+        bad = anomattr.baselines.cloud_rows(x_t, anomattr.LimeConfig(), 2)[7]
+        sine = anomattr.sinusoidal2d()
+        made = []
+
+        def resolve(spec, dimension):
+            made.append(BatchRecorder(anomattr.CallableModel(
+                lambda x: np.nan if np.array_equal(x, bad) else sine.evaluate(x), dimension)))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "resolve_model", resolve)
+        out = tmp_path / "out"
+        code = main(["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", "gpa,lime,ig", "--baseline", "0,0", *ORACLE_FLAGS,
+                     "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {anomattr.NonFiniteModelOutput(bad, np.nan)}\n")
+        # the one call made: the held rows, then gpa's first batch
+        assert made[0].sizes == [1_000 + 2_020 + 21]
+        assert not out.exists()
 
 
 class TestNonFiniteModelOutput:
@@ -1277,7 +1388,8 @@ def test_gpa_diagnostics_count_one_pair_batches_and_confirmations(tmp_path, comm
                                                                   flags, name):
     # the quadratic's sign-paired draws agree, so every gradient batch after
     # the start sends one pair per coordinate, and the stop is confirmed
-    # once; the sinusoid's differ, so its solve sends every draw
+    # once; the sinusoid's differ, so its solve sends every draw.  The rate
+    # rows ride the start's batch
     data = tmp_path / "col.csv"
     data.write_text("a,b,y\n0.0,0.0,1.0\n0.1,0.0,1.2\n-0.1,0.1,0.9\n")
     out = tmp_path / "out"
@@ -1286,7 +1398,7 @@ def test_gpa_diagnostics_count_one_pair_batches_and_confirmations(tmp_path, comm
     gpa = strict_json((out / name).read_text())["diagnostics"]["gpa"]
     assert gpa["one_pair_batches"] == gpa["iterations"] - 1
     assert gpa["confirmations"] == 1
-    assert gpa["call_count"] == 1 + gpa["iterations"] + gpa["halvings"] + 1
+    assert gpa["call_count"] == gpa["iterations"] + gpa["halvings"] + 1
     first = (out / name).read_bytes()
     assert main([command, "--data", str(data), "--model", "quadratic:2,1", *flags,
                  "--indices", "0,1,2", "--collective", "--out", str(out)]) == 0

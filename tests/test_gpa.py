@@ -35,8 +35,16 @@ from anomattr.gpa import (
     refine_gamma_rate,
     student_t_loss,
 )
-from anomattr.models import estimate_gradient
+from anomattr.models import HeldRows, estimate_gradient
 from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, single_point
+
+
+def _answered_rates(ts, model, hp):
+    """The gamma rates of ``ts``, with their residual rows sent alone."""
+    held = HeldRows(model)
+    rates = _resolve_rates(ts, held, hp)
+    held.flush()
+    return rates
 
 
 class TestGammaHyperparameters:
@@ -97,7 +105,7 @@ class TestGammaHyperparameters:
         ts = TestSet(xs, (xs * xs) @ coef + rng.normal(size=8), list("abcdef"))
         hp = GpaHyperParams.for_testset(8, b_mode="local_kernel")
         model = BatchRecorder(quadratic_model(coef))
-        rates = _resolve_rates(ts, model, hp)
+        rates = _answered_rates(ts, model, hp)
         assert model.sizes == [8]
 
         reference = quadratic_model(coef)
@@ -246,13 +254,16 @@ class TestMapEstimate:
         assert res.query_count == sin_model.query_count - before > 0
 
     def test_query_count_includes_rate_queries(self):
-        # c_b rates (no b0) cost one residual query per sample, counted too
+        # c_b rates (no b0) cost one residual query per sample, counted too;
+        # they go first in the solve's first batch, so they cost no call
         model = BatchRecorder(linear_model([2.0, 1.0]))
         xs = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1]])
         ts = TestSet(xs, xs @ [2.0, 1.0] + 1.0, ["a", "b"])
         res = map_estimate(ts, model, GpaHyperParams.for_testset(3, max_iter=5), FINE_GRAD)
-        assert model.sizes[0] == 3
+        np.testing.assert_array_equal(model.first[:3], xs)
+        assert model.sizes[0] == 3 + 3 * (1 + 2 * FINE_GRAD.mc_samples)
         assert res.query_count == model.query_count == sum(model.sizes)
+        assert res.call_count == model.call_count == len(model.sizes)
 
     def test_gradient_model_calls_independent_of_n_test(self, monkeypatch):
         # every gradient, at a new delta or at one whose values are known,
@@ -812,9 +823,9 @@ class TestSolverPlan:
 
     @pytest.mark.parametrize("problem", ["oracle-row", "collective"])
     def test_solve_is_one_batch_per_iteration(self, problem):
-        # c_b rates (no b0), so the run starts with one residual batch; no
-        # line search here rejects a step, so every batch after it carries
-        # the rows and their displaced points
+        # c_b rates (no b0), so the run's first batch starts with the n
+        # residual rows; no line search here rejects a step, so every batch
+        # carries the rows and their displaced points
         if problem == "oracle-row":
             model = BatchRecorder(sinusoidal2d())
             hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, tol=1e-8)
@@ -829,15 +840,15 @@ class TestSolverPlan:
         assert res.converged and res.iterations > 1 and res.halvings == 0
         if problem == "oracle-row":  # the sinusoid's pairs differ: every draw
             assert res.one_pair_batches == res.confirmations == 0
-            assert res.call_count == len(model.sizes) == 1 + res.iterations
-            assert model.sizes == [n] + [n + displaced] * res.iterations
+            assert res.call_count == len(model.sizes) == res.iterations
+            assert model.sizes == [n + n + displaced] + [n + displaced] * (res.iterations - 1)
             assert res.query_count == n + (n + displaced) * res.iterations
             return
         # the quadratic's pairs agree: every draw at the start, one pair per
         # coordinate after it, and the missing draws at the stop
         assert res.one_pair_batches == res.iterations - 1 and res.confirmations == 1
-        assert res.call_count == len(model.sizes) == 2 + res.iterations
-        assert model.sizes == ([n, n + displaced] + [n + n * m * 2] * (res.iterations - 1)
+        assert res.call_count == len(model.sizes) == 1 + res.iterations
+        assert model.sizes == ([n + n + displaced] + [n + n * m * 2] * (res.iterations - 1)
                                + [n * m * (mc - 2)])
         assert res.query_count == sum(model.sizes)
 
@@ -876,7 +887,7 @@ class TestSolverPlan:
         assert not res.converged and res.iterations == 3 and res.halvings == 0
         # one pair per coordinate after the start, and no confirmation, as
         # the solve does not stop on its step
-        assert model.sizes == [n, n + displaced] + [n + n * m * 2] * 2 + [n]
+        assert model.sizes == [n + n + displaced] + [n + n * m * 2] * 2 + [n]
         assert res.one_pair_batches == 2 and res.confirmations == 0
 
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
@@ -904,7 +915,7 @@ class TestSolverPlan:
         coef, ts = _benchmark_sized_problem()
         hp = GpaHyperParams.for_testset(ts.n_test)
         cfg = GradientEstimatorConfig()
-        rates = _resolve_rates(ts, quadratic_model(coef), hp)
+        rates = _answered_rates(ts, quadratic_model(coef), hp)
         (fused, fused_queries), (reference, reference_queries) = _solve_both_ways(
             lambda: quadratic_model(coef), ts, student_t_loss(hp.a0, rates), hp.eta,
             hp.nu, cfg, hp.max_iter, hp.tol)
@@ -1054,7 +1065,7 @@ class TestPairDraws:
         else:
             coef, ts = _collective_problem()
             model, hp = quadratic_model(coef), GpaHyperParams.for_testset(ts.n_test)
-            loss = student_t_loss(hp.a0, _resolve_rates(ts, model, hp))
+            loss = student_t_loss(hp.a0, _answered_rates(ts, model, hp))
         objective = CounterfactualObjective(model, ts.x, ts.y, hp.eta, loss, FINE_GRAD)
         grads = []
 
@@ -1234,17 +1245,16 @@ class TestScoreDistributions:
         hp = GpaHyperParams.for_testset(n, max_iter=50, grid_points=20)
         model = BatchRecorder(quadratic_model(coef))
         res = map_estimate(ts, model, hp, FINE_GRAD)
-        assert model.sizes[0] == n
-        solver = model.sizes[1:]
-        # the start sends every draw, the later batches one pair per
-        # coordinate, the confirmation the rest
-        assert solver[0] == n * (1 + m * mc)
+        solver = model.sizes
+        # the start sends the n rate rows and every draw, the later batches
+        # one pair per coordinate, the confirmation the rest
+        assert solver[0] == n + n * (1 + m * mc)
         assert solver[-1] == n * m * (mc - 2)
         assert all(size in (n, n * m * 2, n + n * m * 2) for size in solver[1:-1])
         per_variable = n * hp.grid_points
         packed = _RowLog(quadratic_model(coef))
         grid, probs = score_distributions(res.delta_star, ts, packed, hp, res.rates,
-                                          max_rows=solver[0])
+                                          max_rows=n * (1 + m * mc))
         assert packed.sizes == [2 * per_variable, 2 * per_variable, per_variable]
         assert max(packed.sizes) <= n * (1 + m * mc)
         # the queries of one variable per batch, end to end, and the same bits

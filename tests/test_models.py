@@ -3,9 +3,8 @@ import json
 import os
 import sys
 import textwrap
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from anomattr.models import (
     sinusoidal2d,
 )
 from anomattr.gpa import map_estimate
-from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, single_point
+from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, serving, single_point
 
 
 class TestBuiltins:
@@ -687,17 +686,22 @@ class _ServerError(_Handler):
         self._send({"error": "model crashed"}, 500)
 
 
-@contextlib.contextmanager
+class _TrickleHead(_Handler):
+    """Writes its status line one byte every 0.1 s."""
+    posts: list = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with contextlib.suppress(OSError):  # the client has hung up
+            for byte in b"HTTP/1.0 200 OK\r\n\r\n":
+                self.wfile.write(bytes([byte]))
+                self.wfile.flush()
+                time.sleep(0.1)
+
+
 def _serving(handler):
     handler.posts.clear()
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        server.server_close()
+    return serving(handler)
 
 
 @pytest.fixture
@@ -744,6 +748,16 @@ class TestHttpAdapter:
     def test_trickled_body_ends_at_the_deadline(self, http_server):
         # every byte comes well within the timeout, the whole body (10
         # bytes, 0.1 s apart) only after it: the request's deadline ends it
+        m = HttpModel(http_server, dimension=1, timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="no answer within 0.5 s"):
+            m.evaluate([0.0])
+        assert time.monotonic() - start < 0.5 + 0.5
+
+    @pytest.mark.parametrize("http_server", [_TrickleHead], indirect=True)
+    def test_trickled_status_line_ends_at_the_deadline(self, http_server):
+        # the status line and the blank line after it, 19 bytes 0.1 s apart:
+        # each read waits only for the time left
         m = HttpModel(http_server, dimension=1, timeout=0.5)
         start = time.monotonic()
         with pytest.raises(TransportError, match="no answer within 0.5 s"):
