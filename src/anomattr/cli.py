@@ -39,8 +39,9 @@ model with no command, and a file that cannot be read or written, such as
 a missing ``--data`` or ``--ref`` or an ``--out`` that names a file), an
 anomaly score or residual variance that overflows, or a solver that cannot
 proceed (its objective overflows, or keeps rising), 3 model transport
-error (including a remote model that does not answer within its timeout)
-or non-finite output of any query, in any command, named by its input; no
+error (including a remote model that does not answer within its timeout,
+and a subprocess model that writes output no request asked for) or
+non-finite output of any query, in any command, named by its input; no
 document is written then.
 Every model handle a command resolves is closed before ``main`` returns,
 whatever the exit code.

@@ -17,7 +17,9 @@ request, which is why a child should answer a line it does not understand
 with a one-line JSON object such as ``{"error": "..."}`` rather than crash.
 A batch answer of the wrong length and a model that has not answered
 within ``timeout`` of the request's start (10 s by default; a subprocess
-child is killed) raise :class:`TransportError`.
+child is killed) raise :class:`TransportError`, as does a subprocess child
+that writes output no request asked for.  A child's stderr goes to a
+temporary file, whose last 4 KiB end the message of a child that failed.
 
 :class:`ModelHandle` is the one place where model output is checked: a NaN
 or infinite answer of any model, to a single query or to one row of a batch,
@@ -38,6 +40,7 @@ import select
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -352,16 +355,19 @@ class SubprocessModel(_RemoteModel):
     request, every read of the answer and a restart: a child that has not
     answered by then, even one that is still writing, is killed and
     :class:`TransportError` is raised.  A child that exits mid-request is
-    restarted once, then :class:`TransportError` is raised.  :meth:`close`
-    ends the child: it closes the child's stdin and returns as soon as the
-    child exits, or kills it after ``timeout`` seconds.  An empty command
-    raises ValueError.
+    restarted once, then :class:`TransportError` is raised.  So is output
+    that no request asked for, bytes after the answer line or bytes waiting
+    before a request is written, which a later request would take for its
+    answer; the child is killed.  :meth:`close` ends the child: it closes
+    the child's stdin and returns as soon as the child exits, or kills it
+    after ``timeout`` seconds.  An empty command raises ValueError.
 
-    The child's stderr is read through a pipe while a request waits and
-    while :meth:`close` waits, so it never reaches the caller's terminal and
-    can never fill up and block the child.  Its last 4 KiB are kept and end
-    the message of a timeout or of a child that died twice; a crash on the
-    batch probe line is forgotten.
+    The handle's children write their stderr to one unlinked temporary
+    file, so it never reaches the caller's terminal and can never fill up
+    and block a child.  Its last 4 KiB, read once a child is gone, end the
+    message of a timeout or of a child that died twice; a crash on the batch
+    probe line is forgotten.  The file keeps everything the children write
+    to stderr until :meth:`close`.
     """
 
     def __init__(self, command, dimension: int, timeout: float = 10.0):
@@ -373,67 +379,40 @@ class SubprocessModel(_RemoteModel):
             raise ValueError("a subprocess model needs a command")
         self._timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._pending = bytearray()  # bytes read past the last answer line
+        self._stderr = None  # the children's stderr file, made with the first child
+        self._stderr_start = 0  # where the stderr a message may show starts
         self._stderr_tail = b""
 
     def _ensure_proc(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
             self._stop(wait=0.0)
             try:
+                if self._stderr is None:
+                    self._stderr = tempfile.TemporaryFile()
                 self._proc = subprocess.Popen(
                     self._command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE, bufsize=0,
+                    stderr=self._stderr, bufsize=0,
                 )
             except OSError as exc:
                 raise TransportError(f"cannot start model process: {exc}") from exc
             os.set_blocking(self._proc.stdin.fileno(), False)
-            os.set_blocking(self._proc.stderr.fileno(), False)
-            self._pending = bytearray()
         return self._proc
-
-    def _read_stderr(self, proc: subprocess.Popen) -> bool:
-        """Move one chunk of the child's stderr into the kept tail; False when
-        nothing is waiting, or at end of file, where the pipe is closed."""
-        try:
-            chunk = os.read(proc.stderr.fileno(), 1 << 16)
-        except BlockingIOError:
-            return False
-        if not chunk:
-            proc.stderr.close()
-            return False
-        self._stderr_tail = (self._stderr_tail + chunk)[-_STDERR_TAIL:]
-        return True
 
     def _stderr_note(self) -> str:
         text = self._stderr_tail.decode(errors="replace").strip()
         return f"; its stderr ended with:\n{text}" if text else ""
 
-    def _ready(self, proc: subprocess.Popen, fd: int, event: int, wait: float) -> bool:
-        """Whether ``fd`` gets ready for ``event`` within ``wait`` seconds,
-        draining ``proc``'s stderr meanwhile."""
+    @staticmethod
+    def _ready(fd: int, event: int, wait: float) -> bool:
+        """Whether ``fd`` gets ready for ``event`` within ``wait`` seconds."""
         poller = select.poll()
         poller.register(fd, event)
-        if not proc.stderr.closed:  # the child may close its stderr early
-            err = proc.stderr.fileno()
-            poller.register(err, select.POLLIN)
-        deadline = time.monotonic() + wait
-        while True:
-            left_ms = max(deadline - time.monotonic(), 0.0) * 1000.0
-            ready = [f for f, _ in poller.poll(left_ms)]
-            if fd in ready:
-                return True
-            if not ready:
-                return False
-            self._read_stderr(proc)
-            if proc.stderr.closed:
-                poller.unregister(err)
+        return bool(poller.poll(wait * 1000.0))
 
     def _wait(self, fd: int, event: int, deadline: float) -> None:
-        """Wait until ``fd`` is ready for ``event``, draining the child's
-        stderr meanwhile; kill the child at the request's ``deadline`` (a
-        ``time.monotonic`` reading)."""
-        left = max(deadline - time.monotonic(), 0.0)
-        if not self._ready(self._proc, fd, event, left):
+        """Wait until ``fd`` is ready for ``event``; kill the child at the
+        request's ``deadline`` (a ``time.monotonic`` reading)."""
+        if not self._ready(fd, event, max(deadline - time.monotonic(), 0.0)):
             self._stop(wait=0.0)
             raise TransportError(
                 f"model process gave no answer within {self._timeout:g} s"
@@ -442,9 +421,7 @@ class SubprocessModel(_RemoteModel):
 
     def _exits(self, proc: subprocess.Popen, wait: float) -> bool:
         """Whether ``proc`` exits within ``wait`` seconds.  A pidfd wakes the
-        wait at the exit, and the child's stderr is drained meanwhile, so a
-        child writing to it on its way out cannot block on a full pipe;
-        without ``os.pidfd_open``, ``Popen.wait`` polls and drains nothing."""
+        wait at the exit; without ``os.pidfd_open``, ``Popen.wait`` polls."""
         if proc.poll() is not None:
             return True
         try:
@@ -456,15 +433,27 @@ class SubprocessModel(_RemoteModel):
                 return False
             return True
         try:
-            return self._ready(proc, pidfd, select.POLLIN, wait)
+            return self._ready(pidfd, select.POLLIN, wait)
         finally:
             os.close(pidfd)
+
+    def _unasked(self, output: bytes) -> TransportError:
+        """Kill the child, which wrote ``output`` that no request asked for,
+        and return the error that names it."""
+        self._stop(wait=0.0)
+        return TransportError(
+            f"model process wrote output no request asked for: {output[:200]!r}"
+        )
 
     def _exchange(self, payload: dict, deadline: float) -> bytes:
         """Send one request line and return the answer line by ``deadline``;
         EOFError if the child has gone."""
         proc = self._ensure_proc()
         out, view = proc.stdout.fileno(), memoryview(json.dumps(payload).encode() + b"\n")
+        # at end of file the read is empty, and the write or the read below
+        # raise EOFError
+        if self._ready(out, select.POLLIN, 0.0) and (early := os.read(out, 1 << 16)):
+            raise self._unasked(early)
         try:
             while view:
                 try:
@@ -473,17 +462,16 @@ class SubprocessModel(_RemoteModel):
                     self._wait(proc.stdin.fileno(), select.POLLOUT, deadline)
         except OSError as exc:  # BrokenPipeError: the child is gone
             raise EOFError(str(exc)) from exc
-        scanned = 0
-        while (end := self._pending.find(b"\n", scanned)) < 0:
-            scanned = len(self._pending)
+        reply, newline = bytearray(), b""
+        while not newline:
             self._wait(out, select.POLLIN, deadline)
-            chunk = os.read(out, 1 << 16)
-            if not chunk:
+            if not (chunk := os.read(out, 1 << 16)):
                 raise EOFError("model process closed stdout")
-            self._pending += chunk
-        reply = bytes(self._pending[:end])
-        del self._pending[: end + 1]
-        return reply
+            line, newline, rest = chunk.partition(b"\n")
+            reply += line
+        if rest:
+            raise self._unasked(rest)
+        return bytes(reply)
 
     def _request(self, payload):
         deadline = time.monotonic() + self._timeout
@@ -504,7 +492,8 @@ class SubprocessModel(_RemoteModel):
             reply = self._exchange(payload, time.monotonic() + self._timeout)
         except EOFError:
             self._stop(wait=0.0)
-            self._stderr_tail = b""  # the expected crash of a one-point child
+            # the expected crash of a one-point child: no message shows it
+            self._stderr_start = os.fstat(self._stderr.fileno()).st_size
             return None
         try:
             doc = json.loads(reply)
@@ -514,7 +503,7 @@ class SubprocessModel(_RemoteModel):
 
     def _stop(self, wait: float) -> None:
         """End the child: close its stdin, give it ``wait`` seconds to exit,
-        then kill it."""
+        then kill it; keep the last 4 KiB of the stderr a message may show."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
@@ -523,14 +512,19 @@ class SubprocessModel(_RemoteModel):
             proc.kill()
         proc.wait()
         proc.stdout.close()
-        while not proc.stderr.closed and self._read_stderr(proc):
-            pass
-        proc.stderr.close()
+        err = self._stderr.fileno()
+        end = os.fstat(err).st_size
+        start = max(end - _STDERR_TAIL, self._stderr_start)
+        self._stderr_tail = os.pread(err, end - start, start)
 
     def close(self):
         """End the child, waiting up to ``timeout`` seconds for it to exit on
-        end of input.  Safe to call more than once."""
+        end of input, and delete its stderr file.  Safe to call more than
+        once."""
         self._stop(wait=self._timeout)
+        if self._stderr is not None:
+            self._stderr.close()
+            self._stderr, self._stderr_start = None, 0
 
 
 class _DeadlineReader(io.RawIOBase):

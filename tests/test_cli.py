@@ -541,6 +541,56 @@ class TestExplain:
         assert run.returncode == 2
         assert run.stderr == "error: zero standard deviation for variable 'x1'\n"
 
+    def test_standardize_writes_gpa_and_lc_scores_in_raw_units(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1.0\n0.1,0.4,0.0\n-0.3,0.2,-1.0\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="test set itself"):
+            code = main(["explain", "--data", str(data), "--standardize",
+                         "--model", "sinusoidal2d", "--methods", "gpa,lc,lime0,ig",
+                         "--baseline", "0,0", "--out", str(out), *ORACLE_FLAGS])
+        assert code == 0
+        methods = strict_json((out / "result.json").read_text())["methods"]
+        # the population std of each column of the test set
+        std = np.loadtxt(data, delimiter=",", skiprows=1)[:, :2].std(axis=0)
+        for name in ("gpa", "lc"):
+            raw = np.asarray(methods[name]["scores"]) * std
+            assert methods[name]["scores_raw_units"] == raw.tolist()
+        assert "scores_raw_units" not in methods["lime0"]
+        assert "scores_raw_units" not in methods["ig"]
+
+    EXIT_PATHS = {
+        "model cannot start": (
+            ["--model", "subprocess:{tmp}/missing", "--methods", "gpa"], 3,
+            "transport error: cannot start model process: [Errno 2] No such file"),
+        "indices without collective": (
+            ["--model", "sinusoidal2d", "--methods", "gpa", "--indices", "0,1"], 2,
+            "error: multiple --indices require --collective; run single points with "
+            "--point-index\n"),
+        "no model": (
+            ["--methods", "gpa"], 2,
+            "error: no model given: pass --model or set ANOMATTR_MODEL\n"),
+        "ref of another dimension": (
+            ["--model", "sinusoidal2d", "--methods", "zscore", "--ref", "{tmp}/ref3.csv"], 2,
+            "error: reference dimension 3 does not match dataset dimension 2\n"),
+        "empty methods": (
+            ["--model", "sinusoidal2d", "--methods", " , "], 2,
+            "error: at least one method required\n"),
+    }
+
+    @pytest.mark.parametrize("flags, expected, message", EXIT_PATHS.values(), ids=EXIT_PATHS)
+    def test_exit_path_one_line_and_no_document(self, sinus_data, tmp_path, capsys,
+                                                monkeypatch, flags, expected, message):
+        monkeypatch.delenv("ANOMATTR_MODEL", raising=False)
+        (tmp_path / "ref3.csv").write_text("a,b,c,y\n0,0,0,0\n1,1,1,0\n")
+        out = tmp_path / "out"
+        code = main(["explain", "--data", str(sinus_data), "--out", str(out),
+                     *(f.format(tmp=tmp_path) for f in flags)])
+        assert code == expected
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
     def test_env_var_model_default(self, sinus_data, tmp_path, monkeypatch):
         monkeypatch.setenv("ANOMATTR_MODEL", "sinusoidal2d")
         code = main([
@@ -768,6 +818,18 @@ class TestCompare:
         ])
         assert code == 2
 
+    def test_reference_outside_methods_runs_first(self, sinus_data, tmp_path, recorders):
+        # gpa, the default --reference, runs ahead of lime0, so its first
+        # call carries lime0's held cloud; run after lime0, the cloud would go
+        # alone
+        out = tmp_path / "out"
+        assert main(["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--methods", "lime0", "--out", str(out), *ORACLE_FLAGS]) == 0
+        doc = strict_json((out / "compare.json").read_text())
+        assert doc["reference"] == "gpa" and set(doc["scores"]) == {"gpa", "lime0"}
+        assert list(doc["reports"]) == ["lime0"]
+        assert recorders[0].sizes[:2] == [1_000 + 21, 21]
+
     @pytest.mark.parametrize("ref", [False, True])
     def test_unknown_reference_refused_before_the_model_starts(
             self, sinus_data, lattice_ref, sine_child, tmp_path, capsys, ref):
@@ -963,28 +1025,47 @@ class TestHeldBatches:
             assert explained[name]["scores"] == doc["scores"], name
             assert compared[name] == doc["scores"], name
 
-    def test_compare_sends_them_in_gpa_first_call(self, sinus_data, lattice_ref,
-                                                   tmp_path, recorders):
+    # the flags that shape lime's cloud, ig's path and sv's batch, at their
+    # defaults and at other values, with those values, the number of held
+    # rows and eig's number of calls
+    HELD_FLAGS = {
+        "defaults": ([], dict(lime=(1_000, 0.3), baseline=[0.0, 0.0], n_intervals=100,
+                              sv_configs=100, seed=0), 3_276, 8),
+        "other flags": (["--lime-samples", "50", "--lime-std", "0.7", "--n-intervals", "7",
+                         "--sv-configs", "9", "--seed", "4", "--baseline", "0.25,-0.5"],
+                        dict(lime=(50, 0.7), baseline=[0.25, -0.5], n_intervals=7,
+                             sv_configs=9, seed=4), 466, 1),
+    }
+
+    @pytest.mark.parametrize("flags, values, n_held, eig_calls", HELD_FLAGS.values(),
+                             ids=HELD_FLAGS)
+    def test_compare_sends_them_in_gpa_first_call(self, sinus_data, lattice_ref, tmp_path,
+                                                  recorders, flags, values, n_held, eig_calls):
         out = tmp_path / "out"
         assert main(["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
-                     *self.COMPARE, "--ref", str(lattice_ref), "--out", str(out)]) == 0
+                     *self.COMPARE, *flags, "--ref", str(lattice_ref), "--out", str(out)]) == 0
         (model,) = recorders
-        x_t = np.array([0.5, 0.0])
+        x_t, seed = np.array([0.5, 0.0]), values["seed"]
         held = np.vstack([
-            anomattr.baselines.cloud_rows(x_t, anomattr.LimeConfig(), 2),
-            anomattr.baselines.path_rows(x_t, [0.0, 0.0], 100,
-                                         anomattr.GradientEstimatorConfig(0.001)),
+            anomattr.baselines.cloud_rows(
+                x_t, anomattr.LimeConfig(*values["lime"], seed=seed), 2),
+            anomattr.baselines.path_rows(
+                x_t, values["baseline"], values["n_intervals"],
+                anomattr.GradientEstimatorConfig(0.001, seed=seed)),
             anomattr.baselines.shapley_rows(
-                x_t, anomattr.ReferenceSet(anomattr.load_csv(lattice_ref).x)),
+                x_t, anomattr.ReferenceSet(anomattr.load_csv(lattice_ref).x),
+                values["sv_configs"], seed),
         ])
-        # 1,000 cloud rows, ig's 101 path points x 20 draws, 4 coalitions x 64
-        assert len(held) == 3_276
+        # at the defaults, 1,000 cloud rows, ig's 101 path points x 20 draws
+        # and 4 coalitions x 64
+        assert len(held) == n_held
         # gpa's first call, its rows and their displaced rows, carries them
-        assert model.sizes[:2] == [3_276 + 21, 21]
-        np.testing.assert_array_equal(model.first[:3_276], held)
-        # lime, ig and sv make no call: gpa's, lc's and eig's 8 are all
+        assert model.sizes[:2] == [n_held + 21, 21]
+        np.testing.assert_array_equal(model.first[:n_held], held)
+        # lime, ig and sv make no call: gpa's, lc's and eig's are all
         diagnostics = strict_json((out / "compare.json").read_text())["diagnostics"]
-        calls = diagnostics["gpa"]["call_count"] + diagnostics["lc"]["call_count"] + 8
+        calls = (diagnostics["gpa"]["call_count"] + diagnostics["lc"]["call_count"]
+                 + eig_calls)
         assert diagnostics["model_calls"] == len(model.sizes) == calls
 
     def test_lime_methods_hold_one_cloud(self, sinus_data, tmp_path, recorders):

@@ -54,6 +54,9 @@ FAULT_CHILD = textwrap.dedent(
             sys.stdout.write(reply[: len(reply) // 2])
             sys.stdout.flush()
             sys.exit(1)
+        elif fault == "answer twice":
+            sys.stdout.write(reply * 2)
+            sys.stdout.flush()
     """
 )
 
@@ -118,16 +121,20 @@ class _FaultyEndpoint(BaseHTTPRequestHandler):
             pass
 
 
-SUBPROCESS_FAULTS = {
+FAULTS = {
     "silence": "no answer within 0.5 s",
     "trickle": "no answer within 0.5 s",
     "wrong length": "has shape",
     "non-JSON": "malformed model response",
     "NaN": "non-finite output nan",
+}
+SUBPROCESS_FAULTS = {
+    **FAULTS,
     "closed mid-body": "died twice",
+    "answer twice": "output no request asked for",
 }
 HTTP_FAULTS = {
-    **SUBPROCESS_FAULTS,
+    **FAULTS,
     "trickled head": "no answer within 0.5 s",
     "HTTP 500": "answered HTTP 500",
     "closed mid-body": "model endpoint failed",

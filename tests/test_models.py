@@ -513,6 +513,31 @@ class TestSubprocessAdapter:
         assert proc.returncode == 0
         assert m._stderr_tail == (b"x" * 200 * 1024 + b"bye")[-4096:]
 
+    @pytest.mark.parametrize("late", [False, True], ids=["same write", "late"])
+    def test_output_no_request_asked_for_raises(self, tmp_path, late):
+        # each answer line comes twice: in the write of the answer, or 0.1 s
+        # after it, where the next request finds it waiting; taken for that
+        # request's answer, it would answer a second batch with the first's
+        script = tmp_path / "twice.py"
+        script.write_text(
+            "import json, sys, time\nfor line in sys.stdin:\n"
+            "    reply = json.dumps({'ys': [sum(x) for x in json.loads(line)['xs']]}) + '\\n'\n"
+            + ("    sys.stdout.write(reply); sys.stdout.flush(); time.sleep(0.1)\n" if late
+               else "    sys.stdout.write(reply)\n")  # one write with the next line
+            + "    sys.stdout.write(reply); sys.stdout.flush()\n"
+        )
+        m = SubprocessModel([sys.executable, str(script)], dimension=2)
+        try:
+            if late:
+                np.testing.assert_array_equal(m.evaluate_batch(POINTS[:2]), [3.0, -0.5])
+                time.sleep(0.5)
+            with pytest.raises(TransportError, match=r"output no request asked for: "
+                                                     r"b'\{\"ys\": \[3.0, -0.5\]\}\\n'$"):
+                m.evaluate_batch(POINTS[2:] if late else POINTS[:2])
+            assert m._proc is None  # killed
+        finally:
+            m.close()
+
     def test_map_estimate_makes_one_request_per_iteration(self, tmp_path):
         # one request at the start, for the objective and its gradient, then
         # one per candidate step, which carries the gradient's displaced
