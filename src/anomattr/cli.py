@@ -24,11 +24,15 @@ answer depends on.  Before any method runs, they hold
 batch of each method that builds it without an answer: the lime cloud,
 which lime, lime0 and baylime share, ig's path and sv's batch.  All of them
 go at the front of the command's first model call, whichever method makes
-it, and those methods take their answers from that call.  The residual
-scores are taken before the caller of that call sees its own answers, so an
-overflowing residual ends the run there.  Held rows go alone only where no
-method sends a batch of its own, and a missing ``--baseline`` or ``--ref``
-is refused before the first query.
+it, and those methods take their answers from that call.  They are written
+into the front of the array that call's batch is built in, which the
+holder lends (:meth:`~anomattr.models.ModelHandle.batch_array`): gpa's rate
+rows follow them, and the gradient batch of gpa, lc or eig is built behind
+both, so the first call copies no rows.  The residual scores are taken
+before the caller of that call sees its own answers, so an overflowing
+residual ends the run there.  Held rows go alone only where no method sends
+a batch of its own, and a missing ``--baseline`` or ``--ref`` is refused
+before the first query.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, a number flag out of its range,

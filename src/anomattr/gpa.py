@@ -69,19 +69,22 @@ the slices, which reuse the run's rates.  The residual rows need no answer,
 so :func:`map_estimate` holds them (:class:`~anomattr.models.HeldRows`) and
 they ride at the front of the solver's first batch: the rates cost their
 rows and no call, and they are set before the objective sees its first
-answers.  ``dist`` packs ``P = max(1, (1 + m mc_samples) // grid_points)``
-whole variables into each slice batch, so that no slice batch is larger
-than the solver's first, all-draws gradient batch of ``n (1 + m
-mc_samples)`` rows, which the model has already answered.  At the defaults
-(10 draws, 100 grid points) and m = 30, P = 3: 10 batches of 6,000 rows
-against the solver's 6,020.  Where P = 1, as on the two-variable sinusoid,
-each variable keeps a batch of its own.  The batches are written into one
-reused buffer, so the slices hold one batch's rows at a time: on 20 rows of
-a quadratic model in m = 30, the benchmark's size, their traced peak is
-1.53 MiB, below the MAP solve's 2.88-2.95 MiB, whose first batch is copied
-once to put the rate rows in front (1.62-1.70 MiB with the rates in a call
-of their own).  Batches of 3 variables built anew while the last one is
-still bound would hold two batches of 1.4 MiB at once.
+answers.  The holder writes them into the front of the array it lends the
+estimator, which builds the batch behind them, so no copy of the batch is
+made; a holder around the model, as ``explain``'s, puts its rows in front
+of them in the same array.  ``dist`` packs ``P = max(1, (1 + m
+mc_samples) // grid_points)`` whole variables into each slice batch, so
+that no slice batch is larger than the solver's first, all-draws gradient
+batch of ``n (1 + m mc_samples)`` rows, which the model has already
+answered.  At the defaults (10 draws, 100 grid points) and m = 30, P = 3:
+10 batches of 6,000 rows against the solver's 6,020.  Where P = 1, as on
+the two-variable sinusoid, each variable keeps a batch of its own.  The
+batches are written into one reused buffer, so the slices hold one batch's
+rows at a time: on 20 rows of a quadratic model in m = 30, the benchmark's
+size, their traced peak is 1.55 MiB, below the MAP solve's 1.70 MiB, whose
+first batch of 6,040 rows takes 1.38 MiB of it.  Batches of 3 variables
+built anew while the last one is still bound would hold two batches of 1.4
+MiB at once.
 :attr:`AttributionResult.query_count` and ``call_count`` count the rates and
 the solver (lc's, which has no rates, the solver alone).  The solver's
 batches come from :class:`CounterfactualObjective`:

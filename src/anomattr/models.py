@@ -28,7 +28,11 @@ and no caller checks for it.
 
 :class:`HeldRows` wraps an opened model to send rows that no answer depends
 on, such as a method's one batch, at the front of a call that some caller
-makes anyway, and answers a later request for them from that call.
+makes anyway, and answers a later request for them from that call.  A
+caller builds its batch in the array that :meth:`ModelHandle.batch_array`
+lends, as the gradient estimator does; a holder writes its held rows into
+the front of that array, nested holders share one array, and only a batch
+the handle did not lend is copied behind the held rows.
 """
 
 from __future__ import annotations
@@ -141,6 +145,12 @@ class ModelHandle:
             raise NonFiniteModelOutput(xs[first], ys[first])
         return ys
 
+    def batch_array(self, k: int) -> np.ndarray:
+        """The uninitialised ``(k, dimension)`` array in which a caller
+        builds the next batch it sends: ``np.empty`` here, and in
+        :class:`HeldRows` the tail of one array with the held rows in front."""
+        return np.empty((k, self.dimension))
+
     def close(self) -> None:
         """Release what the handle holds; a no-op unless overridden."""
 
@@ -217,13 +227,18 @@ class HeldRows(ModelHandle):
     batches first, in the order held, and the caller's rows after them, so
     a non-finite answer among the held rows is named first, and each
     batch's ``on_answer(answers)`` runs before the caller gets its own
-    answers.  A request for the rows of a held batch is answered from that
-    batch's answers with no further call; if no call has sent it yet, the
-    pending batches go alone first.  A request matches a batch by shape,
-    then by value, so no request is hashed.  :meth:`flush` sends the
-    batches no call took.  The handle counts its callers' queries and
-    calls, those answered from held answers included; ``model`` counts
-    what it answers, held rows included.
+    answers.  :meth:`batch_array` lends the tail of an array, got from
+    ``model``'s own :meth:`~ModelHandle.batch_array`, whose front holds the
+    pending batches; the next call, given that tail with no :meth:`hold` or
+    :meth:`flush` since, sends the whole array, so nested holders build one
+    array and no batch is copied.  Any other batch, such as a library
+    caller's or :meth:`flush`'s, is copied behind the held rows.  A request for the rows
+    of a held batch is answered from that batch's answers with no further
+    call; if no call has sent it yet, the pending batches go alone first.
+    A request matches a batch by shape, then by value, so no request is
+    hashed.  :meth:`flush` sends the batches no call took.  The handle
+    counts its callers' queries and calls, those answered from held answers
+    included; ``model`` counts what it answers, held rows included.
     """
 
     def __init__(self, model: ModelHandle):
@@ -231,18 +246,31 @@ class HeldRows(ModelHandle):
         self._model = model
         self._held: list[_Held] = []
         self._sent = 0  # the first batches of _held, which a call has sent
+        # (tail, array) of the last batch_array, until a call, hold or flush
+        self._lent = None
 
     def hold(self, rows, on_answer=None) -> None:
         self._held.append(_Held(_as_batch(rows, self.dimension), on_answer))
+        self._lent = None
+
+    def batch_array(self, k: int) -> np.ndarray:
+        pending = [h.rows for h in self._held[self._sent:]]
+        lead = sum(map(len, pending))
+        array = self._model.batch_array(lead + k)
+        if pending:
+            np.concatenate(pending, out=array[:lead])
+        self._lent = array[lead:], array
+        return self._lent[0]
 
     def evaluate_batch(self, xs) -> np.ndarray:
         # overrides evaluate_batch, not _evaluate_batch: the one call of
         # ``model`` is the only one a query counter sees
         xs = _as_batch(xs, self.dimension)
+        lent, self._lent = self._lent, None
         held = next((h for h in self._held
                      if h.rows.shape == xs.shape and np.array_equal(h.rows, xs)), None)
         if held is None:
-            ys = self._send(xs)
+            ys = self._send(xs, lent)
         else:
             self.flush()
             ys = held.answers.copy()
@@ -252,14 +280,17 @@ class HeldRows(ModelHandle):
 
     def flush(self) -> None:
         """Send the held batches that no call has taken, alone."""
+        self._lent = None
         if self._sent < len(self._held):
             self._send(np.empty((0, self.dimension)))
 
-    def _send(self, xs) -> np.ndarray:
+    def _send(self, xs, lent=None) -> np.ndarray:
         pending = self._held[self._sent:]
-        if not pending:
-            return self._model.evaluate_batch(xs)
-        ys = self._model.evaluate_batch(np.concatenate([*(h.rows for h in pending), xs]))
+        if lent is not None and xs is lent[0]:
+            xs = lent[1]  # the pending rows are already in front
+        elif pending:
+            xs = np.concatenate([*(h.rows for h in pending), xs])
+        ys = self._model.evaluate_batch(xs)
         self._sent = len(self._held)
         start = 0
         for h in pending:
@@ -696,11 +727,13 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     ``[f(x + h e_i) - f(x)] / h`` over the draws of its ``mc_samples``
     Gaussian step sizes h that the ``(m, mc_samples)`` boolean mask ``send``
     marks, every draw when ``send`` is None.  Every call is one model batch,
-    built in one array: the k points themselves when their values are used
-    (first, so that a non-finite value there names that point), then the
-    displaced points of the draws it sends, row by row and, within a row, by
-    coordinate and draw; with every draw sent, displaced point ``(p * m + i)
-    * mc_samples + j`` is ``x_p + h[i, j] e_i``.
+    built in the one array that ``model.batch_array`` lends, so that a
+    :class:`HeldRows` sends it behind its held rows uncopied: the k points
+    themselves when their values are used (first, so that a non-finite
+    value there names that point), then the displaced points of the draws
+    it sends, row by row and, within a row, by coordinate and draw; with
+    every draw sent, displaced point ``(p * m + i) * mc_samples + j`` is
+    ``x_p + h[i, j] e_i``.
 
     The values at the points are used unless ``f0`` gives them: when the
     caller passes a ``(k,)`` buffer ``values`` for them or a ``slopes``
@@ -728,7 +761,8 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     gives the per-point results bit for bit.
     """
     m, mc = model.dimension, cfg.mc_samples
-    points, central, sent, count = _gradient_batch(x, m, cfg, f0, values, slopes, send)
+    points, central, sent, count = _gradient_batch(x, m, cfg, f0, values, slopes, send,
+                                                   model.batch_array)
     fvals = model.evaluate_batch(points)
     k = np.size(x) // m
     h, _ = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
@@ -751,13 +785,16 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
 
 
 def _gradient_batch(x, m: int, cfg: GradientEstimatorConfig, f0=None, values=None,
-                    slopes=None, send=None):
+                    slopes=None, send=None, batch_array=None):
     """The one model batch of ``estimate_gradient(model, x, cfg, f0, values,
     slopes, send)`` for a model of ``m`` inputs, built in one array, as
     ``(points, central, sent, count)``: whether the estimate takes central
     differences, the indices of the draws sent and each coordinate's count
-    of them.  No model query; a caller that sends the batch early builds
-    it here, so its rows are the estimator's bit for bit."""
+    of them.  The array is ``batch_array(rows)``, the lender of the model
+    that gets the batch (:meth:`ModelHandle.batch_array`), or a new one
+    when that is None, as for a caller that holds the rows.  No model
+    query; a caller that sends the batch early builds it here, so its rows
+    are the estimator's bit for bit."""
     x = np.asarray(x, dtype=float)
     mc = cfg.mc_samples
     if x.ndim not in (1, 2) or x.shape[-1] != m:
@@ -780,7 +817,8 @@ def _gradient_batch(x, m: int, cfg: GradientEstimatorConfig, f0=None, values=Non
         sent, count = np.flatnonzero(send), np.where(count > 0, count, mc)
     moves = disp[sent]
     centre = k if f0 is None and not central else 0
-    points = np.empty((centre + k * len(moves), m))
+    rows = centre + k * len(moves)
+    points = np.empty((rows, m)) if batch_array is None else batch_array(rows)
     points[:centre] = batch[:centre]  # the points first, where their values are used
     np.add(batch[:, None, :], moves, out=points[centre:].reshape(k, len(moves), m))
     return points, central, sent, count

@@ -1284,8 +1284,9 @@ class TestScoreDistributions:
 
     def test_slices_peak_memory_within_the_solve(self):
         # at the benchmark's size the slices pack 3 variables, 6,000 rows, to
-        # a batch in one buffer of 1.4 MiB: their traced peak stays below
-        # the solve's, and two batches' rows alive at once would not
+        # a batch in one buffer of 1.4 MiB: their traced peak, 1.55 MiB,
+        # stays below the solve's 1.70 MiB, whose first batch of 6,040 rows
+        # is 1.38 MiB, and two batches' rows alive at once would not
         coef, ts = _collective_problem(n=20, m=30)
         model, cfg = quadratic_model(coef), GradientEstimatorConfig()
         hp = GpaHyperParams.for_testset(ts.n_test)
@@ -1301,6 +1302,27 @@ class TestScoreDistributions:
         finally:
             tracemalloc.stop()
         assert slices_peak <= solve_peak
+
+    @pytest.mark.parametrize("held", [False, True], ids=["alone", "held rows"])
+    def test_solve_peak_memory_near_its_first_batch(self, held):
+        # the first batch (an outer holder's rows, the rate rows, then the
+        # solve's 20 (1 + 30 x 10) gradient rows) is built in one lent array
+        # and sent uncopied; a copy of it would double the peak
+        coef, ts = _collective_problem(n=20, m=30)
+        n, m = ts.n_test, ts.dimension
+        cfg = GradientEstimatorConfig()
+        model = quadratic_model(coef)
+        if held:
+            model = HeldRows(model)
+            model.hold(ts.x)
+        first = (n * held + n + n * (1 + m * cfg.mc_samples)) * m * 8
+        tracemalloc.start()
+        try:
+            map_estimate(ts, model, GpaHyperParams.for_testset(n), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * first
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_slices_bit_identical_to_per_sample_loop(self, seed):

@@ -15,7 +15,9 @@ from anomattr.models import (
     BuiltinModel,
     CallableModel,
     GradientEstimatorConfig,
+    HeldRows,
     HttpModel,
+    ModelHandle,
     NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
@@ -295,6 +297,66 @@ class TestGradientEstimator:
             estimate_gradient(sin_model, [np.nan, 0.0], FINE_GRAD)
 
 
+class _Kept(ModelHandle):
+    """Answers each row's sum and keeps every batch it gets, uncopied."""
+
+    def __init__(self, dimension):
+        super().__init__(dimension)
+        self.batches = []
+
+    def _evaluate_batch(self, xs):
+        self.batches.append(xs)
+        return xs.sum(axis=1)
+
+
+class TestHeldRows:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_lent_tail_is_sent_uncopied(self, depth):
+        # nested holders stack their held rows, innermost first, in front of
+        # the tail the outermost lends, and the model gets that one array
+        kept, answered = _Kept(2), []
+        model = kept
+        for level in range(depth):
+            model = HeldRows(model)
+            model.hold(POINTS[level:level + 1], answered.append)
+        tail = model.batch_array(2)
+        tail[:] = POINTS[2:]
+        ys = model.evaluate_batch(tail)
+        [sent] = kept.batches
+        assert np.shares_memory(sent, tail)
+        np.testing.assert_array_equal(sent, np.vstack([POINTS[:depth], POINTS[2:]]))
+        np.testing.assert_array_equal(ys, POINTS[2:].sum(axis=1))
+        assert answered == [POINTS[i:i + 1].sum(axis=1) for i in range(depth)]
+        assert (model.query_count, kept.query_count) == (2, 2 + depth)
+
+    @pytest.mark.parametrize("between", ["hold", "other array", "flush"])
+    def test_a_tail_no_longer_lent_falls_back(self, between):
+        # a hold after the lending, or another array sent, copies the tail
+        # behind every pending batch; after a flush nothing is pending
+        kept, answered = _Kept(2), []
+        model = HeldRows(kept)
+        model.hold(POINTS[:1], answered.append)
+        tail = model.batch_array(2)
+        tail[:] = POINTS[2:]
+        sent = tail.copy() if between == "other array" else tail
+        if between == "hold":
+            model.hold(POINTS[1:2], answered.append)
+        elif between == "flush":
+            model.flush()
+        ys = model.evaluate_batch(sent)
+        np.testing.assert_array_equal(ys, POINTS[2:].sum(axis=1))
+        held = 2 if between == "hold" else 1
+        assert answered == [POINTS[i:i + 1].sum(axis=1) for i in range(held)]
+        if between == "flush":
+            assert [len(b) for b in kept.batches] == [1, 2]
+            assert kept.batches[1] is tail
+        else:
+            [batch] = kept.batches
+            rows = POINTS if between == "hold" else POINTS[[0, 2, 3]]
+            np.testing.assert_array_equal(batch, rows)
+            assert not np.shares_memory(batch, tail)
+
+
 ECHO_MODEL = textwrap.dedent(
     """
     import json, sys
@@ -403,8 +465,11 @@ class TestSubprocessAdapter:
 
     def test_dead_command(self):
         m = SubprocessModel([sys.executable, "-c", "pass"], dimension=1)
-        with pytest.raises(TransportError):
-            m.evaluate([1.0])
+        try:
+            with pytest.raises(TransportError):
+                m.evaluate([1.0])
+        finally:
+            m.close()
 
     def test_batch_is_one_line_and_cached_rows_are_not_resent(self, tmp_path):
         m, requests = _child(tmp_path, BATCH_MODEL)
@@ -476,8 +541,11 @@ class TestSubprocessAdapter:
             "sys.exit('weights file missing')\n"
         )
         m = SubprocessModel([sys.executable, str(script)], dimension=1)
-        with pytest.raises(TransportError, match="died twice") as exc:
-            m.evaluate([1.0])
+        try:
+            with pytest.raises(TransportError, match="died twice") as exc:
+                m.evaluate([1.0])
+        finally:
+            m.close()
         assert str(exc.value).endswith("weights file missing")
 
     def test_stderr_flood_does_not_block_the_child(self, tmp_path):
@@ -515,16 +583,16 @@ class TestSubprocessAdapter:
 
     @pytest.mark.parametrize("late", [False, True], ids=["same write", "late"])
     def test_output_no_request_asked_for_raises(self, tmp_path, late):
-        # each answer line comes twice: in the write of the answer, or 0.1 s
-        # after it, where the next request finds it waiting; taken for that
-        # request's answer, it would answer a second batch with the first's
+        # each answer line comes twice: in one write with the answer, or
+        # 0.1 s after it, where the next request finds it waiting; taken for
+        # that request's answer, it would answer a second batch with the first's
         script = tmp_path / "twice.py"
         script.write_text(
             "import json, sys, time\nfor line in sys.stdin:\n"
             "    reply = json.dumps({'ys': [sum(x) for x in json.loads(line)['xs']]}) + '\\n'\n"
-            + ("    sys.stdout.write(reply); sys.stdout.flush(); time.sleep(0.1)\n" if late
-               else "    sys.stdout.write(reply)\n")  # one write with the next line
-            + "    sys.stdout.write(reply); sys.stdout.flush()\n"
+            + ("    sys.stdout.write(reply); sys.stdout.flush(); time.sleep(0.1)\n"
+               "    sys.stdout.write(reply); sys.stdout.flush()\n" if late
+               else "    sys.stdout.write(reply + reply); sys.stdout.flush()\n")
         )
         m = SubprocessModel([sys.executable, str(script)], dimension=2)
         try:
@@ -571,9 +639,13 @@ class TestSubprocessAdapter:
         )
         m = SubprocessModel([sys.executable, str(script)], dimension=1, timeout=0.9)
         start = time.monotonic()
-        with pytest.raises(TransportError, match="(?s)no answer within.*license server"):
-            m.evaluate([1.0])
-        assert time.monotonic() - start < 5.0
+        try:
+            with pytest.raises(TransportError,
+                               match="(?s)no answer within.*license server"):
+                m.evaluate([1.0])
+            assert time.monotonic() - start < 5.0
+        finally:
+            m.close()
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_file.read_text()), 0)
 
@@ -593,9 +665,12 @@ class TestSubprocessAdapter:
         )
         m = SubprocessModel([sys.executable, str(script)], dimension=1, timeout=0.5)
         start = time.monotonic()
-        with pytest.raises(TransportError, match="no answer within 0.5 s"):
-            m.evaluate_batch([[1.0]])
-        assert time.monotonic() - start < 0.5 + 0.5
+        try:
+            with pytest.raises(TransportError, match="no answer within 0.5 s"):
+                m.evaluate_batch([[1.0]])
+            assert time.monotonic() - start < 0.5 + 0.5
+        finally:
+            m.close()
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid_file.read_text()), 0)
 
@@ -724,6 +799,16 @@ class _TrickleHead(_Handler):
                 time.sleep(0.1)
 
 
+class _SilentCapabilities(_Handler):
+    """Answers ``GET /capabilities`` only after 1 s."""
+    posts: list = []
+
+    def do_GET(self):
+        time.sleep(1.0)
+        with contextlib.suppress(OSError):  # the client has hung up
+            super().do_GET()
+
+
 def _serving(handler):
     handler.posts.clear()
     return serving(handler)
@@ -788,6 +873,16 @@ class TestHttpAdapter:
         with pytest.raises(TransportError, match="no answer within 0.5 s"):
             m.evaluate([0.0])
         assert time.monotonic() - start < 0.5 + 0.5
+
+    @pytest.mark.parametrize("http_server", [_SilentCapabilities], indirect=True)
+    def test_capabilities_that_never_answer_fall_back_to_single_points(self, http_server):
+        # the probe waits out its own timeout, then each point goes alone
+        m = HttpModel(http_server, dimension=2, timeout=0.5)
+        start = time.monotonic()
+        ys = m.evaluate_batch(POINTS)
+        assert time.monotonic() - start < 0.5 + 0.5
+        np.testing.assert_array_equal(ys, 2.0 * POINTS[:, 0] + POINTS[:, 1])
+        assert _SilentCapabilities.posts == [{"x": x} for x in POINTS.tolist()]
 
     @pytest.mark.parametrize("http_server", [_ServerError], indirect=True)
     def test_error_status_raises(self, http_server):
