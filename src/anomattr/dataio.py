@@ -8,7 +8,7 @@ File formats:
 * CSV: UTF-8, comma separated, one header row naming the columns, last column
   is the target.  No thousands separators.  Every cell is a finite number: a
   ``nan`` or ``inf`` cell is refused with its row and column.
-* JSON documents, format version 10 (``schema_version``), one per command:
+* JSON documents, format version 11 (``schema_version``), one per command:
   ``result.json`` (explain: ``config, anomaly_scores, methods: {name:
   {scores, scores_raw_units?}}, diagnostics``), ``distributions.json``
   (dist: ``config, methods: {gpa: {scores, distribution: {grid, probs}}},
@@ -22,7 +22,10 @@ File formats:
   ``config`` echoes the command's flags (see :mod:`anomattr.cli`).  Bytes
   are deterministic for identical inputs (sorted keys, shortest round-trip
   float formatting), and the documents are strict JSON: a NaN or infinity
-  anywhere is refused and nothing is written.
+  anywhere is refused and nothing is written.  Version 11 writes each
+  document as one line of JSON without indentation, which CPython encodes
+  in C; its parsed content is that of version 10, which was indented.
+  ``python -m json.tool result.json`` pretty-prints one.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ __all__ = [
     "SCHEMA_VERSION",
 ]
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 
 
 class CsvFormatError(ValueError):
@@ -196,9 +199,10 @@ def emit_result_json(doc: dict, path) -> None:
     A NaN or infinity anywhere in ``doc`` raises ValueError before anything
     is written.
     """
-    # ``default`` gets the numpy arrays and non-float numpy scalars
+    # ``default`` gets the numpy arrays and non-float numpy scalars; without
+    # ``indent``, ``json`` encodes in C
     text = json.dumps({"schema_version": SCHEMA_VERSION, **doc}, sort_keys=True,
-                      indent=2, allow_nan=False, default=lambda obj: obj.tolist())
+                      allow_nan=False, default=lambda obj: obj.tolist())
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
@@ -285,6 +289,10 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
     if not len(probs):
         raise ValueError("need at least one distribution")
     map_point = np.asarray(map_point, dtype=float)
+    if probs.shape[1:] != grid.shape or map_point.shape != probs.shape[:1]:
+        raise ValueError(f"need one row over the {grid.size} grid points and one MAP "
+                         f"coordinate per row, got a table of shape {probs.shape} and "
+                         f"{map_point.size} MAP coordinates")
     if variable_names is None:
         variable_names = [f"x{k + 1}" for k in range(len(probs))]
     gmin, gmax = float(grid[0]), float(grid[-1])
@@ -312,16 +320,18 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
         f'<text x="{ml + pw}" y="{height - 10}" text-anchor="end">{_fmt(gmax)}</text>',
         f'<text x="{ml + pw / 2:.1f}" y="{height - 10}" text-anchor="middle">perturbation</text>',
     ]
-    xs = [f"{g:.2f}" for g in sx(grid).tolist()]  # every curve shares them
-    for k, (row, color) in enumerate(zip(probs, _colors(len(probs)))):
-        pts = " ".join(f"{g},{p:.2f}" for g, p in zip(xs, sy(row).tolist()))
+    # every curve shares its x coordinates: one template, filled per curve
+    xs = [f"{g:.2f}" for g in sx(grid).tolist()]
+    points = " ".join(f"{g},%.2f" for g in xs)
+    # the marker's grid point: the first of the nearest, the edge outside
+    nearest = np.abs(grid - map_point[:, None]).argmin(axis=1).tolist()
+    for k, (ys, color) in enumerate(zip(sy(probs).tolist(), _colors(len(probs)))):
         out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{points % tuple(ys)}" fill="none" '
+            f'stroke="{color}" stroke-width="1.5"/>'
         )
-        nearest = int(np.argmin(np.abs(grid - map_point[k])))
         out.append(
-            f'<circle cx="{sx(grid[nearest]):.2f}" cy="{sy(row[nearest]):.2f}" '
-            f'r="3.5" fill="{color}"/>'
+            f'<circle cx="{xs[nearest[k]]}" cy="{ys[nearest[k]]:.2f}" r="3.5" fill="{color}"/>'
         )
         ly = mt + 14 + 16 * k
         out.append(

@@ -130,7 +130,7 @@ class TestResultJson:
         emit_result_json({"methods": {"gpa": {"scores": scores}}}, p)
         back = json.loads(p.read_text())
         assert back["methods"]["gpa"]["scores"] == scores.tolist()
-        assert back["schema_version"] == 10
+        assert back["schema_version"] == 11
 
     def test_deterministic_bytes(self, tmp_path):
         doc = {
@@ -146,7 +146,36 @@ class TestResultJson:
         # no section is added: a document holds what the command gave it
         p = tmp_path / "e.json"
         emit_result_json({}, p)
-        assert json.loads(p.read_text()) == {"schema_version": 10}
+        assert json.loads(p.read_text()) == {"schema_version": 11}
+
+    def test_one_line_from_the_default_encoder(self, tmp_path):
+        # no indentation, so CPython's C encoder writes the document: one
+        # line, then the newline
+        doc = {"config": {"seed": 3, "standardize": True},
+               "methods": {"gpa": {"scores": np.array([0.1 + 0.2, -2.5e-7])}},
+               "diagnostics": {"model_queries": np.int64(87920), "converged": np.bool_(True)}}
+        p = tmp_path / "r.json"
+        emit_result_json(doc, p)
+        text = json.dumps({"schema_version": 11, **doc}, sort_keys=True,
+                          allow_nan=False, default=lambda obj: obj.tolist())
+        assert p.read_text(encoding="utf-8") == text + "\n"
+        assert p.read_bytes().count(b"\n") == 1
+
+    def test_numpy_values_reload_as_the_indented_encoder_gave_them(self, tmp_path):
+        # the format of version 10 (indent=2, the pure-Python encoder)
+        # parses to the same values and types as version 11
+        doc = {"f64": np.float64(0.1) * 3, "f32": np.array([0.1, -1.5e-8, 3.0], np.float32),
+               "i64": np.int64(-2**40), "flag": np.bool_(False)}
+        p = tmp_path / "r.json"
+        emit_result_json(doc, p)
+        indented = json.dumps({"schema_version": 11, **doc}, sort_keys=True, indent=2,
+                              allow_nan=False, default=lambda obj: obj.tolist())
+        back, before = json.loads(p.read_text()), json.loads(indented)
+        assert repr(back) == repr(before)  # repr tells 1 from 1.0 and from True
+        assert back["f64"] == 0.30000000000000004
+        assert back["f32"] == [float(v) for v in doc["f32"]]
+        assert back["i64"] == -2**40 and type(back["i64"]) is int
+        assert back["flag"] is False
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused_nothing_written(self, tmp_path, bad):
@@ -279,6 +308,31 @@ class TestDistributionSvg:
             emit_distribution_svg(_symmetric_grid(1.0, 21), np.zeros((0, 21)),
                                   tmp_path / "x.svg", np.zeros(0))
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("grid_points, map_coordinates", [(20, 2), (21, 3), (21, 1)],
+                             ids=["short grid", "long map point", "short map point"])
+    def test_mismatched_shapes_rejected(self, tmp_path, grid_points, map_coordinates):
+        # a table needs one row over the whole grid and one MAP coordinate
+        # per row
+        with pytest.raises(ValueError, match="grid points"):
+            emit_distribution_svg(_symmetric_grid(1.0, grid_points), _flat_table(2)[1],
+                                  tmp_path / "x.svg", np.zeros(map_coordinates))
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("at, index", [(0.375, 1), (0.625, 2), (-5.0, 0), (5.0, 4)],
+                             ids=["halfway low", "halfway high", "below", "above"])
+    def test_marker_on_the_nearest_grid_point(self, tmp_path, at, index):
+        # halfway between two grid points the lower one is marked, and
+        # outside the grid the edge point; the distances here are exact
+        grid = np.linspace(0.0, 1.0, 5)
+        probs = np.array([[0.1, 0.2, 0.4, 0.2, 0.1]])
+        p = tmp_path / "d.svg"
+        emit_distribution_svg(grid, probs, p, [at])
+        svg = ElementTree.parse(p).getroot()
+        ns = "{http://www.w3.org/2000/svg}"
+        curve = svg.find(f"{ns}polyline").get("points").split()
+        marker = svg.find(f"{ns}circle")
+        assert f'{marker.get("cx")},{marker.get("cy")}' == curve[index]
 
     def test_fixed_set_renders_known_bytes(self, tmp_path):
         # the whole document, pinned: the coordinates are computed over the

@@ -5,7 +5,9 @@ server, that fails in one way on its first batch, the batch that carries
 the residual rows, lime's cloud and ig's path ahead of gpa's rows.  The
 adapter's timeout is 0.5 s.  The command must exit 3 with one message line
 that names the fault, write no document, leave no child running and return
-within the timeout plus a margin.
+within the timeout plus a margin.  A ``/capabilities`` that never answers is
+no fault of the answers: the command falls back to one request per point
+and writes what a batching server gives.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import json
 import os
 import sys
 import textwrap
+import threading
 import time
 from http.server import BaseHTTPRequestHandler
 
@@ -180,3 +183,65 @@ def test_explain_ends_within_the_deadline(tmp_path, data, capsys, monkeypatch, a
     for pid in (pids.read_text().split() if adapter == "subprocess" else []):
         with pytest.raises(ProcessLookupError):
             os.kill(int(pid), 0)
+
+
+class _SlopeEndpoint(BaseHTTPRequestHandler):
+    """Answers ``/predict`` with ``2 x1 + x2``, and ``/capabilities`` with
+    batching, or, if the handler class's ``release`` is set, only once that
+    event is set."""
+
+    release: threading.Event | None = None
+    posts: list
+
+    def log_message(self, *args):
+        pass
+
+    def _send(self, doc):
+        body = json.dumps(doc).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        if self.release is not None:
+            self.release.wait(60)
+        with contextlib.suppress(OSError):  # the client has hung up
+            self._send({"batch": True})
+
+    @staticmethod
+    def f(x):
+        return 2.0 * x[0] + x[1]
+
+    def do_POST(self):
+        doc = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.posts.append("xs" if "xs" in doc else "x")
+        self._send({"ys": [self.f(x) for x in doc["xs"]]} if "xs" in doc else
+                   {"y": self.f(doc["x"])})
+
+
+def test_capabilities_that_never_answer_give_the_batching_scores(tmp_path, data, capsys,
+                                                                 monkeypatch):
+    # the probe waits out its timeout, then each point goes as one x post
+    results, posts = {}, {}
+    for case in ("batching", "silent"):
+        release = threading.Event()
+        handler = type("Handler", (_SlopeEndpoint,), {
+            "release": release if case == "silent" else None, "posts": []})
+        out = tmp_path / case
+        with contextlib.ExitStack() as stack:
+            url = stack.enter_context(serving(handler))
+            stack.callback(release.set)  # the held GET ends before the server stops
+            monkeypatch.setattr(cli, "resolve_model",
+                                lambda spec, dim: HttpModel(url, dim, timeout=TIMEOUT))
+            start = time.monotonic()
+            code = cli.main(["explain", "--data", str(data), "--model", "remote",
+                             "--methods", "gpa", "--b0", "10", "--out", str(out)])
+            elapsed = time.monotonic() - start
+        assert code == 0, capsys.readouterr().err
+        assert (elapsed >= TIMEOUT) == (case == "silent") and elapsed < TIMEOUT + MARGIN
+        results[case] = json.loads((out / "result.json").read_text())["methods"]["gpa"]
+        posts[case] = set(handler.posts)
+    assert results["silent"] == results["batching"]
+    assert posts == {"batching": {"xs"}, "silent": {"x"}}
