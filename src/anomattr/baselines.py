@@ -68,13 +68,13 @@ __all__ = [
 # exact Shapley enumeration cutoff: coalition values to evaluate
 _EXACT_SV_BUDGET = 50_000
 # model-input numbers (rows times m) in one batch of path-integral paths.
-# Peak memory sets the limit, not the model: the gradient estimator holds
-# about six float64s per row at m = 2, and on the benchmark's sinusoid
-# compare peak RSS, against one path per batch, rose by at most 0.1 MiB
-# with 8 of eig's 64 paths per batch, 0.9 MiB with 16, 2.6 MiB with 32 and
-# 5.2 MiB (+13%) with all 64 in one batch.  A path above the budget goes
-# alone, so no batch is larger than the larger of one path, with x_t's rows
-# in the first batch, and the budget
+# Peak memory sets the limit, not the model: the gradient estimator's traced
+# peak is about five float64s per row at m = 2, and on the benchmark's
+# sinusoid compare peak RSS, against one path per batch, rose by at most
+# 0.1 MiB with 8 of eig's 64 paths per batch, 1.0 MiB with 16, 2.7 MiB with
+# 32 and 5.2 MiB (+13%) with all 64 in one batch.  A path above the budget
+# goes alone, so no batch is larger than the larger of one path, with x_t's
+# rows in the first batch, and the budget
 _PATH_BATCH_NUMBERS = 2**15
 
 
@@ -237,8 +237,9 @@ def _path_points(x_t: np.ndarray, starts: np.ndarray, alphas: np.ndarray,
     m = x_t.shape[-1]
     points = np.empty((lead + len(starts) * len(alphas), m))
     points[:lead] = x_t
-    np.add(starts[:, None, :], alphas[:, None] * (x_t - starts)[:, None, :],
-           out=points[lead:].reshape(len(starts), len(alphas), m))
+    path = points[lead:].reshape(len(starts), len(alphas), m)
+    for i in range(m):  # a coordinate at a time: one loop per path, not per point
+        np.add(starts[:, i, None], alphas * (x_t[i] - starts[:, i, None]), out=path[..., i])
     return points
 
 
@@ -249,9 +250,10 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
     per start, sent by the batch rule of the module docstring.  Every path
     ends at x_t, whose gradient is estimated once, as the first point of the
     first batch, and serves each path's last trapezoid term.  Each path is
-    built and integrated on its own, so its integral does not depend on the
-    batch it goes in, on a model that answers a row whatever batch it comes
-    in."""
+    built on its own, and one stacked ``matmul`` per batch gives each path's
+    weighted sum bit for bit as its own product would, so its integral does
+    not depend on the batch it goes in, on a model that answers a row
+    whatever batch it comes in."""
     alphas = _path_alphas(x_t, starts, n_intervals)
     m = x_t.shape[-1]
     weights = np.full(n_intervals, 1.0 / n_intervals)
@@ -267,9 +269,8 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
                                   grad_cfg)
         if lead:
             end_term = 0.5 / n_intervals * grads[0]
-        for row, di, path_grads in zip(integrals[lo:hi], x_t - starts[lo:hi],
-                                       grads[lead:].reshape(-1, n_intervals, m)):
-            row[:] = di * (weights @ path_grads + end_term)
+        integrals[lo:hi] = (x_t - starts[lo:hi]) * (
+            np.matmul(weights, grads[lead:].reshape(-1, n_intervals, m)) + end_term)
         lo, lead = hi, 0
     return integrals
 

@@ -557,17 +557,18 @@ def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
     """
     signs = np.sign(start)
     v, rhs = start, hess @ x - grad
+    abs_grad, abs_hess, abs_x = np.abs(grad), np.abs(hess), np.abs(x)
 
     def rounding(v):  # error bound of grad + hess (v - x) and of a solve's residual
-        magnitude = np.abs(grad) + np.abs(hess) @ (np.abs(v) + np.abs(x))
-        return len(x) * np.finfo(float).eps * magnitude
+        return len(x) * np.finfo(float).eps * (abs_grad + abs_hess @ (np.abs(v) + abs_x))
 
     for _ in range(_MAX_ACTIVE_SET_STEPS):
         support = signs != 0
+        active = np.flatnonzero(support)
         target = np.zeros_like(x)
-        target[support] = np.linalg.solve(hess[np.ix_(support, support)],
-                                          (rhs - l1_weight * signs)[support])
-        if np.array_equal(np.sign(target), signs):
+        target[active] = np.linalg.solve(hess[active[:, None], active],
+                                         (rhs - l1_weight * signs)[active])
+        if (np.sign(target) == signs).all():
             v = target
             slope = grad + hess @ (v - x)
             excess = np.where(support, -np.inf, np.abs(slope) - l1_weight)
@@ -592,10 +593,9 @@ def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
             break
         v = points[best]
         signs = np.sign(v)
-    support = v != 0
+    active = np.flatnonzero(v)
     error = np.zeros_like(v)
-    inverse = np.linalg.inv(hess[np.ix_(support, support)])
-    error[support] = np.abs(inverse) @ rounding(v)[support]
+    error[active] = np.abs(np.linalg.inv(hess[active[:, None], active])) @ rounding(v)[active]
     return np.where(np.abs(v) > error, v, 0.0)
 
 

@@ -771,6 +771,9 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
         # slopes is their central difference: one slot per pair
         pairs = fvals.reshape(k, -1, 2)
         diffs, steps = pairs[..., 0] - pairs[..., 1], 2.0 * h.ravel()[sent][::2]
+        if isinstance(sent, slice):  # every pair, each in its own slot
+            return ((diffs / steps).reshape(k, m, mc // 2).sum(axis=2)
+                    / (mc // 2)).reshape(np.shape(x))
         table, slots, per_slot = np.zeros((k, m, mc // 2)), np.arange(m * mc)[sent][::2] // 2, 2
     else:
         if f0 is None:  # the points went first
@@ -820,5 +823,40 @@ def _gradient_batch(x, m: int, cfg: GradientEstimatorConfig, f0=None, values=Non
     rows = centre + k * len(moves)
     points = np.empty((rows, m)) if batch_array is None else batch_array(rows)
     points[:centre] = batch[:centre]  # the points first, where their values are used
-    np.add(batch[:, None, :], moves, out=points[centre:].reshape(k, len(moves), m))
+    _displace(batch, moves, points[centre:])
     return points, central, sent, count
+
+
+# rows of at most this many inputs are displaced in blocks of whole points,
+# each block at most this many numbers (64 KiB)
+_BLOCK_ROW_LENGTH = 16
+_BLOCK_NUMBERS = 8192
+
+
+def _displace(batch, moves, out) -> None:
+    """Write ``batch[p] + moves[r]`` to row ``p * len(moves) + r`` of the
+    C-contiguous ``out``, bit for bit the broadcast ``batch[:, None, :] +
+    moves``.
+
+    numpy runs that broadcast as one inner loop per displaced row, m numbers
+    long, and buffers each broadcast operand in 64 KiB.  Rows of at most
+    ``_BLOCK_ROW_LENGTH`` inputs go in blocks of whole points instead: a
+    block's rows take the moves, then the block's points repeated along the
+    moves are added in place, over ``len(moves) * m`` contiguous numbers per
+    point and with no buffer; no block holds more than ``_BLOCK_NUMBERS``
+    numbers, and a point too large for one takes the broadcast.  Timed on 2
+    vCPUs with numpy 2.4, from 20 points to batches of 32,768 numbers, the
+    blocks took 0.25-0.8 of the broadcast's time at m = 2-8 and 0.6-0.9 at
+    m = 12-16, but 0.7-1.3 from m = 20 to 30; a batch of 20 points and two
+    moves took 1.5 times as long, about 2.5 us more."""
+    k, m = batch.shape
+    width = moves.size  # the numbers of one point's displaced rows
+    if m > _BLOCK_ROW_LENGTH or not 0 < width <= _BLOCK_NUMBERS:
+        np.add(batch[:, None, :], moves, out=out.reshape(k, len(moves), m))
+        return
+    step, draws = _BLOCK_NUMBERS // width, len(moves)
+    out, moves = out.reshape(k, width), moves.reshape(width)
+    for lo in range(0, k, step):
+        rows = out[lo:lo + step]
+        rows[...] = moves  # x + h and h + x are the same number
+        rows += np.repeat(batch[lo:lo + step], draws, axis=0).reshape(-1, width)

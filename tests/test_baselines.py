@@ -11,6 +11,7 @@ from anomattr import (
     LimeConfig,
     NonFiniteModelOutput,
     ReferenceSet,
+    baselines,
     baylime_distributions,
     expected_integrated_gradient,
     integrated_gradient,
@@ -27,7 +28,7 @@ from anomattr import (
     sinusoidal2d,
     z_score,
 )
-from anomattr.models import _step_draws
+from anomattr.models import _step_draws, estimate_gradient
 from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, periodic_lattice
 
 TIGHT_LIME = LimeConfig(n_samples=1000, sampling_std=1e-3, l1_strength=0.0, seed=0)
@@ -134,8 +135,6 @@ class TestLime0:
     def test_rank_deficient_warns_minimum_norm(self):
         m = linear_model([1.0, 1.0])
         cfg = LimeConfig(n_samples=4, sampling_std=1.0, l1_strength=0.0, seed=0)
-        from anomattr import baselines
-
         orig = baselines._local_cloud
 
         def degenerate_cloud(model, x_t, c):
@@ -200,8 +199,6 @@ class TestIntegratedGradient:
     def test_matches_pointwise_estimator(self, sin_model):
         # the estimator on a batch of path points must agree with looping
         # it over the points bit for bit
-        from anomattr.models import estimate_gradient
-
         pts = np.array([[0.0, 0.0], [0.25, 0.1], [0.5, 0.2]])
         batched = estimate_gradient(sin_model, pts, FINE_GRAD)
         loop = np.array([estimate_gradient(sin_model, p, FINE_GRAD) for p in pts])
@@ -312,6 +309,32 @@ class TestExpectedIntegratedGradient:
         for w, sample in zip(ref.effective_weights, ref.samples):
             total += w * integrated_gradient(sin_model, x_t, sample, 100, FINE_GRAD)
         np.testing.assert_array_equal(eig, total)
+
+    @pytest.mark.parametrize("model", [quadratic_model([0.7]), sinusoidal2d(),
+                                       quadratic_model([0.5, 1.5, 1.0, 0.8, 1.2])],
+                             ids=["m=1", "m=2", "m=5"])
+    def test_batched_paths_are_the_per_path_loop(self, model, monkeypatch):
+        # 7 paths, 3 to a batch with x_t's rows in the first: each path's
+        # integral is the one its points alone give, bit for bit
+        m, n_intervals = model.dimension, 10
+        point_numbers = m * FINE_GRAD.mc_samples * m
+        monkeypatch.setattr(baselines, "_PATH_BATCH_NUMBERS",
+                            (3 * n_intervals + 1) * point_numbers)
+        rng = np.random.default_rng(m)
+        x_t, starts = rng.uniform(-0.5, 0.5, m), rng.uniform(-0.5, 0.5, (7, m))
+        recorder = BatchRecorder(model)
+        integrals = baselines._path_integrals(recorder, x_t, starts, n_intervals, FINE_GRAD)
+        assert recorder.sizes == [(1 + 3 * n_intervals) * m * FINE_GRAD.mc_samples] + [
+            k * n_intervals * m * FINE_GRAD.mc_samples for k in (3, 1)]
+        weights = np.full(n_intervals, 1.0 / n_intervals)
+        weights[0] = 0.5 / n_intervals
+        end_term = 0.5 / n_intervals * estimate_gradient(model, x_t, FINE_GRAD)
+        alphas = np.linspace(0.0, 1.0, n_intervals + 1)[:-1]
+        loop = np.array([
+            (x_t - start) * (weights @ estimate_gradient(
+                model, start + alphas[:, None] * (x_t - start), FINE_GRAD) + end_term)
+            for start in starts])
+        assert integrals.tobytes() == loop.tobytes()
 
     def test_one_sample_is_ig(self, sin_model):
         ref = ReferenceSet(np.array([[0.1, -0.4]]))

@@ -1,7 +1,10 @@
 import contextlib
+import copy
+import io
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from anomattr import (
     GradientEstimatorConfig,
     NonFiniteModelOutput,
     TestSet,
+    cli,
     lc,
     linear_model,
     map_estimate,
@@ -24,6 +28,7 @@ from anomattr import (
     sinusoidal2d,
 )
 from anomattr.gpa import (
+    _MAX_ACTIVE_SET_STEPS,
     CounterfactualObjective,
     DivergenceError,
     _resolve_rates,
@@ -37,6 +42,8 @@ from anomattr.gpa import (
 )
 from anomattr.models import HeldRows, estimate_gradient
 from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, single_point
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _answered_rates(ts, model, hp):
@@ -739,6 +746,129 @@ class TestL1QuadraticSolve:
         # a confirmation at the stop solves the model once more
         assert res.confirmations == 1
         assert len(sent) == res.iterations + 1 and set(sent) == {0}
+
+
+def _reference_solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
+    """``_solve_l1_quadratic`` as it was before its active sets were built
+    from index arrays and its absolute values taken once per call, verbatim
+    but for this docstring: the reference the solver must equal bit for
+    bit."""
+    signs = np.sign(start)
+    v, rhs = start, hess @ x - grad
+
+    def rounding(v):  # error bound of grad + hess (v - x) and of a solve's residual
+        magnitude = np.abs(grad) + np.abs(hess) @ (np.abs(v) + np.abs(x))
+        return len(x) * np.finfo(float).eps * magnitude
+
+    for _ in range(_MAX_ACTIVE_SET_STEPS):
+        support = signs != 0
+        target = np.zeros_like(x)
+        target[support] = np.linalg.solve(hess[np.ix_(support, support)],
+                                          (rhs - l1_weight * signs)[support])
+        if np.array_equal(np.sign(target), signs):
+            v = target
+            slope = grad + hess @ (v - x)
+            excess = np.where(support, -np.inf, np.abs(slope) - l1_weight)
+            if excess.max() > 0.0:  # may be rounding alone
+                excess -= rounding(v)
+            j = int(np.argmax(excess))
+            if excess[j] <= 0.0:
+                break
+            signs[j] = -np.sign(slope[j])
+            continue
+        # the current point, each zero crossing on the way to target (a
+        # coordinate just added sits at 0 and crosses none), target
+        crossed = np.flatnonzero((np.sign(target) != signs) & (v != 0.0))
+        ts = v[crossed] / (v[crossed] - target[crossed])
+        points = np.vstack([v, v + ts[:, None] * (target - v), target])
+        points[np.arange(1, len(crossed) + 1), crossed] = 0.0
+        steps = points - x
+        q = (steps @ grad + 0.5 * np.einsum("ij,ij->i", steps @ hess, steps)
+             + l1_weight * np.abs(points).sum(axis=1))
+        best = int(np.argmin(q))
+        if best == 0:
+            break
+        v = points[best]
+        signs = np.sign(v)
+    support = v != 0
+    error = np.zeros_like(v)
+    inverse = np.linalg.inv(hess[np.ix_(support, support)])
+    error[support] = np.abs(inverse) @ rounding(v)[support]
+    return np.where(np.abs(v) > error, v, 0.0)
+
+
+def _l1_problem(kind, seed, m):
+    """(grad, hess, x, l1_weight) of one l1-penalized quadratic of ``kind``."""
+    rng = np.random.default_rng(seed)
+    l1_weight = float(rng.uniform(0.05, 1.0))
+    x = rng.normal(size=m)
+    if kind == "lime gram":
+        # lime's problem at m = 2: centred cloud design, slopes at 0; a
+        # constant column leaves a zero row and column in the gram
+        design = 0.3 * rng.standard_normal((20, 2))
+        if rng.integers(2):
+            design[:, 1] = 0.3
+        design -= design.mean(axis=0)
+        values = rng.normal(size=20)
+        scale = 2.0 / len(design)
+        return (-scale * design.T @ (values - values.mean()), scale * design.T @ design,
+                np.zeros(2), l1_weight)
+    basis, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    spread = 10.0 if kind == "near singular" else 1.0
+    hess = (basis * np.logspace(-spread, 0.0, m)) @ basis.T
+    hess = 0.5 * (hess + hess.T)
+    if kind == "slopes at l1":
+        # half the minimizer's coordinates are 0 with slopes exactly +-l1
+        exact = rng.normal(size=m)
+        zero = rng.permutation(m)[: m // 2]
+        exact[zero] = 0.0
+        slope = -l1_weight * np.sign(exact)
+        slope[zero] = rng.choice([-l1_weight, l1_weight], size=len(zero))
+        return slope - hess @ (exact - x), hess, x, l1_weight
+    return rng.normal(size=m), hess, x, l1_weight
+
+
+class TestL1QuadraticSolveRewrite:
+    @given(kind=st.sampled_from(["spd", "near singular", "lime gram", "slopes at l1"]),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+           start=st.sampled_from(["zero", "x", "random"]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bits_as_the_reference(self, kind, seed, m, start):
+        grad, hess, x, l1_weight = _l1_problem(kind, seed, m)
+        if kind == "lime gram":
+            start = "zero"  # lime's own start; its gram may be singular
+        first = {"zero": np.zeros(len(x)), "x": x.copy(),
+                 "random": np.random.default_rng(seed + 1).normal(size=len(x))
+                 * np.random.default_rng(seed + 2).integers(0, 2, len(x))}[start]
+        got = _solve_l1_quadratic(grad, hess, x, l1_weight, first.copy())
+        expect = _reference_solve_l1_quadratic(grad, hess, x, l1_weight, first.copy())
+        assert got.tobytes() == expect.tobytes()
+
+    def test_same_bits_on_every_call_of_the_collective_benchmark(self, monkeypatch,
+                                                                  tmp_path):
+        # the three seed-1 collective-builtin operations: 45 iterations and
+        # 3 confirmations
+        import anomattr.gpa as gpa_mod
+
+        monkeypatch.syspath_prepend(str(BENCH))
+        import workloads
+
+        real, calls = gpa_mod._solve_l1_quadratic, []
+
+        def captured(*args):
+            calls.append(copy.deepcopy(args))
+            return real(*args)
+
+        monkeypatch.setattr(gpa_mod, "_solve_l1_quadratic", captured)
+        ops, _, _ = workloads.build("collective-builtin", 1, tmp_path)
+        for op in ops:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(op.argv) == 0, op.name
+        assert len(calls) == 48
+        for args in calls:
+            got = real(*copy.deepcopy(args))
+            assert got.tobytes() == _reference_solve_l1_quadratic(*args).tobytes()
 
 
 def _two_call_objective(model, x, y, eta, loss, grad_cfg):

@@ -4,6 +4,7 @@ import os
 import sys
 import textwrap
 import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler
 
 import numpy as np
@@ -21,6 +22,7 @@ from anomattr.models import (
     NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
+    _gradient_batch,
     _step_draws,
     estimate_gradient,
     linear_model,
@@ -295,6 +297,83 @@ class TestGradientEstimator:
     def test_nonfinite_input_rejected(self, sin_model):
         with pytest.raises(ValueError):
             estimate_gradient(sin_model, [np.nan, 0.0], FINE_GRAD)
+
+
+def _broadcast_rows(x, cfg, send=None, centre=False):
+    """The displaced rows of ``_gradient_batch`` by the one broadcast
+    ``x[:, None, :] + D[sent]``, with the points in front when ``centre``."""
+    m = x.shape[1]
+    _, disp = _step_draws(cfg.seed, cfg.perturbation_std, cfg.mc_samples, m)
+    moves = disp if send is None else disp[np.flatnonzero(send)]
+    rows = (x[:, None, :] + moves).reshape(-1, m)
+    return np.concatenate([x, rows]) if centre else rows
+
+
+class TestDisplacedRowBuild:
+    @pytest.mark.parametrize("k", [1, 20, 800])
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 30])
+    @pytest.mark.parametrize("draws", ["every", "one pair", "the rest", "odd count"])
+    def test_rows_are_the_broadcast_bit_for_bit(self, m, k, draws):
+        # short rows are built in blocks of whole points, m = 30 by the
+        # broadcast; the inputs hold -0.0, which meets the moves' +0.0
+        mc = 3 if draws == "odd count" else 4
+        cfg = GradientEstimatorConfig(perturbation_std=0.5, mc_samples=mc, seed=7)
+        x = np.random.default_rng(m * k).normal(size=(k, m))
+        x[::3, 0] = -0.0
+        send = None
+        if draws in ("one pair", "the rest"):
+            send = np.zeros((m, mc), dtype=bool)
+            send[:, :2] = True
+            if draws == "the rest":
+                send = ~send
+        points, central, _, _ = _gradient_batch(x, m, cfg, send=send)
+        expect = _broadcast_rows(x, cfg, send, centre=not central)
+        assert points.tobytes() == expect.tobytes()
+
+    def test_rows_built_in_the_array_held_rows_lends(self):
+        kept = _Kept(2)
+        model = HeldRows(kept)
+        model.hold(POINTS[:1])
+        x = np.random.default_rng(3).normal(size=(300, 2))
+        x[0] = -0.0
+        points, _, _, _ = _gradient_batch(x, 2, FINE_GRAD, batch_array=model.batch_array)
+        model.evaluate_batch(points)
+        [sent] = kept.batches
+        assert np.shares_memory(sent, points)
+        assert sent[1:].tobytes() == _broadcast_rows(x, FINE_GRAD).tobytes()
+
+    def test_eig_shaped_build_allocates_one_block_beyond_the_batch(self):
+        # 800 path points at m = 2 with every one of 10 draws: 16,000 rows.
+        # Beyond the batch only one block of at most 64 KiB is alive, and
+        # the headers of the arrays and views (about 2 KiB); numpy's
+        # broadcast buffered two operands in 64 KiB each, 130 KiB beyond it
+        x = np.random.default_rng(0).normal(size=(800, 2))
+        _gradient_batch(x, 2, FINE_GRAD)  # the draws are cached, not traced
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            points, _, _, _ = _gradient_batch(x, 2, FINE_GRAD)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert points.nbytes == 16_000 * 2 * 8
+        assert peak <= points.nbytes + 64 * 1024 + 4096
+
+    @pytest.mark.parametrize("k", [1, 20, 800])
+    @pytest.mark.parametrize("model", [sinusoidal2d(), quadratic_model([1.0, 0.5, 2.0])],
+                             ids=["sinusoid", "quadratic"])
+    def test_central_estimate_is_the_table_formula(self, model, k):
+        # with every draw sent each pair has its own slot, so the estimate
+        # is the pair-slot table's mean, scattered as a one-pair mask's is
+        m, mc = model.dimension, FINE_GRAD.mc_samples
+        x = np.random.default_rng(k).uniform(-0.4, 0.4, (k, m))
+        grads = estimate_gradient(model, x, FINE_GRAD)
+        h, _ = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std, mc, m)
+        pairs = model.evaluate_batch(_gradient_batch(x, m, FINE_GRAD)[0]).reshape(k, -1, 2)
+        table = np.zeros((k, m, mc // 2))
+        slots = np.arange(m * mc)[::2] // 2
+        table.reshape(k, -1)[:, slots] = (pairs[..., 0] - pairs[..., 1]) / (2.0 * h.ravel()[::2])
+        assert grads.tobytes() == (table.sum(axis=2) / (mc // 2)).tobytes()
 
 
 class _Kept(ModelHandle):
