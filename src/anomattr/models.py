@@ -182,7 +182,16 @@ class BuiltinModel(ModelHandle):
 
     def _evaluate_batch(self, xs):
         if self.kind == "sinusoidal2d":
-            return 2.0 * np.cos(np.pi * xs[:, 0]) * np.cos(np.pi * xs[:, 1])
+            # in place, so two arrays of len(xs) numbers are alive at once,
+            # not three: eig's batches then stayed below glibc's heap-trim
+            # threshold in every layout measured, and their memory was not
+            # returned and re-faulted batch by batch
+            ys = np.multiply(np.pi, xs[:, 0])
+            np.cos(ys, out=ys)
+            ys *= 2.0
+            other = np.multiply(np.pi, xs[:, 1])
+            ys *= np.cos(other, out=other)
+            return ys
         # einsum sums each row alone, in one order whatever the batch size
         if self.kind == "linear":
             return np.einsum("ij,j->i", xs, self._coef)

@@ -71,6 +71,23 @@ class TestBuiltins:
         np.testing.assert_array_equal(batch[:200], [m.evaluate(x) for x in xs[:200]])
         np.testing.assert_array_equal(m.evaluate_batch(xs[7:511]), batch[7:511])
 
+    def test_sinusoid_batch_is_its_formula_in_two_arrays(self):
+        # evaluated in place, bit for bit the formula, holding two arrays of
+        # the batch's length at its peak (the formula's temporaries held three)
+        xs = np.random.default_rng(6).normal(size=(16_000, 2))
+        xs[::7] = -0.0
+        model = sinusoidal2d()
+        model.evaluate_batch(xs[:2])
+        tracemalloc.start()
+        try:
+            ys = model.evaluate_batch(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expect = 2.0 * np.cos(np.pi * xs[:, 0]) * np.cos(np.pi * xs[:, 1])
+        assert ys.tobytes() == expect.tobytes()
+        assert peak < 2.5 * ys.nbytes
+
     def test_query_count(self):
         m = sinusoidal2d()
         m.evaluate([0.0, 0.0])
