@@ -53,12 +53,13 @@ from .models import (
     BuiltinModel,
     CallableModel,
     GradientEstimatorConfig,
-    HeldRows,
     HttpModel,
+    Lockstep,
     ModelHandle,
     NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
+    drive,
     estimate_gradient,
     linear_model,
     quadratic_model,

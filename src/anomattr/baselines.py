@@ -7,21 +7,20 @@ the last are insensitive to the observed target: shifting y only moves a
 surrogate intercept or cancels in differences, and the implementations keep
 that cancellation exact at machine precision.
 
-The surrogates send their cloud, and Shapley its coalitions or permutation
-walks, in one model batch each, and ig its one path.  Those batches need no
-answer to be built, and :func:`cloud_rows`, :func:`path_rows` and
-:func:`shapley_rows` build their rows, with no query, by the helpers the
-methods build them with.  So ``explain`` and ``compare`` hold them on a
-:class:`~anomattr.models.HeldRows`, where they ride the command's first
-model call, and each method's request is answered from that call, bit for
-bit the rows it would send.  The path integrals send whole paths, the
-displaced points of each path's points short of x_t, as many paths per
-batch as keep the batch within ``_PATH_BATCH_NUMBERS`` model-input numbers
-(rows times m), and at least one.  x_t, where every path ends, goes once,
-first in the first batch.  The estimator sends a point itself only at an
-odd ``mc_samples``, where the unpaired draw needs its value.  So ig sends
-one batch of ``(n_intervals + 1) m mc_samples`` rows, and eig over the
-64-point lattice of the benchmark's sinusoid sends 8.
+Each method that queries the model is a run (:func:`~anomattr.models.drive`),
+and its public function drives that one run.  The surrogates ask for their
+cloud (:func:`cloud_run`, which lime, lime0 and baylime share and fit with
+:func:`lime_fit`, :func:`lime0_fit` and :func:`baylime_fit`), Shapley for
+its coalitions or permutation walks and ig for its one path, each in one
+step; so ``explain`` and ``compare`` run them in lockstep with the other
+methods, and their rows ride the first call.  The path integrals send
+whole paths, the displaced points of each path's points short of x_t, as
+many paths per batch as keep the batch within ``_PATH_BATCH_NUMBERS``
+model-input numbers (rows times m), and at least one.  x_t, where every
+path ends, goes once, first in the first batch.  The estimator sends a
+point itself only at an odd ``mc_samples``, where the unpaired draw needs
+its value.  So ig sends one batch of ``(n_intervals + 1) m mc_samples``
+rows, and eig over the 64-point lattice of the benchmark's sinusoid sends 8.
 """
 
 from __future__ import annotations
@@ -41,12 +40,7 @@ from .gpa import (
     gaussian_loss,
     proximal_minimize,
 )
-from .models import (
-    GradientEstimatorConfig,
-    ModelHandle,
-    _gradient_batch,
-    estimate_gradient,
-)
+from .models import GradientEstimatorConfig, ModelHandle, drive, estimate_gradient
 
 __all__ = [
     "ReferenceSet",
@@ -60,9 +54,14 @@ __all__ = [
     "shapley_sampled",
     "z_score",
     "lc",
-    "cloud_rows",
-    "path_rows",
-    "shapley_rows",
+    "cloud_run",
+    "lime_fit",
+    "lime0_fit",
+    "baylime_fit",
+    "integrated_gradient_run",
+    "expected_integrated_gradient_run",
+    "shapley_run",
+    "lc_run",
 ]
 
 # exact Shapley enumeration cutoff: coalition values to evaluate
@@ -124,35 +123,44 @@ def _cloud(x_t, cfg: LimeConfig, dimension: int):
     return offsets, x_t + cfg.sampling_std * offsets
 
 
-def cloud_rows(x_t, cfg: LimeConfig, dimension: int) -> np.ndarray:
-    """The rows of the one model batch of :func:`lime`, :func:`lime0` and
-    :func:`baylime_distributions` at x_t under ``cfg``, the same for all
-    three, for a caller that sends them early (no model query)."""
-    return _cloud(x_t, cfg, dimension)[1]
+def cloud_run(x_t, cfg: LimeConfig, dimension: int):
+    """The run that asks for the one model batch of :func:`lime`,
+    :func:`lime0` and :func:`baylime_distributions` at x_t under ``cfg``,
+    the same for all three, and returns the cloud's standard-normal offsets
+    around x_t and the model values there."""
+    offsets, rows = _cloud(x_t, cfg, dimension)
+    return offsets, (yield rows)
 
 
 def _local_cloud(model: ModelHandle, x_t, cfg: LimeConfig):
     """Standard-normal offsets around x_t and the model values there."""
-    offsets, rows = _cloud(x_t, cfg, model.dimension)
-    return offsets, model.evaluate_batch(rows)
+    return drive(model, [cloud_run(x_t, cfg, model.dimension)])[0]
 
 
 def lime(model: ModelHandle, x_t, y_t: float, cfg: LimeConfig) -> np.ndarray:
-    """l1-regularized local surrogate slopes at (x_t, y_t).
+    """l1-regularized local surrogate slopes at (x_t, y_t): :func:`lime_fit`
+    to a cloud around x_t.  The target value only shifts the surrogate
+    intercept, so the scores do not depend on y_t."""
+    del y_t  # absorbed by the intercept; see lime_fit
+    return lime_fit(*_local_cloud(model, x_t, cfg), cfg)
 
-    Samples a Gaussian cloud around x_t, fits the deviation f(x) - y_t with a
-    lasso and returns the slope vector.  The target value only shifts the
-    surrogate intercept (the lasso objective is convex, so the slopes are
-    unique); the fit therefore runs on mean-centered model values, which
-    keeps the returned scores exactly independent of y_t.  For the centered
-    design D and values t of the n samples, the lasso ``(1/n) ||t - D
-    beta||^2 + l1 ||beta||_1`` has curvature ``(2/n) D^T D`` and slope
-    ``-(2/n) D^T t`` at 0; the solver's exact l1-penalized quadratic solve
+
+def lime_fit(offsets, fvals, cfg: LimeConfig) -> np.ndarray:
+    """The slopes of :func:`lime` from its cloud, ``cfg``'s standard-normal
+    ``offsets`` around x_t and the model values ``fvals`` there (no model
+    query).
+
+    Fits the deviation f(x) - y_t with a lasso and returns the slope
+    vector.  The target value only shifts the surrogate intercept (the
+    lasso objective is convex, so the slopes are unique); the fit therefore
+    runs on mean-centered model values, which keeps the returned scores
+    exactly independent of y_t.  For the centered design D and values t of
+    the n samples, the lasso ``(1/n) ||t - D beta||^2 + l1 ||beta||_1`` has
+    curvature ``(2/n) D^T D`` and slope ``-(2/n) D^T t`` at 0; the solver's
+    exact l1-penalized quadratic solve
     (:func:`anomattr.gpa._solve_l1_quadratic`) minimizes it, and a column
     without variance keeps a zero slope.
     """
-    del y_t  # absorbed by the intercept; see docstring
-    offsets, fvals = _local_cloud(model, x_t, cfg)
     design = cfg.sampling_std * offsets
     design = design - design.mean(axis=0)
     centered = fvals - fvals.mean()
@@ -160,21 +168,26 @@ def lime(model: ModelHandle, x_t, y_t: float, cfg: LimeConfig) -> np.ndarray:
     gram = scale * design.T @ design
     if not np.any(gram.diagonal()):
         raise ValueError("degenerate local design: all samples identical")
-    zero = np.zeros(model.dimension)
+    zero = np.zeros(design.shape[1])
     return _solve_l1_quadratic(-scale * design.T @ centered, gram, zero,
                                cfg.l1_strength, zero)
 
 
 def lime0(model: ModelHandle, x_t, cfg: LimeConfig) -> np.ndarray:
     """Pure least-squares surrogate slopes (the l1-free limit of :func:`lime`);
-    a local estimator of the model gradient.  A rank-deficient cloud yields
-    the minimum-norm solution and a warning."""
-    offsets, fvals = _local_cloud(model, x_t, cfg)
+    a local estimator of the model gradient: :func:`lime0_fit` to a cloud
+    around x_t."""
+    return lime0_fit(*_local_cloud(model, x_t, cfg), cfg)
+
+
+def lime0_fit(offsets, fvals, cfg: LimeConfig) -> np.ndarray:
+    """The slopes of :func:`lime0` from its cloud (:func:`lime_fit`).  A
+    rank-deficient cloud yields the minimum-norm solution and a warning."""
     design = cfg.sampling_std * offsets
     design = design - design.mean(axis=0)
     centered = fvals - fvals.mean()
     beta, _, rank, _ = np.linalg.lstsq(design, centered, rcond=None)
-    if rank < model.dimension:
+    if rank < design.shape[1]:
         warnings.warn(
             "rank-deficient local design; returning the minimum-norm solution",
             stacklevel=2,
@@ -199,7 +212,18 @@ def baylime_distributions(
     prior_eta: float,
     noise_lambda: float,
 ) -> BaylimeResult:
-    """Bayesian ridge surrogate around x_t.
+    """Bayesian ridge surrogate around x_t: :func:`baylime_fit` to a cloud
+    around x_t."""
+    if prior_eta <= 0 or noise_lambda < 0:
+        raise ValueError("prior_eta must be positive, noise_lambda nonnegative")
+    del y_t  # absorbed by the intercept, as in lime
+    return baylime_fit(*_local_cloud(model, x_t, cfg), cfg, prior_eta, noise_lambda)
+
+
+def baylime_fit(offsets, fvals, cfg: LimeConfig, prior_eta: float,
+                noise_lambda: float) -> BaylimeResult:
+    """The posterior of :func:`baylime_distributions` from its cloud
+    (:func:`lime_fit`).
 
     The posterior mean solves the ridge system with prior precision
     ``prior_eta`` and noise precision ``noise_lambda`` on the standardized
@@ -208,10 +232,6 @@ def baylime_distributions(
     variable, which is exactly what makes this baseline's uncertainty
     uninformative.
     """
-    if prior_eta <= 0 or noise_lambda < 0:
-        raise ValueError("prior_eta must be positive, noise_lambda nonnegative")
-    del y_t  # absorbed by the intercept, as in lime
-    offsets, fvals = _local_cloud(model, x_t, cfg)
     design = offsets - offsets.mean(axis=0)
     centered = fvals - fvals.mean()
     gram = noise_lambda * design.T @ design
@@ -247,13 +267,20 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
                     n_intervals: int, grad_cfg: GradientEstimatorConfig) -> np.ndarray:
     """Trapezoidal integral of the gradient along the straight path from each
     row of ``starts`` to x_t, scaled elementwise by the displacement: one row
-    per start, sent by the batch rule of the module docstring.  Every path
-    ends at x_t, whose gradient is estimated once, as the first point of the
-    first batch, and serves each path's last trapezoid term.  Each path is
-    built on its own, and one stacked ``matmul`` per batch gives each path's
-    weighted sum bit for bit as its own product would, so its integral does
-    not depend on the batch it goes in, on a model that answers a row
-    whatever batch it comes in."""
+    per start, sent by the batch rule of the module docstring
+    (:func:`_path_run`)."""
+    return drive(model, [_path_run(x_t, starts, n_intervals, grad_cfg)])[0]
+
+
+def _path_run(x_t: np.ndarray, starts: np.ndarray, n_intervals: int,
+              grad_cfg: GradientEstimatorConfig):
+    """:func:`_path_integrals` as a run.  Every path ends at x_t, whose
+    gradient is estimated once, as the first point of the first batch, and
+    serves each path's last trapezoid term.  Each path is built on its own,
+    and one stacked ``matmul`` per batch gives each path's weighted sum bit
+    for bit as its own product would, so its integral does not depend on
+    the batch it goes in, on a model that answers a row whatever batch it
+    comes in."""
     alphas = _path_alphas(x_t, starts, n_intervals)
     m = x_t.shape[-1]
     weights = np.full(n_intervals, 1.0 / n_intervals)
@@ -265,24 +292,14 @@ def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
     lo, lead = 0, 1  # x_t leads the first batch
     while lo < len(starts):
         hi = lo + max(1, (_PATH_BATCH_NUMBERS - lead * point_numbers) // path_numbers)
-        grads = estimate_gradient(model, _path_points(x_t, starts[lo:hi], alphas, lead),
-                                  grad_cfg)
+        grads = yield from estimate_gradient.run(
+            _path_points(x_t, starts[lo:hi], alphas, lead), m, grad_cfg)
         if lead:
             end_term = 0.5 / n_intervals * grads[0]
         integrals[lo:hi] = (x_t - starts[lo:hi]) * (
             np.matmul(weights, grads[lead:].reshape(-1, n_intervals, m)) + end_term)
         lo, lead = hi, 0
     return integrals
-
-
-def path_rows(x_t, baseline, n_intervals: int,
-              grad_cfg: GradientEstimatorConfig) -> np.ndarray:
-    """The rows of the one model batch of :func:`integrated_gradient`: the
-    estimator's displaced points of the path's points, for a caller that
-    sends them early (no model query)."""
-    x_t, starts = np.asarray(x_t, dtype=float), np.asarray(baseline, dtype=float)[None]
-    points = _path_points(x_t, starts, _path_alphas(x_t, starts, n_intervals), 1)
-    return _gradient_batch(points, len(x_t), grad_cfg)[0]
 
 
 def integrated_gradient(
@@ -297,9 +314,16 @@ def integrated_gradient(
     The path's points and their displaced points go to the model as one
     batch, whatever its size: the one-path case of the batch rule in the
     module docstring."""
+    return drive(model, [integrated_gradient_run(x_t, baseline, n_intervals, grad_cfg)])[0]
+
+
+def integrated_gradient_run(x_t, baseline, n_intervals: int,
+                            grad_cfg: GradientEstimatorConfig):
+    """:func:`integrated_gradient` as a run of one step."""
     x0 = np.asarray(baseline, dtype=float)
-    return _path_integrals(model, np.asarray(x_t, dtype=float), x0[None],
-                           n_intervals, grad_cfg)[0]
+    integrals = yield from _path_run(np.asarray(x_t, dtype=float), x0[None], n_intervals,
+                                     grad_cfg)
+    return integrals[0]
 
 
 def expected_integrated_gradient(
@@ -315,9 +339,16 @@ def expected_integrated_gradient(
     one :func:`integrated_gradient` per sample, in fewer batches: whole
     paths share a batch up to ``_PATH_BATCH_NUMBERS`` model-input numbers,
     and a larger path goes alone."""
-    integrals = _path_integrals(model, np.asarray(x_t, dtype=float), ref.samples,
-                                n_intervals, grad_cfg)
-    total = np.zeros(model.dimension)
+    return drive(model, [expected_integrated_gradient_run(x_t, ref, n_intervals,
+                                                          grad_cfg)])[0]
+
+
+def expected_integrated_gradient_run(x_t, ref: ReferenceSet, n_intervals: int,
+                                     grad_cfg: GradientEstimatorConfig):
+    """:func:`expected_integrated_gradient` as a run, one step per batch."""
+    integrals = yield from _path_run(np.asarray(x_t, dtype=float), ref.samples,
+                                     n_intervals, grad_cfg)
+    total = np.zeros(integrals.shape[1])
     for w, integral in zip(ref.effective_weights, integrals):
         total += w * integral
     return total
@@ -394,13 +425,6 @@ def _shapley_batch(x_t, ref: ReferenceSet, n_configs: int, seed: int, method: st
     return _shapley_sampling(x_t, ref, n_configs, seed)
 
 
-def shapley_rows(x_t, ref: ReferenceSet, n_configs: int = 100, seed: int = 0,
-                 method: str = "auto") -> np.ndarray:
-    """The rows of the one model batch of :func:`shapley_sampled`, for a
-    caller that sends them early (no model query)."""
-    return _shapley_batch(x_t, ref, n_configs, seed, method)[0]
-
-
 def shapley_sampled(
     model: ModelHandle,
     x_t,
@@ -418,8 +442,14 @@ def shapley_sampled(
     the model answers one batch.  The observed target cancels in every
     marginal contribution, so it does not appear here at all.
     """
+    return drive(model, [shapley_run(x_t, ref, n_configs, seed, method)])[0]
+
+
+def shapley_run(x_t, ref: ReferenceSet, n_configs: int = 100, seed: int = 0,
+                method: str = "auto"):
+    """:func:`shapley_sampled` as a run of one step."""
     rows, scores_from = _shapley_batch(x_t, ref, n_configs, seed, method)
-    return scores_from(model.evaluate_batch(rows))
+    return scores_from((yield rows))
 
 
 def z_score(x_t, ref: ReferenceSet) -> np.ndarray:
@@ -464,14 +494,25 @@ def lc(
     stop; an objective that overflows raises
     :class:`anomattr.gpa.DivergenceError`.
     """
+    return drive(model, [lc_run(model, x_t, y_t, hp, grad_cfg, lam)])[0]
+
+
+def lc_run(model: ModelHandle, x_t, y_t, hp: GpaHyperParams,
+           grad_cfg: GradientEstimatorConfig, lam: float):
+    """:func:`lc` as a run, one step per batch of its solve; ``model`` gives
+    the dimension, and a bad ``lam`` is refused here, before any step."""
     if lam <= 0:
         raise ValueError("lam must be positive")
-    counts = model.query_count, model.call_count
     objective = CounterfactualObjective(
         model, np.atleast_2d(x_t), np.atleast_1d(y_t), hp.eta, gaussian_loss(lam), grad_cfg
     )
-    state = proximal_minimize(
-        objective.grad, objective.value, model.dimension, hp.eta, hp.nu, hp.max_iter,
-        hp.tol, grad_cfg.seed, confirm_fn=objective.confirm,
+    solve = proximal_minimize(
+        objective.grad_run, objective.value_run, model.dimension, hp.eta, hp.nu,
+        hp.max_iter, hp.tol, grad_cfg.seed, confirm_fn=objective.confirm_run,
     )
-    return AttributionResult.of(state, objective, model, counts)
+    return _recorded(solve, objective)
+
+
+def _recorded(solve, objective: CounterfactualObjective):
+    """The run of ``solve`` that returns the record of its state."""
+    return AttributionResult.of((yield from solve), objective)

@@ -18,21 +18,18 @@ list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
 ``detect`` and ``explain`` take the noise variance and the anomaly scores
 from one batch of residuals ``y - f(x)``: over every row, or with
 ``--noise-var`` over the scored rows alone.  ``detect`` sends it as its one
-model call.  ``explain`` and ``compare`` send no call for rows that no
-answer depends on.  Before any method runs, they hold
-(:class:`~anomattr.models.HeldRows`) explain's residual rows, then the one
-batch of each method that builds it without an answer: the lime cloud,
-which lime, lime0 and baylime share, ig's path and sv's batch.  All of them
-go at the front of the command's first model call, whichever method makes
-it, and those methods take their answers from that call.  They are written
-into the front of the array that call's batch is built in, which the
-holder lends (:meth:`~anomattr.models.ModelHandle.batch_array`): gpa's rate
-rows follow them, and the gradient batch of gpa, lc or eig is built behind
-both, so the first call copies no rows.  The residual scores are taken
-before the caller of that call sees its own answers, so an overflowing
-residual ends the run there.  Held rows go alone only where no method sends
-a batch of its own, and a missing ``--baseline`` or ``--ref`` is refused
-before the first query.
+model call.  ``explain`` and ``compare`` run all their methods in
+lockstep, with explain's residual rows as one more run
+(:func:`~anomattr.models.drive`): each call of the model carries the next
+rows of every method that has not ended, so a command makes as many calls
+as its method with the most steps.  A step's rows go in one array, in a
+fixed order: explain's residual rows, the one batch of each method that
+sends one (the lime cloud, which lime, lime0 and baylime share, ig's path
+and sv's batch), gpa's rate rows and solve, then lc's solve and eig's paths
+in method order; its answers go back in that order.  The residual scores
+are taken before any method sees the answers of the first call, so an
+overflowing residual ends the run there.  A missing ``--baseline`` or
+``--ref`` is refused before the first query.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, a number flag out of its range,
@@ -93,12 +90,13 @@ from .gpa import DivergenceError, GpaHyperParams
 from .models import (
     BuiltinModel,
     GradientEstimatorConfig,
-    HeldRows,
     HttpModel,
+    Lockstep,
     ModelHandle,
     NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
+    drive,
 )
 
 MODEL_ENV_VAR = "ANOMATTR_MODEL"
@@ -291,66 +289,61 @@ def _lime_config(args) -> baselines.LimeConfig:
                                 l1_strength=args.lime_l1, seed=args.seed)
 
 
-def _run_method(
-    name: str,
-    model: ModelHandle,
-    selection: TestSet,
-    args,
-    hp: GpaHyperParams,
-    grad_cfg: GradientEstimatorConfig,
-    ref: baselines.ReferenceSet | None,
-):
-    """Compute one method's scores on the selected sample(s).
+def _method_runs(methods, args, model: ModelHandle, selection: TestSet,
+                 hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, ref, done: dict):
+    """The runs of every method in ``methods`` but gpa and zscore, as
+    ``(lead, follow)``: the one-step runs (the lime cloud, which lime, lime0
+    and baylime share, ig's path and sv's batch), then lc and eig in method
+    order.  Each run keeps its methods' ``(scores, extras)`` in ``done``."""
+    x_t = selection.x[0]
 
-    Returns (scores, extras) where extras carries method diagnostics for the
-    result document.
-    """
-    x_t, y_t = selection.x[0], float(selection.y[0])
-    if name in _COLLECTIVE_METHODS:
-        result = (gpa.map_estimate(selection, model, hp, grad_cfg) if name == "gpa" else
-                  baselines.lc(model, selection.x, selection.y, hp, grad_cfg, args.lc_lambda))
-        return result.delta_star, {k: getattr(result, k) for k in _DIAGNOSTICS}
-    if name == "lime":
-        return baselines.lime(model, x_t, y_t, _lime_config(args)), None
-    if name == "lime0":
-        return baselines.lime0(model, x_t, _lime_config(args)), None
-    if name == "baylime":
-        result = baselines.baylime_distributions(
-            model, x_t, y_t, _lime_config(args), args.prior_eta, args.noise_lambda
-        )
-        return result.means, {"variance": result.variance}
-    if name == "ig":
-        return baselines.integrated_gradient(model, x_t, _numbers(args.baseline),
-                                             args.n_intervals, grad_cfg), None
-    if name == "eig":
-        return baselines.expected_integrated_gradient(model, x_t, ref, args.n_intervals,
-                                                      grad_cfg), None
-    if name == "sv":
-        return baselines.shapley_sampled(model, x_t, ref, args.sv_configs, args.seed), None
-    return baselines.z_score(x_t, ref), None
+    def kept(name, run, record=lambda scores: (scores, None)):
+        done[name] = record((yield from run))
 
+    def lime_fits():
+        cfg = _lime_config(args)
+        cloud = yield from baselines.cloud_run(x_t, cfg, selection.dimension)
+        if "lime" in methods:
+            done["lime"] = baselines.lime_fit(*cloud, cfg), None
+        if "lime0" in methods:
+            done["lime0"] = baselines.lime0_fit(*cloud, cfg), None
+        if "baylime" in methods:
+            fit = baselines.baylime_fit(*cloud, cfg, args.prior_eta, args.noise_lambda)
+            done["baylime"] = fit.means, {"variance": fit.variance}
 
-def _hold_first_batches(methods, args, model: HeldRows, x_t, grad_cfg, ref) -> None:
-    """Hold the one model batch of each method that sends one and needs no
-    answer to build it, so that it rides the first call of the command:
-    the lime cloud, which lime, lime0 and baylime share, ig's path and sv's
-    batch.  Each is built by the helper its method builds it with."""
+    lead, follow = [], []
     if _LIME_METHODS & set(methods):
-        model.hold(baselines.cloud_rows(x_t, _lime_config(args), model.dimension))
+        lead.append(lime_fits())
     if "ig" in methods:
-        model.hold(baselines.path_rows(x_t, _numbers(args.baseline), args.n_intervals,
-                                       grad_cfg))
+        lead.append(kept("ig", baselines.integrated_gradient_run(
+            x_t, _numbers(args.baseline), args.n_intervals, grad_cfg)))
     if "sv" in methods:
-        model.hold(baselines.shapley_rows(x_t, ref, args.sv_configs, args.seed))
+        lead.append(kept("sv", baselines.shapley_run(x_t, ref, args.sv_configs, args.seed)))
+    for name in methods:
+        if name == "lc":
+            follow.append(kept("lc", baselines.lc_run(model, selection.x, selection.y, hp,
+                                                      grad_cfg, args.lc_lambda), _solve_record))
+        elif name == "eig":
+            follow.append(kept("eig", baselines.expected_integrated_gradient_run(
+                x_t, ref, args.n_intervals, grad_cfg)))
+    return lead, follow
 
 
-def _run_methods(methods, args, model: HeldRows, selection: TestSet,
-                 hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig):
+def _solve_record(result: gpa.AttributionResult) -> tuple:
+    """The scores and diagnostics of a gpa or lc run."""
+    return result.delta_star, {k: getattr(result, k) for k in _DIAGNOSTICS}
+
+
+def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
+                 hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, *lead):
     """The method loop of explain and compare: each method's scores by name,
-    and the methods' part of the diagnostics section of the document.  Every
-    flag a method requires is checked before the first query, the one-batch
-    methods' batches are held on ``model`` before any method runs, and the
-    held rows that no call took go alone at the end."""
+    in method order, and the methods' part of the diagnostics section of the
+    document.  Every flag a method requires is checked before the first
+    query.  The methods run in lockstep (:func:`~anomattr.models.drive`),
+    the caller's ``lead`` runs first, then the one-step runs, gpa, and lc
+    and eig, so each step of the command is one model call; gpa runs through
+    :func:`~anomattr.gpa.map_estimate`, on a
+    :class:`~anomattr.models.Lockstep` that holds the other runs."""
     if _LIME_METHODS & set(methods) and args.lime_samples <= selection.dimension:
         raise UsageError(f"--lime-samples must be at least the dimension + 1, "
                          f"{selection.dimension + 1}, for a solvable fit")
@@ -360,13 +353,18 @@ def _run_methods(methods, args, model: HeldRows, selection: TestSet,
     needs_ref = [m for m in methods if m in _REF_METHODS]
     if needs_ref and ref is None:
         raise UsageError(f"method {needs_ref[0]!r} requires --ref")
-    _hold_first_batches(methods, args, model, selection.x[0], grad_cfg, ref)
-    scores, diagnostics = {}, {}
-    for name in methods:
-        scores[name], extras = _run_method(name, model, selection, args, hp, grad_cfg, ref)
-        if extras:
-            diagnostics[name] = extras
-    model.flush()
+    done = {}
+    runs, follow = _method_runs(methods, args, model, selection, hp, grad_cfg, ref, done)
+    runs[:0] = lead
+    if "gpa" in methods:
+        done["gpa"] = _solve_record(gpa.map_estimate(
+            selection, Lockstep(model, runs, follow), hp, grad_cfg))
+    else:
+        drive(model, runs + follow)
+    if "zscore" in methods:
+        done["zscore"] = baselines.z_score(selection.x[0], ref), None
+    scores = {name: done[name][0] for name in methods}
+    diagnostics = {name: done[name][1] for name in methods if done[name][1]}
     return scores, diagnostics
 
 
@@ -434,10 +432,13 @@ def cmd_explain(args) -> int:
     methods = _parse_methods(args.methods)
     ts, model, indices, selection, hp, grad_cfg = _setup(args, methods)
     batch = _residual_rows(args, ts, indices)
-    held, residual = HeldRows(model), []
-    # scored as soon as the command's first call answers them
-    held.hold(batch.x, lambda fx: residual.extend(_anomaly_scores(args, batch, fx, indices)))
-    scores, diagnostics = _run_methods(methods, args, held, selection, hp, grad_cfg)
+    residual = []
+
+    def residuals():  # scored as soon as the command's first call answers them
+        residual.extend(_anomaly_scores(args, batch, (yield batch.x), indices))
+
+    scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg,
+                                       residuals())
     noise_var, values = residual
     diagnostics.update(_model_counts(model))
     anomaly = [{"sample_index": i, "value": v} for i, v in zip(indices, values)]
@@ -520,8 +521,7 @@ def cmd_compare(args) -> int:
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
     _, model, indices, selection, hp, grad_cfg = _setup(args, methods)
-    scores, diagnostics = _run_methods(methods, args, HeldRows(model), selection, hp,
-                                       grad_cfg)
+    scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg)
     diagnostics.update(_model_counts(model))
     reports = {
         name: asdict(metrics.consistency_report(scores[args.reference], s))

@@ -19,6 +19,11 @@ File formats:
   call totals over the command, ``model_queries`` and ``model_calls``, and
   the records of the gpa and lc runs, ``gpa`` and ``lc``, with the same
   keys, each run's own ``query_count`` and ``call_count`` among them.
+  explain and compare run their methods in lockstep, so ``model_calls``
+  counts one call per lockstep step, each carrying the rows of every
+  method still running, and a run's ``call_count`` counts the steps it took
+  part in: the calls of a compare are those of its method with the most
+  steps, not the sum over its methods.
   ``config`` echoes the command's flags (see :mod:`anomattr.cli`).  Bytes
   are deterministic for identical inputs (sorted keys, shortest round-trip
   float formatting), and the documents are strict JSON: a NaN or infinity

@@ -65,26 +65,32 @@ a table of one row per variable (:func:`score_distributions`).
 
 The query plan.  One run queries the model in one plan: the gamma rates
 from one residual batch (none for an explicit ``b0``), then the solver, then
-the slices, which reuse the run's rates.  The residual rows need no answer,
-so :func:`map_estimate` holds them (:class:`~anomattr.models.HeldRows`) and
-they ride at the front of the solver's first batch: the rates cost their
-rows and no call, and they are set before the objective sees its first
-answers.  The holder writes them into the front of the array it lends the
-estimator, which builds the batch behind them, so no copy of the batch is
-made; a holder around the model, as ``explain``'s, puts its rows in front
-of them in the same array.  ``dist`` packs ``P = max(1, (1 + m
-mc_samples) // grid_points)`` whole variables into each slice batch, so
-that no slice batch is larger than the solver's first, all-draws gradient
-batch of ``n (1 + m mc_samples)`` rows, which the model has already
-answered.  At the defaults (10 draws, 100 grid points) and m = 30, P = 3:
-10 batches of 6,000 rows against the solver's 6,020.  Where P = 1, as on
-the two-variable sinusoid, each variable keeps a batch of its own.  The
-batches are written into one reused buffer, so the slices hold one batch's
-rows at a time: on 20 rows of a quadratic model in m = 30, the benchmark's
-size, their traced peak is 1.55 MiB, below the MAP solve's 1.70 MiB, whose
-first batch of 6,040 rows takes 1.38 MiB of it.  Batches of 3 variables
-built anew while the last one is still bound would hold two batches of 1.4
-MiB at once.
+the slices, which reuse the run's rates.  Each is a run that yields its
+rows (:func:`~anomattr.models.drive`): the objective's ``grad_run``,
+``value_run`` and ``confirm_run`` each ask for one batch, and
+:func:`proximal_minimize` over them is the solve's run.
+:func:`map_estimate` drives the rate run and the solve together, the rates
+first, so the residual rows ride at the front of the solver's first batch:
+the rates cost their rows and no call, and the driver hands the rates their
+answers, and the rates are set, before the solve reads its own.  The driver
+builds the step's batch in one array the model lends, the rate rows in
+front and the estimator's rows behind them, so no copy of the batch is
+made.  On a :class:`~anomattr.models.Lockstep`, as in ``explain`` and
+``compare``, the other methods' runs go in the same steps: their one-batch
+rows and ``explain``'s residual rows in front, lc's and eig's behind, and a
+run's call count is the steps it took part in.  ``dist`` packs ``P =
+max(1, (1 + m mc_samples) // grid_points)`` whole variables into each
+slice batch, so that no slice batch is larger than the solver's first,
+all-draws gradient batch of ``n (1 + m mc_samples)`` rows, which the model
+has already answered.  At the defaults (10 draws, 100 grid points) and m =
+30, P = 3: 10 batches of 6,000 rows against the solver's 6,020.  Where P =
+1, as on the two-variable sinusoid, each variable keeps a batch of its own.
+The batches are written into one reused buffer, so the slices hold one
+batch's rows at a time: on 20 rows of a quadratic model in m = 30, the
+benchmark's size, their traced peak is 1.55 MiB, below the MAP solve's
+1.70 MiB, whose first batch of 6,040 rows takes 1.38 MiB of it.  Batches
+of 3 variables built anew while the last one is still bound would hold two
+batches of 1.4 MiB at once.
 :attr:`AttributionResult.query_count` and ``call_count`` count the rates and
 the solver (lc's, which has no rates, the solver alone).  The solver's
 batches come from :class:`CounterfactualObjective`:
@@ -131,12 +137,19 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from types import GeneratorType
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import TestSet
-from .models import GradientEstimatorConfig, HeldRows, ModelHandle, estimate_gradient
+from .models import (
+    GradientEstimatorConfig,
+    ModelHandle,
+    drive,
+    estimate_gradient,
+    resumed,
+)
 
 __all__ = [
     "DivergenceError",
@@ -235,7 +248,9 @@ class AttributionResult:
     :func:`~anomattr.baselines.lc`, built by :meth:`of`.
 
     ``query_count`` (points) and ``call_count`` (model calls) count the
-    run's queries, a :func:`map_estimate` run's rate queries included;
+    run's queries, a :func:`map_estimate` run's rate queries included, and
+    the calls that carried them, which in lockstep carry other runs' rows
+    too;
     ``halvings`` counts the candidate steps the solver's line search
     rejected, and ``secant_steps`` the iterations whose step took the
     secant-corrected curvature ``H + C``.  ``one_pair_batches`` counts the
@@ -258,15 +273,15 @@ class AttributionResult:
     rates: np.ndarray | None
 
     @classmethod
-    def of(cls, state: _SolveState, objective: CounterfactualObjective,
-           model: ModelHandle, counts: tuple[int, int], rates=None) -> AttributionResult:
+    def of(cls, state: _SolveState, objective: CounterfactualObjective, rates=None,
+           rate_queries: int = 0) -> AttributionResult:
         """The record of ``state``, a :func:`proximal_minimize` solve of
-        ``objective``, for a run that began when ``model`` had answered
-        ``counts``, its ``(query_count, call_count)`` then."""
+        ``objective``, whose queries and calls the objective counted, plus
+        the ``rate_queries`` rows that rode its first call."""
         return cls(state.delta, state.iterations, state.converged, state.trace,
                    state.halvings, state.secant_steps, objective.one_pair_batches,
-                   state.confirmations, model.query_count - counts[0],
-                   model.call_count - counts[1], rates)
+                   state.confirmations, objective.query_count + rate_queries,
+                   objective.call_count, rates)
 
 
 def init_gamma_rate(resid, a0: float, c_b: float) -> float:
@@ -323,25 +338,20 @@ def refine_gamma_rate(
     return b
 
 
-def _resolve_rates(testset: TestSet, model: HeldRows, hp: GpaHyperParams) -> np.ndarray:
-    """Per-sample gamma rates b(x^t) according to the configured mode, all
-    from one residual batch, which ``model`` holds for its next call: the
-    returned array is filled when that call answers, before its caller sees
-    its own answers (no query for an explicit ``b0``)."""
+def _resolve_rates(testset: TestSet, hp: GpaHyperParams, rates: np.ndarray):
+    """The run that fills ``rates`` with the per-sample gamma rates b(x^t)
+    of the configured mode, all from one batch of residual rows, and returns
+    them; it asks for nothing for an explicit ``b0``."""
     if hp.b0 is not None:
-        return np.full(testset.n_test, float(hp.b0))
-    rates = np.empty(testset.n_test)
-
-    def fill(fx):
-        resid = testset.y - fx
-        b_init = init_gamma_rate(resid, hp.a0, hp.c_b)
-        if hp.b_mode == "constant":
-            rates[:] = b_init
-        else:
-            rates[:] = [refine_gamma_rate(testset.x, resid, hp.a0, b_init, t)
-                        for t in range(testset.n_test)]
-
-    model.hold(testset.x, fill)
+        rates[:] = hp.b0
+        return rates
+    resid = testset.y - (yield testset.x)
+    b_init = init_gamma_rate(resid, hp.a0, hp.c_b)
+    if hp.b_mode == "constant":
+        rates[:] = b_init
+    else:
+        rates[:] = [refine_gamma_rate(testset.x, resid, hp.a0, b_init, t)
+                    for t in range(testset.n_test)]
     return rates
 
 
@@ -364,7 +374,9 @@ def gaussian_loss(lam: float):
 class CounterfactualObjective:
     """``J(delta) = (eta/2) ||delta||^2 + sum_t loss(y_t - f(x_t + delta))``
     over the rows of ``x``, with the three callables :func:`proximal_minimize`
-    takes: ``grad``, ``value`` and ``confirm``.
+    takes: ``grad``, ``value`` and ``confirm``, each of which drives its run
+    (``grad_run``, ``value_run`` and ``confirm_run``,
+    :func:`~anomattr.models.drive`) against ``model``.
 
     ``loss`` is a (value, weight) pair such as :func:`student_t_loss`; the
     l1 term is left to the solver.  ``grad(delta)`` returns ``(g, H, C)``:
@@ -391,8 +403,9 @@ class CounterfactualObjective:
     batches that left draws out.  ``confirm(delta)``, at a delta of one of
     the last two ``grad`` calls, returns None when that gradient used every
     draw.  Otherwise it sends the missing draws there in one batch, returns
-    the all-draws ``(g, H, C)`` and sets the later draws anew from them.  The
-    module docstring gives the query plan.
+    the all-draws ``(g, H, C)`` and sets the later draws anew from them.
+    ``query_count`` and ``call_count`` count the rows and batches the
+    objective asked for.  The module docstring gives the query plan.
     """
 
     def __init__(self, model: ModelHandle, x, y, eta: float, loss,
@@ -407,21 +420,31 @@ class CounterfactualObjective:
         self._send = None
         # (delta key, values, slopes, send) of the last gradient batches
         self._recent = deque(maxlen=2)
-        self.one_pair_batches = 0
+        self.one_pair_batches = self.query_count = self.call_count = 0
 
     def value(self, delta) -> float:
-        if delta.tobytes() != self._key:
-            self._remember(delta, self._model.evaluate_batch(self._x + delta))
-        return self._value
+        return drive(self._model, [self.value_run(delta)])[0]
 
     def grad(self, delta):
+        return drive(self._model, [self.grad_run(delta)])[0]
+
+    def confirm(self, delta):
+        return drive(self._model, [self.confirm_run(delta)])[0]
+
+    def value_run(self, delta):
+        if delta.tobytes() != self._key:
+            self._tally(len(self._x))
+            self._remember(delta, (yield self._x + delta).copy())
+        return self._value
+
+    def grad_run(self, delta):
         key, send = delta.tobytes(), self._send
         slopes = np.zeros((len(self._x), self._model.dimension, self._cfg.mc_samples))
         memo = key == self._key
         fvals = self._fvals if memo else np.empty(len(self._x))
-        grads = estimate_gradient(self._model, self._x + delta, self._cfg,
-                                  f0=fvals if memo else None,
-                                  values=None if memo else fvals, slopes=slopes, send=send)
+        grads = yield from self._counted(estimate_gradient.run(
+            self._x + delta, self._model.dimension, self._cfg, f0=fvals if memo else None,
+            values=None if memo else fvals, slopes=slopes, send=send))
         if not memo:
             self._remember(delta, fvals)
         if not self._recent:
@@ -431,7 +454,7 @@ class CounterfactualObjective:
         self._recent.append((key, fvals, slopes, send))
         return self._derivatives(delta, fvals, grads)
 
-    def confirm(self, delta):
+    def confirm_run(self, delta):
         key = delta.tobytes()
         found = [entry for entry in self._recent if entry[0] == key]
         if not found:
@@ -439,11 +462,22 @@ class CounterfactualObjective:
         _, fvals, slopes, send = found[-1]
         if send is None:
             return None
-        estimate_gradient(self._model, self._x + delta, self._cfg, f0=fvals,
-                          slopes=slopes, send=~send)
+        yield from self._counted(estimate_gradient.run(
+            self._x + delta, self._model.dimension, self._cfg, f0=fvals, slopes=slopes,
+            send=~send))
         self._send = _pair_draws(slopes)
         self._recent.append((key, fvals, slopes, None))
         return self._derivatives(delta, fvals, slopes.sum(axis=2) / self._cfg.mc_samples)
+
+    def _counted(self, run):
+        """The result of the estimator's ``run``, whose one batch it counts."""
+        rows = next(run)
+        self._tally(rows[0])
+        return (yield from resumed(run, rows))
+
+    def _tally(self, queries: int) -> None:
+        self.query_count += queries
+        self.call_count += 1
 
     def _remember(self, delta, model_values):
         self._key, self._fvals = delta.tobytes(), model_values
@@ -657,7 +691,20 @@ def proximal_minimize(
     :class:`DivergenceError` (the model handle refuses non-finite outputs, so
     the loss itself overflowed); a non-finite candidate only fails the
     comparison and is halved.
+
+    Each callable returns its result, or a run that asks for the model rows
+    it needs and returns it (:func:`~anomattr.models.drive`), as
+    ``CounterfactualObjective.grad_run`` does.  A solve whose callables ask
+    for no rows returns its ``_SolveState``; one whose callables are runs
+    returns itself as a run, whose result is the ``_SolveState``, for the
+    caller to drive.
     """
+    return _settled(_minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed,
+                              confirm_fn))
+
+
+def _minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed, confirm_fn):
+    """The solve of :func:`proximal_minimize` as a run."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_INIT_STREAM,))
     )
@@ -665,10 +712,10 @@ def proximal_minimize(
     l1_weight = eta * nu
 
     def penalized(d):
-        return value_fn(d) + l1_weight * float(np.abs(d).sum())
+        return (yield from _result(value_fn(d))) + l1_weight * float(np.abs(d).sum())
 
-    grad, hess, corr = grad_fn(x)
-    f_x = penalized(x)
+    grad, hess, corr = yield from _result(grad_fn(x))
+    f_x = yield from penalized(x)
     if not math.isfinite(f_x):
         raise DivergenceError(
             f"objective is {f_x!r}: a residual or its square overflows the "
@@ -684,7 +731,7 @@ def proximal_minimize(
     slow = False
     for iterations in range(1, max_iter + 1):
         if not fresh:
-            grad, hess, corr = grad_fn(x)
+            grad, hess, corr = yield from _result(grad_fn(x))
         confirm = confirm_fn
         while True:  # twice where confirm_fn gives another gradient at x
             secant = slow and _positive_definite(hess + corr)
@@ -699,8 +746,8 @@ def proximal_minimize(
                     break
                 candidate = x + step * direction
                 if speculate and halved == 0:
-                    ahead = grad_fn(candidate)
-                f_c = penalized(candidate)
+                    ahead = yield from _result(grad_fn(candidate))
+                f_c = yield from penalized(candidate)
                 if f_c <= f_x:
                     break
                 halvings += 1
@@ -713,7 +760,7 @@ def proximal_minimize(
                 )
             if step * move >= tol:
                 break
-            confirmed = confirm(x) if confirm is not None else None
+            confirmed = (yield from _result(confirm(x))) if confirm is not None else None
             if confirmed is None:
                 converged = True
                 break
@@ -735,6 +782,24 @@ def proximal_minimize(
                        secant_steps, confirmations)
 
 
+def _result(answer):
+    """The run that gives ``answer``, or the result of ``answer`` where it is
+    itself a run."""
+    if isinstance(answer, GeneratorType):
+        return (yield from answer)
+    return answer
+
+
+def _settled(run):
+    """``run``'s result where it ends without asking for a row, else the
+    run, asking again for the rows it asked for first."""
+    try:
+        rows = next(run)
+    except StopIteration as stop:
+        return stop.value
+    return resumed(run, rows)
+
+
 def _positive_definite(a) -> bool:
     """Whether the symmetric ``a`` has a Cholesky factor."""
     try:
@@ -752,7 +817,9 @@ def map_estimate(
 ) -> AttributionResult:
     """MAP perturbation shared by all samples of ``testset``, with its
     record: the :class:`CounterfactualObjective` under the
-    :func:`student_t_loss`, minimized by :func:`proximal_minimize`."""
+    :func:`student_t_loss`, minimized by :func:`proximal_minimize`.  The
+    rate rows and the solve go as two runs in one drive, the rates first,
+    with the runs a :class:`~anomattr.models.Lockstep` ``model`` holds."""
     if testset.n_test == 0:
         raise ValueError("testset must be nonempty")
     if testset.dimension != model.dimension:
@@ -760,18 +827,17 @@ def map_estimate(
             f"testset dimension {testset.dimension} != model dimension "
             f"{model.dimension}"
         )
-    counts = model.query_count, model.call_count
-    # the rate rows ride the solve's first batch
-    held = HeldRows(model)
-    rates = _resolve_rates(testset, held, hp)
+    rates = np.empty(testset.n_test)
     objective = CounterfactualObjective(
-        held, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
+        model, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
     )
-    state = proximal_minimize(
-        objective.grad, objective.value, testset.dimension, hp.eta, hp.nu, hp.max_iter,
-        hp.tol, grad_cfg.seed, confirm_fn=objective.confirm,
+    solve = proximal_minimize(
+        objective.grad_run, objective.value_run, testset.dimension, hp.eta, hp.nu,
+        hp.max_iter, hp.tol, grad_cfg.seed, confirm_fn=objective.confirm_run,
     )
-    return AttributionResult.of(state, objective, model, counts, rates)
+    _, state = drive(model, [_resolve_rates(testset, hp, rates), solve])
+    return AttributionResult.of(state, objective, rates,
+                                0 if hp.b0 is not None else testset.n_test)
 
 
 def score_distributions(
@@ -805,6 +871,11 @@ def score_distributions(
     to sum to one; one that overflows at every grid point raises ValueError
     naming the variable.
     """
+    return drive(model, [_slices(delta_star, testset, hp, rates, max_rows)])[0]
+
+
+def _slices(delta_star, testset: TestSet, hp: GpaHyperParams, rates, max_rows: int):
+    """The slices of :func:`score_distributions` as a run."""
     delta_star = np.asarray(delta_star, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if not np.all(np.isfinite(delta_star)):
@@ -824,8 +895,7 @@ def score_distributions(
         ks = range(first, min(first + pack, m))
         for j, k in enumerate(ks):
             buf[j, :, :, k] = x[:, k, None] + grid
-        fvals = model.evaluate_batch(buf[: len(ks)].reshape(-1, m)).reshape(
-            len(ks), n, hp.grid_points)
+        fvals = (yield buf[: len(ks)].reshape(-1, m)).reshape(len(ks), n, hp.grid_points)
         for j, k in enumerate(ks):
             buf[j, :, :, k] = (x[:, k] + delta_star[k])[:, None]
             candidates = np.repeat(delta_star[None, :], hp.grid_points, axis=0)

@@ -26,13 +26,21 @@ or infinite answer of any model, to a single query or to one row of a batch,
 raises :class:`NonFiniteModelOutput` naming that input, so no caller sees it
 and no caller checks for it.
 
-:class:`HeldRows` wraps an opened model to send rows that no answer depends
-on, such as a method's one batch, at the front of a call that some caller
-makes anyway, and answers a later request for them from that call.  A
-caller builds its batch in the array that :meth:`ModelHandle.batch_array`
-lends, as the gradient estimator does; a holder writes its held rows into
-the front of that array, nested holders share one array, and only a batch
-the handle did not lend is copied behind the held rows.
+A routine that queries the model is a *run*: a generator that yields the
+rows it needs and is sent their answers (``values = yield rows``), and
+returns its result.  It yields an ``(k, m)`` array of rows, or a pair ``(k,
+fill)`` whose ``fill(out)`` writes its k rows into the ``(k, m)`` array
+``out``, which lets it build a large batch where it is sent.  :func:`drive`
+runs a list of runs against one handle in lockstep.  Each step builds every
+live run's next rows into one array that :meth:`ModelHandle.batch_array`
+lends, in the order of the list, sends it as one call and hands each run
+its slice of the answers, in that order; a lone run's array goes as it is.
+So a command's methods, none of which waits for another's answers, make as
+many calls as the run with the most steps.  :class:`Lockstep` holds runs
+for the next drive on a handle: a caller that takes a model, such as
+:func:`~anomattr.gpa.map_estimate`, then makes its calls together with
+them.  The one-run functions, :func:`estimate_gradient` among them, drive
+their one run.
 """
 
 from __future__ import annotations
@@ -57,7 +65,8 @@ __all__ = [
     "ModelHandle",
     "BuiltinModel",
     "CallableModel",
-    "HeldRows",
+    "Lockstep",
+    "drive",
     "SubprocessModel",
     "HttpModel",
     "sinusoidal2d",
@@ -146,9 +155,8 @@ class ModelHandle:
         return ys
 
     def batch_array(self, k: int) -> np.ndarray:
-        """The uninitialised ``(k, dimension)`` array in which a caller
-        builds the next batch it sends: ``np.empty`` here, and in
-        :class:`HeldRows` the tail of one array with the held rows in front."""
+        """The uninitialised ``(k, dimension)`` array in which :func:`drive`
+        builds the next batch it sends: ``np.empty`` here."""
         return np.empty((k, self.dimension))
 
     def close(self) -> None:
@@ -182,15 +190,20 @@ class BuiltinModel(ModelHandle):
 
     def _evaluate_batch(self, xs):
         if self.kind == "sinusoidal2d":
-            # in place, so two arrays of len(xs) numbers are alive at once,
-            # not three: eig's batches then stayed below glibc's heap-trim
-            # threshold in every layout measured, and their memory was not
-            # returned and re-faulted batch by batch
+            # in place, and the second factor in blocks, so one array of
+            # len(xs) numbers is alive beside the batch: a compare step,
+            # eig's batch with the other methods' rows, then stayed below
+            # glibc's heap-trim threshold in every layout measured, and its
+            # memory was not returned and re-faulted step by step (with the
+            # second factor whole, 82-144 minor faults per operation)
             ys = np.multiply(np.pi, xs[:, 0])
             np.cos(ys, out=ys)
             ys *= 2.0
-            other = np.multiply(np.pi, xs[:, 1])
-            ys *= np.cos(other, out=other)
+            block = np.empty(min(len(xs), _BLOCK_NUMBERS))
+            for lo in range(0, len(xs), _BLOCK_NUMBERS):
+                part = ys[lo:lo + _BLOCK_NUMBERS]
+                other = np.multiply(np.pi, xs[lo:lo + len(part), 1], out=block[:len(part)])
+                part *= np.cos(other, out=other)
             return ys
         # einsum sums each row alone, in one order whatever the batch size
         if self.kind == "linear":
@@ -221,93 +234,93 @@ class CallableModel(ModelHandle):
         return [float(self._fn(x)) for x in xs]
 
 
-@dataclass
-class _Held:
-    rows: np.ndarray
-    on_answer: object  # None or a callable taking the rows' answers
-    answers: np.ndarray | None = None  # None until a call of the model sends the rows
+def drive(model: ModelHandle, runs) -> list:
+    """Run each of ``runs`` to its end against ``model``, in lockstep, and
+    return their results in order; the module docstring gives the steps.
 
-
-class HeldRows(ModelHandle):
-    """The opened ``model`` with batches of rows that no answer depends on
-    held back, so that they ride a call some caller makes anyway.
-
-    :meth:`hold` adds a batch.  Each call of ``model`` sends the pending
-    batches first, in the order held, and the caller's rows after them, so
-    a non-finite answer among the held rows is named first, and each
-    batch's ``on_answer(answers)`` runs before the caller gets its own
-    answers.  :meth:`batch_array` lends the tail of an array, got from
-    ``model``'s own :meth:`~ModelHandle.batch_array`, whose front holds the
-    pending batches; the next call, given that tail with no :meth:`hold` or
-    :meth:`flush` since, sends the whole array, so nested holders build one
-    array and no batch is copied.  Any other batch, such as a library
-    caller's or :meth:`flush`'s, is copied behind the held rows.  A request for the rows
-    of a held batch is answered from that batch's answers with no further
-    call; if no call has sent it yet, the pending batches go alone first.
-    A request matches a batch by shape, then by value, so no request is
-    hashed.  :meth:`flush` sends the batches no call took.  The handle
-    counts its callers' queries and calls, those answered from held answers
-    included; ``model`` counts what it answers, held rows included.
+    A run's answers come in the order of the batch, so a run ahead of
+    another in the list has its answers, and may end, before that one reads
+    its own.  A non-finite answer raises :class:`NonFiniteModelOutput` at
+    the first input in the batch that got one, and an error a run raises
+    ends the drive.  On a :class:`Lockstep` the runs it holds go too.
     """
+    runs = list(runs)
+    first, count = 0, len(runs)
+    while isinstance(model, Lockstep):
+        (lead, follow), model._held = model._held, ([], [])
+        runs, first, model = [*lead, *runs, *follow], first + len(lead), model.model
+    results = [None] * len(runs)
+    live, xs = [(i, run, None) for i, run in enumerate(runs)], None
+    while live:
+        asks = []
+        for i, run, answers in live:
+            try:
+                asks.append((i, run, run.send(answers)))
+            except StopIteration as stop:
+                results[i] = stop.value
+        xs = None  # the last step's rows go before the next step's are built
+        if not asks:
+            break
+        xs = _step_batch(model, [rows for _, _, rows in asks])
+        ys = model.evaluate_batch(xs)
+        live, start = [], 0
+        for i, run, rows in asks:
+            k = _count(rows)
+            live.append((i, run, ys[start:start + k]))
+            start += k
+    return results[first:first + count]
 
-    def __init__(self, model: ModelHandle):
+
+def _step_batch(model: ModelHandle, asks: list) -> np.ndarray:
+    """The rows each run of a step asks for, in one array that ``model``
+    lends; one array of rows asked for alone goes as it is."""
+    if len(asks) == 1 and isinstance(asks[0], np.ndarray):
+        return asks[0]
+    xs, start = model.batch_array(sum(map(_count, asks))), 0
+    for rows in asks:
+        k = _count(rows)
+        if isinstance(rows, np.ndarray):
+            xs[start:start + k] = _as_batch(rows, model.dimension)
+        else:
+            rows[1](xs[start:start + k])
+        start += k
+    return xs
+
+
+def _count(rows) -> int:
+    """The number of rows a run asks for (module docstring)."""
+    return rows[0] if isinstance(rows, tuple) else len(rows)
+
+
+def ask(rows):
+    """The one-step run that asks for ``rows`` and returns their answers."""
+    return (yield rows)
+
+
+def resumed(run, rows):
+    """``run``, which has asked for ``rows`` and not been answered yet, as a
+    run that asks for them again and goes on from there."""
+    while True:
+        try:
+            rows = run.send((yield rows))
+        except StopIteration as stop:
+            return stop.value
+
+
+class Lockstep(ModelHandle):
+    """The opened ``model`` with runs held for the next :func:`drive` on it,
+    which runs the ``lead`` runs, then its own, then the ``follow`` runs, in
+    lockstep and each to its end; a later drive runs its own alone.
+    :meth:`evaluate_batch` is a drive of one run that asks for the rows.
+    The handle counts nothing itself: ``model`` counts every call."""
+
+    def __init__(self, model: ModelHandle, lead=(), follow=()):
         super().__init__(model.dimension)
-        self._model = model
-        self._held: list[_Held] = []
-        self._sent = 0  # the first batches of _held, which a call has sent
-        # (tail, array) of the last batch_array, until a call, hold or flush
-        self._lent = None
-
-    def hold(self, rows, on_answer=None) -> None:
-        self._held.append(_Held(_as_batch(rows, self.dimension), on_answer))
-        self._lent = None
-
-    def batch_array(self, k: int) -> np.ndarray:
-        pending = [h.rows for h in self._held[self._sent:]]
-        lead = sum(map(len, pending))
-        array = self._model.batch_array(lead + k)
-        if pending:
-            np.concatenate(pending, out=array[:lead])
-        self._lent = array[lead:], array
-        return self._lent[0]
+        self.model = model
+        self._held = list(lead), list(follow)
 
     def evaluate_batch(self, xs) -> np.ndarray:
-        # overrides evaluate_batch, not _evaluate_batch: the one call of
-        # ``model`` is the only one a query counter sees
-        xs = _as_batch(xs, self.dimension)
-        lent, self._lent = self._lent, None
-        held = next((h for h in self._held
-                     if h.rows.shape == xs.shape and np.array_equal(h.rows, xs)), None)
-        if held is None:
-            ys = self._send(xs, lent)
-        else:
-            self.flush()
-            ys = held.answers.copy()
-        self.query_count += len(ys)
-        self.call_count += 1
-        return ys
-
-    def flush(self) -> None:
-        """Send the held batches that no call has taken, alone."""
-        self._lent = None
-        if self._sent < len(self._held):
-            self._send(np.empty((0, self.dimension)))
-
-    def _send(self, xs, lent=None) -> np.ndarray:
-        pending = self._held[self._sent:]
-        if lent is not None and xs is lent[0]:
-            xs = lent[1]  # the pending rows are already in front
-        elif pending:
-            xs = np.concatenate([*(h.rows for h in pending), xs])
-        ys = self._model.evaluate_batch(xs)
-        self._sent = len(self._held)
-        start = 0
-        for h in pending:
-            h.answers = ys[start:start + len(h.rows)]
-            start += len(h.rows)
-            if h.on_answer is not None:
-                h.on_answer(h.answers)
-        return ys[start:]
+        return drive(self, [ask(_as_batch(xs, self.dimension))])[0]
 
 
 def _decode(reply: bytes) -> dict:
@@ -736,8 +749,7 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     ``[f(x + h e_i) - f(x)] / h`` over the draws of its ``mc_samples``
     Gaussian step sizes h that the ``(m, mc_samples)`` boolean mask ``send``
     marks, every draw when ``send`` is None.  Every call is one model batch,
-    built in the one array that ``model.batch_array`` lends, so that a
-    :class:`HeldRows` sends it behind its held rows uncopied: the k points
+    built in the array the batch is sent in (:func:`drive`): the k points
     themselves when their values are used (first, so that a non-finite
     value there names that point), then the displaced points of the draws
     it sends, row by row and, within a row, by coordinate and draw; with
@@ -769,10 +781,16 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     whatever batch it comes in, as the builtin models do, a batch of points
     gives the per-point results bit for bit.
     """
-    m, mc = model.dimension, cfg.mc_samples
-    points, central, sent, count = _gradient_batch(x, m, cfg, f0, values, slopes, send,
-                                                   model.batch_array)
-    fvals = model.evaluate_batch(points)
+    return drive(model, [gradient_run(x, model.dimension, cfg, f0, values, slopes, send)])[0]
+
+
+def gradient_run(x, m: int, cfg: GradientEstimatorConfig, f0=None, values=None,
+                 slopes=None, send=None):
+    """:func:`estimate_gradient` for a model of ``m`` inputs as a run, which
+    asks for its one batch as ``(rows, fill)``; ``estimate_gradient.run``."""
+    rows, fill, central, sent, count = _gradient_plan(x, m, cfg, f0, values, slopes, send)
+    fvals = yield rows, fill
+    mc = cfg.mc_samples
     k = np.size(x) // m
     h, _ = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
     if central:
@@ -796,17 +814,15 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     return (table.sum(axis=2) / (count // per_slot)).reshape(np.shape(x))
 
 
-def _gradient_batch(x, m: int, cfg: GradientEstimatorConfig, f0=None, values=None,
-                    slopes=None, send=None, batch_array=None):
-    """The one model batch of ``estimate_gradient(model, x, cfg, f0, values,
-    slopes, send)`` for a model of ``m`` inputs, built in one array, as
-    ``(points, central, sent, count)``: whether the estimate takes central
+estimate_gradient.run = gradient_run
+
+
+def _gradient_plan(x, m: int, cfg: GradientEstimatorConfig, f0, values, slopes, send):
+    """How :func:`gradient_run` asks for its batch: ``(rows, fill, central,
+    sent, count)``, where ``fill(out)`` writes the batch's rows into
+    ``out``, and the rest says whether the estimate takes central
     differences, the indices of the draws sent and each coordinate's count
-    of them.  The array is ``batch_array(rows)``, the lender of the model
-    that gets the batch (:meth:`ModelHandle.batch_array`), or a new one
-    when that is None, as for a caller that holds the rows.  No model
-    query; a caller that sends the batch early builds it here, so its rows
-    are the estimator's bit for bit."""
+    of them.  No model query."""
     x = np.asarray(x, dtype=float)
     mc = cfg.mc_samples
     if x.ndim not in (1, 2) or x.shape[-1] != m:
@@ -829,11 +845,12 @@ def _gradient_batch(x, m: int, cfg: GradientEstimatorConfig, f0=None, values=Non
         sent, count = np.flatnonzero(send), np.where(count > 0, count, mc)
     moves = disp[sent]
     centre = k if f0 is None and not central else 0
-    rows = centre + k * len(moves)
-    points = np.empty((rows, m)) if batch_array is None else batch_array(rows)
-    points[:centre] = batch[:centre]  # the points first, where their values are used
-    _displace(batch, moves, points[centre:])
-    return points, central, sent, count
+
+    def fill(points):
+        points[:centre] = batch[:centre]  # the points first, where their values are used
+        _displace(batch, moves, points[centre:])
+
+    return centre + k * len(moves), fill, central, sent, count
 
 
 # rows of at most this many inputs are displaced in blocks of whole points,

@@ -16,6 +16,7 @@ from anomattr import (
     cli,
     sinusoidal2d,
 )
+from anomattr.models import _gradient_plan
 
 # Hyperparameters for the closed-form sinusoidal regime: weak priors so the
 # data term dominates, a0 = 1 (single sample), and a flat enough noise rate
@@ -28,6 +29,17 @@ ORACLE_HP = GpaHyperParams(
 # Small perturbation scale: the builtin surfaces are smooth, so a tight
 # smoothing radius recovers the analytic gradient closely.
 FINE_GRAD = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=10, seed=0)
+
+
+def gradient_batch(x, m, cfg, f0=None, values=None, slopes=None, send=None):
+    """The one model batch of ``estimate_gradient(model, x, cfg, f0, values,
+    slopes, send)`` for a model of ``m`` inputs, built in a new array as the
+    driver builds it, with how the estimate reads it: ``(points, central,
+    sent, count)``.  No model query."""
+    rows, fill, central, sent, count = _gradient_plan(x, m, cfg, f0, values, slopes, send)
+    points = np.empty((rows, m))
+    fill(points)
+    return points, central, sent, count
 
 
 class BatchRecorder(ModelHandle):

@@ -36,17 +36,20 @@ COLLECTIVE_GPA_CALLS = 48
 # 6,020): 3 x 60,000 queries in 3 x 10 calls
 COLLECTIVE_QUERY_PLAN = (263_760, 78)
 # the model_queries and model_calls of every method in the six seed-1
-# operations of the sinusoid workloads, summed.  In each compare, eig sends
-# its 64 paths of 2,000 rows eight to a batch, plus x_t's 20 rows in the
-# first: 8 calls.  lime's cloud, ig's path and sv's coalitions (1,000, 2,020
-# and 256 rows) ride at the front of gpa's first batch, so lime, ig and sv
-# send no call of their own (117 calls before they did).  Each explain's
-# residual rows, the six rows of its noise variance and anomaly score, ride
-# there too, so explain sends no call outside gpa (31 calls before they
-# did).  Every pointwise call sends rows the subprocess child has not yet
-# answered, and each one reaches the child: 25 calls, 25 child requests
+# operations of the sinusoid workloads, summed.  Each compare runs its
+# methods in lockstep, one model call per step, so it takes eig's 8 steps:
+# eig sends its 64 paths of 2,000 rows eight to a batch, plus x_t's 20 rows
+# in the first, and the rows of the other methods ride those calls.  lime's
+# cloud, ig's path and sv's coalitions (1,000, 2,020 and 256 rows) ride the
+# first, and the 4-5 steps of gpa's and of lc's solves the first 4-5 (99
+# calls when the methods ran one after another).  Each explain's residual
+# rows, the six rows of its noise variance and anomaly score, ride at the
+# front of gpa's first batch, so explain sends no call outside gpa (31
+# calls before they did).  Every pointwise call sends rows the subprocess
+# child has not yet answered, and each one reaches the child: 25 calls, 25
+# child requests
 SINUSOID_QUERY_PLANS = {"pointwise-subprocess": (561, 25),
-                        "baselines-compare": (788_847, 99)}
+                        "baselines-compare": (788_847, 48)}
 # the SHA-256 of the three seed-1 collective-builtin distributions.svg files
 COLLECTIVE_SVG_SHA256 = [
     "77d6fdf5e88cb740d1a1da8f52e9918992bc168f9eef6db7d87d3ce8ff2f23ec",

@@ -16,7 +16,7 @@ import anomattr
 from anomattr import cli
 from anomattr.cli import build_parser, main
 from anomattr.gpa import GpaHyperParams
-from conftest import BatchRecorder, strict_json
+from conftest import BatchRecorder, gradient_batch, strict_json
 
 ORACLE_FLAGS = [
     "--eta", "0.001", "--nu", "0.001", "--kappa", "0.1", "--a0", "1",
@@ -893,13 +893,15 @@ class TestCollectiveLc:
                                                            model.call_count)
         keys = {"iterations", "halvings", "secant_steps", "one_pair_batches",
                 "confirmations", "converged", "query_count", "call_count"}
-        # the command's lc counts leave out the queries of gpa, which ran first
+        # the command's lc counts leave out the queries of gpa, which ran in
+        # the same calls
         assert diagnostics["lc"] == {k: getattr(record, k) for k in keys}
         assert diagnostics["gpa"].keys() == keys
         if command == "compare":  # no anomaly score queries
             assert (diagnostics["gpa"]["query_count"] + diagnostics["lc"]["query_count"]
                     == diagnostics["model_queries"])
-            assert (diagnostics["gpa"]["call_count"] + diagnostics["lc"]["call_count"]
+            # gpa and lc run in lockstep: the longer solve's calls carry both
+            assert (max(diagnostics["gpa"]["call_count"], diagnostics["lc"]["call_count"])
                     == diagnostics["model_calls"])
 
 
@@ -952,16 +954,17 @@ class TestResidualRows:
 
     def test_single_query_sends_the_rows_first(self):
         model = BatchRecorder(anomattr.sinusoidal2d())
-        rows = np.array([[0.5, 0.0], [0.0, 0.0]])
-        held, answered = anomattr.HeldRows(model), []
-        held.hold(rows, answered.extend)
-        assert held.evaluate([1.0, 0.0]) == -2.0
+        rows, answered = np.array([[0.5, 0.0], [0.0, 0.0]]), []
+
+        def residuals():
+            answered.extend((yield rows))
+
+        lockstep = anomattr.Lockstep(model, [residuals()])
+        assert lockstep.evaluate([1.0, 0.0]) == -2.0
         # one call of the model: the held rows, then the query's own row
         assert model.sizes == [3]
         np.testing.assert_array_equal(model.first, [*rows, [1.0, 0.0]])
-        held.flush()
         assert answered == pytest.approx([0.0, 2.0], abs=1e-12)
-        assert (held.query_count, held.call_count) == (1, 1)
         assert (model.query_count, model.call_count) == (3, 1)
 
     def test_nonfinite_residual_named_first(self, tmp_path, capsys, nan_model):
@@ -998,10 +1001,10 @@ class TestResidualRows:
 
 
 class TestHeldBatches:
-    """lime's cloud, ig's path and sv's batch need no answer to be built, so
-    explain and compare hold them before any method queries the model: they
-    ride the command's first call, and each method gets its answers from
-    that call."""
+    """lime's cloud, ig's path and sv's batch need no answer to be built, and
+    explain and compare run every method in lockstep: they ride the
+    command's first call, in front of the first rows of the solves and of
+    eig, and each method gets its answers from that call."""
 
     COMPARE = ["--methods", "gpa,lc,lime,ig,eig,sv,zscore", "--baseline", "0,0",
                *ORACLE_FLAGS]
@@ -1027,45 +1030,51 @@ class TestHeldBatches:
 
     # the flags that shape lime's cloud, ig's path and sv's batch, at their
     # defaults and at other values, with those values, the number of held
-    # rows and eig's number of calls
+    # rows, eig's number of calls and the rows of its first
     HELD_FLAGS = {
         "defaults": ([], dict(lime=(1_000, 0.3), baseline=[0.0, 0.0], n_intervals=100,
-                              sv_configs=100, seed=0), 3_276, 8),
+                              sv_configs=100, seed=0), 3_276, 8, 20 + 8 * 2_000),
         "other flags": (["--lime-samples", "50", "--lime-std", "0.7", "--n-intervals", "7",
                          "--sv-configs", "9", "--seed", "4", "--baseline", "0.25,-0.5"],
                         dict(lime=(50, 0.7), baseline=[0.25, -0.5], n_intervals=7,
-                             sv_configs=9, seed=4), 466, 1),
+                             sv_configs=9, seed=4), 466, 1, 20 + 64 * 140),
     }
 
-    @pytest.mark.parametrize("flags, values, n_held, eig_calls", HELD_FLAGS.values(),
-                             ids=HELD_FLAGS)
+    @pytest.mark.parametrize("flags, values, n_held, eig_calls, eig_first",
+                             HELD_FLAGS.values(), ids=HELD_FLAGS)
     def test_compare_sends_them_in_gpa_first_call(self, sinus_data, lattice_ref, tmp_path,
-                                                  recorders, flags, values, n_held, eig_calls):
+                                                  recorders, flags, values, n_held, eig_calls,
+                                                  eig_first):
         out = tmp_path / "out"
         assert main(["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
                      *self.COMPARE, *flags, "--ref", str(lattice_ref), "--out", str(out)]) == 0
         (model,) = recorders
         x_t, seed = np.array([0.5, 0.0]), values["seed"]
+        grad_cfg = anomattr.GradientEstimatorConfig(0.001, seed=seed)
+        n_intervals, baseline = values["n_intervals"], np.array([values["baseline"]])
+        path = anomattr.baselines._path_points(
+            x_t, baseline, anomattr.baselines._path_alphas(x_t, baseline, n_intervals), 1)
         held = np.vstack([
-            anomattr.baselines.cloud_rows(
-                x_t, anomattr.LimeConfig(*values["lime"], seed=seed), 2),
-            anomattr.baselines.path_rows(
-                x_t, values["baseline"], values["n_intervals"],
-                anomattr.GradientEstimatorConfig(0.001, seed=seed)),
-            anomattr.baselines.shapley_rows(
+            anomattr.baselines._cloud(
+                x_t, anomattr.LimeConfig(*values["lime"], seed=seed), 2)[1],
+            gradient_batch(path, 2, grad_cfg)[0],
+            anomattr.baselines._shapley_batch(
                 x_t, anomattr.ReferenceSet(anomattr.load_csv(lattice_ref).x),
-                values["sv_configs"], seed),
+                values["sv_configs"], seed, "auto")[0],
         ])
         # at the defaults, 1,000 cloud rows, ig's 101 path points x 20 draws
         # and 4 coalitions x 64
         assert len(held) == n_held
-        # gpa's first call, its rows and their displaced rows, carries them
-        assert model.sizes[:2] == [n_held + 21, 21]
+        # the first call carries them, then the first rows of gpa, lc and
+        # eig, which all run in lockstep: 21 gradient rows each from gpa and
+        # lc, and eig's first paths
+        assert model.sizes[0] == n_held + 21 + 21 + eig_first
         np.testing.assert_array_equal(model.first[:n_held], held)
-        # lime, ig and sv make no call: gpa's, lc's and eig's are all
+        # lime, ig and sv make no call of their own, and each call serves
+        # gpa, lc and eig while they run: as many calls as the longest run
         diagnostics = strict_json((out / "compare.json").read_text())["diagnostics"]
-        calls = (diagnostics["gpa"]["call_count"] + diagnostics["lc"]["call_count"]
-                 + eig_calls)
+        calls = max(diagnostics["gpa"]["call_count"], diagnostics["lc"]["call_count"],
+                    eig_calls)
         assert diagnostics["model_calls"] == len(model.sizes) == calls
 
     def test_lime_methods_hold_one_cloud(self, sinus_data, tmp_path, recorders):
@@ -1096,7 +1105,7 @@ class TestHeldBatches:
     def test_nonfinite_cloud_row_named_in_gpa_first_call(self, sinus_data, tmp_path,
                                                          capsys, monkeypatch):
         x_t = np.array([0.5, 0.0])
-        bad = anomattr.baselines.cloud_rows(x_t, anomattr.LimeConfig(), 2)[7]
+        bad = anomattr.baselines._cloud(x_t, anomattr.LimeConfig(), 2)[1][7]
         sine = anomattr.sinusoidal2d()
         made = []
 
@@ -1518,3 +1527,107 @@ def test_unreadable_or_unwritable_file_exit_2(sinus_data, lattice_ref, tmp_path,
         assert out.read_text() == "not a directory\n"
     else:
         assert not out.exists()
+
+
+class TestLockstep:
+    """compare and explain run all their methods in lockstep: each model call
+    carries the next rows of every method that has not ended, and each
+    method's answers are those it gets alone."""
+
+    EVERY = ",".join(cli.ALL_METHODS)
+    RECORD = ("query_count", "call_count", "iterations", "halvings")
+
+    @pytest.fixture
+    def flags(self, sinus_data, lattice_ref):
+        return ["--data", str(sinus_data), "--point-index", "1", "--baseline", "0,0",
+                "--ref", str(lattice_ref), *ORACLE_FLAGS]
+
+    @pytest.mark.parametrize("spec", ["sinusoidal2d", "quadratic:1,2"])
+    def test_every_method_is_bit_for_bit_its_run_alone(self, flags, tmp_path, spec):
+        alone = {}
+        for name in cli.ALL_METHODS:
+            out = tmp_path / name
+            assert main(["explain", "--methods", name, "--model", spec, *flags,
+                         "--out", str(out)]) == 0
+            alone[name] = strict_json((out / "result.json").read_text())
+        out = tmp_path / "every"
+        assert main(["compare", "--methods", self.EVERY, "--model", spec, *flags,
+                     "--out", str(out)]) == 0
+        doc = strict_json((out / "compare.json").read_text())
+        for name, single in alone.items():
+            assert doc["scores"][name] == single["methods"][name]["scores"], name
+        for name in ("gpa", "lc"):
+            record = doc["diagnostics"][name]
+            assert record["converged"], name
+            assert ({k: record[k] for k in self.RECORD}
+                    == {k: alone[name]["diagnostics"][name][k] for k in self.RECORD}), name
+
+    def test_model_calls_are_the_longest_run_s_steps(self, flags, tmp_path, recorders):
+        out = tmp_path / "every"
+        assert main(["compare", "--methods", self.EVERY, "--model", "sinusoidal2d", *flags,
+                     "--out", str(out)]) == 0
+        diagnostics = strict_json((out / "compare.json").read_text())["diagnostics"]
+        # eig sends its 64 paths of 2,000 rows eight to a batch; the
+        # one-batch methods ride the first call
+        steps = {"gpa": diagnostics["gpa"]["call_count"],
+                 "lc": diagnostics["lc"]["call_count"], "eig": 8, "one-batch": 1}
+        assert diagnostics["model_calls"] == len(recorders[0].sizes) == max(steps.values())
+        assert diagnostics["model_queries"] == sum(recorders[0].sizes)
+
+    def test_subprocess_child_answers_one_request_per_call(self, flags, tmp_path):
+        counts = tmp_path / "counts.jsonl"
+        child = Path(__file__).resolve().parents[1] / "bench" / "model_child.py"
+        spec = "subprocess:" + shlex.join([sys.executable, str(child), "--counts",
+                                           str(counts)])
+        out = tmp_path / "every"
+        assert main(["compare", "--methods", self.EVERY, "--model", spec, *flags,
+                     "--out", str(out)]) == 0
+        diagnostics = strict_json((out / "compare.json").read_text())["diagnostics"]
+        [served] = [json.loads(line) for line in counts.read_text().splitlines()]
+        # the adapter's cache answers repeated rows, such as sv's, so the
+        # child serves fewer points than the command queries
+        assert served["requests"] == diagnostics["model_calls"]
+        assert served["points"] < diagnostics["model_queries"]
+
+    def test_a_diverging_run_ends_the_command(self, lattice_ref, tmp_path, capsys):
+        # lc's Gaussian loss overflows at the start (10 / 2 x 1e308); gpa's,
+        # at --b0 1e300, does not
+        data = tmp_path / "far.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1e154\n")
+        out = tmp_path / "out"
+        code = main(["compare", "--data", str(data), "--model", "sinusoidal2d",
+                     "--methods", "gpa,lc,eig", "--ref", str(lattice_ref),
+                     "--lc-lambda", "10", "--b0", "1e300", "--out", str(out)])
+        assert code == 2
+        with pytest.raises(anomattr.DivergenceError) as alone:
+            anomattr.lc(anomattr.sinusoidal2d(), [0.5, 0.0], 1e154,
+                        GpaHyperParams.for_testset(1, b0=1e300),
+                        anomattr.GradientEstimatorConfig(), 10.0)
+        assert capsys.readouterr().err == f"error: {alone.value}\n"
+        assert not out.exists()
+
+    def test_nonfinite_answer_named_first_in_batch_order(self, lattice_ref, tmp_path,
+                                                         capsys, nan_model):
+        # at --grad-std 1 gpa's first rows and eig's paths both reach x1 >
+        # 0.6; gpa's go first in the shared call, so its input is named
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1.0\n")
+        common = ["--data", str(data), "--model", "sinusoidal2d", "--ref", str(lattice_ref),
+                  "--out", str(tmp_path / "out")]
+        errors = []
+        for methods in (["explain", "--methods", "gpa"], ["explain", "--methods", "eig"],
+                        ["compare", "--methods", "gpa,eig"]):
+            assert main([*methods, *common]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] != errors[1]
+        assert errors[2] == errors[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_same_seed_writes_the_same_bytes(self, flags, tmp_path):
+        runs, out = [], tmp_path / "out"
+        for _ in range(2):
+            assert main(["compare", "--methods", self.EVERY, "--model", "sinusoidal2d",
+                         *flags, "--seed", "3", "--out", str(out)]) == 0
+            runs.append((out / "compare.json").read_bytes())
+            (out / "compare.json").unlink()
+        assert runs[0] == runs[1]

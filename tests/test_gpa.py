@@ -40,7 +40,7 @@ from anomattr.gpa import (
     refine_gamma_rate,
     student_t_loss,
 )
-from anomattr.models import HeldRows, estimate_gradient
+from anomattr.models import Lockstep, ask, drive, estimate_gradient
 from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, single_point
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -48,10 +48,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 def _answered_rates(ts, model, hp):
     """The gamma rates of ``ts``, with their residual rows sent alone."""
-    held = HeldRows(model)
-    rates = _resolve_rates(ts, held, hp)
-    held.flush()
-    return rates
+    return drive(model, [_resolve_rates(ts, hp, np.empty(ts.n_test))])[0]
 
 
 class TestGammaHyperparameters:
@@ -281,9 +278,10 @@ class TestMapEstimate:
         calls_per_grad = []
 
         def counting_solver(grad_fn, value_fn, *args, **kwargs):
+            # map_estimate's grad_fn is a run: its calls are made as it is driven
             def counted_grad(delta):
                 before = len(model.sizes)
-                grad = grad_fn(delta)
+                grad = yield from grad_fn(delta)
                 calls_per_grad.append(len(model.sizes) - before)
                 return grad
 
@@ -1435,16 +1433,15 @@ class TestScoreDistributions:
 
     @pytest.mark.parametrize("held", [False, True], ids=["alone", "held rows"])
     def test_solve_peak_memory_near_its_first_batch(self, held):
-        # the first batch (an outer holder's rows, the rate rows, then the
-        # solve's 20 (1 + 30 x 10) gradient rows) is built in one lent array
-        # and sent uncopied; a copy of it would double the peak
+        # the first batch (the rows of a run a Lockstep holds, the rate rows,
+        # then the solve's 20 (1 + 30 x 10) gradient rows) is built in one
+        # lent array and sent uncopied; a copy of it would double the peak
         coef, ts = _collective_problem(n=20, m=30)
         n, m = ts.n_test, ts.dimension
         cfg = GradientEstimatorConfig()
         model = quadratic_model(coef)
         if held:
-            model = HeldRows(model)
-            model.hold(ts.x)
+            model = Lockstep(model, [ask(ts.x)])
         first = (n * held + n + n * (1 + m * cfg.mc_samples)) * m * 8
         tracemalloc.start()
         try:

@@ -16,21 +16,30 @@ from anomattr.models import (
     BuiltinModel,
     CallableModel,
     GradientEstimatorConfig,
-    HeldRows,
     HttpModel,
+    Lockstep,
     ModelHandle,
     NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
-    _gradient_batch,
     _step_draws,
+    ask,
+    drive,
     estimate_gradient,
+    gradient_run,
     linear_model,
     quadratic_model,
     sinusoidal2d,
 )
 from anomattr.gpa import map_estimate
-from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, serving, single_point
+from conftest import (
+    FINE_GRAD,
+    ORACLE_HP,
+    BatchRecorder,
+    gradient_batch,
+    serving,
+    single_point,
+)
 
 
 class TestBuiltins:
@@ -87,6 +96,24 @@ class TestBuiltins:
         expect = 2.0 * np.cos(np.pi * xs[:, 0]) * np.cos(np.pi * xs[:, 1])
         assert ys.tobytes() == expect.tobytes()
         assert peak < 2.5 * ys.nbytes
+
+    @pytest.mark.parametrize("rows", [16_000, 19_338])
+    def test_sinusoid_batch_holds_one_array_beside_a_block(self, rows):
+        # the second factor goes in blocks of 8,192 numbers, so beyond the
+        # answers only one block (64 KiB) and array headers are alive; 19,338
+        # rows is the first step of a seed-1 benchmark compare
+        xs = np.random.default_rng(rows).normal(size=(rows, 2))
+        model = sinusoidal2d()
+        model.evaluate_batch(xs[:2])
+        tracemalloc.start()
+        try:
+            ys = model.evaluate_batch(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expect = 2.0 * np.cos(np.pi * xs[:, 0]) * np.cos(np.pi * xs[:, 1])
+        assert ys.tobytes() == expect.tobytes()
+        assert peak <= ys.nbytes + 64 * 1024 + 4096
 
     def test_query_count(self):
         m = sinusoidal2d()
@@ -317,7 +344,7 @@ class TestGradientEstimator:
 
 
 def _broadcast_rows(x, cfg, send=None, centre=False):
-    """The displaced rows of ``_gradient_batch`` by the one broadcast
+    """The displaced rows of ``gradient_batch`` by the one broadcast
     ``x[:, None, :] + D[sent]``, with the points in front when ``centre``."""
     m = x.shape[1]
     _, disp = _step_draws(cfg.seed, cfg.perturbation_std, cfg.mc_samples, m)
@@ -343,20 +370,17 @@ class TestDisplacedRowBuild:
             send[:, :2] = True
             if draws == "the rest":
                 send = ~send
-        points, central, _, _ = _gradient_batch(x, m, cfg, send=send)
+        points, central, _, _ = gradient_batch(x, m, cfg, send=send)
         expect = _broadcast_rows(x, cfg, send, centre=not central)
         assert points.tobytes() == expect.tobytes()
 
-    def test_rows_built_in_the_array_held_rows_lends(self):
+    def test_rows_built_in_the_array_the_driver_lends(self):
         kept = _Kept(2)
-        model = HeldRows(kept)
-        model.hold(POINTS[:1])
         x = np.random.default_rng(3).normal(size=(300, 2))
         x[0] = -0.0
-        points, _, _, _ = _gradient_batch(x, 2, FINE_GRAD, batch_array=model.batch_array)
-        model.evaluate_batch(points)
+        drive(kept, [ask(POINTS[:1]), gradient_run(x, 2, FINE_GRAD)])
         [sent] = kept.batches
-        assert np.shares_memory(sent, points)
+        assert sent is kept.lent[0]
         assert sent[1:].tobytes() == _broadcast_rows(x, FINE_GRAD).tobytes()
 
     def test_eig_shaped_build_allocates_one_block_beyond_the_batch(self):
@@ -365,11 +389,11 @@ class TestDisplacedRowBuild:
         # the headers of the arrays and views (about 2 KiB); numpy's
         # broadcast buffered two operands in 64 KiB each, 130 KiB beyond it
         x = np.random.default_rng(0).normal(size=(800, 2))
-        _gradient_batch(x, 2, FINE_GRAD)  # the draws are cached, not traced
+        gradient_batch(x, 2, FINE_GRAD)  # the draws are cached, not traced
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            points, _, _, _ = _gradient_batch(x, 2, FINE_GRAD)
+            points, _, _, _ = gradient_batch(x, 2, FINE_GRAD)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -386,7 +410,7 @@ class TestDisplacedRowBuild:
         x = np.random.default_rng(k).uniform(-0.4, 0.4, (k, m))
         grads = estimate_gradient(model, x, FINE_GRAD)
         h, _ = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std, mc, m)
-        pairs = model.evaluate_batch(_gradient_batch(x, m, FINE_GRAD)[0]).reshape(k, -1, 2)
+        pairs = model.evaluate_batch(gradient_batch(x, m, FINE_GRAD)[0]).reshape(k, -1, 2)
         table = np.zeros((k, m, mc // 2))
         slots = np.arange(m * mc)[::2] // 2
         table.reshape(k, -1)[:, slots] = (pairs[..., 0] - pairs[..., 1]) / (2.0 * h.ravel()[::2])
@@ -394,63 +418,114 @@ class TestDisplacedRowBuild:
 
 
 class _Kept(ModelHandle):
-    """Answers each row's sum and keeps every batch it gets, uncopied."""
+    """Answers each row's sum and keeps every batch it gets, uncopied, and
+    every array it lends."""
 
     def __init__(self, dimension):
         super().__init__(dimension)
-        self.batches = []
+        self.batches, self.lent = [], []
+
+    def batch_array(self, k):
+        self.lent.append(super().batch_array(k))
+        return self.lent[-1]
 
     def _evaluate_batch(self, xs):
         self.batches.append(xs)
         return xs.sum(axis=1)
 
 
-class TestHeldRows:
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_lent_tail_is_sent_uncopied(self, depth):
-        # nested holders stack their held rows, innermost first, in front of
-        # the tail the outermost lends, and the model gets that one array
-        kept, answered = _Kept(2), []
-        model = kept
-        for level in range(depth):
-            model = HeldRows(model)
-            model.hold(POINTS[level:level + 1], answered.append)
-        tail = model.batch_array(2)
-        tail[:] = POINTS[2:]
-        ys = model.evaluate_batch(tail)
-        [sent] = kept.batches
-        assert np.shares_memory(sent, tail)
-        np.testing.assert_array_equal(sent, np.vstack([POINTS[:depth], POINTS[2:]]))
-        np.testing.assert_array_equal(ys, POINTS[2:].sum(axis=1))
-        assert answered == [POINTS[i:i + 1].sum(axis=1) for i in range(depth)]
-        assert (model.query_count, kept.query_count) == (2, 2 + depth)
+def _steps(rows, seen):
+    """A run that asks for each of ``rows`` in turn, keeps the answers in
+    ``seen`` as they come, and returns how many steps it took."""
+    for step in rows:
+        seen.append((yield step))
+    return len(rows)
 
-    @pytest.mark.parametrize("between", ["hold", "other array", "flush"])
-    def test_a_tail_no_longer_lent_falls_back(self, between):
-        # a hold after the lending, or another array sent, copies the tail
-        # behind every pending batch; after a flush nothing is pending
+
+class TestDrive:
+    @pytest.mark.parametrize("lead", [1, 2])
+    def test_one_step_builds_every_run_in_one_lent_array(self, lead):
+        # the one-step runs' rows, then a run's rows built by its fill, go
+        # in the one array the model lends, sent uncopied
         kept, answered = _Kept(2), []
-        model = HeldRows(kept)
-        model.hold(POINTS[:1], answered.append)
-        tail = model.batch_array(2)
-        tail[:] = POINTS[2:]
-        sent = tail.copy() if between == "other array" else tail
-        if between == "hold":
-            model.hold(POINTS[1:2], answered.append)
-        elif between == "flush":
-            model.flush()
-        ys = model.evaluate_batch(sent)
-        np.testing.assert_array_equal(ys, POINTS[2:].sum(axis=1))
-        held = 2 if between == "hold" else 1
-        assert answered == [POINTS[i:i + 1].sum(axis=1) for i in range(held)]
-        if between == "flush":
-            assert [len(b) for b in kept.batches] == [1, 2]
-            assert kept.batches[1] is tail
-        else:
-            [batch] = kept.batches
-            rows = POINTS if between == "hold" else POINTS[[0, 2, 3]]
-            np.testing.assert_array_equal(batch, rows)
-            assert not np.shares_memory(batch, tail)
+        filled = (2, lambda out: out.__setitem__(..., POINTS[2:]))
+        runs = [_steps([POINTS[i:i + 1]], answered) for i in range(lead)]
+        results = drive(kept, [*runs, _steps([filled], answered)])
+        [sent] = kept.batches
+        assert sent is kept.lent[0]
+        np.testing.assert_array_equal(sent, np.vstack([POINTS[:lead], POINTS[2:]]))
+        np.testing.assert_array_equal(np.concatenate(answered), sent.sum(axis=1))
+        assert results == [1] * (lead + 1)
+        assert (kept.query_count, kept.call_count) == (2 + lead, 1)
+
+    def test_a_lone_array_goes_as_it_is(self):
+        kept = _Kept(2)
+        rows = POINTS.copy()
+        assert drive(kept, [ask(rows)])[0].tolist() == rows.sum(axis=1).tolist()
+        assert kept.batches[0] is rows and kept.lent == []
+
+    def test_calls_are_the_longest_run_s_steps(self):
+        # runs of 1, 3 and 2 steps: three calls, the first with every run's
+        # rows in list order, the last with the 3-step run's alone
+        kept, seen = _Kept(2), [[], [], []]
+        runs = [_steps([POINTS[:1]], seen[0]),
+                _steps([POINTS[1:2], POINTS[2:4], POINTS[:1]], seen[1]),
+                _steps([POINTS[3:], POINTS[:2]], seen[2])]
+        assert drive(kept, runs) == [1, 3, 2]
+        assert [len(b) for b in kept.batches] == [3, 4, 1]
+        np.testing.assert_array_equal(kept.batches[0], POINTS[[0, 1, 3]])
+        np.testing.assert_array_equal(kept.batches[1], POINTS[[2, 3, 0, 1]])
+        assert [len(a) for answers in seen for a in answers] == [1, 1, 2, 1, 1, 2]
+
+    def test_answers_go_back_in_batch_order(self):
+        # the first run has its answers, and ends, before the second reads its own
+        order = []
+
+        def first():
+            yield POINTS[:1]
+            order.append("first ends")
+
+        def second():
+            yield POINTS[1:2]
+            order.append("second reads")
+
+        drive(_Kept(2), [first(), second()])
+        assert order == ["first ends", "second reads"]
+
+    def test_nonfinite_named_at_the_first_input_in_batch_order(self):
+        # rows 2 and 0 answer NaN; row 2 comes first in the step's batch
+        model = CallableModel(lambda x: np.nan if x[0] > 0.75 else 0.0, 2)
+        with pytest.raises(NonFiniteModelOutput) as raised:
+            drive(model, [ask(POINTS[3:]), ask(POINTS[2:3]), ask(POINTS[:1])])
+        np.testing.assert_array_equal(raised.value.x, POINTS[2])
+
+    def test_a_run_s_error_ends_the_drive(self):
+        def failing():
+            yield POINTS[:1]
+            raise ArithmeticError("run failed")
+
+        kept = _Kept(2)
+        with pytest.raises(ArithmeticError, match="run failed"):
+            drive(kept, [failing(), _steps([POINTS[1:2]] * 3, [])])
+        assert len(kept.batches) == 1
+
+    def test_lockstep_runs_go_around_the_next_drive_only(self):
+        kept, seen = _Kept(2), []
+        lockstep = Lockstep(kept, [_steps([POINTS[:1]], seen)],
+                            [_steps([POINTS[3:], POINTS[3:]], seen)])
+        assert drive(lockstep, [ask(POINTS[1:3])])[0].tolist() == [-0.5, 2.0]
+        np.testing.assert_array_equal(kept.batches[0], POINTS)
+        assert len(kept.batches) == 2 and len(seen) == 3
+        # the held runs have gone: a second drive, or one call, goes alone
+        assert lockstep.evaluate([1.0, 2.0]) == 3.0
+        assert [len(b) for b in kept.batches] == [4, 1, 1]
+
+    def test_nested_locksteps_put_the_inner_runs_outside(self):
+        kept = _Kept(2)
+        inner = Lockstep(kept, [ask(POINTS[:1])], [ask(POINTS[3:])])
+        outer = Lockstep(inner, [ask(POINTS[1:2])])
+        drive(outer, [ask(POINTS[2:3])])
+        np.testing.assert_array_equal(kept.batches[0], POINTS)
 
 
 ECHO_MODEL = textwrap.dedent(

@@ -67,3 +67,33 @@ def test_a_foreign_import_is_found():
                      "from . import gpa\nfrom anomattr.models import HttpModel\n"
                      "def f():\n    from sklearn import svm\n")
     assert _foreign_imports(tree) == [(1, "scipy"), (6, "sklearn")]
+
+
+def _model_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """The (line, function) of each call of ``evaluate`` or ``evaluate_batch``
+    inside a function of the module."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        found += [(node.lineno, function.name) for node in ast.walk(function)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("evaluate", "evaluate_batch")]
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("name", ["gpa.py", "baselines.py"])
+def test_methods_ask_the_driver_for_rows(name):
+    # every method yields its rows to the driver (models.drive), which
+    # sends them with the other methods' rows in one call per step
+    path = Path(anomattr.__file__).parent / name
+    calls = _model_calls(ast.parse(path.read_text(), filename=str(path)))
+    assert not calls, "; ".join(f"{name}:{line} {function} calls the model"
+                                for line, function in calls)
+
+
+def test_a_model_call_is_found():
+    tree = ast.parse("def f(model, xs):\n    return model.evaluate_batch(xs)\n"
+                     "class C:\n    def g(self, x):\n        return self.m.evaluate(x)\n"
+                     "def h(run):\n    return (yield run)\n")
+    assert _model_calls(tree) == [(2, "f"), (5, "g")]
