@@ -54,7 +54,6 @@ from .models import (
     CallableModel,
     GradientEstimatorConfig,
     HttpModel,
-    Lockstep,
     ModelHandle,
     NonFiniteModelOutput,
     SubprocessModel,

@@ -263,20 +263,14 @@ def _path_points(x_t: np.ndarray, starts: np.ndarray, alphas: np.ndarray,
     return points
 
 
-def _path_integrals(model: ModelHandle, x_t: np.ndarray, starts: np.ndarray,
-                    n_intervals: int, grad_cfg: GradientEstimatorConfig) -> np.ndarray:
-    """Trapezoidal integral of the gradient along the straight path from each
-    row of ``starts`` to x_t, scaled elementwise by the displacement: one row
-    per start, sent by the batch rule of the module docstring
-    (:func:`_path_run`)."""
-    return drive(model, [_path_run(x_t, starts, n_intervals, grad_cfg)])[0]
-
-
 def _path_run(x_t: np.ndarray, starts: np.ndarray, n_intervals: int,
               grad_cfg: GradientEstimatorConfig):
-    """:func:`_path_integrals` as a run.  Every path ends at x_t, whose
-    gradient is estimated once, as the first point of the first batch, and
-    serves each path's last trapezoid term.  Each path is built on its own,
+    """The run whose result is the trapezoidal integral of the gradient along
+    the straight path from each row of ``starts`` to x_t, scaled elementwise
+    by the displacement: one row per start, sent by the batch rule of the
+    module docstring.  Every path ends at x_t, whose gradient is estimated
+    once, as the first point of the first batch, and serves each path's
+    last trapezoid term.  Each path is built on its own,
     and one stacked ``matmul`` per batch gives each path's weighted sum bit
     for bit as its own product would, so its integral does not depend on
     the batch it goes in, on a model that answers a row whatever batch it
@@ -494,20 +488,22 @@ def lc(
     stop; an objective that overflows raises
     :class:`anomattr.gpa.DivergenceError`.
     """
-    return drive(model, [lc_run(model, x_t, y_t, hp, grad_cfg, lam)])[0]
+    if (dimension := np.atleast_2d(x_t).shape[1]) != model.dimension:
+        raise ValueError(f"x_t dimension {dimension} != model dimension {model.dimension}")
+    return drive(model, [lc_run(x_t, y_t, hp, grad_cfg, lam)])[0]
 
 
-def lc_run(model: ModelHandle, x_t, y_t, hp: GpaHyperParams,
-           grad_cfg: GradientEstimatorConfig, lam: float):
-    """:func:`lc` as a run, one step per batch of its solve; ``model`` gives
-    the dimension, and a bad ``lam`` is refused here, before any step."""
+def lc_run(x_t, y_t, hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, lam: float):
+    """:func:`lc` as a run, one step per batch of its solve; the rows ``x_t``
+    give the dimension, and a bad ``lam`` is refused here, before any step."""
     if lam <= 0:
         raise ValueError("lam must be positive")
+    x = np.atleast_2d(x_t)
     objective = CounterfactualObjective(
-        model, np.atleast_2d(x_t), np.atleast_1d(y_t), hp.eta, gaussian_loss(lam), grad_cfg
+        x, np.atleast_1d(y_t), hp.eta, gaussian_loss(lam), grad_cfg
     )
     solve = proximal_minimize(
-        objective.grad_run, objective.value_run, model.dimension, hp.eta, hp.nu,
+        objective.grad_run, objective.value_run, x.shape[1], hp.eta, hp.nu,
         hp.max_iter, hp.tol, grad_cfg.seed, confirm_fn=objective.confirm_run,
     )
     return _recorded(solve, objective)

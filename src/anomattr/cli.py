@@ -91,7 +91,6 @@ from .models import (
     BuiltinModel,
     GradientEstimatorConfig,
     HttpModel,
-    Lockstep,
     ModelHandle,
     NonFiniteModelOutput,
     SubprocessModel,
@@ -289,8 +288,8 @@ def _lime_config(args) -> baselines.LimeConfig:
                                 l1_strength=args.lime_l1, seed=args.seed)
 
 
-def _method_runs(methods, args, model: ModelHandle, selection: TestSet,
-                 hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, ref, done: dict):
+def _method_runs(methods, args, selection: TestSet, hp: GpaHyperParams,
+                 grad_cfg: GradientEstimatorConfig, ref, done: dict):
     """The runs of every method in ``methods`` but gpa and zscore, as
     ``(lead, follow)``: the one-step runs (the lime cloud, which lime, lime0
     and baylime share, ig's path and sv's batch), then lc and eig in method
@@ -321,8 +320,8 @@ def _method_runs(methods, args, model: ModelHandle, selection: TestSet,
         lead.append(kept("sv", baselines.shapley_run(x_t, ref, args.sv_configs, args.seed)))
     for name in methods:
         if name == "lc":
-            follow.append(kept("lc", baselines.lc_run(model, selection.x, selection.y, hp,
-                                                      grad_cfg, args.lc_lambda), _solve_record))
+            follow.append(kept("lc", baselines.lc_run(selection.x, selection.y, hp, grad_cfg,
+                                                      args.lc_lambda), _solve_record))
         elif name == "eig":
             follow.append(kept("eig", baselines.expected_integrated_gradient_run(
                 x_t, ref, args.n_intervals, grad_cfg)))
@@ -342,8 +341,8 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
     query.  The methods run in lockstep (:func:`~anomattr.models.drive`),
     the caller's ``lead`` runs first, then the one-step runs, gpa, and lc
     and eig, so each step of the command is one model call; gpa runs through
-    :func:`~anomattr.gpa.map_estimate`, on a
-    :class:`~anomattr.models.Lockstep` that holds the other runs."""
+    :func:`~anomattr.gpa.map_estimate`, which drives the other runs with its
+    own."""
     if _LIME_METHODS & set(methods) and args.lime_samples <= selection.dimension:
         raise UsageError(f"--lime-samples must be at least the dimension + 1, "
                          f"{selection.dimension + 1}, for a solvable fit")
@@ -354,11 +353,11 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
     if needs_ref and ref is None:
         raise UsageError(f"method {needs_ref[0]!r} requires --ref")
     done = {}
-    runs, follow = _method_runs(methods, args, model, selection, hp, grad_cfg, ref, done)
+    runs, follow = _method_runs(methods, args, selection, hp, grad_cfg, ref, done)
     runs[:0] = lead
     if "gpa" in methods:
-        done["gpa"] = _solve_record(gpa.map_estimate(
-            selection, Lockstep(model, runs, follow), hp, grad_cfg))
+        done["gpa"] = _solve_record(gpa.map_estimate(selection, model, hp, grad_cfg,
+                                                     lead=runs, follow=follow))
     else:
         drive(model, runs + follow)
     if "zscore" in methods:

@@ -73,12 +73,12 @@ rows (:func:`~anomattr.models.drive`): the objective's ``grad_run``,
 first, so the residual rows ride at the front of the solver's first batch:
 the rates cost their rows and no call, and the driver hands the rates their
 answers, and the rates are set, before the solve reads its own.  The driver
-builds the step's batch in one array the model lends, the rate rows in
-front and the estimator's rows behind them, so no copy of the batch is
-made.  On a :class:`~anomattr.models.Lockstep`, as in ``explain`` and
-``compare``, the other methods' runs go in the same steps: their one-batch
-rows and ``explain``'s residual rows in front, lc's and eig's behind, and a
-run's call count is the steps it took part in.  ``dist`` packs ``P =
+builds the step's batch in one array, the rate rows in front and the
+estimator's rows behind them, so no copy of the batch is made.  In
+``explain`` and ``compare`` the other methods' runs go in the same steps,
+as :func:`map_estimate`'s ``lead`` and ``follow``: their one-batch rows and
+``explain``'s residual rows in front, lc's and eig's behind, and a run's
+call count is the steps it took part in.  ``dist`` packs ``P =
 max(1, (1 + m mc_samples) // grid_points)`` whole variables into each
 slice batch, so that no slice batch is larger than the solver's first,
 all-draws gradient batch of ``n (1 + m mc_samples)`` rows, which the model
@@ -137,7 +137,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from types import GeneratorType
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,10 +372,11 @@ def gaussian_loss(lam: float):
 
 class CounterfactualObjective:
     """``J(delta) = (eta/2) ||delta||^2 + sum_t loss(y_t - f(x_t + delta))``
-    over the rows of ``x``, with the three callables :func:`proximal_minimize`
-    takes: ``grad``, ``value`` and ``confirm``, each of which drives its run
-    (``grad_run``, ``value_run`` and ``confirm_run``,
-    :func:`~anomattr.models.drive`) against ``model``.
+    over the rows of the ``(n, m)`` array ``x``, with the three callables
+    :func:`proximal_minimize` takes, each returning a run
+    (:func:`~anomattr.models.drive`): ``grad_run``, ``value_run`` and
+    ``confirm_run``, whose results are called ``grad``, ``value`` and
+    ``confirm`` below.
 
     ``loss`` is a (value, weight) pair such as :func:`student_t_loss`; the
     l1 term is left to the solver.  ``grad(delta)`` returns ``(g, H, C)``:
@@ -408,28 +408,19 @@ class CounterfactualObjective:
     objective asked for.  The module docstring gives the query plan.
     """
 
-    def __init__(self, model: ModelHandle, x, y, eta: float, loss,
-                 grad_cfg=GradientEstimatorConfig()):
-        self._model, self._cfg, self._eta = model, grad_cfg, eta
+    def __init__(self, x, y, eta: float, loss, grad_cfg=GradientEstimatorConfig()):
+        self._cfg, self._eta = grad_cfg, eta
         self._x, self._y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        self._m = self._x.shape[1]
         self._loss_value, self._loss_weight = loss
         self._key = self._fvals = self._value = None
-        self._secant = _secant_correction(model.dimension)
+        self._secant = _secant_correction(self._m)
         # the draw mask of the later batches (None: every draw), set by the
         # first batch and by each confirmation
         self._send = None
         # (delta key, values, slopes, send) of the last gradient batches
         self._recent = deque(maxlen=2)
         self.one_pair_batches = self.query_count = self.call_count = 0
-
-    def value(self, delta) -> float:
-        return drive(self._model, [self.value_run(delta)])[0]
-
-    def grad(self, delta):
-        return drive(self._model, [self.grad_run(delta)])[0]
-
-    def confirm(self, delta):
-        return drive(self._model, [self.confirm_run(delta)])[0]
 
     def value_run(self, delta):
         if delta.tobytes() != self._key:
@@ -439,11 +430,11 @@ class CounterfactualObjective:
 
     def grad_run(self, delta):
         key, send = delta.tobytes(), self._send
-        slopes = np.zeros((len(self._x), self._model.dimension, self._cfg.mc_samples))
+        slopes = np.zeros((len(self._x), self._m, self._cfg.mc_samples))
         memo = key == self._key
         fvals = self._fvals if memo else np.empty(len(self._x))
         grads = yield from self._counted(estimate_gradient.run(
-            self._x + delta, self._model.dimension, self._cfg, f0=fvals if memo else None,
+            self._x + delta, self._m, self._cfg, f0=fvals if memo else None,
             values=None if memo else fvals, slopes=slopes, send=send))
         if not memo:
             self._remember(delta, fvals)
@@ -463,7 +454,7 @@ class CounterfactualObjective:
         if send is None:
             return None
         yield from self._counted(estimate_gradient.run(
-            self._x + delta, self._model.dimension, self._cfg, f0=fvals, slopes=slopes,
+            self._x + delta, self._m, self._cfg, f0=fvals, slopes=slopes,
             send=~send))
         self._send = _pair_draws(slopes)
         self._recent.append((key, fvals, slopes, None))
@@ -643,14 +634,17 @@ def proximal_minimize(
     tol: float,
     seed: int,
     confirm_fn=None,
-) -> _SolveState:
+):
     """Proximal Gauss-Newton (Lee, Sun & Saunders 2014) with a halving line
-    search.
+    search, as a run (:func:`~anomattr.models.drive`) whose result is the
+    solve's ``_SolveState``.
 
     Minimizes ``F = J + eta*nu*||delta||_1`` given ``grad_fn(delta) -> (g,
     H, C)``, the gradient of J, a positive definite curvature and a
     symmetric correction to it (zeros where there is none; see
-    :class:`CounterfactualObjective`), and ``value_fn(delta) -> J``.  One
+    :class:`CounterfactualObjective`), and ``value_fn(delta) -> J``.  Each
+    callable returns a run that asks for the model rows it needs and
+    returns that result, as ``CounterfactualObjective.grad_run`` does.  One
     iteration at the accepted point x takes ``grad_fn`` there and picks the
     curvature B: ``H + C`` when the last accepted step lowered F by less
     than ``0.2 F`` (Fletcher & Xu 1987) and ``H + C`` has a Cholesky factor,
@@ -691,20 +685,7 @@ def proximal_minimize(
     :class:`DivergenceError` (the model handle refuses non-finite outputs, so
     the loss itself overflowed); a non-finite candidate only fails the
     comparison and is halved.
-
-    Each callable returns its result, or a run that asks for the model rows
-    it needs and returns it (:func:`~anomattr.models.drive`), as
-    ``CounterfactualObjective.grad_run`` does.  A solve whose callables ask
-    for no rows returns its ``_SolveState``; one whose callables are runs
-    returns itself as a run, whose result is the ``_SolveState``, for the
-    caller to drive.
     """
-    return _settled(_minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed,
-                              confirm_fn))
-
-
-def _minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed, confirm_fn):
-    """The solve of :func:`proximal_minimize` as a run."""
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(_INIT_STREAM,))
     )
@@ -712,9 +693,9 @@ def _minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed, confirm_fn):
     l1_weight = eta * nu
 
     def penalized(d):
-        return (yield from _result(value_fn(d))) + l1_weight * float(np.abs(d).sum())
+        return (yield from value_fn(d)) + l1_weight * float(np.abs(d).sum())
 
-    grad, hess, corr = yield from _result(grad_fn(x))
+    grad, hess, corr = yield from grad_fn(x)
     f_x = yield from penalized(x)
     if not math.isfinite(f_x):
         raise DivergenceError(
@@ -731,7 +712,7 @@ def _minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed, confirm_fn):
     slow = False
     for iterations in range(1, max_iter + 1):
         if not fresh:
-            grad, hess, corr = yield from _result(grad_fn(x))
+            grad, hess, corr = yield from grad_fn(x)
         confirm = confirm_fn
         while True:  # twice where confirm_fn gives another gradient at x
             secant = slow and _positive_definite(hess + corr)
@@ -746,7 +727,7 @@ def _minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed, confirm_fn):
                     break
                 candidate = x + step * direction
                 if speculate and halved == 0:
-                    ahead = yield from _result(grad_fn(candidate))
+                    ahead = yield from grad_fn(candidate)
                 f_c = yield from penalized(candidate)
                 if f_c <= f_x:
                     break
@@ -760,7 +741,7 @@ def _minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed, confirm_fn):
                 )
             if step * move >= tol:
                 break
-            confirmed = (yield from _result(confirm(x))) if confirm is not None else None
+            confirmed = (yield from confirm(x)) if confirm is not None else None
             if confirmed is None:
                 converged = True
                 break
@@ -782,24 +763,6 @@ def _minimize(grad_fn, value_fn, dim, eta, nu, max_iter, tol, seed, confirm_fn):
                        secant_steps, confirmations)
 
 
-def _result(answer):
-    """The run that gives ``answer``, or the result of ``answer`` where it is
-    itself a run."""
-    if isinstance(answer, GeneratorType):
-        return (yield from answer)
-    return answer
-
-
-def _settled(run):
-    """``run``'s result where it ends without asking for a row, else the
-    run, asking again for the rows it asked for first."""
-    try:
-        rows = next(run)
-    except StopIteration as stop:
-        return stop.value
-    return resumed(run, rows)
-
-
 def _positive_definite(a) -> bool:
     """Whether the symmetric ``a`` has a Cholesky factor."""
     try:
@@ -814,12 +777,16 @@ def map_estimate(
     model: ModelHandle,
     hp: GpaHyperParams,
     grad_cfg: GradientEstimatorConfig,
+    *,
+    lead=(),
+    follow=(),
 ) -> AttributionResult:
     """MAP perturbation shared by all samples of ``testset``, with its
     record: the :class:`CounterfactualObjective` under the
     :func:`student_t_loss`, minimized by :func:`proximal_minimize`.  The
     rate rows and the solve go as two runs in one drive, the rates first,
-    with the runs a :class:`~anomattr.models.Lockstep` ``model`` holds."""
+    between the ``lead`` and the ``follow`` runs, which are driven to their
+    ends with them (:func:`~anomattr.models.drive`)."""
     if testset.n_test == 0:
         raise ValueError("testset must be nonempty")
     if testset.dimension != model.dimension:
@@ -829,13 +796,14 @@ def map_estimate(
         )
     rates = np.empty(testset.n_test)
     objective = CounterfactualObjective(
-        model, testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
+        testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
     )
     solve = proximal_minimize(
         objective.grad_run, objective.value_run, testset.dimension, hp.eta, hp.nu,
         hp.max_iter, hp.tol, grad_cfg.seed, confirm_fn=objective.confirm_run,
     )
-    _, state = drive(model, [_resolve_rates(testset, hp, rates), solve])
+    runs = [*lead, _resolve_rates(testset, hp, rates), solve, *follow]
+    state = drive(model, runs)[len(lead) + 1]
     return AttributionResult.of(state, objective, rates,
                                 0 if hp.b0 is not None else testset.n_test)
 

@@ -32,14 +32,11 @@ returns its result.  It yields an ``(k, m)`` array of rows, or a pair ``(k,
 fill)`` whose ``fill(out)`` writes its k rows into the ``(k, m)`` array
 ``out``, which lets it build a large batch where it is sent.  :func:`drive`
 runs a list of runs against one handle in lockstep.  Each step builds every
-live run's next rows into one array that :meth:`ModelHandle.batch_array`
-lends, in the order of the list, sends it as one call and hands each run
-its slice of the answers, in that order; a lone run's array goes as it is.
-So a command's methods, none of which waits for another's answers, make as
-many calls as the run with the most steps.  :class:`Lockstep` holds runs
-for the next drive on a handle: a caller that takes a model, such as
-:func:`~anomattr.gpa.map_estimate`, then makes its calls together with
-them.  The one-run functions, :func:`estimate_gradient` among them, drive
+live run's next rows into one new array, in the order of the list, sends
+it as one call and hands each run its slice of the answers, in that order;
+a lone run's array goes as it is.  So a command's methods, none of which
+waits for another's answers, make as many calls as the run with the most
+steps.  The one-run functions, :func:`estimate_gradient` among them, drive
 their one run.
 """
 
@@ -65,7 +62,6 @@ __all__ = [
     "ModelHandle",
     "BuiltinModel",
     "CallableModel",
-    "Lockstep",
     "drive",
     "SubprocessModel",
     "HttpModel",
@@ -154,11 +150,6 @@ class ModelHandle:
             raise NonFiniteModelOutput(xs[first], ys[first])
         return ys
 
-    def batch_array(self, k: int) -> np.ndarray:
-        """The uninitialised ``(k, dimension)`` array in which :func:`drive`
-        builds the next batch it sends: ``np.empty`` here."""
-        return np.empty((k, self.dimension))
-
     def close(self) -> None:
         """Release what the handle holds; a no-op unless overridden."""
 
@@ -242,13 +233,9 @@ def drive(model: ModelHandle, runs) -> list:
     another in the list has its answers, and may end, before that one reads
     its own.  A non-finite answer raises :class:`NonFiniteModelOutput` at
     the first input in the batch that got one, and an error a run raises
-    ends the drive.  On a :class:`Lockstep` the runs it holds go too.
+    ends the drive.
     """
     runs = list(runs)
-    first, count = 0, len(runs)
-    while isinstance(model, Lockstep):
-        (lead, follow), model._held = model._held, ([], [])
-        runs, first, model = [*lead, *runs, *follow], first + len(lead), model.model
     results = [None] * len(runs)
     live, xs = [(i, run, None) for i, run in enumerate(runs)], None
     while live:
@@ -268,15 +255,15 @@ def drive(model: ModelHandle, runs) -> list:
             k = _count(rows)
             live.append((i, run, ys[start:start + k]))
             start += k
-    return results[first:first + count]
+    return results
 
 
 def _step_batch(model: ModelHandle, asks: list) -> np.ndarray:
-    """The rows each run of a step asks for, in one array that ``model``
-    lends; one array of rows asked for alone goes as it is."""
+    """The rows each run of a step asks for, in one new array; one array of
+    rows asked for alone goes as it is."""
     if len(asks) == 1 and isinstance(asks[0], np.ndarray):
         return asks[0]
-    xs, start = model.batch_array(sum(map(_count, asks))), 0
+    xs, start = np.empty((sum(map(_count, asks)), model.dimension)), 0
     for rows in asks:
         k = _count(rows)
         if isinstance(rows, np.ndarray):
@@ -292,11 +279,6 @@ def _count(rows) -> int:
     return rows[0] if isinstance(rows, tuple) else len(rows)
 
 
-def ask(rows):
-    """The one-step run that asks for ``rows`` and returns their answers."""
-    return (yield rows)
-
-
 def resumed(run, rows):
     """``run``, which has asked for ``rows`` and not been answered yet, as a
     run that asks for them again and goes on from there."""
@@ -305,22 +287,6 @@ def resumed(run, rows):
             rows = run.send((yield rows))
         except StopIteration as stop:
             return stop.value
-
-
-class Lockstep(ModelHandle):
-    """The opened ``model`` with runs held for the next :func:`drive` on it,
-    which runs the ``lead`` runs, then its own, then the ``follow`` runs, in
-    lockstep and each to its end; a later drive runs its own alone.
-    :meth:`evaluate_batch` is a drive of one run that asks for the rows.
-    The handle counts nothing itself: ``model`` counts every call."""
-
-    def __init__(self, model: ModelHandle, lead=(), follow=()):
-        super().__init__(model.dimension)
-        self.model = model
-        self._held = list(lead), list(follow)
-
-    def evaluate_batch(self, xs) -> np.ndarray:
-        return drive(self, [ask(_as_batch(xs, self.dimension))])[0]
 
 
 def _decode(reply: bytes) -> dict:

@@ -16,7 +16,8 @@ from anomattr import (
     cli,
     sinusoidal2d,
 )
-from anomattr.models import _gradient_plan
+from anomattr.gpa import proximal_minimize
+from anomattr.models import _gradient_plan, drive
 
 # Hyperparameters for the closed-form sinusoidal regime: weak priors so the
 # data term dominates, a0 = 1 (single sample), and a flat enough noise rate
@@ -40,6 +41,39 @@ def gradient_batch(x, m, cfg, f0=None, values=None, slopes=None, send=None):
     points = np.empty((rows, m))
     fill(points)
     return points, central, sent, count
+
+
+def ask(rows):
+    """The one-step run that asks for ``rows`` and returns their answers."""
+    return (yield rows)
+
+
+def driven(model, run_fn):
+    """``run_fn``, a callable that returns a run, as a callable that drives
+    that run against ``model`` and returns its result."""
+    return lambda *args, **kwargs: drive(model, [run_fn(*args, **kwargs)])[0]
+
+
+def as_run(fn):
+    """``fn``, a callable that returns a result, as a callable that returns
+    a run which asks for no model rows and returns that result."""
+    def run(*args):
+        yield from ()
+        return fn(*args)
+
+    return run
+
+
+def minimize(grad_fn, value_fn, *args, confirm_fn=None, **kwargs):
+    """The ``_SolveState`` of :func:`~anomattr.gpa.proximal_minimize` over
+    callables that return their results and query no model."""
+    solve = proximal_minimize(as_run(grad_fn), as_run(value_fn), *args,
+                              confirm_fn=confirm_fn and as_run(confirm_fn), **kwargs)
+    try:
+        rows = next(solve)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError(f"the solve asked for model rows: {rows!r}")
 
 
 class BatchRecorder(ModelHandle):

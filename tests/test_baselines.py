@@ -28,8 +28,8 @@ from anomattr import (
     sinusoidal2d,
     z_score,
 )
-from anomattr.models import _step_draws, estimate_gradient
-from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, periodic_lattice
+from anomattr.models import _step_draws, drive, estimate_gradient
+from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, driven, periodic_lattice
 
 TIGHT_LIME = LimeConfig(n_samples=1000, sampling_std=1e-3, l1_strength=0.0, seed=0)
 
@@ -323,7 +323,8 @@ class TestExpectedIntegratedGradient:
         rng = np.random.default_rng(m)
         x_t, starts = rng.uniform(-0.5, 0.5, m), rng.uniform(-0.5, 0.5, (7, m))
         recorder = BatchRecorder(model)
-        integrals = baselines._path_integrals(recorder, x_t, starts, n_intervals, FINE_GRAD)
+        integrals = drive(recorder, [baselines._path_run(x_t, starts, n_intervals,
+                                                         FINE_GRAD)])[0]
         assert recorder.sizes == [(1 + 3 * n_intervals) * m * FINE_GRAD.mc_samples] + [
             k * n_intervals * m * FINE_GRAD.mc_samples for k in (3, 1)]
         weights = np.full(n_intervals, 1.0 / n_intervals)
@@ -481,16 +482,18 @@ class TestLc:
         )
 
         x_t, y_t, eta, lam = np.array([0.5, 0.0]), 1.0, 1e-3, 2.0
+        model = sinusoidal2d()
         objective = CounterfactualObjective(
-            sinusoidal2d(), x_t[None, :], [y_t], eta, gaussian_loss(lam), FINE_GRAD
+            x_t[None, :], [y_t], eta, gaussian_loss(lam), FINE_GRAD
         )
-        grad_fn, value_fn = objective.grad, objective.value
+        grad_fn, value_fn = objective.grad_run, objective.value_run
         d = np.array([-0.1, 0.05])
         r = y_t - sin_model.evaluate(x_t + d)
-        assert value_fn(d) == pytest.approx(0.5 * eta * d @ d + 0.5 * lam * r * r,
-                                            rel=1e-12)
-        state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
-                                  FINE_GRAD.seed, confirm_fn=objective.confirm)
+        assert driven(model, value_fn)(d) == pytest.approx(
+            0.5 * eta * d @ d + 0.5 * lam * r * r, rel=1e-12)
+        state = driven(model, proximal_minimize)(grad_fn, value_fn, 2, eta, 1e-3, 10_000,
+                                                 1e-8, FINE_GRAD.seed,
+                                                 confirm_fn=objective.confirm_run)
         result = lc(sin_model, x_t, y_t, ORACLE_HP, FINE_GRAD, lam)
         np.testing.assert_array_equal(result.delta_star, state.delta)
         # the solver record is the solve's and its objective's
@@ -517,19 +520,27 @@ class TestLc:
 
         x = np.array([[0.5, 0.0], [0.45, 0.05], [0.55, -0.05]])
         y, eta, lam = np.array([1.0, 0.9, 1.1]), 1e-3, 2.0
-        objective = CounterfactualObjective(
-            sinusoidal2d(), x, y, eta, gaussian_loss(lam), FINE_GRAD
-        )
-        grad_fn, value_fn = objective.grad, objective.value
+        model = sinusoidal2d()
+        objective = CounterfactualObjective(x, y, eta, gaussian_loss(lam), FINE_GRAD)
+        grad_fn, value_fn = objective.grad_run, objective.value_run
         d = np.array([-0.1, 0.05])
         r = y - sin_model.evaluate_batch(x + d)
-        assert value_fn(d) == pytest.approx(0.5 * eta * d @ d + 0.5 * lam * r @ r,
-                                            rel=1e-12)
-        state = proximal_minimize(grad_fn, value_fn, 2, eta, 1e-3, 10_000, 1e-8,
-                                  FINE_GRAD.seed, confirm_fn=objective.confirm)
+        assert driven(model, value_fn)(d) == pytest.approx(
+            0.5 * eta * d @ d + 0.5 * lam * r @ r, rel=1e-12)
+        state = driven(model, proximal_minimize)(grad_fn, value_fn, 2, eta, 1e-3, 10_000,
+                                                 1e-8, FINE_GRAD.seed,
+                                                 confirm_fn=objective.confirm_run)
         assert state.converged
         delta = lc(sin_model, x, y, ORACLE_HP, FINE_GRAD, lam).delta_star
         np.testing.assert_array_equal(delta, state.delta)
+
+    @pytest.mark.parametrize("x_t", [[0.1], [0.1, 0.2, 0.3], [[0.1], [0.2]]],
+                             ids=["short", "long", "short rows"])
+    def test_dimension_mismatch_rejected(self, sin_model, x_t):
+        # a one-input row would broadcast against the two-input shift
+        with pytest.raises(ValueError, match="model dimension 2"):
+            lc(sin_model, x_t, 0.0, ORACLE_HP, FINE_GRAD, 1.0)
+        assert sin_model.query_count == 0
 
     def test_invalid_params(self, sin_model):
         # eta and nu are refused where GpaHyperParams is built

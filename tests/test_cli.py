@@ -952,21 +952,6 @@ class TestResidualRows:
         assert (doc["diagnostics"]["model_queries"], doc["diagnostics"]["model_calls"]) == (3, 1)
         assert len(doc["anomaly_scores"]) == 1
 
-    def test_single_query_sends_the_rows_first(self):
-        model = BatchRecorder(anomattr.sinusoidal2d())
-        rows, answered = np.array([[0.5, 0.0], [0.0, 0.0]]), []
-
-        def residuals():
-            answered.extend((yield rows))
-
-        lockstep = anomattr.Lockstep(model, [residuals()])
-        assert lockstep.evaluate([1.0, 0.0]) == -2.0
-        # one call of the model: the held rows, then the query's own row
-        assert model.sizes == [3]
-        np.testing.assert_array_equal(model.first, [*rows, [1.0, 0.0]])
-        assert answered == pytest.approx([0.0, 2.0], abs=1e-12)
-        assert (model.query_count, model.call_count) == (3, 1)
-
     def test_nonfinite_residual_named_first(self, tmp_path, capsys, nan_model):
         # row 1 is not selected; its residual comes before gpa's rows
         data = tmp_path / "data.csv"

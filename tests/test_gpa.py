@@ -40,8 +40,17 @@ from anomattr.gpa import (
     refine_gamma_rate,
     student_t_loss,
 )
-from anomattr.models import Lockstep, ask, drive, estimate_gradient
-from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, single_point
+from anomattr.models import drive, estimate_gradient
+from conftest import (
+    FINE_GRAD,
+    ORACLE_HP,
+    BatchRecorder,
+    as_run,
+    ask,
+    driven,
+    minimize,
+    single_point,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -137,7 +146,7 @@ def _objective(delta, ts, model, hp, rates):
     """The smooth part of the MAP objective at ``delta`` (no l1 term), under
     the per-sample gamma ``rates`` of a run."""
     loss = student_t_loss(hp.a0, rates)
-    return CounterfactualObjective(model, ts.x, ts.y, hp.eta, loss).value(delta)
+    return driven(model, CounterfactualObjective(ts.x, ts.y, hp.eta, loss).value_run)(delta)
 
 
 class TestObjective:
@@ -269,6 +278,41 @@ class TestMapEstimate:
         assert res.query_count == model.query_count == sum(model.sizes)
         assert res.call_count == model.call_count == len(model.sizes)
 
+    def test_lead_and_follow_runs_go_in_the_solve_s_calls(self):
+        # the first call holds the lead rows, the rate rows (c_b rates, no
+        # b0), the solve's first rows, then the follow rows; each run gets
+        # its answers, and the record is bit for bit that of a lone solve
+        coef, ts = _collective_problem()
+        hp = GpaHyperParams.for_testset(ts.n_test, max_iter=50)
+        lone = _RowLog(quadratic_model(coef))
+        alone = map_estimate(ts, lone, hp, FINE_GRAD)
+        lead_rows, follow_rows, seen = ts.x[:2] + 1.0, ts.x[3:] - 1.0, []
+
+        def kept(rows, steps):
+            for _ in range(steps):
+                seen.append((yield rows).copy())
+
+        model = _RowLog(quadratic_model(coef))
+        res = map_estimate(ts, model, hp, FINE_GRAD, lead=[kept(lead_rows, 1)],
+                           follow=[kept(follow_rows, 2)])
+        k = len(follow_rows)
+        first, second = model.batches[:2]
+        np.testing.assert_array_equal(first[:2], lead_rows)
+        np.testing.assert_array_equal(first[2:2 + ts.n_test], ts.x)
+        np.testing.assert_array_equal(first[2:-k], lone.batches[0])
+        np.testing.assert_array_equal(first[-k:], follow_rows)
+        np.testing.assert_array_equal(second[:-k], lone.batches[1])
+        np.testing.assert_array_equal(second[-k:], follow_rows)
+        reference = quadratic_model(coef)
+        np.testing.assert_array_equal(seen[0], reference.evaluate_batch(lead_rows))
+        for answers in seen[1:]:
+            np.testing.assert_array_equal(answers, reference.evaluate_batch(follow_rows))
+        assert len(seen) == 3
+        np.testing.assert_array_equal(res.delta_star, alone.delta_star)
+        assert ((res.iterations, res.halvings, res.query_count, res.call_count)
+                == (alone.iterations, alone.halvings, alone.query_count, alone.call_count))
+        assert model.call_count == alone.call_count > 2
+
     def test_gradient_model_calls_independent_of_n_test(self, monkeypatch):
         # every gradient, at a new delta or at one whose values are known,
         # takes all samples' slopes from one model batch
@@ -307,9 +351,9 @@ class TestMapEstimate:
         ys = np.array([1.0, -0.5, 0.2])
         rates = np.array([10.0, 2.0, 0.5])
         delta = np.array([0.05, -0.1])
-        grad_fn = CounterfactualObjective(
-            sin_model, xs, ys, 0.3, student_t_loss(1.0, rates), FINE_GRAD
-        ).grad
+        grad_fn = driven(sin_model, CounterfactualObjective(
+            xs, ys, 0.3, student_t_loss(1.0, rates), FINE_GRAD
+        ).grad_run)
         expect, expect_hess = 0.3 * delta, 0.3 * np.eye(2)
         for x, y, b in zip(xs, ys, rates):
             r = y - sin_model.evaluate(x + delta)
@@ -470,8 +514,8 @@ class TestAcceleratedSolver:
             calls["grad"] += 1
             return 2.0 * (d - [1.0, -2.0]), 0.8 * np.eye(2), np.zeros((2, 2))
 
-        state = proximal_minimize(grad, value, dim=2, eta=1.0, nu=0.01,
-                                  max_iter=500, tol=1e-10, seed=0)
+        state = minimize(grad, value, dim=2, eta=1.0, nu=0.01,
+                         max_iter=500, tol=1e-10, seed=0)
         assert state.converged
         assert state.halvings > 0
         assert calls == {"grad": state.iterations + 1,
@@ -493,8 +537,8 @@ class TestSecantCorrection:
         coef, ts = _collective_problem()
         rates = np.full(ts.n_test, 2.0)
         model = quadratic_model(coef)
-        grad_fn = CounterfactualObjective(model, ts.x, ts.y, 0.3,
-                                          student_t_loss(1.0, rates), FINE_GRAD).grad
+        grad_fn = driven(model, CounterfactualObjective(
+            ts.x, ts.y, 0.3, student_t_loss(1.0, rates), FINE_GRAD).grad_run)
         _, weight = student_t_loss(1.0, rates)
         rng = np.random.default_rng(5)
         before = np.zeros(ts.dimension)
@@ -544,18 +588,18 @@ class TestSecantCorrection:
         # with delta only by rounding, and C with it
         coef = np.array([2.0, -1.0, 0.5])
         xs = np.random.default_rng(0).uniform(-1, 1, (4, 3))
-        grad_fn = CounterfactualObjective(linear_model(coef), xs, xs @ coef + 1.0,
-                                          0.3, student_t_loss(1.0, np.full(4, 2.0))).grad
+        grad_fn = driven(linear_model(coef), CounterfactualObjective(
+            xs, xs @ coef + 1.0, 0.3, student_t_loss(1.0, np.full(4, 2.0))).grad_run)
         for delta in np.random.default_rng(1).normal(size=(5, 3)):
             _, hess, corr = grad_fn(delta)
             assert np.abs(corr).max() <= 1e-12 * np.abs(hess).max()
 
     def test_zero_step_leaves_it_unchanged(self):
         coef, ts = _collective_problem()
+        model = quadratic_model(coef)
         objective = CounterfactualObjective(
-            quadratic_model(coef), ts.x, ts.y, 0.3,
-            student_t_loss(1.0, np.full(ts.n_test, 2.0)), FINE_GRAD)
-        grad_fn, value_fn = objective.grad, objective.value
+            ts.x, ts.y, 0.3, student_t_loss(1.0, np.full(ts.n_test, 2.0)), FINE_GRAD)
+        grad_fn, value_fn = driven(model, objective.grad_run), driven(model, objective.value_run)
         grad_fn(np.zeros(ts.dimension))
         delta = np.full(ts.dimension, 0.1)
         _, _, corr = grad_fn(delta)
@@ -591,7 +635,7 @@ class TestSecantCorrection:
         target = np.array([1.0, -2.0])
         runs = {}
         for shift in (0.0, -18.0, -25.0):
-            runs[shift] = proximal_minimize(
+            runs[shift] = minimize(
                 lambda d, c=shift * np.eye(2): (2.0 * (d - target), 20.0 * np.eye(2), c),
                 lambda d: float(np.sum((d - target) ** 2)),
                 dim=2, eta=1.0, nu=0.01, max_iter=500, tol=1e-10, seed=0)
@@ -904,14 +948,16 @@ def _solve_both_ways(make_model, ts, loss, eta, nu, grad_cfg, max_iter=10_000,
     for fused in (True, False):
         model = make_model()
         if fused:
-            objective = CounterfactualObjective(model, ts.x, ts.y, eta, loss, grad_cfg)
-            grad_fn, value_fn = objective.grad, objective.value
-            confirm_fn = objective.confirm
+            objective = CounterfactualObjective(ts.x, ts.y, eta, loss, grad_cfg)
+            grad_fn, value_fn = objective.grad_run, objective.value_run
+            confirm_fn = objective.confirm_run
         else:
-            grad_fn, value_fn = _two_call_objective(model, ts.x, ts.y, eta, loss, grad_cfg)
+            grad_fn, value_fn = map(as_run, _two_call_objective(model, ts.x, ts.y, eta,
+                                                                loss, grad_cfg))
             confirm_fn = None
-        state = proximal_minimize(grad_fn, value_fn, ts.dimension, eta, nu,
-                                  max_iter, tol, grad_cfg.seed, confirm_fn=confirm_fn)
+        state = driven(model, proximal_minimize)(grad_fn, value_fn, ts.dimension, eta, nu,
+                                                 max_iter, tol, grad_cfg.seed,
+                                                 confirm_fn=confirm_fn)
         runs.append((state, model.query_count))
     return runs
 
@@ -931,8 +977,8 @@ class TestSolverPlan:
         n, m, mc = ts.n_test, ts.dimension, FINE_GRAD.mc_samples
         model = BatchRecorder(quadratic_model(coef))
         loss = student_t_loss(1.0, np.full(n, 2.0))
-        objective = CounterfactualObjective(model, ts.x, ts.y, 0.3, loss, FINE_GRAD)
-        grad_fn, value_fn = objective.grad, objective.value
+        objective = CounterfactualObjective(ts.x, ts.y, 0.3, loss, FINE_GRAD)
+        grad_fn, value_fn = driven(model, objective.grad_run), driven(model, objective.value_run)
         delta = np.linspace(-0.2, 0.2, m)
         grad_fn(delta)
         assert model.sizes == [n * (1 + m * mc)]
@@ -1121,11 +1167,11 @@ class TestPairDraws:
         coef, ts = _collective_problem()
         n, m = ts.n_test, ts.dimension
         model = BatchRecorder(make(coef))
-        objective = CounterfactualObjective(model, ts.x, ts.y, 0.3,
-                                            gaussian_loss(1.0), FINE_GRAD)
-        objective.grad(np.zeros(m))
+        objective = CounterfactualObjective(ts.x, ts.y, 0.3, gaussian_loss(1.0), FINE_GRAD)
+        grad_fn = driven(model, objective.grad_run)
+        grad_fn(np.zeros(m))
         delta = np.linspace(-0.2, 0.2, m)
-        grad, hess, _ = objective.grad(delta)
+        grad, hess, _ = grad_fn(delta)
         assert model.sizes == [n * (1 + m * FINE_GRAD.mc_samples), n * (1 + 2 * m)]
         assert objective.one_pair_batches == 1
         first_pair = np.zeros((m, FINE_GRAD.mc_samples), dtype=bool)
@@ -1162,10 +1208,11 @@ class TestPairDraws:
 
         def solve(confirm):
             model = BatchRecorder(CallableModel(value, 3))
-            objective = CounterfactualObjective(model, ts.x, ts.y, ORACLE_HP.eta, loss, cfg)
-            state = proximal_minimize(objective.grad, objective.value, 3, ORACLE_HP.eta,
-                                      ORACLE_HP.nu, 10_000, ORACLE_HP.tol, cfg.seed,
-                                      confirm_fn=objective.confirm if confirm else None)
+            objective = CounterfactualObjective(ts.x, ts.y, ORACLE_HP.eta, loss, cfg)
+            state = driven(model, proximal_minimize)(
+                objective.grad_run, objective.value_run, 3, ORACLE_HP.eta, ORACLE_HP.nu,
+                10_000, ORACLE_HP.tol, cfg.seed,
+                confirm_fn=objective.confirm_run if confirm else None)
             assert state.converged
             return state, model.sizes
 
@@ -1194,16 +1241,16 @@ class TestPairDraws:
             coef, ts = _collective_problem()
             model, hp = quadratic_model(coef), GpaHyperParams.for_testset(ts.n_test)
             loss = student_t_loss(hp.a0, _answered_rates(ts, model, hp))
-        objective = CounterfactualObjective(model, ts.x, ts.y, hp.eta, loss, FINE_GRAD)
+        objective = CounterfactualObjective(ts.x, ts.y, hp.eta, loss, FINE_GRAD)
         grads = []
 
         def counted_grad(delta):
             grads.append(1)
-            return objective.grad(delta)
+            return objective.grad_run(delta)
 
-        state = proximal_minimize(counted_grad, objective.value, ts.dimension, hp.eta,
-                                  hp.nu, hp.max_iter, hp.tol, FINE_GRAD.seed,
-                                  confirm_fn=objective.confirm)
+        state = driven(model, proximal_minimize)(
+            counted_grad, objective.value_run, ts.dimension, hp.eta, hp.nu, hp.max_iter,
+            hp.tol, FINE_GRAD.seed, confirm_fn=objective.confirm_run)
         assert state.converged and state.halvings == 0
         assert len(grads) == state.iterations
         assert state.confirmations == (problem == "collective")
@@ -1211,18 +1258,18 @@ class TestPairDraws:
     def test_confirm_needs_one_of_the_last_two_gradients(self):
         coef, ts = _collective_problem()
         model = quadratic_model(coef)
-        objective = CounterfactualObjective(model, ts.x, ts.y, 0.3, gaussian_loss(1.0),
-                                            FINE_GRAD)
+        objective = CounterfactualObjective(ts.x, ts.y, 0.3, gaussian_loss(1.0), FINE_GRAD)
+        grad, confirm = driven(model, objective.grad_run), driven(model, objective.confirm_run)
         deltas = np.linspace(0.0, 0.3, 4)[:, None] * np.ones(ts.dimension)
-        objective.grad(deltas[0])
-        assert objective.confirm(deltas[0]) is None  # all draws at the start
+        grad(deltas[0])
+        assert confirm(deltas[0]) is None  # all draws at the start
         for delta in deltas[1:]:
-            objective.grad(delta)
+            grad(delta)
         with pytest.raises(ValueError, match="last two"):
-            objective.confirm(deltas[1])
+            confirm(deltas[1])
         calls = model.call_count
-        assert objective.confirm(deltas[2]) is not None
-        assert objective.confirm(deltas[2]) is None  # confirmed already
+        assert confirm(deltas[2]) is not None
+        assert confirm(deltas[2]) is None  # confirmed already
         assert model.call_count == calls + 1  # one batch of the missing draws
 
 
@@ -1253,9 +1300,9 @@ class TestNonFiniteObjective:
 
     def test_infinite_start_raises(self):
         with pytest.raises(DivergenceError, match="inf"):
-            proximal_minimize(lambda d: (d, np.eye(2), np.zeros((2, 2))),
-                              lambda d: math.inf, dim=2,
-                              eta=1.0, nu=0.5, max_iter=10, tol=1e-8, seed=0)
+            minimize(lambda d: (d, np.eye(2), np.zeros((2, 2))),
+                     lambda d: math.inf, dim=2,
+                     eta=1.0, nu=0.5, max_iter=10, tol=1e-8, seed=0)
 
     def test_infinite_candidate_is_a_too_long_step(self):
         # the curvature 1.2 is below the true 2, so the first Newton step
@@ -1264,10 +1311,10 @@ class TestNonFiniteObjective:
         def value(d):
             return math.inf if d[0] > 0.3 else float((d[0] - 0.25) ** 2)
 
-        state = proximal_minimize(lambda d: (2.0 * (d - 0.25), np.full((1, 1), 1.2),
-                                             np.zeros((1, 1))),
-                                  value, dim=1, eta=1.0, nu=1e-6, max_iter=500,
-                                  tol=1e-10, seed=0)
+        state = minimize(lambda d: (2.0 * (d - 0.25), np.full((1, 1), 1.2),
+                                    np.zeros((1, 1))),
+                         value, dim=1, eta=1.0, nu=1e-6, max_iter=500,
+                         tol=1e-10, seed=0)
         assert state.converged
         assert state.halvings >= 1
         assert np.all(np.isfinite(state.trace))
@@ -1307,17 +1354,17 @@ class TestDivergenceGuard:
     def test_inconsistent_gradient_raises(self):
         # no halving rescues the direction while the step stays above tol
         with pytest.raises(DivergenceError, match="--grad-std"):
-            proximal_minimize(self._bad_grad, self._value, dim=2, eta=1.0, nu=0.5,
-                              max_iter=100, tol=1e-12, seed=0)
+            minimize(self._bad_grad, self._value, dim=2, eta=1.0, nu=0.5,
+                     max_iter=100, tol=1e-12, seed=0)
 
     def test_step_halved_below_tol_converges(self):
         # the same direction, but halving takes the step under tol first:
         # the solve ends at its start, as converged
         calls = []
-        state = proximal_minimize(self._bad_grad,
-                                  lambda d: calls.append(d) or self._value(d),
-                                  dim=2, eta=1.0, nu=0.5, max_iter=100, tol=1e-2,
-                                  seed=0)
+        state = minimize(self._bad_grad,
+                         lambda d: calls.append(d) or self._value(d),
+                         dim=2, eta=1.0, nu=0.5, max_iter=100, tol=1e-2,
+                         seed=0)
         assert state.converged and state.iterations == 1
         assert state.halvings == len(calls) - 1 > 0
         np.testing.assert_array_equal(state.delta, calls[0])
@@ -1433,19 +1480,18 @@ class TestScoreDistributions:
 
     @pytest.mark.parametrize("held", [False, True], ids=["alone", "held rows"])
     def test_solve_peak_memory_near_its_first_batch(self, held):
-        # the first batch (the rows of a run a Lockstep holds, the rate rows,
-        # then the solve's 20 (1 + 30 x 10) gradient rows) is built in one
-        # lent array and sent uncopied; a copy of it would double the peak
+        # the first batch (the rows of a lead run, the rate rows, then the
+        # solve's 20 (1 + 30 x 10) gradient rows) is built in one array and
+        # sent uncopied; a copy of it would double the peak
         coef, ts = _collective_problem(n=20, m=30)
         n, m = ts.n_test, ts.dimension
         cfg = GradientEstimatorConfig()
         model = quadratic_model(coef)
-        if held:
-            model = Lockstep(model, [ask(ts.x)])
+        lead = [ask(ts.x)] if held else []
         first = (n * held + n + n * (1 + m * cfg.mc_samples)) * m * 8
         tracemalloc.start()
         try:
-            map_estimate(ts, model, GpaHyperParams.for_testset(n), cfg)
+            map_estimate(ts, model, GpaHyperParams.for_testset(n), cfg, lead=lead)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

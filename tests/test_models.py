@@ -17,13 +17,11 @@ from anomattr.models import (
     CallableModel,
     GradientEstimatorConfig,
     HttpModel,
-    Lockstep,
     ModelHandle,
     NonFiniteModelOutput,
     SubprocessModel,
     TransportError,
     _step_draws,
-    ask,
     drive,
     estimate_gradient,
     gradient_run,
@@ -36,6 +34,7 @@ from conftest import (
     FINE_GRAD,
     ORACLE_HP,
     BatchRecorder,
+    ask,
     gradient_batch,
     serving,
     single_point,
@@ -380,7 +379,7 @@ class TestDisplacedRowBuild:
         x[0] = -0.0
         drive(kept, [ask(POINTS[:1]), gradient_run(x, 2, FINE_GRAD)])
         [sent] = kept.batches
-        assert sent is kept.lent[0]
+        np.testing.assert_array_equal(sent[:1], POINTS[:1])
         assert sent[1:].tobytes() == _broadcast_rows(x, FINE_GRAD).tobytes()
 
     def test_eig_shaped_build_allocates_one_block_beyond_the_batch(self):
@@ -418,16 +417,11 @@ class TestDisplacedRowBuild:
 
 
 class _Kept(ModelHandle):
-    """Answers each row's sum and keeps every batch it gets, uncopied, and
-    every array it lends."""
+    """Answers each row's sum and keeps every batch it gets, uncopied."""
 
     def __init__(self, dimension):
         super().__init__(dimension)
-        self.batches, self.lent = [], []
-
-    def batch_array(self, k):
-        self.lent.append(super().batch_array(k))
-        return self.lent[-1]
+        self.batches = []
 
     def _evaluate_batch(self, xs):
         self.batches.append(xs)
@@ -446,13 +440,12 @@ class TestDrive:
     @pytest.mark.parametrize("lead", [1, 2])
     def test_one_step_builds_every_run_in_one_lent_array(self, lead):
         # the one-step runs' rows, then a run's rows built by its fill, go
-        # in the one array the model lends, sent uncopied
+        # in one array, in the order of the runs
         kept, answered = _Kept(2), []
         filled = (2, lambda out: out.__setitem__(..., POINTS[2:]))
         runs = [_steps([POINTS[i:i + 1]], answered) for i in range(lead)]
         results = drive(kept, [*runs, _steps([filled], answered)])
         [sent] = kept.batches
-        assert sent is kept.lent[0]
         np.testing.assert_array_equal(sent, np.vstack([POINTS[:lead], POINTS[2:]]))
         np.testing.assert_array_equal(np.concatenate(answered), sent.sum(axis=1))
         assert results == [1] * (lead + 1)
@@ -462,7 +455,7 @@ class TestDrive:
         kept = _Kept(2)
         rows = POINTS.copy()
         assert drive(kept, [ask(rows)])[0].tolist() == rows.sum(axis=1).tolist()
-        assert kept.batches[0] is rows and kept.lent == []
+        assert kept.batches[0] is rows
 
     def test_calls_are_the_longest_run_s_steps(self):
         # runs of 1, 3 and 2 steps: three calls, the first with every run's
@@ -508,24 +501,6 @@ class TestDrive:
         with pytest.raises(ArithmeticError, match="run failed"):
             drive(kept, [failing(), _steps([POINTS[1:2]] * 3, [])])
         assert len(kept.batches) == 1
-
-    def test_lockstep_runs_go_around_the_next_drive_only(self):
-        kept, seen = _Kept(2), []
-        lockstep = Lockstep(kept, [_steps([POINTS[:1]], seen)],
-                            [_steps([POINTS[3:], POINTS[3:]], seen)])
-        assert drive(lockstep, [ask(POINTS[1:3])])[0].tolist() == [-0.5, 2.0]
-        np.testing.assert_array_equal(kept.batches[0], POINTS)
-        assert len(kept.batches) == 2 and len(seen) == 3
-        # the held runs have gone: a second drive, or one call, goes alone
-        assert lockstep.evaluate([1.0, 2.0]) == 3.0
-        assert [len(b) for b in kept.batches] == [4, 1, 1]
-
-    def test_nested_locksteps_put_the_inner_runs_outside(self):
-        kept = _Kept(2)
-        inner = Lockstep(kept, [ask(POINTS[:1])], [ask(POINTS[3:])])
-        outer = Lockstep(inner, [ask(POINTS[1:2])])
-        drive(outer, [ask(POINTS[2:3])])
-        np.testing.assert_array_equal(kept.batches[0], POINTS)
 
 
 ECHO_MODEL = textwrap.dedent(

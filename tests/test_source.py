@@ -37,6 +37,39 @@ def test_an_unused_import_is_found():
     assert _unused_imports(tree) == [(1, "math"), (3, "d")]
 
 
+def _undefined_exports(tree: ast.Module) -> list[str]:
+    """The names a module's ``__all__`` lists and its top level does not
+    define, by a ``def``, a ``class``, an import or an assignment."""
+    defined, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        exported = [ast.literal_eval(item) for item in node.value.elts]
+    return [name for name in exported if name not in defined]
+
+
+@pytest.mark.parametrize("path", SOURCES + [Path(anomattr.__file__)], ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    # a name left in __all__ after its definition went breaks
+    # ``from module import *`` only when someone runs it
+    undefined = _undefined_exports(ast.parse(path.read_text(), filename=str(path)))
+    assert not undefined, f"{path.name}: __all__ lists undefined {undefined}"
+
+
+def test_an_undefined_export_is_found():
+    tree = ast.parse("import os\nfrom json import dumps as d\nX: int = 1\nY = 2\n"
+                     "def f():\n    Z = 3\nclass C:\n    pass\n"
+                     "__all__ = ['os', 'd', 'X', 'Y', 'f', 'C', 'Z', 'Gone']\n")
+    assert _undefined_exports(tree) == ["Z", "Gone"]
+
+
 def _foreign_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """The (line, module) of each import of neither the standard library,
     numpy nor the package itself."""
