@@ -5,6 +5,12 @@ this package computes per-variable responsibility scores as full probability
 distributions (counterfactual-perturbation posteriors), alongside seven
 comparison methods and closed-form benchmarks on a 2-variable sinusoidal
 model.
+
+Each function that queries the model, the comparison methods and
+:func:`estimate_gradient` among them, returns a run, which :func:`drive`
+executes against a model: ``drive(model, [lime(x, y, cfg)])[0]`` is lime's
+scores.  :func:`map_estimate` and :func:`score_distributions` take the model
+and drive their runs themselves.
 """
 
 from .baselines import (

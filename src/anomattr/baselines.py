@@ -7,20 +7,21 @@ the last are insensitive to the observed target: shifting y only moves a
 surrogate intercept or cancels in differences, and the implementations keep
 that cancellation exact at machine precision.
 
-Each method that queries the model is a run (:func:`~anomattr.models.drive`),
-and its public function drives that one run.  The surrogates ask for their
-cloud (:func:`cloud_run`, which lime, lime0 and baylime share and fit with
-:func:`lime_fit`, :func:`lime0_fit` and :func:`baylime_fit`), Shapley for
-its coalitions or permutation walks and ig for its one path, each in one
-step; so ``explain`` and ``compare`` run them in lockstep with the other
-methods, and their rows ride the first call.  The path integrals send
-whole paths, the displaced points of each path's points short of x_t, as
-many paths per batch as keep the batch within ``_PATH_BATCH_NUMBERS``
-model-input numbers (rows times m), and at least one.  x_t, where every
-path ends, goes once, first in the first batch.  The estimator sends a
-point itself only at an odd ``mc_samples``, where the unpaired draw needs
-its value.  So ig sends one batch of ``(n_intervals + 1) m mc_samples``
-rows, and eig over the 64-point lattice of the benchmark's sinusoid sends 8.
+Each method that queries the model returns a run
+(:func:`~anomattr.models.drive`), and ``drive(model, [run])[0]`` is its
+result.  The surrogates ask for their cloud (:func:`cloud_run`, which lime,
+lime0 and baylime share and fit with :func:`lime_fit`, :func:`lime0_fit`
+and :func:`baylime_fit`), Shapley for its coalitions or permutation walks
+and ig for its one path, each in one step; so ``explain`` and ``compare``
+run them in lockstep with the other methods, and their rows ride the first
+call.  The path integrals send whole paths, the displaced points of each
+path's points short of x_t, as many paths per batch as keep the batch
+within ``_PATH_BATCH_NUMBERS`` model-input numbers (rows times m), and at
+least one.  x_t, where every path ends, goes once, first in the first
+batch.  The estimator sends a point itself only at an odd ``mc_samples``,
+where the unpaired draw needs its value.  So ig sends one batch of
+``(n_intervals + 1) m mc_samples`` rows, and eig over the 64-point lattice
+of the benchmark's sinusoid sends 8.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .gpa import (
     gaussian_loss,
     proximal_minimize,
 )
-from .models import GradientEstimatorConfig, ModelHandle, drive, estimate_gradient
+from .models import GradientEstimatorConfig, estimate_gradient
 
 __all__ = [
     "ReferenceSet",
@@ -58,10 +59,6 @@ __all__ = [
     "lime_fit",
     "lime0_fit",
     "baylime_fit",
-    "integrated_gradient_run",
-    "expected_integrated_gradient_run",
-    "shapley_run",
-    "lc_run",
 ]
 
 # exact Shapley enumeration cutoff: coalition values to evaluate
@@ -113,36 +110,31 @@ class LimeConfig:
             raise ValueError("l1_strength must be nonnegative")
 
 
-def _cloud(x_t, cfg: LimeConfig, dimension: int):
+def _cloud(x_t, cfg: LimeConfig):
     """Standard-normal offsets around x_t and the cloud's rows there."""
     x_t = np.asarray(x_t, dtype=float)
-    if cfg.n_samples < dimension + 1:
+    if cfg.n_samples < len(x_t) + 1:
         raise ValueError("n_samples must be at least dimension + 1 for a solvable fit")
     rng = np.random.default_rng(cfg.seed)
-    offsets = rng.standard_normal((cfg.n_samples, dimension))
+    offsets = rng.standard_normal((cfg.n_samples, len(x_t)))
     return offsets, x_t + cfg.sampling_std * offsets
 
 
-def cloud_run(x_t, cfg: LimeConfig, dimension: int):
+def cloud_run(x_t, cfg: LimeConfig):
     """The run that asks for the one model batch of :func:`lime`,
     :func:`lime0` and :func:`baylime_distributions` at x_t under ``cfg``,
     the same for all three, and returns the cloud's standard-normal offsets
     around x_t and the model values there."""
-    offsets, rows = _cloud(x_t, cfg, dimension)
+    offsets, rows = _cloud(x_t, cfg)
     return offsets, (yield rows)
 
 
-def _local_cloud(model: ModelHandle, x_t, cfg: LimeConfig):
-    """Standard-normal offsets around x_t and the model values there."""
-    return drive(model, [cloud_run(x_t, cfg, model.dimension)])[0]
-
-
-def lime(model: ModelHandle, x_t, y_t: float, cfg: LimeConfig) -> np.ndarray:
-    """l1-regularized local surrogate slopes at (x_t, y_t): :func:`lime_fit`
-    to a cloud around x_t.  The target value only shifts the surrogate
-    intercept, so the scores do not depend on y_t."""
+def lime(x_t, y_t: float, cfg: LimeConfig):
+    """The run of the l1-regularized local surrogate slopes at (x_t, y_t):
+    :func:`lime_fit` to a cloud around x_t.  The target value only shifts
+    the surrogate intercept, so the scores do not depend on y_t."""
     del y_t  # absorbed by the intercept; see lime_fit
-    return lime_fit(*_local_cloud(model, x_t, cfg), cfg)
+    return lime_fit(*(yield from cloud_run(x_t, cfg)), cfg)
 
 
 def lime_fit(offsets, fvals, cfg: LimeConfig) -> np.ndarray:
@@ -173,11 +165,11 @@ def lime_fit(offsets, fvals, cfg: LimeConfig) -> np.ndarray:
                                cfg.l1_strength, zero)
 
 
-def lime0(model: ModelHandle, x_t, cfg: LimeConfig) -> np.ndarray:
-    """Pure least-squares surrogate slopes (the l1-free limit of :func:`lime`);
-    a local estimator of the model gradient: :func:`lime0_fit` to a cloud
-    around x_t."""
-    return lime0_fit(*_local_cloud(model, x_t, cfg), cfg)
+def lime0(x_t, cfg: LimeConfig):
+    """The run of the pure least-squares surrogate slopes (the l1-free limit
+    of :func:`lime`), a local estimator of the model gradient:
+    :func:`lime0_fit` to a cloud around x_t."""
+    return lime0_fit(*(yield from cloud_run(x_t, cfg)), cfg)
 
 
 def lime0_fit(offsets, fvals, cfg: LimeConfig) -> np.ndarray:
@@ -204,20 +196,14 @@ class BaylimeResult:
     variance: float
 
 
-def baylime_distributions(
-    model: ModelHandle,
-    x_t,
-    y_t: float,
-    cfg: LimeConfig,
-    prior_eta: float,
-    noise_lambda: float,
-) -> BaylimeResult:
-    """Bayesian ridge surrogate around x_t: :func:`baylime_fit` to a cloud
-    around x_t."""
+def baylime_distributions(x_t, y_t: float, cfg: LimeConfig, prior_eta: float,
+                          noise_lambda: float):
+    """The run of the Bayesian ridge surrogate around x_t: :func:`baylime_fit`
+    to a cloud around x_t."""
     if prior_eta <= 0 or noise_lambda < 0:
         raise ValueError("prior_eta must be positive, noise_lambda nonnegative")
     del y_t  # absorbed by the intercept, as in lime
-    return baylime_fit(*_local_cloud(model, x_t, cfg), cfg, prior_eta, noise_lambda)
+    return baylime_fit(*(yield from cloud_run(x_t, cfg)), cfg, prior_eta, noise_lambda)
 
 
 def baylime_fit(offsets, fvals, cfg: LimeConfig, prior_eta: float,
@@ -286,8 +272,8 @@ def _path_run(x_t: np.ndarray, starts: np.ndarray, n_intervals: int,
     lo, lead = 0, 1  # x_t leads the first batch
     while lo < len(starts):
         hi = lo + max(1, (_PATH_BATCH_NUMBERS - lead * point_numbers) // path_numbers)
-        grads = yield from estimate_gradient.run(
-            _path_points(x_t, starts[lo:hi], alphas, lead), m, grad_cfg)
+        grads = yield from estimate_gradient(
+            _path_points(x_t, starts[lo:hi], alphas, lead), grad_cfg)
         if lead:
             end_term = 0.5 / n_intervals * grads[0]
         integrals[lo:hi] = (x_t - starts[lo:hi]) * (
@@ -296,50 +282,27 @@ def _path_run(x_t: np.ndarray, starts: np.ndarray, n_intervals: int,
     return integrals
 
 
-def integrated_gradient(
-    model: ModelHandle,
-    x_t,
-    baseline,
-    n_intervals: int,
-    grad_cfg: GradientEstimatorConfig,
-) -> np.ndarray:
-    """Trapezoidal path integral of the gradient from ``baseline`` to x_t
-    over ``n_intervals`` intervals, scaled elementwise by the displacement.
-    The path's points and their displaced points go to the model as one
-    batch, whatever its size: the one-path case of the batch rule in the
-    module docstring."""
-    return drive(model, [integrated_gradient_run(x_t, baseline, n_intervals, grad_cfg)])[0]
-
-
-def integrated_gradient_run(x_t, baseline, n_intervals: int,
-                            grad_cfg: GradientEstimatorConfig):
-    """:func:`integrated_gradient` as a run of one step."""
+def integrated_gradient(x_t, baseline, n_intervals: int,
+                        grad_cfg: GradientEstimatorConfig):
+    """The run of the trapezoidal path integral of the gradient from
+    ``baseline`` to x_t over ``n_intervals`` intervals, scaled elementwise
+    by the displacement.  The path's points and their displaced points go
+    to the model as one batch, whatever its size: the one-path case of the
+    batch rule in the module docstring."""
     x0 = np.asarray(baseline, dtype=float)
     integrals = yield from _path_run(np.asarray(x_t, dtype=float), x0[None], n_intervals,
                                      grad_cfg)
     return integrals[0]
 
 
-def expected_integrated_gradient(
-    model: ModelHandle,
-    x_t,
-    ref: ReferenceSet,
-    n_intervals: int,
-    grad_cfg: GradientEstimatorConfig,
-) -> np.ndarray:
-    """Path integral averaged over baselines drawn from the reference set:
-    the weighted sum, in reference order, of the path integrals from each
-    sample, over ``n_intervals`` intervals each.  The queries are those of
-    one :func:`integrated_gradient` per sample, in fewer batches: whole
-    paths share a batch up to ``_PATH_BATCH_NUMBERS`` model-input numbers,
-    and a larger path goes alone."""
-    return drive(model, [expected_integrated_gradient_run(x_t, ref, n_intervals,
-                                                          grad_cfg)])[0]
-
-
-def expected_integrated_gradient_run(x_t, ref: ReferenceSet, n_intervals: int,
-                                     grad_cfg: GradientEstimatorConfig):
-    """:func:`expected_integrated_gradient` as a run, one step per batch."""
+def expected_integrated_gradient(x_t, ref: ReferenceSet, n_intervals: int,
+                                 grad_cfg: GradientEstimatorConfig):
+    """The run of the path integral averaged over baselines drawn from the
+    reference set: the weighted sum, in reference order, of the path
+    integrals from each sample, over ``n_intervals`` intervals each.  The
+    queries are those of one :func:`integrated_gradient` per sample, in
+    fewer steps: whole paths share a batch up to ``_PATH_BATCH_NUMBERS``
+    model-input numbers, and a larger path goes alone."""
     integrals = yield from _path_run(np.asarray(x_t, dtype=float), ref.samples,
                                      n_intervals, grad_cfg)
     total = np.zeros(integrals.shape[1])
@@ -419,16 +382,11 @@ def _shapley_batch(x_t, ref: ReferenceSet, n_configs: int, seed: int, method: st
     return _shapley_sampling(x_t, ref, n_configs, seed)
 
 
-def shapley_sampled(
-    model: ModelHandle,
-    x_t,
-    ref: ReferenceSet,
-    n_configs: int = 100,
-    seed: int = 0,
-    method: str = "auto",
-) -> np.ndarray:
-    """Shapley values of the deviation with out-of-coalition coordinates
-    substituted from the reference set (interventional substitution).
+def shapley_sampled(x_t, ref: ReferenceSet, n_configs: int = 100, seed: int = 0,
+                    method: str = "auto"):
+    """The run of the Shapley values of the deviation with out-of-coalition
+    coordinates substituted from the reference set (interventional
+    substitution).
 
     ``method="auto"`` enumerates coalitions exactly when the dimension and
     reference set are small enough, and otherwise Monte Carlo samples
@@ -436,12 +394,6 @@ def shapley_sampled(
     the model answers one batch.  The observed target cancels in every
     marginal contribution, so it does not appear here at all.
     """
-    return drive(model, [shapley_run(x_t, ref, n_configs, seed, method)])[0]
-
-
-def shapley_run(x_t, ref: ReferenceSet, n_configs: int = 100, seed: int = 0,
-                method: str = "auto"):
-    """:func:`shapley_sampled` as a run of one step."""
     rows, scores_from = _shapley_batch(x_t, ref, n_configs, seed, method)
     return scores_from((yield rows))
 
@@ -462,16 +414,9 @@ def z_score(x_t, ref: ReferenceSet) -> np.ndarray:
     return (x_t - mean) / std
 
 
-def lc(
-    model: ModelHandle,
-    x_t,
-    y_t,
-    hp: GpaHyperParams,
-    grad_cfg: GradientEstimatorConfig,
-    lam: float,
-) -> AttributionResult:
-    """Counterfactual shift under a plain Gaussian loss, with its solver
-    record.
+def lc(x_t, y_t, hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, lam: float):
+    """The run of the counterfactual shift under a plain Gaussian loss,
+    whose result is its solver record.
 
     Minimizes ``(eta/2)||delta||^2 + sum_t (lam/2)[y_t - f(x_t + delta)]^2
     + eta nu ||delta||_1``, with ``eta``, ``nu``, ``max_iter`` and ``tol``
@@ -479,23 +424,17 @@ def lc(
     target each in ``y_t`` that share one shift (the collective form).  This
     is the objective of :func:`anomattr.gpa.map_estimate` with the Gaussian
     loss in place of the heavy-tailed marginalization, which makes this the
-    point-estimate-only sibling, and it returns the same record, with
+    point-estimate-only sibling, and its result is the same record, with
     ``rates`` None and the queries and calls of its own solve.  It is
     minimized by the same solver, :func:`anomattr.gpa.proximal_minimize`,
     whose Gauss-Newton curvature is then ``eta I + lam G^T G``, with the
     same secant correction where the steps slow down and the same draws per
     coordinate, one pair where the pairs agree and all draws at a confirmed
     stop; an objective that overflows raises
-    :class:`anomattr.gpa.DivergenceError`.
+    :class:`anomattr.gpa.DivergenceError`.  The run takes one step per batch
+    of its solve; the rows ``x_t`` give the dimension, and a bad ``lam`` is
+    refused here, before any step.
     """
-    if (dimension := np.atleast_2d(x_t).shape[1]) != model.dimension:
-        raise ValueError(f"x_t dimension {dimension} != model dimension {model.dimension}")
-    return drive(model, [lc_run(x_t, y_t, hp, grad_cfg, lam)])[0]
-
-
-def lc_run(x_t, y_t, hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, lam: float):
-    """:func:`lc` as a run, one step per batch of its solve; the rows ``x_t``
-    give the dimension, and a bad ``lam`` is refused here, before any step."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     x = np.atleast_2d(x_t)

@@ -301,7 +301,7 @@ def _method_runs(methods, args, selection: TestSet, hp: GpaHyperParams,
 
     def lime_fits():
         cfg = _lime_config(args)
-        cloud = yield from baselines.cloud_run(x_t, cfg, selection.dimension)
+        cloud = yield from baselines.cloud_run(x_t, cfg)
         if "lime" in methods:
             done["lime"] = baselines.lime_fit(*cloud, cfg), None
         if "lime0" in methods:
@@ -314,16 +314,17 @@ def _method_runs(methods, args, selection: TestSet, hp: GpaHyperParams,
     if _LIME_METHODS & set(methods):
         lead.append(lime_fits())
     if "ig" in methods:
-        lead.append(kept("ig", baselines.integrated_gradient_run(
+        lead.append(kept("ig", baselines.integrated_gradient(
             x_t, _numbers(args.baseline), args.n_intervals, grad_cfg)))
     if "sv" in methods:
-        lead.append(kept("sv", baselines.shapley_run(x_t, ref, args.sv_configs, args.seed)))
+        lead.append(kept("sv", baselines.shapley_sampled(x_t, ref, args.sv_configs,
+                                                         args.seed)))
     for name in methods:
         if name == "lc":
-            follow.append(kept("lc", baselines.lc_run(selection.x, selection.y, hp, grad_cfg,
-                                                      args.lc_lambda), _solve_record))
+            follow.append(kept("lc", baselines.lc(selection.x, selection.y, hp, grad_cfg,
+                                                  args.lc_lambda), _solve_record))
         elif name == "eig":
-            follow.append(kept("eig", baselines.expected_integrated_gradient_run(
+            follow.append(kept("eig", baselines.expected_integrated_gradient(
                 x_t, ref, args.n_intervals, grad_cfg)))
     return lead, follow
 

@@ -433,8 +433,8 @@ class CounterfactualObjective:
         slopes = np.zeros((len(self._x), self._m, self._cfg.mc_samples))
         memo = key == self._key
         fvals = self._fvals if memo else np.empty(len(self._x))
-        grads = yield from self._counted(estimate_gradient.run(
-            self._x + delta, self._m, self._cfg, f0=fvals if memo else None,
+        grads = yield from self._counted(estimate_gradient(
+            self._x + delta, self._cfg, f0=fvals if memo else None,
             values=None if memo else fvals, slopes=slopes, send=send))
         if not memo:
             self._remember(delta, fvals)
@@ -453,9 +453,8 @@ class CounterfactualObjective:
         _, fvals, slopes, send = found[-1]
         if send is None:
             return None
-        yield from self._counted(estimate_gradient.run(
-            self._x + delta, self._m, self._cfg, f0=fvals, slopes=slopes,
-            send=~send))
+        yield from self._counted(estimate_gradient(
+            self._x + delta, self._cfg, f0=fvals, slopes=slopes, send=~send))
         self._send = _pair_draws(slopes)
         self._recent.append((key, fvals, slopes, None))
         return self._derivatives(delta, fvals, slopes.sum(axis=2) / self._cfg.mc_samples)
@@ -463,7 +462,7 @@ class CounterfactualObjective:
     def _counted(self, run):
         """The result of the estimator's ``run``, whose one batch it counts."""
         rows = next(run)
-        self._tally(rows[0])
+        self._tally(rows[0][0])
         return (yield from resumed(run, rows))
 
     def _tally(self, queries: int) -> None:

@@ -28,16 +28,17 @@ and no caller checks for it.
 
 A routine that queries the model is a *run*: a generator that yields the
 rows it needs and is sent their answers (``values = yield rows``), and
-returns its result.  It yields an ``(k, m)`` array of rows, or a pair ``(k,
-fill)`` whose ``fill(out)`` writes its k rows into the ``(k, m)`` array
-``out``, which lets it build a large batch where it is sent.  :func:`drive`
-runs a list of runs against one handle in lockstep.  Each step builds every
-live run's next rows into one new array, in the order of the list, sends
-it as one call and hands each run its slice of the answers, in that order;
-a lone run's array goes as it is.  So a command's methods, none of which
-waits for another's answers, make as many calls as the run with the most
-steps.  The one-run functions, :func:`estimate_gradient` among them, drive
-their one run.
+returns its result.  It yields an ``(k, m)`` array of rows, or a pair
+``((k, m), fill)`` whose ``fill(out)`` writes its k rows into the ``(k, m)``
+array ``out``, which lets it build a large batch where it is sent.
+:func:`drive` runs a list of runs against one handle in lockstep.  Each step
+builds every live run's next rows into one new array, in the order of the
+list, sends it as one call and hands each run its slice of the answers, in
+that order; a lone run's array goes as it is.  So a command's methods, none
+of which waits for another's answers, make as many calls as the run with
+the most steps.  Every function of the library that queries the model,
+:func:`estimate_gradient` among them, returns a run, and a caller drives
+it: ``drive(model, [run])[0]`` is its result.
 """
 
 from __future__ import annotations
@@ -233,7 +234,8 @@ def drive(model: ModelHandle, runs) -> list:
     another in the list has its answers, and may end, before that one reads
     its own.  A non-finite answer raises :class:`NonFiniteModelOutput` at
     the first input in the batch that got one, and an error a run raises
-    ends the drive.
+    ends the drive.  Rows of another width than ``model.dimension`` raise
+    ValueError before the step's call.
     """
     runs = list(runs)
     results = [None] * len(runs)
@@ -248,35 +250,38 @@ def drive(model: ModelHandle, runs) -> list:
         xs = None  # the last step's rows go before the next step's are built
         if not asks:
             break
-        xs = _step_batch(model, [rows for _, _, rows in asks])
+        counts = [_count(model, rows) for _, _, rows in asks]
+        xs = _step_batch(model, [rows for _, _, rows in asks], counts)
         ys = model.evaluate_batch(xs)
         live, start = [], 0
-        for i, run, rows in asks:
-            k = _count(rows)
+        for (i, run, _), k in zip(asks, counts):
             live.append((i, run, ys[start:start + k]))
             start += k
     return results
 
 
-def _step_batch(model: ModelHandle, asks: list) -> np.ndarray:
-    """The rows each run of a step asks for, in one new array; one array of
-    rows asked for alone goes as it is."""
+def _step_batch(model: ModelHandle, asks: list, counts: list) -> np.ndarray:
+    """The rows each run of a step asks for, ``counts`` of them, in one new
+    array; one array of rows asked for alone goes as it is."""
     if len(asks) == 1 and isinstance(asks[0], np.ndarray):
         return asks[0]
-    xs, start = np.empty((sum(map(_count, asks)), model.dimension)), 0
-    for rows in asks:
-        k = _count(rows)
+    xs, start = np.empty((sum(counts), model.dimension)), 0
+    for rows, k in zip(asks, counts):
         if isinstance(rows, np.ndarray):
-            xs[start:start + k] = _as_batch(rows, model.dimension)
+            xs[start:start + k] = rows
         else:
             rows[1](xs[start:start + k])
         start += k
     return xs
 
 
-def _count(rows) -> int:
-    """The number of rows a run asks for (module docstring)."""
-    return rows[0] if isinstance(rows, tuple) else len(rows)
+def _count(model: ModelHandle, rows) -> int:
+    """The number of rows a run asks for (module docstring), which must be
+    ``model.dimension`` wide."""
+    shape = rows[0] if isinstance(rows, tuple) else np.shape(rows)
+    if shape[1:] != (model.dimension,):
+        raise ValueError(f"rows of {shape[-1]} inputs != model dimension {model.dimension}")
+    return shape[0]
 
 
 def resumed(run, rows):
@@ -650,10 +655,10 @@ class GradientEstimatorConfig:
     ``perturbation_std`` is the standard deviation of the Gaussian step sizes
     (in standardized input units), ``mc_samples`` the number of sign-paired
     step draws per coordinate, the most slope samples its estimate averages.
-    An even count pairs every draw, so a caller that does not ask for the
-    values at the points is sent only the displaced points, and the
-    estimate is the mean of the pairs' central differences
-    (:func:`estimate_gradient`).
+    An even count pairs every draw, so a caller that asks for neither the
+    values at the points nor a subset of the draws is sent only the
+    displaced points, and the estimate is the mean of the pairs' central
+    differences (:func:`estimate_gradient`).
     """
 
     perturbation_std: float = 1.0
@@ -705,31 +710,31 @@ def _step_draws(seed: int, std: float, mc_samples: int, dimension: int):
     return h, disp
 
 
-def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
-                      f0=None, values: np.ndarray | None = None,
+def estimate_gradient(x, cfg: GradientEstimatorConfig, f0=None,
+                      values: np.ndarray | None = None,
                       slopes: np.ndarray | None = None, send=None):
-    """Estimate the model gradient at one point ``(m,)`` or at each row of a
-    batch ``(k, m)``; the result has the shape of ``x``.
+    """The run that estimates the model gradient at one point ``(m,)`` or at
+    each row of a batch ``(k, m)``, a model of ``m`` inputs; the result has
+    the shape of ``x``.
 
     For each coordinate i the estimate is the average of the slopes
     ``[f(x + h e_i) - f(x)] / h`` over the draws of its ``mc_samples``
     Gaussian step sizes h that the ``(m, mc_samples)`` boolean mask ``send``
-    marks, every draw when ``send`` is None.  Every call is one model batch,
-    built in the array the batch is sent in (:func:`drive`): the k points
-    themselves when their values are used (first, so that a non-finite
-    value there names that point), then the displaced points of the draws
-    it sends, row by row and, within a row, by coordinate and draw; with
-    every draw sent, displaced point ``(p * m + i) * mc_samples + j`` is
-    ``x_p + h[i, j] e_i``.
+    marks, every draw when ``send`` is None.  The run asks for one model
+    batch, built in the array the batch is sent in (:func:`drive`): the k
+    points themselves when their values are used (first, so that a
+    non-finite value there names that point), then the displaced points of
+    the draws it sends, row by row and, within a row, by coordinate and
+    draw; with every draw sent, displaced point ``(p * m + i) * mc_samples +
+    j`` is ``x_p + h[i, j] e_i``.
 
     The values at the points are used unless ``f0`` gives them: when the
-    caller passes a ``(k,)`` buffer ``values`` for them or a ``slopes``
-    table, at an odd ``mc_samples``, whose last draw has no partner, and
-    when ``send`` sends one draw of a pair.  Otherwise only the displaced
-    points go, and each coordinate's estimate is the mean of its pairs'
-    central differences ``[f(x + h e_i) - f(x - h e_i)] / 2h``, in which
-    ``f(x)`` cancels: the same estimate in exact arithmetic, exact on linear
-    and pure-quadratic models.
+    caller passes a ``(k,)`` buffer ``values`` for them, a ``slopes`` table
+    or a ``send`` mask, and at an odd ``mc_samples``, whose last draw has no
+    partner.  Otherwise only the displaced points go, and each coordinate's
+    estimate is the mean of its pairs' central differences ``[f(x + h e_i)
+    - f(x - h e_i)] / 2h``, in which ``f(x)`` cancels: the same estimate in
+    exact arithmetic, exact on linear and pure-quadratic models.
 
     The slope of draw j of coordinate i at row p goes to ``slopes[p, i, j]``
     when the caller passes a C-contiguous ``(k, m, mc_samples)`` table, and
@@ -747,59 +752,46 @@ def estimate_gradient(model: ModelHandle, x, cfg: GradientEstimatorConfig,
     whatever batch it comes in, as the builtin models do, a batch of points
     gives the per-point results bit for bit.
     """
-    return drive(model, [gradient_run(x, model.dimension, cfg, f0, values, slopes, send)])[0]
-
-
-def gradient_run(x, m: int, cfg: GradientEstimatorConfig, f0=None, values=None,
-                 slopes=None, send=None):
-    """:func:`estimate_gradient` for a model of ``m`` inputs as a run, which
-    asks for its one batch as ``(rows, fill)``; ``estimate_gradient.run``."""
-    rows, fill, central, sent, count = _gradient_plan(x, m, cfg, f0, values, slopes, send)
-    fvals = yield rows, fill
-    mc = cfg.mc_samples
-    k = np.size(x) // m
+    x = np.asarray(x, dtype=float)
+    ask, central, sent, count = _gradient_plan(x, cfg, f0, values, slopes, send)
+    fvals = yield ask
+    m, mc = x.shape[-1], cfg.mc_samples
+    k = x.size // m
     h, _ = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
     if central:
         # draws 2j and 2j + 1 step by h and -h, so the mean of their two
-        # slopes is their central difference: one slot per pair
+        # slopes is their central difference
         pairs = fvals.reshape(k, -1, 2)
-        diffs, steps = pairs[..., 0] - pairs[..., 1], 2.0 * h.ravel()[sent][::2]
-        if isinstance(sent, slice):  # every pair, each in its own slot
-            return ((diffs / steps).reshape(k, m, mc // 2).sum(axis=2)
-                    / (mc // 2)).reshape(np.shape(x))
-        table, slots, per_slot = np.zeros((k, m, mc // 2)), np.arange(m * mc)[sent][::2] // 2, 2
-    else:
-        if f0 is None:  # the points went first
-            f0, fvals = fvals[:k], fvals[k:]
-            if values is not None:
-                values[:] = f0
-        diffs = fvals.reshape(k, -1) - np.asarray(f0, dtype=float).reshape(-1, 1)
-        table = np.zeros((k, m, mc)) if slopes is None else slopes
-        steps, slots, per_slot = h.ravel()[sent], sent, 1
-    table.reshape(k, -1)[:, slots] = diffs / steps
-    return (table.sum(axis=2) / (count // per_slot)).reshape(np.shape(x))
+        diffs = (pairs[..., 0] - pairs[..., 1]) / (2.0 * h.ravel()[::2])
+        return (diffs.reshape(k, m, mc // 2).sum(axis=2) / (mc // 2)).reshape(x.shape)
+    if f0 is None:  # the points went first
+        f0, fvals = fvals[:k], fvals[k:]
+        if values is not None:
+            values[:] = f0
+    diffs = fvals.reshape(k, -1) - np.asarray(f0, dtype=float).reshape(-1, 1)
+    table = np.zeros((k, m, mc)) if slopes is None else slopes
+    table.reshape(k, -1)[:, sent] = diffs / h.ravel()[sent]
+    return (table.sum(axis=2) / count).reshape(x.shape)
 
 
-estimate_gradient.run = gradient_run
-
-
-def _gradient_plan(x, m: int, cfg: GradientEstimatorConfig, f0, values, slopes, send):
-    """How :func:`gradient_run` asks for its batch: ``(rows, fill, central,
-    sent, count)``, where ``fill(out)`` writes the batch's rows into
-    ``out``, and the rest says whether the estimate takes central
-    differences, the indices of the draws sent and each coordinate's count
-    of them.  No model query."""
-    x = np.asarray(x, dtype=float)
+def _gradient_plan(x: np.ndarray, cfg: GradientEstimatorConfig, f0, values, slopes, send):
+    """How :func:`estimate_gradient` asks for its batch: ``(ask, central,
+    sent, count)``, where ``ask`` is the ``((rows, m), fill)`` it yields and
+    the rest says whether the estimate takes central differences, the
+    indices of the draws sent and each coordinate's count of them.  No model
+    query."""
     mc = cfg.mc_samples
-    if x.ndim not in (1, 2) or x.shape[-1] != m:
-        raise ValueError(f"expected shape ({m},) or (k, {m}), got {x.shape}")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected shape (m,) or (k, m), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
+    m = x.shape[-1]
     batch = x.reshape(-1, m)
     k = len(batch)
     _, disp = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
     sent, count = slice(None), mc  # every draw
-    central = f0 is None and values is None and slopes is None and mc % 2 == 0
+    central = (f0 is None and values is None and slopes is None and send is None
+               and mc % 2 == 0)
     if send is not None:
         send = np.asarray(send, dtype=bool)
         if send.shape != (m, mc):
@@ -807,7 +799,6 @@ def _gradient_plan(x, m: int, cfg: GradientEstimatorConfig, f0, values, slopes, 
         count = send.sum(axis=1)
         if slopes is None and not count.all():
             raise ValueError("send leaves a coordinate with no draw")
-        central = central and (send[:, ::2] == send[:, 1::2]).all()
         sent, count = np.flatnonzero(send), np.where(count > 0, count, mc)
     moves = disp[sent]
     centre = k if f0 is None and not central else 0
@@ -816,7 +807,7 @@ def _gradient_plan(x, m: int, cfg: GradientEstimatorConfig, f0, values, slopes, 
         points[:centre] = batch[:centre]  # the points first, where their values are used
         _displace(batch, moves, points[centre:])
 
-    return centre + k * len(moves), fill, central, sent, count
+    return ((centre + k * len(moves), m), fill), central, sent, count
 
 
 # rows of at most this many inputs are displaced in blocks of whole points,

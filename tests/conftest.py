@@ -32,13 +32,14 @@ ORACLE_HP = GpaHyperParams(
 FINE_GRAD = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=10, seed=0)
 
 
-def gradient_batch(x, m, cfg, f0=None, values=None, slopes=None, send=None):
-    """The one model batch of ``estimate_gradient(model, x, cfg, f0, values,
-    slopes, send)`` for a model of ``m`` inputs, built in a new array as the
-    driver builds it, with how the estimate reads it: ``(points, central,
-    sent, count)``.  No model query."""
-    rows, fill, central, sent, count = _gradient_plan(x, m, cfg, f0, values, slopes, send)
-    points = np.empty((rows, m))
+def gradient_batch(x, cfg, f0=None, values=None, slopes=None, send=None):
+    """The one model batch of the run ``estimate_gradient(x, cfg, f0,
+    values, slopes, send)``, built in a new array as the driver builds it,
+    with how the estimate reads it: ``(points, central, sent, count)``.  No
+    model query."""
+    (shape, fill), central, sent, count = _gradient_plan(
+        np.asarray(x, dtype=float), cfg, f0, values, slopes, send)
+    points = np.empty(shape)
     fill(points)
     return points, central, sent, count
 

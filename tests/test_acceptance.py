@@ -4,7 +4,6 @@ PASS/FAIL line.  Tolerances are fixed here and nowhere else."""
 import time
 
 import numpy as np
-import pytest
 
 from anomattr import (
     GpaHyperParams,
@@ -23,7 +22,6 @@ from anomattr import (
     map_estimate,
     oracle_gpa,
     oracle_ig,
-    oracle_lime0,
     quadratic_model,
     score_distributions,
     shapley_sampled,
@@ -33,9 +31,15 @@ from anomattr import (
     z_score,
 )
 from anomattr.cli import main as cli_main
-from anomattr.metrics import MetricUndefinedError
 from anomattr.oracle import surface
-from conftest import FINE_GRAD, ORACLE_HP, periodic_lattice, single_point, strict_json
+from conftest import (
+    FINE_GRAD,
+    ORACLE_HP,
+    driven,
+    periodic_lattice,
+    single_point,
+    strict_json,
+)
 
 X_T = np.array([0.5, 0.0])
 POINT_A, POINT_C, POINT_B = 1.0, 0.0, -1.0
@@ -53,7 +57,7 @@ def _gpa_delta(y_t: float) -> np.ndarray:
 
 
 def _lc_delta(y_t: float) -> np.ndarray:
-    return lc(sinusoidal2d(), X_T, y_t, ORACLE_HP, FINE_GRAD, 1.0).delta_star
+    return driven(sinusoidal2d(), lc)(X_T, y_t, ORACLE_HP, FINE_GRAD, 1.0).delta_star
 
 
 def test_criterion_01_gpa_matches_closed_form():
@@ -84,8 +88,8 @@ def test_criterion_02_lc_matches_gpa():
 
 def test_criterion_03_integrated_gradient():
     model = sinusoidal2d()
-    ig_a = integrated_gradient(model, X_T, (0.0, 0.0), 100, FINE_GRAD)
-    ig_b = integrated_gradient(model, X_T, (0.0, 1.0), 100, FINE_GRAD)
+    ig_a = driven(model, integrated_gradient)(X_T, (0.0, 0.0), 100, FINE_GRAD)
+    ig_b = driven(model, integrated_gradient)(X_T, (0.0, 1.0), 100, FINE_GRAD)
     ok = np.max(np.abs(ig_a - [-2.0, 0.0])) <= 1e-3
     ok = ok and np.max(np.abs(ig_b - [-2 / 3, 8 / 3])) <= 1e-3
 
@@ -101,7 +105,7 @@ def test_criterion_03_integrated_gradient():
         increment = surface(x_t) - surface(x_0)
         worst_analytic = max(worst_analytic,
                              abs(oracle_ig(x_t, x_0).sum() - increment))
-        num = integrated_gradient(model, x_t, x_0, 100, FINE_GRAD)
+        num = driven(model, integrated_gradient)(x_t, x_0, 100, FINE_GRAD)
         worst_numeric = max(worst_numeric, abs(num.sum() - increment))
         checked += 1
     ok = ok and worst_analytic <= 1e-12 and worst_numeric <= 1e-3
@@ -111,7 +115,7 @@ def test_criterion_03_integrated_gradient():
 
 def test_criterion_04_local_surrogate_gradient():
     cfg = LimeConfig(n_samples=1000, sampling_std=1e-3, l1_strength=0.0, seed=0)
-    beta = lime0(sinusoidal2d(), X_T, cfg)
+    beta = driven(sinusoidal2d(), lime0)(X_T, cfg)
     err = np.max(np.abs(beta - [-2 * np.pi, 0.0]))
     _report(4, "l1-free local surrogate recovers the analytic gradient (1e-2)",
             err <= 1e-2, f"err={err:.2e}")
@@ -124,15 +128,15 @@ def test_criterion_05_target_shift_invariance():
 
     def runs(y_t):
         return {
-            "lime": lime(model, X_T, y_t, lime_cfg),
-            "lime0": lime0(model, X_T, lime_cfg),
-            "ig": integrated_gradient(model, X_T, (0.0, 0.0), 100, FINE_GRAD),
-            "eig": expected_integrated_gradient(model, X_T, ref, 100, FINE_GRAD),
-            "sv": shapley_sampled(model, X_T, ref, n_configs=100, seed=5,
-                                  method="sampling"),
+            "lime": driven(model, lime)(X_T, y_t, lime_cfg),
+            "lime0": driven(model, lime0)(X_T, lime_cfg),
+            "ig": driven(model, integrated_gradient)(X_T, (0.0, 0.0), 100, FINE_GRAD),
+            "eig": driven(model, expected_integrated_gradient)(X_T, ref, 100, FINE_GRAD),
+            "sv": driven(model, shapley_sampled)(X_T, ref, n_configs=100, seed=5,
+                                                 method="sampling"),
             "zscore": z_score(X_T, ref),
-            "baylime-mean": baylime_distributions(model, X_T, y_t, lime_cfg,
-                                                  0.1, 1.0).means,
+            "baylime-mean": driven(model, baylime_distributions)(X_T, y_t, lime_cfg,
+                                                                 0.1, 1.0).means,
         }
 
     base = runs(0.25)
@@ -159,8 +163,8 @@ def test_criterion_06_sum_rules_and_additive_equivalence():
     target = model.evaluate(x_t) - float(
         ref.effective_weights @ model.evaluate_batch(ref.samples)
     )
-    sv = shapley_sampled(model, x_t, ref, method="exact")
-    eig = expected_integrated_gradient(model, x_t, ref, 100, FINE_GRAD)
+    sv = driven(model, shapley_sampled)(x_t, ref, method="exact")
+    eig = driven(model, expected_integrated_gradient)(x_t, ref, 100, FINE_GRAD)
     sv_sum = abs(sv.sum() - target)
     eig_sum = abs(eig.sum() - target)
     coord_gap = np.max(np.abs(sv - eig))
@@ -190,7 +194,7 @@ def test_criterion_07_surrogate_is_path_integral_derivative():
         # O(|x_t - x_0|) truncation the tolerance budgets for
         cfg = LimeConfig(n_samples=4000, sampling_std=1e-4, l1_strength=0.0,
                          seed=checked)
-        beta = lime0(model, x_t, cfg)
+        beta = driven(model, lime0)(x_t, cfg)
         for i in range(2):
             hi = x_t.copy()
             hi[i] += eps
@@ -207,7 +211,7 @@ def test_criterion_07_surrogate_is_path_integral_derivative():
 def test_criterion_08_bayesian_surrogate_variance_is_trivial():
     model = sinusoidal2d()
     cfg = LimeConfig(n_samples=10, sampling_std=0.3, l1_strength=0.0, seed=1)
-    res = baylime_distributions(model, X_T, 1.0, cfg, prior_eta=0.1, noise_lambda=1.0)
+    res = driven(model, baylime_distributions)(X_T, 1.0, cfg, prior_eta=0.1, noise_lambda=1.0)
     expected = 1.0 / (0.1 + 1.0 * 10)
     err = abs(res.variance - expected)
     # one variance, shared by every variable's posterior
@@ -252,11 +256,11 @@ def test_criterion_10_gradient_estimator():
     worst_linear = 0.0
     for seed in (0, 7, 123):
         cfg = GradientEstimatorConfig(perturbation_std=1.0, mc_samples=10, seed=seed)
-        grad = estimate_gradient(lin, [0.4, -2.0, 7.0], cfg)
+        grad = driven(lin, estimate_gradient)([0.4, -2.0, 7.0], cfg)
         worst_linear = max(worst_linear, float(np.max(np.abs(grad - coef))))
     quad = quadratic_model([1.0])
     cfg = GradientEstimatorConfig(perturbation_std=1.0, mc_samples=100_000, seed=3)
-    est = estimate_gradient(quad, [2.0], cfg)[0]
+    est = driven(quad, estimate_gradient)([2.0], cfg)[0]
     stderr = 1.0 / np.sqrt(cfg.mc_samples)  # slope spread is c*h with c=1
     quad_ok = abs(est - 4.0) <= max(3 * stderr, 1e-9)
     ok = worst_linear <= 1e-12 and quad_ok

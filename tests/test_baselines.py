@@ -20,7 +20,6 @@ from anomattr import (
     lime0,
     linear_model,
     oracle_gpa,
-    oracle_ig,
     oracle_lime0,
     oracle_sv,
     quadratic_model,
@@ -62,21 +61,21 @@ class TestLime:
     def test_linear_recovers_coefficients(self):
         m = linear_model([3.0, -1.0, 0.5])
         cfg = LimeConfig(n_samples=500, sampling_std=0.3, l1_strength=0.0, seed=2)
-        beta = lime(m, [0.2, -0.1, 1.0], y_t=7.0, cfg=cfg)
+        beta = driven(m, lime)([0.2, -0.1, 1.0], y_t=7.0, cfg=cfg)
         np.testing.assert_allclose(beta, [3.0, -1.0, 0.5], atol=1e-8)
 
     def test_sinusoidal_local_gradient(self, sin_model):
-        beta = lime(sin_model, [0.5, 0.0], y_t=1.0, cfg=TIGHT_LIME)
+        beta = driven(sin_model, lime)([0.5, 0.0], y_t=1.0, cfg=TIGHT_LIME)
         np.testing.assert_allclose(beta, [-2 * np.pi, 0.0], atol=1e-2)
 
     def test_target_shift_bit_identical(self, sin_model):
-        a = lime(sin_model, [0.5, 0.0], y_t=1.0, cfg=TIGHT_LIME)
-        b = lime(sin_model, [0.5, 0.0], y_t=6.0, cfg=TIGHT_LIME)
+        a = driven(sin_model, lime)([0.5, 0.0], y_t=1.0, cfg=TIGHT_LIME)
+        b = driven(sin_model, lime)([0.5, 0.0], y_t=6.0, cfg=TIGHT_LIME)
         np.testing.assert_array_equal(a, b)
 
     def test_l1_sparsifies(self, sin_model):
         cfg = LimeConfig(n_samples=500, sampling_std=0.3, l1_strength=0.2, seed=2)
-        beta = lime(sin_model, [0.5, 0.0], y_t=1.0, cfg=cfg)
+        beta = driven(sin_model, lime)([0.5, 0.0], y_t=1.0, cfg=cfg)
         assert beta[1] == 0.0
         assert beta[0] < 0.0
 
@@ -86,7 +85,7 @@ class TestLime:
         # variance
         cfg = LimeConfig(n_samples=10, sampling_std=1e-300, l1_strength=0.0, seed=0)
         with pytest.raises(ValueError, match="degenerate"):
-            lime(m, [0.5, 0.0], 0.0, cfg)
+            driven(m, lime)([0.5, 0.0], 0.0, cfg)
 
     @pytest.mark.parametrize("l1", [0.0, 0.01, 0.2])
     @pytest.mark.parametrize("seed", range(6))
@@ -99,7 +98,7 @@ class TestLime:
         x_t = rng.normal(size=m)
         cfg = LimeConfig(n_samples=50 + 40 * seed, sampling_std=0.5,
                          l1_strength=l1, seed=seed)
-        beta = lime(model, x_t, 0.0, cfg)
+        beta = driven(model, lime)(x_t, 0.0, cfg)
         offsets = np.random.default_rng(seed).standard_normal((cfg.n_samples, m))
         design = cfg.sampling_std * offsets
         fvals = model.evaluate_batch(x_t + design)
@@ -110,17 +109,17 @@ class TestLime:
     def test_too_few_samples_rejected(self, sin_model):
         cfg = LimeConfig(n_samples=2, sampling_std=0.1, l1_strength=0.0, seed=0)
         with pytest.raises(ValueError, match="n_samples"):
-            lime(sin_model, [0.0, 0.0], 0.0, cfg)
+            driven(sin_model, lime)([0.0, 0.0], 0.0, cfg)
 
 
 class TestLime0:
     def test_linear_exact(self):
         m = linear_model([2.0, -4.0])
-        beta = lime0(m, [1.0, 1.0], TIGHT_LIME)
+        beta = driven(m, lime0)([1.0, 1.0], TIGHT_LIME)
         np.testing.assert_allclose(beta, [2.0, -4.0], atol=1e-9)
 
     def test_sinusoidal(self, sin_model):
-        beta = lime0(sin_model, [0.5, 0.0], TIGHT_LIME)
+        beta = driven(sin_model, lime0)([0.5, 0.0], TIGHT_LIME)
         np.testing.assert_allclose(beta, oracle_lime0([0.5, 0.0]), atol=1e-2)
 
     def test_parabola_tangent_slope(self):
@@ -129,26 +128,22 @@ class TestLime0:
         # third central moment vanishes; checked with a large cloud
         m = quadratic_model([1.0])
         cfg = LimeConfig(n_samples=100_000, sampling_std=0.3, l1_strength=0.0, seed=5)
-        beta = lime0(m, [1.0], cfg)
+        beta = driven(m, lime0)([1.0], cfg)
         assert beta[0] == pytest.approx(2.0, abs=0.02)
 
-    def test_rank_deficient_warns_minimum_norm(self):
+    def test_rank_deficient_warns_minimum_norm(self, monkeypatch):
         m = linear_model([1.0, 1.0])
         cfg = LimeConfig(n_samples=4, sampling_std=1.0, l1_strength=0.0, seed=0)
-        orig = baselines._local_cloud
+        orig = baselines._cloud
 
-        def degenerate_cloud(model, x_t, c):
-            offsets, fvals = orig(model, x_t, c)
+        def degenerate_cloud(x_t, c):
+            offsets, _ = orig(x_t, c)
             offsets[:, 1] = offsets[:, 0]  # duplicate column -> rank 1
-            fvals = model.evaluate_batch(np.asarray(x_t) + c.sampling_std * offsets)
-            return offsets, fvals
+            return offsets, np.asarray(x_t) + c.sampling_std * offsets
 
-        baselines._local_cloud = degenerate_cloud
-        try:
-            with pytest.warns(UserWarning, match="minimum-norm"):
-                beta = lime0(m, [0.0, 0.0], cfg)
-        finally:
-            baselines._local_cloud = orig
+        monkeypatch.setattr(baselines, "_cloud", degenerate_cloud)
+        with pytest.warns(UserWarning, match="minimum-norm"):
+            beta = driven(m, lime0)([0.0, 0.0], cfg)
         # minimum-norm splits the joint slope evenly across the tied columns
         assert beta[0] == pytest.approx(beta[1], abs=1e-9)
 
@@ -156,67 +151,68 @@ class TestLime0:
 class TestBaylime:
     def test_variance_formula(self, sin_model):
         cfg = LimeConfig(n_samples=10, sampling_std=0.3, l1_strength=0.0, seed=1)
-        res = baylime_distributions(sin_model, [0.5, 0.0], 1.0, cfg, 0.1, 1.0)
+        res = driven(sin_model, baylime_distributions)([0.5, 0.0], 1.0, cfg, 0.1, 1.0)
         assert res.variance == pytest.approx(1.0 / 10.1, abs=1e-12)
         assert res.means.shape == (2,)
 
     def test_prior_only_limit(self, sin_model):
         cfg = LimeConfig(n_samples=10, sampling_std=0.3, l1_strength=0.0, seed=1)
-        res = baylime_distributions(sin_model, [0.5, 0.0], 1.0, cfg, 0.25, 0.0)
+        res = driven(sin_model, baylime_distributions)([0.5, 0.0], 1.0, cfg, 0.25, 0.0)
         assert res.variance == pytest.approx(1.0 / 0.25)
         np.testing.assert_allclose(res.means, 0.0, atol=1e-12)
 
     def test_variance_concentrates(self, sin_model):
         cfgs = [LimeConfig(n_samples=n, sampling_std=0.3, seed=1) for n in (10, 1000)]
         variances = [
-            baylime_distributions(sin_model, [0.5, 0.0], 1.0, c, 0.1, 1.0).variance
+            driven(sin_model, baylime_distributions)([0.5, 0.0], 1.0, c, 0.1, 1.0).variance
             for c in cfgs
         ]
         assert variances[1] < variances[0] / 50
 
     def test_mean_shift_invariant(self, sin_model):
         cfg = LimeConfig(n_samples=50, sampling_std=0.3, seed=4)
-        a = baylime_distributions(sin_model, [0.5, 0.0], 1.0, cfg, 0.1, 1.0)
-        b = baylime_distributions(sin_model, [0.5, 0.0], -9.0, cfg, 0.1, 1.0)
+        a = driven(sin_model, baylime_distributions)([0.5, 0.0], 1.0, cfg, 0.1, 1.0)
+        b = driven(sin_model, baylime_distributions)([0.5, 0.0], -9.0, cfg, 0.1, 1.0)
         np.testing.assert_array_equal(a.means, b.means)
 
 
 class TestIntegratedGradient:
     def test_closed_form_origin_baseline(self, sin_model):
-        ig = integrated_gradient(sin_model, [0.5, 0.0], (0.0, 0.0), 100, FINE_GRAD)
+        ig = driven(sin_model, integrated_gradient)([0.5, 0.0], (0.0, 0.0), 100, FINE_GRAD)
         np.testing.assert_allclose(ig, [-2.0, 0.0], atol=1e-3)
 
     def test_closed_form_shifted_baseline(self, sin_model):
-        ig = integrated_gradient(sin_model, [0.5, 0.0], (0.0, 1.0), 100, FINE_GRAD)
+        ig = driven(sin_model, integrated_gradient)([0.5, 0.0], (0.0, 1.0), 100, FINE_GRAD)
         np.testing.assert_allclose(ig, [-2.0 / 3.0, 8.0 / 3.0], atol=1e-3)
 
     def test_linear_exact(self):
         m = linear_model([2.0, -1.0])
         x_t, x0 = np.array([0.7, 0.4]), np.array([-0.1, 0.9])
-        ig = integrated_gradient(m, x_t, x0, 100, FINE_GRAD)
+        ig = driven(m, integrated_gradient)(x_t, x0, 100, FINE_GRAD)
         np.testing.assert_allclose(ig, (x_t - x0) * [2.0, -1.0], atol=1e-12)
 
     def test_matches_pointwise_estimator(self, sin_model):
         # the estimator on a batch of path points must agree with looping
         # it over the points bit for bit
         pts = np.array([[0.0, 0.0], [0.25, 0.1], [0.5, 0.2]])
-        batched = estimate_gradient(sin_model, pts, FINE_GRAD)
-        loop = np.array([estimate_gradient(sin_model, p, FINE_GRAD) for p in pts])
+        batched = driven(sin_model, estimate_gradient)(pts, FINE_GRAD)
+        loop = np.array([driven(sin_model, estimate_gradient)(p, FINE_GRAD) for p in pts])
         np.testing.assert_array_equal(batched, loop)
 
     def test_baseline_dimension_checked(self, sin_model):
         with pytest.raises(ValueError, match="same dimension"):
-            integrated_gradient(sin_model, [0.5, 0.0], (0.0, 0.0, 0.0), 100, FINE_GRAD)
+            driven(sin_model, integrated_gradient)([0.5, 0.0], (0.0, 0.0, 0.0), 100,
+                                                   FINE_GRAD)
         ref = ReferenceSet(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="same dimension"):
-            expected_integrated_gradient(sin_model, [0.5, 0.0], ref, 100, FINE_GRAD)
+            driven(sin_model, expected_integrated_gradient)([0.5, 0.0], ref, 100, FINE_GRAD)
 
     def test_n_intervals_checked(self, sin_model):
         with pytest.raises(ValueError, match="n_intervals"):
-            integrated_gradient(sin_model, [0.5, 0.0], (0.0, 0.0), 0, FINE_GRAD)
+            driven(sin_model, integrated_gradient)([0.5, 0.0], (0.0, 0.0), 0, FINE_GRAD)
         ref = ReferenceSet(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="n_intervals"):
-            expected_integrated_gradient(sin_model, [0.5, 0.0], ref, 0, FINE_GRAD)
+            driven(sin_model, expected_integrated_gradient)([0.5, 0.0], ref, 0, FINE_GRAD)
 
     def test_one_model_call_per_path(self):
         # a path's points short of x_t and their displaced points go whole
@@ -224,16 +220,17 @@ class TestIntegratedGradient:
         # m within 2**15, and x_t's displaced points lead the first call
         model = BatchRecorder(sinusoidal2d())
         per_point = 2 * FINE_GRAD.mc_samples
-        integrated_gradient(model, [0.5, 0.2], (0.0, 0.0), 8, FINE_GRAD)
+        driven(model, integrated_gradient)([0.5, 0.2], (0.0, 0.0), 8, FINE_GRAD)
         assert model.sizes == [(8 + 1) * per_point]
         model.sizes.clear()
         ref = ReferenceSet(np.array([[0.0, 0.0], [0.1, -0.3], [0.7, 0.2]]))
-        expected_integrated_gradient(model, [0.5, 0.2], ref, 8, FINE_GRAD)
+        driven(model, expected_integrated_gradient)([0.5, 0.2], ref, 8, FINE_GRAD)
         assert model.sizes == [(1 + 3 * 8) * per_point]
         model.sizes.clear()
         # 100 points x 20 rows x m = 2 is 4,000 numbers a path: 8 a batch,
         # the first with x_t's 20 rows (32,040 numbers)
-        expected_integrated_gradient(model, [0.5, 0.2], periodic_lattice(), 100, FINE_GRAD)
+        driven(model, expected_integrated_gradient)([0.5, 0.2], periodic_lattice(), 100,
+                                                    FINE_GRAD)
         assert model.sizes == [16_020] + [16_000] * 7
 
     def test_x_t_rows_lead_the_first_batch(self):
@@ -241,7 +238,7 @@ class TestIntegratedGradient:
         # batch opens with x_t's displaced rows
         x_t = np.array([0.5, 0.2])
         model = BatchRecorder(sinusoidal2d())
-        expected_integrated_gradient(model, x_t, periodic_lattice(), 100, FINE_GRAD)
+        driven(model, expected_integrated_gradient)(x_t, periodic_lattice(), 100, FINE_GRAD)
         _, disp = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std,
                               FINE_GRAD.mc_samples, 2)
         np.testing.assert_array_equal(model.first[: len(disp)], x_t + disp)
@@ -255,7 +252,8 @@ class TestIntegratedGradient:
         model = CallableModel(
             lambda p: np.nan if np.array_equal(p, bad) else inner.evaluate(p), 2)
         with pytest.raises(NonFiniteModelOutput) as exc:
-            expected_integrated_gradient(model, x_t, periodic_lattice(), 100, FINE_GRAD)
+            driven(model, expected_integrated_gradient)(x_t, periodic_lattice(), 100,
+                                                        FINE_GRAD)
         np.testing.assert_array_equal(exc.value.x, bad)
         assert model.call_count == 1
 
@@ -265,7 +263,7 @@ class TestIntegratedGradient:
         # 7 rows lead the first
         cfg = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=3, seed=0)
         model = BatchRecorder(sinusoidal2d())
-        expected_integrated_gradient(model, [0.5, 0.2], periodic_lattice(), 100, cfg)
+        driven(model, expected_integrated_gradient)([0.5, 0.2], periodic_lattice(), 100, cfg)
         assert model.sizes == [7 + 23 * 700, 23 * 700, 18 * 700]
         np.testing.assert_array_equal(model.first[0], [0.5, 0.2])
 
@@ -277,7 +275,7 @@ class TestIntegratedGradient:
         rng = np.random.default_rng(3)
         ref = ReferenceSet(rng.uniform(-1, 1, (3, 30)))
         x_t = rng.uniform(-1, 1, 30)
-        eig = expected_integrated_gradient(model, x_t, ref, 4, FINE_GRAD)
+        eig = driven(model, expected_integrated_gradient)(x_t, ref, 4, FINE_GRAD)
         per_point = 30 * FINE_GRAD.mc_samples
         assert model.sizes == [5 * per_point] + [4 * per_point] * 2
         np.testing.assert_allclose(eig, (x_t - ref.samples.mean(axis=0)) * coef, atol=1e-12)
@@ -286,7 +284,7 @@ class TestIntegratedGradient:
 class TestExpectedIntegratedGradient:
     def test_self_reference_is_zero(self, sin_model):
         ref = ReferenceSet(np.array([[0.5, 0.0]]))
-        eig = expected_integrated_gradient(sin_model, [0.5, 0.0], ref, 100, FINE_GRAD)
+        eig = driven(sin_model, expected_integrated_gradient)([0.5, 0.0], ref, 100, FINE_GRAD)
         np.testing.assert_allclose(eig, 0.0, atol=1e-12)
 
     def test_linear_closed_form(self):
@@ -295,7 +293,7 @@ class TestExpectedIntegratedGradient:
         rng = np.random.default_rng(0)
         ref = ReferenceSet(rng.uniform(-1, 1, (7, 3)))
         x_t = np.array([0.3, 0.9, -0.4])
-        eig = expected_integrated_gradient(m, x_t, ref, 100, FINE_GRAD)
+        eig = driven(m, expected_integrated_gradient)(x_t, ref, 100, FINE_GRAD)
         expected = (x_t - ref.samples.mean(axis=0)) * coef
         np.testing.assert_allclose(eig, expected, atol=1e-12)
 
@@ -304,10 +302,10 @@ class TestExpectedIntegratedGradient:
         # eig adds them up in reference order
         ref = periodic_lattice()
         x_t = np.array([0.3, -0.2])
-        eig = expected_integrated_gradient(sin_model, x_t, ref, 100, FINE_GRAD)
+        eig = driven(sin_model, expected_integrated_gradient)(x_t, ref, 100, FINE_GRAD)
         total = np.zeros(2)
         for w, sample in zip(ref.effective_weights, ref.samples):
-            total += w * integrated_gradient(sin_model, x_t, sample, 100, FINE_GRAD)
+            total += w * driven(sin_model, integrated_gradient)(x_t, sample, 100, FINE_GRAD)
         np.testing.assert_array_equal(eig, total)
 
     @pytest.mark.parametrize("model", [quadratic_model([0.7]), sinusoidal2d(),
@@ -329,24 +327,25 @@ class TestExpectedIntegratedGradient:
             k * n_intervals * m * FINE_GRAD.mc_samples for k in (3, 1)]
         weights = np.full(n_intervals, 1.0 / n_intervals)
         weights[0] = 0.5 / n_intervals
-        end_term = 0.5 / n_intervals * estimate_gradient(model, x_t, FINE_GRAD)
+        gradient = driven(model, estimate_gradient)
+        end_term = 0.5 / n_intervals * gradient(x_t, FINE_GRAD)
         alphas = np.linspace(0.0, 1.0, n_intervals + 1)[:-1]
         loop = np.array([
-            (x_t - start) * (weights @ estimate_gradient(
-                model, start + alphas[:, None] * (x_t - start), FINE_GRAD) + end_term)
+            (x_t - start) * (weights @ gradient(
+                start + alphas[:, None] * (x_t - start), FINE_GRAD) + end_term)
             for start in starts])
         assert integrals.tobytes() == loop.tobytes()
 
     def test_one_sample_is_ig(self, sin_model):
         ref = ReferenceSet(np.array([[0.1, -0.4]]))
-        eig = expected_integrated_gradient(sin_model, [0.5, 0.2], ref, 100, FINE_GRAD)
-        ig = integrated_gradient(sin_model, [0.5, 0.2], (0.1, -0.4), 100, FINE_GRAD)
+        eig = driven(sin_model, expected_integrated_gradient)([0.5, 0.2], ref, 100, FINE_GRAD)
+        ig = driven(sin_model, integrated_gradient)([0.5, 0.2], (0.1, -0.4), 100, FINE_GRAD)
         np.testing.assert_array_equal(eig, ig)
 
     def test_sum_rule(self, sin_model):
         ref = periodic_lattice()
         x_t = np.array([0.3, -0.2])
-        eig = expected_integrated_gradient(sin_model, x_t, ref, 100, FINE_GRAD)
+        eig = driven(sin_model, expected_integrated_gradient)(x_t, ref, 100, FINE_GRAD)
         mean_f = float(np.mean(sin_model.evaluate_batch(ref.samples)))
         assert eig.sum() == pytest.approx(sin_model.evaluate(x_t) - mean_f, abs=1e-3)
 
@@ -373,7 +372,8 @@ class TestShapley:
     def test_constant_model_zero(self):
         m = CallableModel(lambda x: 3.5, 2)
         ref = ReferenceSet(np.array([[0.0, 0.0], [1.0, -1.0]]))
-        np.testing.assert_allclose(shapley_sampled(m, [5.0, 5.0], ref), 0.0, atol=1e-12)
+        np.testing.assert_allclose(driven(m, shapley_sampled)([5.0, 5.0], ref), 0.0,
+                                   atol=1e-12)
 
     def test_additive_model_closed_form_and_brute_force(self):
         # additive f: SV_i = g_i(x_i) - mean_ref g_i, cross-checked against
@@ -382,7 +382,7 @@ class TestShapley:
         rng = np.random.default_rng(1)
         ref = ReferenceSet(rng.uniform(-1, 1, (4, 2)))
         x_t = np.array([0.8, -0.3])
-        sv = shapley_sampled(m, x_t, ref, method="exact")
+        sv = driven(m, shapley_sampled)(x_t, ref, method="exact")
         assert m.call_count == 1  # every coalition in one batch
         coef = np.array([1.0, -0.5])
         closed = coef * x_t**2 - (coef * ref.samples**2).mean(axis=0)
@@ -392,23 +392,23 @@ class TestShapley:
     def test_sinusoidal_symmetric_reference(self, sin_model):
         ref = periodic_lattice()
         for x_t in ([0.25, 0.1], [0.5, 0.0], [-0.3, 0.7]):
-            sv = shapley_sampled(sin_model, x_t, ref, method="exact")
+            sv = driven(sin_model, shapley_sampled)(x_t, ref, method="exact")
             np.testing.assert_allclose(sv, oracle_sv(x_t), atol=1e-12)
             assert sv[0] == pytest.approx(sv[1], abs=1e-12)
 
     def test_sampling_close_to_exact(self, sin_model):
         ref = periodic_lattice()
         x_t = [0.25, 0.1]
-        exact = shapley_sampled(sin_model, x_t, ref, method="exact")
-        sampled = shapley_sampled(sin_model, x_t, ref, n_configs=2000, seed=11,
-                                  method="sampling")
+        exact = driven(sin_model, shapley_sampled)(x_t, ref, method="exact")
+        sampled = driven(sin_model, shapley_sampled)(x_t, ref, n_configs=2000, seed=11,
+                                                     method="sampling")
         np.testing.assert_allclose(sampled, exact, atol=0.15)
 
     def test_sampling_deterministic_per_seed(self, sin_model):
         ref = periodic_lattice()
-        a = shapley_sampled(sin_model, [0.3, 0.2], ref, 50, seed=9, method="sampling")
+        a = driven(sin_model, shapley_sampled)([0.3, 0.2], ref, 50, seed=9, method="sampling")
         assert sin_model.call_count == 1  # every permutation walk in one batch
-        b = shapley_sampled(sin_model, [0.3, 0.2], ref, 50, seed=9, method="sampling")
+        b = driven(sin_model, shapley_sampled)([0.3, 0.2], ref, 50, seed=9, method="sampling")
         np.testing.assert_array_equal(a, b)
 
     def test_sampling_batch_matches_one_call_per_walk(self, sin_model):
@@ -425,13 +425,13 @@ class TestShapley:
                 points[pos + 1:, j] = x_t[j]
             fvals = sin_model.evaluate_batch(points)
             expect[perm] += fvals[1:] - fvals[:-1]
-        got = shapley_sampled(sinusoidal2d(), x_t, ref, 50, seed=9, method="sampling")
+        got = driven(sinusoidal2d(), shapley_sampled)(x_t, ref, 50, seed=9, method="sampling")
         np.testing.assert_array_equal(got, expect / 50)
 
     def test_auto_uses_sampling_for_large_dimension(self):
         m = CallableModel(lambda x: float(np.sum(x)), 16)
         ref = ReferenceSet(np.zeros((3, 16)))
-        scores = shapley_sampled(m, np.ones(16), ref, n_configs=10, seed=0)
+        scores = driven(m, shapley_sampled)(np.ones(16), ref, n_configs=10, seed=0)
         np.testing.assert_allclose(scores, 1.0, atol=1e-12)
 
 
@@ -458,12 +458,12 @@ class TestZScore:
 class TestLc:
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     def test_matches_counterfactual_closed_form(self, sin_model, y_t):
-        delta = lc(sin_model, [0.5, 0.0], y_t, ORACLE_HP, FINE_GRAD, 1.0).delta_star
+        delta = driven(sin_model, lc)([0.5, 0.0], y_t, ORACLE_HP, FINE_GRAD, 1.0).delta_star
         np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], y_t), atol=1e-3)
 
     def test_zero_residual_stays_home(self, sin_model):
         y_t = sin_model.evaluate([0.3, 0.1])
-        delta = lc(sin_model, [0.3, 0.1], y_t, ORACLE_HP, FINE_GRAD, 1.0).delta_star
+        delta = driven(sin_model, lc)([0.3, 0.1], y_t, ORACLE_HP, FINE_GRAD, 1.0).delta_star
         np.testing.assert_allclose(delta, 0.0, atol=1e-4)
 
     def test_scalar_linear_closed_form(self):
@@ -471,7 +471,7 @@ class TestLc:
         c, x_t, y_t = 2.0, 1.0, 3.0
         m = linear_model([c])
         hp = GpaHyperParams(eta=1e-6, nu=1e-6, tol=1e-10)
-        delta = lc(m, [x_t], y_t, hp, FINE_GRAD, 1.0).delta_star
+        delta = driven(m, lc)([x_t], y_t, hp, FINE_GRAD, 1.0).delta_star
         assert delta[0] == pytest.approx((y_t - c * x_t) / c, abs=1e-5)
 
     def test_is_shared_objective_with_gaussian_loss(self, sin_model):
@@ -494,7 +494,7 @@ class TestLc:
         state = driven(model, proximal_minimize)(grad_fn, value_fn, 2, eta, 1e-3, 10_000,
                                                  1e-8, FINE_GRAD.seed,
                                                  confirm_fn=objective.confirm_run)
-        result = lc(sin_model, x_t, y_t, ORACLE_HP, FINE_GRAD, lam)
+        result = driven(sin_model, lc)(x_t, y_t, ORACLE_HP, FINE_GRAD, lam)
         np.testing.assert_array_equal(result.delta_star, state.delta)
         # the solver record is the solve's and its objective's
         assert (result.iterations, result.converged, result.halvings,
@@ -506,9 +506,9 @@ class TestLc:
         assert result.rates is None
 
     def test_one_row_array_is_the_point_call(self, sin_model):
-        point = lc(sin_model, [0.5, 0.0], 1.0, ORACLE_HP, FINE_GRAD, 1.0)
-        row = lc(sin_model, np.array([[0.5, 0.0]]), np.array([1.0]), ORACLE_HP,
-                 FINE_GRAD, 1.0)
+        point = driven(sin_model, lc)([0.5, 0.0], 1.0, ORACLE_HP, FINE_GRAD, 1.0)
+        row = driven(sin_model, lc)(np.array([[0.5, 0.0]]), np.array([1.0]), ORACLE_HP,
+                                    FINE_GRAD, 1.0)
         np.testing.assert_array_equal(row.delta_star, point.delta_star)
 
     def test_collective_rows_share_the_gaussian_objective(self, sin_model):
@@ -531,7 +531,7 @@ class TestLc:
                                                  1e-8, FINE_GRAD.seed,
                                                  confirm_fn=objective.confirm_run)
         assert state.converged
-        delta = lc(sin_model, x, y, ORACLE_HP, FINE_GRAD, lam).delta_star
+        delta = driven(sin_model, lc)(x, y, ORACLE_HP, FINE_GRAD, lam).delta_star
         np.testing.assert_array_equal(delta, state.delta)
 
     @pytest.mark.parametrize("x_t", [[0.1], [0.1, 0.2, 0.3], [[0.1], [0.2]]],
@@ -539,14 +539,14 @@ class TestLc:
     def test_dimension_mismatch_rejected(self, sin_model, x_t):
         # a one-input row would broadcast against the two-input shift
         with pytest.raises(ValueError, match="model dimension 2"):
-            lc(sin_model, x_t, 0.0, ORACLE_HP, FINE_GRAD, 1.0)
+            driven(sin_model, lc)(x_t, 0.0, ORACLE_HP, FINE_GRAD, 1.0)
         assert sin_model.query_count == 0
 
     def test_invalid_params(self, sin_model):
         # eta and nu are refused where GpaHyperParams is built
         for lam in (0.0, -1.0):
             with pytest.raises(ValueError, match="lam must be positive"):
-                lc(sin_model, [0.0, 0.0], 0.0, GpaHyperParams(), FINE_GRAD, lam)
+                driven(sin_model, lc)([0.0, 0.0], 0.0, GpaHyperParams(), FINE_GRAD, lam)
 
     def test_oracle_row_few_iterations(self, sin_model, monkeypatch):
         # unaccelerated proximal descent asks for 2,940 gradients here
@@ -563,7 +563,7 @@ class TestLc:
             return real_solver(counted_grad, value_fn, *args, **kwargs)
 
         monkeypatch.setattr(baselines_mod, "proximal_minimize", counting_solver)
-        delta = lc(sin_model, [0.5, 0.0], 1.0, ORACLE_HP, FINE_GRAD, 1.0).delta_star
+        delta = driven(sin_model, lc)([0.5, 0.0], 1.0, ORACLE_HP, FINE_GRAD, 1.0).delta_star
         np.testing.assert_allclose(delta, oracle_gpa([0.5, 0.0], 1.0), atol=1e-3)
         assert 0 < len(grads) <= 600
 
@@ -574,8 +574,32 @@ class TestLc:
         with warnings.catch_warnings(), pytest.raises(DivergenceError,
                                                       match="square overflows"):
             warnings.simplefilter("error")
-            lc(linear_model([1.0, 1.0]), [0.1, 0.2], 1e200, GpaHyperParams(),
-               GradientEstimatorConfig(), 1.0)
+            driven(linear_model([1.0, 1.0]), lc)([0.1, 0.2], 1e200, GpaHyperParams(),
+                                                 GradientEstimatorConfig(), 1.0)
+
+
+# every run of the module and the estimator's, on rows of the given width
+RUNS = {
+    "lc": lambda x: lc(x, 0.0, ORACLE_HP, FINE_GRAD, 1.0),
+    "ig": lambda x: integrated_gradient(x, np.zeros(len(x)), 10, FINE_GRAD),
+    "eig": lambda x: expected_integrated_gradient(x, ReferenceSet(np.zeros((2, len(x)))),
+                                                  10, FINE_GRAD),
+    "sv": lambda x: shapley_sampled(x, ReferenceSet(np.zeros((2, len(x))))),
+    "lime": lambda x: lime(x, 0.0, LimeConfig()),
+    "lime0": lambda x: lime0(x, LimeConfig()),
+    "baylime": lambda x: baylime_distributions(x, 0.0, LimeConfig(), 0.1, 1.0),
+    "gradient": lambda x: estimate_gradient(x, FINE_GRAD),
+}
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("name", list(RUNS))
+def test_every_run_refuses_rows_of_another_width(sin_model, name, width):
+    # the driver checks each step's rows against the model before the call:
+    # a one-input cloud would broadcast against the model's two inputs
+    with pytest.raises(ValueError, match="model dimension 2"):
+        drive(sin_model, [RUNS[name](np.full(width, 0.1))])
+    assert sin_model.query_count == 0
 
 
 class TestReferenceSet:

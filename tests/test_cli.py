@@ -16,7 +16,7 @@ import anomattr
 from anomattr import cli
 from anomattr.cli import build_parser, main
 from anomattr.gpa import GpaHyperParams
-from conftest import BatchRecorder, gradient_batch, strict_json
+from conftest import BatchRecorder, driven, gradient_batch, strict_json
 
 ORACLE_FLAGS = [
     "--eta", "0.001", "--nu", "0.001", "--kappa", "0.1", "--a0", "1",
@@ -886,8 +886,8 @@ class TestCollectiveLc:
                      "--out", str(out)]) == 0
         diagnostics = strict_json((out / name).read_text())["diagnostics"]
         model = anomattr.quadratic_model([2.0, 1.0])
-        record = anomattr.lc(model, x, y, GpaHyperParams.for_testset(3),
-                             anomattr.GradientEstimatorConfig(), 1.0)
+        record = driven(model, anomattr.lc)(x, y, GpaHyperParams.for_testset(3),
+                                            anomattr.GradientEstimatorConfig(), 1.0)
         assert record.converged and record.one_pair_batches > 0
         assert (record.query_count, record.call_count) == (model.query_count,
                                                            model.call_count)
@@ -1041,8 +1041,8 @@ class TestHeldBatches:
             x_t, baseline, anomattr.baselines._path_alphas(x_t, baseline, n_intervals), 1)
         held = np.vstack([
             anomattr.baselines._cloud(
-                x_t, anomattr.LimeConfig(*values["lime"], seed=seed), 2)[1],
-            gradient_batch(path, 2, grad_cfg)[0],
+                x_t, anomattr.LimeConfig(*values["lime"], seed=seed))[1],
+            gradient_batch(path, grad_cfg)[0],
             anomattr.baselines._shapley_batch(
                 x_t, anomattr.ReferenceSet(anomattr.load_csv(lattice_ref).x),
                 values["sv_configs"], seed, "auto")[0],
@@ -1090,7 +1090,7 @@ class TestHeldBatches:
     def test_nonfinite_cloud_row_named_in_gpa_first_call(self, sinus_data, tmp_path,
                                                          capsys, monkeypatch):
         x_t = np.array([0.5, 0.0])
-        bad = anomattr.baselines._cloud(x_t, anomattr.LimeConfig(), 2)[1][7]
+        bad = anomattr.baselines._cloud(x_t, anomattr.LimeConfig())[1][7]
         sine = anomattr.sinusoidal2d()
         made = []
 
@@ -1585,9 +1585,9 @@ class TestLockstep:
                      "--lc-lambda", "10", "--b0", "1e300", "--out", str(out)])
         assert code == 2
         with pytest.raises(anomattr.DivergenceError) as alone:
-            anomattr.lc(anomattr.sinusoidal2d(), [0.5, 0.0], 1e154,
-                        GpaHyperParams.for_testset(1, b0=1e300),
-                        anomattr.GradientEstimatorConfig(), 10.0)
+            driven(anomattr.sinusoidal2d(), anomattr.lc)(
+                [0.5, 0.0], 1e154, GpaHyperParams.for_testset(1, b0=1e300),
+                anomattr.GradientEstimatorConfig(), 10.0)
         assert capsys.readouterr().err == f"error: {alone.value}\n"
         assert not out.exists()
 

@@ -241,7 +241,7 @@ class TestMapEstimate:
         x = ts.x[0] + res.delta_star
         fv = sin_model.evaluate(x)
         r = ts.y[0] - fv
-        gf = estimate_gradient(sin_model, x, FINE_GRAD, f0=fv)
+        gf = driven(sin_model, estimate_gradient)(x, FINE_GRAD, f0=fv)
         grad = hp.eta * res.delta_star - (2 * hp.a0 + 1) * r / (2 * hp.b0 + r * r) * gf
         thr = hp.eta * hp.nu
         for i in range(2):
@@ -357,7 +357,7 @@ class TestMapEstimate:
         expect, expect_hess = 0.3 * delta, 0.3 * np.eye(2)
         for x, y, b in zip(xs, ys, rates):
             r = y - sin_model.evaluate(x + delta)
-            g = estimate_gradient(sin_model, x + delta, FINE_GRAD)
+            g = driven(sin_model, estimate_gradient)(x + delta, FINE_GRAD)
             expect -= 3.0 * r / (2 * b + r * r) * g
             expect_hess += 3.0 / (2 * b + r * r) * np.outer(g, g)
         grad, hess, corr = grad_fn(delta)
@@ -454,7 +454,7 @@ class TestAcceleratedSolver:
             assert res.converged
             delta, slope = res.delta_star, _student_t_slope(hp, res.rates)
         else:
-            delta = lc(model, ts.x, ts.y, hp, FINE_GRAD, 2.0).delta_star
+            delta = driven(model, lc)(ts.x, ts.y, hp, FINE_GRAD, 2.0).delta_star
             slope = lambda r: 2.0 * r  # noqa: E731
         assert np.count_nonzero(delta) >= 2
         assert np.max(_kkt_residual(delta, coef, ts, hp.eta, hp.nu, slope)) <= 1e-4
@@ -547,8 +547,8 @@ class TestSecantCorrection:
             delta = before + rng.normal(0.0, 0.1, ts.dimension)
             _, _, corr = grad_fn(delta)
             resid = ts.y - model.evaluate_batch(ts.x + delta)
-            grads_change = (estimate_gradient(model, ts.x + delta, FINE_GRAD)
-                            - estimate_gradient(model, ts.x + before, FINE_GRAD))
+            grads_change = (driven(model, estimate_gradient)(ts.x + delta, FINE_GRAD)
+                            - driven(model, estimate_gradient)(ts.x + before, FINE_GRAD))
             y_sharp = -grads_change.T @ (weight(resid) * resid)
             np.testing.assert_allclose(corr @ (delta - before), y_sharp, rtol=1e-9,
                                        atol=1e-12 * np.abs(y_sharp).max())
@@ -930,7 +930,7 @@ def _two_call_objective(model, x, y, eta, loss, grad_cfg):
 
     def grad_fn(delta):
         value_fn(delta)
-        grads = estimate_gradient(model, x + delta, grad_cfg, f0=fvals)
+        grads = driven(model, estimate_gradient)(x + delta, grad_cfg, f0=fvals)
         resid = y - fvals
         weight = loss_weight(resid)
         slope = weight * resid
@@ -1146,7 +1146,7 @@ class TestPairDraws:
             model = BatchRecorder(sinusoidal2d())
             if method == "lc":  # at the default flags lc gives up on the 3 rows
                 with contextlib.suppress(DivergenceError):
-                    delta = lc(model, ts.x, ts.y, ORACLE_HP, cfg, 1.0).delta_star
+                    delta = driven(model, lc)(ts.x, ts.y, ORACLE_HP, cfg, 1.0).delta_star
                     return model.sizes, model.call_count, delta, None
                 return model.sizes, model.call_count, None, None
             res = map_estimate(ts, model, ORACLE_HP, cfg)
@@ -1177,8 +1177,9 @@ class TestPairDraws:
         first_pair = np.zeros((m, FINE_GRAD.mc_samples), dtype=bool)
         first_pair[:, :2] = True
         # the solver's batch fills a slope table, so the reference does too
-        pairs = estimate_gradient(make(coef), ts.x + delta, FINE_GRAD, send=first_pair,
-                                  slopes=np.zeros((n, m, FINE_GRAD.mc_samples)))
+        pairs = driven(make(coef), estimate_gradient)(
+            ts.x + delta, FINE_GRAD, send=first_pair,
+            slopes=np.zeros((n, m, FINE_GRAD.mc_samples)))
         resid = ts.y - make(coef).evaluate_batch(ts.x + delta)
         np.testing.assert_array_equal(grad, 0.3 * delta - resid @ pairs)
         np.testing.assert_array_equal(hess, pairs.T @ pairs + 0.3 * np.eye(m))
@@ -1296,7 +1297,8 @@ class TestNonFiniteObjective:
             if method == "gpa":
                 map_estimate(ts, model, GpaHyperParams(b0=1.0), FINE_GRAD)
             else:
-                lc(model, ts.x[0], ts.y[0], GpaHyperParams(), GradientEstimatorConfig(), 1.0)
+                driven(model, lc)(ts.x[0], ts.y[0], GpaHyperParams(),
+                                  GradientEstimatorConfig(), 1.0)
 
     def test_infinite_start_raises(self):
         with pytest.raises(DivergenceError, match="inf"):
@@ -1322,7 +1324,8 @@ class TestNonFiniteObjective:
 
     @pytest.mark.parametrize("solve", [
         lambda m, ts: map_estimate(ts, m, GpaHyperParams(b0=1.0), GradientEstimatorConfig()),
-        lambda m, ts: lc(m, ts.x, ts.y, GpaHyperParams(), GradientEstimatorConfig(), 1.0),
+        lambda m, ts: driven(m, lc)(ts.x, ts.y, GpaHyperParams(), GradientEstimatorConfig(),
+                                    1.0),
     ], ids=["gpa", "lc"])
     def test_nonfinite_probe_output_stops_the_solve(self, solve):
         # NaN only at gradient probes that step x2 past 0.5: the first

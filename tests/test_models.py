@@ -24,7 +24,6 @@ from anomattr.models import (
     _step_draws,
     drive,
     estimate_gradient,
-    gradient_run,
     linear_model,
     quadratic_model,
     sinusoidal2d,
@@ -35,6 +34,7 @@ from conftest import (
     ORACLE_HP,
     BatchRecorder,
     ask,
+    driven,
     gradient_batch,
     serving,
     single_point,
@@ -142,26 +142,26 @@ class TestGradientEstimator:
         m = linear_model(coef)
         for seed in (0, 1, 99):
             cfg = GradientEstimatorConfig(perturbation_std=1.0, mc_samples=10, seed=seed)
-            grad = estimate_gradient(m, [0.4, -2.0, 7.0], cfg)
+            grad = driven(m, estimate_gradient)([0.4, -2.0, 7.0], cfg)
             np.testing.assert_allclose(grad, coef, atol=1e-12)
 
     def test_quadratic_smoothed_slope(self):
         # independent oracle: E[(f(x+h)-f(x))/h] = E[2x + h] = 2x = 4 at x=2
         m = quadratic_model([1.0])
         cfg = GradientEstimatorConfig(perturbation_std=1.0, mc_samples=100_000, seed=3)
-        grad = estimate_gradient(m, [2.0], cfg)
+        grad = driven(m, estimate_gradient)([2.0], cfg)
         slopes_std = 1.0  # std of h contributes c*h with c=1
         stderr = slopes_std / np.sqrt(cfg.mc_samples)
         assert abs(grad[0] - 4.0) <= max(3 * stderr, 1e-9)
 
     def test_sinusoidal_gradient_matches_analytic(self, sin_model):
         cfg = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=1000, seed=0)
-        grad = estimate_gradient(sin_model, [0.5, 0.0], cfg)
+        grad = driven(sin_model, estimate_gradient)([0.5, 0.0], cfg)
         np.testing.assert_allclose(grad, [-2 * np.pi, 0.0], atol=1e-2)
 
     def test_deterministic(self, sin_model):
-        a = estimate_gradient(sin_model, [0.3, 0.1], FINE_GRAD)
-        b = estimate_gradient(sin_model, [0.3, 0.1], FINE_GRAD)
+        a = driven(sin_model, estimate_gradient)([0.3, 0.1], FINE_GRAD)
+        b = driven(sin_model, estimate_gradient)([0.3, 0.1], FINE_GRAD)
         np.testing.assert_array_equal(a, b)
 
     @given(
@@ -173,7 +173,7 @@ class TestGradientEstimator:
     def test_query_accounting(self, dim, mc, seed):
         m = CallableModel(lambda x: float(np.sum(x)), dim)
         cfg = GradientEstimatorConfig(perturbation_std=0.5, mc_samples=mc, seed=seed)
-        estimate_gradient(m, np.zeros(dim), cfg)
+        driven(m, estimate_gradient)(np.zeros(dim), cfg)
         # the point itself goes only for the unpaired last draw of an odd mc
         assert m.query_count == dim * mc + mc % 2
 
@@ -181,7 +181,7 @@ class TestGradientEstimator:
         m = linear_model([1.0, 1.0])
         f0 = m.evaluate([0.0, 0.0])
         before = m.query_count
-        estimate_gradient(m, [0.0, 0.0], FINE_GRAD, f0=f0)
+        driven(m, estimate_gradient)([0.0, 0.0], FINE_GRAD, f0=f0)
         assert m.query_count - before == 2 * FINE_GRAD.mc_samples
 
     def test_plain_call_sends_only_the_displaced_points(self):
@@ -189,19 +189,14 @@ class TestGradientEstimator:
         # partner, so the k m mc displaced points go and no point
         x = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.0]])
         m = BatchRecorder(sinusoidal2d())
-        estimate_gradient(m, x, FINE_GRAD)
+        driven(m, estimate_gradient)(x, FINE_GRAD)
         _, disp = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std,
                               FINE_GRAD.mc_samples, 2)
         assert m.sizes == [len(x) * len(disp)]
         np.testing.assert_array_equal(m.last, (x[:, None, :] + disp).reshape(-1, 2))
-        # a mask that sends whole pairs asks for no value either
-        send = np.zeros((2, FINE_GRAD.mc_samples), dtype=bool)
-        send[:, 4:8] = True
-        estimate_gradient(m, x, FINE_GRAD, send=send)
-        assert m.sizes[1:] == [len(x) * 2 * 4]
 
     @pytest.mark.parametrize("ask", ["values", "slopes", "mc=1", "mc=3",
-                                     "mc=3 first pair", "split pair"])
+                                     "mc=3 first pair", "split pair", "whole pairs"])
     def test_points_go_first_where_their_values_are_used(self, ask):
         x = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.0]])
         k = len(x)
@@ -221,8 +216,13 @@ class TestGradientEstimator:
             kwargs["send"] = np.ones((2, mc), dtype=bool)
             kwargs["send"][1, 3] = False  # draw 2 of x2 goes without its partner
             draws -= 1
+        elif ask == "whole pairs":
+            # a mask sends the points, even one that sends whole pairs
+            kwargs["send"] = np.zeros((2, mc), dtype=bool)
+            kwargs["send"][:, 4:8] = True
+            draws = 2 * 4
         m = BatchRecorder(sinusoidal2d())
-        estimate_gradient(m, x, cfg, **kwargs)
+        driven(m, estimate_gradient)(x, cfg, **kwargs)
         assert m.sizes == [k + k * draws]
         np.testing.assert_array_equal(m.last[:k], x)
 
@@ -244,7 +244,7 @@ class TestGradientEstimator:
                 moved = x.copy()
                 moved[:, i] += h[i, j]
                 one_sided[:, i] += (model.evaluate_batch(moved) - f0) / h[i, j]
-        np.testing.assert_allclose(estimate_gradient(model, x, cfg), one_sided / mc,
+        np.testing.assert_allclose(driven(model, estimate_gradient)(x, cfg), one_sided / mc,
                                    rtol=1e-12, atol=0)
 
     def test_one_batch_centre_rows_first(self):
@@ -254,11 +254,11 @@ class TestGradientEstimator:
         k, rows = len(x), len(x) * 2 * FINE_GRAD.mc_samples
         m = BatchRecorder(sinusoidal2d())
         values = np.empty(k)
-        grad = estimate_gradient(m, x, FINE_GRAD, values=values)
+        grad = driven(m, estimate_gradient)(x, FINE_GRAD, values=values)
         assert m.sizes == [k + rows]
         np.testing.assert_array_equal(m.last[:k], x)
         np.testing.assert_array_equal(values, sinusoidal2d().evaluate_batch(x))
-        again = estimate_gradient(m, x, FINE_GRAD, f0=values)
+        again = driven(m, estimate_gradient)(x, FINE_GRAD, f0=values)
         assert m.sizes == [k + rows, rows]
         np.testing.assert_array_equal(again, grad)
 
@@ -276,9 +276,9 @@ class TestGradientEstimator:
         recorder = BatchRecorder(model)
         send = np.ones((4, mc), dtype=bool)
         send[[0, 2], 2:] = False
-        grad = estimate_gradient(recorder, x, FINE_GRAD, values=np.empty(k), send=send)
+        grad = driven(recorder, estimate_gradient)(x, FINE_GRAD, values=np.empty(k), send=send)
         assert recorder.sizes == [k * (1 + 2 * 2 + mc * 2)]
-        full = estimate_gradient(model, x, FINE_GRAD, values=np.empty(k))
+        full = driven(model, estimate_gradient)(x, FINE_GRAD, values=np.empty(k))
         np.testing.assert_array_equal(grad[:, [1, 3]], full[:, [1, 3]])
         h, _ = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std, mc, 4)
         f0 = model.evaluate_batch(x)
@@ -301,33 +301,34 @@ class TestGradientEstimator:
         slopes, values = np.zeros((k, 3, mc)), np.empty(k)
         send = np.ones((3, mc), dtype=bool)
         send[[0, 2], 2:] = False
-        estimate_gradient(recorder, x, FINE_GRAD, values=values, slopes=slopes, send=send)
-        rest = estimate_gradient(recorder, x, FINE_GRAD, f0=values, slopes=slopes,
-                                 send=~send)
+        gradient = driven(recorder, estimate_gradient)
+        gradient(x, FINE_GRAD, values=values, slopes=slopes, send=send)
+        rest = gradient(x, FINE_GRAD, f0=values, slopes=slopes, send=~send)
         assert recorder.sizes == [k * (1 + 2 + mc + 2), k * 2 * (mc - 2)]
-        full = estimate_gradient(model, x, FINE_GRAD, slopes=np.zeros((k, 3, mc)))
+        full = driven(model, estimate_gradient)(x, FINE_GRAD, slopes=np.zeros((k, 3, mc)))
         np.testing.assert_array_equal(slopes.sum(axis=2) / mc, full)
         # a coordinate that sends no draw takes the table's mean
         np.testing.assert_array_equal(rest[:, 1], full[:, 1])
 
     def test_draw_counts_validated(self, sin_model):
         x = [0.1, 0.2]
+        gradient = driven(sin_model, estimate_gradient)
         for shape in ((2, 9), (1, 10), (20,)):
             with pytest.raises(ValueError, match="mask"):
-                estimate_gradient(sin_model, x, FINE_GRAD, send=np.ones(shape, dtype=bool))
+                gradient(x, FINE_GRAD, send=np.ones(shape, dtype=bool))
         none_for_x2 = np.ones((2, 10), dtype=bool)
         none_for_x2[1] = False
         before = sin_model.query_count
         # raised before the batch goes, where the mean would be 0 / 0
         with pytest.raises(ValueError, match="no draw"):
-            estimate_gradient(sin_model, x, FINE_GRAD, send=none_for_x2)
+            gradient(x, FINE_GRAD, send=none_for_x2)
         assert sin_model.query_count == before
 
     def test_nonfinite_value_at_the_point_names_it(self):
         x = np.array([0.25, -0.5])
         m = CallableModel(lambda p: np.nan if np.array_equal(p, x) else 0.0, 2)
         with pytest.raises(NonFiniteModelOutput) as exc:
-            estimate_gradient(m, x, FINE_GRAD, values=np.empty(1))
+            driven(m, estimate_gradient)(x, FINE_GRAD, values=np.empty(1))
         np.testing.assert_array_equal(exc.value.x, x)
         assert m.query_count == 1 + 2 * FINE_GRAD.mc_samples and m.call_count == 1
 
@@ -339,7 +340,7 @@ class TestGradientEstimator:
 
     def test_nonfinite_input_rejected(self, sin_model):
         with pytest.raises(ValueError):
-            estimate_gradient(sin_model, [np.nan, 0.0], FINE_GRAD)
+            driven(sin_model, estimate_gradient)([np.nan, 0.0], FINE_GRAD)
 
 
 def _broadcast_rows(x, cfg, send=None, centre=False):
@@ -369,7 +370,7 @@ class TestDisplacedRowBuild:
             send[:, :2] = True
             if draws == "the rest":
                 send = ~send
-        points, central, _, _ = gradient_batch(x, m, cfg, send=send)
+        points, central, _, _ = gradient_batch(x, cfg, send=send)
         expect = _broadcast_rows(x, cfg, send, centre=not central)
         assert points.tobytes() == expect.tobytes()
 
@@ -377,7 +378,7 @@ class TestDisplacedRowBuild:
         kept = _Kept(2)
         x = np.random.default_rng(3).normal(size=(300, 2))
         x[0] = -0.0
-        drive(kept, [ask(POINTS[:1]), gradient_run(x, 2, FINE_GRAD)])
+        drive(kept, [ask(POINTS[:1]), estimate_gradient(x, FINE_GRAD)])
         [sent] = kept.batches
         np.testing.assert_array_equal(sent[:1], POINTS[:1])
         assert sent[1:].tobytes() == _broadcast_rows(x, FINE_GRAD).tobytes()
@@ -388,11 +389,11 @@ class TestDisplacedRowBuild:
         # the headers of the arrays and views (about 2 KiB); numpy's
         # broadcast buffered two operands in 64 KiB each, 130 KiB beyond it
         x = np.random.default_rng(0).normal(size=(800, 2))
-        gradient_batch(x, 2, FINE_GRAD)  # the draws are cached, not traced
+        gradient_batch(x, FINE_GRAD)  # the draws are cached, not traced
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            points, _, _, _ = gradient_batch(x, 2, FINE_GRAD)
+            points, _, _, _ = gradient_batch(x, FINE_GRAD)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -404,12 +405,12 @@ class TestDisplacedRowBuild:
                              ids=["sinusoid", "quadratic"])
     def test_central_estimate_is_the_table_formula(self, model, k):
         # with every draw sent each pair has its own slot, so the estimate
-        # is the pair-slot table's mean, scattered as a one-pair mask's is
+        # is the pair-slot table's mean
         m, mc = model.dimension, FINE_GRAD.mc_samples
         x = np.random.default_rng(k).uniform(-0.4, 0.4, (k, m))
-        grads = estimate_gradient(model, x, FINE_GRAD)
+        grads = driven(model, estimate_gradient)(x, FINE_GRAD)
         h, _ = _step_draws(FINE_GRAD.seed, FINE_GRAD.perturbation_std, mc, m)
-        pairs = model.evaluate_batch(gradient_batch(x, m, FINE_GRAD)[0]).reshape(k, -1, 2)
+        pairs = model.evaluate_batch(gradient_batch(x, FINE_GRAD)[0]).reshape(k, -1, 2)
         table = np.zeros((k, m, mc // 2))
         slots = np.arange(m * mc)[::2] // 2
         table.reshape(k, -1)[:, slots] = (pairs[..., 0] - pairs[..., 1]) / (2.0 * h.ravel()[::2])
@@ -442,7 +443,7 @@ class TestDrive:
         # the one-step runs' rows, then a run's rows built by its fill, go
         # in one array, in the order of the runs
         kept, answered = _Kept(2), []
-        filled = (2, lambda out: out.__setitem__(..., POINTS[2:]))
+        filled = ((2, 2), lambda out: out.__setitem__(..., POINTS[2:]))
         runs = [_steps([POINTS[i:i + 1]], answered) for i in range(lead)]
         results = drive(kept, [*runs, _steps([filled], answered)])
         [sent] = kept.batches
@@ -501,6 +502,15 @@ class TestDrive:
         with pytest.raises(ArithmeticError, match="run failed"):
             drive(kept, [failing(), _steps([POINTS[1:2]] * 3, [])])
         assert len(kept.batches) == 1
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 3)), ((2, 1), lambda out: None)],
+                             ids=["array", "fill"])
+    def test_rows_of_another_width_are_refused_before_the_call(self, rows):
+        # the other run's rows are fine; the step sends nothing
+        kept = _Kept(2)
+        with pytest.raises(ValueError, match=r"rows of \d inputs != model dimension 2"):
+            drive(kept, [ask(POINTS[:1]), ask(rows)])
+        assert kept.batches == [] and kept.query_count == 0
 
 
 ECHO_MODEL = textwrap.dedent(

@@ -8,6 +8,9 @@ import anomattr
 
 SOURCES = sorted(p for p in Path(anomattr.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+# the suites and the benchmark, named by their path in the repository
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")])
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -25,7 +28,8 @@ def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted((line, name) for name, line in imported.items() if name not in read)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + SCRIPTS,
+                         ids=lambda p: p.name if p in SOURCES else str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     assert not unused, "; ".join(f"{path.name}:{line} imports {name!r}, never read"
