@@ -21,7 +21,8 @@ least one.  x_t, where every path ends, goes once, first in the first
 batch.  The estimator sends a point itself only at an odd ``mc_samples``,
 where the unpaired draw needs its value.  So ig sends one batch of
 ``(n_intervals + 1) m mc_samples`` rows, and eig over the 64-point lattice
-of the benchmark's sinusoid sends 8.
+of the benchmark's sinusoid sends 4, 16 paths of 2,000 rows each, so that
+in ``compare`` it ends within the 4-5 steps of the gpa and lc solves.
 """
 
 from __future__ import annotations
@@ -64,14 +65,17 @@ __all__ = [
 # exact Shapley enumeration cutoff: coalition values to evaluate
 _EXACT_SV_BUDGET = 50_000
 # model-input numbers (rows times m) in one batch of path-integral paths.
-# Peak memory sets the limit, not the model: the gradient estimator's traced
-# peak is about five float64s per row at m = 2, and on the benchmark's
-# sinusoid compare peak RSS, against one path per batch, rose by at most
-# 0.1 MiB with 8 of eig's 64 paths per batch, 1.0 MiB with 16, 2.7 MiB with
-# 32 and 5.2 MiB (+13%) with all 64 in one batch.  A path above the budget
-# goes alone, so no batch is larger than the larger of one path, with x_t's
-# rows in the first batch, and the budget
-_PATH_BATCH_NUMBERS = 2**15
+# Peak memory sets the limit, not the model: a step holds its batch, the
+# model's answers and 64 KiB blocks, about 24 bytes a row at m = 2.  On the
+# benchmark's sinusoid compare at seed 1 (3 runs each, 2 vCPUs), the peak
+# RSS of one path per batch, 40.1 MiB, rose by 0.3 MiB with 8 of eig's 64
+# paths per batch, 0.7 MiB with 16, 1.5 MiB with 32 and 3.1 MiB (+8%) with
+# all 64 in one batch; an operation's traced peak was 0.24, 0.62, 1.02, 1.80
+# and 3.36 MiB.  With 16, eig's 4 steps end within those of the gpa and lc
+# solves beside it.  A path above the budget goes alone, so no batch is
+# larger than the larger of one path, with x_t's rows in the first batch,
+# and the budget
+_PATH_BATCH_NUMBERS = 2**16
 
 
 @dataclass
@@ -302,7 +306,8 @@ def expected_integrated_gradient(x_t, ref: ReferenceSet, n_intervals: int,
     integrals from each sample, over ``n_intervals`` intervals each.  The
     queries are those of one :func:`integrated_gradient` per sample, in
     fewer steps: whole paths share a batch up to ``_PATH_BATCH_NUMBERS``
-    model-input numbers, and a larger path goes alone."""
+    model-input numbers, and a larger path goes alone.  So 64 samples in m
+    = 2, at 100 intervals and 10 draws, take 4 steps of 16 paths."""
     integrals = yield from _path_run(np.asarray(x_t, dtype=float), ref.samples,
                                      n_intervals, grad_cfg)
     total = np.zeros(integrals.shape[1])

@@ -11,10 +11,11 @@ protocol and one response cache.  ``{"x": [...]}`` is answered by ``{"y":
 <number>}``; a batch ``{"xs": [[...], ...]}`` by ``{"ys": [<number>, ...]}``.
 A lone uncached row, such as :meth:`ModelHandle.evaluate` sends, goes as
 ``x``, which every model must speak.  A model that does not batch gets one
-``x`` request per point instead: an HTTP model says so at ``GET
-/capabilities``, a subprocess child by how it answers the first ``xs``
-request, which is why a child should answer a line it does not understand
-with a one-line JSON object such as ``{"error": "..."}`` rather than crash.
+``x`` request per point instead, and says so by how it answers the first
+``xs`` request: with a reply that holds no ``ys``, an HTTP error status or,
+for a subprocess child, by exiting on that line.  So a model should answer
+a request it does not understand with an error, such as the one-line JSON
+object ``{"error": "..."}``, rather than crash.
 A batch answer of the wrong length and a model that has not answered
 within ``timeout`` of the request's start (10 s by default; a subprocess
 child is killed) raise :class:`TransportError`, as does a subprocess child
@@ -247,7 +248,9 @@ def drive(model: ModelHandle, runs) -> list:
                 asks.append((i, run, run.send(answers)))
             except StopIteration as stop:
                 results[i] = stop.value
-        xs = None  # the last step's rows go before the next step's are built
+        # the last step's rows and answers go before the next step's are
+        # built, so no step's answers are alive beside the next step's batch
+        live = xs = ys = answers = None
         if not asks:
             break
         counts = [_count(model, rows) for _, _, rows in asks]
@@ -299,6 +302,17 @@ def _decode(reply: bytes) -> dict:
         return json.loads(reply)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise TransportError(f"malformed model response: {reply[:200]!r}") from exc
+
+
+def _batch_reply(reply: bytes) -> dict | None:
+    """The decoded reply to the first ``xs`` request if it holds ``ys``;
+    None, the model does not batch, if it is not a JSON object with
+    ``ys``."""
+    try:
+        doc = json.loads(reply)
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) and "ys" in doc else None
 
 
 def _answers(doc, key: str, shape: tuple) -> np.ndarray:
@@ -519,11 +533,7 @@ class SubprocessModel(_RemoteModel):
             # the expected crash of a one-point child: no message shows it
             self._stderr_start = os.fstat(self._stderr.fileno()).st_size
             return None
-        try:
-            doc = json.loads(reply)
-        except ValueError:
-            return None
-        return doc if isinstance(doc, dict) and "ys" in doc else None
+        return _batch_reply(reply)
 
     def _stop(self, wait: float) -> None:
         """End the child: close its stdin, give it ``wait`` seconds to exit,
@@ -581,16 +591,17 @@ class HttpModel(_RemoteModel):
     """Adapter for an HTTP prediction endpoint.
 
     ``POST <base>/predict`` with ``{"x": [...]}`` returns ``{"y": <number>}``.
-    If ``GET <base>/capabilities`` reports ``{"batch": true}``, batch queries
-    go through ``{"xs": [[...], ...]}`` -> ``{"ys": [...]}``; if that request
-    fails or does not return JSON, they go one point per request.  A
-    capabilities reply that is JSON but not an object raises
-    :class:`TransportError`, as do a ``/predict`` status of 400 or above and
-    a request whose answer has not come within ``timeout`` seconds of its
-    start.  That deadline bounds the whole request: connecting, sending,
-    and every read of the status line, the headers and the body, each of
-    which waits only for the time left, so a server that trickles any part
-    of its answer cannot hold a request longer.
+    The first batch of two or more uncached rows goes as ``{"xs": [[...],
+    ...]}`` and serves as the probe: a ``{"ys": [...]}`` reply means the
+    server batches for the rest of the handle's life.  A status of 400 or
+    above, or a reply without ``ys``, means it does not: this batch and
+    every later one go one ``x`` request per point.  Any other ``/predict``
+    status of 400 or above raises :class:`TransportError`, as does a request
+    whose answer has not come within ``timeout`` seconds of its start, the
+    probe's included.  That deadline bounds the whole request: connecting,
+    sending, and every read of the status line, the headers and the body,
+    each of which waits only for the time left, so a server that trickles
+    any part of its answer cannot hold a request longer.
     """
 
     def __init__(self, base_url: str, dimension: int, timeout: float = 10.0):
@@ -598,23 +609,25 @@ class HttpModel(_RemoteModel):
         self._base = base_url.rstrip("/")
         self._timeout = timeout
 
-    def _exchange(self, method: str, path: str, body: bytes | None = None):
-        """One request to ``<base><path>``, answered as ``(status, body)``
-        within ``timeout`` seconds of its start, or :class:`TransportError`."""
+    def _post(self, payload: dict):
+        """One ``POST <base>/predict`` of ``payload``, answered as ``(status,
+        body)`` within ``timeout`` seconds of its start, or
+        :class:`TransportError`."""
         # the HTTP stack loads on first use, not with the package
         import http.client
         from urllib.parse import urlsplit
 
         deadline = time.monotonic() + self._timeout
-        url = urlsplit(self._base + path)
+        url = urlsplit(self._base + "/predict")
         conn = (http.client.HTTPSConnection if url.scheme == "https" else
                 http.client.HTTPConnection)(url.netloc, timeout=self._timeout)
         try:
             conn.connect()
             reader = _DeadlineReader(conn.sock, deadline)
             conn.sock.settimeout(reader.left())
-            conn.request(method, url.path, body, {"Content-Type": "application/json"})
-            with http.client.HTTPResponse(reader, method=method) as resp:
+            conn.request("POST", url.path, json.dumps(payload).encode(),
+                         {"Content-Type": "application/json"})
+            with http.client.HTTPResponse(reader, method="POST") as resp:
                 resp.begin()
                 return resp.status, resp.read()
         except TimeoutError as exc:
@@ -626,22 +639,16 @@ class HttpModel(_RemoteModel):
             conn.close()
 
     def _request(self, payload):
-        status, body = self._exchange("POST", "/predict", json.dumps(payload).encode())
+        status, body = self._post(payload)
         if status >= 400:
             raise TransportError(f"model endpoint answered HTTP {status}: {body[:200]!r}")
         return _decode(body)
 
     def _probe_batch(self, payload):
-        try:
-            status, body = self._exchange("GET", "/capabilities")
-            if status >= 400:
-                return None
-            caps = json.loads(body)
-        except (TransportError, ValueError):
-            return None  # unreachable, too slow, or not JSON
-        if not isinstance(caps, dict):
-            raise TransportError(f"malformed capabilities response: {str(caps)[:200]}")
-        return self._request(payload) if caps.get("batch", False) else None
+        # a server that refuses the "xs" request, or answers it without
+        # "ys", does not batch
+        status, body = self._post(payload)
+        return None if status >= 400 else _batch_reply(body)
 
 
 # ---------------------------------------------------------------------------
@@ -760,10 +767,20 @@ def estimate_gradient(x, cfg: GradientEstimatorConfig, f0=None,
     h, _ = _step_draws(cfg.seed, cfg.perturbation_std, mc, m)
     if central:
         # draws 2j and 2j + 1 step by h and -h, so the mean of their two
-        # slopes is their central difference
+        # slopes is their central difference.  The differences of at most
+        # _BLOCK_NUMBERS pairs are alive at once, not half the batch's
+        # answers: a row's sum is the same in any block
         pairs = fvals.reshape(k, -1, 2)
-        diffs = (pairs[..., 0] - pairs[..., 1]) / (2.0 * h.ravel()[::2])
-        return (diffs.reshape(k, m, mc // 2).sum(axis=2) / (mc // 2)).reshape(x.shape)
+        scale = 2.0 * h.ravel()[::2]
+        grads, step = np.empty((k, m)), max(1, _BLOCK_NUMBERS // scale.size)
+        block = np.empty((min(k, step), scale.size))
+        for lo in range(0, k, step):
+            part = pairs[lo:lo + step]
+            diffs = np.subtract(part[..., 0], part[..., 1], out=block[:len(part)])
+            diffs /= scale
+            diffs.reshape(-1, m, mc // 2).sum(axis=2, out=grads[lo:lo + step])
+        grads /= mc // 2
+        return grads.reshape(x.shape)
     if f0 is None:  # the points went first
         f0, fvals = fvals[:k], fvals[k:]
         if values is not None:

@@ -13,6 +13,7 @@ from anomattr import (
     ModelHandle,
     ReferenceSet,
     TestSet,
+    baselines,
     cli,
     sinusoidal2d,
 )
@@ -130,6 +131,27 @@ def periodic_lattice(points_per_axis: int = 8, half_width: int = 1) -> Reference
     axis = -half_width + 2.0 * half_width * np.arange(points_per_axis) / points_per_axis
     samples = np.array([[a, b] for a in axis for b in axis])
     return ReferenceSet(samples)
+
+
+def path_batch_sizes(n_paths: int, n_intervals: int, point_rows: int, m: int) -> list:
+    """The rows of each model batch that ``n_paths`` path integrals of
+    ``n_intervals`` points send, a point ``point_rows`` rows of ``m``
+    inputs, by the batch rule of the :mod:`anomattr.baselines` docstring:
+    as many whole paths as keep rows times m within its
+    ``_PATH_BATCH_NUMBERS``, and at least one, with x_t's rows first in the
+    first batch."""
+    budget, path_rows = baselines._PATH_BATCH_NUMBERS, n_intervals * point_rows
+    lead, sizes = point_rows, []
+    while n_paths > 0:
+        k = min(n_paths, max(1, (budget - lead * m) // (path_rows * m)))
+        sizes.append(lead + k * path_rows)
+        n_paths, lead = n_paths - k, 0
+    return sizes
+
+
+# the model batches of eig over periodic_lattice() (64 paths) at 100
+# intervals and FINE_GRAD in m = 2, 20 displaced rows a point
+LATTICE_EIG_BATCHES = path_batch_sizes(64, 100, 2 * FINE_GRAD.mc_samples, 2)
 
 
 @pytest.fixture

@@ -28,7 +28,15 @@ from anomattr import (
     z_score,
 )
 from anomattr.models import _step_draws, drive, estimate_gradient
-from conftest import FINE_GRAD, ORACLE_HP, BatchRecorder, driven, periodic_lattice
+from conftest import (
+    FINE_GRAD,
+    LATTICE_EIG_BATCHES,
+    ORACLE_HP,
+    BatchRecorder,
+    driven,
+    path_batch_sizes,
+    periodic_lattice,
+)
 
 TIGHT_LIME = LimeConfig(n_samples=1000, sampling_std=1e-3, l1_strength=0.0, seed=0)
 
@@ -217,7 +225,7 @@ class TestIntegratedGradient:
     def test_one_model_call_per_path(self):
         # a path's points short of x_t and their displaced points go whole
         # into one model call, with as many other whole paths as keep rows x
-        # m within 2**15, and x_t's displaced points lead the first call
+        # m within the budget, and x_t's displaced points lead the first call
         model = BatchRecorder(sinusoidal2d())
         per_point = 2 * FINE_GRAD.mc_samples
         driven(model, integrated_gradient)([0.5, 0.2], (0.0, 0.0), 8, FINE_GRAD)
@@ -227,11 +235,11 @@ class TestIntegratedGradient:
         driven(model, expected_integrated_gradient)([0.5, 0.2], ref, 8, FINE_GRAD)
         assert model.sizes == [(1 + 3 * 8) * per_point]
         model.sizes.clear()
-        # 100 points x 20 rows x m = 2 is 4,000 numbers a path: 8 a batch,
-        # the first with x_t's 20 rows (32,040 numbers)
+        # 100 points x 20 rows x m = 2 is 4,000 numbers a path: 16 a batch
+        # at a budget of 2**16, the first with x_t's 20 rows (64,040 numbers)
         driven(model, expected_integrated_gradient)([0.5, 0.2], periodic_lattice(), 100,
                                                     FINE_GRAD)
-        assert model.sizes == [16_020] + [16_000] * 7
+        assert model.sizes == LATTICE_EIG_BATCHES
 
     def test_x_t_rows_lead_the_first_batch(self):
         # the estimator sends no point itself at an even mc, so the first
@@ -259,12 +267,13 @@ class TestIntegratedGradient:
 
     def test_odd_draw_count_sends_the_path_points(self):
         # an unpaired draw needs f at its point: at mc = 3 a point is 1 + 2 x
-        # 3 rows, a path 700 rows x m = 2, so 23 paths go to a batch, and x_t's
-        # 7 rows lead the first
+        # 3 rows, a path 700 rows x m = 2, and x_t's 7 rows lead the first
+        # batch: at a budget of 2**16, 46 paths, then the other 18
         cfg = GradientEstimatorConfig(perturbation_std=1e-3, mc_samples=3, seed=0)
         model = BatchRecorder(sinusoidal2d())
         driven(model, expected_integrated_gradient)([0.5, 0.2], periodic_lattice(), 100, cfg)
-        assert model.sizes == [7 + 23 * 700, 23 * 700, 18 * 700]
+        assert model.sizes == path_batch_sizes(64, 100, 7, 2)
+        assert sum(model.sizes) == 7 + 64 * 700
         np.testing.assert_array_equal(model.first[0], [0.5, 0.2])
 
     def test_path_above_budget_goes_alone(self):

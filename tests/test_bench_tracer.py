@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from anomattr import baselines, cli, dataio, gpa, metrics, models
-from conftest import strict_json
+from conftest import LATTICE_EIG_BATCHES, strict_json
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # every (owner, name) the tracer replaces while it is installed
@@ -149,8 +149,10 @@ def test_traced_compare_operation_writes_the_untraced_bytes(tracer_cls, tmp_path
     assert "?" not in tracer.solver
     # one estimator run per gradient of the two solves (the sinusoid's
     # pairs disagree, so neither confirms), one for ig's path and one per
-    # batch of eig's 64 paths, 8 to a batch
+    # batch of eig's 64 paths of the 8x8 lattice, 16 to a batch at a
+    # budget of 2**16
     assert doc["diagnostics"]["gpa"]["confirmations"] == 0
     assert doc["diagnostics"]["lc"]["confirmations"] == 0
     assert tracer.totals["models.estimate_gradient"][0] == (
-        tracer.solver["gpa.map_estimate"][1] + tracer.solver["baselines.lc"][1] + 1 + 8) == 17
+        tracer.solver["gpa.map_estimate"][1] + tracer.solver["baselines.lc"][1] + 1
+        + len(LATTICE_EIG_BATCHES)) == 13

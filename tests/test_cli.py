@@ -16,7 +16,7 @@ import anomattr
 from anomattr import cli
 from anomattr.cli import build_parser, main
 from anomattr.gpa import GpaHyperParams
-from conftest import BatchRecorder, driven, gradient_batch, strict_json
+from conftest import LATTICE_EIG_BATCHES, BatchRecorder, driven, gradient_batch, strict_json
 
 ORACLE_FLAGS = [
     "--eta", "0.001", "--nu", "0.001", "--kappa", "0.1", "--a0", "1",
@@ -1018,7 +1018,8 @@ class TestHeldBatches:
     # rows, eig's number of calls and the rows of its first
     HELD_FLAGS = {
         "defaults": ([], dict(lime=(1_000, 0.3), baseline=[0.0, 0.0], n_intervals=100,
-                              sv_configs=100, seed=0), 3_276, 8, 20 + 8 * 2_000),
+                              sv_configs=100, seed=0), 3_276, len(LATTICE_EIG_BATCHES),
+                     LATTICE_EIG_BATCHES[0]),
         "other flags": (["--lime-samples", "50", "--lime-std", "0.7", "--n-intervals", "7",
                          "--sv-configs", "9", "--seed", "4", "--baseline", "0.25,-0.5"],
                         dict(lime=(50, 0.7), baseline=[0.25, -0.5], n_intervals=7,
@@ -1552,10 +1553,11 @@ class TestLockstep:
         assert main(["compare", "--methods", self.EVERY, "--model", "sinusoidal2d", *flags,
                      "--out", str(out)]) == 0
         diagnostics = strict_json((out / "compare.json").read_text())["diagnostics"]
-        # eig sends its 64 paths of 2,000 rows eight to a batch; the
-        # one-batch methods ride the first call
+        # eig sends its 64 paths of 2,000 rows as many to a batch as the
+        # budget allows; the one-batch methods ride the first call
         steps = {"gpa": diagnostics["gpa"]["call_count"],
-                 "lc": diagnostics["lc"]["call_count"], "eig": 8, "one-batch": 1}
+                 "lc": diagnostics["lc"]["call_count"], "eig": len(LATTICE_EIG_BATCHES),
+                 "one-batch": 1}
         assert diagnostics["model_calls"] == len(recorders[0].sizes) == max(steps.values())
         assert diagnostics["model_queries"] == sum(recorders[0].sizes)
 

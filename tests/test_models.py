@@ -96,11 +96,12 @@ class TestBuiltins:
         assert ys.tobytes() == expect.tobytes()
         assert peak < 2.5 * ys.nbytes
 
-    @pytest.mark.parametrize("rows", [16_000, 19_338])
+    @pytest.mark.parametrize("rows", [16_000, 19_338, 35_338])
     def test_sinusoid_batch_holds_one_array_beside_a_block(self, rows):
         # the second factor goes in blocks of 8,192 numbers, so beyond the
-        # answers only one block (64 KiB) and array headers are alive; 19,338
-        # rows is the first step of a seed-1 benchmark compare
+        # answers only one block (64 KiB) and array headers are alive; 35,338
+        # rows is the first step of a seed-1 benchmark compare (19,338 at
+        # half its path budget)
         xs = np.random.default_rng(rows).normal(size=(rows, 2))
         model = sinusoidal2d()
         model.evaluate_batch(xs[:2])
@@ -399,6 +400,27 @@ class TestDisplacedRowBuild:
             tracemalloc.stop()
         assert points.nbytes == 16_000 * 2 * 8
         assert peak <= points.nbytes + 64 * 1024 + 4096
+
+    def test_eig_shaped_reduction_allocates_one_block_beyond_the_estimate(self):
+        # 1,600 path points at m = 2, 32,000 answers: their 16,000 central
+        # differences are taken at most 64 KiB at a time, so beyond the
+        # estimate only one block is alive, and the 64 KiB buffer of numpy's
+        # broadcast division (two arrays of 128 KB more when the differences
+        # were taken whole)
+        x = np.random.default_rng(0).normal(size=(1_600, 2))
+        answers = sinusoidal2d().evaluate_batch(gradient_batch(x, FINE_GRAD)[0])
+        run = estimate_gradient(x, FINE_GRAD)
+        next(run)
+        tracemalloc.start()
+        try:
+            with pytest.raises(StopIteration) as stop:
+                run.send(answers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grads = stop.value.value
+        assert grads.nbytes == 1_600 * 2 * 8
+        assert peak <= grads.nbytes + 2 * 64 * 1024 + 4096
 
     @pytest.mark.parametrize("k", [1, 20, 800])
     @pytest.mark.parametrize("model", [sinusoidal2d(), quadratic_model([1.0, 0.5, 2.0])],
@@ -865,7 +887,6 @@ class TestSubprocessAdapter:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    capabilities = ({"batch": True}, 200)  # reply document and status
     posts: list = []
 
     def log_message(self, *args):
@@ -879,33 +900,37 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def do_GET(self):
-        if self.path == "/capabilities":
-            self._send(*self.capabilities)
-        else:
-            self._send({}, 404)
-
     @staticmethod
     def f(x):
         return 2.0 * x[0] + x[1]
+
+    # the reply to an "xs" request, as (document, status); None answers it
+    batch_reply = None
 
     def do_POST(self):
         n = int(self.headers["Content-Length"])
         req = json.loads(self.rfile.read(n))
         self.posts.append(req)
-        if "xs" in req:
+        if "xs" not in req:
+            self._send({"y": self.f(req["x"])})
+        elif self.batch_reply is None:
             self._send({"ys": [self.f(x) for x in req["xs"]]})
         else:
-            self._send({"y": self.f(req["x"])})
+            self._send(*self.batch_reply)
 
 
-class _NoCapabilities(_Handler):
-    capabilities = ({}, 404)
+class _RefusesBatches(_Handler):
+    batch_reply = ({"error": "unknown request"}, 400)
     posts: list = []
 
 
-class _ListCapabilities(_Handler):
-    capabilities = ([1], 200)
+class _ErrorForBatches(_Handler):
+    batch_reply = ({"error": "unknown request"}, 200)
+    posts: list = []
+
+
+class _ListForBatches(_Handler):
+    batch_reply = ([1], 200)
     posts: list = []
 
 
@@ -962,7 +987,16 @@ class _SilentCapabilities(_Handler):
     def do_GET(self):
         time.sleep(1.0)
         with contextlib.suppress(OSError):  # the client has hung up
-            super().do_GET()
+            self._send({"batch": True})
+
+
+class _SilentBatches(_Handler):
+    """Answers an ``xs`` request only after 1 s."""
+    posts: list = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        time.sleep(1.0)
 
 
 def _serving(handler):
@@ -984,19 +1018,20 @@ class TestHttpAdapter:
         np.testing.assert_allclose(ys, [2.0, 3.0])
         assert m.query_count == 3
 
-    @pytest.mark.parametrize("http_server", [_NoCapabilities], indirect=True)
-    def test_missing_capabilities_fall_back_to_single_points(self, http_server):
-        m = HttpModel(http_server, dimension=2)
-        ys = m.evaluate_batch(POINTS)
+    @pytest.mark.parametrize("handler", [_RefusesBatches, _ErrorForBatches, _ListForBatches])
+    def test_a_server_that_does_not_batch_gets_single_points(self, handler):
+        # an error status, or a reply without "ys", to the first batch: that
+        # batch and every later one go one point per request
+        later = POINTS[:2] + 1.0
+        with _serving(handler) as url:
+            m = HttpModel(url, dimension=2)
+            ys = m.evaluate_batch(POINTS)
+            again = m.evaluate_batch(later)
         np.testing.assert_array_equal(ys, 2.0 * POINTS[:, 0] + POINTS[:, 1])
-        assert m.query_count == len(POINTS)
-        assert _NoCapabilities.posts == [{"x": x} for x in POINTS.tolist()]
-
-    @pytest.mark.parametrize("http_server", [_ListCapabilities], indirect=True)
-    def test_capabilities_not_an_object_raise(self, http_server):
-        m = HttpModel(http_server, dimension=2)
-        with pytest.raises(TransportError, match="capabilities"):
-            m.evaluate_batch(POINTS)
+        np.testing.assert_array_equal(again, 2.0 * later[:, 0] + later[:, 1])
+        assert m.query_count == len(POINTS) + len(later)
+        assert handler.posts == [{"xs": POINTS.tolist()}] + [
+            {"x": x} for x in [*POINTS.tolist(), *later.tolist()]]
 
     def test_batch_is_one_post(self, http_server):
         m = HttpModel(http_server, dimension=2)
@@ -1031,14 +1066,23 @@ class TestHttpAdapter:
         assert time.monotonic() - start < 0.5 + 0.5
 
     @pytest.mark.parametrize("http_server", [_SilentCapabilities], indirect=True)
-    def test_capabilities_that_never_answer_fall_back_to_single_points(self, http_server):
-        # the probe waits out its own timeout, then each point goes alone
+    def test_capabilities_are_never_asked(self, http_server):
+        # the first batch is the probe: a GET /capabilities that never
+        # answers costs nothing
         m = HttpModel(http_server, dimension=2, timeout=0.5)
         start = time.monotonic()
         ys = m.evaluate_batch(POINTS)
-        assert time.monotonic() - start < 0.5 + 0.5
+        assert time.monotonic() - start < 0.25
         np.testing.assert_array_equal(ys, 2.0 * POINTS[:, 0] + POINTS[:, 1])
-        assert _SilentCapabilities.posts == [{"x": x} for x in POINTS.tolist()]
+        assert _SilentCapabilities.posts == [{"xs": POINTS.tolist()}]
+
+    @pytest.mark.parametrize("http_server", [_SilentBatches], indirect=True)
+    def test_a_first_batch_that_times_out_raises(self, http_server):
+        m = HttpModel(http_server, dimension=2, timeout=0.5)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="no answer within 0.5 s"):
+            m.evaluate_batch(POINTS)
+        assert time.monotonic() - start < 0.5 + 0.5
 
     @pytest.mark.parametrize("http_server", [_ServerError], indirect=True)
     def test_error_status_raises(self, http_server):

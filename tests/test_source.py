@@ -41,6 +41,48 @@ def test_an_unused_import_is_found():
     assert _unused_imports(tree) == [(1, "math"), (3, "d")]
 
 
+def _unread_constants(trees: dict) -> list[tuple[str, int, str]]:
+    """The (module, line, name) of each UPPER_CASE name that the top level of
+    a module in ``trees`` (module name to parsed source) assigns and no
+    module reads, by name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        read.update(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            names = [n for t in targets for n in (t.elts if isinstance(t, ast.Tuple) else [t])
+                     if isinstance(n, ast.Name)]
+            found += [(module, node.lineno, n.id) for n in names
+                      if n.id.isupper() and n.id not in read]
+    return sorted(found)
+
+
+def test_every_constant_is_read():
+    # a knob that nothing reads should go
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in SOURCES + [Path(anomattr.__file__)]}
+    unread = _unread_constants(trees)
+    assert not unread, "; ".join(f"{module}:{line} {name} is never read"
+                                 for module, line, name in unread)
+
+
+def test_an_unread_constant_is_found():
+    trees = {"a.py": ast.parse("A = 1\n_B: int = 2\nC, _D = 3, 4\nlower = 5\n"
+                               "def f():\n    E = 6\n    return A + E\n"),
+             "b.py": ast.parse("from a import C\nimport a\nF = a._B\n")}
+    assert _unread_constants(trees) == [("a.py", 3, "C"), ("a.py", 3, "_D"), ("b.py", 3, "F")]
+
+
 def _undefined_exports(tree: ast.Module) -> list[str]:
     """The names a module's ``__all__`` lists and its top level does not
     define, by a ``def``, a ``class``, an import or an assignment."""
