@@ -18,11 +18,13 @@ call.  The path integrals send whole paths, the displaced points of each
 path's points short of x_t, as many paths per batch as keep the batch
 within ``_PATH_BATCH_NUMBERS`` model-input numbers (rows times m), and at
 least one.  x_t, where every path ends, goes once, first in the first
-batch.  The estimator sends a point itself only at an odd ``mc_samples``,
-where the unpaired draw needs its value.  So ig sends one batch of
+batch.  :func:`~anomattr.models.gradient_rows` alone counts their rows: the
+estimator sends a point itself only at an odd ``mc_samples``, where the
+unpaired draw needs its value.  So ig sends one batch of
 ``(n_intervals + 1) m mc_samples`` rows, and eig over the 64-point lattice
 of the benchmark's sinusoid sends 4, 16 paths of 2,000 rows each, so that
-in ``compare`` it ends within the 4-5 steps of the gpa and lc solves.
+in ``compare`` it ends within the 4-5 steps of the gpa and lc solves.  lc
+counts its solve by :func:`~anomattr.models.counted`, as gpa's does.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .gpa import (
     gaussian_loss,
     proximal_minimize,
 )
-from .models import GradientEstimatorConfig, estimate_gradient
+from .models import GradientEstimatorConfig, counted, estimate_gradient, gradient_rows
 
 __all__ = [
     "ReferenceSet",
@@ -270,12 +272,12 @@ def _path_run(x_t: np.ndarray, starts: np.ndarray, n_intervals: int,
     weights = np.full(n_intervals, 1.0 / n_intervals)
     weights[0] = 0.5 / n_intervals
     # the estimator sends a point itself only where an unpaired draw needs it
-    point_numbers = (m * grad_cfg.mc_samples + grad_cfg.mc_samples % 2) * m
-    path_numbers = n_intervals * point_numbers
+    values = grad_cfg.mc_samples % 2 == 1
+    budget, path = _PATH_BATCH_NUMBERS // m, gradient_rows(n_intervals, m, grad_cfg, values)
     integrals = np.empty(starts.shape)
     lo, lead = 0, 1  # x_t leads the first batch
     while lo < len(starts):
-        hi = lo + max(1, (_PATH_BATCH_NUMBERS - lead * point_numbers) // path_numbers)
+        hi = lo + max(1, (budget - gradient_rows(lead, m, grad_cfg, values)) // path)
         grads = yield from estimate_gradient(
             _path_points(x_t, starts[lo:hi], alphas, lead), grad_cfg)
         if lead:
@@ -304,10 +306,8 @@ def expected_integrated_gradient(x_t, ref: ReferenceSet, n_intervals: int,
     """The run of the path integral averaged over baselines drawn from the
     reference set: the weighted sum, in reference order, of the path
     integrals from each sample, over ``n_intervals`` intervals each.  The
-    queries are those of one :func:`integrated_gradient` per sample, in
-    fewer steps: whole paths share a batch up to ``_PATH_BATCH_NUMBERS``
-    model-input numbers, and a larger path goes alone.  So 64 samples in m
-    = 2, at 100 intervals and 10 draws, take 4 steps of 16 paths."""
+    queries are those of one :func:`integrated_gradient` per sample, in the
+    fewer steps of the batch rule in the module docstring."""
     integrals = yield from _path_run(np.asarray(x_t, dtype=float), ref.samples,
                                      n_intervals, grad_cfg)
     total = np.zeros(integrals.shape[1])
@@ -455,4 +455,4 @@ def lc(x_t, y_t, hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, lam: flo
 
 def _recorded(solve, objective: CounterfactualObjective):
     """The run of ``solve`` that returns the record of its state."""
-    return AttributionResult.of((yield from solve), objective)
+    return AttributionResult.of((yield from counted(solve)), objective)

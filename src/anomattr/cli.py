@@ -416,7 +416,7 @@ def cmd_detect(args) -> int:
     for t in order:
         marker = "*" if t in top else " "
         print(f"{marker} sample {t:4d}  anomaly_score {scores[t]:.6f}")
-    print(f"top-{args.top} indices: {','.join(str(t) for t in top)}")
+    print(f"top-{len(top)} indices: {','.join(str(t) for t in top)}")
     if args.out:
         path = _out_dir(args) / "detect.json"
         dataio.emit_result_json(
@@ -476,10 +476,8 @@ def cmd_dist(args) -> int:
             "distributions use the last iterate",
             file=sys.stderr,
         )
-    # no slice batch larger than the solve's first, all-draws gradient batch
-    solve_rows = selection.n_test * (1 + selection.dimension * grad_cfg.mc_samples)
     grid, probs = gpa.score_distributions(result.delta_star, selection, model, hp,
-                                          result.rates, max_rows=solve_rows)
+                                          result.rates, grad_cfg)
     edge_mass = probs[:, 0] + probs[:, -1]
     worst = int(np.argmax(edge_mass))
     if edge_mass[worst] > _EDGE_MASS_WARNING:
@@ -581,15 +579,15 @@ def _add_common(p):
     p.add_argument("--model", default=None,
                    help="sinusoidal2d | linear:c1,c2 | quadratic:c1,.. | "
                         f"subprocess:CMD | http(s)://URL (default ${MODEL_ENV_VAR})")
+
+
+def _add_attribution_flags(p):
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--grad-std", type=_positive, default=1.0,
                    help="gradient estimator perturbation std")
     p.add_argument("--grad-samples", type=_bounded(int, 1), default=10,
                    help="gradient estimator Monte Carlo samples per coordinate, "
                         "sign-paired")
-
-
-def _add_selection(p):
     p.add_argument("--point-index", type=int, default=0)
     p.add_argument("--indices", default=None, help="comma-separated sample indices")
     p.add_argument("--collective", action="store_true",
@@ -606,7 +604,6 @@ def _add_gpa_flags(p):
     p.add_argument("--b0", type=_positive, default=None)
     p.add_argument("--b-mode", dest="b_mode", choices=("constant", "local_kernel"),
                    default=None)
-    p.add_argument("--grid-points", type=_bounded(int, 3), default=None)
     p.add_argument("--max-iter", type=_bounded(int, 1), default=None)
     p.add_argument("--tol", type=_positive, default=None)
 
@@ -646,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", help="attribution scores and litmus plot")
     _add_common(p)
-    _add_selection(p)
+    _add_attribution_flags(p)
     _add_gpa_flags(p)
     _add_method_flags(p)
     p.add_argument("--methods", required=True,
@@ -657,14 +654,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="per-variable score distributions")
     _add_common(p)
-    _add_selection(p)
+    _add_attribution_flags(p)
     _add_gpa_flags(p)
+    p.add_argument("--grid-points", type=_bounded(int, 3), default=None)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("compare", help="consistency metrics between methods")
     _add_common(p)
-    _add_selection(p)
+    _add_attribution_flags(p)
     _add_gpa_flags(p)
     _add_method_flags(p)
     p.add_argument("--methods", required=True)

@@ -77,23 +77,19 @@ builds the step's batch in one array, the rate rows in front and the
 estimator's rows behind them, so no copy of the batch is made.  In
 ``explain`` and ``compare`` the other methods' runs go in the same steps,
 as :func:`map_estimate`'s ``lead`` and ``follow``: their one-batch rows and
-``explain``'s residual rows in front, lc's and eig's behind, and a run's
-call count is the steps it took part in.  ``dist`` packs ``P =
-max(1, (1 + m mc_samples) // grid_points)`` whole variables into each
-slice batch, so that no slice batch is larger than the solver's first,
-all-draws gradient batch of ``n (1 + m mc_samples)`` rows, which the model
-has already answered.  At the defaults (10 draws, 100 grid points) and m =
-30, P = 3: 10 batches of 6,000 rows against the solver's 6,020.  Where P =
-1, as on the two-variable sinusoid, each variable keeps a batch of its own.
-The batches are written into one reused buffer, so the slices hold one
-batch's rows at a time: on 20 rows of a quadratic model in m = 30, the
-benchmark's size, their traced peak is 1.55 MiB, below the MAP solve's
-1.70 MiB, whose first batch of 6,040 rows takes 1.38 MiB of it.  Batches
-of 3 variables built anew while the last one is still bound would hold two
-batches of 1.4 MiB at once.
-:attr:`AttributionResult.query_count` and ``call_count`` count the rates and
-the solver (lc's, which has no rates, the solver alone).  The solver's
-batches come from :class:`CounterfactualObjective`:
+``explain``'s residual rows in front, lc's and eig's behind.
+:func:`~anomattr.models.counted` alone counts: :func:`map_estimate` wraps
+its rate run and its solve in it, so :attr:`AttributionResult.query_count`
+is the rate rows plus the solve's rows and ``call_count`` the solve's steps
+(lc, which has no rates, wraps its solve alone).
+:func:`~anomattr.models.gradient_rows` alone sizes a gradient batch, and
+:func:`score_distributions` alone holds the slices' rule: ``P = max(1, (1 +
+m mc_samples) // grid_points)`` whole variables to a batch, so that none is
+larger than the solver's first, all-draws gradient batch of ``n (1 + m
+mc_samples)`` rows.  At the defaults (10 draws, 100 grid points) and m =
+30, P = 3: 10 batches of 6,000 rows against the solver's 6,020; on the
+two-variable sinusoid P = 1.  The solver's batches come from
+:class:`CounterfactualObjective`:
 
 * The start sends one batch, which gives both the objective and its
   gradient there, and each candidate step sends one.  The first candidate of
@@ -145,9 +141,10 @@ from .dataio import TestSet
 from .models import (
     GradientEstimatorConfig,
     ModelHandle,
+    counted,
     drive,
     estimate_gradient,
-    resumed,
+    gradient_rows,
 )
 
 __all__ = [
@@ -205,7 +202,7 @@ class GpaHyperParams:
     halved only where they raise the objective, so it needs no step size; it
     stops after ``max_iter`` iterations or once a step moves no coordinate
     by ``tol``.  ``grid_points`` sizes the posterior slices.  Each field is
-    a flag of ``explain``, ``dist`` and ``compare``.
+    a flag of ``dist`` and, but ``grid_points``, of ``explain`` and ``compare``.
     """
 
     eta: float = 0.1
@@ -272,15 +269,13 @@ class AttributionResult:
     rates: np.ndarray | None
 
     @classmethod
-    def of(cls, state: _SolveState, objective: CounterfactualObjective, rates=None,
-           rate_queries: int = 0) -> AttributionResult:
-        """The record of ``state``, a :func:`proximal_minimize` solve of
-        ``objective``, whose queries and calls the objective counted, plus
-        the ``rate_queries`` rows that rode its first call."""
+    def of(cls, solve, objective: CounterfactualObjective, rates=None) -> AttributionResult:
+        """The record of ``solve``, the ``(state, query_count, call_count)`` that
+        :func:`~anomattr.models.counted` gives a solve of ``objective``."""
+        state, query_count, call_count = solve
         return cls(state.delta, state.iterations, state.converged, state.trace,
                    state.halvings, state.secant_steps, objective.one_pair_batches,
-                   state.confirmations, objective.query_count + rate_queries,
-                   objective.call_count, rates)
+                   state.confirmations, query_count, call_count, rates)
 
 
 def init_gamma_rate(resid, a0: float, c_b: float) -> float:
@@ -404,8 +399,7 @@ class CounterfactualObjective:
     the last two ``grad`` calls, returns None when that gradient used every
     draw.  Otherwise it sends the missing draws there in one batch, returns
     the all-draws ``(g, H, C)`` and sets the later draws anew from them.
-    ``query_count`` and ``call_count`` count the rows and batches the
-    objective asked for.  The module docstring gives the query plan.
+    The module docstring gives the query plan.
     """
 
     def __init__(self, x, y, eta: float, loss, grad_cfg=GradientEstimatorConfig()):
@@ -420,11 +414,10 @@ class CounterfactualObjective:
         self._send = None
         # (delta key, values, slopes, send) of the last gradient batches
         self._recent = deque(maxlen=2)
-        self.one_pair_batches = self.query_count = self.call_count = 0
+        self.one_pair_batches = 0
 
     def value_run(self, delta):
         if delta.tobytes() != self._key:
-            self._tally(len(self._x))
             self._remember(delta, (yield self._x + delta).copy())
         return self._value
 
@@ -433,9 +426,9 @@ class CounterfactualObjective:
         slopes = np.zeros((len(self._x), self._m, self._cfg.mc_samples))
         memo = key == self._key
         fvals = self._fvals if memo else np.empty(len(self._x))
-        grads = yield from self._counted(estimate_gradient(
+        grads = yield from estimate_gradient(
             self._x + delta, self._cfg, f0=fvals if memo else None,
-            values=None if memo else fvals, slopes=slopes, send=send))
+            values=None if memo else fvals, slopes=slopes, send=send)
         if not memo:
             self._remember(delta, fvals)
         if not self._recent:
@@ -453,21 +446,11 @@ class CounterfactualObjective:
         _, fvals, slopes, send = found[-1]
         if send is None:
             return None
-        yield from self._counted(estimate_gradient(
-            self._x + delta, self._cfg, f0=fvals, slopes=slopes, send=~send))
+        yield from estimate_gradient(
+            self._x + delta, self._cfg, f0=fvals, slopes=slopes, send=~send)
         self._send = _pair_draws(slopes)
         self._recent.append((key, fvals, slopes, None))
         return self._derivatives(delta, fvals, slopes.sum(axis=2) / self._cfg.mc_samples)
-
-    def _counted(self, run):
-        """The result of the estimator's ``run``, whose one batch it counts."""
-        rows = next(run)
-        self._tally(rows[0][0])
-        return (yield from resumed(run, rows))
-
-    def _tally(self, queries: int) -> None:
-        self.query_count += queries
-        self.call_count += 1
 
     def _remember(self, delta, model_values):
         self._key, self._fvals = delta.tobytes(), model_values
@@ -801,10 +784,10 @@ def map_estimate(
         objective.grad_run, objective.value_run, testset.dimension, hp.eta, hp.nu,
         hp.max_iter, hp.tol, grad_cfg.seed, confirm_fn=objective.confirm_run,
     )
-    runs = [*lead, _resolve_rates(testset, hp, rates), solve, *follow]
-    state = drive(model, runs)[len(lead) + 1]
-    return AttributionResult.of(state, objective, rates,
-                                0 if hp.b0 is not None else testset.n_test)
+    runs = [*lead, counted(_resolve_rates(testset, hp, rates)), counted(solve), *follow]
+    (_, rate_rows, _), (state, rows, steps) = drive(model, runs)[len(lead):len(lead) + 2]
+    # the rate rows ride the solve's first step: their rows count, no call
+    return AttributionResult.of((state, rate_rows + rows, steps), objective, rates)
 
 
 def score_distributions(
@@ -813,7 +796,7 @@ def score_distributions(
     model: ModelHandle,
     hp: GpaHyperParams,
     rates,
-    max_rows: int,
+    grad_cfg: GradientEstimatorConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-variable posterior slices through the MAP point, under the gamma
     ``rates`` of the MAP run (:attr:`AttributionResult.rates`, any array-like
@@ -827,21 +810,25 @@ def score_distributions(
     posterior (including the l1-augmented prior) is evaluated on the grid
     while the other coordinates stay at their MAP values: ``n_test x
     grid_points`` rows ``x_t + delta*`` with ``x_t[k] + grid`` in column k.
-    A model batch holds as many whole variables as fit in ``max_rows`` rows,
-    at least one, in variable order and, within a variable, by row and grid point, so the queries are
-    the one-variable batches' end to end.  Every batch is written into one
-    buffer that holds ``x_t + delta*`` between batches.  The model handle
-    refuses non-finite output with
+    No batch is larger than the first, all-draws gradient batch of the MAP
+    run under ``grad_cfg`` (:func:`~anomattr.models.gradient_rows`), which
+    the model has already answered: a batch holds as many whole variables
+    as fit in its rows, at least one, in variable order and, within a
+    variable, by row and grid point, so the queries are the one-variable
+    batches' end to end.  Every batch is written into one buffer that holds
+    ``x_t + delta*`` between batches, so the slices hold one batch's rows at
+    a time.  The model handle refuses non-finite output with
     :class:`~anomattr.models.NonFiniteModelOutput` naming the first input
     that got one, the same input as with one variable per batch.  The slice
     is stabilized by subtracting its maximum, exponentiated and normalized
     to sum to one; one that overflows at every grid point raises ValueError
     naming the variable.
     """
-    return drive(model, [_slices(delta_star, testset, hp, rates, max_rows)])[0]
+    return drive(model, [_slices(delta_star, testset, hp, rates, grad_cfg)])[0]
 
 
-def _slices(delta_star, testset: TestSet, hp: GpaHyperParams, rates, max_rows: int):
+def _slices(delta_star, testset: TestSet, hp: GpaHyperParams, rates,
+            grad_cfg: GradientEstimatorConfig):
     """The slices of :func:`score_distributions` as a run."""
     delta_star = np.asarray(delta_star, dtype=float)
     rates = np.asarray(rates, dtype=float)
@@ -853,7 +840,7 @@ def _slices(delta_star, testset: TestSet, hp: GpaHyperParams, rates, max_rows: i
     grid = 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 
     n, m = testset.n_test, testset.dimension
-    pack = max(1, min(m, max_rows // (n * hp.grid_points)))
+    pack = max(1, min(m, gradient_rows(n, m, grad_cfg, values=True) // (n * hp.grid_points)))
     x = testset.x
     buf = np.empty((pack, n, hp.grid_points, m))
     buf[...] = (x + delta_star)[:, None, :]

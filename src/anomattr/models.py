@@ -39,7 +39,8 @@ that order; a lone run's array goes as it is.  So a command's methods, none
 of which waits for another's answers, make as many calls as the run with
 the most steps.  Every function of the library that queries the model,
 :func:`estimate_gradient` among them, returns a run, and a caller drives
-it: ``drive(model, [run])[0]`` is its result.
+it: ``drive(model, [run])[0]`` is its result, to which ``counted(run)``
+adds the rows the run asked for and its steps.
 """
 
 from __future__ import annotations
@@ -287,14 +288,19 @@ def _count(model: ModelHandle, rows) -> int:
     return shape[0]
 
 
-def resumed(run, rows):
-    """``run``, which has asked for ``rows`` and not been answered yet, as a
-    run that asks for them again and goes on from there."""
-    while True:
-        try:
-            rows = run.send((yield rows))
-        except StopIteration as stop:
-            return stop.value
+def counted(run):
+    """The run of ``run`` whose result is ``(result, rows, steps)``: the
+    result of ``run``, the rows it asked for and the steps it asked in."""
+    rows = steps = 0
+    try:
+        ask = next(run)
+        while True:
+            answers = yield ask
+            rows, steps = rows + len(answers), steps + 1
+            ask = run.send(answers)
+            del answers  # no step's answers alive beside the next step's batch
+    except StopIteration as stop:
+        return stop.value, rows, steps
 
 
 def _decode(reply: bytes) -> dict:
@@ -824,7 +830,15 @@ def _gradient_plan(x: np.ndarray, cfg: GradientEstimatorConfig, f0, values, slop
         points[:centre] = batch[:centre]  # the points first, where their values are used
         _displace(batch, moves, points[centre:])
 
-    return ((centre + k * len(moves), m), fill), central, sent, count
+    return ((gradient_rows(k, m, cfg, centre > 0, send), m), fill), central, sent, count
+
+
+def gradient_rows(k: int, m: int, cfg: GradientEstimatorConfig, values: bool, send=None) -> int:
+    """The rows of :func:`estimate_gradient`'s batch at k points of m inputs:
+    the points where their ``values`` are sent, then one displaced point per
+    draw of each, every draw or those the mask ``send`` marks."""
+    draws = m * cfg.mc_samples if send is None else int(np.count_nonzero(send))
+    return k * (values + draws)
 
 
 # rows of at most this many inputs are displaced in blocks of whole points,

@@ -178,6 +178,17 @@ class TestDetect:
         assert [r.sizes for r in recorders] == [[50]] * (1 + noise_var)
         assert doc["noise_variance"] == pytest.approx(np.mean(resid ** 2), rel=1e-9)
 
+    def test_top_beyond_the_rows_counts_the_rows_listed(self, sinus_data, tmp_path,
+                                                        capsys):
+        # 3 rows: --top 5 lists all three, and says top-3
+        out = tmp_path / "out"
+        assert main(["detect", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--noise-var", "1", "--top", "5", "--out", str(out)]) == 0
+        doc = strict_json((out / "detect.json").read_text())
+        assert sorted(doc["indices"]) == [0, 1, 2]
+        listed = ",".join(str(t) for t in doc["indices"])
+        assert f"top-3 indices: {listed}\n" in capsys.readouterr().out
+
     def test_descending_order(self, sinus_data, tmp_path):
         out = tmp_path / "out"
         main(["detect", "--data", str(sinus_data), "--model", "sinusoidal2d",
@@ -429,6 +440,21 @@ class TestExplain:
         assert exc.value.code == 2
         assert ("argument --seed: expected a nonnegative integer, got '-1'"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("explain", "--grid-points=50"), ("compare", "--grid-points=50"),
+        ("detect", "--seed=1"), ("detect", "--grad-std=0.5"), ("detect", "--grad-samples=4"),
+    ])
+    def test_flag_the_command_never_reads_is_refused(self, sinus_data, tmp_path, capsys,
+                                                     command, flag):
+        methods = {"explain": ["--methods", "gpa"], "compare": ["--methods", "gpa,lc"]}
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(sinus_data), "--model", "sinusoidal2d",
+                  *methods.get(command, []), flag, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
     # --n-intervals: test_zero_intervals_exit_2
@@ -1294,8 +1320,9 @@ class TestConfigEcho:
         if command != "detect":
             hyperparams = {f.name for f in fields(GpaHyperParams)}
             assert doc["config"]["hyperparams"].keys() == hyperparams
-            # no hyperparameter without a flag
-            assert hyperparams <= dests
+            # no hyperparameter without a flag but grid_points, which only
+            # dist reads
+            assert hyperparams - dests == (set() if command == "dist" else {"grid_points"})
 
     def test_explain_repeats_from_its_config(self, sinus_data, lattice_ref, tmp_path,
                                              monkeypatch):

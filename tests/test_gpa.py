@@ -278,6 +278,18 @@ class TestMapEstimate:
         assert res.query_count == model.query_count == sum(model.sizes)
         assert res.call_count == model.call_count == len(model.sizes)
 
+    def test_explicit_b0_asks_no_rate_rows(self):
+        # the solve's first batch goes alone, and the record counts the
+        # solve's rows and calls, no more
+        model = BatchRecorder(linear_model([2.0, 1.0]))
+        xs = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1]])
+        ts = TestSet(xs, xs @ [2.0, 1.0] + 1.0, ["a", "b"])
+        hp = GpaHyperParams.for_testset(3, max_iter=5, b0=2.0)
+        res = map_estimate(ts, model, hp, FINE_GRAD)
+        assert model.sizes[0] == 3 * (1 + 2 * FINE_GRAD.mc_samples)
+        assert res.query_count == model.query_count == sum(model.sizes)
+        assert res.call_count == model.call_count == len(model.sizes)
+
     def test_lead_and_follow_runs_go_in_the_solve_s_calls(self):
         # the first call holds the lead rows, the rate rows (c_b rates, no
         # b0), the solve's first rows, then the follow rows; each run gets
@@ -1401,6 +1413,11 @@ def _collective_problem(seed=1, n=6, m=5):
     return coef, TestSet(xs, ys, [f"x{i}" for i in range(m)])
 
 
+# the gradient setting of a run whose first gradient batch, n (1 + m) rows,
+# is smaller than a slice batch of one variable here: one variable per batch
+ONE_DRAW = GradientEstimatorConfig(mc_samples=1)
+
+
 class _RowLog(BatchRecorder):
     """A :class:`BatchRecorder` that keeps the rows of every batch."""
 
@@ -1432,12 +1449,12 @@ class TestScoreDistributions:
         per_variable = n * hp.grid_points
         packed = _RowLog(quadratic_model(coef))
         grid, probs = score_distributions(res.delta_star, ts, packed, hp, res.rates,
-                                          max_rows=n * (1 + m * mc))
+                                          FINE_GRAD)
         assert packed.sizes == [2 * per_variable, 2 * per_variable, per_variable]
         assert max(packed.sizes) <= n * (1 + m * mc)
         # the queries of one variable per batch, end to end, and the same bits
         single = _RowLog(quadratic_model(coef))
-        _, alone = score_distributions(res.delta_star, ts, single, hp, res.rates, 0)
+        _, alone = score_distributions(res.delta_star, ts, single, hp, res.rates, ONE_DRAW)
         assert single.sizes == [per_variable] * m
         np.testing.assert_array_equal(np.vstack(packed.batches), np.vstack(single.batches))
         np.testing.assert_array_equal(probs, alone)
@@ -1445,19 +1462,19 @@ class TestScoreDistributions:
                                    res.rates, grid)
         np.testing.assert_array_equal(probs, expect)
 
-    @pytest.mark.parametrize("max_rows, sizes", [(0, [1] * 5), (10**9, [5]),
-                                                 (3 * 6 * 20 - 1, [2, 2, 1])])
-    def test_batch_holds_whole_variables_within_max_rows(self, max_rows, sizes):
-        # at least one variable per batch, at most all of them
+    @pytest.mark.parametrize("mc_samples, sizes", [(1, [1] * 5), (20, [5]), (10, [2, 2, 1])])
+    def test_batch_holds_whole_variables_within_the_solve(self, mc_samples, sizes):
+        # at least one variable per batch, at most all of them: the solve's
+        # first batch holds 6 (1 + 5 mc_samples) rows, a variable 6 x 20
         coef, ts = _collective_problem()
         hp = GpaHyperParams.for_testset(ts.n_test, grid_points=20)
         model = BatchRecorder(quadratic_model(coef))
         delta_star = np.array([0.8, -0.5, 0.0, 0.1, 0.0])
         _, probs = score_distributions(delta_star, ts, model, hp, np.ones(ts.n_test),
-                                       max_rows=max_rows)
+                                       GradientEstimatorConfig(mc_samples=mc_samples))
         assert model.sizes == [ts.n_test * hp.grid_points * k for k in sizes]
         _, alone = score_distributions(delta_star, ts, quadratic_model(coef), hp,
-                                       np.ones(ts.n_test), 0)
+                                       np.ones(ts.n_test), ONE_DRAW)
         np.testing.assert_array_equal(probs, alone)
 
     def test_slices_peak_memory_within_the_solve(self):
@@ -1474,8 +1491,7 @@ class TestScoreDistributions:
             solve_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            score_distributions(res.delta_star, ts, model, hp, res.rates,
-                                max_rows=ts.n_test * (1 + ts.dimension * cfg.mc_samples))
+            score_distributions(res.delta_star, ts, model, hp, res.rates, cfg)
             slices_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -1506,7 +1522,7 @@ class TestScoreDistributions:
         model = quadratic_model(coef)
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=200)
         res = map_estimate(ts, model, hp, FINE_GRAD)
-        grid, probs = score_distributions(res.delta_star, ts, model, hp, res.rates, 0)
+        grid, probs = score_distributions(res.delta_star, ts, model, hp, res.rates, FINE_GRAD)
         expect = _reference_slices(res.delta_star, ts, model, hp, res.rates, grid)
         np.testing.assert_array_equal(probs, expect)
 
@@ -1517,7 +1533,7 @@ class TestScoreDistributions:
                      ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput) as exc:
-            score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0), 0)
+            score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0), FINE_GRAD)
         # sample 1 at the grid's first point, -1.1 * 0.5
         assert exc.value.x[0] == pytest.approx(-0.55) and exc.value.x[1] == 0.0
 
@@ -1531,10 +1547,10 @@ class TestScoreDistributions:
                      ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         named_inputs = []
-        for max_rows in (0, 2 * ts.n_test * hp.grid_points):
+        # one variable per batch, then both: 2 (1 + 2 x 100) rows >= 2 x 2 x 100
+        for cfg in (ONE_DRAW, GradientEstimatorConfig(mc_samples=100)):
             with pytest.raises(NonFiniteModelOutput) as exc:
-                score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0),
-                                    max_rows=max_rows)
+                score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0), cfg)
             named_inputs.append(exc.value.x)
         np.testing.assert_array_equal(named_inputs[0], named_inputs[1])
         np.testing.assert_allclose(named_inputs[1], named, rtol=1e-12)
@@ -1544,8 +1560,8 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.3, -0.2]]), np.array([2.0]), ["a", "b"])
         model, hp = linear_model([1.0, 1.0]), GpaHyperParams(a0=1.0)
         delta_star = np.array([0.9, 0.0])
-        grid, probs = score_distributions(delta_star, ts, model, hp, [1.0], 0)
-        expect = score_distributions(delta_star, ts, model, hp, np.array([1.0]), 0)
+        grid, probs = score_distributions(delta_star, ts, model, hp, [1.0], FINE_GRAD)
+        expect = score_distributions(delta_star, ts, model, hp, np.array([1.0]), FINE_GRAD)
         np.testing.assert_array_equal(grid, expect[0])
         np.testing.assert_array_equal(probs, expect[1])
 
@@ -1553,7 +1569,7 @@ class TestScoreDistributions:
         ts = single_point([0.5, 0.0], 1.0)
         res = map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
         grid, probs = score_distributions(res.delta_star, ts, sin_model, ORACLE_HP,
-                                          res.rates, 0)
+                                          res.rates, FINE_GRAD)
         assert grid.shape == (ORACLE_HP.grid_points,)
         assert probs.shape == (2, ORACLE_HP.grid_points)
         for row in probs:
@@ -1569,7 +1585,7 @@ class TestScoreDistributions:
         hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
         res = map_estimate(ts, m, hp, FINE_GRAD)
         assert res.converged
-        grid, probs = score_distributions(res.delta_star, ts, m, hp, res.rates, 0)
+        grid, probs = score_distributions(res.delta_star, ts, m, hp, res.rates, FINE_GRAD)
         prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
         prior /= prior.sum()
         np.testing.assert_allclose(probs[1], prior, atol=1e-8)
@@ -1582,19 +1598,19 @@ class TestScoreDistributions:
         ts = single_point([0.5, 0.0], 1.0)
         hp = ORACLE_HP
         grid, _ = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
-                                      np.full(1, hp.b0), 0)
+                                      np.full(1, hp.b0), FINE_GRAD)
         # the grid reaches 1.1 times the largest |delta*_k|
         assert grid[-1] == pytest.approx(1.1 / 6)
         # fully normal sample: fall back to one standardized unit
         flat, _ = score_distributions(np.zeros(2), single_point([0.5, 0.0], 0.0),
-                                      sin_model, hp, np.full(1, hp.b0), 0)
+                                      sin_model, hp, np.full(1, hp.b0), FINE_GRAD)
         assert flat[-1] == pytest.approx(1.0)
 
     def test_grid_points_setting(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, grid_points=200)
         grid, probs = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
-                                          np.full(1, hp.b0), 0)
+                                          np.full(1, hp.b0), FINE_GRAD)
         assert len(grid) == 200 and probs.shape == (2, 200)
 
     def test_all_nonfinite_slice_names_variable(self):
@@ -1604,7 +1620,7 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput, match=r"nan at input \[-0\.11\d*, 0\.0\]"):
-            score_distributions(np.array([0.1, 0.0]), ts, m, hp, np.full(1, hp.b0), 0)
+            score_distributions(np.array([0.1, 0.0]), ts, m, hp, np.full(1, hp.b0), FINE_GRAD)
 
     def test_overflowing_table_names_variable(self):
         # a rate of 1e-320 makes r^2 / (2 b) overflow at every grid point of
@@ -1612,7 +1628,7 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         with pytest.raises(ValueError, match="variable 'a' overflows"):
             score_distributions(np.array([0.1, 0.0]), ts, linear_model([1.0, 1.0]),
-                                GpaHyperParams(), np.array([1e-320]), 0)
+                                GpaHyperParams(), np.array([1e-320]), FINE_GRAD)
 
 
 class TestHyperParamsValidation:

@@ -22,8 +22,10 @@ from anomattr.models import (
     SubprocessModel,
     TransportError,
     _step_draws,
+    counted,
     drive,
     estimate_gradient,
+    gradient_rows,
     linear_model,
     quadratic_model,
     sinusoidal2d,
@@ -344,6 +346,29 @@ class TestGradientEstimator:
             driven(sin_model, estimate_gradient)([np.nan, 0.0], FINE_GRAD)
 
 
+class TestGradientRows:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2, 30])
+    @pytest.mark.parametrize("mc", [3, 4])
+    @pytest.mark.parametrize("values", [False, True])
+    def test_counts_the_rows_the_plan_builds(self, k, m, mc, values):
+        cfg, x = GradientEstimatorConfig(mc_samples=mc), np.zeros((k, m))
+        # a values buffer sends the points, known values do not
+        given = {"values": np.empty(k)} if values else {"f0": np.zeros(k)}
+        assert gradient_rows(k, m, cfg, values) == len(gradient_batch(x, cfg, **given)[0])
+
+    @pytest.mark.parametrize("mc", [3, 4])
+    def test_plain_call_sends_the_points_at_an_odd_count(self, mc):
+        cfg, x = GradientEstimatorConfig(mc_samples=mc), np.zeros((3, 2))
+        assert gradient_rows(3, 2, cfg, mc % 2 == 1) == len(gradient_batch(x, cfg)[0])
+
+    def test_counts_the_draws_a_mask_sends(self):
+        cfg, x = GradientEstimatorConfig(mc_samples=4), np.zeros((3, 2))
+        send = np.array([[True, True, False, False], [True, False, True, True]])
+        rows = gradient_batch(x, cfg, f0=np.zeros(3), send=send)[0]
+        assert gradient_rows(3, 2, cfg, False, send) == len(rows) == 3 * 5
+
+
 def _broadcast_rows(x, cfg, send=None, centre=False):
     """The displaced rows of ``gradient_batch`` by the one broadcast
     ``x[:, None, :] + D[sent]``, with the points in front when ``centre``."""
@@ -597,6 +622,28 @@ def _child(directory, source, *args):
 
 
 POINTS = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.0], [-3.0, 1.5]])
+
+
+class TestCounted:
+    def test_counts_each_ask_form_and_only_its_own_rows(self):
+        def run():
+            first = yield np.ones((3, 2))
+            second = yield ((4, 2), lambda out: out.fill(2.0))
+            return first.sum() + second.sum()
+
+        model = _Kept(2)
+        (result, rows, steps), _ = drive(model, [counted(run()), ask(np.zeros((5, 2)))])
+        assert (result, rows, steps) == (3 * 2.0 + 4 * 4.0, 7, 2)
+        assert (model.query_count, model.call_count) == (12, 2)
+
+    def test_run_that_asks_nothing(self):
+        def run():
+            yield from ()
+            return "done"
+
+        model = linear_model([1.0])
+        assert drive(model, [counted(run())]) == [("done", 0, 0)]
+        assert model.call_count == 0
 
 
 # The sinusoidal surface of the builtin model, answering both lines.
