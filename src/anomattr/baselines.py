@@ -24,7 +24,8 @@ unpaired draw needs its value.  So ig sends one batch of
 ``(n_intervals + 1) m mc_samples`` rows, and eig over the 64-point lattice
 of the benchmark's sinusoid sends 4, 16 paths of 2,000 rows each, so that
 in ``compare`` it ends within the 4-5 steps of the gpa and lc solves.  lc
-counts its solve by :func:`~anomattr.models.counted`, as gpa's does.
+records its solve by :meth:`~anomattr.gpa.CounterfactualObjective.record`,
+as gpa's :func:`~anomattr.gpa.map_estimate` does.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from math import comb
 import numpy as np
 
 from .gpa import (
-    AttributionResult,
     CounterfactualObjective,
     GpaHyperParams,
     _solve_l1_quadratic,
     gaussian_loss,
     proximal_minimize,
 )
-from .models import GradientEstimatorConfig, counted, estimate_gradient, gradient_rows
+from .models import GradientEstimatorConfig, estimate_gradient, gradient_rows
 
 __all__ = [
     "ReferenceSet",
@@ -429,11 +429,12 @@ def lc(x_t, y_t, hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, lam: flo
     target each in ``y_t`` that share one shift (the collective form).  This
     is the objective of :func:`anomattr.gpa.map_estimate` with the Gaussian
     loss in place of the heavy-tailed marginalization, which makes this the
-    point-estimate-only sibling, and its result is the same record, with
-    ``rates`` None and the queries and calls of its own solve.  It is
-    minimized by the same solver, :func:`anomattr.gpa.proximal_minimize`,
-    whose Gauss-Newton curvature is then ``eta I + lam G^T G``, with the
-    same secant correction where the steps slow down and the same draws per
+    point-estimate-only sibling: the same solver,
+    :func:`anomattr.gpa.proximal_minimize`, and the same record
+    (:meth:`~anomattr.gpa.CounterfactualObjective.record`), with ``rates``
+    None and the queries and calls of its own solve.  The Gauss-Newton
+    curvature is then ``eta I + lam G^T G``, with the same secant
+    correction where the steps slow down and the same draws per
     coordinate, one pair where the pairs agree and all draws at a confirmed
     stop; an objective that overflows raises
     :class:`anomattr.gpa.DivergenceError`.  The run takes one step per batch
@@ -443,16 +444,8 @@ def lc(x_t, y_t, hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, lam: flo
     if lam <= 0:
         raise ValueError("lam must be positive")
     x = np.atleast_2d(x_t)
-    objective = CounterfactualObjective(
-        x, np.atleast_1d(y_t), hp.eta, gaussian_loss(lam), grad_cfg
-    )
-    solve = proximal_minimize(
-        objective.grad_run, objective.value_run, x.shape[1], hp.eta, hp.nu,
-        hp.max_iter, hp.tol, grad_cfg.seed, confirm_fn=objective.confirm_run,
-    )
-    return _recorded(solve, objective)
-
-
-def _recorded(solve, objective: CounterfactualObjective):
-    """The run of ``solve`` that returns the record of its state."""
-    return AttributionResult.of((yield from counted(solve)), objective)
+    objective = CounterfactualObjective(x, np.atleast_1d(y_t), hp.eta, gaussian_loss(lam),
+                                        grad_cfg)
+    return objective.record(proximal_minimize(
+        objective.grad_run, objective.value_run, objective.confirm_run, x.shape[1], hp,
+        grad_cfg.seed))

@@ -49,8 +49,8 @@ whatever the exit code.
 ``dist`` writes the posterior as one grid and one row of probabilities per
 variable, and warns on stderr, naming the variable by its CSV header, when
 more than 1% of a row's mass sits on the grid's two edge points.  The
-diagnostics ``gpa`` and ``lc`` hold the record of a gpa or lc run
-(:class:`~anomattr.gpa.AttributionResult`) under the same keys: the
+diagnostics ``gpa`` and ``lc`` hold the record of a gpa or lc run under the
+keys :attr:`~anomattr.gpa.AttributionResult.diagnostics` gives: the
 solver's ``iterations``, its rejected candidate steps (``halvings``), the
 iterations whose step took the secant-corrected curvature
 (``secant_steps``), the gradient batches in which some coordinate sent one
@@ -103,8 +103,6 @@ ALL_METHODS = ("gpa", "lc", "lime", "lime0", "baylime", "ig", "eig", "sv", "zsco
 _COLLECTIVE_METHODS = ("gpa", "lc")
 _LIME_METHODS = {"lime", "lime0", "baylime"}
 _REF_METHODS = ("eig", "sv", "zscore")
-_DIAGNOSTICS = ("iterations", "halvings", "secant_steps", "one_pair_batches",
-                "confirmations", "converged", "query_count", "call_count")
 # ``dist`` warns when this much posterior mass sits on a grid's two edge points
 _EDGE_MASS_WARNING = 1e-2
 # comma-list flags whose value may start with a minus sign
@@ -203,8 +201,8 @@ def _load_testset(args) -> TestSet:
 
 def _residual_rows(args, ts: TestSet, rows) -> TestSet:
     """The rows whose residuals give the anomaly scores of ``rows``: every
-    row, whose mean square floored at 1e-6 is the noise variance, or
-    ``rows`` alone when ``--noise-var`` gives it."""
+    row, whose mean square is the noise variance (1e-6 where it is exactly
+    0), or ``rows`` alone when ``--noise-var`` gives it."""
     return ts if args.noise_var is None else ts.select(rows)
 
 
@@ -331,7 +329,7 @@ def _method_runs(methods, args, selection: TestSet, hp: GpaHyperParams,
 
 def _solve_record(result: gpa.AttributionResult) -> tuple:
     """The scores and diagnostics of a gpa or lc run."""
-    return result.delta_star, {k: getattr(result, k) for k in _DIAGNOSTICS}
+    return result.delta_star, result.diagnostics
 
 
 def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
@@ -498,8 +496,7 @@ def cmd_dist(args) -> int:
             }
         },
         "diagnostics": {
-            "gpa": {**{k: getattr(result, k) for k in _DIAGNOSTICS},
-                    "edge_mass": edge_mass},
+            "gpa": {**result.diagnostics, "edge_mass": edge_mass},
             **_model_counts(model),
         },
     }

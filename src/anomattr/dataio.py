@@ -231,7 +231,8 @@ def emit_litmus_svg(results: dict[str, np.ndarray], path, variable_names=None) -
     """Render a signed color-matrix plot: one row per method, one column per
     variable.  Each row is normalized by its max absolute score (0/0 -> 0);
     negative scores are blue, positive red, cell opacity tracks magnitude, so
-    a zero score renders white.
+    a zero score renders white.  A score that is not finite raises
+    ValueError, naming its method and variable, before anything is written.
     """
     if not results:
         raise ValueError("need at least one method")
@@ -259,6 +260,9 @@ def emit_litmus_svg(results: dict[str, np.ndarray], path, variable_names=None) -
         scores = np.atleast_1d(np.asarray(results[method], dtype=float))
         if scores.shape[0] != ncol:
             raise ValueError(f"method {method!r} has {scores.shape[0]} scores, expected {ncol}")
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise ValueError(f"method {method!r} scores {variable_names[bad[0]]!r} {scores[bad[0]]}")
         peak = np.max(np.abs(scores))
         normalized = scores / peak if peak > 0 else np.zeros_like(scores)
         y = top + i * cell
@@ -289,7 +293,8 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
     row k of ``probs`` over ``grid`` for variable k, as curves on shared
     axes, with a marker at each variable's MAP point.  The legend lists the
     variables one below the other to the right of the plot, and the image
-    grows below the plot where it needs the room (from 18 variables)."""
+    grows below the plot where it needs the room (from 18 variables).  A
+    non-finite input or a grid with equal ends raises ValueError first."""
     grid, probs = np.asarray(grid, dtype=float), np.asarray(probs, dtype=float)
     if not len(probs):
         raise ValueError("need at least one distribution")
@@ -301,6 +306,13 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
     if variable_names is None:
         variable_names = [f"x{k + 1}" for k in range(len(probs))]
     gmin, gmax = float(grid[0]), float(grid[-1])
+    if gmin == gmax or not np.isfinite(grid).all():
+        raise ValueError(f"the grid needs two finite ends apart, got {gmin} and {gmax}")
+    bad = np.argwhere(~np.isfinite(probs))
+    if bad.size:
+        k, i = bad[0]
+        raise ValueError(f"the probability of variable {variable_names[k]!r} at grid "
+                         f"point {i} is {probs[k, i]}")
     pmax = float(np.max(probs))
     pmax = pmax if pmax > 0 else 1.0
 

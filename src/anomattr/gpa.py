@@ -78,10 +78,10 @@ estimator's rows behind them, so no copy of the batch is made.  In
 ``explain`` and ``compare`` the other methods' runs go in the same steps,
 as :func:`map_estimate`'s ``lead`` and ``follow``: their one-batch rows and
 ``explain``'s residual rows in front, lc's and eig's behind.
-:func:`~anomattr.models.counted` alone counts: :func:`map_estimate` wraps
-its rate run and its solve in it, so :attr:`AttributionResult.query_count`
-is the rate rows plus the solve's rows and ``call_count`` the solve's steps
-(lc, which has no rates, wraps its solve alone).
+:meth:`CounterfactualObjective.record` alone counts a solve, gpa's or
+lc's, by :func:`~anomattr.models.counted`, and :func:`map_estimate` adds
+its rate rows: :attr:`AttributionResult.query_count` is the rate rows plus
+the solve's rows and ``call_count`` the solve's steps.
 :func:`~anomattr.models.gradient_rows` alone sizes a gradient batch, and
 :func:`score_distributions` alone holds the slices' rule: ``P = max(1, (1 +
 m mc_samples) // grid_points)`` whole variables to a batch, so that none is
@@ -241,7 +241,7 @@ class GpaHyperParams:
 @dataclass
 class AttributionResult:
     """The record of one counterfactual solve, of :func:`map_estimate` or of
-    :func:`~anomattr.baselines.lc`, built by :meth:`of`.
+    :func:`~anomattr.baselines.lc`, by :meth:`CounterfactualObjective.record`.
 
     ``query_count`` (points) and ``call_count`` (model calls) count the
     run's queries, a :func:`map_estimate` run's rate queries included, and
@@ -268,19 +268,18 @@ class AttributionResult:
     call_count: int
     rates: np.ndarray | None
 
-    @classmethod
-    def of(cls, solve, objective: CounterfactualObjective, rates=None) -> AttributionResult:
-        """The record of ``solve``, the ``(state, query_count, call_count)`` that
-        :func:`~anomattr.models.counted` gives a solve of ``objective``."""
-        state, query_count, call_count = solve
-        return cls(state.delta, state.iterations, state.converged, state.trace,
-                   state.halvings, state.secant_steps, objective.one_pair_batches,
-                   state.confirmations, query_count, call_count, rates)
+    @property
+    def diagnostics(self) -> dict:
+        """The record's entries of a document's diagnostics, by name."""
+        return {k: getattr(self, k) for k in (
+            "iterations", "halvings", "secant_steps", "one_pair_batches",
+            "confirmations", "converged", "query_count", "call_count")}
 
 
 def init_gamma_rate(resid, a0: float, c_b: float) -> float:
     """Constant gamma rate b0 = a0 * sigma^2 / c_b from the residuals
-    ``resid`` (no model query), sigma^2 their mean square floored at 1e-6."""
+    ``resid`` (no model query), sigma^2 their mean square, or 1e-6 where
+    that is exactly 0; a mean square of 1e-10 stays 1e-10."""
     if np.size(resid) == 0:
         raise ValueError("residuals must be nonempty")
     if c_b <= 0:
@@ -371,7 +370,7 @@ class CounterfactualObjective:
     :func:`proximal_minimize` takes, each returning a run
     (:func:`~anomattr.models.drive`): ``grad_run``, ``value_run`` and
     ``confirm_run``, whose results are called ``grad``, ``value`` and
-    ``confirm`` below.
+    ``confirm`` below; :meth:`record` records a solve over them.
 
     ``loss`` is a (value, weight) pair such as :func:`student_t_loss`; the
     l1 term is left to the solver.  ``grad(delta)`` returns ``(g, H, C)``:
@@ -402,7 +401,7 @@ class CounterfactualObjective:
     The module docstring gives the query plan.
     """
 
-    def __init__(self, x, y, eta: float, loss, grad_cfg=GradientEstimatorConfig()):
+    def __init__(self, x, y, eta: float, loss, grad_cfg: GradientEstimatorConfig):
         self._cfg, self._eta = grad_cfg, eta
         self._x, self._y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         self._m = self._x.shape[1]
@@ -451,6 +450,15 @@ class CounterfactualObjective:
         self._send = _pair_draws(slopes)
         self._recent.append((key, fvals, slopes, None))
         return self._derivatives(delta, fvals, slopes.sum(axis=2) / self._cfg.mc_samples)
+
+    def record(self, solve):
+        """The run of ``solve``, a :func:`proximal_minimize` of this objective,
+        whose result is its :class:`AttributionResult`: the solve's rows and
+        steps by :func:`~anomattr.models.counted`, and ``rates`` None."""
+        state, rows, steps = yield from counted(solve)
+        return AttributionResult(state.delta, state.iterations, state.converged, state.trace,
+                                 state.halvings, state.secant_steps, self.one_pair_batches,
+                                 state.confirmations, rows, steps, None)
 
     def _remember(self, delta, model_values):
         self._key, self._fvals = delta.tobytes(), model_values
@@ -606,27 +614,19 @@ def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
     return np.where(np.abs(v) > error, v, 0.0)
 
 
-def proximal_minimize(
-    grad_fn,
-    value_fn,
-    dim: int,
-    eta: float,
-    nu: float,
-    max_iter: int,
-    tol: float,
-    seed: int,
-    confirm_fn=None,
-):
+def proximal_minimize(grad_fn, value_fn, confirm_fn, dim: int, hp: GpaHyperParams,
+                      seed: int):
     """Proximal Gauss-Newton (Lee, Sun & Saunders 2014) with a halving line
     search, as a run (:func:`~anomattr.models.drive`) whose result is the
     solve's ``_SolveState``.
 
-    Minimizes ``F = J + eta*nu*||delta||_1`` given ``grad_fn(delta) -> (g,
-    H, C)``, the gradient of J, a positive definite curvature and a
-    symmetric correction to it (zeros where there is none; see
-    :class:`CounterfactualObjective`), and ``value_fn(delta) -> J``.  Each
-    callable returns a run that asks for the model rows it needs and
-    returns that result, as ``CounterfactualObjective.grad_run`` does.  One
+    Minimizes ``F = J + eta*nu*||delta||_1`` (``eta``, ``nu``, ``max_iter``
+    and ``tol`` from ``hp``) given ``grad_fn(delta) -> (g, H, C)``, the
+    gradient of J, a positive definite curvature and a symmetric correction
+    to it (zeros where there is none; see :class:`CounterfactualObjective`),
+    ``value_fn(delta) -> J`` and ``confirm_fn``, below.  Each callable
+    returns a run that asks for the model rows it needs and returns that
+    result, as ``CounterfactualObjective.grad_run`` does.  One
     iteration at the accepted point x takes ``grad_fn`` there and picks the
     curvature B: ``H + C`` when the last accepted step lowered F by less
     than ``0.2 F`` (Fletcher & Xu 1987) and ``H + C`` has a Cholesky factor,
@@ -647,8 +647,10 @@ def proximal_minimize(
     estimate less well than it can, ``confirm_fn(x)`` gives the better ``(g,
     H, C)`` at x, or None if there is none, and the iteration solves and
     searches again from it, so the solve stops only where that step is below
-    ``tol`` too.  ``confirm_fn`` is asked at most once per iteration, and it
-    is no ``grad_fn`` call; ``confirmations`` counts the gradients it gave.
+    ``tol`` too; a solve with nothing to confirm passes a ``confirm_fn``
+    whose run returns None.  ``confirm_fn`` is asked at most once per
+    iteration, and it is no ``grad_fn`` call; ``confirmations`` counts the
+    gradients it gave.
     A direction that F rejects at every s down to s0 / 2**20 raises
     :class:`DivergenceError`, since then ``grad_fn`` disagrees with
     ``value_fn``.  ``delta`` starts at small seeded uniform
@@ -672,7 +674,7 @@ def proximal_minimize(
         np.random.SeedSequence(entropy=seed, spawn_key=(_INIT_STREAM,))
     )
     x = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=dim)
-    l1_weight = eta * nu
+    l1_weight, max_iter, tol = hp.eta * hp.nu, hp.max_iter, hp.tol
 
     def penalized(d):
         return (yield from value_fn(d)) + l1_weight * float(np.abs(d).sum())
@@ -768,26 +770,21 @@ def map_estimate(
     :func:`student_t_loss`, minimized by :func:`proximal_minimize`.  The
     rate rows and the solve go as two runs in one drive, the rates first,
     between the ``lead`` and the ``follow`` runs, which are driven to their
-    ends with them (:func:`~anomattr.models.drive`)."""
+    ends with them (:func:`~anomattr.models.drive`, which refuses rows of
+    another width than the model's before any call)."""
     if testset.n_test == 0:
         raise ValueError("testset must be nonempty")
-    if testset.dimension != model.dimension:
-        raise ValueError(
-            f"testset dimension {testset.dimension} != model dimension "
-            f"{model.dimension}"
-        )
     rates = np.empty(testset.n_test)
-    objective = CounterfactualObjective(
-        testset.x, testset.y, hp.eta, student_t_loss(hp.a0, rates), grad_cfg
-    )
-    solve = proximal_minimize(
-        objective.grad_run, objective.value_run, testset.dimension, hp.eta, hp.nu,
-        hp.max_iter, hp.tol, grad_cfg.seed, confirm_fn=objective.confirm_run,
-    )
-    runs = [*lead, counted(_resolve_rates(testset, hp, rates)), counted(solve), *follow]
-    (_, rate_rows, _), (state, rows, steps) = drive(model, runs)[len(lead):len(lead) + 2]
+    objective = CounterfactualObjective(testset.x, testset.y, hp.eta,
+                                        student_t_loss(hp.a0, rates), grad_cfg)
+    solve = proximal_minimize(objective.grad_run, objective.value_run,
+                              objective.confirm_run, testset.dimension, hp, grad_cfg.seed)
+    runs = [*lead, counted(_resolve_rates(testset, hp, rates)), objective.record(solve),
+            *follow]
+    (_, rate_rows, _), result = drive(model, runs)[len(lead):len(lead) + 2]
     # the rate rows ride the solve's first step: their rows count, no call
-    return AttributionResult.of((state, rate_rows + rows, steps), objective, rates)
+    result.query_count, result.rates = result.query_count + rate_rows, rates
+    return result
 
 
 def score_distributions(

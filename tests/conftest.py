@@ -66,11 +66,18 @@ def as_run(fn):
     return run
 
 
-def minimize(grad_fn, value_fn, *args, confirm_fn=None, **kwargs):
+def no_confirm(delta):
+    """The ``confirm_fn`` of a solve with nothing to confirm: a run that asks
+    for no model rows and returns None."""
+    yield from ()
+
+
+def minimize(grad_fn, value_fn, *, dim, seed, **settings):
     """The ``_SolveState`` of :func:`~anomattr.gpa.proximal_minimize` over
-    callables that return their results and query no model."""
-    solve = proximal_minimize(as_run(grad_fn), as_run(value_fn), *args,
-                              confirm_fn=confirm_fn and as_run(confirm_fn), **kwargs)
+    callables that return their results and query no model, with nothing to
+    confirm, under the :class:`~anomattr.GpaHyperParams` of ``settings``."""
+    solve = proximal_minimize(as_run(grad_fn), as_run(value_fn), no_confirm, dim,
+                              GpaHyperParams(**settings), seed)
     try:
         rows = next(solve)
     except StopIteration as stop:

@@ -500,9 +500,9 @@ class TestLc:
         r = y_t - sin_model.evaluate(x_t + d)
         assert driven(model, value_fn)(d) == pytest.approx(
             0.5 * eta * d @ d + 0.5 * lam * r * r, rel=1e-12)
-        state = driven(model, proximal_minimize)(grad_fn, value_fn, 2, eta, 1e-3, 10_000,
-                                                 1e-8, FINE_GRAD.seed,
-                                                 confirm_fn=objective.confirm_run)
+        hp = GpaHyperParams(eta=eta, nu=1e-3, tol=1e-8)
+        state = driven(model, proximal_minimize)(grad_fn, value_fn, objective.confirm_run, 2,
+                                                 hp, FINE_GRAD.seed)
         result = driven(sin_model, lc)(x_t, y_t, ORACLE_HP, FINE_GRAD, lam)
         np.testing.assert_array_equal(result.delta_star, state.delta)
         # the solver record is the solve's and its objective's
@@ -536,9 +536,9 @@ class TestLc:
         r = y - sin_model.evaluate_batch(x + d)
         assert driven(model, value_fn)(d) == pytest.approx(
             0.5 * eta * d @ d + 0.5 * lam * r @ r, rel=1e-12)
-        state = driven(model, proximal_minimize)(grad_fn, value_fn, 2, eta, 1e-3, 10_000,
-                                                 1e-8, FINE_GRAD.seed,
-                                                 confirm_fn=objective.confirm_run)
+        hp = GpaHyperParams(eta=eta, nu=1e-3, tol=1e-8)
+        state = driven(model, proximal_minimize)(grad_fn, value_fn, objective.confirm_run, 2,
+                                                 hp, FINE_GRAD.seed)
         assert state.converged
         delta = driven(sin_model, lc)(x, y, ORACLE_HP, FINE_GRAD, lam).delta_star
         np.testing.assert_array_equal(delta, state.delta)

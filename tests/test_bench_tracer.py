@@ -1,11 +1,14 @@
 """The benchmark's tracer (``bench/tracer.py``) wraps library functions by
 name.  Installing it here makes a rename fail this suite instead of a traced
-benchmark run, and a traced ``dist`` run shows the query plan of one GPA run.
+benchmark run, as a check of the signatures its wrappers call does for a
+reordering, and a traced ``dist`` run shows the query plan of one GPA run.
 """
 
 import contextlib
+import inspect
 import io
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,11 +34,87 @@ WRAPPED = [
 
 
 @pytest.fixture
-def tracer_cls(monkeypatch):
+def tracer_module(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
-    from tracer import Tracer
+    import tracer
 
-    return Tracer
+    return tracer
+
+
+@pytest.fixture
+def tracer_cls(tracer_module):
+    return tracer_module.Tracer
+
+
+def _convention_faults(solvers, emitters, handle, emit_path_arg) -> list:
+    """What breaks a calling convention of the tracer's wrappers: each of
+    ``solvers`` takes ``grad_fn, value_fn`` first, each writer ``name`` of
+    ``emitters`` takes ``path`` at index ``emit_path_arg[name]``, and the
+    ``evaluate`` and ``evaluate_batch`` of the class ``handle`` take one
+    argument after ``self``.  No call is made."""
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    faults = [f"{fn.__module__}.{fn.__name__} takes {names(fn)[:2]} first"
+              for fn in solvers if names(fn)[:2] != ["grad_fn", "value_fn"]]
+    for name, arg in emit_path_arg.items():
+        if names(getattr(emitters, name))[arg:arg + 1] != ["path"]:
+            faults.append(f"{name} takes no path at {arg}")
+    for name in ("evaluate", "evaluate_batch"):
+        if len(names(getattr(handle, name))) != 2:
+            faults.append(f"{handle.__name__}.{name} takes {names(getattr(handle, name))}")
+    return faults
+
+
+def test_library_keeps_the_wrappers_calling_conventions(tracer_module):
+    # the warm-up round of every benchmark run is traced, so a signature a
+    # wrapper cannot call would fail every operation there
+    assert _convention_faults([gpa.proximal_minimize, baselines.proximal_minimize], dataio,
+                              models.ModelHandle, tracer_module.EMIT_PATH_ARG) == []
+
+
+@pytest.mark.parametrize("broken", ["solver", "emitter", "handle"])
+def test_convention_check_sees_a_reordered_signature(tracer_module, broken):
+    def solver(value_fn, grad_fn, confirm_fn, dim, hp, seed):
+        pass
+
+    def emit_result_json(path, doc):
+        pass
+
+    class Handle(models.ModelHandle):
+        def evaluate_batch(self, xs, chunk):
+            pass
+
+    # the library's own signatures are checked above; here the broken
+    # stand-in must be named, whatever the library gives
+    solvers = [solver if broken == "solver" else gpa.proximal_minimize]
+    emitters = SimpleNamespace(**{name: getattr(dataio, name)
+                                  for name in tracer_module.EMIT_PATH_ARG})
+    if broken == "emitter":
+        emitters.emit_result_json = emit_result_json
+    handle = Handle if broken == "handle" else models.ModelHandle
+    faults = _convention_faults(solvers, emitters, handle, tracer_module.EMIT_PATH_ARG)
+    named = {"solver": ".solver takes", "emitter": "emit_result_json takes",
+             "handle": "Handle.evaluate_batch takes"}[broken]
+    assert any(named in fault for fault in faults), faults
+
+
+def _traced_and_untraced_bytes(op, tracer) -> list:
+    """The bytes ``op`` writes through ``cli.main``, untraced and then under
+    ``tracer``."""
+    runs = []
+    for active in (None, tracer):
+        if active is not None:
+            active.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(op.argv) == 0
+        finally:
+            if active is not None:
+                active.uninstall()
+        runs.append(op.output.read_bytes())
+    return runs
 
 
 def test_install_wraps_and_uninstall_restores(tracer_cls):
@@ -88,18 +167,8 @@ def test_traced_collective_operation_sends_the_untraced_queries(tracer_cls, tmp_
     handles, resolve = [], cli.resolve_model
     monkeypatch.setattr(cli, "resolve_model",
                         lambda *args: handles.append(resolve(*args)) or handles[-1])
-    runs = []
-    for tracer in (None, tracer_cls()):
-        if tracer is not None:
-            tracer.install()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert cli.main(op.argv) == 0
-        finally:
-            if tracer is not None:
-                tracer.uninstall()
-        runs.append(op.output.read_bytes())
+    tracer = tracer_cls()
+    runs = _traced_and_untraced_bytes(op, tracer)
     assert runs[0] == runs[1]
     doc = strict_json(runs[1].decode())
     gpa_doc = doc["diagnostics"]["gpa"]
@@ -122,18 +191,8 @@ def test_traced_compare_operation_writes_the_untraced_bytes(tracer_cls, tmp_path
     import workloads
 
     op = workloads.build("baselines-compare", 1, tmp_path)[0][0]
-    runs = []
-    for tracer in (None, tracer_cls()):
-        if tracer is not None:
-            tracer.install()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert cli.main(op.argv) == 0
-        finally:
-            if tracer is not None:
-                tracer.uninstall()
-        runs.append(op.output.read_bytes())
+    tracer = tracer_cls()
+    runs = _traced_and_untraced_bytes(op, tracer)
     assert runs[0] == runs[1]
     doc = strict_json(runs[1].decode())
     assert tracer.points == doc["diagnostics"]["model_queries"]
@@ -156,3 +215,19 @@ def test_traced_compare_operation_writes_the_untraced_bytes(tracer_cls, tmp_path
     assert tracer.totals["models.estimate_gradient"][0] == (
         tracer.solver["gpa.map_estimate"][1] + tracer.solver["baselines.lc"][1] + 1
         + len(LATTICE_EIG_BATCHES)) == 13
+
+
+def test_traced_pointwise_subprocess_operation_writes_the_untraced_bytes(
+        tracer_cls, tmp_path, monkeypatch):
+    # one seed-1 pointwise-subprocess operation: explain gpa on one row over
+    # a child process, which the tracer counts at the handle like a builtin
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    op = workloads.build("pointwise-subprocess", 1, tmp_path)[0][0]
+    tracer = tracer_cls()
+    runs = _traced_and_untraced_bytes(op, tracer)
+    assert runs[0] == runs[1]
+    doc = strict_json(runs[1].decode())
+    assert tracer.points == doc["diagnostics"]["model_queries"] > 0
+    assert tracer.solver["gpa.map_estimate"][1] == doc["diagnostics"]["gpa"]["iterations"]

@@ -15,8 +15,17 @@ import pytest
 import anomattr
 from anomattr import cli
 from anomattr.cli import build_parser, main
-from anomattr.gpa import GpaHyperParams
-from conftest import LATTICE_EIG_BATCHES, BatchRecorder, driven, gradient_batch, strict_json
+from anomattr.gpa import GpaHyperParams, map_estimate
+from conftest import (
+    FINE_GRAD,
+    LATTICE_EIG_BATCHES,
+    ORACLE_HP,
+    BatchRecorder,
+    driven,
+    gradient_batch,
+    single_point,
+    strict_json,
+)
 
 ORACLE_FLAGS = [
     "--eta", "0.001", "--nu", "0.001", "--kappa", "0.1", "--a0", "1",
@@ -756,6 +765,20 @@ class TestDist:
         if warned:
             name = ["x1", "x2"][int(np.argmax(edge_mass))]
             assert f"variable {name!r}" in err and "edge" in err
+
+    def test_gpa_diagnostics_are_the_record_s_and_edge_mass(self, sinus_data, tmp_path):
+        # ORACLE_FLAGS are ORACLE_HP and FINE_GRAD: the document holds the
+        # record of a map_estimate run of the same row, key for key, and
+        # the slices' edge_mass
+        out = tmp_path / "out"
+        assert main(["dist", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--point-index", "0", "--out", str(out), *ORACLE_FLAGS]) == 0
+        gpa_doc = strict_json((out / "distributions.json").read_text())["diagnostics"]["gpa"]
+        record = map_estimate(single_point([0.5, 0.0], 1.0), anomattr.sinusoidal2d(),
+                              ORACLE_HP, FINE_GRAD)
+        assert gpa_doc.keys() == record.diagnostics.keys() | {"edge_mass"}
+        assert len(gpa_doc.pop("edge_mass")) == 2
+        assert gpa_doc == record.diagnostics
 
     def test_partly_nonfinite_slice_exit_3(self, sinus_data, tmp_path, capsys,
                                            nan_model):

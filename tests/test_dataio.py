@@ -214,6 +214,15 @@ class TestLitmusSvg:
         with pytest.raises(ValueError):
             emit_litmus_svg({}, tmp_path / "x.svg")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_refused_nothing_written(self, tmp_path, bad):
+        # a NaN failed peak > 0 and was drawn as a white, zero cell
+        p = tmp_path / "l.svg"
+        with pytest.raises(ValueError, match=f"method 'lime' scores 'b' {bad}"):
+            emit_litmus_svg({"gpa": np.array([1.0, 0.5]), "lime": np.array([0.2, bad])},
+                            p, ["a", "b"])
+        assert not p.exists()
+
     def test_method_names_escaped_as_element_text(self, tmp_path):
         p = tmp_path / "l.svg"
         emit_litmus_svg({"a<b&c": np.array([1.0, -1.0])}, p)
@@ -318,6 +327,26 @@ class TestDistributionSvg:
             emit_distribution_svg(_symmetric_grid(1.0, grid_points), _flat_table(2)[1],
                                   tmp_path / "x.svg", np.zeros(map_coordinates))
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("grid", [
+        np.zeros(5), [0.5, 0.25, 0.0, 0.25, 0.5], [0.0, np.nan, 0.5, 0.75, 1.0],
+        [0.0, 0.25, 0.5, 0.75, np.inf],
+    ], ids=["zeros", "equal ends", "nan inside", "infinite end"])
+    def test_degenerate_grid_refused_nothing_written(self, tmp_path, grid):
+        # equal ends divided 0 by 0 in every x coordinate
+        p = tmp_path / "d.svg"
+        with pytest.raises(ValueError, match="the grid needs two finite ends apart"):
+            emit_distribution_svg(grid, np.full((1, 5), 0.2), p, np.zeros(1))
+        assert not p.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_probability_refused_nothing_written(self, tmp_path, bad):
+        probs = np.full((2, 5), 0.2)
+        probs[1, 3] = bad
+        p = tmp_path / "d.svg"
+        with pytest.raises(ValueError, match=f"variable 'b' at grid point 3 is {bad}"):
+            emit_distribution_svg(np.linspace(-1.0, 1.0, 5), probs, p, np.zeros(2), ["a", "b"])
+        assert not p.exists()
 
     @pytest.mark.parametrize("at, index", [(0.375, 1), (0.625, 2), (-5.0, 0), (5.0, 4)],
                              ids=["halfway low", "halfway high", "below", "above"])

@@ -49,6 +49,7 @@ from conftest import (
     ask,
     driven,
     minimize,
+    no_confirm,
     single_point,
 )
 
@@ -66,12 +67,19 @@ class TestGammaHyperparameters:
         resid = np.array([2.0, 2.0])
         assert init_gamma_rate(resid, a0=1.0, c_b=1.0) == pytest.approx(4.0)
         assert init_gamma_rate(resid, a0=5.5, c_b=10.0) == pytest.approx(5.5 * 4 / 10)
-        # degenerate perfectly-fit case hits the 1e-6 variance floor
+        # a perfect fit's mean square of exactly 0 takes the 1e-6 substitute
         fit = np.zeros(1)
         assert init_gamma_rate(fit, a0=1.0, c_b=1.0) == pytest.approx(1e-6)
         assert init_gamma_rate(fit, a0=2.0, c_b=4.0) == pytest.approx(2e-6 / 4)
         with pytest.raises(ValueError, match="nonempty"):
             init_gamma_rate(np.zeros(0), a0=1.0, c_b=1.0)
+
+    def test_small_mean_square_is_no_floor(self):
+        # only an exact 0 is replaced: a well-fitted mean square of 1e-10
+        # stays 1e-10, far below the 1e-6 substitute
+        resid = np.array([1e-5, -1e-5])
+        assert init_gamma_rate(resid, a0=5.5, c_b=10.0) == pytest.approx(
+            5.5 * 1e-10 / 10.0, rel=1e-12)
 
     def test_refine_two_equal_residuals(self):
         # with one included sample of residual r the update's fixed point
@@ -146,7 +154,8 @@ def _objective(delta, ts, model, hp, rates):
     """The smooth part of the MAP objective at ``delta`` (no l1 term), under
     the per-sample gamma ``rates`` of a run."""
     loss = student_t_loss(hp.a0, rates)
-    return driven(model, CounterfactualObjective(ts.x, ts.y, hp.eta, loss).value_run)(delta)
+    objective = CounterfactualObjective(ts.x, ts.y, hp.eta, loss, GradientEstimatorConfig())
+    return driven(model, objective.value_run)(delta)
 
 
 class TestObjective:
@@ -202,6 +211,19 @@ class TestObjective:
         assert m.query_count - before == ts.n_test
         l1 = hp.eta * hp.nu * np.abs(res.delta_star).sum()
         assert value + l1 == res.objective_trace[-1]
+
+    def test_record_of_a_solve_that_asks_no_rows(self):
+        # a solve over callables that query nothing counts no row and no step
+        objective = CounterfactualObjective(np.zeros((1, 2)), np.zeros(1), 1.0,
+                                            gaussian_loss(1.0), FINE_GRAD)
+        grad = as_run(lambda d: (2.0 * d, 2.0 * np.eye(2), np.zeros((2, 2))))
+        solve = proximal_minimize(grad, as_run(lambda d: float(d @ d)), no_confirm, 2,
+                                  GpaHyperParams(eta=1.0), 0)
+        model = sinusoidal2d()
+        result = drive(model, [objective.record(solve)])[0]
+        assert result.converged and result.rates is None
+        assert (result.query_count, result.call_count, result.one_pair_batches) == (0, 0, 0)
+        assert model.query_count == model.call_count == 0
 
     def test_nonfinite_output_names_sample(self):
         m = CallableModel(lambda x: np.inf if x[0] > 0.5 else 0.0, 1)
@@ -399,9 +421,19 @@ class TestMapEstimate:
             map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
 
     def test_dimension_mismatch_rejected(self, sin_model):
+        # the driver refuses the solve's first rows (b0: no rate rows) before
+        # any call
         ts = TestSet(np.zeros((1, 3)), np.zeros(1), ["a", "b", "c"])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rows of 3 inputs != model dimension 2"):
             map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
+        assert sin_model.query_count == sin_model.call_count == 0
+
+    def test_dimension_mismatch_rejected_with_rate_rows(self, sin_model):
+        # the residual rows go first, and are refused with the solve's
+        ts = TestSet(np.zeros((1, 3)), np.zeros(1), ["a", "b", "c"])
+        with pytest.raises(ValueError, match="rows of 3 inputs != model dimension 2"):
+            map_estimate(ts, sin_model, GpaHyperParams(), FINE_GRAD)
+        assert sin_model.query_count == sin_model.call_count == 0
 
     def test_nonconvergence_flagged_not_raised(self, sin_model):
         hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, max_iter=2,
@@ -601,7 +633,8 @@ class TestSecantCorrection:
         coef = np.array([2.0, -1.0, 0.5])
         xs = np.random.default_rng(0).uniform(-1, 1, (4, 3))
         grad_fn = driven(linear_model(coef), CounterfactualObjective(
-            xs, xs @ coef + 1.0, 0.3, student_t_loss(1.0, np.full(4, 2.0))).grad_run)
+            xs, xs @ coef + 1.0, 0.3, student_t_loss(1.0, np.full(4, 2.0)),
+            GradientEstimatorConfig()).grad_run)
         for delta in np.random.default_rng(1).normal(size=(5, 3)):
             _, hess, corr = grad_fn(delta)
             assert np.abs(corr).max() <= 1e-12 * np.abs(hess).max()
@@ -956,6 +989,7 @@ def _solve_both_ways(make_model, ts, loss, eta, nu, grad_cfg, max_iter=10_000,
                      tol=1e-8):
     """(solver state, queries) with the fused objective, then with the
     two-call reference, each on a fresh model."""
+    hp = GpaHyperParams(eta=eta, nu=nu, max_iter=max_iter, tol=tol)
     runs = []
     for fused in (True, False):
         model = make_model()
@@ -966,10 +1000,9 @@ def _solve_both_ways(make_model, ts, loss, eta, nu, grad_cfg, max_iter=10_000,
         else:
             grad_fn, value_fn = map(as_run, _two_call_objective(model, ts.x, ts.y, eta,
                                                                 loss, grad_cfg))
-            confirm_fn = None
-        state = driven(model, proximal_minimize)(grad_fn, value_fn, ts.dimension, eta, nu,
-                                                 max_iter, tol, grad_cfg.seed,
-                                                 confirm_fn=confirm_fn)
+            confirm_fn = no_confirm
+        state = driven(model, proximal_minimize)(grad_fn, value_fn, confirm_fn, ts.dimension,
+                                                 hp, grad_cfg.seed)
         runs.append((state, model.query_count))
     return runs
 
@@ -1223,9 +1256,8 @@ class TestPairDraws:
             model = BatchRecorder(CallableModel(value, 3))
             objective = CounterfactualObjective(ts.x, ts.y, ORACLE_HP.eta, loss, cfg)
             state = driven(model, proximal_minimize)(
-                objective.grad_run, objective.value_run, 3, ORACLE_HP.eta, ORACLE_HP.nu,
-                10_000, ORACLE_HP.tol, cfg.seed,
-                confirm_fn=objective.confirm_run if confirm else None)
+                objective.grad_run, objective.value_run,
+                objective.confirm_run if confirm else no_confirm, 3, ORACLE_HP, cfg.seed)
             assert state.converged
             return state, model.sizes
 
@@ -1262,8 +1294,8 @@ class TestPairDraws:
             return objective.grad_run(delta)
 
         state = driven(model, proximal_minimize)(
-            counted_grad, objective.value_run, ts.dimension, hp.eta, hp.nu, hp.max_iter,
-            hp.tol, FINE_GRAD.seed, confirm_fn=objective.confirm_run)
+            counted_grad, objective.value_run, objective.confirm_run, ts.dimension, hp,
+            FINE_GRAD.seed)
         assert state.converged and state.halvings == 0
         assert len(grads) == state.iterations
         assert state.confirmations == (problem == "collective")
