@@ -18,18 +18,19 @@ list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
 ``detect`` and ``explain`` take the noise variance and the anomaly scores
 from one batch of residuals ``y - f(x)``: over every row, or with
 ``--noise-var`` over the scored rows alone.  ``detect`` sends it as its one
-model call.  ``explain`` and ``compare`` run all their methods in
-lockstep, with explain's residual rows as one more run
-(:func:`~anomattr.models.drive`): each call of the model carries the next
-rows of every method that has not ended, so a command makes as many calls
-as its method with the most steps.  A step's rows go in one array, in a
-fixed order: explain's residual rows, the one batch of each method that
-sends one (the lime cloud, which lime, lime0 and baylime share, ig's path
-and sv's batch), gpa's rate rows and solve, then lc's solve and eig's paths
-in method order; its answers go back in that order.  The residual scores
-are taken before any method sees the answers of the first call, so an
-overflowing residual ends the run there.  A missing ``--baseline`` or
-``--ref`` is refused before the first query.
+model call.  ``explain`` and ``compare`` run all their methods in one
+drive (:func:`~anomattr.models.drive`), in lockstep, with explain's residual
+rows as one more run: each call of the model carries the next rows of every
+method that has not ended, so a command makes as many calls as its method
+with the most steps.  A step's rows go in one array, in a fixed order:
+explain's residual rows, the one batch of each method that sends one (the
+lime cloud, which lime, lime0 and baylime share, ig's path and sv's batch),
+gpa's rate rows and solve, then lc's solve and eig's paths in method order;
+its answers go back in that order.  ``dist`` drives gpa's run alone, then
+the posterior slices.  The residual scores are taken before any method sees
+the answers of the first call, so an overflowing residual ends the run
+there.  A missing ``--baseline`` or ``--ref`` is refused before the first
+query.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, a number flag out of its range,
@@ -63,10 +64,10 @@ docstring.  ``dist`` adds ``edge_mass`` to gpa's.  The diagnostics' own
 command: for ``dist`` the posterior slices too, and for ``explain`` and
 ``compare`` every method.
 
-``--kappa`` and ``--lc-kappa`` set the starting step of an earlier
-step-size solver.  The Gauss-Newton solver has no step size, so both are
-accepted and ignored, and hidden from ``--help``, so that old command lines
-still run; ``config`` echoes them like any flag.
+``--kappa`` set the starting step of an earlier step-size solver.  The
+Gauss-Newton solver has no step size, so it is accepted and ignored, and
+hidden from ``--help``, so that old command lines still run; ``config``
+echoes it like any flag.
 """
 
 from __future__ import annotations
@@ -286,13 +287,29 @@ def _lime_config(args) -> baselines.LimeConfig:
                                 l1_strength=args.lime_l1, seed=args.seed)
 
 
-def _method_runs(methods, args, selection: TestSet, hp: GpaHyperParams,
-                 grad_cfg: GradientEstimatorConfig, ref, done: dict):
-    """The runs of every method in ``methods`` but gpa and zscore, as
-    ``(lead, follow)``: the one-step runs (the lime cloud, which lime, lime0
-    and baylime share, ig's path and sv's batch), then lc and eig in method
-    order.  Each run keeps its methods' ``(scores, extras)`` in ``done``."""
-    x_t = selection.x[0]
+def _solve_record(result: gpa.AttributionResult) -> tuple:
+    """The scores and diagnostics of a gpa or lc run."""
+    return result.delta_star, result.diagnostics
+
+
+def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
+                 hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, *lead):
+    """The method loop of explain and compare: each method's scores by name,
+    in method order, and the methods' part of the diagnostics section of the
+    document.  Every flag a method requires is checked before the first
+    query.  The caller's ``lead`` runs and every method's but zscore's go in
+    one drive (:func:`~anomattr.models.drive`), in the order of a step
+    (module docstring), so each step of the command is one model call."""
+    if _LIME_METHODS & set(methods) and args.lime_samples <= selection.dimension:
+        raise UsageError(f"--lime-samples must be at least the dimension + 1, "
+                         f"{selection.dimension + 1}, for a solvable fit")
+    if "ig" in methods and args.baseline is None:
+        raise UsageError("method 'ig' requires --baseline")
+    ref = _reference_set(args, selection.dimension)
+    needs_ref = [m for m in methods if m in _REF_METHODS]
+    if needs_ref and ref is None:
+        raise UsageError(f"method {needs_ref[0]!r} requires --ref")
+    done, x_t = {}, selection.x[0]
 
     def kept(name, run, record=lambda scores: (scores, None)):
         done[name] = record((yield from run))
@@ -308,59 +325,27 @@ def _method_runs(methods, args, selection: TestSet, hp: GpaHyperParams,
             fit = baselines.baylime_fit(*cloud, cfg, args.prior_eta, args.noise_lambda)
             done["baylime"] = fit.means, {"variance": fit.variance}
 
-    lead, follow = [], []
+    runs = list(lead)
     if _LIME_METHODS & set(methods):
-        lead.append(lime_fits())
+        runs.append(lime_fits())
     if "ig" in methods:
-        lead.append(kept("ig", baselines.integrated_gradient(
+        runs.append(kept("ig", baselines.integrated_gradient(
             x_t, _numbers(args.baseline), args.n_intervals, grad_cfg)))
     if "sv" in methods:
-        lead.append(kept("sv", baselines.shapley_sampled(x_t, ref, args.sv_configs,
+        runs.append(kept("sv", baselines.shapley_sampled(x_t, ref, args.sv_configs,
                                                          args.seed)))
+    if "gpa" in methods:
+        runs.append(kept("gpa", gpa.map_estimate(selection, hp, grad_cfg), _solve_record))
     for name in methods:
         if name == "lc":
-            follow.append(kept("lc", baselines.lc(selection.x, selection.y, hp, grad_cfg,
-                                                  args.lc_lambda), _solve_record))
+            runs.append(kept("lc", baselines.lc(selection.x, selection.y, hp, grad_cfg,
+                                                args.lc_lambda), _solve_record))
         elif name == "eig":
-            follow.append(kept("eig", baselines.expected_integrated_gradient(
+            runs.append(kept("eig", baselines.expected_integrated_gradient(
                 x_t, ref, args.n_intervals, grad_cfg)))
-    return lead, follow
-
-
-def _solve_record(result: gpa.AttributionResult) -> tuple:
-    """The scores and diagnostics of a gpa or lc run."""
-    return result.delta_star, result.diagnostics
-
-
-def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
-                 hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, *lead):
-    """The method loop of explain and compare: each method's scores by name,
-    in method order, and the methods' part of the diagnostics section of the
-    document.  Every flag a method requires is checked before the first
-    query.  The methods run in lockstep (:func:`~anomattr.models.drive`),
-    the caller's ``lead`` runs first, then the one-step runs, gpa, and lc
-    and eig, so each step of the command is one model call; gpa runs through
-    :func:`~anomattr.gpa.map_estimate`, which drives the other runs with its
-    own."""
-    if _LIME_METHODS & set(methods) and args.lime_samples <= selection.dimension:
-        raise UsageError(f"--lime-samples must be at least the dimension + 1, "
-                         f"{selection.dimension + 1}, for a solvable fit")
-    if "ig" in methods and args.baseline is None:
-        raise UsageError("method 'ig' requires --baseline")
-    ref = _reference_set(args, selection.dimension)
-    needs_ref = [m for m in methods if m in _REF_METHODS]
-    if needs_ref and ref is None:
-        raise UsageError(f"method {needs_ref[0]!r} requires --ref")
-    done = {}
-    runs, follow = _method_runs(methods, args, selection, hp, grad_cfg, ref, done)
-    runs[:0] = lead
-    if "gpa" in methods:
-        done["gpa"] = _solve_record(gpa.map_estimate(selection, model, hp, grad_cfg,
-                                                     lead=runs, follow=follow))
-    else:
-        drive(model, runs + follow)
+    drive(model, runs)
     if "zscore" in methods:
-        done["zscore"] = baselines.z_score(selection.x[0], ref), None
+        done["zscore"] = baselines.z_score(x_t, ref), None
     scores = {name: done[name][0] for name in methods}
     diagnostics = {name: done[name][1] for name in methods if done[name][1]}
     return scores, diagnostics
@@ -467,7 +452,7 @@ def cmd_explain(args) -> int:
 
 def cmd_dist(args) -> int:
     ts, model, indices, selection, hp, grad_cfg = _setup(args, ["gpa"])
-    result = gpa.map_estimate(selection, model, hp, grad_cfg)
+    result = drive(model, [gpa.map_estimate(selection, hp, grad_cfg)])[0]
     if not result.converged:
         print(
             f"warning: no convergence within {hp.max_iter} iterations; "
@@ -617,8 +602,6 @@ def _add_method_flags(p):
     p.add_argument("--prior-eta", type=_positive, default=0.1)
     p.add_argument("--noise-lambda", type=_bounded(_finite_float, 0), default=1.0)
     p.add_argument("--lc-lambda", type=_positive, default=1.0)
-    # ignored: see the module docstring
-    p.add_argument("--lc-kappa", type=_finite_float, default=None, help=argparse.SUPPRESS)
 
 
 @functools.cache

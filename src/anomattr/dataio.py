@@ -313,6 +313,9 @@ def emit_distribution_svg(grid, probs, path, map_point, variable_names=None) -> 
         k, i = bad[0]
         raise ValueError(f"the probability of variable {variable_names[k]!r} at grid "
                          f"point {i} is {probs[k, i]}")
+    if not np.isfinite(map_point).all():
+        k = int(np.argmin(np.isfinite(map_point)))
+        raise ValueError(f"the MAP coordinate of variable {variable_names[k]!r} is {map_point[k]}")
     pmax = float(np.max(probs))
     pmax = pmax if pmax > 0 else 1.0
 

@@ -69,15 +69,14 @@ the slices, which reuse the run's rates.  Each is a run that yields its
 rows (:func:`~anomattr.models.drive`): the objective's ``grad_run``,
 ``value_run`` and ``confirm_run`` each ask for one batch, and
 :func:`proximal_minimize` over them is the solve's run.
-:func:`map_estimate` drives the rate run and the solve together, the rates
-first, so the residual rows ride at the front of the solver's first batch:
-the rates cost their rows and no call, and the driver hands the rates their
-answers, and the rates are set, before the solve reads its own.  The driver
-builds the step's batch in one array, the rate rows in front and the
-estimator's rows behind them, so no copy of the batch is made.  In
-``explain`` and ``compare`` the other methods' runs go in the same steps,
-as :func:`map_estimate`'s ``lead`` and ``follow``: their one-batch rows and
-``explain``'s residual rows in front, lc's and eig's behind.
+:func:`map_estimate`'s run is the rate run and the solve in lockstep
+(:func:`~anomattr.models.lockstep`), the rates first, so the residual rows
+ride at the front of the solver's first batch: the rates cost their rows
+and no call, and they have their answers, and are set, before the solve
+reads its own.  The driver builds the step's batch in one array, the rate
+rows in front and the estimator's rows behind them, so no copy of the batch
+is made.  In ``explain`` and ``compare`` the other methods' runs go in the
+same steps, in the order the :mod:`anomattr.cli` docstring gives.
 :meth:`CounterfactualObjective.record` alone counts a solve, gpa's or
 lc's, by :func:`~anomattr.models.counted`, and :func:`map_estimate` adds
 its rate rows: :attr:`AttributionResult.query_count` is the rate rows plus
@@ -145,6 +144,7 @@ from .models import (
     drive,
     estimate_gradient,
     gradient_rows,
+    lockstep,
 )
 
 __all__ = [
@@ -756,22 +756,12 @@ def _positive_definite(a) -> bool:
     return True
 
 
-def map_estimate(
-    testset: TestSet,
-    model: ModelHandle,
-    hp: GpaHyperParams,
-    grad_cfg: GradientEstimatorConfig,
-    *,
-    lead=(),
-    follow=(),
-) -> AttributionResult:
-    """MAP perturbation shared by all samples of ``testset``, with its
-    record: the :class:`CounterfactualObjective` under the
-    :func:`student_t_loss`, minimized by :func:`proximal_minimize`.  The
-    rate rows and the solve go as two runs in one drive, the rates first,
-    between the ``lead`` and the ``follow`` runs, which are driven to their
-    ends with them (:func:`~anomattr.models.drive`, which refuses rows of
-    another width than the model's before any call)."""
+def map_estimate(testset: TestSet, hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig):
+    """The run of the MAP perturbation shared by all samples of ``testset``,
+    whose result is its :class:`AttributionResult`: the
+    :class:`CounterfactualObjective` under the :func:`student_t_loss`,
+    minimized by :func:`proximal_minimize`.  The run is the rate run and the
+    solve in lockstep, the rates first (module docstring)."""
     if testset.n_test == 0:
         raise ValueError("testset must be nonempty")
     rates = np.empty(testset.n_test)
@@ -779,12 +769,14 @@ def map_estimate(
                                         student_t_loss(hp.a0, rates), grad_cfg)
     solve = proximal_minimize(objective.grad_run, objective.value_run,
                               objective.confirm_run, testset.dimension, hp, grad_cfg.seed)
-    runs = [*lead, counted(_resolve_rates(testset, hp, rates)), objective.record(solve),
-            *follow]
-    (_, rate_rows, _), result = drive(model, runs)[len(lead):len(lead) + 2]
-    # the rate rows ride the solve's first step: their rows count, no call
-    result.query_count, result.rates = result.query_count + rate_rows, rates
-    return result
+
+    def run():  # the rate rows ride the solve's first step: their rows count, no call
+        (_, rate_rows, _), result = yield from lockstep(
+            [counted(_resolve_rates(testset, hp, rates)), objective.record(solve)])
+        result.query_count, result.rates = result.query_count + rate_rows, rates
+        return result
+
+    return run()
 
 
 def score_distributions(

@@ -31,16 +31,18 @@ A routine that queries the model is a *run*: a generator that yields the
 rows it needs and is sent their answers (``values = yield rows``), and
 returns its result.  It yields an ``(k, m)`` array of rows, or a pair
 ``((k, m), fill)`` whose ``fill(out)`` writes its k rows into the ``(k, m)``
-array ``out``, which lets it build a large batch where it is sent.
-:func:`drive` runs a list of runs against one handle in lockstep.  Each step
-builds every live run's next rows into one new array, in the order of the
-list, sends it as one call and hands each run its slice of the answers, in
-that order; a lone run's array goes as it is.  So a command's methods, none
-of which waits for another's answers, make as many calls as the run with
-the most steps.  Every function of the library that queries the model,
-:func:`estimate_gradient` among them, returns a run, and a caller drives
-it: ``drive(model, [run])[0]`` is its result, to which ``counted(run)``
-adds the rows the run asked for and its steps.
+array ``out``, which lets it build a large batch where it is sent, or a
+list of such asks, lists among them.  :func:`lockstep` makes one run of a
+list of runs: each step asks for the next rows of every run that has not
+ended, as a list in the order of the runs, and hands each run its slice of
+the answers, in that order.  :func:`drive` runs a list of runs against one
+handle as one such run: it builds each step's rows into one new array, a
+lone array going as it is, and sends it as one call.  So a command's
+methods, none of which waits for another's answers, make as many calls as
+the run with the most steps.  Every function of the library that queries
+the model, :func:`estimate_gradient` among them, returns a run, and a
+caller drives it: ``drive(model, [run])[0]`` is its result, to which
+``counted(run)`` adds the rows the run asked for and its steps.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ __all__ = [
     "BuiltinModel",
     "CallableModel",
     "drive",
+    "lockstep",
     "SubprocessModel",
     "HttpModel",
     "sinusoidal2d",
@@ -229,19 +232,32 @@ class CallableModel(ModelHandle):
 
 
 def drive(model: ModelHandle, runs) -> list:
-    """Run each of ``runs`` to its end against ``model``, in lockstep, and
-    return their results in order; the module docstring gives the steps.
+    """The results of ``runs``, in order, run to their ends against
+    ``model`` as one :func:`lockstep` run, whose asks may nest (module
+    docstring).  Rows of another width than ``model.dimension`` raise
+    ValueError before the step's call, and a non-finite answer
+    :class:`NonFiniteModelOutput` at the first input in the batch that got
+    one."""
+    run, ys = lockstep(runs), None
+    while True:
+        try:
+            asks = _parts(run.send(ys), model.dimension)
+        except StopIteration as stop:
+            return stop.value
+        # the last step's rows and answers go once every run has built its
+        # next ask, before the next step's batch is built
+        xs = ys = None
+        xs = _step_batch(asks, model.dimension)
+        ys = model.evaluate_batch(xs)
 
-    A run's answers come in the order of the batch, so a run ahead of
-    another in the list has its answers, and may end, before that one reads
-    its own.  A non-finite answer raises :class:`NonFiniteModelOutput` at
-    the first input in the batch that got one, and an error a run raises
-    ends the drive.  Rows of another width than ``model.dimension`` raise
-    ValueError before the step's call.
-    """
-    runs = list(runs)
-    results = [None] * len(runs)
-    live, xs = [(i, run, None) for i, run in enumerate(runs)], None
+
+def lockstep(runs):
+    """The run of ``runs`` in lockstep (module docstring), whose result is
+    their results in order.  A run ahead of another has its answers, and
+    may end, before that one reads its own, and an error a run raises ends
+    the step."""
+    live = [(i, run, None) for i, run in enumerate(runs)]
+    results = [None] * len(live)
     while live:
         asks = []
         for i, run, answers in live:
@@ -249,43 +265,49 @@ def drive(model: ModelHandle, runs) -> list:
                 asks.append((i, run, run.send(answers)))
             except StopIteration as stop:
                 results[i] = stop.value
-        # the last step's rows and answers go before the next step's are
-        # built, so no step's answers are alive beside the next step's batch
-        live = xs = ys = answers = None
+        live = ys = answers = None  # no step's answers beside the next batch
         if not asks:
             break
-        counts = [_count(model, rows) for _, _, rows in asks]
-        xs = _step_batch(model, [rows for _, _, rows in asks], counts)
-        ys = model.evaluate_batch(xs)
-        live, start = [], 0
-        for (i, run, _), k in zip(asks, counts):
+        ys, live, start = (yield [rows for _, _, rows in asks]), [], 0
+        for i, run, rows in asks:
+            k = _size(rows)
             live.append((i, run, ys[start:start + k]))
             start += k
     return results
 
 
-def _step_batch(model: ModelHandle, asks: list, counts: list) -> np.ndarray:
-    """The rows each run of a step asks for, ``counts`` of them, in one new
-    array; one array of rows asked for alone goes as it is."""
+def _parts(ask, m: int) -> list:
+    """The arrays and ``((k, m), fill)`` pairs of ``ask`` (module docstring)
+    in order; rows of another width than ``m`` raise ValueError."""
+    if isinstance(ask, list):
+        return [part for rows in ask for part in _parts(rows, m)]
+    shape = ask[0] if isinstance(ask, tuple) else np.shape(ask)
+    if shape[1:] != (m,):
+        raise ValueError(f"rows of {shape[-1]} inputs != model dimension {m}")
+    return [ask]
+
+
+def _size(ask) -> int:
+    """The number of rows ``ask`` asks for."""
+    if isinstance(ask, list):
+        return sum(map(_size, ask))
+    return ask[0][0] if isinstance(ask, tuple) else len(ask)
+
+
+def _step_batch(asks: list, m: int) -> np.ndarray:
+    """The rows of ``asks``, arrays and fills, in one new array of rows of
+    ``m`` inputs; one array asked for alone goes as it is."""
     if len(asks) == 1 and isinstance(asks[0], np.ndarray):
         return asks[0]
-    xs, start = np.empty((sum(counts), model.dimension)), 0
-    for rows, k in zip(asks, counts):
+    xs, start = np.empty((_size(asks), m)), 0
+    for rows in asks:
+        k = _size(rows)
         if isinstance(rows, np.ndarray):
             xs[start:start + k] = rows
         else:
             rows[1](xs[start:start + k])
         start += k
     return xs
-
-
-def _count(model: ModelHandle, rows) -> int:
-    """The number of rows a run asks for (module docstring), which must be
-    ``model.dimension`` wide."""
-    shape = rows[0] if isinstance(rows, tuple) else np.shape(rows)
-    if shape[1:] != (model.dimension,):
-        raise ValueError(f"rows of {shape[-1]} inputs != model dimension {model.dimension}")
-    return shape[0]
 
 
 def counted(run):

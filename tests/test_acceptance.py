@@ -52,7 +52,7 @@ def _report(number: int, description: str, ok: bool, detail: str = ""):
 
 
 def _gpa_delta(y_t: float) -> np.ndarray:
-    res = map_estimate(single_point(X_T, y_t), sinusoidal2d(), ORACLE_HP, FINE_GRAD)
+    res = driven(sinusoidal2d(), map_estimate)(single_point(X_T, y_t), ORACLE_HP, FINE_GRAD)
     return res.delta_star
 
 
@@ -226,7 +226,7 @@ def test_criterion_09_distribution_properties():
     # normalization + mode on the sinusoidal point A
     model = sinusoidal2d()
     ts = single_point(X_T, POINT_A)
-    res = map_estimate(ts, model, ORACLE_HP, FINE_GRAD)
+    res = driven(model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
     grid, probs = score_distributions(res.delta_star, ts, model, ORACLE_HP, res.rates,
                                       FINE_GRAD)
     sums_ok = all(abs(row.sum() - 1.0) <= 1e-10 for row in probs)
@@ -238,7 +238,7 @@ def test_criterion_09_distribution_properties():
     lin = linear_model([1.5, 0.0])
     ts2 = single_point([0.3, -0.2], 2.0, ("a", "b"))
     hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
-    res2 = map_estimate(ts2, lin, hp, FINE_GRAD)
+    res2 = driven(lin, map_estimate)(ts2, hp, FINE_GRAD)
     grid, probs2 = score_distributions(res2.delta_star, ts2, lin, hp, res2.rates, FINE_GRAD)
     prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
     prior /= prior.sum()

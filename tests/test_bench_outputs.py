@@ -19,7 +19,7 @@ from anomattr import cli
 from anomattr.dataio import TestSet
 from anomattr.gpa import map_estimate
 from anomattr.models import GradientEstimatorConfig, sinusoidal2d
-from conftest import ORACLE_HP
+from conftest import ORACLE_HP, driven
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # the gpa query_count of the three seed-1 collective-builtin operations,
@@ -146,7 +146,8 @@ def test_default_flag_sinusoid_plan(bench):
     plan = np.zeros(4, dtype=int)
     for x1, y in workloads.sinusoid_rows(1):
         testset = TestSet(np.array([[x1, 0.0]]), np.array([y]), ["x1", "x2"])
-        result = map_estimate(testset, sinusoidal2d(), ORACLE_HP, GradientEstimatorConfig())
+        result = driven(sinusoidal2d(), map_estimate)(testset, ORACLE_HP,
+                                                      GradientEstimatorConfig())
         assert result.converged
         plan += (result.query_count, result.call_count, result.iterations, result.halvings)
     assert tuple(plan.tolist()) == DEFAULT_FLAG_SINUSOID_PLAN

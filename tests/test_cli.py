@@ -774,8 +774,8 @@ class TestDist:
         assert main(["dist", "--data", str(sinus_data), "--model", "sinusoidal2d",
                      "--point-index", "0", "--out", str(out), *ORACLE_FLAGS]) == 0
         gpa_doc = strict_json((out / "distributions.json").read_text())["diagnostics"]["gpa"]
-        record = map_estimate(single_point([0.5, 0.0], 1.0), anomattr.sinusoidal2d(),
-                              ORACLE_HP, FINE_GRAD)
+        record = driven(anomattr.sinusoidal2d(), map_estimate)(
+            single_point([0.5, 0.0], 1.0), ORACLE_HP, FINE_GRAD)
         assert gpa_doc.keys() == record.diagnostics.keys() | {"edge_mass"}
         assert len(gpa_doc.pop("edge_mass")) == 2
         assert gpa_doc == record.diagnostics
@@ -971,9 +971,10 @@ class TestResidualRows:
         x = np.array([[0.5, 0.0]] * 3)
         residual_rows = x[[1]] if noise_var else x
         alone = BatchRecorder(anomattr.sinusoidal2d())
-        anomattr.map_estimate(anomattr.TestSet(x[[1]], np.array([0.0]), ["x1", "x2"]),
-                              alone, GpaHyperParams(**doc["config"]["hyperparams"]),
-                              anomattr.GradientEstimatorConfig(perturbation_std=0.001))
+        driven(alone, anomattr.map_estimate)(
+            anomattr.TestSet(x[[1]], np.array([0.0]), ["x1", "x2"]),
+            GpaHyperParams(**doc["config"]["hyperparams"]),
+            anomattr.GradientEstimatorConfig(perturbation_std=0.001))
         np.testing.assert_array_equal(model.first, np.vstack([residual_rows, alone.first]))
         k = len(residual_rows)
         diagnostics = doc["diagnostics"]
@@ -1025,10 +1026,9 @@ class TestResidualRows:
         err = capsys.readouterr().err
         model = cli.resolve_model("sinusoidal2d", 2)
         with pytest.raises(anomattr.NonFiniteModelOutput) as alone:
-            anomattr.map_estimate(
+            driven(model, anomattr.map_estimate)(
                 anomattr.TestSet(np.array([[0.5, 0.0]]), np.array([1.0]), ["x1", "x2"]),
-                model, GpaHyperParams.for_testset(1, b0=10.0),
-                anomattr.GradientEstimatorConfig())
+                GpaHyperParams.for_testset(1, b0=10.0), anomattr.GradientEstimatorConfig())
         assert model.call_count == 1 and alone.value.x[0] > 0.6
         assert err == f"error: {alone.value}\n"
         assert not (out / "result.json").exists()
@@ -1270,7 +1270,7 @@ class TestNonFiniteInput:
     def test_every_float_flag_is_walked(self):
         options = _float_options()
         assert {c for c, _ in options} == set(self.VALID)
-        assert {("compare", "--kappa"), ("explain", "--lc-kappa"),
+        assert {("compare", "--kappa"), ("explain", "--lc-lambda"),
                 ("oracle", "--y"), ("detect", "--noise-var")} <= set(options)
 
     @pytest.mark.parametrize("command, flag", _float_options())
@@ -1356,7 +1356,7 @@ class TestConfigEcho:
         assert main([
             "explain", "--data", str(sinus_data), "--methods", "gpa,lc,lime,sv",
             "--point-index", "2", "--ref", str(lattice_ref), "--seed", "3",
-            "--grad-samples", "4", "--lime-samples", "200", "--lc-kappa", "0.02",
+            "--grad-samples", "4", "--lime-samples", "200", "--lc-lambda", "0.5",
             "--out", str(first), *ORACLE_FLAGS,
         ]) == 0
         doc = strict_json((first / "result.json").read_text())
@@ -1373,7 +1373,7 @@ class TestConfigEcho:
         i = ORACLE_FLAGS.index("--kappa")
         flags = ORACLE_FLAGS[:i] + ORACLE_FLAGS[i + 2:]
         docs = []
-        for extra in ([], ["--kappa", "0.5", "--lc-kappa", "0.3"]):
+        for extra in ([], ["--kappa", "0.5"]):
             out = tmp_path / f"out{len(extra)}"
             assert main(["compare", "--data", str(sinus_data), "--model", "sinusoidal2d",
                          "--methods", "gpa,lc", *flags, *extra, "--out", str(out)]) == 0
@@ -1381,6 +1381,17 @@ class TestConfigEcho:
         assert docs[0]["scores"] == docs[1]["scores"]
         assert "kappa" not in docs[1]["config"]["hyperparams"]
         assert "kappa" not in _subparser("compare").format_help()
+
+    @pytest.mark.parametrize("command", ["explain", "compare"])
+    def test_lc_kappa_is_refused(self, sinus_data, tmp_path, capsys, command):
+        # the hidden no-op --lc-kappa is gone: argparse refuses it
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", str(sinus_data), "--model", "sinusoidal2d",
+                  "--methods", "gpa,lc", "--lc-kappa", "0.3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lc-kappa 0.3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOracleCmd:

@@ -348,6 +348,16 @@ class TestDistributionSvg:
             emit_distribution_svg(np.linspace(-1.0, 1.0, 5), probs, p, np.zeros(2), ["a", "b"])
         assert not p.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_map_coordinate_refused_nothing_written(self, tmp_path, bad):
+        # a NaN was marked at the grid's first point, where argmin over NaN
+        # distances lands
+        p = tmp_path / "d.svg"
+        with pytest.raises(ValueError, match=f"MAP coordinate of variable 'b' is {bad}"):
+            emit_distribution_svg(np.linspace(-1.0, 1.0, 5), np.full((2, 5), 0.2), p,
+                                  [0.5, bad], ["a", "b"])
+        assert not p.exists()
+
     @pytest.mark.parametrize("at, index", [(0.375, 1), (0.625, 2), (-5.0, 0), (5.0, 4)],
                              ids=["halfway low", "halfway high", "below", "above"])
     def test_marker_on_the_nearest_grid_point(self, tmp_path, at, index):

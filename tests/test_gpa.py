@@ -205,7 +205,7 @@ class TestObjective:
         ts = TestSet(np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]]),
                      np.array([1.5, 1.1, 0.2]), ["a", "b"])
         hp = GpaHyperParams(a0=1.0, tol=1e-8)
-        res = map_estimate(ts, m, hp, FINE_GRAD)
+        res = driven(m, map_estimate)(ts, hp, FINE_GRAD)
         before = m.query_count
         value = _objective(res.delta_star, ts, m, hp, res.rates)
         assert m.query_count - before == ts.n_test
@@ -239,7 +239,7 @@ class TestMapEstimate:
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     def test_sinusoidal_closed_form(self, sin_model, y_t):
         ts = single_point([0.5, 0.0], y_t)
-        res = map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
+        res = driven(sin_model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
         assert res.converged
         np.testing.assert_allclose(res.delta_star, oracle_gpa([0.5, 0.0], y_t), atol=1e-3)
 
@@ -247,7 +247,8 @@ class TestMapEstimate:
         # three distinct solutions matching arccos(y/2)/pi - 0.5
         sols = []
         for y_t in (1.0, 0.0, -1.0):
-            res = map_estimate(single_point([0.5, 0.0], y_t), sin_model, ORACLE_HP, FINE_GRAD)
+            res = driven(sin_model, map_estimate)(single_point([0.5, 0.0], y_t), ORACLE_HP,
+                                                  FINE_GRAD)
             expected = np.arccos(y_t / 2.0) / np.pi - 0.5
             assert res.delta_star[0] == pytest.approx(expected, abs=1e-3)
             sols.append(res.delta_star[0])
@@ -259,7 +260,7 @@ class TestMapEstimate:
         # conditions of the l1 term, to 1e-6 under the estimated gradient
         hp = ORACLE_HP
         ts = single_point([0.5, 0.0], 1.0)
-        res = map_estimate(ts, sin_model, hp, FINE_GRAD)
+        res = driven(sin_model, map_estimate)(ts, hp, FINE_GRAD)
         x = ts.x[0] + res.delta_star
         fv = sin_model.evaluate(x)
         r = ts.y[0] - fv
@@ -274,18 +275,20 @@ class TestMapEstimate:
                                                 abs=1e-6)
 
     def test_second_coordinate_exactly_zero(self, sin_model):
-        res = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)
+        res = driven(sin_model, map_estimate)(single_point([0.5, 0.0], 1.0), ORACLE_HP,
+                                              FINE_GRAD)
         assert res.delta_star[1] == 0.0
 
     def test_monotone_descent_trace(self, sin_model):
         hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, tol=1e-8)
         for y_t in (1.0, 0.0, -1.0):
-            res = map_estimate(single_point([0.5, 0.0], y_t), sin_model, hp, FINE_GRAD)
+            res = driven(sin_model, map_estimate)(single_point([0.5, 0.0], y_t), hp, FINE_GRAD)
             assert np.all(np.diff(res.objective_trace) <= 0.0)
 
     def test_query_count_recorded(self, sin_model):
         before = sin_model.query_count
-        res = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)
+        res = driven(sin_model, map_estimate)(single_point([0.5, 0.0], 1.0), ORACLE_HP,
+                                              FINE_GRAD)
         assert res.query_count == sin_model.query_count - before > 0
 
     def test_query_count_includes_rate_queries(self):
@@ -294,7 +297,8 @@ class TestMapEstimate:
         model = BatchRecorder(linear_model([2.0, 1.0]))
         xs = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1]])
         ts = TestSet(xs, xs @ [2.0, 1.0] + 1.0, ["a", "b"])
-        res = map_estimate(ts, model, GpaHyperParams.for_testset(3, max_iter=5), FINE_GRAD)
+        res = driven(model, map_estimate)(ts, GpaHyperParams.for_testset(3, max_iter=5),
+                                          FINE_GRAD)
         np.testing.assert_array_equal(model.first[:3], xs)
         assert model.sizes[0] == 3 + 3 * (1 + 2 * FINE_GRAD.mc_samples)
         assert res.query_count == model.query_count == sum(model.sizes)
@@ -307,7 +311,7 @@ class TestMapEstimate:
         xs = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.1]])
         ts = TestSet(xs, xs @ [2.0, 1.0] + 1.0, ["a", "b"])
         hp = GpaHyperParams.for_testset(3, max_iter=5, b0=2.0)
-        res = map_estimate(ts, model, hp, FINE_GRAD)
+        res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
         assert model.sizes[0] == 3 * (1 + 2 * FINE_GRAD.mc_samples)
         assert res.query_count == model.query_count == sum(model.sizes)
         assert res.call_count == model.call_count == len(model.sizes)
@@ -319,7 +323,7 @@ class TestMapEstimate:
         coef, ts = _collective_problem()
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=50)
         lone = _RowLog(quadratic_model(coef))
-        alone = map_estimate(ts, lone, hp, FINE_GRAD)
+        alone = driven(lone, map_estimate)(ts, hp, FINE_GRAD)
         lead_rows, follow_rows, seen = ts.x[:2] + 1.0, ts.x[3:] - 1.0, []
 
         def kept(rows, steps):
@@ -327,8 +331,8 @@ class TestMapEstimate:
                 seen.append((yield rows).copy())
 
         model = _RowLog(quadratic_model(coef))
-        res = map_estimate(ts, model, hp, FINE_GRAD, lead=[kept(lead_rows, 1)],
-                           follow=[kept(follow_rows, 2)])
+        _, res, _ = drive(model, [kept(lead_rows, 1), map_estimate(ts, hp, FINE_GRAD),
+                                  kept(follow_rows, 2)])
         k = len(follow_rows)
         first, second = model.batches[:2]
         np.testing.assert_array_equal(first[:2], lead_rows)
@@ -346,6 +350,22 @@ class TestMapEstimate:
         assert ((res.iterations, res.halvings, res.query_count, res.call_count)
                 == (alone.iterations, alone.halvings, alone.query_count, alone.call_count))
         assert model.call_count == alone.call_count > 2
+
+    @pytest.mark.parametrize("cfg", [FINE_GRAD, GradientEstimatorConfig()],
+                             ids=["oracle", "default estimator"])
+    def test_rows_in_one_drive_keep_their_one_row_records(self, cfg):
+        # three rows' runs in lockstep: each record is its one-row drive's,
+        # and the rows share the calls of the row with the most steps
+        rows = [single_point([x1, 0.0], y_t) for x1, y_t in
+                [(0.5, 1.0), (0.3, -0.4), (-0.2, 0.9)]]
+        alone = [driven(sinusoidal2d(), map_estimate)(ts, ORACLE_HP, cfg) for ts in rows]
+        model = sinusoidal2d()
+        together = drive(model, [map_estimate(ts, ORACLE_HP, cfg) for ts in rows])
+        for res, one in zip(together, alone):
+            np.testing.assert_array_equal(res.delta_star, one.delta_star)
+            assert res.diagnostics == one.diagnostics
+        assert model.call_count == max(one.call_count for one in alone)
+        assert model.query_count == sum(one.query_count for one in alone)
 
     def test_gradient_model_calls_independent_of_n_test(self, monkeypatch):
         # every gradient, at a new delta or at one whose values are known,
@@ -373,8 +393,8 @@ class TestMapEstimate:
             model = BatchRecorder(CallableModel(lambda x: float(coef @ x), 3))
             ts = TestSet(xs[:n_test], xs[:n_test] @ coef + 1.0, ["a", "b", "c"])
             calls_per_grad.clear()
-            map_estimate(ts, model, GpaHyperParams.for_testset(n_test, max_iter=5),
-                         FINE_GRAD)
+            driven(model, map_estimate)(ts, GpaHyperParams.for_testset(n_test, max_iter=5),
+                                        FINE_GRAD)
             seen[n_test] = set(calls_per_grad)
         assert seen[1] == seen[5] == {1}
 
@@ -400,8 +420,9 @@ class TestMapEstimate:
         np.testing.assert_array_equal(corr, np.zeros((2, 2)))  # no step yet
 
     def test_deterministic(self, sin_model):
-        a = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, ORACLE_HP, FINE_GRAD)
-        b = map_estimate(single_point([0.5, 0.0], 1.0), sinusoidal2d(), ORACLE_HP, FINE_GRAD)
+        a = driven(sin_model, map_estimate)(single_point([0.5, 0.0], 1.0), ORACLE_HP, FINE_GRAD)
+        b = driven(sinusoidal2d(), map_estimate)(single_point([0.5, 0.0], 1.0), ORACLE_HP,
+                                                 FINE_GRAD)
         np.testing.assert_array_equal(a.delta_star, b.delta_star)
 
     def test_collective_shared_shift(self):
@@ -411,34 +432,34 @@ class TestMapEstimate:
         ys = m.evaluate_batch(xs) + 1.0
         ts = TestSet(xs, ys, ["a", "b"])
         hp = GpaHyperParams.for_testset(3, a0=1.0, tol=1e-8)
-        res = map_estimate(ts, m, hp, FINE_GRAD)
+        res = driven(m, map_estimate)(ts, hp, FINE_GRAD)
         assert res.converged
         assert res.delta_star[0] == pytest.approx(0.5, abs=0.02)
 
     def test_empty_testset_rejected(self, sin_model):
         ts = TestSet(np.empty((0, 2)), np.empty(0), ["x1", "x2"])
         with pytest.raises(ValueError):
-            map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
+            driven(sin_model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
 
     def test_dimension_mismatch_rejected(self, sin_model):
         # the driver refuses the solve's first rows (b0: no rate rows) before
         # any call
         ts = TestSet(np.zeros((1, 3)), np.zeros(1), ["a", "b", "c"])
         with pytest.raises(ValueError, match="rows of 3 inputs != model dimension 2"):
-            map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
+            driven(sin_model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
         assert sin_model.query_count == sin_model.call_count == 0
 
     def test_dimension_mismatch_rejected_with_rate_rows(self, sin_model):
         # the residual rows go first, and are refused with the solve's
         ts = TestSet(np.zeros((1, 3)), np.zeros(1), ["a", "b", "c"])
         with pytest.raises(ValueError, match="rows of 3 inputs != model dimension 2"):
-            map_estimate(ts, sin_model, GpaHyperParams(), FINE_GRAD)
+            driven(sin_model, map_estimate)(ts, GpaHyperParams(), FINE_GRAD)
         assert sin_model.query_count == sin_model.call_count == 0
 
     def test_nonconvergence_flagged_not_raised(self, sin_model):
         hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, max_iter=2,
                             tol=1e-12)
-        res = map_estimate(single_point([0.5, 0.0], 1.0), sin_model, hp, FINE_GRAD)
+        res = driven(sin_model, map_estimate)(single_point([0.5, 0.0], 1.0), hp, FINE_GRAD)
         assert not res.converged
         assert res.iterations == 2
 
@@ -478,7 +499,7 @@ class TestAcceleratedSolver:
         # unaccelerated proximal descent needs 1,770 iterations here
         coef, ts = _benchmark_sized_problem()
         hp = GpaHyperParams.for_testset(ts.n_test)
-        res = map_estimate(ts, quadratic_model(coef), hp, GradientEstimatorConfig())
+        res = driven(quadratic_model(coef), map_estimate)(ts, hp, GradientEstimatorConfig())
         assert res.converged
         assert res.iterations <= 300
         kkt = _kkt_residual(res.delta_star, coef, ts, hp.eta, hp.nu,
@@ -494,7 +515,7 @@ class TestAcceleratedSolver:
         hp = GpaHyperParams.for_testset(ts.n_test, tol=1e-8)
         model = quadratic_model(coef)
         if method == "gpa":
-            res = map_estimate(ts, model, hp, FINE_GRAD)
+            res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
             assert res.converged
             delta, slope = res.delta_star, _student_t_slope(hp, res.rates)
         else:
@@ -505,7 +526,8 @@ class TestAcceleratedSolver:
 
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     def test_oracle_rows_trace_non_increasing(self, sin_model, y_t):
-        res = map_estimate(single_point([0.5, 0.0], y_t), sin_model, ORACLE_HP, FINE_GRAD)
+        res = driven(sin_model, map_estimate)(single_point([0.5, 0.0], y_t), ORACLE_HP,
+                                              FINE_GRAD)
         assert res.converged
         assert np.all(np.diff(res.objective_trace) <= 0.0)
 
@@ -514,8 +536,8 @@ class TestAcceleratedSolver:
         # the slope at x is small against the residual, so a full first
         # Newton step would cross the nearest root (to 3.1 from x1 = 0.05);
         # the first step's reach keeps the solve in its basin
-        res = map_estimate(single_point([x1, 0.0], y_t), sin_model, ORACLE_HP,
-                           FINE_GRAD)
+        res = driven(sin_model, map_estimate)(single_point([x1, 0.0], y_t), ORACLE_HP,
+                                              FINE_GRAD)
         assert res.converged
         np.testing.assert_allclose(res.delta_star, oracle_gpa([x1, 0.0], y_t), atol=1e-3)
 
@@ -526,15 +548,15 @@ class TestAcceleratedSolver:
         # the start's noise and rounding differ between the copies
         coef, ts = _collective_problem(seed)
         hp = GpaHyperParams.for_testset(ts.n_test, tol=1e-8)
-        res = map_estimate(ts, quadratic_model(coef), hp, GradientEstimatorConfig())
+        res = driven(quadratic_model(coef), map_estimate)(ts, hp, GradientEstimatorConfig())
         assert res.converged
         rng = np.random.default_rng(0)
         for _ in range(4):
             perm = rng.permutation(ts.dimension)
             signs = rng.choice([-1.0, 1.0], ts.dimension)
             copy = TestSet(ts.x[:, perm] * signs, ts.y, ts.variable_names)
-            other = map_estimate(copy, quadratic_model(coef[perm]), hp,
-                                 GradientEstimatorConfig())
+            other = driven(quadratic_model(coef[perm]), map_estimate)(copy, hp,
+                                                                      GradientEstimatorConfig())
             assert other.converged
             assert (other.iterations, other.query_count) == (res.iterations,
                                                               res.query_count)
@@ -657,7 +679,7 @@ class TestSecantCorrection:
         # solution has the same support and signs
         coef, ts = _benchmark_sized_problem()
         hp = GpaHyperParams.for_testset(ts.n_test)
-        res = map_estimate(ts, quadratic_model(coef), hp, GradientEstimatorConfig())
+        res = driven(quadratic_model(coef), map_estimate)(ts, hp, GradientEstimatorConfig())
         assert res.converged
         assert res.iterations <= 20
         assert 0 < res.secant_steps <= res.iterations
@@ -668,7 +690,8 @@ class TestSecantCorrection:
 
     @pytest.mark.parametrize("y_t", [1.0, 0.0, -1.0])
     def test_secant_steps_at_most_iterations(self, sin_model, y_t):
-        res = map_estimate(single_point([0.5, 0.0], y_t), sin_model, ORACLE_HP, FINE_GRAD)
+        res = driven(sin_model, map_estimate)(single_point([0.5, 0.0], y_t), ORACLE_HP,
+                                              FINE_GRAD)
         assert 0 <= res.secant_steps <= res.iterations
 
     def test_slow_steps_take_the_corrected_curvature(self):
@@ -829,7 +852,7 @@ class TestL1QuadraticSolve:
             return v
 
         monkeypatch.setattr(gpa_mod, "_solve_l1_quadratic", watched)
-        res = map_estimate(ts, model, GpaHyperParams.for_testset(ts.n_test), FINE_GRAD)
+        res = driven(model, map_estimate)(ts, GpaHyperParams.for_testset(ts.n_test), FINE_GRAD)
         # a confirmation at the stop solves the model once more
         assert res.confirmations == 1
         assert len(sent) == res.iterations + 1 and set(sent) == {0}
@@ -1053,7 +1076,7 @@ class TestSolverPlan:
             coef, ts = _collective_problem()
             model = BatchRecorder(quadratic_model(coef))
             hp = GpaHyperParams.for_testset(ts.n_test, max_iter=300)
-        res = map_estimate(ts, model, hp, FINE_GRAD)
+        res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
         n, m, mc = ts.n_test, ts.dimension, FINE_GRAD.mc_samples
         displaced = n * m * mc
         assert res.converged and res.iterations > 1 and res.halvings == 0
@@ -1079,8 +1102,8 @@ class TestSolverPlan:
         # rows alone, and the point accepted after halving sends its
         # displaced rows for its gradient
         model = BatchRecorder(sinusoidal2d())
-        res = map_estimate(single_point([0.5, 0.0], 1.0), model, ORACLE_HP,
-                           GradientEstimatorConfig())
+        res = driven(model, map_estimate)(single_point([0.5, 0.0], 1.0), ORACLE_HP,
+                                          GradientEstimatorConfig())
         n, displaced = 1, 2 * GradientEstimatorConfig().mc_samples
         assert res.converged and res.halvings > 1
         rejected = model.sizes.index(n) - 1
@@ -1100,7 +1123,7 @@ class TestSolverPlan:
         coef, ts = _collective_problem()
         model = BatchRecorder(quadratic_model(coef))
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=3)
-        res = map_estimate(ts, model, hp, FINE_GRAD)
+        res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
         n, m = ts.n_test, ts.dimension
         displaced = n * m * FINE_GRAD.mc_samples
         assert not res.converged and res.iterations == 3 and res.halvings == 0
@@ -1194,7 +1217,7 @@ class TestPairDraws:
                     delta = driven(model, lc)(ts.x, ts.y, ORACLE_HP, cfg, 1.0).delta_star
                     return model.sizes, model.call_count, delta, None
                 return model.sizes, model.call_count, None, None
-            res = map_estimate(ts, model, ORACLE_HP, cfg)
+            res = driven(model, map_estimate)(ts, ORACLE_HP, cfg)
             assert res.one_pair_batches == res.confirmations == 0
             assert res.query_count == sum(model.sizes)
             return model.sizes, res.call_count, res.delta_star, res.iterations
@@ -1328,7 +1351,7 @@ class TestNonFiniteObjective:
         with warnings.catch_warnings(), pytest.raises(DivergenceError,
                                                       match="square overflows"):
             warnings.simplefilter("error")
-            map_estimate(ts, linear_model([1.0, 1.0]), hp, FINE_GRAD)
+            driven(linear_model([1.0, 1.0]), map_estimate)(ts, hp, FINE_GRAD)
 
     @pytest.mark.parametrize("method", ["gpa", "lc"])
     def test_overflowing_residual_difference_raises(self, method):
@@ -1339,7 +1362,7 @@ class TestNonFiniteObjective:
                                                       match="square overflows"):
             warnings.simplefilter("error")
             if method == "gpa":
-                map_estimate(ts, model, GpaHyperParams(b0=1.0), FINE_GRAD)
+                driven(model, map_estimate)(ts, GpaHyperParams(b0=1.0), FINE_GRAD)
             else:
                 driven(model, lc)(ts.x[0], ts.y[0], GpaHyperParams(),
                                   GradientEstimatorConfig(), 1.0)
@@ -1367,7 +1390,8 @@ class TestNonFiniteObjective:
         assert state.delta[0] == pytest.approx(0.25, abs=1e-5)
 
     @pytest.mark.parametrize("solve", [
-        lambda m, ts: map_estimate(ts, m, GpaHyperParams(b0=1.0), GradientEstimatorConfig()),
+        lambda m, ts: driven(m, map_estimate)(ts, GpaHyperParams(b0=1.0),
+                                              GradientEstimatorConfig()),
         lambda m, ts: driven(m, lc)(ts.x, ts.y, GpaHyperParams(), GradientEstimatorConfig(),
                                     1.0),
     ], ids=["gpa", "lc"])
@@ -1471,7 +1495,7 @@ class TestScoreDistributions:
         # m mc) rows, so m = 5 leaves a short last batch
         hp = GpaHyperParams.for_testset(n, max_iter=50, grid_points=20)
         model = BatchRecorder(quadratic_model(coef))
-        res = map_estimate(ts, model, hp, FINE_GRAD)
+        res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
         solver = model.sizes
         # the start sends the n rate rows and every draw, the later batches
         # one pair per coordinate, the confirmation the rest
@@ -1519,7 +1543,7 @@ class TestScoreDistributions:
         hp = GpaHyperParams.for_testset(ts.n_test)
         tracemalloc.start()
         try:
-            res = map_estimate(ts, model, hp, cfg)
+            res = driven(model, map_estimate)(ts, hp, cfg)
             solve_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
@@ -1542,7 +1566,7 @@ class TestScoreDistributions:
         first = (n * held + n + n * (1 + m * cfg.mc_samples)) * m * 8
         tracemalloc.start()
         try:
-            map_estimate(ts, model, GpaHyperParams.for_testset(n), cfg, lead=lead)
+            drive(model, [*lead, map_estimate(ts, GpaHyperParams.for_testset(n), cfg)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1553,7 +1577,7 @@ class TestScoreDistributions:
         coef, ts = _collective_problem(seed)
         model = quadratic_model(coef)
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=200)
-        res = map_estimate(ts, model, hp, FINE_GRAD)
+        res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
         grid, probs = score_distributions(res.delta_star, ts, model, hp, res.rates, FINE_GRAD)
         expect = _reference_slices(res.delta_star, ts, model, hp, res.rates, grid)
         np.testing.assert_array_equal(probs, expect)
@@ -1599,7 +1623,7 @@ class TestScoreDistributions:
 
     def test_normalization_and_mode(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
-        res = map_estimate(ts, sin_model, ORACLE_HP, FINE_GRAD)
+        res = driven(sin_model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
         grid, probs = score_distributions(res.delta_star, ts, sin_model, ORACLE_HP,
                                           res.rates, FINE_GRAD)
         assert grid.shape == (ORACLE_HP.grid_points,)
@@ -1615,7 +1639,7 @@ class TestScoreDistributions:
         m = linear_model([1.5, 0.0])
         ts = TestSet(np.array([[0.3, -0.2]]), np.array([2.0]), ["a", "b"])
         hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
-        res = map_estimate(ts, m, hp, FINE_GRAD)
+        res = driven(m, map_estimate)(ts, hp, FINE_GRAD)
         assert res.converged
         grid, probs = score_distributions(res.delta_star, ts, m, hp, res.rates, FINE_GRAD)
         prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))

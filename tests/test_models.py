@@ -27,6 +27,7 @@ from anomattr.models import (
     estimate_gradient,
     gradient_rows,
     linear_model,
+    lockstep,
     quadratic_model,
     sinusoidal2d,
 )
@@ -560,6 +561,35 @@ class TestDrive:
         assert kept.batches == [] and kept.query_count == 0
 
 
+    def test_a_nested_lockstep_steps_as_its_runs_would(self):
+        # drive(m, [a, lockstep([b, c]), d]) sends drive(m, [a, b, c, d])'s
+        # batches, hands out its answers and returns its results, nested: b
+        # ends after step 1, as the rates do, and c asks by a fill
+        fill = ((2, 2), lambda out: out.__setitem__(..., POINTS[2:]))
+
+        def runs(seen):
+            return [_steps([POINTS[:1], POINTS[1:3]], seen[0]), _steps([POINTS[3:]], seen[1]),
+                    _steps([fill, POINTS[:2], fill], seen[2]),
+                    _steps([POINTS[1:2], POINTS[:1]], seen[3])]
+
+        flat, nested = _Kept(2), _Kept(2)
+        seen_flat, seen_nested = [[], [], [], []], [[], [], [], []]
+        a, b, c, d = runs(seen_nested)
+        assert drive(nested, [a, lockstep([b, c]), d]) == [2, [1, 3], 2]
+        assert drive(flat, runs(seen_flat)) == [2, 1, 3, 2]
+        assert [len(x) for x in flat.batches] == [5, 5, 2]
+        assert [x.tolist() for x in nested.batches] == [x.tolist() for x in flat.batches]
+        assert ([[x.tolist() for x in answers] for answers in seen_nested]
+                == [[x.tolist() for x in answers] for answers in seen_flat])
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 3)), ((2, 1), lambda out: None)],
+                             ids=["array", "fill"])
+    def test_rows_of_another_width_in_a_nested_lockstep_are_refused(self, rows):
+        kept = _Kept(2)
+        with pytest.raises(ValueError, match=r"rows of \d inputs != model dimension 2"):
+            drive(kept, [ask(POINTS[:1]), lockstep([ask(POINTS[1:2]), ask(rows)])])
+        assert kept.batches == [] and kept.query_count == 0
+
 ECHO_MODEL = textwrap.dedent(
     """
     import json, sys
@@ -837,7 +867,7 @@ class TestSubprocessAdapter:
         # points too while line searches take their first step
         m, requests = _child(tmp_path, SINE_BATCH_MODEL)
         try:
-            res = map_estimate(single_point([0.5, 0.0], 1.0), m, ORACLE_HP, FINE_GRAD)
+            res = driven(m, map_estimate)(single_point([0.5, 0.0], 1.0), ORACLE_HP, FINE_GRAD)
         finally:
             m.close()
         assert res.converged and res.halvings == 0

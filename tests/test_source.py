@@ -176,3 +176,38 @@ def test_a_model_call_is_found():
                      "class C:\n    def g(self, x):\n        return self.m.evaluate(x)\n"
                      "def h(run):\n    return (yield run)\n")
     assert _model_calls(tree) == [(2, "f"), (5, "g")]
+
+
+def _drive_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """The (line, holder) of each call of ``drive``, by name or as an
+    attribute, where the holder is the top-level function or class around
+    it, or ``<module>``."""
+    found = []
+    for top in tree.body:
+        found += [(node.lineno, getattr(top, "name", "<module>")) for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and "drive" in (getattr(node.func, "id", None),
+                                                                getattr(node.func, "attr", None))]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["gpa.py", "baselines.py"])
+def test_methods_return_runs_for_the_caller_to_drive(name):
+    # a method returns its run, and the caller drives it with the others in
+    # one drive (models.drive); only the posterior slices, which need the
+    # MAP point, drive their own
+    path = Path(anomattr.__file__).parent / name
+    calls = [(line, holder) for line, holder in
+             _drive_calls(ast.parse(path.read_text(), filename=str(path)))
+             if holder != "score_distributions"]
+    assert not calls, "; ".join(f"{name}:{line} {holder} drives the model"
+                                for line, holder in calls)
+
+
+def test_a_drive_call_is_found():
+    tree = ast.parse("import m\nfrom m import drive\n"
+                     "def f(model, run):\n    return drive(model, [run])[0]\n"
+                     "class C:\n    def g(self):\n        def h():\n"
+                     "            return m.drive(self.model, [])\n        return h\n"
+                     "def k(run):\n    return (yield from run)\n"
+                     "X = drive(None, [])\n")
+    assert _drive_calls(tree) == [(4, "f"), (8, "C"), (12, "<module>")]
