@@ -6,11 +6,11 @@ distributions (counterfactual-perturbation posteriors), alongside seven
 comparison methods and closed-form benchmarks on a 2-variable sinusoidal
 model.
 
-Each function that queries the model, :func:`map_estimate`, the
-comparison methods and :func:`estimate_gradient` among them, returns a run,
-which :func:`drive` executes against a model: ``drive(model, [lime(x, y,
-cfg)])[0]`` is lime's scores.  Only :func:`score_distributions` still takes
-the model, and drives its run itself.
+Each function that queries the model, :func:`map_estimate`,
+:func:`score_distributions`, the comparison methods and
+:func:`estimate_gradient` among them, returns a run and takes no model;
+:func:`drive` executes runs against a model: ``drive(model, [lime(x, y,
+cfg)])[0]`` is lime's scores.
 """
 
 from .baselines import (

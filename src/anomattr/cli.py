@@ -26,11 +26,11 @@ with the most steps.  A step's rows go in one array, in a fixed order:
 explain's residual rows, the one batch of each method that sends one (the
 lime cloud, which lime, lime0 and baylime share, ig's path and sv's batch),
 gpa's rate rows and solve, then lc's solve and eig's paths in method order;
-its answers go back in that order.  ``dist`` drives gpa's run alone, then
-the posterior slices.  The residual scores are taken before any method sees
-the answers of the first call, so an overflowing residual ends the run
-there.  A missing ``--baseline`` or ``--ref`` is refused before the first
-query.
+its answers go back in that order.  ``dist`` drives one run, gpa's run
+and then the posterior slices'.  The residual scores are taken before any
+method sees the answers of the first call, so an overflowing residual ends
+the run there.  A missing ``--baseline`` or ``--ref`` is refused before the
+first query.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, a number flag out of its range,
@@ -49,7 +49,12 @@ Every model handle a command resolves is closed before ``main`` returns,
 whatever the exit code.
 ``dist`` writes the posterior as one grid and one row of probabilities per
 variable, and warns on stderr, naming the variable by its CSV header, when
-more than 1% of a row's mass sits on the grid's two edge points.  The
+more than 1% of a row's mass sits on the grid's two edge points.  Under
+``--standardize`` the documents of ``explain`` and ``dist`` give gpa's and
+lc's scores in raw units too (``scores_raw_units``); ``dist``'s grid and
+probabilities stay in standardized units.  A gpa or lc solve that stops at
+``--max-iter`` without converging warns on stderr, and the command goes on
+from the last iterate and exits 0.  The
 diagnostics ``gpa`` and ``lc`` hold the record of a gpa or lc run under the
 keys :attr:`~anomattr.gpa.AttributionResult.diagnostics` gives: the
 solver's ``iterations``, its rejected candidate steps (``halvings``), the
@@ -292,6 +297,13 @@ def _solve_record(result: gpa.AttributionResult) -> tuple:
     return result.delta_star, result.diagnostics
 
 
+def _warn_unconverged(hp: GpaHyperParams, output: str) -> None:
+    """Warn on stderr that a solve stopped at ``--max-iter`` and ``output``
+    use its last iterate."""
+    print(f"warning: no convergence within {hp.max_iter} iterations; "
+          f"{output} use the last iterate", file=sys.stderr)
+
+
 def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
                  hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, *lead):
     """The method loop of explain and compare: each method's scores by name,
@@ -344,11 +356,24 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
             runs.append(kept("eig", baselines.expected_integrated_gradient(
                 x_t, ref, args.n_intervals, grad_cfg)))
     drive(model, runs)
+    for name in methods:
+        if name in ("gpa", "lc") and not done[name][1]["converged"]:
+            _warn_unconverged(hp, f"{name} scores")
     if "zscore" in methods:
         done["zscore"] = baselines.z_score(x_t, ref), None
     scores = {name: done[name][0] for name in methods}
     diagnostics = {name: done[name][1] for name in methods if done[name][1]}
     return scores, diagnostics
+
+
+def _methods_doc(scores: dict, ts: TestSet) -> dict:
+    """The ``methods`` section of a document: each method's scores, and
+    under ``--standardize`` gpa's and lc's in raw units too."""
+    doc = {name: {"scores": s} for name, s in scores.items()}
+    if ts.standardization is not None:
+        for name in {"gpa", "lc"} & scores.keys():
+            doc[name]["scores_raw_units"] = dataio.delta_to_raw_units(scores[name], ts)
+    return doc
 
 
 def _model_counts(model: ModelHandle) -> dict:
@@ -425,11 +450,6 @@ def cmd_explain(args) -> int:
     noise_var, values = residual
     diagnostics.update(_model_counts(model))
     anomaly = [{"sample_index": i, "value": v} for i, v in zip(indices, values)]
-    methods_doc = {name: {"scores": s} for name, s in scores.items()}
-    if ts.standardization is not None:
-        for name in {"gpa", "lc"} & scores.keys():
-            methods_doc[name]["scores_raw_units"] = dataio.delta_to_raw_units(
-                scores[name], ts)
 
     out = _out_dir(args)
     result_path = out / "result.json"
@@ -438,7 +458,7 @@ def cmd_explain(args) -> int:
             "config": _config(args, indices=indices, hyperparams=asdict(hp),
                               noise_variance=noise_var),
             "anomaly_scores": anomaly,
-            "methods": methods_doc,
+            "methods": _methods_doc(scores, ts),
             "diagnostics": diagnostics,
         },
         result_path,
@@ -452,15 +472,15 @@ def cmd_explain(args) -> int:
 
 def cmd_dist(args) -> int:
     ts, model, indices, selection, hp, grad_cfg = _setup(args, ["gpa"])
-    result = drive(model, [gpa.map_estimate(selection, hp, grad_cfg)])[0]
-    if not result.converged:
-        print(
-            f"warning: no convergence within {hp.max_iter} iterations; "
-            "distributions use the last iterate",
-            file=sys.stderr,
-        )
-    grid, probs = gpa.score_distributions(result.delta_star, selection, model, hp,
-                                          result.rates, grad_cfg)
+
+    def posterior():  # the solve's warning precedes any error of the slices
+        result = yield from gpa.map_estimate(selection, hp, grad_cfg)
+        if not result.converged:
+            _warn_unconverged(hp, "distributions")
+        return result, *(yield from gpa.score_distributions(
+            result.delta_star, selection, hp, result.rates, grad_cfg))
+
+    result, grid, probs = drive(model, [posterior()])[0]
     edge_mass = probs[:, 0] + probs[:, -1]
     worst = int(np.argmax(edge_mass))
     if edge_mass[worst] > _EDGE_MASS_WARNING:
@@ -472,14 +492,11 @@ def cmd_dist(args) -> int:
         )
 
     out = _out_dir(args)
+    methods_doc = _methods_doc({"gpa": result.delta_star}, ts)
+    methods_doc["gpa"]["distribution"] = {"grid": grid, "probs": probs}
     doc = {
         "config": _config(args, indices=indices, hyperparams=asdict(hp)),
-        "methods": {
-            "gpa": {
-                "scores": result.delta_star,
-                "distribution": {"grid": grid, "probs": probs},
-            }
-        },
+        "methods": methods_doc,
         "diagnostics": {
             "gpa": {**result.diagnostics, "edge_mass": edge_mass},
             **_model_counts(model),

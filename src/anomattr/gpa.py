@@ -66,9 +66,11 @@ a table of one row per variable (:func:`score_distributions`).
 The query plan.  One run queries the model in one plan: the gamma rates
 from one residual batch (none for an explicit ``b0``), then the solver, then
 the slices, which reuse the run's rates.  Each is a run that yields its
-rows (:func:`~anomattr.models.drive`): the objective's ``grad_run``,
-``value_run`` and ``confirm_run`` each ask for one batch, and
-:func:`proximal_minimize` over them is the solve's run.
+rows, and no function here takes the model: the caller drives the runs
+(:func:`~anomattr.models.drive`), as ``dist`` drives the slices behind the
+solve in one run.  The objective's ``grad_run``, ``value_run`` and
+``confirm_run`` each ask for one batch, and :func:`proximal_minimize` over
+them is the solve's run.
 :func:`map_estimate`'s run is the rate run and the solve in lockstep
 (:func:`~anomattr.models.lockstep`), the rates first, so the residual rows
 ride at the front of the solver's first batch: the rates cost their rows
@@ -137,15 +139,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import TestSet
-from .models import (
-    GradientEstimatorConfig,
-    ModelHandle,
-    counted,
-    drive,
-    estimate_gradient,
-    gradient_rows,
-    lockstep,
-)
+from .models import GradientEstimatorConfig, counted, estimate_gradient, gradient_rows, lockstep
 
 __all__ = [
     "DivergenceError",
@@ -254,7 +248,8 @@ class AttributionResult:
     ``confirmations`` the batches that sent the missing draws where the
     solve would stop.  The module docstring gives the query plan these counts
     follow.  ``rates`` are a :func:`map_estimate` run's gamma rates, None for
-    lc; pass them on to :func:`score_distributions`."""
+    lc; the slices' run (:func:`score_distributions`) takes them, in the same
+    drive as the solve or a later one."""
 
     delta_star: np.ndarray
     iterations: int
@@ -779,19 +774,13 @@ def map_estimate(testset: TestSet, hp: GpaHyperParams, grad_cfg: GradientEstimat
     return run()
 
 
-def score_distributions(
-    delta_star,
-    testset: TestSet,
-    model: ModelHandle,
-    hp: GpaHyperParams,
-    rates,
-    grad_cfg: GradientEstimatorConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-variable posterior slices through the MAP point, under the gamma
-    ``rates`` of the MAP run (:attr:`AttributionResult.rates`, any array-like
-    of one rate per row), as ``(grid, probs)``: the one grid of shape
-    ``(grid_points,)`` that all variables share, and ``probs`` of shape
-    ``(m, grid_points)``, row k the slice along variable k.
+def score_distributions(delta_star, testset: TestSet, hp: GpaHyperParams, rates,
+                        grad_cfg: GradientEstimatorConfig):
+    """The run of the per-variable posterior slices through the MAP point,
+    under the gamma ``rates`` of the MAP run (:attr:`AttributionResult.rates`,
+    any array-like of one rate per row), whose result is ``(grid, probs)``:
+    the one grid of shape ``(grid_points,)`` that all variables share, and
+    ``probs`` of shape ``(m, grid_points)``, row k the slice along variable k.
 
     The grid is symmetric about 0 and spans ``1.1 max_k |delta*_k|``; a
     fully normal sample (``delta* ~ 0``) falls back to one standardized
@@ -800,25 +789,21 @@ def score_distributions(
     while the other coordinates stay at their MAP values: ``n_test x
     grid_points`` rows ``x_t + delta*`` with ``x_t[k] + grid`` in column k.
     No batch is larger than the first, all-draws gradient batch of the MAP
-    run under ``grad_cfg`` (:func:`~anomattr.models.gradient_rows`), which
-    the model has already answered: a batch holds as many whole variables
-    as fit in its rows, at least one, in variable order and, within a
-    variable, by row and grid point, so the queries are the one-variable
-    batches' end to end.  Every batch is written into one buffer that holds
-    ``x_t + delta*`` between batches, so the slices hold one batch's rows at
-    a time.  The model handle refuses non-finite output with
+    run under ``grad_cfg`` (:func:`~anomattr.models.gradient_rows`): a batch
+    holds as many whole variables as fit in its rows, at least one, in
+    variable order and, within a variable, by row and grid point, so the
+    queries are the one-variable batches' end to end.  The first batch is a
+    ``((rows, m), fill)`` pair, so the driver builds it once it has let go
+    of the last step's rows, and its rows, which hold ``x_t + delta*``
+    between batches, are the buffer of every later batch: the run yields
+    views of it, which go uncopied, and holds one batch's rows at a time.
+    The model handle refuses non-finite output with
     :class:`~anomattr.models.NonFiniteModelOutput` naming the first input
     that got one, the same input as with one variable per batch.  The slice
     is stabilized by subtracting its maximum, exponentiated and normalized
     to sum to one; one that overflows at every grid point raises ValueError
     naming the variable.
     """
-    return drive(model, [_slices(delta_star, testset, hp, rates, grad_cfg)])[0]
-
-
-def _slices(delta_star, testset: TestSet, hp: GpaHyperParams, rates,
-            grad_cfg: GradientEstimatorConfig):
-    """The slices of :func:`score_distributions` as a run."""
     delta_star = np.asarray(delta_star, dtype=float)
     rates = np.asarray(rates, dtype=float)
     if not np.all(np.isfinite(delta_star)):
@@ -828,31 +813,45 @@ def _slices(delta_star, testset: TestSet, hp: GpaHyperParams, rates,
     grid = np.linspace(-delta_max, delta_max, hp.grid_points)
     grid = 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 
-    n, m = testset.n_test, testset.dimension
+    n, m, x = testset.n_test, testset.dimension, testset.x
     pack = max(1, min(m, gradient_rows(n, m, grad_cfg, values=True) // (n * hp.grid_points)))
-    x = testset.x
-    buf = np.empty((pack, n, hp.grid_points, m))
-    buf[...] = (x + delta_star)[:, None, :]
-    probs = np.empty((m, hp.grid_points))
-    for first in range(0, m, pack):
-        ks = range(first, min(first + pack, m))
+    buf = None  # the first batch's rows, where fill wrote them
+
+    def slide(ks):  # variable j of the batch takes the grid in its column k
         for j, k in enumerate(ks):
             buf[j, :, :, k] = x[:, k, None] + grid
-        fvals = (yield buf[: len(ks)].reshape(-1, m)).reshape(len(ks), n, hp.grid_points)
-        for j, k in enumerate(ks):
-            buf[j, :, :, k] = (x[:, k] + delta_star[k])[:, None]
-            candidates = np.repeat(delta_star[None, :], hp.grid_points, axis=0)
-            candidates[:, k] = grid
-            log_q = -0.5 * hp.eta * np.sum(candidates**2, axis=1)
-            log_q -= hp.eta * hp.nu * np.sum(np.abs(candidates), axis=1)
-            resid = testset.y[:, None] - fvals[j]
-            with np.errstate(over="ignore", invalid="ignore"):
-                for loss in (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[:, None])):
-                    log_q -= loss
-                q = np.exp(log_q - np.max(log_q))
-            if not np.all(np.isfinite(q)):
-                raise ValueError(f"the log posterior along variable "
-                                 f"{testset.variable_names[k]!r} overflows at every "
-                                 "grid point: the residuals are too large for the rates")
-            probs[k] = q / q.sum()
-    return grid, probs
+
+    def fill(out):
+        nonlocal buf
+        buf = out.reshape(pack, n, hp.grid_points, m)
+        buf[...] = (x + delta_star)[:, None, :]
+        slide(range(pack))
+
+    def run():
+        probs = np.empty((m, hp.grid_points))
+        for first in range(0, m, pack):
+            ks = range(first, min(first + pack, m))
+            if first:
+                slide(ks)
+            rows = buf[: len(ks)].reshape(-1, m) if first else (
+                (pack * n * hp.grid_points, m), fill)
+            fvals = (yield rows).reshape(len(ks), n, hp.grid_points)
+            for j, k in enumerate(ks):
+                buf[j, :, :, k] = (x[:, k] + delta_star[k])[:, None]
+                candidates = np.repeat(delta_star[None, :], hp.grid_points, axis=0)
+                candidates[:, k] = grid
+                log_q = -0.5 * hp.eta * np.sum(candidates**2, axis=1)
+                log_q -= hp.eta * hp.nu * np.sum(np.abs(candidates), axis=1)
+                resid = testset.y[:, None] - fvals[j]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for loss in (2 * hp.a0 + 1) / 2.0 * np.log1p(resid**2 / (2 * rates[:, None])):
+                        log_q -= loss
+                    q = np.exp(log_q - np.max(log_q))
+                if not np.all(np.isfinite(q)):
+                    raise ValueError(f"the log posterior along variable "
+                                     f"{testset.variable_names[k]!r} overflows at every "
+                                     "grid point: the residuals are too large for the rates")
+                probs[k] = q / q.sum()
+        return grid, probs
+
+    return run()

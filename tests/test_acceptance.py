@@ -227,8 +227,8 @@ def test_criterion_09_distribution_properties():
     model = sinusoidal2d()
     ts = single_point(X_T, POINT_A)
     res = driven(model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
-    grid, probs = score_distributions(res.delta_star, ts, model, ORACLE_HP, res.rates,
-                                      FINE_GRAD)
+    grid, probs = driven(model, score_distributions)(res.delta_star, ts, ORACLE_HP,
+                                                     res.rates, FINE_GRAD)
     sums_ok = all(abs(row.sum() - 1.0) <= 1e-10 for row in probs)
     step = grid[1] - grid[0]
     mode = grid[np.argmax(probs[0])]
@@ -239,7 +239,8 @@ def test_criterion_09_distribution_properties():
     ts2 = single_point([0.3, -0.2], 2.0, ("a", "b"))
     hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
     res2 = driven(lin, map_estimate)(ts2, hp, FINE_GRAD)
-    grid, probs2 = score_distributions(res2.delta_star, ts2, lin, hp, res2.rates, FINE_GRAD)
+    grid, probs2 = driven(lin, score_distributions)(res2.delta_star, ts2, hp, res2.rates,
+                                                    FINE_GRAD)
     prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
     prior /= prior.sum()
     prior_gap = np.max(np.abs(probs2[1] - prior))

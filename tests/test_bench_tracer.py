@@ -149,10 +149,16 @@ def test_traced_collective_dist_resolves_rates_once(tracer_cls, tmp_path):
         tracer.uninstall()
     calls, _, _, points, model_calls = tracer.totals["gpa.score_distributions"]
     assert tracer.totals["gpa.rates"][0] == 1
-    # 2 variables of 4 x 11 rows fit in the solve's first batch of 4 x 31
-    assert (calls, model_calls, points) == (1, 2, 3 * 4 * 11)
+    # score_distributions builds the slices' run, which the CLI drives behind
+    # the solve: its span holds no points
+    assert (calls, model_calls, points) == (1, 0, 0)
     doc = strict_json((tmp_path / "out" / "distributions.json").read_text())
     assert len(doc["diagnostics"]["gpa"]["edge_mass"]) == 3
+    # 2 variables of 4 x 11 rows fit in the solve's first batch of 4 x 31:
+    # 3 variables' slices in 2 calls
+    gpa_doc, counts = doc["diagnostics"]["gpa"], doc["diagnostics"]
+    assert tracer.points - gpa_doc["query_count"] == 3 * 4 * 11
+    assert counts["model_calls"] == gpa_doc["call_count"] + 2
 
 
 def test_traced_collective_operation_sends_the_untraced_queries(tracer_cls, tmp_path,

@@ -819,6 +819,39 @@ class TestDist:
         assert doc["diagnostics"]["gpa"]["converged"] is False
         assert "distributions" in capsys.readouterr().err
 
+    def test_standardize_writes_gpa_scores_in_raw_units(self, tmp_path):
+        # as explain writes them; the grid stays in standardized units
+        data = tmp_path / "data.csv"
+        data.write_text("x1,x2,y\n0.5,0.0,1.0\n0.1,0.4,0.0\n-0.3,0.2,-1.0\n")
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="test set itself"):
+            code = main(["dist", "--data", str(data), "--standardize",
+                         "--model", "sinusoidal2d", "--out", str(out), *ORACLE_FLAGS])
+        assert code == 0
+        gpa_doc = strict_json((out / "distributions.json").read_text())["methods"]["gpa"]
+        std = np.loadtxt(data, delimiter=",", skiprows=1)[:, :2].std(axis=0)
+        raw = np.asarray(gpa_doc["scores"]) * std
+        assert gpa_doc["scores_raw_units"] == raw.tolist()
+        peak = np.max(np.abs(gpa_doc["scores"]))
+        assert gpa_doc["distribution"]["grid"][-1] == pytest.approx(1.1 * peak)
+
+
+@pytest.mark.parametrize("command, methods, document", [
+    ("explain", "gpa,lime0,lc", "result.json"), ("compare", "lc,gpa", "compare.json")])
+def test_nonconvergence_exit_0_flagged(sinus_data, tmp_path, capsys, command, methods,
+                                       document):
+    # each solve stopped at --max-iter warns, in method order, as dist's does
+    out = tmp_path / "out"
+    code = main([command, "--data", str(sinus_data), "--model", "sinusoidal2d",
+                 "--methods", methods, "--max-iter", "1", "--out", str(out), *ORACLE_FLAGS])
+    assert code == 0
+    diagnostics = strict_json((out / document).read_text())["diagnostics"]
+    solves = [name for name in methods.split(",") if name in ("gpa", "lc")]
+    assert [diagnostics[name]["converged"] for name in solves] == [False, False]
+    assert capsys.readouterr().err == "".join(
+        f"warning: no convergence within 1 iterations; {name} scores use the last iterate\n"
+        for name in solves)
+
 
 class TestCompare:
     def test_gpa_vs_lc_all_ones(self, sinus_data, tmp_path):

@@ -1504,13 +1504,14 @@ class TestScoreDistributions:
         assert all(size in (n, n * m * 2, n + n * m * 2) for size in solver[1:-1])
         per_variable = n * hp.grid_points
         packed = _RowLog(quadratic_model(coef))
-        grid, probs = score_distributions(res.delta_star, ts, packed, hp, res.rates,
-                                          FINE_GRAD)
+        grid, probs = driven(packed, score_distributions)(res.delta_star, ts, hp,
+                                                          res.rates, FINE_GRAD)
         assert packed.sizes == [2 * per_variable, 2 * per_variable, per_variable]
         assert max(packed.sizes) <= n * (1 + m * mc)
         # the queries of one variable per batch, end to end, and the same bits
         single = _RowLog(quadratic_model(coef))
-        _, alone = score_distributions(res.delta_star, ts, single, hp, res.rates, ONE_DRAW)
+        _, alone = driven(single, score_distributions)(res.delta_star, ts, hp, res.rates,
+                                                       ONE_DRAW)
         assert single.sizes == [per_variable] * m
         np.testing.assert_array_equal(np.vstack(packed.batches), np.vstack(single.batches))
         np.testing.assert_array_equal(probs, alone)
@@ -1526,11 +1527,11 @@ class TestScoreDistributions:
         hp = GpaHyperParams.for_testset(ts.n_test, grid_points=20)
         model = BatchRecorder(quadratic_model(coef))
         delta_star = np.array([0.8, -0.5, 0.0, 0.1, 0.0])
-        _, probs = score_distributions(delta_star, ts, model, hp, np.ones(ts.n_test),
-                                       GradientEstimatorConfig(mc_samples=mc_samples))
+        _, probs = driven(model, score_distributions)(
+            delta_star, ts, hp, np.ones(ts.n_test), GradientEstimatorConfig(mc_samples=mc_samples))
         assert model.sizes == [ts.n_test * hp.grid_points * k for k in sizes]
-        _, alone = score_distributions(delta_star, ts, quadratic_model(coef), hp,
-                                       np.ones(ts.n_test), ONE_DRAW)
+        _, alone = driven(quadratic_model(coef), score_distributions)(
+            delta_star, ts, hp, np.ones(ts.n_test), ONE_DRAW)
         np.testing.assert_array_equal(probs, alone)
 
     def test_slices_peak_memory_within_the_solve(self):
@@ -1547,7 +1548,7 @@ class TestScoreDistributions:
             solve_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            score_distributions(res.delta_star, ts, model, hp, res.rates, cfg)
+            driven(model, score_distributions)(res.delta_star, ts, hp, res.rates, cfg)
             slices_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -1578,7 +1579,8 @@ class TestScoreDistributions:
         model = quadratic_model(coef)
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=200)
         res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
-        grid, probs = score_distributions(res.delta_star, ts, model, hp, res.rates, FINE_GRAD)
+        grid, probs = driven(model, score_distributions)(res.delta_star, ts, hp, res.rates,
+                                                         FINE_GRAD)
         expect = _reference_slices(res.delta_star, ts, model, hp, res.rates, grid)
         np.testing.assert_array_equal(probs, expect)
 
@@ -1589,7 +1591,8 @@ class TestScoreDistributions:
                      ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput) as exc:
-            score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0), FINE_GRAD)
+            driven(m, score_distributions)(np.array([0.5, 0.0]), ts, hp, np.full(2, hp.b0),
+                                           FINE_GRAD)
         # sample 1 at the grid's first point, -1.1 * 0.5
         assert exc.value.x[0] == pytest.approx(-0.55) and exc.value.x[1] == 0.0
 
@@ -1606,7 +1609,8 @@ class TestScoreDistributions:
         # one variable per batch, then both: 2 (1 + 2 x 100) rows >= 2 x 2 x 100
         for cfg in (ONE_DRAW, GradientEstimatorConfig(mc_samples=100)):
             with pytest.raises(NonFiniteModelOutput) as exc:
-                score_distributions(np.array([0.5, 0.0]), ts, m, hp, np.full(2, hp.b0), cfg)
+                driven(m, score_distributions)(np.array([0.5, 0.0]), ts, hp,
+                                               np.full(2, hp.b0), cfg)
             named_inputs.append(exc.value.x)
         np.testing.assert_array_equal(named_inputs[0], named_inputs[1])
         np.testing.assert_allclose(named_inputs[1], named, rtol=1e-12)
@@ -1616,16 +1620,17 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.3, -0.2]]), np.array([2.0]), ["a", "b"])
         model, hp = linear_model([1.0, 1.0]), GpaHyperParams(a0=1.0)
         delta_star = np.array([0.9, 0.0])
-        grid, probs = score_distributions(delta_star, ts, model, hp, [1.0], FINE_GRAD)
-        expect = score_distributions(delta_star, ts, model, hp, np.array([1.0]), FINE_GRAD)
+        slices = driven(model, score_distributions)
+        grid, probs = slices(delta_star, ts, hp, [1.0], FINE_GRAD)
+        expect = slices(delta_star, ts, hp, np.array([1.0]), FINE_GRAD)
         np.testing.assert_array_equal(grid, expect[0])
         np.testing.assert_array_equal(probs, expect[1])
 
     def test_normalization_and_mode(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         res = driven(sin_model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
-        grid, probs = score_distributions(res.delta_star, ts, sin_model, ORACLE_HP,
-                                          res.rates, FINE_GRAD)
+        grid, probs = driven(sin_model, score_distributions)(res.delta_star, ts, ORACLE_HP,
+                                                             res.rates, FINE_GRAD)
         assert grid.shape == (ORACLE_HP.grid_points,)
         assert probs.shape == (2, ORACLE_HP.grid_points)
         for row in probs:
@@ -1641,7 +1646,8 @@ class TestScoreDistributions:
         hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
         res = driven(m, map_estimate)(ts, hp, FINE_GRAD)
         assert res.converged
-        grid, probs = score_distributions(res.delta_star, ts, m, hp, res.rates, FINE_GRAD)
+        grid, probs = driven(m, score_distributions)(res.delta_star, ts, hp, res.rates,
+                                                     FINE_GRAD)
         prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
         prior /= prior.sum()
         np.testing.assert_allclose(probs[1], prior, atol=1e-8)
@@ -1653,20 +1659,20 @@ class TestScoreDistributions:
     def test_delta_max_scaling_and_fallback(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         hp = ORACLE_HP
-        grid, _ = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
-                                      np.full(1, hp.b0), FINE_GRAD)
+        slices = driven(sin_model, score_distributions)
+        grid, _ = slices(np.array([-1 / 6, 0.0]), ts, hp, np.full(1, hp.b0), FINE_GRAD)
         # the grid reaches 1.1 times the largest |delta*_k|
         assert grid[-1] == pytest.approx(1.1 / 6)
         # fully normal sample: fall back to one standardized unit
-        flat, _ = score_distributions(np.zeros(2), single_point([0.5, 0.0], 0.0),
-                                      sin_model, hp, np.full(1, hp.b0), FINE_GRAD)
+        flat, _ = slices(np.zeros(2), single_point([0.5, 0.0], 0.0), hp, np.full(1, hp.b0),
+                         FINE_GRAD)
         assert flat[-1] == pytest.approx(1.0)
 
     def test_grid_points_setting(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
         hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, grid_points=200)
-        grid, probs = score_distributions(np.array([-1 / 6, 0.0]), ts, sin_model, hp,
-                                          np.full(1, hp.b0), FINE_GRAD)
+        grid, probs = driven(sin_model, score_distributions)(
+            np.array([-1 / 6, 0.0]), ts, hp, np.full(1, hp.b0), FINE_GRAD)
         assert len(grid) == 200 and probs.shape == (2, 200)
 
     def test_all_nonfinite_slice_names_variable(self):
@@ -1676,15 +1682,16 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput, match=r"nan at input \[-0\.11\d*, 0\.0\]"):
-            score_distributions(np.array([0.1, 0.0]), ts, m, hp, np.full(1, hp.b0), FINE_GRAD)
+            driven(m, score_distributions)(np.array([0.1, 0.0]), ts, hp, np.full(1, hp.b0),
+                                           FINE_GRAD)
 
     def test_overflowing_table_names_variable(self):
         # a rate of 1e-320 makes r^2 / (2 b) overflow at every grid point of
         # the first variable, so its slice cannot be normalized
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         with pytest.raises(ValueError, match="variable 'a' overflows"):
-            score_distributions(np.array([0.1, 0.0]), ts, linear_model([1.0, 1.0]),
-                                GpaHyperParams(), np.array([1e-320]), FINE_GRAD)
+            driven(linear_model([1.0, 1.0]), score_distributions)(
+                np.array([0.1, 0.0]), ts, GpaHyperParams(), np.array([1e-320]), FINE_GRAD)
 
 
 class TestHyperParamsValidation:

@@ -193,12 +193,9 @@ def _drive_calls(tree: ast.Module) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("name", ["gpa.py", "baselines.py"])
 def test_methods_return_runs_for_the_caller_to_drive(name):
     # a method returns its run, and the caller drives it with the others in
-    # one drive (models.drive); only the posterior slices, which need the
-    # MAP point, drive their own
+    # one drive (models.drive); the posterior slices too, behind the solve
     path = Path(anomattr.__file__).parent / name
-    calls = [(line, holder) for line, holder in
-             _drive_calls(ast.parse(path.read_text(), filename=str(path)))
-             if holder != "score_distributions"]
+    calls = _drive_calls(ast.parse(path.read_text(), filename=str(path)))
     assert not calls, "; ".join(f"{name}:{line} {holder} drives the model"
                                 for line, holder in calls)
 
