@@ -202,12 +202,17 @@ class BaylimeResult:
     variance: float
 
 
+def _check_baylime_prior(prior_eta: float, noise_lambda: float) -> None:
+    if prior_eta <= 0 or noise_lambda < 0:
+        raise ValueError("prior_eta must be positive, noise_lambda nonnegative")
+
+
 def baylime_distributions(x_t, y_t: float, cfg: LimeConfig, prior_eta: float,
                           noise_lambda: float):
     """The run of the Bayesian ridge surrogate around x_t: :func:`baylime_fit`
-    to a cloud around x_t."""
-    if prior_eta <= 0 or noise_lambda < 0:
-        raise ValueError("prior_eta must be positive, noise_lambda nonnegative")
+    to a cloud around x_t.  A bad ``prior_eta`` or ``noise_lambda`` is
+    refused before the cloud is asked for."""
+    _check_baylime_prior(prior_eta, noise_lambda)
     del y_t  # absorbed by the intercept, as in lime
     return baylime_fit(*(yield from cloud_run(x_t, cfg)), cfg, prior_eta, noise_lambda)
 
@@ -222,8 +227,10 @@ def baylime_fit(offsets, fvals, cfg: LimeConfig, prior_eta: float,
     offsets; the reported variance is the design-independent constant
     ``1/(prior_eta + noise_lambda * n_samples)`` -- identical for every
     variable, which is exactly what makes this baseline's uncertainty
-    uninformative.
+    uninformative.  A ``prior_eta`` that is not positive or a negative
+    ``noise_lambda`` raises ValueError.
     """
+    _check_baylime_prior(prior_eta, noise_lambda)
     design = offsets - offsets.mean(axis=0)
     centered = fvals - fvals.mean()
     gram = noise_lambda * design.T @ design
@@ -370,36 +377,27 @@ def _shapley_sampling(x_t: np.ndarray, ref: ReferenceSet, n_configs: int, seed: 
     return points.reshape(-1, m), scores_from
 
 
-def _shapley_batch(x_t, ref: ReferenceSet, n_configs: int, seed: int, method: str):
-    """The rows of :func:`shapley_sampled`'s one batch and the scores from
-    its answers, by the ``method`` rule there."""
-    x_t = np.asarray(x_t, dtype=float)
-    if n_configs < 1:
-        raise ValueError("n_configs must be >= 1")
-    if method not in ("auto", "exact", "sampling"):
-        raise ValueError(f"unknown method {method!r}")
-    m = len(x_t)
-    if method == "auto":
-        cheap = m <= 10 and (2**m) * len(ref.samples) <= _EXACT_SV_BUDGET
-        method = "exact" if cheap else "sampling"
-    if method == "exact":
-        return _shapley_exact(x_t, ref)
-    return _shapley_sampling(x_t, ref, n_configs, seed)
-
-
-def shapley_sampled(x_t, ref: ReferenceSet, n_configs: int = 100, seed: int = 0,
-                    method: str = "auto"):
+def shapley_sampled(x_t, ref: ReferenceSet, n_configs: int = 100, seed: int = 0):
     """The run of the Shapley values of the deviation with out-of-coalition
     coordinates substituted from the reference set (interventional
     substitution).
 
-    ``method="auto"`` enumerates coalitions exactly when the dimension and
-    reference set are small enough, and otherwise Monte Carlo samples
-    ``n_configs`` (permutation, reference sample) configurations; either way
-    the model answers one batch.  The observed target cancels in every
-    marginal contribution, so it does not appear here at all.
+    The inputs pick the estimator: it enumerates coalitions exactly when the
+    dimension m is at most 10 and the ``2^m`` coalitions times the reference
+    samples are at most ``_EXACT_SV_BUDGET`` coalition values, and otherwise
+    Monte Carlo samples ``n_configs`` (permutation, reference sample)
+    configurations; either way the model answers one batch.  The observed
+    target cancels in every marginal contribution, so it does not appear
+    here at all.
     """
-    rows, scores_from = _shapley_batch(x_t, ref, n_configs, seed, method)
+    x_t = np.asarray(x_t, dtype=float)
+    if n_configs < 1:
+        raise ValueError("n_configs must be >= 1")
+    m = len(x_t)
+    if m <= 10 and 2**m * len(ref.samples) <= _EXACT_SV_BUDGET:
+        rows, scores_from = _shapley_exact(x_t, ref)
+    else:
+        rows, scores_from = _shapley_sampling(x_t, ref, n_configs, seed)
     return scores_from((yield rows))
 
 

@@ -16,18 +16,20 @@ resolved ``indices`` and ``hyperparams``, and for ``explain`` the
 comma-list flags ``--x``, ``--x0``, ``--baseline`` and ``--indices`` take a
 list that starts with a minus sign as the next word, as in ``--x -0.5,0``.
 ``detect`` and ``explain`` take the noise variance and the anomaly scores
-from one batch of residuals ``y - f(x)``: over every row, or with
-``--noise-var`` over the scored rows alone.  ``detect`` sends it as its one
-model call.  ``explain`` and ``compare`` run all their methods in one
-drive (:func:`~anomattr.models.drive`), in lockstep, with explain's residual
-rows as one more run: each call of the model carries the next rows of every
-method that has not ended, so a command makes as many calls as its method
-with the most steps.  A step's rows go in one array, in a fixed order:
-explain's residual rows, the one batch of each method that sends one (the
-lime cloud, which lime, lime0 and baylime share, ig's path and sv's batch),
-gpa's rate rows and solve, then lc's solve and eig's paths in method order;
-its answers go back in that order.  ``dist`` drives one run, gpa's run
-and then the posterior slices'.  The residual scores are taken before any
+from one run, one batch of residuals ``y - f(x)``: over every row, or with
+``--noise-var`` over the scored rows alone.  Every command that queries the
+model drives its runs (:func:`~anomattr.models.drive`), and only the driver
+calls the model: ``detect`` drives the residual run as its one call.
+``explain`` and ``compare`` run all their methods in one drive, in
+lockstep, with explain's residual run as one more run: each call of the
+model carries the next rows of every method that has not ended, so a
+command makes as many calls as its method with the most steps.  A step's
+rows go in one array, in a fixed order: explain's residual rows, the one
+batch of each method that sends one (the lime cloud, which lime, lime0 and
+baylime share, ig's path and sv's batch), gpa's rate rows and solve, then
+lc's solve and eig's paths in method order; its answers go back in that
+order.  ``dist`` drives one run, gpa's run and then the posterior slices'
+over ``--grid-points`` points.  The residual scores are taken before any
 method sees the answers of the first call, so an overflowing residual ends
 the run there.  A missing ``--baseline`` or ``--ref`` is refused before the
 first query.
@@ -205,17 +207,13 @@ def _load_testset(args) -> TestSet:
     return ts
 
 
-def _residual_rows(args, ts: TestSet, rows) -> TestSet:
-    """The rows whose residuals give the anomaly scores of ``rows``: every
-    row, whose mean square is the noise variance (1e-6 where it is exactly
-    0), or ``rows`` alone when ``--noise-var`` gives it."""
-    return ts if args.noise_var is None else ts.select(rows)
-
-
-def _anomaly_scores(args, batch: TestSet, fx, rows) -> tuple[float, list]:
-    """The noise variance and the anomaly scores of ``rows``, from the model's
-    answers ``fx`` at the :func:`_residual_rows` ``batch``."""
-    resid = batch.y - fx
+def _residuals(args, ts: TestSet, rows):
+    """The run whose result is the noise variance and the anomaly scores of
+    ``rows``, from one batch of residuals: over every row, whose mean square
+    is the noise variance (1e-6 where it is exactly 0), or over ``rows``
+    alone when ``--noise-var`` gives it."""
+    batch = ts if args.noise_var is None else ts.select(rows)
+    resid = batch.y - (yield batch.x)
     if args.noise_var is not None:
         return args.noise_var, metrics.anomaly_score(resid, args.noise_var).tolist()
     variance = gpa.init_gamma_rate(resid, 1.0, 1.0)
@@ -228,7 +226,7 @@ def _anomaly_scores(args, batch: TestSet, fx, rows) -> tuple[float, list]:
 
 
 def _selected_indices(args, n_test: int) -> tuple[int, ...]:
-    idx = _numbers(args.indices, int) if args.indices else (args.point_index,)
+    idx = (args.point_index,) if args.indices is None else _numbers(args.indices, int)
     for k, i in enumerate(idx):
         if not 0 <= i < n_test:
             raise UsageError(f"sample index {i} out of range (0..{n_test - 1})")
@@ -416,9 +414,7 @@ def _out_dir(args) -> Path:
 def cmd_detect(args) -> int:
     ts = _load_testset(args)
     model = _open_model(args, ts.dimension)
-    rows = range(ts.n_test)
-    batch = _residual_rows(args, ts, rows)
-    noise_var, scores = _anomaly_scores(args, batch, model.evaluate_batch(batch.x), rows)
+    noise_var, scores = drive(model, [_residuals(args, ts, range(ts.n_test))])[0]
     order = sorted(range(ts.n_test), key=lambda t: (-scores[t], t))
     top = order[: args.top]
     for t in order:
@@ -439,11 +435,10 @@ def cmd_detect(args) -> int:
 def cmd_explain(args) -> int:
     methods = _parse_methods(args.methods)
     ts, model, indices, selection, hp, grad_cfg = _setup(args, methods)
-    batch = _residual_rows(args, ts, indices)
     residual = []
 
     def residuals():  # scored as soon as the command's first call answers them
-        residual.extend(_anomaly_scores(args, batch, (yield batch.x), indices))
+        residual.extend((yield from _residuals(args, ts, indices)))
 
     scores, diagnostics = _run_methods(methods, args, model, selection, hp, grad_cfg,
                                        residuals())
@@ -478,7 +473,7 @@ def cmd_dist(args) -> int:
         if not result.converged:
             _warn_unconverged(hp, "distributions")
         return result, *(yield from gpa.score_distributions(
-            result.delta_star, selection, hp, result.rates, grad_cfg))
+            result.delta_star, selection, hp, result.rates, grad_cfg, args.grid_points))
 
     result, grid, probs = drive(model, [posterior()])[0]
     edge_mass = probs[:, 0] + probs[:, -1]
@@ -653,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_attribution_flags(p)
     _add_gpa_flags(p)
-    p.add_argument("--grid-points", type=_bounded(int, 3), default=None)
+    p.add_argument("--grid-points", type=_bounded(int, 3), default=100)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_dist)
 

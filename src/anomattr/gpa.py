@@ -195,8 +195,8 @@ class GpaHyperParams:
     proximal Gauss-Newton (:func:`proximal_minimize`), takes Newton steps,
     halved only where they raise the objective, so it needs no step size; it
     stops after ``max_iter`` iterations or once a step moves no coordinate
-    by ``tol``.  ``grid_points`` sizes the posterior slices.  Each field is
-    a flag of ``dist`` and, but ``grid_points``, of ``explain`` and ``compare``.
+    by ``tol``.  Each field is a flag of ``explain``, ``dist`` and
+    ``compare``.
     """
 
     eta: float = 0.1
@@ -207,7 +207,6 @@ class GpaHyperParams:
     c_b: float = 10.0
     max_iter: int = 10_000
     tol: float = 1e-6
-    grid_points: int = 100
 
     def __post_init__(self):
         if not 0.0 < self.nu <= 1.0:
@@ -220,8 +219,6 @@ class GpaHyperParams:
             raise ValueError("b0 must be positive when given")
         if self.b0 is not None and self.b_mode != "constant":
             raise ValueError("b0 applies only to b_mode 'constant'")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
         if self.max_iter < 1 or self.tol <= 0:
             raise ValueError("max_iter and tol must be positive")
 
@@ -775,12 +772,14 @@ def map_estimate(testset: TestSet, hp: GpaHyperParams, grad_cfg: GradientEstimat
 
 
 def score_distributions(delta_star, testset: TestSet, hp: GpaHyperParams, rates,
-                        grad_cfg: GradientEstimatorConfig):
+                        grad_cfg: GradientEstimatorConfig, grid_points: int):
     """The run of the per-variable posterior slices through the MAP point,
     under the gamma ``rates`` of the MAP run (:attr:`AttributionResult.rates`,
     any array-like of one rate per row), whose result is ``(grid, probs)``:
-    the one grid of shape ``(grid_points,)`` that all variables share, and
-    ``probs`` of shape ``(m, grid_points)``, row k the slice along variable k.
+    the one grid of ``grid_points`` points, at least 3, that all variables
+    share, and ``probs`` of shape ``(m, grid_points)``, row k the slice along
+    variable k.  A ``grid_points`` below 3 raises ValueError before the run
+    asks for anything.
 
     The grid is symmetric about 0 and spans ``1.1 max_k |delta*_k|``; a
     fully normal sample (``delta* ~ 0``) falls back to one standardized
@@ -808,13 +807,15 @@ def score_distributions(delta_star, testset: TestSet, hp: GpaHyperParams, rates,
     rates = np.asarray(rates, dtype=float)
     if not np.all(np.isfinite(delta_star)):
         raise ValueError("delta_star must be finite")
+    if grid_points < 3:
+        raise ValueError("grid_points must be >= 3")
     peak = float(np.max(np.abs(delta_star)))
     delta_max = _GRID_REACH * peak if peak >= 1e-9 else 1.0
-    grid = np.linspace(-delta_max, delta_max, hp.grid_points)
+    grid = np.linspace(-delta_max, delta_max, grid_points)
     grid = 0.5 * (grid - grid[::-1])  # exact symmetry about 0
 
     n, m, x = testset.n_test, testset.dimension, testset.x
-    pack = max(1, min(m, gradient_rows(n, m, grad_cfg, values=True) // (n * hp.grid_points)))
+    pack = max(1, min(m, gradient_rows(n, m, grad_cfg, values=True) // (n * grid_points)))
     buf = None  # the first batch's rows, where fill wrote them
 
     def slide(ks):  # variable j of the batch takes the grid in its column k
@@ -823,22 +824,22 @@ def score_distributions(delta_star, testset: TestSet, hp: GpaHyperParams, rates,
 
     def fill(out):
         nonlocal buf
-        buf = out.reshape(pack, n, hp.grid_points, m)
+        buf = out.reshape(pack, n, grid_points, m)
         buf[...] = (x + delta_star)[:, None, :]
         slide(range(pack))
 
     def run():
-        probs = np.empty((m, hp.grid_points))
+        probs = np.empty((m, grid_points))
         for first in range(0, m, pack):
             ks = range(first, min(first + pack, m))
             if first:
                 slide(ks)
             rows = buf[: len(ks)].reshape(-1, m) if first else (
-                (pack * n * hp.grid_points, m), fill)
-            fvals = (yield rows).reshape(len(ks), n, hp.grid_points)
+                (pack * n * grid_points, m), fill)
+            fvals = (yield rows).reshape(len(ks), n, grid_points)
             for j, k in enumerate(ks):
                 buf[j, :, :, k] = (x[:, k] + delta_star[k])[:, None]
-                candidates = np.repeat(delta_star[None, :], hp.grid_points, axis=0)
+                candidates = np.repeat(delta_star[None, :], grid_points, axis=0)
                 candidates[:, k] = grid
                 log_q = -0.5 * hp.eta * np.sum(candidates**2, axis=1)
                 log_q -= hp.eta * hp.nu * np.sum(np.abs(candidates), axis=1)

@@ -25,7 +25,8 @@ __all__ = [
 
 
 class MetricUndefinedError(ValueError):
-    """Rank correlation is undefined (a constant input vector)."""
+    """Rank correlation is undefined (a constant input vector, such as one
+    of one entry)."""
 
 
 def anomaly_score(resid, noise_variance: float):
@@ -58,8 +59,8 @@ def _abs_pair(a, b):
     b = np.abs(np.asarray(b, dtype=float))
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("inputs must be 1-d vectors of equal length")
-    if a.shape[0] < 2:
-        raise ValueError("need at least two entries")
+    if a.shape[0] == 0:
+        raise ValueError("inputs must be nonempty")
     for name, v in (("first", a), ("second", b)):
         if np.all(v == v[0]):
             raise MetricUndefinedError(

@@ -10,6 +10,7 @@ from anomattr import (
     GradientEstimatorConfig,
     LimeConfig,
     ReferenceSet,
+    baselines,
     baylime_distributions,
     expected_integrated_gradient,
     hit_ratio_25,
@@ -121,7 +122,9 @@ def test_criterion_04_local_surrogate_gradient():
             err <= 1e-2, f"err={err:.2e}")
 
 
-def test_criterion_05_target_shift_invariance():
+def test_criterion_05_target_shift_invariance(monkeypatch):
+    # no coalition enumeration: sv takes the permutation sampler
+    monkeypatch.setattr(baselines, "_EXACT_SV_BUDGET", 0)
     model = sinusoidal2d()
     ref = periodic_lattice()
     lime_cfg = LimeConfig(n_samples=400, sampling_std=0.3, l1_strength=0.01, seed=5)
@@ -132,8 +135,7 @@ def test_criterion_05_target_shift_invariance():
             "lime0": driven(model, lime0)(X_T, lime_cfg),
             "ig": driven(model, integrated_gradient)(X_T, (0.0, 0.0), 100, FINE_GRAD),
             "eig": driven(model, expected_integrated_gradient)(X_T, ref, 100, FINE_GRAD),
-            "sv": driven(model, shapley_sampled)(X_T, ref, n_configs=100, seed=5,
-                                                 method="sampling"),
+            "sv": driven(model, shapley_sampled)(X_T, ref, n_configs=100, seed=5),
             "zscore": z_score(X_T, ref),
             "baylime-mean": driven(model, baylime_distributions)(X_T, y_t, lime_cfg,
                                                                  0.1, 1.0).means,
@@ -163,7 +165,7 @@ def test_criterion_06_sum_rules_and_additive_equivalence():
     target = model.evaluate(x_t) - float(
         ref.effective_weights @ model.evaluate_batch(ref.samples)
     )
-    sv = driven(model, shapley_sampled)(x_t, ref, method="exact")
+    sv = driven(model, shapley_sampled)(x_t, ref)
     eig = driven(model, expected_integrated_gradient)(x_t, ref, 100, FINE_GRAD)
     sv_sum = abs(sv.sum() - target)
     eig_sum = abs(eig.sum() - target)
@@ -228,7 +230,7 @@ def test_criterion_09_distribution_properties():
     ts = single_point(X_T, POINT_A)
     res = driven(model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
     grid, probs = driven(model, score_distributions)(res.delta_star, ts, ORACLE_HP,
-                                                     res.rates, FINE_GRAD)
+                                                     res.rates, FINE_GRAD, 100)
     sums_ok = all(abs(row.sum() - 1.0) <= 1e-10 for row in probs)
     step = grid[1] - grid[0]
     mode = grid[np.argmax(probs[0])]
@@ -240,7 +242,7 @@ def test_criterion_09_distribution_properties():
     hp = GpaHyperParams(eta=0.1, nu=0.5, a0=1.0, c_b=10.0, tol=1e-8)
     res2 = driven(lin, map_estimate)(ts2, hp, FINE_GRAD)
     grid, probs2 = driven(lin, score_distributions)(res2.delta_star, ts2, hp, res2.rates,
-                                                    FINE_GRAD)
+                                                    FINE_GRAD, 100)
     prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
     prior /= prior.sum()
     prior_gap = np.max(np.abs(probs2[1] - prior))

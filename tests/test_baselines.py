@@ -183,6 +183,19 @@ class TestBaylime:
         b = driven(sin_model, baylime_distributions)([0.5, 0.0], -9.0, cfg, 0.1, 1.0)
         np.testing.assert_array_equal(a.means, b.means)
 
+    @pytest.mark.parametrize("prior_eta, noise_lambda", [(0.0, 1.0), (-0.1, 1.0), (0.1, -1.0)])
+    def test_bad_prior_refused_by_the_fit_and_before_the_cloud(self, prior_eta, noise_lambda):
+        # the CLI's shared cloud goes to the fit alone, where a negative noise
+        # precision would give a negative variance
+        cfg = LimeConfig(n_samples=50, sampling_std=0.3, seed=4)
+        offsets = np.random.default_rng(0).standard_normal((50, 2))
+        with pytest.raises(ValueError, match="prior_eta must be positive"):
+            baselines.baylime_fit(offsets, offsets @ [1.0, -2.0], cfg, prior_eta, noise_lambda)
+        model = BatchRecorder(sinusoidal2d())
+        with pytest.raises(ValueError, match="prior_eta must be positive"):
+            driven(model, baylime_distributions)([0.5, 0.0], 1.0, cfg, prior_eta, noise_lambda)
+        assert model.sizes == []
+
 
 class TestIntegratedGradient:
     def test_closed_form_origin_baseline(self, sin_model):
@@ -391,7 +404,7 @@ class TestShapley:
         rng = np.random.default_rng(1)
         ref = ReferenceSet(rng.uniform(-1, 1, (4, 2)))
         x_t = np.array([0.8, -0.3])
-        sv = driven(m, shapley_sampled)(x_t, ref, method="exact")
+        sv = driven(m, shapley_sampled)(x_t, ref)
         assert m.call_count == 1  # every coalition in one batch
         coef = np.array([1.0, -0.5])
         closed = coef * x_t**2 - (coef * ref.samples**2).mean(axis=0)
@@ -401,27 +414,29 @@ class TestShapley:
     def test_sinusoidal_symmetric_reference(self, sin_model):
         ref = periodic_lattice()
         for x_t in ([0.25, 0.1], [0.5, 0.0], [-0.3, 0.7]):
-            sv = driven(sin_model, shapley_sampled)(x_t, ref, method="exact")
+            sv = driven(sin_model, shapley_sampled)(x_t, ref)
             np.testing.assert_allclose(sv, oracle_sv(x_t), atol=1e-12)
             assert sv[0] == pytest.approx(sv[1], abs=1e-12)
 
-    def test_sampling_close_to_exact(self, sin_model):
+    def test_sampling_close_to_exact(self, sin_model, monkeypatch):
         ref = periodic_lattice()
         x_t = [0.25, 0.1]
-        exact = driven(sin_model, shapley_sampled)(x_t, ref, method="exact")
-        sampled = driven(sin_model, shapley_sampled)(x_t, ref, n_configs=2000, seed=11,
-                                                     method="sampling")
+        exact = driven(sin_model, shapley_sampled)(x_t, ref)
+        monkeypatch.setattr(baselines, "_EXACT_SV_BUDGET", 0)
+        sampled = driven(sin_model, shapley_sampled)(x_t, ref, n_configs=2000, seed=11)
         np.testing.assert_allclose(sampled, exact, atol=0.15)
 
-    def test_sampling_deterministic_per_seed(self, sin_model):
+    def test_sampling_deterministic_per_seed(self, sin_model, monkeypatch):
+        monkeypatch.setattr(baselines, "_EXACT_SV_BUDGET", 0)
         ref = periodic_lattice()
-        a = driven(sin_model, shapley_sampled)([0.3, 0.2], ref, 50, seed=9, method="sampling")
+        a = driven(sin_model, shapley_sampled)([0.3, 0.2], ref, 50, seed=9)
         assert sin_model.call_count == 1  # every permutation walk in one batch
-        b = driven(sin_model, shapley_sampled)([0.3, 0.2], ref, 50, seed=9, method="sampling")
+        b = driven(sin_model, shapley_sampled)([0.3, 0.2], ref, 50, seed=9)
         np.testing.assert_array_equal(a, b)
 
-    def test_sampling_batch_matches_one_call_per_walk(self, sin_model):
+    def test_sampling_batch_matches_one_call_per_walk(self, sin_model, monkeypatch):
         # the walks, drawn in the same order, one model call each
+        monkeypatch.setattr(baselines, "_EXACT_SV_BUDGET", 0)
         ref = periodic_lattice()
         x_t = np.array([0.3, 0.2])
         rng = np.random.default_rng(9)
@@ -434,7 +449,7 @@ class TestShapley:
                 points[pos + 1:, j] = x_t[j]
             fvals = sin_model.evaluate_batch(points)
             expect[perm] += fvals[1:] - fvals[:-1]
-        got = driven(sinusoidal2d(), shapley_sampled)(x_t, ref, 50, seed=9, method="sampling")
+        got = driven(sinusoidal2d(), shapley_sampled)(x_t, ref, 50, seed=9)
         np.testing.assert_array_equal(got, expect / 50)
 
     def test_auto_uses_sampling_for_large_dimension(self):

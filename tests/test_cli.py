@@ -723,6 +723,16 @@ class TestDist:
         doc = strict_json((out / "distributions.json").read_text())
         assert len(doc["methods"]["gpa"]["distribution"]["grid"]) == 200
 
+    def test_grid_points_default_echoed(self, sinus_data, tmp_path):
+        # the flag's default is the grid size, and config repeats it
+        out = tmp_path / "out"
+        assert main(["dist", "--data", str(sinus_data), "--model", "sinusoidal2d",
+                     "--out", str(out), *ORACLE_FLAGS]) == 0
+        doc = strict_json((out / "distributions.json").read_text())
+        assert doc["config"]["grid_points"] == 100
+        assert "grid_points" not in doc["config"]["hyperparams"]
+        assert len(doc["methods"]["gpa"]["distribution"]["grid"]) == 100
+
     def test_rate_escalation_flags(self, sinus_data, tmp_path):
         # smaller virtual-sample count plus stronger l2: the documented
         # escalation when distributions look inconsistent with the MAP point
@@ -883,6 +893,19 @@ class TestCompare:
         assert rep["kendall_tau"] is None
         assert rep["spearman_rho"] is None
         assert rep["smr"] == 1.0
+
+    def test_one_variable_leaves_rank_correlations_null(self, tmp_path):
+        # one entry has no rank order, so tau and rho are null with a note;
+        # smr and hit25 stay defined
+        data = tmp_path / "one.csv"
+        data.write_text("x,y\n0.5,3.0\n0.0,0.1\n-0.5,-1.0\n")
+        out = tmp_path / "out"
+        assert main(["compare", "--data", str(data), "--model", "linear:2",
+                     "--methods", "gpa,lc", "--out", str(out)]) == 0
+        rep = strict_json((out / "compare.json").read_text())["reports"]["lc"]
+        assert rep["kendall_tau"] is None and rep["spearman_rho"] is None
+        assert set(rep["notes"]) == {"kendall_tau", "spearman_rho"}
+        assert rep["smr"] == 1.0 and rep["hit25"] == 1.0
 
     def test_collective_rejects_single_point_methods(self, tmp_path):
         data = tmp_path / "three.csv"
@@ -1100,12 +1123,12 @@ class TestHeldBatches:
     # rows, eig's number of calls and the rows of its first
     HELD_FLAGS = {
         "defaults": ([], dict(lime=(1_000, 0.3), baseline=[0.0, 0.0], n_intervals=100,
-                              sv_configs=100, seed=0), 3_276, len(LATTICE_EIG_BATCHES),
+                              seed=0), 3_276, len(LATTICE_EIG_BATCHES),
                      LATTICE_EIG_BATCHES[0]),
         "other flags": (["--lime-samples", "50", "--lime-std", "0.7", "--n-intervals", "7",
                          "--sv-configs", "9", "--seed", "4", "--baseline", "0.25,-0.5"],
                         dict(lime=(50, 0.7), baseline=[0.25, -0.5], n_intervals=7,
-                             sv_configs=9, seed=4), 466, 1, 20 + 64 * 140),
+                             seed=4), 466, 1, 20 + 64 * 140),
     }
 
     @pytest.mark.parametrize("flags, values, n_held, eig_calls, eig_first",
@@ -1126,12 +1149,11 @@ class TestHeldBatches:
             anomattr.baselines._cloud(
                 x_t, anomattr.LimeConfig(*values["lime"], seed=seed))[1],
             gradient_batch(path, grad_cfg)[0],
-            anomattr.baselines._shapley_batch(
-                x_t, anomattr.ReferenceSet(anomattr.load_csv(lattice_ref).x),
-                values["sv_configs"], seed, "auto")[0],
+            anomattr.baselines._shapley_exact(
+                x_t, anomattr.ReferenceSet(anomattr.load_csv(lattice_ref).x))[0],
         ])
         # at the defaults, 1,000 cloud rows, ig's 101 path points x 20 draws
-        # and 4 coalitions x 64
+        # and 4 coalitions x 64: at m = 2 sv enumerates, whatever --sv-configs
         assert len(held) == n_held
         # the first call carries them, then the first rows of gpa, lc and
         # eig, which all run in lockstep: 21 gradient rows each from gpa and
@@ -1376,9 +1398,8 @@ class TestConfigEcho:
         if command != "detect":
             hyperparams = {f.name for f in fields(GpaHyperParams)}
             assert doc["config"]["hyperparams"].keys() == hyperparams
-            # no hyperparameter without a flag but grid_points, which only
-            # dist reads
-            assert hyperparams - dests == (set() if command == "dist" else {"grid_points"})
+            # no hyperparameter without a flag
+            assert hyperparams <= dests
 
     def test_explain_repeats_from_its_config(self, sinus_data, lattice_ref, tmp_path,
                                              monkeypatch):
@@ -1492,6 +1513,21 @@ class TestNegativeListValues:
         err = capsys.readouterr().err
         assert err == "error: sample index -1 out of range (0..2)\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("indices", ["", "1,"])
+    @pytest.mark.parametrize("command, flags", [
+        ("explain", ["--methods", "gpa"]), ("dist", []), ("compare", ["--methods", "gpa,lc"]),
+    ])
+    def test_empty_index_entry_exit_2(self, sinus_data, tmp_path, capsys, command, flags,
+                                      indices):
+        # an empty list names no row: it does not fall back to --point-index
+        out = tmp_path / "o"
+        code = main([command, "--data", str(sinus_data), "--model", "sinusoidal2d", *flags,
+                     "--indices", indices, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: expected comma-separated integers, got {indices!r}\n"
+        assert not out.exists()
 
 
 def test_main_calls_share_one_parser_and_no_flags(sinus_data, tmp_path, monkeypatch):

@@ -1493,7 +1493,7 @@ class TestScoreDistributions:
         mc = FINE_GRAD.mc_samples
         # 2 variables of n x 20 rows fit in the solve's first batch of n (1 +
         # m mc) rows, so m = 5 leaves a short last batch
-        hp = GpaHyperParams.for_testset(n, max_iter=50, grid_points=20)
+        hp, grid_points = GpaHyperParams.for_testset(n, max_iter=50), 20
         model = BatchRecorder(quadratic_model(coef))
         res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
         solver = model.sizes
@@ -1502,16 +1502,16 @@ class TestScoreDistributions:
         assert solver[0] == n + n * (1 + m * mc)
         assert solver[-1] == n * m * (mc - 2)
         assert all(size in (n, n * m * 2, n + n * m * 2) for size in solver[1:-1])
-        per_variable = n * hp.grid_points
+        per_variable = n * grid_points
         packed = _RowLog(quadratic_model(coef))
         grid, probs = driven(packed, score_distributions)(res.delta_star, ts, hp,
-                                                          res.rates, FINE_GRAD)
+                                                          res.rates, FINE_GRAD, grid_points)
         assert packed.sizes == [2 * per_variable, 2 * per_variable, per_variable]
         assert max(packed.sizes) <= n * (1 + m * mc)
         # the queries of one variable per batch, end to end, and the same bits
         single = _RowLog(quadratic_model(coef))
         _, alone = driven(single, score_distributions)(res.delta_star, ts, hp, res.rates,
-                                                       ONE_DRAW)
+                                                       ONE_DRAW, grid_points)
         assert single.sizes == [per_variable] * m
         np.testing.assert_array_equal(np.vstack(packed.batches), np.vstack(single.batches))
         np.testing.assert_array_equal(probs, alone)
@@ -1524,14 +1524,15 @@ class TestScoreDistributions:
         # at least one variable per batch, at most all of them: the solve's
         # first batch holds 6 (1 + 5 mc_samples) rows, a variable 6 x 20
         coef, ts = _collective_problem()
-        hp = GpaHyperParams.for_testset(ts.n_test, grid_points=20)
+        hp, grid_points = GpaHyperParams.for_testset(ts.n_test), 20
         model = BatchRecorder(quadratic_model(coef))
         delta_star = np.array([0.8, -0.5, 0.0, 0.1, 0.0])
         _, probs = driven(model, score_distributions)(
-            delta_star, ts, hp, np.ones(ts.n_test), GradientEstimatorConfig(mc_samples=mc_samples))
-        assert model.sizes == [ts.n_test * hp.grid_points * k for k in sizes]
+            delta_star, ts, hp, np.ones(ts.n_test), GradientEstimatorConfig(mc_samples=mc_samples),
+            grid_points)
+        assert model.sizes == [ts.n_test * grid_points * k for k in sizes]
         _, alone = driven(quadratic_model(coef), score_distributions)(
-            delta_star, ts, hp, np.ones(ts.n_test), ONE_DRAW)
+            delta_star, ts, hp, np.ones(ts.n_test), ONE_DRAW, grid_points)
         np.testing.assert_array_equal(probs, alone)
 
     def test_slices_peak_memory_within_the_solve(self):
@@ -1548,7 +1549,7 @@ class TestScoreDistributions:
             solve_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            driven(model, score_distributions)(res.delta_star, ts, hp, res.rates, cfg)
+            driven(model, score_distributions)(res.delta_star, ts, hp, res.rates, cfg, 100)
             slices_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
@@ -1580,7 +1581,7 @@ class TestScoreDistributions:
         hp = GpaHyperParams.for_testset(ts.n_test, max_iter=200)
         res = driven(model, map_estimate)(ts, hp, FINE_GRAD)
         grid, probs = driven(model, score_distributions)(res.delta_star, ts, hp, res.rates,
-                                                         FINE_GRAD)
+                                                         FINE_GRAD, 100)
         expect = _reference_slices(res.delta_star, ts, model, hp, res.rates, grid)
         np.testing.assert_array_equal(probs, expect)
 
@@ -1592,7 +1593,7 @@ class TestScoreDistributions:
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput) as exc:
             driven(m, score_distributions)(np.array([0.5, 0.0]), ts, hp, np.full(2, hp.b0),
-                                           FINE_GRAD)
+                                           FINE_GRAD, 100)
         # sample 1 at the grid's first point, -1.1 * 0.5
         assert exc.value.x[0] == pytest.approx(-0.55) and exc.value.x[1] == 0.0
 
@@ -1610,7 +1611,7 @@ class TestScoreDistributions:
         for cfg in (ONE_DRAW, GradientEstimatorConfig(mc_samples=100)):
             with pytest.raises(NonFiniteModelOutput) as exc:
                 driven(m, score_distributions)(np.array([0.5, 0.0]), ts, hp,
-                                               np.full(2, hp.b0), cfg)
+                                               np.full(2, hp.b0), cfg, 100)
             named_inputs.append(exc.value.x)
         np.testing.assert_array_equal(named_inputs[0], named_inputs[1])
         np.testing.assert_allclose(named_inputs[1], named, rtol=1e-12)
@@ -1621,8 +1622,8 @@ class TestScoreDistributions:
         model, hp = linear_model([1.0, 1.0]), GpaHyperParams(a0=1.0)
         delta_star = np.array([0.9, 0.0])
         slices = driven(model, score_distributions)
-        grid, probs = slices(delta_star, ts, hp, [1.0], FINE_GRAD)
-        expect = slices(delta_star, ts, hp, np.array([1.0]), FINE_GRAD)
+        grid, probs = slices(delta_star, ts, hp, [1.0], FINE_GRAD, 100)
+        expect = slices(delta_star, ts, hp, np.array([1.0]), FINE_GRAD, 100)
         np.testing.assert_array_equal(grid, expect[0])
         np.testing.assert_array_equal(probs, expect[1])
 
@@ -1630,9 +1631,9 @@ class TestScoreDistributions:
         ts = single_point([0.5, 0.0], 1.0)
         res = driven(sin_model, map_estimate)(ts, ORACLE_HP, FINE_GRAD)
         grid, probs = driven(sin_model, score_distributions)(res.delta_star, ts, ORACLE_HP,
-                                                             res.rates, FINE_GRAD)
-        assert grid.shape == (ORACLE_HP.grid_points,)
-        assert probs.shape == (2, ORACLE_HP.grid_points)
+                                                             res.rates, FINE_GRAD, 100)
+        assert grid.shape == (100,)
+        assert probs.shape == (2, 100)
         for row in probs:
             assert row.sum() == pytest.approx(1.0, abs=1e-10)
             assert np.all(row >= 0)
@@ -1647,7 +1648,7 @@ class TestScoreDistributions:
         res = driven(m, map_estimate)(ts, hp, FINE_GRAD)
         assert res.converged
         grid, probs = driven(m, score_distributions)(res.delta_star, ts, hp, res.rates,
-                                                     FINE_GRAD)
+                                                     FINE_GRAD, 100)
         prior = np.exp(-0.5 * hp.eta * grid**2 - hp.eta * hp.nu * np.abs(grid))
         prior /= prior.sum()
         np.testing.assert_allclose(probs[1], prior, atol=1e-8)
@@ -1660,20 +1661,28 @@ class TestScoreDistributions:
         ts = single_point([0.5, 0.0], 1.0)
         hp = ORACLE_HP
         slices = driven(sin_model, score_distributions)
-        grid, _ = slices(np.array([-1 / 6, 0.0]), ts, hp, np.full(1, hp.b0), FINE_GRAD)
+        grid, _ = slices(np.array([-1 / 6, 0.0]), ts, hp, np.full(1, hp.b0), FINE_GRAD, 100)
         # the grid reaches 1.1 times the largest |delta*_k|
         assert grid[-1] == pytest.approx(1.1 / 6)
         # fully normal sample: fall back to one standardized unit
         flat, _ = slices(np.zeros(2), single_point([0.5, 0.0], 0.0), hp, np.full(1, hp.b0),
-                         FINE_GRAD)
+                         FINE_GRAD, 100)
         assert flat[-1] == pytest.approx(1.0)
 
     def test_grid_points_setting(self, sin_model):
         ts = single_point([0.5, 0.0], 1.0)
-        hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0, grid_points=200)
+        hp = GpaHyperParams(eta=1e-3, nu=1e-3, a0=1.0, b0=10.0)
         grid, probs = driven(sin_model, score_distributions)(
-            np.array([-1 / 6, 0.0]), ts, hp, np.full(1, hp.b0), FINE_GRAD)
+            np.array([-1 / 6, 0.0]), ts, hp, np.full(1, hp.b0), FINE_GRAD, 200)
         assert len(grid) == 200 and probs.shape == (2, 200)
+
+    def test_too_few_grid_points_refused_before_the_first_ask(self):
+        # a grid needs its two edges and a point between them; the run is
+        # refused where it is built, so no row is asked for
+        ts = single_point([0.5, 0.0], 1.0)
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            score_distributions(np.array([-1 / 6, 0.0]), ts, ORACLE_HP, np.full(1, 10.0),
+                                FINE_GRAD, 2)
 
     def test_all_nonfinite_slice_names_variable(self):
         # the one non-finite policy: the input is named, as in map_estimate;
@@ -1683,7 +1692,7 @@ class TestScoreDistributions:
         hp = GpaHyperParams(b0=1.0, a0=1.0)
         with pytest.raises(NonFiniteModelOutput, match=r"nan at input \[-0\.11\d*, 0\.0\]"):
             driven(m, score_distributions)(np.array([0.1, 0.0]), ts, hp, np.full(1, hp.b0),
-                                           FINE_GRAD)
+                                           FINE_GRAD, 100)
 
     def test_overflowing_table_names_variable(self):
         # a rate of 1e-320 makes r^2 / (2 b) overflow at every grid point of
@@ -1691,7 +1700,7 @@ class TestScoreDistributions:
         ts = TestSet(np.array([[0.0, 0.0]]), np.array([1.0]), ["a", "b"])
         with pytest.raises(ValueError, match="variable 'a' overflows"):
             driven(linear_model([1.0, 1.0]), score_distributions)(
-                np.array([0.1, 0.0]), ts, GpaHyperParams(), np.array([1e-320]), FINE_GRAD)
+                np.array([0.1, 0.0]), ts, GpaHyperParams(), np.array([1e-320]), FINE_GRAD, 100)
 
 
 class TestHyperParamsValidation:
@@ -1703,7 +1712,6 @@ class TestHyperParamsValidation:
             dict(eta=0.0),
             dict(tol=0.0),
             dict(a0=0.0),
-            dict(grid_points=2),
             dict(b_mode="nope"),
             dict(b0=-1.0),
             dict(c_b=0.0),

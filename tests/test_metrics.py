@@ -293,6 +293,18 @@ class TestConsistencyReport:
         assert report.smr == 1.0
         assert report.hit25 == 1.0
 
+    def test_one_entry_null_correlations(self):
+        # one entry has no rank order, as a constant vector has none
+        report = consistency_report([1.0], [2.0])
+        assert report.kendall_tau is None and report.spearman_rho is None
+        assert set(report.notes) == {"kendall_tau", "spearman_rho"}
+        assert report.smr == 1.0 and report.hit25 == 1.0
+
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            consistency_report([], [])
+        assert not isinstance(exc.value, MetricUndefinedError)
+
     def test_zero_reference_null_correlations(self):
         report = consistency_report(np.zeros(3), np.array([1.0, -2.0, 3.0]))
         assert report.kendall_tau is None

@@ -161,13 +161,13 @@ def _model_calls(tree: ast.Module) -> list[tuple[int, str]]:
     return sorted(set(found))
 
 
-@pytest.mark.parametrize("name", ["gpa.py", "baselines.py"])
-def test_methods_ask_the_driver_for_rows(name):
-    # every method yields its rows to the driver (models.drive), which
-    # sends them with the other methods' rows in one call per step
-    path = Path(anomattr.__file__).parent / name
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "models.py"],
+                         ids=lambda p: p.name)
+def test_methods_ask_the_driver_for_rows(path):
+    # every method and command yields its rows to the driver (models.drive),
+    # which sends them with the other runs' rows in one call per step
     calls = _model_calls(ast.parse(path.read_text(), filename=str(path)))
-    assert not calls, "; ".join(f"{name}:{line} {function} calls the model"
+    assert not calls, "; ".join(f"{path.name}:{line} {function} calls the model"
                                 for line, function in calls)
 
 
