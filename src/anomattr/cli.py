@@ -31,8 +31,9 @@ lc's solve and eig's paths in method order; its answers go back in that
 order.  ``dist`` drives one run, gpa's run and then the posterior slices'
 over ``--grid-points`` points.  The residual scores are taken before any
 method sees the answers of the first call, so an overflowing residual ends
-the run there.  A missing ``--baseline`` or ``--ref`` is refused before the
-first query.
+the run there.  Every refusal of a method's inputs, such as a missing
+``--baseline`` or ``--ref``, a ``--ref`` that zscore cannot standardize
+against, or too few ``--lime-samples``, comes before the first query.
 
 Exit codes: 0 success, 2 usage/configuration error (including a flag or a
 dataset cell that is not a finite number, a number flag out of its range,
@@ -306,10 +307,11 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
                  hp: GpaHyperParams, grad_cfg: GradientEstimatorConfig, *lead):
     """The method loop of explain and compare: each method's scores by name,
     in method order, and the methods' part of the diagnostics section of the
-    document.  Every flag a method requires is checked before the first
-    query.  The caller's ``lead`` runs and every method's but zscore's go in
-    one drive (:func:`~anomattr.models.drive`), in the order of a step
-    (module docstring), so each step of the command is one model call."""
+    document.  Every input a method requires is checked, and zscore, which
+    queries nothing, is computed, before the first query.  The caller's
+    ``lead`` runs and every method's but zscore's go in one drive
+    (:func:`~anomattr.models.drive`), in the order of a step (module
+    docstring), so each step of the command is one model call."""
     if _LIME_METHODS & set(methods) and args.lime_samples <= selection.dimension:
         raise UsageError(f"--lime-samples must be at least the dimension + 1, "
                          f"{selection.dimension + 1}, for a solvable fit")
@@ -320,6 +322,8 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
     if needs_ref and ref is None:
         raise UsageError(f"method {needs_ref[0]!r} requires --ref")
     done, x_t = {}, selection.x[0]
+    if "zscore" in methods:  # it queries nothing: its refusals come first
+        done["zscore"] = baselines.z_score(x_t, ref), None
 
     def kept(name, run, record=lambda scores: (scores, None)):
         done[name] = record((yield from run))
@@ -357,8 +361,6 @@ def _run_methods(methods, args, model: ModelHandle, selection: TestSet,
     for name in methods:
         if name in ("gpa", "lc") and not done[name][1]["converged"]:
             _warn_unconverged(hp, f"{name} scores")
-    if "zscore" in methods:
-        done["zscore"] = baselines.z_score(x_t, ref), None
     scores = {name: done[name][0] for name in methods}
     diagnostics = {name: done[name][1] for name in methods if done[name][1]}
     return scores, diagnostics

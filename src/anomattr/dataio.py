@@ -38,6 +38,7 @@ from __future__ import annotations
 import colorsys
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from html import escape
@@ -115,7 +116,8 @@ class TestSet:
 
 def load_csv(path) -> TestSet:
     """Parse a dataset CSV: header row, feature columns, last column target.
-    A cell that is not a finite number raises :class:`CsvFormatError`."""
+    The first cell, in row order, that is not a finite number raises
+    :class:`CsvFormatError`."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
@@ -145,19 +147,15 @@ def load_csv(path) -> TestSet:
             )
         for j, cell in enumerate(row):
             try:
-                data[i - 2, j] = float(cell)
+                data[i - 2, j] = value = float(cell)
             except ValueError:
-                raise CsvFormatError(
-                    f"{path}: non-numeric value {cell!r} at row {i}, column "
-                    f"{header[j]!r}"
-                ) from None
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        i, j = bad[0]
-        raise CsvFormatError(
-            f"{path}: non-finite value {rows[i + 1][j]!r} at row {i + 2}, column "
-            f"{header[j]!r}"
-        )
+                kind = "non-numeric"
+            else:
+                if math.isfinite(value):
+                    continue
+                kind = "non-finite"
+            raise CsvFormatError(
+                f"{path}: {kind} value {cell!r} at row {i}, column {header[j]!r}")
     return TestSet(data[:, :-1], data[:, -1], header[:-1])
 
 

@@ -79,10 +79,11 @@ reads its own.  The driver builds the step's batch in one array, the rate
 rows in front and the estimator's rows behind them, so no copy of the batch
 is made.  In ``explain`` and ``compare`` the other methods' runs go in the
 same steps, in the order the :mod:`anomattr.cli` docstring gives.
-:meth:`CounterfactualObjective.record` alone counts a solve, gpa's or
-lc's, by :func:`~anomattr.models.counted`, and :func:`map_estimate` adds
-its rate rows: :attr:`AttributionResult.query_count` is the rate rows plus
-the solve's rows and ``call_count`` the solve's steps.
+:meth:`CounterfactualObjective.record` alone records a solve, gpa's or
+lc's, with the rows and steps :func:`~anomattr.models.lockstep` counts for
+it, and :func:`map_estimate` adds the rate rows its lockstep counts:
+:attr:`AttributionResult.query_count` is the rate rows plus the solve's
+rows and ``call_count`` the solve's steps.
 :func:`~anomattr.models.gradient_rows` alone sizes a gradient batch, and
 :func:`score_distributions` alone holds the slices' rule: ``P = max(1, (1 +
 m mc_samples) // grid_points)`` whole variables to a batch, so that none is
@@ -139,7 +140,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import TestSet
-from .models import GradientEstimatorConfig, counted, estimate_gradient, gradient_rows, lockstep
+from .models import GradientEstimatorConfig, estimate_gradient, gradient_rows, lockstep
 
 __all__ = [
     "DivergenceError",
@@ -230,23 +231,10 @@ class GpaHyperParams:
 
 
 @dataclass
-class AttributionResult:
-    """The record of one counterfactual solve, of :func:`map_estimate` or of
-    :func:`~anomattr.baselines.lc`, by :meth:`CounterfactualObjective.record`.
-
-    ``query_count`` (points) and ``call_count`` (model calls) count the
-    run's queries, a :func:`map_estimate` run's rate queries included, and
-    the calls that carried them, which in lockstep carry other runs' rows
-    too;
-    ``halvings`` counts the candidate steps the solver's line search
-    rejected, and ``secant_steps`` the iterations whose step took the
-    secant-corrected curvature ``H + C``.  ``one_pair_batches`` counts the
-    gradient batches in which some coordinate sent one pair of draws, and
-    ``confirmations`` the batches that sent the missing draws where the
-    solve would stop.  The module docstring gives the query plan these counts
-    follow.  ``rates`` are a :func:`map_estimate` run's gamma rates, None for
-    lc; the slices' run (:func:`score_distributions`) takes them, in the same
-    drive as the solve or a later one."""
+class _SolveState:
+    """The result of a :func:`proximal_minimize` solve: the point it ends
+    at, F at each accepted point, and the counts :class:`AttributionResult`
+    describes."""
 
     delta_star: np.ndarray
     iterations: int
@@ -254,8 +242,30 @@ class AttributionResult:
     objective_trace: np.ndarray
     halvings: int
     secant_steps: int
-    one_pair_batches: int
     confirmations: int
+
+
+@dataclass
+class AttributionResult(_SolveState):
+    """The record of one counterfactual solve, of :func:`map_estimate` or of
+    :func:`~anomattr.baselines.lc`, by :meth:`CounterfactualObjective.record`:
+    the solve's ``_SolveState`` and four fields of its own.
+
+    ``halvings`` counts the candidate steps the solver's line search
+    rejected, ``secant_steps`` the iterations whose step took the
+    secant-corrected curvature ``H + C`` and ``confirmations`` the batches
+    that sent the missing draws where the solve would stop.
+    ``one_pair_batches`` counts the gradient batches in which some
+    coordinate sent one pair of draws.  ``query_count`` (points) and
+    ``call_count`` (model calls) count the run's queries, a
+    :func:`map_estimate` run's rate queries included, and the calls that
+    carried them, which in lockstep carry other runs' rows too.  The module
+    docstring gives the query plan these counts follow.  ``rates`` are a
+    :func:`map_estimate` run's gamma rates, None for lc; the slices' run
+    (:func:`score_distributions`) takes them, in the same drive as the solve
+    or a later one."""
+
+    one_pair_batches: int
     query_count: int
     call_count: int
     rates: np.ndarray | None
@@ -445,12 +455,12 @@ class CounterfactualObjective:
 
     def record(self, solve):
         """The run of ``solve``, a :func:`proximal_minimize` of this objective,
-        whose result is its :class:`AttributionResult`: the solve's rows and
-        steps by :func:`~anomattr.models.counted`, and ``rates`` None."""
-        state, rows, steps = yield from counted(solve)
-        return AttributionResult(state.delta, state.iterations, state.converged, state.trace,
-                                 state.halvings, state.secant_steps, self.one_pair_batches,
-                                 state.confirmations, rows, steps, None)
+        whose result is its :class:`AttributionResult`: the solve's state,
+        its rows and steps as :func:`~anomattr.models.lockstep` counts them,
+        and ``rates`` None."""
+        [(state, rows, steps)] = yield from lockstep([solve])
+        return AttributionResult(**vars(state), one_pair_batches=self.one_pair_batches,
+                                 query_count=rows, call_count=steps, rates=None)
 
     def _remember(self, delta, model_values):
         self._key, self._fvals = delta.tobytes(), model_values
@@ -525,17 +535,6 @@ def _secant_correction(dim: int):
         return corr
 
     return update
-
-
-@dataclass
-class _SolveState:
-    delta: np.ndarray
-    iterations: int
-    converged: bool
-    trace: np.ndarray
-    halvings: int
-    secant_steps: int
-    confirmations: int
 
 
 def _solve_l1_quadratic(grad, hess, x, l1_weight: float, start) -> np.ndarray:
@@ -763,8 +762,8 @@ def map_estimate(testset: TestSet, hp: GpaHyperParams, grad_cfg: GradientEstimat
                               objective.confirm_run, testset.dimension, hp, grad_cfg.seed)
 
     def run():  # the rate rows ride the solve's first step: their rows count, no call
-        (_, rate_rows, _), result = yield from lockstep(
-            [counted(_resolve_rates(testset, hp, rates)), objective.record(solve)])
+        (_, rate_rows, _), (result, _, _) = yield from lockstep(
+            [_resolve_rates(testset, hp, rates), objective.record(solve)])
         result.query_count, result.rates = result.query_count + rate_rows, rates
         return result
 

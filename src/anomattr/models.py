@@ -7,9 +7,10 @@ monotone query and call counters.  Nothing downstream ever sees model internals.
 
 The remote adapters, :class:`SubprocessModel` (one JSON line each way over a
 child's stdin/stdout) and :class:`HttpModel` (``POST /predict``), share one
-protocol and one response cache.  ``{"x": [...]}`` is answered by ``{"y":
-<number>}``; a batch ``{"xs": [[...], ...]}`` by ``{"ys": [<number>, ...]}``.
-A lone uncached row, such as :meth:`ModelHandle.evaluate` sends, goes as
+protocol.  ``{"x": [...]}`` is answered by ``{"y": <number>}``; a batch
+``{"xs": [[...], ...]}`` by ``{"ys": [<number>, ...]}``.  A call sends each
+distinct row it holds once, and keeps no answer beyond the call.  A call of
+one distinct row, such as :meth:`ModelHandle.evaluate` makes, sends it as
 ``x``, which every model must speak.  A model that does not batch gets one
 ``x`` request per point instead, and says so by how it answers the first
 ``xs`` request: with a reply that holds no ``ys``, an HTTP error status or,
@@ -39,10 +40,11 @@ the answers, in that order.  :func:`drive` runs a list of runs against one
 handle as one such run: it builds each step's rows into one new array, a
 lone array going as it is, and sends it as one call.  So a command's
 methods, none of which waits for another's answers, make as many calls as
-the run with the most steps.  Every function of the library that queries
-the model, :func:`estimate_gradient` among them, returns a run, and a
-caller drives it: ``drive(model, [run])[0]`` is its result, to which
-``counted(run)`` adds the rows the run asked for and its steps.
+the run with the most steps, and :func:`lockstep` alone counts each run's
+rows and steps.  Every function of the library that queries the model,
+:func:`estimate_gradient` among them, returns a run, and a caller drives
+it: ``drive(model, [run])[0]`` is its result, and ``yield from
+lockstep([run])`` gives its ``(result, rows, steps)``.
 """
 
 from __future__ import annotations
@@ -123,15 +125,14 @@ class ModelHandle:
     Subclasses implement ``_evaluate_batch``, which answers a ``(n, m)``
     array of rows with ``n`` numbers.  :meth:`evaluate_batch` is the one gate
     to it: it checks the batch's shape, adds the batch size to
-    ``query_count`` and one to ``call_count`` (cache hits of the remote
-    adapters included), and only then refuses a NaN or infinite answer, with
-    :class:`NonFiniteModelOutput` at the first input that got one.
+    ``query_count`` and one to ``call_count``, and only then refuses a NaN
+    or infinite answer, with :class:`NonFiniteModelOutput` at the first
+    input that got one.
     :meth:`evaluate` is its one-row case.  A model should answer an input the
-    same way every time.  The remote adapters answer a repeated input from
-    their response cache, and the builtin models answer an input bit for bit
-    the same in a batch of any size.  A handle serves one thread: its
-    counters, the remote adapters' response cache and a subprocess child's
-    pipe are not locked.
+    same way every time.  The remote adapters send an input repeated within
+    a batch once, and the builtin models answer an input bit for bit the
+    same in a batch of any size.  A handle serves one thread: its counters
+    and a subprocess child's pipe are not locked.
     """
 
     def __init__(self, dimension: int):
@@ -234,16 +235,16 @@ class CallableModel(ModelHandle):
 def drive(model: ModelHandle, runs) -> list:
     """The results of ``runs``, in order, run to their ends against
     ``model`` as one :func:`lockstep` run, whose asks may nest (module
-    docstring).  Rows of another width than ``model.dimension`` raise
-    ValueError before the step's call, and a non-finite answer
-    :class:`NonFiniteModelOutput` at the first input in the batch that got
-    one."""
+    docstring); the results alone, not its counts.  Rows of another width
+    than ``model.dimension`` raise ValueError before the step's call, and a
+    non-finite answer :class:`NonFiniteModelOutput` at the first input in
+    the batch that got one."""
     run, ys = lockstep(runs), None
     while True:
         try:
             asks = _parts(run.send(ys), model.dimension)
         except StopIteration as stop:
-            return stop.value
+            return [result for result, _, _ in stop.value]
         # the last step's rows and answers go once every run has built its
         # next ask, before the next step's batch is built
         xs = ys = None
@@ -253,26 +254,27 @@ def drive(model: ModelHandle, runs) -> list:
 
 def lockstep(runs):
     """The run of ``runs`` in lockstep (module docstring), whose result is
-    their results in order.  A run ahead of another has its answers, and
-    may end, before that one reads its own, and an error a run raises ends
-    the step."""
+    one ``(result, rows, steps)`` per run, in order: the run's result, the
+    rows it asked for and the steps it asked in.  A run ahead of another
+    has its answers, and may end, before that one reads its own, and an
+    error a run raises ends the step."""
     live = [(i, run, None) for i, run in enumerate(runs)]
-    results = [None] * len(live)
+    rows, steps, results = [0] * len(live), [0] * len(live), [None] * len(live)
     while live:
         asks = []
         for i, run, answers in live:
             try:
                 asks.append((i, run, run.send(answers)))
             except StopIteration as stop:
-                results[i] = stop.value
+                results[i] = stop.value, rows[i], steps[i]
         live = ys = answers = None  # no step's answers beside the next batch
         if not asks:
             break
-        ys, live, start = (yield [rows for _, _, rows in asks]), [], 0
-        for i, run, rows in asks:
-            k = _size(rows)
+        ys, live, start = (yield [ask for _, _, ask in asks]), [], 0
+        for i, run, ask in asks:
+            k = _size(ask)
             live.append((i, run, ys[start:start + k]))
-            start += k
+            rows[i], steps[i], start = rows[i] + k, steps[i] + 1, start + k
     return results
 
 
@@ -310,21 +312,6 @@ def _step_batch(asks: list, m: int) -> np.ndarray:
     return xs
 
 
-def counted(run):
-    """The run of ``run`` whose result is ``(result, rows, steps)``: the
-    result of ``run``, the rows it asked for and the steps it asked in."""
-    rows = steps = 0
-    try:
-        ask = next(run)
-        while True:
-            answers = yield ask
-            rows, steps = rows + len(answers), steps + 1
-            ask = run.send(answers)
-            del answers  # no step's answers alive beside the next step's batch
-    except StopIteration as stop:
-        return stop.value, rows, steps
-
-
 def _decode(reply: bytes) -> dict:
     try:
         return json.loads(reply)
@@ -346,7 +333,8 @@ def _batch_reply(reply: bytes) -> dict | None:
 def _answers(doc, key: str, shape: tuple) -> np.ndarray:
     """The numbers a reply holds under ``key``, checked against the shape of
     the request, ``()`` for ``"y"`` and ``(n,)`` for ``"ys"``, before they
-    enter the cache; :class:`ModelHandle` checks that they are finite."""
+    answer the call's rows; :class:`ModelHandle` checks that they are
+    finite."""
     try:
         ys = np.asarray(doc[key], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -359,11 +347,11 @@ def _answers(doc, key: str, shape: tuple) -> np.ndarray:
 
 
 class _RemoteModel(ModelHandle):
-    """Response cache and ``x``/``xs`` request logic shared by the remote
-    adapters; the protocol is in the module docstring.  A call sends its
-    uncached distinct rows: two or more as one ``xs`` request, the first of
-    which is the probe, and a lone one, or each once the model has shown
-    that it does not batch, as one ``x`` request.
+    """The ``x``/``xs`` request logic shared by the remote adapters; the
+    protocol is in the module docstring.  A call sends its distinct rows,
+    each once: two or more as one ``xs`` request, the first of which is the
+    probe, and a lone one, or each once the model has shown that it does not
+    batch, as one ``x`` request.  No answer outlives its call.
 
     Subclasses supply the transport: ``_request(payload)`` sends one request
     and returns the decoded reply, and ``_probe_batch(payload)``, called with
@@ -373,7 +361,6 @@ class _RemoteModel(ModelHandle):
 
     def __init__(self, dimension: int):
         super().__init__(dimension)
-        self._cache: dict[bytes, float] = {}
         self._batches: bool | None = None  # unknown until the first xs request
 
     def _request(self, payload: dict) -> dict:
@@ -384,18 +371,18 @@ class _RemoteModel(ModelHandle):
 
     def _evaluate_batch(self, xs):
         keys = [x.tobytes() for x in xs]
-        todo = {k: i for i, k in enumerate(keys) if k not in self._cache}
+        todo = {k: i for i, k in enumerate(keys)}  # each distinct row once
         rows = xs[list(todo.values())].tolist()
         doc = None
         if len(rows) > 1 and self._batches is not False:
             doc = (self._request if self._batches else self._probe_batch)({"xs": rows})
             self._batches = doc is not None
         if doc is None:
-            for k, row in zip(todo, rows):
-                self._cache[k] = float(_answers(self._request({"x": row}), "y", ()))
+            ys = [float(_answers(self._request({"x": row}), "y", ())) for row in rows]
         else:
-            self._cache.update(zip(todo, _answers(doc, "ys", (len(rows),)).tolist()))
-        return np.array([self._cache[k] for k in keys])
+            ys = _answers(doc, "ys", (len(rows),)).tolist()
+        answers = dict(zip(todo, ys))
+        return np.array([answers[k] for k in keys])
 
 
 class SubprocessModel(_RemoteModel):
@@ -405,11 +392,11 @@ class SubprocessModel(_RemoteModel):
     JSON object per line on its stdout.
 
     - ``{"x": [...]}`` is answered by ``{"y": <number>}``.  Every child
-      must speak it; a lone uncached row, as of :meth:`evaluate`, always
-      goes this way.
+      must speak it; a call of one distinct row, as of :meth:`evaluate`,
+      always goes this way.
     - ``{"xs": [[...], ...]}`` is answered by ``{"ys": [<number>, ...]}``,
       one value per row.  This line is optional.  The first batch of two
-      or more uncached rows is sent this way and serves as the probe: a
+      or more distinct rows is sent this way and serves as the probe: a
       ``ys`` reply means the child batches for the rest of the handle's
       life.  A reply without ``ys``, or the child exiting on that line,
       means it does not: the child is restarted if it died, and this batch
@@ -619,7 +606,7 @@ class HttpModel(_RemoteModel):
     """Adapter for an HTTP prediction endpoint.
 
     ``POST <base>/predict`` with ``{"x": [...]}`` returns ``{"y": <number>}``.
-    The first batch of two or more uncached rows goes as ``{"xs": [[...],
+    The first batch of two or more distinct rows goes as ``{"xs": [[...],
     ...]}`` and serves as the probe: a ``{"ys": [...]}`` reply means the
     server batches for the rest of the handle's life.  A status of 400 or
     above, or a reply without ``ys``, means it does not: this batch and

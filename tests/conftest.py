@@ -73,7 +73,8 @@ def no_confirm(delta):
 
 
 def minimize(grad_fn, value_fn, *, dim, seed, **settings):
-    """The ``_SolveState`` of :func:`~anomattr.gpa.proximal_minimize` over
+    """The ``_SolveState`` of :func:`~anomattr.gpa.proximal_minimize`, its
+    ``delta_star`` and ``objective_trace`` among its fields, over
     callables that return their results and query no model, with nothing to
     confirm, under the :class:`~anomattr.GpaHyperParams` of ``settings``."""
     solve = proximal_minimize(as_run(grad_fn), as_run(value_fn), no_confirm, dim,

@@ -519,13 +519,13 @@ class TestLc:
         state = driven(model, proximal_minimize)(grad_fn, value_fn, objective.confirm_run, 2,
                                                  hp, FINE_GRAD.seed)
         result = driven(sin_model, lc)(x_t, y_t, ORACLE_HP, FINE_GRAD, lam)
-        np.testing.assert_array_equal(result.delta_star, state.delta)
+        np.testing.assert_array_equal(result.delta_star, state.delta_star)
         # the solver record is the solve's and its objective's
         assert (result.iterations, result.converged, result.halvings,
                 result.secant_steps, result.confirmations) == (
             state.iterations, state.converged, state.halvings, state.secant_steps,
             state.confirmations)
-        np.testing.assert_array_equal(result.objective_trace, state.trace)
+        np.testing.assert_array_equal(result.objective_trace, state.objective_trace)
         assert result.one_pair_batches == objective.one_pair_batches
         assert result.rates is None
 
@@ -556,7 +556,7 @@ class TestLc:
                                                  hp, FINE_GRAD.seed)
         assert state.converged
         delta = driven(sin_model, lc)(x, y, ORACLE_HP, FINE_GRAD, lam).delta_star
-        np.testing.assert_array_equal(delta, state.delta)
+        np.testing.assert_array_equal(delta, state.delta_star)
 
     @pytest.mark.parametrize("x_t", [[0.1], [0.1, 0.2, 0.3], [[0.1], [0.2]]],
                              ids=["short", "long", "short rows"])

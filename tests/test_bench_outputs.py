@@ -122,7 +122,7 @@ def test_seed_one_round_passes_the_checks(bench, tmp_path, workload):
         for op, doc in zip(ops, docs):
             diagnostics = doc["diagnostics"]
             assert diagnostics["model_calls"] == diagnostics["gpa"]["call_count"], op.name
-        # a call the response cache answers never reaches the child
+        # each call is one request to the child
         requests = sum(json.loads(line)["requests"]
                        for line in child_counts.read_text(encoding="utf-8").splitlines())
         assert requests == plan[1]

@@ -650,8 +650,7 @@ class TestSubprocessModel:
         batch, point = docs
         assert batch["methods"]["gpa"]["scores"] == point["methods"]["gpa"]["scores"]
         assert batch["diagnostics"]["model_queries"] == point["diagnostics"]["model_queries"]
-        # calls on the handle, one per batch and cache hits included; gpa's
-        # are a share of the run's
+        # calls on the handle, one per batch; gpa's are a share of the run's
         calls = batch["diagnostics"]["gpa"]["call_count"]
         assert batch["diagnostics"]["model_calls"] == point["diagnostics"]["model_calls"]
         assert 0 < calls <= batch["diagnostics"]["model_calls"]
@@ -1645,6 +1644,49 @@ def test_unreadable_or_unwritable_file_exit_2(sinus_data, lattice_ref, tmp_path,
         assert not out.exists()
 
 
+# The references of the refusal cases, by name: a CSV's text.
+REFUSED_REFS = {
+    "one row": "x1,x2,y\n0.1,0.2,0\n",
+    "constant x1": "x1,x2,y\n0.3,0.0,0\n0.3,0.5,0\n0.3,-0.5,0\n",
+    "three inputs": "x1,x2,x3,y\n0,0,0,0\n1,1,1,0\n",
+}
+
+
+@pytest.mark.parametrize("flags, ref, message", [
+    (["explain", "--methods", "eig"], None, "method 'eig' requires --ref"),
+    (["explain", "--methods", "sv"], None, "method 'sv' requires --ref"),
+    (["compare", "--methods", "gpa,zscore"], None, "method 'zscore' requires --ref"),
+    (["explain", "--methods", "gpa,ig"], None, "method 'ig' requires --baseline"),
+    (["explain", "--methods", "lime", "--lime-samples", "2"], None,
+     "--lime-samples must be at least the dimension + 1, 3"),
+    (["explain", "--methods", "gpa,lime", "--collective", "--indices", "0,1"], None,
+     "--collective supports only gpa, lc; got lime"),
+    (["explain", "--methods", "gpa", "--b-mode", "local_kernel"], None,
+     "--b-mode local_kernel takes each row's rate from the other rows"),
+    (["explain", "--methods", "gpa,eig"], "three inputs",
+     "reference dimension 3 does not match dataset dimension 2"),
+    (["compare", "--methods", "gpa,eig,zscore"], "one row",
+     "z_score needs at least two reference samples"),
+    (["compare", "--methods", "gpa,eig,zscore"], "constant x1",
+     "variable 0 is constant in the reference set"),
+], ids=["eig no ref", "sv no ref", "zscore no ref", "ig no baseline", "lime samples",
+        "collective lime", "local_kernel one row", "ref dimension", "zscore one-row ref",
+        "zscore constant ref"])
+def test_refusals_come_before_the_first_query(sinus_data, tmp_path, capsys, recorders,
+                                              flags, ref, message):
+    out = tmp_path / "out"
+    argv = [*flags, "--data", str(sinus_data), "--model", "sinusoidal2d", "--out", str(out)]
+    if ref is not None:
+        path = tmp_path / "ref.csv"
+        path.write_text(REFUSED_REFS[ref])
+        argv += ["--ref", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert [model.sizes for model in recorders] == [[]]
+    assert not out.exists()
+
+
 class TestLockstep:
     """compare and explain run all their methods in lockstep: each model call
     carries the next rows of every method that has not ended, and each
@@ -1701,8 +1743,8 @@ class TestLockstep:
                      "--out", str(out)]) == 0
         diagnostics = strict_json((out / "compare.json").read_text())["diagnostics"]
         [served] = [json.loads(line) for line in counts.read_text().splitlines()]
-        # the adapter's cache answers repeated rows, such as sv's, so the
-        # child serves fewer points than the command queries
+        # the adapter sends a row repeated within a call, such as sv's, once,
+        # so the child serves fewer points than the command queries
         assert served["requests"] == diagnostics["model_calls"]
         assert served["points"] < diagnostics["model_queries"]
 

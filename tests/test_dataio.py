@@ -54,6 +54,14 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match=message):
             load_csv(p)
 
+    @pytest.mark.parametrize("later, kind", [("foo,5,6", "non-numeric"), ("4,5", "ragged")])
+    def test_first_bad_cell_in_row_order_named(self, tmp_path, later, kind):
+        # the non-finite cell comes first, so it is named, whatever follows it
+        p = tmp_path / "d.csv"
+        p.write_text(f"a,b,y\n1,nan,3\n{later}\n")
+        with pytest.raises(CsvFormatError, match="non-finite value 'nan' at row 2, column 'b'"):
+            load_csv(p)
+
     def test_ragged_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a,b,y\n1,2,3\n4,5\n")

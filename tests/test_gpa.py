@@ -586,10 +586,10 @@ class TestAcceleratedSolver:
         assert state.halvings > 0
         assert calls == {"grad": state.iterations + 1,
                          "value": 1 + state.iterations - 1 + state.halvings}
-        penalized = value(state.delta) + 0.01 * np.abs(state.delta).sum()
-        assert state.trace[-1] == penalized
-        assert len(state.trace) == state.iterations
-        np.testing.assert_allclose(state.delta, [0.995, -1.995], atol=1e-8)
+        penalized = value(state.delta_star) + 0.01 * np.abs(state.delta_star).sum()
+        assert state.objective_trace[-1] == penalized
+        assert len(state.objective_trace) == state.iterations
+        np.testing.assert_allclose(state.delta_star, [0.995, -1.995], atol=1e-8)
 
 
 # signs of delta* on _benchmark_sized_problem() under the default flags, as
@@ -711,10 +711,10 @@ class TestSecantCorrection:
         assert plain.converged and exact.converged
         assert 0 < plain.secant_steps == plain.iterations - 1
         assert 5 * exact.iterations < plain.iterations
-        np.testing.assert_allclose(exact.delta, plain.delta, atol=1e-8)
+        np.testing.assert_allclose(exact.delta_star, plain.delta_star, atol=1e-8)
         assert indefinite.secant_steps == 0
         assert indefinite.iterations == plain.iterations
-        np.testing.assert_array_equal(indefinite.delta, plain.delta)
+        np.testing.assert_array_equal(indefinite.delta_star, plain.delta_star)
 
 
 def _l1_kkt_residual(v, grad, hess, x, l1_weight):
@@ -1146,8 +1146,8 @@ class TestSolverPlan:
         assert fused.converged
         assert fused.iterations == reference.iterations
         assert fused_queries == reference_queries
-        np.testing.assert_array_equal(fused.delta, reference.delta)
-        np.testing.assert_array_equal(fused.trace, reference.trace)
+        np.testing.assert_array_equal(fused.delta_star, reference.delta_star)
+        np.testing.assert_array_equal(fused.objective_trace, reference.objective_trace)
 
     def test_collective_quadratic_matches_two_call_plan(self):
         # the reference sends every draw at each accepted point; the fused
@@ -1165,7 +1165,7 @@ class TestSolverPlan:
         assert fused.iterations == reference.iterations
         left_out = ts.n_test * ts.dimension * (cfg.mc_samples - 2)
         assert fused_queries == reference_queries - (fused.iterations - 2) * left_out
-        np.testing.assert_allclose(fused.delta, reference.delta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fused.delta_star, reference.delta_star, rtol=1e-12, atol=0)
 
 
 def _cubic_past_threshold(coef, threshold, cube):
@@ -1293,10 +1293,10 @@ class TestPairDraws:
         # after a confirmation x_0 sends all draws and the others one pair
         assert n * (1 + 2 * 2 + mc) in sizes
         # measured: 1.05e-8, 3.19e-8 and 8.8e-9, the smoothing's bias
-        assert kkt(confirmed.delta) <= 1.5 * kkt(all_draws.delta)
-        assert kkt(unconfirmed.delta) > 2.0 * kkt(all_draws.delta)
-        assert np.max(np.abs(confirmed.delta - all_draws.delta)) < 1e-7
-        assert np.max(np.abs(unconfirmed.delta - all_draws.delta)) > 1e-7
+        assert kkt(confirmed.delta_star) <= 1.5 * kkt(all_draws.delta_star)
+        assert kkt(unconfirmed.delta_star) > 2.0 * kkt(all_draws.delta_star)
+        assert np.max(np.abs(confirmed.delta_star - all_draws.delta_star)) < 1e-7
+        assert np.max(np.abs(unconfirmed.delta_star - all_draws.delta_star)) > 1e-7
 
     @pytest.mark.parametrize("problem", ["oracle-row", "collective"])
     def test_one_gradient_call_per_iteration(self, problem):
@@ -1386,8 +1386,8 @@ class TestNonFiniteObjective:
                          tol=1e-10, seed=0)
         assert state.converged
         assert state.halvings >= 1
-        assert np.all(np.isfinite(state.trace))
-        assert state.delta[0] == pytest.approx(0.25, abs=1e-5)
+        assert np.all(np.isfinite(state.objective_trace))
+        assert state.delta_star[0] == pytest.approx(0.25, abs=1e-5)
 
     @pytest.mark.parametrize("solve", [
         lambda m, ts: driven(m, map_estimate)(ts, GpaHyperParams(b0=1.0),
@@ -1438,7 +1438,7 @@ class TestDivergenceGuard:
                          seed=0)
         assert state.converged and state.iterations == 1
         assert state.halvings == len(calls) - 1 > 0
-        np.testing.assert_array_equal(state.delta, calls[0])
+        np.testing.assert_array_equal(state.delta_star, calls[0])
 
 
 def _reference_slices(delta_star, ts, model, hp, rates, grid):

@@ -22,7 +22,6 @@ from anomattr.models import (
     SubprocessModel,
     TransportError,
     _step_draws,
-    counted,
     drive,
     estimate_gradient,
     gradient_rows,
@@ -575,7 +574,7 @@ class TestDrive:
         flat, nested = _Kept(2), _Kept(2)
         seen_flat, seen_nested = [[], [], [], []], [[], [], [], []]
         a, b, c, d = runs(seen_nested)
-        assert drive(nested, [a, lockstep([b, c]), d]) == [2, [1, 3], 2]
+        assert drive(nested, [a, lockstep([b, c]), d]) == [2, [(1, 1, 1), (3, 6, 3)], 2]
         assert drive(flat, runs(seen_flat)) == [2, 1, 3, 2]
         assert [len(x) for x in flat.batches] == [5, 5, 2]
         assert [x.tolist() for x in nested.batches] == [x.tolist() for x in flat.batches]
@@ -655,16 +654,21 @@ POINTS = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.0], [-3.0, 1.5]])
 
 
 class TestCounted:
+    """:func:`lockstep`'s count of each run's rows and steps."""
+
     def test_counts_each_ask_form_and_only_its_own_rows(self):
         def run():
             first = yield np.ones((3, 2))
             second = yield ((4, 2), lambda out: out.fill(2.0))
-            return first.sum() + second.sum()
+            third = yield [np.ones((1, 2)), ((2, 2), lambda out: out.fill(0.5))]
+            return first.sum() + second.sum() + third.sum()
 
         model = _Kept(2)
-        (result, rows, steps), _ = drive(model, [counted(run()), ask(np.zeros((5, 2)))])
-        assert (result, rows, steps) == (3 * 2.0 + 4 * 4.0, 7, 2)
-        assert (model.query_count, model.call_count) == (12, 2)
+        [counts] = drive(model, [lockstep([run(), ask(np.zeros((5, 2)))])])
+        (result, rows, steps), (_, other_rows, other_steps) = counts
+        assert (result, rows, steps) == (3 * 2.0 + 4 * 4.0 + 2.0 + 2 * 1.0, 10, 3)
+        assert (other_rows, other_steps) == (5, 1)
+        assert (model.query_count, model.call_count) == (15, 3)
 
     def test_run_that_asks_nothing(self):
         def run():
@@ -672,7 +676,7 @@ class TestCounted:
             return "done"
 
         model = linear_model([1.0])
-        assert drive(model, [counted(run())]) == [("done", 0, 0)]
+        assert drive(model, [lockstep([run()])]) == [[("done", 0, 0)]]
         assert model.call_count == 0
 
 
@@ -726,7 +730,7 @@ class TestSubprocessAdapter:
         finally:
             m.close()
 
-    def test_batch_is_one_line_and_cached_rows_are_not_resent(self, tmp_path):
+    def test_batch_is_one_line_and_each_call_sends_its_rows(self, tmp_path):
         m, requests = _child(tmp_path, BATCH_MODEL)
         try:
             first = m.evaluate(POINTS[0])  # one x line on a fresh child, no probe
@@ -738,18 +742,30 @@ class TestSubprocessAdapter:
         np.testing.assert_array_equal(again, ys[::-1])
         assert ys[0] == first
         assert m.query_count == 9
-        assert requests() == [{"x": [1.0, 2.0]}, {"xs": POINTS[1:].tolist()}]
+        assert requests() == [{"x": [1.0, 2.0]}, {"xs": POINTS.tolist()},
+                              {"xs": POINTS[::-1].tolist()}]
 
-    def test_lone_uncached_row_after_the_probe_sends_x(self, tmp_path):
+    def test_lone_distinct_row_after_the_probe_sends_x(self, tmp_path):
         m, requests = _child(tmp_path, BATCH_MODEL)
         try:
             m.evaluate_batch(POINTS[:2])
-            ys = m.evaluate_batch(POINTS[:3])
+            ys = m.evaluate_batch(POINTS[[2, 2, 2]])
         finally:
             m.close()
-        np.testing.assert_array_equal(ys, 3.0 * POINTS[:3, 0] - POINTS[:3, 1])
+        np.testing.assert_array_equal(ys, [6.0] * 3)
         assert requests() == [{"xs": POINTS[:2].tolist()}, {"x": POINTS[2].tolist()}]
         assert (m.query_count, m.call_count) == (5, 2)
+
+    def test_a_later_call_sends_its_row_again(self, tmp_path):
+        # no answer outlives its call, so a handle's memory does not grow
+        # with the distinct rows it has sent
+        m, requests = _child(tmp_path, BATCH_MODEL)
+        try:
+            ys = [m.evaluate(POINTS[1]), m.evaluate(POINTS[1])]
+        finally:
+            m.close()
+        assert ys == [2.5, 2.5]
+        assert requests() == [{"x": POINTS[1].tolist()}] * 2
 
     def test_repeated_row_is_one_x_line(self, tmp_path):
         m, requests = _child(tmp_path, BATCH_MODEL)
@@ -1115,7 +1131,7 @@ class TestHttpAdapter:
         m.evaluate(POINTS[0])
         ys = m.evaluate_batch(POINTS)
         np.testing.assert_array_equal(ys, 2.0 * POINTS[:, 0] + POINTS[:, 1])
-        assert _Handler.posts == [{"x": POINTS[0].tolist()}, {"xs": POINTS[1:].tolist()}]
+        assert _Handler.posts == [{"x": POINTS[0].tolist()}, {"xs": POINTS.tolist()}]
 
     def test_unreachable_endpoint(self):
         m = HttpModel("http://127.0.0.1:1", dimension=1, timeout=0.3)
